@@ -18,7 +18,9 @@ def rank(vectors: Sequence[Poly]) -> tuple[int, list[int]]:
     """Exact rank plus a certificate: indices of an independent subset.
 
     The certificate vectors are linearly independent and span the same space
-    as the input; its length equals the reported rank.
+    as the input; its length equals the reported rank.  Vectors are taken in
+    order, so the certificate entries below k are exactly the certificate of
+    ``vectors[:k]``, and their number is the rank of that prefix.
     """
     alphabets = {v.alphabet for v in vectors}
     if len(alphabets) > 1:

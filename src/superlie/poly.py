@@ -73,10 +73,6 @@ class Poly:
     def generator(cls, alphabet: Alphabet, name: str) -> "Poly":
         return cls.monomial(Word(alphabet, (alphabet.symbol(name).rank,)))
 
-    @classmethod
-    def one(cls, alphabet: Alphabet) -> "Poly":
-        return cls.monomial(alphabet.empty_word())
-
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:

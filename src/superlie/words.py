@@ -121,9 +121,6 @@ class Alphabet:
     def empty_word(self) -> "Word":
         return Word(self, ())
 
-    def word_of_ranks(self, ranks: Iterable[int]) -> "Word":
-        return Word(self, tuple(ranks))
-
     def word_of_names(self, names: Iterable[str]) -> "Word":
         return Word(self, tuple(self.symbol(n).rank for n in names))
 

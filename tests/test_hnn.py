@@ -13,24 +13,27 @@ from superlie import (
     StructureConstants,
     Word,
     build_relations,
+    deglex_key,
     enumerate_h_basis,
     enumerate_reduced_super_ls,
     enumerate_uh_basis,
     expand,
     free_generators_W,
+    is_admissible,
     is_reduced_word,
     is_unitriangular,
     lex_cmp,
     load_presentation,
     parse_poly,
     presentation_to_dict,
+    rank,
     reduce,
     superbracket,
     validate,
     verify_hnn_gsb,
     verify_structure_theorem,
 )
-from superlie.fixtures import ALL, EX1, EX2, ex1, ex2, ex3
+from superlie.fixtures import ALL, EX1, EX2, EX3, ex1, ex2, ex3
 
 # a richer even presentation: two-dimensional non-abelian subalgebra, so the
 # triple-overlap and stable/pair composition families are actually non-empty
@@ -111,6 +114,154 @@ def test_subalgebra_closure_violation():
     assert any(v.check == "subalgebra-closure" for v in report.violations)
 
 
+def _bracket(left, right, *values):
+    value = [{"basis": b, "coeff": c} for b, c in values]
+    return {"left": left, "right": right, "value": value}
+
+
+def _with(base, **changes):
+    data = copy.deepcopy(base)
+    data.update(changes)
+    return data
+
+
+# Tables that each fail validation; every check name is tripped by at least
+# one of them.  The expected violations are pinned in full (order, indices,
+# detail text), so a rewrite of ``validate`` must keep its report unchanged.
+PINNED_VIOLATIONS = {
+    "even-diagonal": (
+        _with(EX1, brackets=[_bracket("a", "a", ("x", "1"))]),
+        [
+            ("anticommutativity", ("a", "a"), "an even symbol must bracket to zero with itself"),
+            ("subalgebra-closure", ("a", "a", "x"), "coefficient 1 lands outside the subalgebra"),
+        ],
+    ),
+    "mirror-pair": (
+        _with(EX4, brackets=[_bracket("a", "b", ("a", "1")), _bracket("b", "a", ("a", "1"))]),
+        [
+            ("anticommutativity", ("b", "a", "a"), "stored 1, anti-commutativity requires -1"),
+            ("jacobi", ("a", "b", "b", "a"), "residual 2"),
+            ("jacobi", ("b", "a", "b", "a"), "residual 2"),
+            ("jacobi", ("b", "b", "a", "a"), "residual 2"),
+        ],
+    ),
+    "odd-squares": (
+        _with(
+            EX2,
+            brackets=[_bracket("a", "a", ("x", "1")), _bracket("a", "x", ("a", "1/2"))],
+            derivation=[{"arg": "x", "value": [{"basis": "a", "coeff": "-2/3"}]}],
+        ),
+        [
+            ("jacobi", ("x", "a", "a", "x"), "residual 1"),
+            ("jacobi", ("a", "x", "a", "x"), "residual 1"),
+            ("jacobi", ("a", "a", "x", "x"), "residual 1"),
+            ("jacobi", ("a", "a", "a", "a"), "residual -3/2"),
+            ("odd-square-right", ("x", "a", "x"), "0 != 2*(-1/2)"),
+            ("odd-square-right", ("a", "a", "a"), "1/2 != 2*(-1/2)"),
+            ("odd-square-left", ("a", "x", "x"), "0 != 2*(1/2)"),
+            ("odd-square-left", ("a", "a", "a"), "-1/2 != 2*(1/2)"),
+        ],
+    ),
+    "multi-term": (
+        {
+            "generators": [{"name": n, "parity": 0} for n in "hef"],
+            "subalgebra_size": 2,
+            "d_parity": 0,
+            "brackets": [  # sl2, with [e, f] = h + e/3 in place of h
+                _bracket("h", "e", ("e", "2")),
+                _bracket("h", "f", ("f", "-2")),
+                _bracket("e", "f", ("h", "1"), ("e", "1/3")),
+            ],
+            "derivation": [
+                {"arg": "h", "value": [{"basis": "f", "coeff": "2"}]},
+                {"arg": "e", "value": [{"basis": "h", "coeff": "-1"}]},
+            ],
+        },
+        [
+            ("jacobi", ("h", "e", "f", "e"), "residual 2/3"),
+            ("jacobi", ("h", "f", "e", "e"), "residual -2/3"),
+            ("jacobi", ("e", "h", "f", "e"), "residual -2/3"),
+            ("jacobi", ("e", "f", "h", "e"), "residual 2/3"),
+            ("jacobi", ("f", "h", "e", "e"), "residual 2/3"),
+            ("jacobi", ("f", "e", "h", "e"), "residual -2/3"),
+            ("derivation-law", ("h", "e", "e"), "0 != -2/3"),
+            ("derivation-law", ("e", "h", "e"), "0 != 2/3"),
+        ],
+    ),
+    "derivation-odd-square": (
+        _with(EX3, brackets=[_bracket("x", "a", ("a", "1"))]),
+        [
+            ("derivation-odd-square", ("a", "a"), "0 != 2*(1)"),
+            ("derivation-law", ("a", "a", "a"), "0 != 2"),
+        ],
+    ),
+    "derivation-law": (
+        _with(EX4, derivation=[
+            {"arg": "a", "value": [{"basis": "a", "coeff": "1"}]},
+            {"arg": "b", "value": [{"basis": "b", "coeff": "1"}]},
+        ]),
+        [
+            ("derivation-law", ("a", "b", "a"), "1 != 2"),
+            ("derivation-law", ("b", "a", "a"), "-1 != -2"),
+        ],
+    ),
+    "closure": (
+        _with(EX4, brackets=[_bracket("a", "b", ("x", "1"))]),
+        [
+            ("derivation-law", ("a", "b", "x"), "0 != 1"),
+            ("derivation-law", ("b", "a", "x"), "0 != -1"),
+            ("subalgebra-closure", ("a", "b", "x"), "coefficient 1 lands outside the subalgebra"),
+        ],
+    ),
+    "bracket-parity": (
+        _with(EX2, brackets=[_bracket("a", "a", ("a", "1"))]),
+        [
+            ("jacobi", ("a", "a", "a", "a"), "residual -3"),
+            ("odd-square-right", ("a", "a", "a"), "1 != 2*(1)"),
+            ("odd-square-left", ("a", "a", "a"), "1 != 2*(1)"),
+            ("parity", ("a", "a", "a"), "bracket of parities 1,1 cannot hit a parity-1 symbol"),
+        ],
+    ),
+    "derivation-parity": (
+        _with(EX3, derivation=[{"arg": "a", "value": [{"basis": "a", "coeff": "1"}]}]),
+        [
+            (
+                "parity",
+                ("a", "a"),
+                "derivation of parity 1 cannot map a parity-1 symbol to a parity-1 one",
+            ),
+        ],
+    ),
+}
+
+
+def test_pinned_violations_cover_every_check():
+    checks = {c for _, expected in PINNED_VIOLATIONS.values() for c, _, _ in expected}
+    assert checks == {
+        "anticommutativity",
+        "jacobi",
+        "odd-square-right",
+        "odd-square-left",
+        "derivation-odd-square",
+        "derivation-law",
+        "subalgebra-closure",
+        "parity",
+    }
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VIOLATIONS))
+def test_validation_report_is_pinned(case):
+    data, expected = PINNED_VIOLATIONS[case]
+    report = validate(load_presentation(data).constants)
+    assert report.to_dict() == {
+        "passed": False,
+        "violations": [
+            {"check": check, "indices": list(indices), "detail": detail}
+            for check, indices, detail in expected
+        ],
+    }
+
+
 # -- relations ---------------------------------------------------------------------
 
 
@@ -152,6 +303,15 @@ def test_build_relations_requires_valid_constants():
     )
     with pytest.raises(ValueError):
         build_relations(load_presentation(data))
+
+
+def test_uh_basis_requires_valid_constants():
+    pres = load_presentation(PINNED_VIOLATIONS["odd-squares"][0])
+    with pytest.raises(ValueError) as excinfo:
+        enumerate_uh_basis(pres, 2)
+    assert str(excinfo.value) == (
+        f"structure constants fail validation\n{validate(pres.constants)}"
+    )
 
 
 # -- composition closure -------------------------------------------------------------
@@ -260,6 +420,61 @@ def test_pbw_pattern_matches_reduced_scan():
                     assert matched.word(pres) == w
 
 
+def _small_shapes():
+    """(parities, subalgebra size, d parity) on one to three basis symbols."""
+    for size in (1, 2, 3):
+        for parities in product((0, 1), repeat=size):
+            for k in range(size):
+                for d_parity in (0, 1):
+                    yield parities, k, d_parity
+
+
+# Leading words never depend on coefficients and admissibility is decided in
+# the free algebra, so the basis constructions depend on the table's shape
+# alone; the abelian table with zero derivation stands for each shape.
+SMALL_SHAPES = list(_small_shapes())
+
+
+def _abelian_presentation(parities, k, d_parity):
+    return load_presentation(
+        {
+            "generators": [{"name": f"x{i}", "parity": p} for i, p in enumerate(parities)],
+            "subalgebra_size": k,
+            "d_parity": d_parity,
+        }
+    )
+
+
+def test_uh_basis_is_the_reduced_word_scan_on_every_small_shape():
+    assert len(SMALL_SHAPES) == 68
+    for parities, k, d_parity in SMALL_SHAPES:
+        pres = _abelian_presentation(parities, k, d_parity)
+        size, t = len(pres.alphabet), pres.t_rank
+        # leading words: xy for x > y, xx for odd x, and t a for subalgebra a
+        forbidden = {(x, y) for x in range(t) for y in range(x)}
+        forbidden |= {(x, x) for x in range(t) if parities[x]}
+        forbidden |= {(t, a) for a in range(k)}
+        reduced = []
+        for n in range(6):
+            for letters in product(range(size), repeat=n):
+                w = Word(pres.alphabet, letters)
+                is_reduced = forbidden.isdisjoint(zip(letters, letters[1:]))
+                assert (PbwPattern.of(pres, w) is not None) == is_reduced, (parities, k, w)
+                if is_reduced:
+                    reduced.append(w)
+        reduced.sort(key=deglex_key)
+        assert enumerate_uh_basis(pres, 5) == reduced, (parities, k, d_parity)
+
+
+def test_h_basis_is_admissible_on_every_small_shape():
+    for parities, k, d_parity in SMALL_SHAPES:
+        pres = _abelian_presentation(parities, k, d_parity)
+        basis = enumerate_h_basis(pres, 4)
+        words = enumerate_reduced_super_ls(build_relations(pres), 4)
+        assert [m.word for m in basis] == words, (parities, k, d_parity)
+        assert all(is_admissible(m) for m in basis), (parities, k, d_parity)
+
+
 def test_ex1_h_basis_counts_and_monomials():
     basis = enumerate_h_basis(ex1(), 4)
     counts = [sum(1 for m in basis if len(m.word) == n) for n in range(1, 5)]
@@ -309,6 +524,18 @@ def test_structure_theorem_passes(fixture):
     for row in report.rows:
         assert row.products == row.pattern_words
         assert row.independent_rank == row.h_basis_count
+
+
+@pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
+def test_structure_rows_match_per_degree_recomputation(fixture):
+    # the per-degree algorithm that one rank call over the whole basis replaced
+    pres = fixture()
+    system = build_relations(pres)
+    for row in verify_structure_theorem(pres, 5).rows:
+        basis = enumerate_h_basis(pres, row.length)
+        vectors = [reduce(expand(m), system)[0] for m in basis]
+        assert row.h_basis_count == len(basis)
+        assert row.independent_rank == rank(vectors)[0]
 
 
 def test_ex1_structure_counts():

@@ -67,6 +67,21 @@ def test_certificate_subset_has_full_rank():
         assert rank([vectors[i] for i in certificate])[0] == r
 
 
+def test_certificate_entries_below_k_are_the_certificate_of_the_first_k():
+    rng = Random(57)
+    for _ in range(20):
+        vectors = [random_poly(rng, AB, max_len=3) for _ in range(5)]
+        for _ in range(3):  # dependent vectors: combinations and zero
+            a, b = rng.sample(vectors, 2)
+            vectors.append(scale(rng.randint(-3, 3), a) + scale(rng.randint(1, 3), b))
+        vectors.append(Poly.zero(AB))
+        rng.shuffle(vectors)
+        _, certificate = rank(vectors)
+        for k in range(len(vectors) + 1):
+            below = [i for i in certificate if i < k]
+            assert rank(vectors[:k]) == (len(below), below)
+
+
 def test_rank_rejects_mixed_alphabets():
     other = Alphabet.from_names(["a", "b", "c"])
     with pytest.raises(ValueError):
