@@ -50,7 +50,10 @@ def _parse_alphabet(spec: str) -> Alphabet:
         else:
             name = token
         names.append(name)
-    return Alphabet.from_names(names, odd)
+    try:
+        return Alphabet.from_names(names, odd)
+    except ValueError as exc:
+        raise ValueError(f"--alphabet: {exc}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -82,14 +85,17 @@ def _load_system(path: str) -> tuple[RewriteSystem, object]:
         gens = data.get("generators")
         if not isinstance(gens, list) or not gens:
             raise ValueError(f"{path}: generators: expected a non-empty list")
-        names, odd = [], set()
+        names, odd = [], []
         for i, g in enumerate(gens):
             if not isinstance(g, dict) or "name" not in g:
                 raise ValueError(f"{path}: generators[{i}]: expected {{name, parity}}")
             names.append(g["name"])
             if g.get("parity", 0) == 1:
-                odd.add(g["name"])
-        alphabet = Alphabet.from_names(names, odd)
+                odd.append(g["name"])
+        try:
+            alphabet = Alphabet.from_names(names, odd)
+        except ValueError as exc:
+            raise ValueError(f"{path}: generators: {exc}") from None
         rules = data["rules"]
         if not isinstance(rules, list):
             raise ValueError(f"{path}: rules: expected a list of polynomial strings")

@@ -1,4 +1,4 @@
-"""Three desk-scale extension inputs used by the test suite and the docs.
+"""Desk-scale extension inputs used by the test suite and the docs.
 
 EX1: even subalgebra {a} inside an abelian even 2-dimensional algebra,
      derivation a -> x, even stable letter.  Exercises the plain pair and
@@ -9,54 +9,106 @@ EX2: even subalgebra {x} with an odd complement symbol a squaring to x,
 EX3: odd subalgebra {a} with [a, a] = 0, derivation a -> x, odd stable
      letter.  Exercises the odd-square rule inside the subalgebra (family 5)
      and the self-bracket [t, t] basis monomial.
+EX4: non-abelian subalgebra {a, b} with [a, b] = a, derivation a -> a,
+     b -> x.  Exercises families 1 and 2 (triple overlap, stable/pair).
+SL2: sl2 with d = ad f restricted to the Borel subalgebra {h, e}.
+OSP: osp(1|2) with the odd derivation d = ad v on {h, e, u}.  The only
+     input with an odd subalgebra symbol, an odd complement symbol and all
+     five composition families.
+AB5: five even letters, abelian, subalgebra {a, b}, derivation a -> x.
+
+Each is also shipped as ``fixtures/<name>.json``, under its key in ``ALL``.
 """
 
 from __future__ import annotations
 
 from .hnn import HnnPresentation, load_presentation
 
+
+def _gen(name, parity):
+    return {"name": name, "parity": parity}
+
+
+def _val(*pairs):
+    return [{"basis": b, "coeff": c} for b, c in pairs]
+
+
+def _br(left, right, *pairs):
+    return {"left": left, "right": right, "value": _val(*pairs)}
+
+
+def _d(arg, *pairs):
+    return {"arg": arg, "value": _val(*pairs)}
+
+
 EX1 = {
-    "generators": [
-        {"name": "a", "parity": 0},
-        {"name": "x", "parity": 0},
-    ],
+    "generators": [_gen("a", 0), _gen("x", 0)],
     "subalgebra_size": 1,
     "d_parity": 0,
     "brackets": [],
-    "derivation": [
-        {"arg": "a", "value": [{"basis": "x", "coeff": "1"}]},
-    ],
+    "derivation": [_d("a", ("x", "1"))],
 }
 
 EX2 = {
-    "generators": [
-        {"name": "x", "parity": 0},
-        {"name": "a", "parity": 1},
-    ],
+    "generators": [_gen("x", 0), _gen("a", 1)],
     "subalgebra_size": 1,
     "d_parity": 1,
-    "brackets": [
-        {"left": "a", "right": "a", "value": [{"basis": "x", "coeff": "1"}]},
-    ],
-    "derivation": [
-        {"arg": "x", "value": [{"basis": "a", "coeff": "1"}]},
-    ],
+    "brackets": [_br("a", "a", ("x", "1"))],
+    "derivation": [_d("x", ("a", "1"))],
 }
 
 EX3 = {
-    "generators": [
-        {"name": "a", "parity": 1},
-        {"name": "x", "parity": 0},
-    ],
+    "generators": [_gen("a", 1), _gen("x", 0)],
     "subalgebra_size": 1,
     "d_parity": 1,
     "brackets": [],
-    "derivation": [
-        {"arg": "a", "value": [{"basis": "x", "coeff": "1"}]},
-    ],
+    "derivation": [_d("a", ("x", "1"))],
 }
 
-ALL = {"ex1": EX1, "ex2": EX2, "ex3": EX3}
+EX4 = {
+    "generators": [_gen("a", 0), _gen("b", 0), _gen("x", 0)],
+    "subalgebra_size": 2,
+    "d_parity": 0,
+    "brackets": [_br("a", "b", ("a", "1"))],
+    "derivation": [_d("a", ("a", "1")), _d("b", ("x", "1"))],
+}
+
+SL2 = {
+    "generators": [_gen("h", 0), _gen("e", 0), _gen("f", 0)],
+    "subalgebra_size": 2,
+    "d_parity": 0,
+    "brackets": [_br("h", "e", ("e", "2")), _br("h", "f", ("f", "-2")), _br("e", "f", ("h", "1"))],
+    "derivation": [_d("h", ("f", "2")), _d("e", ("h", "-1"))],
+}
+
+OSP = {
+    "generators": [_gen("h", 0), _gen("e", 0), _gen("u", 1), _gen("f", 0), _gen("v", 1)],
+    "subalgebra_size": 3,
+    "d_parity": 1,
+    "brackets": [
+        _br("h", "e", ("e", "2")),
+        _br("h", "f", ("f", "-2")),
+        _br("e", "f", ("h", "1")),
+        _br("h", "u", ("u", "1")),
+        _br("h", "v", ("v", "-1")),
+        _br("e", "v", ("u", "-1")),
+        _br("f", "u", ("v", "-1")),
+        _br("u", "u", ("e", "2")),
+        _br("v", "v", ("f", "-2")),
+        _br("u", "v", ("h", "1")),
+    ],
+    "derivation": [_d("h", ("v", "1")), _d("e", ("u", "1")), _d("u", ("h", "1"))],
+}
+
+AB5 = {
+    "generators": [_gen(n, 0) for n in "abxyz"],
+    "subalgebra_size": 2,
+    "d_parity": 0,
+    "brackets": [],
+    "derivation": [_d("a", ("x", "1"))],
+}
+
+ALL = {"ex1": EX1, "ex2": EX2, "ex3": EX3, "ex4": EX4, "sl2": SL2, "osp": OSP, "ab5": AB5}
 
 
 def ex1() -> HnnPresentation:
@@ -69,3 +121,19 @@ def ex2() -> HnnPresentation:
 
 def ex3() -> HnnPresentation:
     return load_presentation(EX3)
+
+
+def ex4() -> HnnPresentation:
+    return load_presentation(EX4)
+
+
+def sl2() -> HnnPresentation:
+    return load_presentation(SL2)
+
+
+def osp() -> HnnPresentation:
+    return load_presentation(OSP)
+
+
+def ab5() -> HnnPresentation:
+    return load_presentation(AB5)

@@ -28,26 +28,24 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
 from .bracketing import (
     NcMonomial,
     expand,
-    is_admissible,
     right_normed_bracket,
     standard_bracket,
 )
-from .linalg import rank
+from .linalg import is_unitriangular, rank
 from .poly import Poly, superbracket
 from .rewrite import (
     RewriteSystem,
     GsbReport,
-    enumerate_reduced_super_ls,
     is_gsb,
     lie_composition_len2,
     reduce,
@@ -225,6 +223,9 @@ def validate(sc: StructureConstants) -> ValidationReport:
     parities = [s.parity for s in sc.alphabet.symbols]
     br, d = sc.bracket_coeffs, sc.derivation_coeffs
 
+    def fail(check: str, ranks: tuple[int, ...], detail: str) -> None:
+        violations.append(Violation(check, tuple(names[r] for r in ranks), detail))
+
     def ad(x: int) -> Callable[[int], dict[int, Fraction]]:  # v -> [x, v]
         return lambda v: br(x, v)
 
@@ -235,31 +236,25 @@ def validate(sc: StructureConstants) -> ValidationReport:
     for x in range(size):
         for y in range(x, size):
             if x == y:
-                stored = sc.alpha.get((x, x))
-                if stored and parities[x] == 0:
-                    violations.append(
-                        Violation(
-                            "anticommutativity",
-                            (names[x], names[x]),
-                            "an even symbol must bracket to zero with itself",
-                        )
+                if sc.alpha.get((x, x)) and parities[x] == 0:
+                    fail(
+                        "anticommutativity",
+                        (x, x),
+                        "an even symbol must bracket to zero with itself",
                     )
                 continue
             one, two = sc.alpha.get((x, y)), sc.alpha.get((y, x))
             if one is None or two is None:
                 continue
             factor = 1 if (parities[x] and parities[y]) else -1
-            vs = set(one) | set(two)
-            for v in sorted(vs):
+            for v in sorted(set(one) | set(two)):
                 lhs = two.get(v, Fraction(0))
                 rhs = factor * one.get(v, Fraction(0))
                 if lhs != rhs:
-                    violations.append(
-                        Violation(
-                            "anticommutativity",
-                            (names[y], names[x], names[v]),
-                            f"stored {lhs}, anti-commutativity requires {rhs}",
-                        )
+                    fail(
+                        "anticommutativity",
+                        (y, x, v),
+                        f"stored {lhs}, anti-commutativity requires {rhs}",
                     )
 
     # super Jacobi on all ordered triples
@@ -271,13 +266,7 @@ def validate(sc: StructureConstants) -> ValidationReport:
                 + _sign(parities[z], parities[y]) * _composite_coeff(br(x, y), ad(z), u)
             )
             if residual:
-                violations.append(
-                    Violation(
-                        "jacobi",
-                        (names[x], names[y], names[z], names[u]),
-                        f"residual {residual}",
-                    )
-                )
+                fail("jacobi", (x, y, z, u), f"residual {residual}")
 
     # odd squares against Jacobi: [x,[y,y]] = 2[[x,y],y] for odd y
     for y in range(size):
@@ -288,13 +277,7 @@ def validate(sc: StructureConstants) -> ValidationReport:
                 lhs = _composite_coeff(br(y, y), ad(x), u)
                 rhs = _composite_coeff(br(x, y), right(y), u)
                 if lhs != 2 * rhs:
-                    violations.append(
-                        Violation(
-                            "odd-square-right",
-                            (names[x], names[y], names[u]),
-                            f"{lhs} != 2*({rhs})",
-                        )
-                    )
+                    fail("odd-square-right", (x, y, u), f"{lhs} != 2*({rhs})")
 
     # mirrored version: [[x,x],y] = 2[x,[x,y]] for odd x
     for x in range(size):
@@ -305,13 +288,7 @@ def validate(sc: StructureConstants) -> ValidationReport:
                 lhs = _composite_coeff(br(x, x), right(y), u)
                 rhs = _composite_coeff(br(x, y), ad(x), u)
                 if lhs != 2 * rhs:
-                    violations.append(
-                        Violation(
-                            "odd-square-left",
-                            (names[x], names[y], names[u]),
-                            f"{lhs} != 2*({rhs})",
-                        )
-                    )
+                    fail("odd-square-left", (x, y, u), f"{lhs} != 2*({rhs})")
 
     # derivation of an odd square: d([a,a]) = 2[d(a), a] for odd a in the subalgebra
     for a in range(k):
@@ -321,13 +298,7 @@ def validate(sc: StructureConstants) -> ValidationReport:
             lhs = _composite_coeff(br(a, a), d, u)
             rhs = _composite_coeff(d(a), right(a), u)
             if lhs != 2 * rhs:
-                violations.append(
-                    Violation(
-                        "derivation-odd-square",
-                        (names[a], names[u]),
-                        f"{lhs} != 2*({rhs})",
-                    )
-                )
+                fail("derivation-odd-square", (a, u), f"{lhs} != 2*({rhs})")
 
     # derivation law on all subalgebra pairs
     for a in range(k):
@@ -338,25 +309,17 @@ def validate(sc: StructureConstants) -> ValidationReport:
                     sc.d_parity, parities[a]
                 ) * _composite_coeff(d(b), ad(a), u)
                 if lhs != rhs:
-                    violations.append(
-                        Violation(
-                            "derivation-law",
-                            (names[a], names[b], names[u]),
-                            f"{lhs} != {rhs}",
-                        )
-                    )
+                    fail("derivation-law", (a, b, u), f"{lhs} != {rhs}")
 
     # subalgebra closure
     for a in range(k):
         for b in range(a, k):
             for v, c in sc.bracket_coeffs(a, b).items():
                 if c and v >= k:
-                    violations.append(
-                        Violation(
-                            "subalgebra-closure",
-                            (names[a], names[b], names[v]),
-                            f"coefficient {c} lands outside the subalgebra",
-                        )
+                    fail(
+                        "subalgebra-closure",
+                        (a, b, v),
+                        f"coefficient {c} lands outside the subalgebra",
                     )
 
     # parity coherence of stored tables
@@ -364,25 +327,21 @@ def validate(sc: StructureConstants) -> ValidationReport:
         want = (parities[x] + parities[y]) % 2
         for v, c in sorted(coeffs.items()):
             if c and parities[v] != want:
-                violations.append(
-                    Violation(
-                        "parity",
-                        (names[x], names[y], names[v]),
-                        f"bracket of parities {parities[x]},{parities[y]} cannot "
-                        f"hit a parity-{parities[v]} symbol",
-                    )
+                fail(
+                    "parity",
+                    (x, y, v),
+                    f"bracket of parities {parities[x]},{parities[y]} cannot "
+                    f"hit a parity-{parities[v]} symbol",
                 )
     for a, coeffs in sorted(sc.beta.items()):
         want = (parities[a] + sc.d_parity) % 2
         for v, c in sorted(coeffs.items()):
             if c and parities[v] != want:
-                violations.append(
-                    Violation(
-                        "parity",
-                        (names[a], names[v]),
-                        f"derivation of parity {sc.d_parity} cannot map a "
-                        f"parity-{parities[a]} symbol to a parity-{parities[v]} one",
-                    )
+                fail(
+                    "parity",
+                    (a, v),
+                    f"derivation of parity {sc.d_parity} cannot map a "
+                    f"parity-{parities[a]} symbol to a parity-{parities[v]} one",
                 )
 
     return ValidationReport(violations)
@@ -392,7 +351,8 @@ class HnnPresentation:
     """A validated-shape extension input: tables plus the appended stable letter.
 
     The stable letter is strictly greater than every basis symbol and has the
-    parity of the derivation.  At least one complement symbol is required;
+    parity of the derivation.  All names, the stable letter's included, must
+    pass the rule of :meth:`Alphabet.from_names`.  At least one complement symbol is required;
     extending by a derivation of the whole algebra is rejected because the
     result degenerates to a (semi)direct product.
     """
@@ -404,16 +364,18 @@ class HnnPresentation:
             raise ValueError(
                 "the subalgebra must be proper: at least one complement symbol"
             )
-        if constants.alphabet.has_name(t_name):
+        base = constants.alphabet.symbols
+        names = [s.name for s in base]
+        if t_name in names:
             raise ValueError(
                 f"stable letter name {t_name!r} collides with a generator"
             )
-        symbols = constants.alphabet.symbols + (
-            Symbol(len(constants.alphabet), t_name, constants.d_parity),
-        )
         self.constants = constants
-        self.alphabet = Alphabet(symbols)
-        self.t_rank = len(symbols) - 1
+        self.alphabet = Alphabet.from_names(
+            names + [t_name],
+            [s.name for s in base if s.parity] + [t_name] * constants.d_parity,
+        )
+        self.t_rank = len(base)
 
     @property
     def t_symbol(self) -> Symbol:
@@ -751,52 +713,28 @@ def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     return out
 
 
-def _wbar_letters(pres: HnnPresentation, max_len: int) -> list[Word]:
-    """Complement-block letters t*X^b of length <= max_len, in ascending lex order."""
-    letters = []
-    for tail_len in range(max_len):
-        for xs in _increasing_blocks(pres, list(pres.complement_ranks()), tail_len):
-            letters.append(Word(pres.alphabet, (pres.t_rank,) + xs))
-    letters.sort(key=cmp_to_key(lex_cmp))
-    return letters
-
-
 class _WbarView:
-    """The letters t*X^b of bounded length as an alphabet of their own.
+    """The generators W of length <= max_len as letters of an alphabet of their own.
 
-    Ordered purely lexicographically as words (so "t" is the greatest
-    letter, being a prefix of all others) and carrying their word parities.
+    Each letter is a left-combed generator from :func:`free_generators_W`.
+    The letters are ordered purely lexicographically by their words (so "t"
+    is the greatest letter, being a prefix of all others) and carry their
+    word parities.
     """
 
     def __init__(self, pres: HnnPresentation, max_len: int):
         self.pres = pres
-        self.letters = _wbar_letters(pres, max_len)
+        self.max_len = max_len
+        self.generators = sorted(
+            free_generators_W(pres, max_len),
+            key=cmp_to_key(lambda m, n: lex_cmp(m.word, n.word)),
+        )
+        self.letters = [m.word for m in self.generators]
         self.alphabet = Alphabet(
             tuple(
                 Symbol(i, str(w), w.parity) for i, w in enumerate(self.letters)
             )
         )
-        self.rank_of = {w: i for i, w in enumerate(self.letters)}
-
-    def split(self, w: Word) -> list[Word]:
-        """Cut before every stable letter; each piece must be a known letter."""
-        t = self.pres.t_rank
-        letters = w.letters
-        if not letters:
-            return []
-        if letters[0] != t:
-            raise ValueError(f"{str(w)!r} does not start with the stable letter")
-        cuts = [i for i, r in enumerate(letters) if r == t] + [len(letters)]
-        pieces = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            piece = w.sub(lo, hi)
-            if piece not in self.rank_of:
-                raise ValueError(f"{str(piece)!r} is not a complement-block letter")
-            pieces.append(piece)
-        return pieces
-
-    def encode(self, pieces: Sequence[Word]) -> Word:
-        return Word(self.alphabet, tuple(self.rank_of[p] for p in pieces))
 
     def concat(self, ranks: Sequence[int]) -> Word:
         out = Word(self.pres.alphabet, ())
@@ -805,12 +743,9 @@ class _WbarView:
         return out
 
     def substitute(self, m: NcMonomial) -> NcMonomial:
-        """Replace each letter leaf by its left-combed bracketing over the base."""
+        """Replace each letter leaf by its generator's tree over the base."""
         if m.is_leaf:
-            piece = self.letters[m.rank]
-            return right_normed_bracket(
-                self.pres.alphabet, self.pres.t_rank, piece.letters[1:]
-            )
+            return self.generators[m.rank]
         return NcMonomial.pair(self.substitute(m.left), self.substitute(m.right))
 
     def sequences_of_total_length(self, total: int) -> list[tuple[int, ...]]:
@@ -832,39 +767,42 @@ class _WbarView:
         return out
 
 
+def _h_basis(view: _WbarView) -> list[NcMonomial]:
+    """The basis of H = A + L(W) up to ``view.max_len``, deglex by word.
+
+    The leaves of the original basis, then the substituted standard
+    bracketing of every super-LS word over the generators W.
+    """
+    pres = view.pres
+    out = [NcMonomial.leaf(pres.alphabet, r) for r in pres.basis_ranks()]
+    for n in range(1, view.max_len + 1):
+        for seq in view.sequences_of_total_length(n):
+            block_word = Word(view.alphabet, seq)
+            if is_super_ls(block_word):
+                out.append(view.substitute(standard_bracket(block_word)))
+    out.sort(key=lambda m: deglex_key(m.word))
+    return out
+
+
 def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     """Basis monomials of the extension up to ``max_len``, in deglex order.
 
-    Leaves for the original basis symbols; the stable letter and, when odd,
-    its self-bracket; and for every other reduced super-LS word the
-    bracketing obtained by bracketing its complement-block letters
-    standardly and substituting each letter's left-combed tree.  Each
-    monomial must spell the reduced super-LS word it was built for, or this
-    raises.  Admissibility is checked by :func:`verify_structure_theorem`
-    and by the tests, not here.
+    By the structure theorem the extension splits as H = A + L(W): the
+    original algebra A plus the free Lie superalgebra on the left-combed
+    generators W of :func:`free_generators_W`.  So the basis is the leaves
+    of the original basis, and for every super-LS word over W (as letters,
+    of total length <= ``max_len``) its standard bracketing with each
+    letter replaced by its generator's tree.  That these are exactly the
+    admissible bracketings of the reduced super-LS words of the relations
+    is asserted by the tests against the base-word scan
+    :func:`enumerate_reduced_super_ls`, and checked degree by degree by
+    :func:`verify_structure_theorem`.  Raises ``ValueError`` when the tables
+    fail validation or ``max_len < 1``.
     """
-    system = build_relations(pres)
-    words = enumerate_reduced_super_ls(system, max_len)
-    view = _WbarView(pres, max_len)
-    t = pres.t_rank
-    out: list[NcMonomial] = []
-    for w in words:
-        if t not in w.letters:
-            if len(w) != 1:
-                raise RuntimeError(
-                    f"unexpected reduced super-LS word without the stable letter: {w}"
-                )
-            out.append(NcMonomial.leaf(pres.alphabet, w.letters[0]))
-        elif all(r == t for r in w.letters):
-            leaf = NcMonomial.leaf(pres.alphabet, t)
-            out.append(leaf if len(w) == 1 else NcMonomial.pair(leaf, leaf))
-        else:
-            encoded = view.encode(view.split(w))
-            out.append(view.substitute(standard_bracket(encoded)))
-    for m, w in zip(out, words):
-        if m.word != w:
-            raise RuntimeError(f"constructed monomial for {w} spells {m.word}")
-    return out
+    _require_valid(pres)
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    return _h_basis(_WbarView(pres, max_len))
 
 
 # -- the structure theorem, degree by degree -------------------------------------
@@ -894,18 +832,7 @@ class StructureLengthCheck:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "products": self.products,
-            "pattern_words": self.pattern_words,
-            "bijection_ok": self.bijection_ok,
-            "ls_transfer_ok": self.ls_transfer_ok,
-            "admissibility_ok": self.admissibility_ok,
-            "h_basis_count": self.h_basis_count,
-            "independent_rank": self.independent_rank,
-            "rank_ok": self.rank_ok,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 class StructureReport:
@@ -954,19 +881,23 @@ class StructureReport:
 def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureReport:
     """Four independent checks at every degree n <= max_len.
 
-    (i)   products of complement-block letters of total length n biject with
-          the stable-letter-prefixed pattern words of length n, explicitly
-          through the split-before-each-stable-letter map;
+    (i)   concatenation maps the products of complement-block letters of
+          total length n one-to-one onto the stable-letter-prefixed pattern
+          words of length n;
     (ii)  such a product is super-LS as a base word iff it is super-LS as a
           word over the block letters, lex-ordered;
-    (iii) for every super-LS block word, the substituted bracketing is
-          admissible over the base alphabet;
+    (iii) the basis monomials of degree n containing the stable letter spell
+          exactly the super-LS products found by (ii), and their expansions
+          are unitriangular: each leads with its own word at the standard
+          coefficient, so each bracketing is admissible;
     (iv)  reduced expansions of all basis monomials up to n are linearly
           independent and count-match the basis enumeration.
 
-    The basis is enumerated once up to ``max_len`` and each monomial is
-    expanded and reduced once.  In deglex order the monomials of degree <= n
-    are a prefix of that list, so one :func:`rank` call gives every degree's
+    The basis is the one :func:`enumerate_h_basis` builds from the
+    generators W, built once up to ``max_len``.  Each monomial is expanded
+    once; check (iii) reads that expansion, and its reduction is the vector
+    check (iv) ranks.  In deglex order the monomials of degree <= n are a
+    prefix of the basis, so one :func:`rank` call gives every degree's
     rank: the certificate entries below the prefix length.  The tests hold
     this against the per-degree recomputation.
     """
@@ -974,11 +905,15 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         raise ValueError("max_len must be >= 1")
     system = build_relations(pres)
     view = _WbarView(pres, max_len)
-    basis = enumerate_h_basis(pres, max_len)
-    _, certificate = rank([reduce(expand(m), system)[0] for m in basis])
+    basis = _h_basis(view)
+    expansions = [expand(m) for m in basis]
+    _, certificate = rank([reduce(e, system)[0] for e in expansions])
     counts = [0] * max_len
-    for m in basis:
-        counts[len(m.word) - 1] += 1
+    stable: list[list[tuple[Word, Poly]]] = [[] for _ in range(max_len)]
+    for m, e in zip(basis, expansions):
+        counts[len(m) - 1] += 1
+        if pres.t_rank in m.word.letters:
+            stable[len(m) - 1].append((m.word, e))
     h_basis_count = 0
     rows: list[StructureLengthCheck] = []
     for n in range(1, max_len + 1):
@@ -989,31 +924,15 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
             for middle, tail in _middle_shapes(pres, n)
         ]
 
-        sequence_set = set(sequences)
-        bijection_ok = (
-            len(set(concats)) == len(sequences)
-            and set(concats) == set(pattern)
-            and all(
-                view.encode(view.split(w)).letters in sequence_set for w in pattern
-            )
-        )
+        image = set(concats)
+        bijection_ok = len(image) == len(sequences) and image == set(pattern)
 
-        ls_transfer_ok = True
-        super_ls_sequences = []
-        for seq, u in zip(sequences, concats):
-            base_side = is_super_ls(u)
-            block_side = is_super_ls(Word(view.alphabet, seq))
-            if base_side != block_side:
-                ls_transfer_ok = False
-            if block_side:
-                super_ls_sequences.append(seq)
+        block_side = [is_super_ls(Word(view.alphabet, seq)) for seq in sequences]
+        ls_transfer_ok = block_side == [is_super_ls(u) for u in concats]
 
-        admissibility_ok = True
-        for seq in super_ls_sequences:
-            block_word = Word(view.alphabet, seq)
-            monomial = view.substitute(standard_bracket(block_word))
-            if not is_admissible(monomial):
-                admissibility_ok = False
+        super_ls_products = sorted(compress(concats, block_side), key=deglex_key)
+        spelled = [w for w, _ in stable[n - 1]]
+        admissibility_ok = spelled == super_ls_products and is_unitriangular(stable[n - 1])
 
         h_basis_count += counts[n - 1]
         independent_rank = bisect_left(certificate, h_basis_count)
@@ -1037,18 +956,6 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
 
 
 # -- presentation files -----------------------------------------------------------
-
-_NAME_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-_NAME_OK_TAIL = _NAME_OK + "0123456789"
-
-
-def _valid_name(name: str) -> bool:
-    return (
-        bool(name)
-        and name[0] in _NAME_OK
-        and all(ch in _NAME_OK_TAIL for ch in name)
-    )
-
 
 def _parse_coeff(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
@@ -1105,22 +1012,22 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
     gens = data.get("generators")
     if not isinstance(gens, list) or not gens:
         raise ValueError("generators: expected a non-empty list")
-    names, parities = [], []
+    names, odd = [], []
     for i, g in enumerate(gens):
         if not isinstance(g, dict) or "name" not in g or "parity" not in g:
             raise ValueError(f"generators[{i}]: expected {{name, parity}}")
         name, parity = g["name"], g["parity"]
-        if not isinstance(name, str) or not _valid_name(name):
-            raise ValueError(f"generators[{i}].name: bad name {name!r}")
         if name in names:
             raise ValueError(f"generators[{i}].name: duplicate {name!r}")
         if parity not in (0, 1):
             raise ValueError(f"generators[{i}].parity: must be 0 or 1")
         names.append(name)
-        parities.append(parity)
-    alphabet = Alphabet(
-        tuple(Symbol(i, n, p) for i, (n, p) in enumerate(zip(names, parities)))
-    )
+        if parity:
+            odd.append(name)
+    try:
+        alphabet = Alphabet.from_names(names, odd)
+    except ValueError as exc:
+        raise ValueError(f"generators: {exc}") from None
     by_name = {n: i for i, n in enumerate(names)}
 
     k = data.get("subalgebra_size")

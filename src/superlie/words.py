@@ -75,9 +75,20 @@ class Alphabet:
 
     @classmethod
     def from_names(cls, names: Iterable[str], odd: Iterable[str] = ()) -> "Alphabet":
-        """Build an alphabet from names in increasing order; ``odd`` marks parities."""
-        odd = set(odd)
+        """Build an alphabet from names in increasing order; ``odd`` marks parities.
+
+        Names must be ASCII identifiers (a letter or '_', then letters,
+        digits or '_'): no operator, no dot and no "1", the empty word, so
+        words and polynomials print to text that parses back to them.
+        """
         names = list(names)
+        for i, name in enumerate(names):
+            if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+                raise ValueError(
+                    f"bad symbol name {name!r} at position {i}: use letters, "
+                    "digits and '_', not starting with a digit"
+                )
+        odd = set(odd)
         unknown = odd - set(names)
         if unknown:
             raise ValueError(f"odd names not in alphabet: {sorted(unknown)}")

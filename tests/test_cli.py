@@ -9,6 +9,7 @@ from superlie.cli import main
 from superlie.fixtures import ALL
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -169,3 +170,34 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+@pytest.mark.parametrize("command", ["hnn-verify", "hnn-basis"])
+def test_output_matches_golden_file(capsys, command, name, fmt):
+    # recorded from the CLI before the extension basis was built from W
+    code, out, err = run(
+        capsys, command, "--input", str(FIXTURES / f"{name}.json"),
+        "--max-len", "5", "--format", "json" if fmt == "json" else "text",
+    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{command}-{name}.{fmt}").read_text()
+
+
+def test_bad_alphabet_name_exits_2(capsys):
+    code, out, err = run(capsys, "ls-words", "--alphabet", "a+,b", "--max-len", "2")
+    assert (code, out) == (2, "")
+    assert "--alphabet: bad symbol name 'a+' at position 0" in err
+
+
+def test_rules_file_generator_named_1_exits_2(capsys, tmp_path):
+    rules = {
+        "generators": [{"name": "a", "parity": 0}, {"name": "1", "parity": 0}],
+        "rules": ["a - a"],
+    }
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules))
+    code, out, err = run(capsys, "gsb-check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert f"{path}: generators: bad symbol name '1' at position 1" in err

@@ -8,7 +8,6 @@ import pytest
 
 from superlie import (
     Alphabet,
-    HnnPresentation,
     PbwPattern,
     StructureConstants,
     Word,
@@ -24,6 +23,7 @@ from superlie import (
     is_unitriangular,
     lex_cmp,
     load_presentation,
+    parse_monomial,
     parse_poly,
     presentation_to_dict,
     rank,
@@ -33,36 +33,29 @@ from superlie import (
     verify_hnn_gsb,
     verify_structure_theorem,
 )
-from superlie.fixtures import ALL, EX1, EX2, EX3, ex1, ex2, ex3
+from superlie import hnn
+from superlie.fixtures import (
+    ALL,
+    EX1,
+    EX2,
+    EX3,
+    EX4,
+    ab5,
+    ex1,
+    ex2,
+    ex3,
+    ex4,
+    osp,
+    sl2,
+)
 
-# a richer even presentation: two-dimensional non-abelian subalgebra, so the
-# triple-overlap and stable/pair composition families are actually non-empty
-EX4 = {
-    "generators": [
-        {"name": "a", "parity": 0},
-        {"name": "b", "parity": 0},
-        {"name": "x", "parity": 0},
-    ],
-    "subalgebra_size": 2,
-    "d_parity": 0,
-    "brackets": [
-        {"left": "a", "right": "b", "value": [{"basis": "a", "coeff": "1"}]},
-    ],
-    "derivation": [
-        {"arg": "a", "value": [{"basis": "a", "coeff": "1"}]},
-        {"arg": "b", "value": [{"basis": "x", "coeff": "1"}]},
-    ],
-}
-
-
-def ex4() -> HnnPresentation:
-    return load_presentation(EX4)
+FIXTURES = [ex1, ex2, ex3, ex4, sl2, osp, ab5]
 
 
 # -- validation -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
+@pytest.mark.parametrize("fixture", FIXTURES)
 def test_fixtures_validate(fixture):
     assert validate(fixture().constants).passed
 
@@ -498,12 +491,28 @@ def test_ex3_h_basis_contains_square_monomials():
     assert "[[t,x],[t,x]]" in texts  # odd square of a block letter
 
 
-@pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
+@pytest.mark.parametrize("fixture", FIXTURES)
 def test_h_basis_words_are_the_reduced_super_ls_words(fixture):
+    # the base-word scan is the reference for the construction from W; it
+    # costs (|A|+1)^n words, so the larger alphabets stop at degree 5
+    degree = 6 if fixture in (ex1, ex2, ex3, ex4) else 5
     pres = fixture()
     system = build_relations(pres)
-    basis = enumerate_h_basis(pres, 6)
-    assert [m.word for m in basis] == enumerate_reduced_super_ls(system, 6)
+    basis = enumerate_h_basis(pres, degree)
+    assert [m.word for m in basis] == enumerate_reduced_super_ls(system, degree)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_h_basis_is_admissible_on_fixtures(fixture):
+    assert all(is_admissible(m) for m in enumerate_h_basis(fixture(), 5))
+
+
+def test_h_basis_requires_valid_constants_and_positive_length():
+    pres = load_presentation(PINNED_VIOLATIONS["odd-squares"][0])
+    with pytest.raises(ValueError, match="fail validation"):
+        enumerate_h_basis(pres, 3)
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_h_basis(ex1(), 0)
 
 
 def test_free_generators_examples():
@@ -517,7 +526,7 @@ def test_free_generators_examples():
 # -- structure theorem ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
+@pytest.mark.parametrize("fixture", FIXTURES)
 def test_structure_theorem_passes(fixture):
     report = verify_structure_theorem(fixture(), 4)
     assert report.passed
@@ -526,7 +535,7 @@ def test_structure_theorem_passes(fixture):
         assert row.independent_rank == row.h_basis_count
 
 
-@pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
+@pytest.mark.parametrize("fixture", FIXTURES)
 def test_structure_rows_match_per_degree_recomputation(fixture):
     # the per-degree algorithm that one rank call over the whole basis replaced
     pres = fixture()
@@ -536,6 +545,44 @@ def test_structure_rows_match_per_degree_recomputation(fixture):
         vectors = [reduce(expand(m), system)[0] for m in basis]
         assert row.h_basis_count == len(basis)
         assert row.independent_rank == rank(vectors)[0]
+
+
+def _structure_with_basis(monkeypatch, pres, max_len, edit):
+    """The structure report with ``edit`` applied to the basis it is handed."""
+    build = hnn._h_basis
+    monkeypatch.setattr(hnn, "_h_basis", lambda view: edit(build(view)))
+    return verify_structure_theorem(pres, max_len)
+
+
+def test_non_admissible_bracketing_fails_check_iii(monkeypatch):
+    # [t,[x,y]] spells txy like the basis monomial [[t,x],y], but its
+    # expansion leads with tyx
+    pres = ab5()
+    T = pres.alphabet
+    standard, other = parse_monomial(T, "[[t,x],y]"), parse_monomial(T, "[t,[x,y]]")
+    assert other.word == standard.word and not is_admissible(other)
+
+    def swap(basis):
+        assert standard in basis
+        return [other if m == standard else m for m in basis]
+
+    report = _structure_with_basis(monkeypatch, pres, 3, swap)
+    assert not report.passed
+    assert [r.admissibility_ok for r in report.rows] == [True, True, False]
+    assert not report.rows[2].passed
+    assert all(r.bijection_ok and r.ls_transfer_ok for r in report.rows)
+
+
+def test_missing_stable_letter_word_fails_check_iii(monkeypatch):
+    pres = ex1()
+    dropped = parse_monomial(pres.alphabet, "[t,[t,x]]")
+    report = _structure_with_basis(
+        monkeypatch, pres, 4, lambda basis: [m for m in basis if m != dropped]
+    )
+    assert not report.passed
+    assert [r.admissibility_ok for r in report.rows] == [True, True, False, True]
+    assert not report.rows[2].passed
+    assert list(report.h_basis_counts) == [3, 1, 1, 3]
 
 
 def test_ex1_structure_counts():
@@ -591,7 +638,7 @@ def test_original_algebra_embeds():
         assert len(forms) == len(list(pres.basis_ranks()))
 
 
-@pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
+@pytest.mark.parametrize("fixture", FIXTURES)
 def test_reduced_bracketings_are_unitriangular(fixture):
     pres = fixture()
     system = build_relations(pres)
@@ -674,6 +721,20 @@ def test_loader_rejects_unknown_names():
     data = copy.deepcopy(EX1)
     data["brackets"] = [{"left": "a", "right": "nope", "value": []}]
     with pytest.raises(ValueError, match=r"brackets\[0\].right"):
+        load_presentation(data)
+
+
+def test_loader_applies_the_alphabet_name_rule():
+    data = copy.deepcopy(EX1)
+    data["generators"][1]["name"] = "x+"
+    with pytest.raises(ValueError, match=r"generators: bad symbol name 'x\+' at position 1"):
+        load_presentation(data)
+    data = copy.deepcopy(EX1)
+    data["stable_letter"] = "1"
+    with pytest.raises(ValueError, match=r"bad symbol name '1' at position 2"):
+        load_presentation(data)
+    data["stable_letter"] = ["t"]
+    with pytest.raises(ValueError, match=r"bad symbol name \['t'\] at position 2"):
         load_presentation(data)
 
 

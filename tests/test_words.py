@@ -245,3 +245,16 @@ def test_alphabet_content_equality():
     assert other == AB
     assert lex_cmp(other.word("a"), AB.word("b")) == LT
     assert Alphabet.from_names(["a", "b"], odd=["a"]) != AB
+
+
+@pytest.mark.parametrize("bad", ["a+", "1", "", "x.y", "2a", "a b", "[", 7, None])
+def test_from_names_rejects_names_outside_the_grammar(bad):
+    with pytest.raises(ValueError, match=r"bad symbol name .* at position 1"):
+        Alphabet.from_names(["a", bad])
+
+
+def test_from_names_accepts_identifiers():
+    alphabet = Alphabet.from_names(["_", "a1", "B_2"], odd=["a1"])
+    assert [s.name for s in alphabet] == ["_", "a1", "B_2"]
+    w = alphabet.word("B_2.a1")
+    assert alphabet.word(str(w)) == w
