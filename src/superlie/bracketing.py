@@ -14,8 +14,9 @@ as a basis; ``is_admissible`` checks user-supplied trees.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
+from .linalg import is_unitriangular
 from .poly import Poly, superbracket
 from .words import (
     GT,
@@ -159,21 +160,17 @@ def _standard(w: Word) -> NcMonomial:
     return NcMonomial.pair(half, half)
 
 
-def is_admissible(m: NcMonomial) -> bool:
+def is_admissible(m: NcMonomial, expansion: Optional[Poly] = None) -> bool:
     """Expansion has leading word forget(m) with the standard coefficient.
 
     The underlying word must be super-LS; the required coefficient is 1 for
-    an LS word and 2 for an odd square.
+    an LS word and 2 for an odd square.  A caller that already holds
+    ``expand(m)`` passes it as ``expansion`` to skip expanding again.
     """
     w = m.word
     if not is_super_ls(w):
         raise ValueError(f"underlying word is not super-Lyndon-Shirshov: {str(w)!r}")
-    expected = 1 if is_lyndon_shirshov(w) else 2
-    e = expand(m)
-    if e.is_zero():
-        return False
-    lead_word, lead_coeff = e.leading()
-    return lead_word == w and lead_coeff == expected
+    return is_unitriangular([(w, expand(m) if expansion is None else expansion)])
 
 
 def right_normed_bracket(

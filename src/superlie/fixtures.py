@@ -24,91 +24,137 @@ from __future__ import annotations
 
 from .hnn import HnnPresentation, load_presentation
 
-
-def _gen(name, parity):
-    return {"name": name, "parity": parity}
-
-
-def _val(*pairs):
-    return [{"basis": b, "coeff": c} for b, c in pairs]
-
-
-def _br(left, right, *pairs):
-    return {"left": left, "right": right, "value": _val(*pairs)}
-
-
-def _d(arg, *pairs):
-    return {"arg": arg, "value": _val(*pairs)}
-
-
 EX1 = {
-    "generators": [_gen("a", 0), _gen("x", 0)],
+    "generators": [
+        {"name": "a", "parity": 0},
+        {"name": "x", "parity": 0},
+    ],
     "subalgebra_size": 1,
     "d_parity": 0,
     "brackets": [],
-    "derivation": [_d("a", ("x", "1"))],
+    "derivation": [
+        {"arg": "a", "value": [{"basis": "x", "coeff": "1"}]},
+    ],
 }
 
 EX2 = {
-    "generators": [_gen("x", 0), _gen("a", 1)],
+    "generators": [
+        {"name": "x", "parity": 0},
+        {"name": "a", "parity": 1},
+    ],
     "subalgebra_size": 1,
     "d_parity": 1,
-    "brackets": [_br("a", "a", ("x", "1"))],
-    "derivation": [_d("x", ("a", "1"))],
+    "brackets": [
+        {"left": "a", "right": "a", "value": [{"basis": "x", "coeff": "1"}]},
+    ],
+    "derivation": [
+        {"arg": "x", "value": [{"basis": "a", "coeff": "1"}]},
+    ],
 }
 
 EX3 = {
-    "generators": [_gen("a", 1), _gen("x", 0)],
+    "generators": [
+        {"name": "a", "parity": 1},
+        {"name": "x", "parity": 0},
+    ],
     "subalgebra_size": 1,
     "d_parity": 1,
     "brackets": [],
-    "derivation": [_d("a", ("x", "1"))],
+    "derivation": [
+        {"arg": "a", "value": [{"basis": "x", "coeff": "1"}]},
+    ],
 }
 
 EX4 = {
-    "generators": [_gen("a", 0), _gen("b", 0), _gen("x", 0)],
+    "generators": [
+        {"name": "a", "parity": 0},
+        {"name": "b", "parity": 0},
+        {"name": "x", "parity": 0},
+    ],
     "subalgebra_size": 2,
     "d_parity": 0,
-    "brackets": [_br("a", "b", ("a", "1"))],
-    "derivation": [_d("a", ("a", "1")), _d("b", ("x", "1"))],
+    "brackets": [
+        {"left": "a", "right": "b", "value": [{"basis": "a", "coeff": "1"}]},
+    ],
+    "derivation": [
+        {"arg": "a", "value": [{"basis": "a", "coeff": "1"}]},
+        {"arg": "b", "value": [{"basis": "x", "coeff": "1"}]},
+    ],
 }
 
 SL2 = {
-    "generators": [_gen("h", 0), _gen("e", 0), _gen("f", 0)],
+    "generators": [
+        {"name": "h", "parity": 0},
+        {"name": "e", "parity": 0},
+        {"name": "f", "parity": 0},
+    ],
     "subalgebra_size": 2,
     "d_parity": 0,
-    "brackets": [_br("h", "e", ("e", "2")), _br("h", "f", ("f", "-2")), _br("e", "f", ("h", "1"))],
-    "derivation": [_d("h", ("f", "2")), _d("e", ("h", "-1"))],
+    "brackets": [
+        {"left": "h", "right": "e", "value": [{"basis": "e", "coeff": "2"}]},
+        {"left": "h", "right": "f", "value": [{"basis": "f", "coeff": "-2"}]},
+        {"left": "e", "right": "f", "value": [{"basis": "h", "coeff": "1"}]},
+    ],
+    "derivation": [
+        {"arg": "h", "value": [{"basis": "f", "coeff": "2"}]},
+        {"arg": "e", "value": [{"basis": "h", "coeff": "-1"}]},
+    ],
 }
 
 OSP = {
-    "generators": [_gen("h", 0), _gen("e", 0), _gen("u", 1), _gen("f", 0), _gen("v", 1)],
+    "generators": [
+        {"name": "h", "parity": 0},
+        {"name": "e", "parity": 0},
+        {"name": "u", "parity": 1},
+        {"name": "f", "parity": 0},
+        {"name": "v", "parity": 1},
+    ],
     "subalgebra_size": 3,
     "d_parity": 1,
     "brackets": [
-        _br("h", "e", ("e", "2")),
-        _br("h", "f", ("f", "-2")),
-        _br("e", "f", ("h", "1")),
-        _br("h", "u", ("u", "1")),
-        _br("h", "v", ("v", "-1")),
-        _br("e", "v", ("u", "-1")),
-        _br("f", "u", ("v", "-1")),
-        _br("u", "u", ("e", "2")),
-        _br("v", "v", ("f", "-2")),
-        _br("u", "v", ("h", "1")),
+        {"left": "h", "right": "e", "value": [{"basis": "e", "coeff": "2"}]},
+        {"left": "h", "right": "f", "value": [{"basis": "f", "coeff": "-2"}]},
+        {"left": "e", "right": "f", "value": [{"basis": "h", "coeff": "1"}]},
+        {"left": "h", "right": "u", "value": [{"basis": "u", "coeff": "1"}]},
+        {"left": "h", "right": "v", "value": [{"basis": "v", "coeff": "-1"}]},
+        {"left": "e", "right": "v", "value": [{"basis": "u", "coeff": "-1"}]},
+        {"left": "f", "right": "u", "value": [{"basis": "v", "coeff": "-1"}]},
+        {"left": "u", "right": "u", "value": [{"basis": "e", "coeff": "2"}]},
+        {"left": "v", "right": "v", "value": [{"basis": "f", "coeff": "-2"}]},
+        {"left": "u", "right": "v", "value": [{"basis": "h", "coeff": "1"}]},
     ],
-    "derivation": [_d("h", ("v", "1")), _d("e", ("u", "1")), _d("u", ("h", "1"))],
+    "derivation": [
+        {"arg": "h", "value": [{"basis": "v", "coeff": "1"}]},
+        {"arg": "e", "value": [{"basis": "u", "coeff": "1"}]},
+        {"arg": "u", "value": [{"basis": "h", "coeff": "1"}]},
+    ],
 }
 
 AB5 = {
-    "generators": [_gen(n, 0) for n in "abxyz"],
+    "generators": [
+        {"name": "a", "parity": 0},
+        {"name": "b", "parity": 0},
+        {"name": "x", "parity": 0},
+        {"name": "y", "parity": 0},
+        {"name": "z", "parity": 0},
+    ],
     "subalgebra_size": 2,
     "d_parity": 0,
     "brackets": [],
-    "derivation": [_d("a", ("x", "1"))],
+    "derivation": [
+        {"arg": "a", "value": [{"basis": "x", "coeff": "1"}]},
+    ],
 }
 
-ALL = {"ex1": EX1, "ex2": EX2, "ex3": EX3, "ex4": EX4, "sl2": SL2, "osp": OSP, "ab5": AB5}
+ALL = {
+    "ex1": EX1,
+    "ex2": EX2,
+    "ex3": EX3,
+    "ex4": EX4,
+    "sl2": SL2,
+    "osp": OSP,
+    "ab5": AB5,
+}
 
 
 def ex1() -> HnnPresentation:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations_with_replacement, compress, product
@@ -38,14 +38,16 @@ from typing import Callable, Mapping, Sequence, Union
 from .bracketing import (
     NcMonomial,
     expand,
+    is_admissible,
     right_normed_bracket,
     standard_bracket,
 )
-from .linalg import is_unitriangular, rank
+from .linalg import rank
 from .poly import Poly, superbracket
 from .rewrite import (
     RewriteSystem,
     GsbReport,
+    enumerate_reduced_super_ls,
     is_gsb,
     lie_composition_len2,
     reduce,
@@ -223,9 +225,6 @@ def validate(sc: StructureConstants) -> ValidationReport:
     parities = [s.parity for s in sc.alphabet.symbols]
     br, d = sc.bracket_coeffs, sc.derivation_coeffs
 
-    def fail(check: str, ranks: tuple[int, ...], detail: str) -> None:
-        violations.append(Violation(check, tuple(names[r] for r in ranks), detail))
-
     def ad(x: int) -> Callable[[int], dict[int, Fraction]]:  # v -> [x, v]
         return lambda v: br(x, v)
 
@@ -236,25 +235,31 @@ def validate(sc: StructureConstants) -> ValidationReport:
     for x in range(size):
         for y in range(x, size):
             if x == y:
-                if sc.alpha.get((x, x)) and parities[x] == 0:
-                    fail(
-                        "anticommutativity",
-                        (x, x),
-                        "an even symbol must bracket to zero with itself",
+                stored = sc.alpha.get((x, x))
+                if stored and parities[x] == 0:
+                    violations.append(
+                        Violation(
+                            "anticommutativity",
+                            (names[x], names[x]),
+                            "an even symbol must bracket to zero with itself",
+                        )
                     )
                 continue
             one, two = sc.alpha.get((x, y)), sc.alpha.get((y, x))
             if one is None or two is None:
                 continue
             factor = 1 if (parities[x] and parities[y]) else -1
-            for v in sorted(set(one) | set(two)):
+            vs = set(one) | set(two)
+            for v in sorted(vs):
                 lhs = two.get(v, Fraction(0))
                 rhs = factor * one.get(v, Fraction(0))
                 if lhs != rhs:
-                    fail(
-                        "anticommutativity",
-                        (y, x, v),
-                        f"stored {lhs}, anti-commutativity requires {rhs}",
+                    violations.append(
+                        Violation(
+                            "anticommutativity",
+                            (names[y], names[x], names[v]),
+                            f"stored {lhs}, anti-commutativity requires {rhs}",
+                        )
                     )
 
     # super Jacobi on all ordered triples
@@ -266,7 +271,13 @@ def validate(sc: StructureConstants) -> ValidationReport:
                 + _sign(parities[z], parities[y]) * _composite_coeff(br(x, y), ad(z), u)
             )
             if residual:
-                fail("jacobi", (x, y, z, u), f"residual {residual}")
+                violations.append(
+                    Violation(
+                        "jacobi",
+                        (names[x], names[y], names[z], names[u]),
+                        f"residual {residual}",
+                    )
+                )
 
     # odd squares against Jacobi: [x,[y,y]] = 2[[x,y],y] for odd y
     for y in range(size):
@@ -277,7 +288,13 @@ def validate(sc: StructureConstants) -> ValidationReport:
                 lhs = _composite_coeff(br(y, y), ad(x), u)
                 rhs = _composite_coeff(br(x, y), right(y), u)
                 if lhs != 2 * rhs:
-                    fail("odd-square-right", (x, y, u), f"{lhs} != 2*({rhs})")
+                    violations.append(
+                        Violation(
+                            "odd-square-right",
+                            (names[x], names[y], names[u]),
+                            f"{lhs} != 2*({rhs})",
+                        )
+                    )
 
     # mirrored version: [[x,x],y] = 2[x,[x,y]] for odd x
     for x in range(size):
@@ -288,7 +305,13 @@ def validate(sc: StructureConstants) -> ValidationReport:
                 lhs = _composite_coeff(br(x, x), right(y), u)
                 rhs = _composite_coeff(br(x, y), ad(x), u)
                 if lhs != 2 * rhs:
-                    fail("odd-square-left", (x, y, u), f"{lhs} != 2*({rhs})")
+                    violations.append(
+                        Violation(
+                            "odd-square-left",
+                            (names[x], names[y], names[u]),
+                            f"{lhs} != 2*({rhs})",
+                        )
+                    )
 
     # derivation of an odd square: d([a,a]) = 2[d(a), a] for odd a in the subalgebra
     for a in range(k):
@@ -298,7 +321,13 @@ def validate(sc: StructureConstants) -> ValidationReport:
             lhs = _composite_coeff(br(a, a), d, u)
             rhs = _composite_coeff(d(a), right(a), u)
             if lhs != 2 * rhs:
-                fail("derivation-odd-square", (a, u), f"{lhs} != 2*({rhs})")
+                violations.append(
+                    Violation(
+                        "derivation-odd-square",
+                        (names[a], names[u]),
+                        f"{lhs} != 2*({rhs})",
+                    )
+                )
 
     # derivation law on all subalgebra pairs
     for a in range(k):
@@ -309,17 +338,25 @@ def validate(sc: StructureConstants) -> ValidationReport:
                     sc.d_parity, parities[a]
                 ) * _composite_coeff(d(b), ad(a), u)
                 if lhs != rhs:
-                    fail("derivation-law", (a, b, u), f"{lhs} != {rhs}")
+                    violations.append(
+                        Violation(
+                            "derivation-law",
+                            (names[a], names[b], names[u]),
+                            f"{lhs} != {rhs}",
+                        )
+                    )
 
     # subalgebra closure
     for a in range(k):
         for b in range(a, k):
             for v, c in sc.bracket_coeffs(a, b).items():
                 if c and v >= k:
-                    fail(
-                        "subalgebra-closure",
-                        (a, b, v),
-                        f"coefficient {c} lands outside the subalgebra",
+                    violations.append(
+                        Violation(
+                            "subalgebra-closure",
+                            (names[a], names[b], names[v]),
+                            f"coefficient {c} lands outside the subalgebra",
+                        )
                     )
 
     # parity coherence of stored tables
@@ -327,21 +364,25 @@ def validate(sc: StructureConstants) -> ValidationReport:
         want = (parities[x] + parities[y]) % 2
         for v, c in sorted(coeffs.items()):
             if c and parities[v] != want:
-                fail(
-                    "parity",
-                    (x, y, v),
-                    f"bracket of parities {parities[x]},{parities[y]} cannot "
-                    f"hit a parity-{parities[v]} symbol",
+                violations.append(
+                    Violation(
+                        "parity",
+                        (names[x], names[y], names[v]),
+                        f"bracket of parities {parities[x]},{parities[y]} cannot "
+                        f"hit a parity-{parities[v]} symbol",
+                    )
                 )
     for a, coeffs in sorted(sc.beta.items()):
         want = (parities[a] + sc.d_parity) % 2
         for v, c in sorted(coeffs.items()):
             if c and parities[v] != want:
-                fail(
-                    "parity",
-                    (a, v),
-                    f"derivation of parity {sc.d_parity} cannot map a "
-                    f"parity-{parities[a]} symbol to a parity-{parities[v]} one",
+                violations.append(
+                    Violation(
+                        "parity",
+                        (names[a], names[v]),
+                        f"derivation of parity {sc.d_parity} cannot map a "
+                        f"parity-{parities[a]} symbol to a parity-{parities[v]} one",
+                    )
                 )
 
     return ValidationReport(violations)
@@ -352,9 +393,9 @@ class HnnPresentation:
 
     The stable letter is strictly greater than every basis symbol and has the
     parity of the derivation.  All names, the stable letter's included, must
-    pass the rule of :meth:`Alphabet.from_names`.  At least one complement symbol is required;
-    extending by a derivation of the whole algebra is rejected because the
-    result degenerates to a (semi)direct product.
+    pass the rule of :meth:`Alphabet.from_names`.  At least one complement
+    symbol is required; extending by a derivation of the whole algebra is
+    rejected because the result degenerates to a (semi)direct product.
     """
 
     __slots__ = ("constants", "alphabet", "t_rank")
@@ -364,6 +405,10 @@ class HnnPresentation:
             raise ValueError(
                 "the subalgebra must be proper: at least one complement symbol"
             )
+        try:
+            Alphabet.from_names([t_name])
+        except ValueError as exc:
+            raise ValueError(f"stable letter: {exc}") from None
         base = constants.alphabet.symbols
         names = [s.name for s in base]
         if t_name in names:
@@ -767,19 +812,16 @@ class _WbarView:
         return out
 
 
-def _h_basis(view: _WbarView) -> list[NcMonomial]:
-    """The basis of H = A + L(W) up to ``view.max_len``, deglex by word.
+def _h_basis(view: _WbarView, super_ls: Sequence[tuple[int, ...]]) -> list[NcMonomial]:
+    """The basis of H = A + L(W), deglex by word.
 
-    The leaves of the original basis, then the substituted standard
-    bracketing of every super-LS word over the generators W.
+    The leaves of the original basis, then for each super-LS word over the
+    generators W in ``super_ls`` its substituted standard bracketing.
     """
     pres = view.pres
     out = [NcMonomial.leaf(pres.alphabet, r) for r in pres.basis_ranks()]
-    for n in range(1, view.max_len + 1):
-        for seq in view.sequences_of_total_length(n):
-            block_word = Word(view.alphabet, seq)
-            if is_super_ls(block_word):
-                out.append(view.substitute(standard_bracket(block_word)))
+    for seq in super_ls:
+        out.append(view.substitute(standard_bracket(Word(view.alphabet, seq))))
     out.sort(key=lambda m: deglex_key(m.word))
     return out
 
@@ -792,17 +834,23 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     generators W of :func:`free_generators_W`.  So the basis is the leaves
     of the original basis, and for every super-LS word over W (as letters,
     of total length <= ``max_len``) its standard bracketing with each
-    letter replaced by its generator's tree.  That these are exactly the
-    admissible bracketings of the reduced super-LS words of the relations
-    is asserted by the tests against the base-word scan
-    :func:`enumerate_reduced_super_ls`, and checked degree by degree by
-    :func:`verify_structure_theorem`.  Raises ``ValueError`` when the tables
-    fail validation or ``max_len < 1``.
+    letter replaced by its generator's tree.  Nothing here reads the
+    relations: that these are admissible bracketings of exactly the
+    reduced super-LS words of the relations is what
+    :func:`verify_structure_theorem` checks at each degree.  Raises
+    ``ValueError`` when the tables fail validation or ``max_len < 1``.
     """
     _require_valid(pres)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    return _h_basis(_WbarView(pres, max_len))
+    view = _WbarView(pres, max_len)
+    super_ls = [
+        seq
+        for n in range(1, max_len + 1)
+        for seq in view.sequences_of_total_length(n)
+        if is_super_ls(Word(view.alphabet, seq))
+    ]
+    return _h_basis(view, super_ls)
 
 
 # -- the structure theorem, degree by degree -------------------------------------
@@ -832,7 +880,18 @@ class StructureLengthCheck:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {
+            "length": self.length,
+            "products": self.products,
+            "pattern_words": self.pattern_words,
+            "bijection_ok": self.bijection_ok,
+            "ls_transfer_ok": self.ls_transfer_ok,
+            "admissibility_ok": self.admissibility_ok,
+            "h_basis_count": self.h_basis_count,
+            "independent_rank": self.independent_rank,
+            "rank_ok": self.rank_ok,
+            "passed": self.passed,
+        }
 
 
 class StructureReport:
@@ -886,38 +945,46 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
           words of length n;
     (ii)  such a product is super-LS as a base word iff it is super-LS as a
           word over the block letters, lex-ordered;
-    (iii) the basis monomials of degree n containing the stable letter spell
-          exactly the super-LS products found by (ii), and their expansions
-          are unitriangular: each leads with its own word at the standard
-          coefficient, so each bracketing is admissible;
+    (iii) the basis monomials of degree n spell exactly the reduced super-LS
+          words of degree n of the defining relations, and each is
+          admissible: its expansion leads with its own word at the standard
+          coefficient;
     (iv)  reduced expansions of all basis monomials up to n are linearly
           independent and count-match the basis enumeration.
 
     The basis is the one :func:`enumerate_h_basis` builds from the
-    generators W, built once up to ``max_len``.  Each monomial is expanded
-    once; check (iii) reads that expansion, and its reduction is the vector
-    check (iv) ranks.  In deglex order the monomials of degree <= n are a
-    prefix of the basis, so one :func:`rank` call gives every degree's
-    rank: the certificate entries below the prefix length.  The tests hold
-    this against the per-degree recomputation.
+    generators W, here from the super-LS block products that (ii) finds.
+    The reference words of (iii) come from the relations, by
+    :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
+    monomials from W are independent and, their number being the number of
+    reduced super-LS words, span.  Each monomial is expanded once; (iii)
+    reads that expansion, and its reduction is the vector (iv) ranks.  In
+    deglex order the monomials of degree <= n are a prefix of the basis, so
+    one :func:`rank` call gives every degree's rank: the certificate entries
+    below the prefix length.  The tests hold this against the per-degree
+    recomputation.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     system = build_relations(pres)
     view = _WbarView(pres, max_len)
-    basis = _h_basis(view)
-    expansions = [expand(m) for m in basis]
-    _, certificate = rank([reduce(e, system)[0] for e in expansions])
-    counts = [0] * max_len
-    stable: list[list[tuple[Word, Poly]]] = [[] for _ in range(max_len)]
-    for m, e in zip(basis, expansions):
-        counts[len(m) - 1] += 1
-        if pres.t_rank in m.word.letters:
-            stable[len(m) - 1].append((m.word, e))
-    h_basis_count = 0
-    rows: list[StructureLengthCheck] = []
+    degrees = []
     for n in range(1, max_len + 1):
         sequences = view.sequences_of_total_length(n)
+        block_side = [is_super_ls(Word(view.alphabet, seq)) for seq in sequences]
+        degrees.append((sequences, block_side))
+    basis = _h_basis(view, [s for seqs, side in degrees for s in compress(seqs, side)])
+    expansions = [expand(m) for m in basis]
+    _, certificate = rank([reduce(e, system)[0] for e in expansions])
+    by_degree: list[list[tuple[NcMonomial, Poly]]] = [[] for _ in range(max_len)]
+    for m, e in zip(basis, expansions):
+        by_degree[len(m) - 1].append((m, e))
+    reduced: list[list[Word]] = [[] for _ in range(max_len)]
+    for w in enumerate_reduced_super_ls(system, max_len):
+        reduced[len(w) - 1].append(w)
+    h_basis_count = 0
+    rows: list[StructureLengthCheck] = []
+    for n, (sequences, block_side) in enumerate(degrees, 1):
         concats = [view.concat(seq) for seq in sequences]
         pattern = [
             PbwPattern((), middle, tail).word(pres)
@@ -927,14 +994,14 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         image = set(concats)
         bijection_ok = len(image) == len(sequences) and image == set(pattern)
 
-        block_side = [is_super_ls(Word(view.alphabet, seq)) for seq in sequences]
         ls_transfer_ok = block_side == [is_super_ls(u) for u in concats]
 
-        super_ls_products = sorted(compress(concats, block_side), key=deglex_key)
-        spelled = [w for w, _ in stable[n - 1]]
-        admissibility_ok = spelled == super_ls_products and is_unitriangular(stable[n - 1])
+        monomials = by_degree[n - 1]
+        admissibility_ok = [m.word for m, _ in monomials] == reduced[n - 1] and all(
+            is_admissible(m, e) for m, e in monomials
+        )
 
-        h_basis_count += counts[n - 1]
+        h_basis_count += len(monomials)
         independent_rank = bisect_left(certificate, h_basis_count)
         rank_ok = independent_rank == h_basis_count
 
@@ -952,7 +1019,7 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
             )
         )
 
-    return StructureReport(max_len, rows, counts)
+    return StructureReport(max_len, rows, [len(ms) for ms in by_degree])
 
 
 # -- presentation files -----------------------------------------------------------

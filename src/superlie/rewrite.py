@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .poly import MIXED, Poly, superbracket
-from .words import Alphabet, Word, deglex_key, enumerate_super_ls
+from .words import Alphabet, Word, deglex_key, is_super_ls
 
 LARGEST_LEFTMOST = "largest-leftmost"
 SMALLEST_RIGHTMOST = "smallest-rightmost"
@@ -319,10 +319,27 @@ def is_gsb(system: RewriteSystem) -> GsbReport:
 
 
 def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word]:
-    """Super-LS words of length <= max_len containing no leading word."""
-    return enumerate_super_ls(
-        system.alphabet, max_len, constraint=lambda w: is_reduced_word(w, system)
-    )
+    """Super-LS words of length <= max_len containing no leading word, in deglex order.
+
+    Every prefix of a reduced word is reduced, so the reduced words are grown
+    one letter at a time.  A leading word new to ``u c`` ends at ``c``, so
+    only the last ``k`` letters are checked, ``k`` the longest leading word.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    alphabet = system.alphabet
+    k = max((len(w) for w in system.leading_words()), default=0)
+    out: list[Word] = []
+    layer: list[tuple[int, ...]] = [()]
+    for _ in range(max_len):
+        layer = [
+            grown
+            for letters in layer
+            for grown in (letters + (c,) for c in range(len(alphabet)))
+            if is_reduced_word(Word(alphabet, grown[max(len(grown) - k, 0) :]), system)
+        ]
+        out.extend(w for w in (Word(alphabet, g) for g in layer) if is_super_ls(w))
+    return out
 
 
 def lie_composition_len2(p: RewriteRule, q: RewriteRule, w: Word) -> Poly:

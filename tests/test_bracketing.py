@@ -5,6 +5,7 @@ import pytest
 from superlie import (
     Alphabet,
     NcMonomial,
+    Poly,
     Word,
     enumerate_super_ls,
     expand,
@@ -125,6 +126,14 @@ def test_admissibility_rejects_degenerate_bracketing():
     m = parse_monomial(XT, "[[t,t],x]")
     assert expand(m).is_zero()  # [t,t] = 0 for even t
     assert not is_admissible(m)
+
+
+def test_admissibility_reads_a_given_expansion():
+    m = parse_monomial(XT, "[t,[t,x]]")
+    assert is_admissible(m, expand(m))
+    assert not is_admissible(m, parse_poly(XT, "2*ttx - 4*txt + 2*xtt"))
+    assert not is_admissible(m, Poly.zero(XT))
+    assert not is_admissible(standard_bracket(XT.word("tx")), expand(m))
 
 
 def test_admissibility_requires_super_ls_word():

@@ -550,7 +550,7 @@ def test_structure_rows_match_per_degree_recomputation(fixture):
 def _structure_with_basis(monkeypatch, pres, max_len, edit):
     """The structure report with ``edit`` applied to the basis it is handed."""
     build = hnn._h_basis
-    monkeypatch.setattr(hnn, "_h_basis", lambda view: edit(build(view)))
+    monkeypatch.setattr(hnn, "_h_basis", lambda view, seqs: edit(build(view, seqs)))
     return verify_structure_theorem(pres, max_len)
 
 
@@ -731,10 +731,10 @@ def test_loader_applies_the_alphabet_name_rule():
         load_presentation(data)
     data = copy.deepcopy(EX1)
     data["stable_letter"] = "1"
-    with pytest.raises(ValueError, match=r"bad symbol name '1' at position 2"):
+    with pytest.raises(ValueError, match=r"^stable letter: bad symbol name '1'"):
         load_presentation(data)
     data["stable_letter"] = ["t"]
-    with pytest.raises(ValueError, match=r"bad symbol name \['t'\] at position 2"):
+    with pytest.raises(ValueError, match=r"^stable letter: bad symbol name \['t'\]"):
         load_presentation(data)
 
 

@@ -16,6 +16,7 @@ from superlie import (
     assoc_compositions,
     deglex_key,
     enumerate_reduced_super_ls,
+    enumerate_super_ls,
     is_gsb,
     is_reduced_word,
     lie_composition_len2,
@@ -215,6 +216,28 @@ def test_enumerate_reduced_super_ls_empty_system():
     x_odd = Alphabet.from_names(["x"], odd=["x"])
     words = enumerate_reduced_super_ls(RewriteSystem(x_odd), 3)
     assert [str(w) for w in words] == ["x", "xx"]
+
+
+def test_enumerate_reduced_super_ls_is_the_filtered_scan():
+    # growing reduced prefixes must find exactly the super-LS words of the
+    # full scan that pass is_reduced_word, in the same order; the systems
+    # include leading words of lengths 1 to 3 and an odd square
+    ax_odd = Alphabet.from_names(["a", "x", "t"], odd=["x"])
+    systems = [
+        EX1_STYLE,
+        RewriteSystem(AXT),
+        system(AXT, "txa - atx", "xx - a"),
+        system(ABXT, "xa - ax", "ta - at - x", "tbx - xbt", "bb"),
+        system(AXT, "x"),
+        system(ax_odd, "xx - a", "tx - xt"),
+    ]
+    for sys_ in systems:
+        scan = enumerate_super_ls(
+            sys_.alphabet, 6, constraint=lambda w: is_reduced_word(w, sys_)
+        )
+        assert enumerate_reduced_super_ls(sys_, 6) == scan, sys_
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_reduced_super_ls(EX1_STYLE, 0)
 
 
 def test_reduced_word_counts_match_quotient_dimensions():
