@@ -2,7 +2,9 @@
 
 Subcommands: ls-words, bracket, expand, reduce, gsb-check, hnn-verify,
 hnn-basis.  Exit status 0 when every requested check passes, 1 on a check
-failure, 2 on an input error.  Output is plain text or JSON (--format).
+failure, 2 on an input error, 3 on an internal error (a ``RuntimeError``,
+``RecursionError`` or ``MemoryError``, reported in one line on stderr).
+Output is plain text or JSON (--format).
 """
 
 from __future__ import annotations
@@ -286,6 +288,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as exc:  # RecursionError is a RuntimeError
+        detail = " ".join(str(exc).split())
+        kind = type(exc).__name__
+        print(f"internal error: {kind}: {detail}" if detail else f"internal error: {kind}",
+              file=sys.stderr)
+        return 3
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

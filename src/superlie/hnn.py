@@ -27,6 +27,7 @@ Two documented reading decisions:
 from __future__ import annotations
 
 import json
+import types
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,9 +79,11 @@ class StructureConstants:
     coefficients of their image.  Construction is structural only: semantic
     coherence (Jacobi, derivation law, closure, parities) is the job of
     :func:`validate`, so corrupt tables can be represented and reported on.
+    A table is immutable, its maps read-only views, so :func:`validate`
+    computes its report once and keeps it.
     """
 
-    __slots__ = ("alphabet", "subalgebra_size", "d_parity", "alpha", "beta")
+    __slots__ = ("alphabet", "subalgebra_size", "d_parity", "alpha", "beta", "_report")
 
     def __init__(
         self,
@@ -95,15 +98,15 @@ class StructureConstants:
             raise ValueError(f"subalgebra_size {subalgebra_size} out of range")
         if d_parity not in (0, 1):
             raise ValueError(f"d_parity must be 0 or 1, got {d_parity!r}")
-        alpha: dict[tuple[int, int], dict[int, Fraction]] = {}
+        alpha: dict[tuple[int, int], Mapping[int, Fraction]] = {}
         for (x, y), coeffs in dict(brackets).items():
             self._check_rank(x, size)
             self._check_rank(y, size)
             cleaned = _clean_coeffs(coeffs)
             for v in cleaned:
                 self._check_rank(v, size)
-            alpha[(x, y)] = cleaned
-        beta: dict[int, dict[int, Fraction]] = {}
+            alpha[(x, y)] = types.MappingProxyType(cleaned)
+        beta: dict[int, Mapping[int, Fraction]] = {}
         for a, coeffs in dict(derivation).items():
             if not 0 <= a < subalgebra_size:
                 raise ValueError(
@@ -112,12 +115,19 @@ class StructureConstants:
             cleaned = _clean_coeffs(coeffs)
             for v in cleaned:
                 self._check_rank(v, size)
-            beta[a] = cleaned
-        self.alphabet = alphabet
-        self.subalgebra_size = subalgebra_size
-        self.d_parity = d_parity
-        self.alpha = alpha
-        self.beta = beta
+            beta[a] = types.MappingProxyType(cleaned)
+        for name, value in (
+            ("alphabet", alphabet),
+            ("subalgebra_size", subalgebra_size),
+            ("d_parity", d_parity),
+            ("alpha", types.MappingProxyType(alpha)),
+            ("beta", types.MappingProxyType(beta)),
+            ("_report", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @staticmethod
     def _check_rank(r: int, size: int) -> None:
@@ -136,7 +146,7 @@ class StructureConstants:
     def complement_ranks(self) -> range:
         return range(self.subalgebra_size, len(self.alphabet))
 
-    def bracket_coeffs(self, x: int, y: int) -> dict[int, Fraction]:
+    def bracket_coeffs(self, x: int, y: int) -> Mapping[int, Fraction]:
         """Coefficients of [x, y], deriving the missing mirror by sign."""
         stored = self.alpha.get((x, y))
         if stored is not None:
@@ -148,7 +158,7 @@ class StructureConstants:
         factor = 1 if (self.parity(x) and self.parity(y)) else -1
         return {v: factor * c for v, c in mirror.items()}
 
-    def derivation_coeffs(self, a: int) -> dict[int, Fraction]:
+    def derivation_coeffs(self, a: int) -> Mapping[int, Fraction]:
         return self.beta.get(a, {})
 
 
@@ -211,6 +221,8 @@ def _sign(p: int, q: int) -> int:
 def validate(sc: StructureConstants) -> ValidationReport:
     """Check every identity the tables must satisfy; report, never raise.
 
+    The report is computed on the first call for a table and kept on it.
+
     Covered: anti-commutativity of the stored table (including vanishing
     even diagonals), the super Jacobi identity on all ordered basis triples,
     the two odd-square consequences of Jacobi, the odd-square consequence of
@@ -218,6 +230,12 @@ def validate(sc: StructureConstants) -> ValidationReport:
     closure of the subalgebra under the bracket, and parity coherence of all
     stored coefficients.
     """
+    if sc._report is None:
+        object.__setattr__(sc, "_report", _check_identities(sc))
+    return sc._report
+
+
+def _check_identities(sc: StructureConstants) -> ValidationReport:
     violations: list[Violation] = []
     size = len(sc.alphabet)
     k = sc.subalgebra_size
@@ -225,10 +243,10 @@ def validate(sc: StructureConstants) -> ValidationReport:
     parities = [s.parity for s in sc.alphabet.symbols]
     br, d = sc.bracket_coeffs, sc.derivation_coeffs
 
-    def ad(x: int) -> Callable[[int], dict[int, Fraction]]:  # v -> [x, v]
+    def ad(x: int) -> Callable[[int], Mapping[int, Fraction]]:  # v -> [x, v]
         return lambda v: br(x, v)
 
-    def right(y: int) -> Callable[[int], dict[int, Fraction]]:  # v -> [v, y]
+    def right(y: int) -> Callable[[int], Mapping[int, Fraction]]:  # v -> [v, y]
         return lambda v: br(v, y)
 
     # anti-commutativity of explicitly stored mirror pairs, even diagonals zero

@@ -18,6 +18,7 @@ agreement can be tested rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .poly import MIXED, Poly, superbracket
@@ -54,24 +55,31 @@ class RewriteRule:
 
 
 class RewriteSystem:
-    """An ordered list of rewrite rules over one alphabet."""
+    """An ordered list of rewrite rules over one alphabet.
 
-    __slots__ = ("alphabet", "rules", "_by_leading")
+    The rules are indexed once, by the letters of their leading words, with
+    the set of leading-word lengths alongside; :func:`reduce`,
+    :func:`is_reduced_word` and :func:`enumerate_reduced_super_ls` find
+    occurrences by looking up ``letters[i:i+k]`` for each such length ``k``.
+    """
+
+    __slots__ = ("alphabet", "rules", "_index", "_lengths")
 
     def __init__(self, alphabet: Alphabet, rules: Iterable[RewriteRule] = ()):
         rules = tuple(rules)
-        by_leading: dict[Word, int] = {}
+        index: dict[tuple[int, ...], int] = {}
         for i, rule in enumerate(rules):
             if rule.body.alphabet != alphabet:
                 raise ValueError("rule over a different alphabet")
-            if rule.leading_word in by_leading:
+            if rule.leading_word.letters in index:
                 raise ValueError(
                     f"duplicate leading word {str(rule.leading_word)!r}"
                 )
-            by_leading[rule.leading_word] = i
+            index[rule.leading_word.letters] = i
         self.alphabet = alphabet
         self.rules = rules
-        self._by_leading = by_leading
+        self._index = index
+        self._lengths = tuple(sorted({rule.leading_len for rule in rules}))
 
     @classmethod
     def from_polys(cls, alphabet: Alphabet, polys: Iterable[Poly]) -> "RewriteSystem":
@@ -84,10 +92,10 @@ class RewriteSystem:
         return tuple(rule.leading_word for rule in self.rules)
 
     def rule_with_leading(self, word: Word) -> RewriteRule:
-        try:
-            return self.rules[self._by_leading[word]]
-        except KeyError:
-            raise ValueError(f"no rule with leading word {str(word)!r}") from None
+        index = self._index.get(word.letters) if word.alphabet == self.alphabet else None
+        if index is None:
+            raise ValueError(f"no rule with leading word {str(word)!r}")
+        return self.rules[index]
 
     def __repr__(self) -> str:
         return f"RewriteSystem({[str(r.leading_word) for r in self.rules]})"
@@ -96,14 +104,12 @@ class RewriteSystem:
 def is_reduced_word(w: Word, system: RewriteSystem) -> bool:
     """True iff no leading word of the system occurs as a contiguous subword."""
     letters = w.letters
-    for rule in system.rules:
-        probe = rule.leading_word.letters
-        k = len(probe)
-        if k > len(letters):
-            continue
-        if any(letters[i : i + k] == probe for i in range(len(letters) - k + 1)):
-            return False
-    return True
+    index = system._index
+    return not any(
+        letters[i : i + k] in index
+        for k in system._lengths
+        for i in range(len(letters) - k + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -156,53 +162,92 @@ def _framed(rule: RewriteRule, word: Word, position: int) -> Poly:
     return prefix * rule.body * suffix
 
 
-def _find_rewrite(
-    p: Poly, system: RewriteSystem, strategy: str
-) -> Optional[tuple[Word, int, int]]:
-    words = [w for w, _ in p.terms()]  # descending deglex
-    if strategy == SMALLEST_RIGHTMOST:
-        words.reverse()
-    for word in words:
-        letters = word.letters
-        positions = range(len(letters))
-        rule_order = enumerate(system.rules)
-        if strategy == SMALLEST_RIGHTMOST:
-            positions = reversed(positions)
-            rule_order = reversed(list(rule_order))
-        rule_list = list(rule_order)
-        for pos in positions:
-            for index, rule in rule_list:
-                probe = rule.leading_word.letters
-                if letters[pos : pos + len(probe)] == probe:
-                    return word, index, pos
-    return None
-
-
 def reduce(
     p: Poly, system: RewriteSystem, strategy: str = LARGEST_LEFTMOST
 ) -> tuple[Poly, ReductionTrace]:
     """Rewrite until every supported word is reduced; exact and terminating.
 
-    Every step replaces one word occurrence of a leading word by strictly
-    deglex-smaller words.  On a system closed under composition the normal
-    form does not depend on the strategy; otherwise it may, which is why the
-    strategy is explicit.
+    Each step takes one word ``w`` of the current polynomial, an occurrence
+    of a leading word in it and the rule it names, and subtracts the word's
+    coefficient times ``prefix * rule * suffix``.  ``largest-leftmost``
+    takes the deglex-largest word containing a leading word, its leftmost
+    occurrence, and at that position the first-listed rule;
+    ``smallest-rightmost`` takes the deglex-smallest such word, its
+    rightmost occurrence and the last-listed rule.  Every step replaces
+    ``w`` by strictly deglex-smaller words.  On a system closed under
+    composition the normal form does not depend on the strategy; otherwise
+    it may, which is why the strategy is explicit.
+
+    The polynomial is kept as one dict from letters to coefficients.  The
+    words that contain a leading word wait in a heap ordered by the
+    strategy, each with its first occurrence found once through the
+    system's index; a word that cancels stays in the heap until popped and
+    is skipped, and is pushed again if it comes back.  Whether a word is
+    reducible depends on the word alone, so the heap's top is the word the
+    rule above names: the index and the heap do not change which step is
+    taken.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    if p.alphabet != system.alphabet:
+    alphabet = p.alphabet
+    if alphabet != system.alphabet:
         raise ValueError("polynomial over a different alphabet than the system")
-    current = p
+    rules, index, lengths = system.rules, system._index, system._lengths
+    leftmost = strategy == LARGEST_LEFTMOST
+    hits: dict[tuple[int, ...], Optional[tuple[int, int]]] = {}
+
+    def first_hit(letters: tuple[int, ...]) -> Optional[tuple[int, int]]:
+        """(rule index, position) of the step the strategy takes on ``letters``."""
+        if letters in hits:
+            return hits[letters]
+        n = len(letters)
+        hit = None
+        for pos in range(n) if leftmost else range(n - 1, -1, -1):
+            found = [
+                index[probe]
+                for k in lengths
+                if pos + k <= n and (probe := letters[pos : pos + k]) in index
+            ]
+            if found:
+                hit = (min(found) if leftmost else max(found), pos)
+                break
+        hits[letters] = hit
+        return hit
+
+    if leftmost:  # max-heap by deglex
+        def entry(letters: tuple[int, ...]) -> tuple:
+            return (-len(letters), tuple(-c for c in letters), letters)
+    else:  # min-heap by deglex
+        def entry(letters: tuple[int, ...]) -> tuple:
+            return (len(letters), letters)
+
+    acc = {w.letters: c for w, c in p.terms()}
+    heap = [entry(w) for w in acc if first_hit(w) is not None]
+    heapify(heap)
     steps: list[ReductionStep] = []
-    while True:
-        hit = _find_rewrite(current, system, strategy)
-        if hit is None:
-            break
-        word, rule_index, position = hit
-        coeff = current.coefficient(word)
-        current = current - coeff * _framed(system.rules[rule_index], word, position)
-        steps.append(ReductionStep(word, rule_index, position))
-    return current, ReductionTrace(steps, current)
+    while heap:
+        word = heappop(heap)[-1]
+        coeff = acc.get(word)
+        if coeff is None:  # cancelled since it was pushed
+            continue
+        rule_index, position = hits[word]
+        rule = rules[rule_index]
+        prefix, suffix = word[:position], word[position + rule.leading_len :]
+        for u, c in rule.body.terms():
+            framed = prefix + u.letters + suffix
+            if framed in acc:
+                rest = acc[framed] - coeff * c
+                if rest:
+                    acc[framed] = rest
+                else:
+                    del acc[framed]
+            else:
+                acc[framed] = -coeff * c
+                if first_hit(framed) is not None:
+                    heappush(heap, entry(framed))
+        steps.append(ReductionStep(Word(alphabet, word), rule_index, position))
+    normal_form = Poly(alphabet, {Word(alphabet, w): c for w, c in acc.items()})
+    return normal_form, ReductionTrace(steps, normal_form)
 
 
 def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]]:
@@ -328,7 +373,7 @@ def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     alphabet = system.alphabet
-    k = max((len(w) for w in system.leading_words()), default=0)
+    k = max(system._lengths, default=0)
     out: list[Word] = []
     layer: list[tuple[int, ...]] = [()]
     for _ in range(max_len):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from superlie import cli
 from superlie.cli import main
 from superlie.fixtures import ALL
 
@@ -164,6 +165,28 @@ def test_unknown_name_in_presentation_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "hnn-verify", "--input", str(path))
     assert code == 2
     assert "brackets[0].right" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RuntimeError("self-check failed:\n  rank 3 != 4"),
+        RecursionError("maximum recursion depth exceeded"),
+        MemoryError(),
+    ],
+    ids=["runtime", "recursion", "memory"],
+)
+def test_internal_error_exits_3_in_one_line(capsys, monkeypatch, error):
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_hnn_verify", broken)
+    code, out, err = run(capsys, "hnn-verify", "--input", str(FIXTURES / "ex1.json"))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: {type(error).__name__}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if str(error):
+        assert " ".join(str(error).split()) in err
 
 
 def test_usage_error_exits_2():

@@ -1,6 +1,7 @@
 """Structure-constant validation, relation building, bases, structure theorem."""
 
 import copy
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -792,6 +793,59 @@ def test_structure_constants_reject_out_of_range_ranks():
         StructureConstants(alphabet, 1, 0, {(0, 5): {0: 1}}, {})
     with pytest.raises(ValueError):
         StructureConstants(alphabet, 1, 0, {}, {1: {0: 1}})  # arg not in subalgebra
+
+
+def test_structure_constants_are_immutable():
+    brackets = {(1, 0): {0: 1}}
+    derivation = {0: {1: 2}}
+    sc = StructureConstants(Alphabet.from_names(["a", "x"]), 1, 0, brackets, derivation)
+    brackets[(1, 0)][0] = 5  # the table keeps its own copy
+    derivation[0] = {}
+    assert sc.bracket_coeffs(1, 0) == {0: Fraction(1)}
+    assert sc.derivation_coeffs(0) == {1: Fraction(2)}
+    with pytest.raises(TypeError):
+        sc.alpha[(0, 1)] = {}
+    with pytest.raises(TypeError):
+        sc.alpha[(1, 0)][1] = Fraction(1)
+    with pytest.raises(TypeError):
+        sc.beta[0][0] = Fraction(1)
+    for name in ("alphabet", "subalgebra_size", "d_parity", "alpha", "beta", "_report"):
+        with pytest.raises(AttributeError):
+            setattr(sc, name, None)
+
+
+def test_each_table_is_validated_once(monkeypatch, capsys, tmp_path):
+    calls = []
+    check = hnn._check_identities
+    monkeypatch.setattr(
+        hnn, "_check_identities", lambda sc: calls.append(sc) or check(sc)
+    )
+    pres = ex4()
+    report = validate(pres.constants)
+    assert validate(pres.constants) is report
+    build_relations(pres)
+    verify_structure_theorem(pres, 3)
+    enumerate_h_basis(pres, 3)
+    enumerate_uh_basis(pres, 3)
+    assert calls == [pres.constants]
+    # a fresh table is checked afresh, also when it is invalid
+    data = copy.deepcopy(EX4)
+    data["derivation"][1]["value"] = [{"basis": "b", "coeff": "1"}]
+    bad = load_presentation(data)
+    assert not validate(bad.constants).passed
+    with pytest.raises(ValueError, match="fail validation"):
+        build_relations(bad)
+    assert calls == [pres.constants, bad.constants]
+    # one CLI call reads one table: validated once per command
+    from superlie.cli import main
+
+    path = tmp_path / "ex4.json"
+    path.write_text(json.dumps(EX4))
+    for command in ("hnn-verify", "hnn-basis"):
+        calls.clear()
+        assert main([command, "--input", str(path), "--max-len", "3"]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_mirror_bracket_is_derived_with_the_right_sign():

@@ -1,9 +1,12 @@
 """Reduction, traces, compositions, closure checking."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superlie import (
     LARGEST_LEFTMOST,
@@ -14,19 +17,25 @@ from superlie import (
     RewriteSystem,
     Word,
     assoc_compositions,
+    build_relations,
     deglex_key,
     enumerate_reduced_super_ls,
     enumerate_super_ls,
     is_gsb,
     is_reduced_word,
     lie_composition_len2,
+    load_presentation,
     parse_poly,
     rank,
     reduce,
     scale,
     superbracket,
 )
-from conftest import random_poly
+from superlie.fixtures import ALL
+from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
+from conftest import random_poly, random_word
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 AXT = Alphabet.from_names(["a", "x", "t"])
 ABXT = Alphabet.from_names(["a", "b", "x", "t"])
@@ -124,6 +133,182 @@ def test_strategies_agree_on_closed_system():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         reduce(Poly.zero(AXT), EX1_STYLE, strategy="bogus")
+
+
+# -- the reference reduction: scan every term, position and rule, rebuild the Poly ----
+
+
+def _reference_find_rewrite(p, system, strategy):
+    words = [w for w, _ in p.terms()]  # descending deglex
+    if strategy == SMALLEST_RIGHTMOST:
+        words.reverse()
+    for word in words:
+        letters = word.letters
+        positions = range(len(letters))
+        rule_order = enumerate(system.rules)
+        if strategy == SMALLEST_RIGHTMOST:
+            positions = reversed(positions)
+            rule_order = reversed(list(rule_order))
+        rule_list = list(rule_order)
+        for pos in positions:
+            for index, rule in rule_list:
+                probe = rule.leading_word.letters
+                if letters[pos : pos + len(probe)] == probe:
+                    return word, index, pos
+    return None
+
+
+def reference_reduce(p, system, strategy=LARGEST_LEFTMOST):
+    """The reduction as first written: each step rescans and rebuilds."""
+    current = p
+    steps = []
+    while True:
+        hit = _reference_find_rewrite(current, system, strategy)
+        if hit is None:
+            break
+        word, rule_index, position = hit
+        coeff = current.coefficient(word)
+        current = current - coeff * _framed(system.rules[rule_index], word, position)
+        steps.append(ReductionStep(word, rule_index, position))
+    return current, ReductionTrace(steps, current)
+
+
+def assert_reduces_as_reference(p, system):
+    """Both strategies: the same steps and normal form as the reference."""
+    forms = {}
+    for strategy in STRATEGIES:
+        normal_form, trace = reduce(p, system, strategy)
+        expected, expected_trace = reference_reduce(p, system, strategy)
+        assert [(s.word, s.rule_index, s.position) for s in trace.steps] == [
+            (s.word, s.rule_index, s.position) for s in expected_trace.steps
+        ], (str(p), strategy)
+        assert normal_form == expected and trace.normal_form == expected
+        forms[strategy] = normal_form
+    return forms
+
+
+FIXTURE_SYSTEMS = {name: build_relations(load_presentation(d)) for name, d in ALL.items()}
+
+
+def load_rules(path):
+    data = json.loads(path.read_text())
+    alphabet = Alphabet.from_names(
+        [g["name"] for g in data["generators"]],
+        [g["name"] for g in data["generators"] if g.get("parity") == 1],
+    )
+    return system(alphabet, *data["rules"])
+
+
+BROKEN = load_rules(FIXTURES / "broken_rules.json")
+ABC = Alphabet.from_names(["a", "b", "c"])
+ABCD = Alphabet.from_names(["a", "b", "c", "d"])
+AB_ODD = Alphabet.from_names(["a", "b"], odd=["b"])
+TIE_RULES = ["bca - c", "bc - a", "d - a", "ba - ab"]  # bc is a prefix of bca
+HAND_MADE = [
+    system(ABCD, *TIE_RULES),
+    system(ABCD, *reversed(TIE_RULES)),
+    system(ABC, "cc - ca", "ca - b"),
+    system(ABCD, "dd - ca", "cc - ca", "ca - b"),
+    system(Alphabet.from_names(["a", "b", "c"], odd=["c"]), "cc - a", "cba - bc", "ba - ab"),
+]
+
+
+def random_rules_system(rng):
+    """Rules with leading words of lengths 1-3 over two or three letters."""
+    alphabet = rng.choice([ABC, AB_ODD])
+    rules, leadings = [], set()
+    for _ in range(rng.randint(1, 4)):
+        words = [random_word(rng, alphabet, 3) for _ in range(rng.randint(1, 3))]
+        p = Poly(
+            alphabet,
+            [(w, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+             for w in words if w.parity == words[0].parity],
+        )
+        lead = p.leading()[0] if p else None
+        if lead and lead not in leadings:
+            leadings.add(lead)
+            rules.append(RewriteRule(p))
+    return RewriteSystem(alphabet, rules)
+
+
+def random_case(rng):
+    """A system (a fixture's relations, a hand-made or a random one) and a polynomial."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        sys_ = FIXTURE_SYSTEMS[rng.choice(sorted(FIXTURE_SYSTEMS))]
+    elif pick == 1:
+        sys_ = rng.choice(HAND_MADE + [BROKEN])
+    else:
+        sys_ = random_rules_system(rng)
+    return sys_, random_poly(rng, sys_.alphabet, max_terms=4, max_len=6)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SYSTEMS))
+def test_reduce_matches_reference_on_fixture_relations(name):
+    rng = Random(name)
+    sys_ = FIXTURE_SYSTEMS[name]
+    for _ in range(12):
+        assert_reduces_as_reference(random_poly(rng, sys_.alphabet, 4, 6), sys_)
+
+
+def test_reduce_matches_reference_where_strategies_disagree():
+    assert not is_gsb(BROKEN).passed
+    forms = assert_reduces_as_reference(Poly.monomial(BROKEN.alphabet.word("xyv")), BROKEN)
+    assert str(forms[LARGEST_LEFTMOST]) == "vv"
+    assert str(forms[SMALLEST_RIGHTMOST]) == "v"
+    rng = Random(5)
+    divergences = 0
+    for _ in range(40):
+        forms = assert_reduces_as_reference(random_poly(rng, BROKEN.alphabet, 4, 6), BROKEN)
+        divergences += forms[LARGEST_LEFTMOST] != forms[SMALLEST_RIGHTMOST]
+    assert divergences > 0
+
+
+def test_tie_at_one_position_goes_to_the_strategy_end_of_the_list():
+    # bc and bca both occur at position 0 of bca: largest-leftmost takes the
+    # first-listed of the two rules, smallest-rightmost the last-listed
+    for sys_ in HAND_MADE[:2]:
+        index = {str(r.leading_word): i for i, r in enumerate(sys_.rules)}
+        first, last = sorted((index["bc"], index["bca"]))
+        p = Poly.monomial(ABCD.word("bca"))
+        for strategy, want in ((LARGEST_LEFTMOST, first), (SMALLEST_RIGHTMOST, last)):
+            _, trace = reduce(p, sys_, strategy)
+            assert (trace.steps[0].rule_index, trace.steps[0].position) == (want, 0)
+        assert_reduces_as_reference(p, sys_)
+    rng = Random(11)
+    for sys_ in HAND_MADE:
+        for _ in range(15):
+            assert_reduces_as_reference(random_poly(rng, sys_.alphabet, 4, 6), sys_)
+
+
+def test_word_that_cancels_and_comes_back_is_reduced_again():
+    # smallest-rightmost rewrites ca, then cc brings ca back
+    sys_ = HAND_MADE[2]
+    p = parse_poly(ABC, "cc + ca")
+    normal_form, trace = reduce(p, sys_, SMALLEST_RIGHTMOST)
+    assert [str(s.word) for s in trace.steps] == ["ca", "cc", "ca"]
+    assert normal_form == parse_poly(ABC, "2*b")
+    # largest-leftmost: dd cancels ca, then cc brings it back
+    sys_ = HAND_MADE[3]
+    p = parse_poly(ABCD, "dd + cc - ca")
+    normal_form, trace = reduce(p, sys_, LARGEST_LEFTMOST)
+    assert [str(s.word) for s in trace.steps] == ["dd", "cc", "ca"]
+    assert normal_form == parse_poly(ABCD, "b")
+    for sys_, text in ((HAND_MADE[2], "cc + ca"), (HAND_MADE[3], "dd + cc - ca")):
+        assert_reduces_as_reference(parse_poly(sys_.alphabet, text), sys_)
+
+
+def test_reduce_matches_reference_on_random_systems():
+    rng = Random(31)
+    for _ in range(150):
+        assert_reduces_as_reference(*reversed(random_case(rng)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_reduce_matches_reference_property(rng):
+    sys_, p = random_case(rng)
+    assert_reduces_as_reference(p, sys_)
 
 
 # -- compositions ------------------------------------------------------------------
