@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations_with_replacement, compress, product
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .bracketing import (
     NcMonomial,
@@ -205,13 +205,18 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _composite_coeff(
+def _accumulate(
+    out: dict[int, Fraction],
+    scale: int,
     inner: Mapping[int, Fraction],
-    outer: Callable[[int], Mapping[int, Fraction]],
-    u: int,
-) -> Fraction:
-    """Coefficient of u in the sum over v of inner[v] * outer(v)."""
-    return sum((c * outer(v).get(u, 0) for v, c in inner.items()), Fraction(0))
+    outer: Sequence[Mapping[int, Fraction]],
+) -> dict[int, Fraction]:
+    """Add scale * (sum over v of inner[v] * outer[v]) into ``out``, by target u."""
+    for v, c in inner.items():
+        c *= scale
+        for u, e in outer[v].items():
+            out[u] = out.get(u, 0) + c * e
+    return out
 
 
 def _sign(p: int, q: int) -> int:
@@ -241,13 +246,17 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
     k = sc.subalgebra_size
     names = [s.name for s in sc.alphabet.symbols]
     parities = [s.parity for s in sc.alphabet.symbols]
-    br, d = sc.bracket_coeffs, sc.derivation_coeffs
+    # ad[x][v] = [x, v] and right[y][v] = [v, y], mirrors included
+    ad = [[sc.bracket_coeffs(x, v) for v in range(size)] for x in range(size)]
+    right = [[ad[v][y] for v in range(size)] for y in range(size)]
+    d = [sc.derivation_coeffs(v) for v in range(size)]
+    zero = Fraction(0)
 
-    def ad(x: int) -> Callable[[int], Mapping[int, Fraction]]:  # v -> [x, v]
-        return lambda v: br(x, v)
-
-    def right(y: int) -> Callable[[int], Mapping[int, Fraction]]:  # v -> [v, y]
-        return lambda v: br(v, y)
+    def mismatches(lhs, rhs, factor=1):  # targets u where lhs != factor * rhs
+        for u in sorted(lhs.keys() | rhs.keys()):
+            lhs_u, rhs_u = lhs.get(u, zero), rhs.get(u, zero)
+            if lhs_u != factor * rhs_u:
+                yield u, lhs_u, rhs_u
 
     # anti-commutativity of explicitly stored mirror pairs, even diagonals zero
     for x in range(size):
@@ -282,18 +291,17 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
 
     # super Jacobi on all ordered triples
     for x, y, z in product(range(size), repeat=3):
-        for u in range(size):
-            residual = (
-                _sign(parities[x], parities[z]) * _composite_coeff(br(y, z), ad(x), u)
-                + _sign(parities[y], parities[x]) * _composite_coeff(br(z, x), ad(y), u)
-                + _sign(parities[z], parities[y]) * _composite_coeff(br(x, y), ad(z), u)
-            )
-            if residual:
+        residual: dict[int, Fraction] = {}
+        _accumulate(residual, _sign(parities[x], parities[z]), ad[y][z], ad[x])
+        _accumulate(residual, _sign(parities[y], parities[x]), ad[z][x], ad[y])
+        _accumulate(residual, _sign(parities[z], parities[y]), ad[x][y], ad[z])
+        for u in sorted(residual):
+            if residual[u]:
                 violations.append(
                     Violation(
                         "jacobi",
                         (names[x], names[y], names[z], names[u]),
-                        f"residual {residual}",
+                        f"residual {residual[u]}",
                     )
                 )
 
@@ -302,72 +310,67 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
         if not parities[y]:
             continue
         for x in range(size):
-            for u in range(size):
-                lhs = _composite_coeff(br(y, y), ad(x), u)
-                rhs = _composite_coeff(br(x, y), right(y), u)
-                if lhs != 2 * rhs:
-                    violations.append(
-                        Violation(
-                            "odd-square-right",
-                            (names[x], names[y], names[u]),
-                            f"{lhs} != 2*({rhs})",
-                        )
+            lhs = _accumulate({}, 1, ad[y][y], ad[x])
+            rhs = _accumulate({}, 1, ad[x][y], right[y])
+            for u, lhs_u, rhs_u in mismatches(lhs, rhs, 2):
+                violations.append(
+                    Violation(
+                        "odd-square-right",
+                        (names[x], names[y], names[u]),
+                        f"{lhs_u} != 2*({rhs_u})",
                     )
+                )
 
     # mirrored version: [[x,x],y] = 2[x,[x,y]] for odd x
     for x in range(size):
         if not parities[x]:
             continue
         for y in range(size):
-            for u in range(size):
-                lhs = _composite_coeff(br(x, x), right(y), u)
-                rhs = _composite_coeff(br(x, y), ad(x), u)
-                if lhs != 2 * rhs:
-                    violations.append(
-                        Violation(
-                            "odd-square-left",
-                            (names[x], names[y], names[u]),
-                            f"{lhs} != 2*({rhs})",
-                        )
+            lhs = _accumulate({}, 1, ad[x][x], right[y])
+            rhs = _accumulate({}, 1, ad[x][y], ad[x])
+            for u, lhs_u, rhs_u in mismatches(lhs, rhs, 2):
+                violations.append(
+                    Violation(
+                        "odd-square-left",
+                        (names[x], names[y], names[u]),
+                        f"{lhs_u} != 2*({rhs_u})",
                     )
+                )
 
     # derivation of an odd square: d([a,a]) = 2[d(a), a] for odd a in the subalgebra
     for a in range(k):
         if not parities[a]:
             continue
-        for u in range(size):
-            lhs = _composite_coeff(br(a, a), d, u)
-            rhs = _composite_coeff(d(a), right(a), u)
-            if lhs != 2 * rhs:
-                violations.append(
-                    Violation(
-                        "derivation-odd-square",
-                        (names[a], names[u]),
-                        f"{lhs} != 2*({rhs})",
-                    )
+        lhs = _accumulate({}, 1, ad[a][a], d)
+        rhs = _accumulate({}, 1, d[a], right[a])
+        for u, lhs_u, rhs_u in mismatches(lhs, rhs, 2):
+            violations.append(
+                Violation(
+                    "derivation-odd-square",
+                    (names[a], names[u]),
+                    f"{lhs_u} != 2*({rhs_u})",
                 )
+            )
 
     # derivation law on all subalgebra pairs
     for a in range(k):
         for b in range(k):
-            for u in range(size):
-                lhs = _composite_coeff(br(a, b), d, u)
-                rhs = _composite_coeff(d(a), right(b), u) + _sign(
-                    sc.d_parity, parities[a]
-                ) * _composite_coeff(d(b), ad(a), u)
-                if lhs != rhs:
-                    violations.append(
-                        Violation(
-                            "derivation-law",
-                            (names[a], names[b], names[u]),
-                            f"{lhs} != {rhs}",
-                        )
+            lhs = _accumulate({}, 1, ad[a][b], d)
+            rhs = _accumulate({}, 1, d[a], right[b])
+            _accumulate(rhs, _sign(sc.d_parity, parities[a]), d[b], ad[a])
+            for u, lhs_u, rhs_u in mismatches(lhs, rhs):
+                violations.append(
+                    Violation(
+                        "derivation-law",
+                        (names[a], names[b], names[u]),
+                        f"{lhs_u} != {rhs_u}",
                     )
+                )
 
     # subalgebra closure
     for a in range(k):
         for b in range(a, k):
-            for v, c in sc.bracket_coeffs(a, b).items():
+            for v, c in ad[a][b].items():
                 if c and v >= k:
                     violations.append(
                         Violation(

@@ -19,7 +19,6 @@ immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 LT, EQ, GT = -1, 0, 1
@@ -172,7 +171,7 @@ class Word:
 
     @property
     def parity(self) -> int:
-        return sum(self.alphabet.symbols[r].parity for r in self.letters) & 1
+        return _parity(self.alphabet, self.letters)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -201,6 +200,10 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({str(self) or '1'})"
+
+
+def _parity(alphabet: Alphabet, letters: Iterable[int]) -> int:
+    return sum(alphabet.symbols[r].parity for r in letters) & 1
 
 
 def _check_same_alphabet(u: Word, v: Word) -> None:
@@ -241,31 +244,30 @@ def deglex_key(w: Word) -> tuple[int, tuple[int, ...]]:
     return (len(w.letters), w.letters)
 
 
+def _is_ls_letters(letters: tuple[int, ...]) -> bool:
+    # rotations have the word's length, so lex_cmp is plain tuple order here
+    return all(letters > letters[k:] + letters[:k] for k in range(1, len(letters)))
+
+
 def is_lyndon_shirshov(w: Word) -> bool:
     """True iff ``w`` is strictly greater than each of its proper rotations."""
     if not w.letters:
         raise ValueError("the empty word is not eligible")
-    n = len(w.letters)
-    for k in range(1, n):
-        rotation = Word(w.alphabet, w.letters[k:] + w.letters[:k])
-        if lex_cmp(w, rotation) != GT:
-            return False
-    return True
+    return _is_ls_letters(w.letters)
 
 
 def is_super_ls(w: Word) -> bool:
     """True iff ``w`` is LS, or ``w = uu`` with ``u`` an odd LS word."""
-    if not w.letters:
+    letters = w.letters
+    if not letters:
         raise ValueError("the empty word is not eligible")
-    if is_lyndon_shirshov(w):
+    if _is_ls_letters(letters):
         return True
-    n = len(w.letters)
+    n = len(letters)
     if n % 2:
         return False
-    u = Word(w.alphabet, w.letters[: n // 2])
-    if u.letters != w.letters[n // 2 :]:
-        return False
-    return u.parity == 1 and is_lyndon_shirshov(u)
+    u = letters[: n // 2]
+    return u == letters[n // 2 :] and _parity(w.alphabet, u) == 1 and _is_ls_letters(u)
 
 
 def enumerate_super_ls(
@@ -275,16 +277,36 @@ def enumerate_super_ls(
 ) -> list[Word]:
     """All super-LS words of length <= max_len passing ``constraint``, in deglex order.
 
-    Brute-force generation plus filtering; fine at desk scale (alphabets of a
-    handful of symbols, lengths below ~8).
+    Two words of one length compare as tuples, so a word is LS exactly when
+    it is a classical Lyndon word (smaller than its rotations) over the
+    reversed alphabet, rank r read as ``len(alphabet) - 1 - r``.  Duval's
+    algorithm (TCS 60, 1988) steps from each such word straight to the
+    next, so no other word is visited; the squares ``uu`` of the odd ones
+    with ``2|u| <= max_len`` are added, each length is sorted, and
+    ``constraint`` filters the result.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    by_length: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
+    # Duval's successor in original ranks: the reversed alphabet's first
+    # letter is rank len - 1 and its last is rank 0
+    w = [len(alphabet) - 1]
+    while w:
+        u = tuple(w)
+        by_length[len(u)].append(u)
+        if 2 * len(u) <= max_len and _parity(alphabet, u):
+            by_length[2 * len(u)].append(u + u)
+        period = len(w)
+        while len(w) < max_len:
+            w.append(w[-period])
+        while w and w[-1] == 0:
+            w.pop()
+        if w:
+            w[-1] -= 1
     out = []
-    size = len(alphabet)
-    for n in range(1, max_len + 1):
-        for ranks in product(range(size), repeat=n):
-            w = Word(alphabet, ranks)
-            if is_super_ls(w) and (constraint is None or constraint(w)):
-                out.append(w)
+    for words in by_length:
+        words.sort()
+        out.extend(Word(alphabet, letters) for letters in words)
+    if constraint is not None:
+        out = [w for w in out if constraint(w)]
     return out

@@ -208,6 +208,20 @@ def test_output_matches_golden_file(capsys, command, name, fmt):
     assert out == (GOLDEN / f"{command}-{name}.{fmt}").read_text()
 
 
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize(
+    "name, alphabet, max_len", [("abc", "a,b:odd,c", "6"), ("lhkz", "l,h,k,z:odd", "5")]
+)
+def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
+    # recorded from the CLI when words were still found by scanning every word
+    code, out, err = run(
+        capsys, "ls-words", "--alphabet", alphabet, "--max-len", max_len,
+        "--format", "json" if fmt == "json" else "text",
+    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"ls-words-{name}.{fmt}").read_text()
+
+
 def test_bad_alphabet_name_exits_2(capsys):
     code, out, err = run(capsys, "ls-words", "--alphabet", "a+,b", "--max-len", "2")
     assert (code, out) == (2, "")

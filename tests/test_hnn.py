@@ -2,8 +2,10 @@
 
 import copy
 import json
+import zlib
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -254,6 +256,93 @@ def test_validation_report_is_pinned(case):
             for check, indices, detail in expected
         ],
     }
+
+
+IDENTITY_CHECKS = (
+    "jacobi", "odd-square-right", "odd-square-left", "derivation-odd-square", "derivation-law"
+)
+
+
+def reference_identity_violations(sc):
+    """The five bilinear identities, one target u and one coefficient at a time."""
+    size, k = len(sc.alphabet), sc.subalgebra_size
+    names = [s.name for s in sc.alphabet]
+    par = [s.parity for s in sc.alphabet]
+    br, d = sc.bracket_coeffs, sc.derivation_coeffs
+
+    def coeff(inner, outer, u):  # coefficient of u in sum_v inner[v] * outer(v)
+        return sum((c * outer(v).get(u, 0) for v, c in inner.items()), Fraction(0))
+
+    def sign(p, q):
+        return -1 if (p and q) else 1
+
+    out = []
+    for x, y, z in product(range(size), repeat=3):
+        for u in range(size):
+            residual = (
+                sign(par[x], par[z]) * coeff(br(y, z), lambda v: br(x, v), u)
+                + sign(par[y], par[x]) * coeff(br(z, x), lambda v: br(y, v), u)
+                + sign(par[z], par[y]) * coeff(br(x, y), lambda v: br(z, v), u)
+            )
+            if residual:
+                out.append(("jacobi", (names[x], names[y], names[z], names[u]), f"residual {residual}"))
+    for check, outer_is_odd in (("odd-square-right", False), ("odd-square-left", True)):
+        for p in range(size):
+            if not par[p]:
+                continue
+            for q in range(size):
+                x, y = (p, q) if outer_is_odd else (q, p)
+                for u in range(size):
+                    if outer_is_odd:  # [[x,x],y] = 2[x,[x,y]]
+                        lhs = coeff(br(x, x), lambda v: br(v, y), u)
+                        rhs = coeff(br(x, y), lambda v: br(x, v), u)
+                    else:  # [x,[y,y]] = 2[[x,y],y]
+                        lhs = coeff(br(y, y), lambda v: br(x, v), u)
+                        rhs = coeff(br(x, y), lambda v: br(v, y), u)
+                    if lhs != 2 * rhs:
+                        out.append((check, (names[x], names[y], names[u]), f"{lhs} != 2*({rhs})"))
+    for a in range(k):
+        if par[a]:
+            for u in range(size):
+                lhs = coeff(br(a, a), d, u)
+                rhs = coeff(d(a), lambda v: br(v, a), u)
+                if lhs != 2 * rhs:
+                    out.append(("derivation-odd-square", (names[a], names[u]), f"{lhs} != 2*({rhs})"))
+    for a, b in product(range(k), repeat=2):
+        for u in range(size):
+            lhs = coeff(br(a, b), d, u)
+            rhs = coeff(d(a), lambda v: br(v, b), u) + sign(sc.d_parity, par[a]) * coeff(
+                d(b), lambda v: br(a, v), u
+            )
+            if lhs != rhs:
+                out.append(("derivation-law", (names[a], names[b], names[u]), f"{lhs} != {rhs}"))
+    return out
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_identity_checks_match_reference_on_random_edits(fixture):
+    rng = Random(zlib.crc32(fixture.__name__.encode()))
+    sc = fixture().constants
+    size, k = len(sc.alphabet), sc.subalgebra_size
+    tripped = set()
+    for _ in range(25):
+        alpha = {key: dict(value) for key, value in sc.alpha.items()}
+        beta = {key: dict(value) for key, value in sc.beta.items()}
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.6 or not k:
+                x, y, v = (rng.randrange(size) for _ in range(3))
+                alpha.setdefault((x, y), {})[v] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            else:
+                beta.setdefault(rng.randrange(k), {})[rng.randrange(size)] = rng.randint(-2, 2)
+        edited = StructureConstants(sc.alphabet, k, sc.d_parity, alpha, beta)
+        got = [
+            (v.check, v.indices, v.detail)
+            for v in validate(edited).violations
+            if v.check in IDENTITY_CHECKS
+        ]
+        assert got == reference_identity_violations(edited)
+        tripped.update(check for check, _, _ in got)
+    assert "jacobi" in tripped
 
 
 # -- relations ---------------------------------------------------------------------

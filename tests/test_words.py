@@ -214,6 +214,91 @@ def test_enumerate_with_constraint():
     assert AB.word("ba") in words
 
 
+def reference_enumerate_super_ls(alphabet, max_len, constraint=None):
+    """Every word of length <= max_len, filtered: the scan the generator replaced."""
+    out = []
+    for n in range(1, max_len + 1):
+        for ranks in product(range(len(alphabet)), repeat=n):
+            w = Word(alphabet, ranks)
+            if is_super_ls(w) and (constraint is None or constraint(w)):
+                out.append(w)
+    return out
+
+
+def _parity_patterns(size):
+    names = "abcde"[:size]
+    for odd in product((0, 1), repeat=size):
+        yield Alphabet.from_names(names, odd=[x for x, p in zip(names, odd) if p])
+
+
+GENERATOR_CASES = [
+    (alphabet, 8 if len(alphabet) <= 4 else 6)
+    for size in range(1, 6)
+    for alphabet in _parity_patterns(size)
+]
+
+
+@pytest.mark.parametrize(
+    "alphabet, max_len", GENERATOR_CASES, ids=[repr(a) for a, _ in GENERATOR_CASES]
+)
+def test_generator_matches_reference_scan(alphabet, max_len):
+    reference = reference_enumerate_super_ls(alphabet, max_len)
+    assert enumerate_super_ls(alphabet, max_len) == reference
+    seen = []
+
+    def odd_only(w):
+        seen.append(w)
+        return w.parity == 1
+
+    assert enumerate_super_ls(alphabet, max_len, constraint=odd_only) == [
+        w for w in reference if w.parity == 1
+    ]
+    assert seen == reference  # called once per super-LS word, in deglex order
+
+
+def _mobius(n):
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
+
+
+def _lyndon_count(size, n):
+    return sum(_mobius(d) * size ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def _odd_lyndon_count(even, odd, n):
+    # an odd word of length n is a d-th power, d odd, of one odd primitive word;
+    # (even + odd)^m - (even - odd)^m counts the odd words of length m twice
+    total = sum(
+        _mobius(d) * ((even + odd) ** (n // d) - (even - odd) ** (n // d))
+        for d in range(1, n + 1, 2)
+        if n % d == 0
+    )
+    return total // (2 * n)
+
+
+@pytest.mark.parametrize(
+    "alphabet, max_len", GENERATOR_CASES, ids=[repr(a) for a, _ in GENERATOR_CASES]
+)
+def test_generator_counts_match_necklace_formula(alphabet, max_len):
+    size = len(alphabet)
+    odd = sum(s.parity for s in alphabet)
+    counts = [0] * (max_len + 1)
+    for w in enumerate_super_ls(alphabet, max_len):
+        counts[len(w)] += 1
+    expected = [0] + [
+        _lyndon_count(size, n) + (_odd_lyndon_count(size - odd, odd, n // 2) if n % 2 == 0 else 0)
+        for n in range(1, max_len + 1)
+    ]
+    assert counts == expected
+
+
 def test_enumerate_requires_positive_length():
     with pytest.raises(ValueError):
         enumerate_super_ls(AB, 0)
