@@ -21,6 +21,7 @@ from .hnn import (
     enumerate_uh_basis,
     free_generators_W,
     load_presentation,
+    parse_generators,
     validate,
     verify_hnn_gsb,
     verify_structure_theorem,
@@ -84,20 +85,10 @@ def _load_system(path: str) -> tuple[RewriteSystem, object]:
         pres = load_presentation(data)
         return build_relations(pres), pres
     if "rules" in data:
-        gens = data.get("generators")
-        if not isinstance(gens, list) or not gens:
-            raise ValueError(f"{path}: generators: expected a non-empty list")
-        names, odd = [], []
-        for i, g in enumerate(gens):
-            if not isinstance(g, dict) or "name" not in g:
-                raise ValueError(f"{path}: generators[{i}]: expected {{name, parity}}")
-            names.append(g["name"])
-            if g.get("parity", 0) == 1:
-                odd.append(g["name"])
         try:
-            alphabet = Alphabet.from_names(names, odd)
+            alphabet = parse_generators(data.get("generators"))
         except ValueError as exc:
-            raise ValueError(f"{path}: generators: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
         rules = data["rules"]
         if not isinstance(rules, list):
             raise ValueError(f"{path}: rules: expected a list of polynomial strings")

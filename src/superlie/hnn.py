@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations_with_replacement, compress, product
+from itertools import compress, product
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -626,139 +626,56 @@ def verify_hnn_gsb(pres: HnnPresentation) -> HnnGsbReport:
 # -- basis enumeration ----------------------------------------------------------
 
 
-def _increasing_blocks(
-    pres: HnnPresentation, ranks: Sequence[int], length: int
-) -> list[tuple[int, ...]]:
-    """Weakly increasing tuples over ``ranks`` with odd symbols used at most once."""
-    parities = [s.parity for s in pres.alphabet.symbols]
-    out = []
-    for tup in combinations_with_replacement(ranks, length):
-        if any(
-            parities[a] and a == b for a, b in zip(tup, tup[1:])
-        ):  # repeats are adjacent in a sorted tuple
-            continue
-        out.append(tup)
-    return out
+def _successors(pres: HnnPresentation) -> list[tuple[int, ...]]:
+    """For each letter x, the letters y, ascending, for which xy is not a leading word.
 
-
-def _is_increasing_block(pres: HnnPresentation, ranks: Sequence[int]) -> bool:
-    parities = [s.parity for s in pres.alphabet.symbols]
-    return all(a <= b for a, b in zip(ranks, ranks[1:])) and not any(
-        parities[a] and a == b for a, b in zip(ranks, ranks[1:])
-    )
-
-
-@dataclass(frozen=True)
-class PbwPattern:
-    """Exponent-block shape of an enveloping-algebra basis word.
-
-    ``head`` is a weakly increasing run over the whole basis with odd symbols
-    at most once; each middle entry is a stable-letter power (>= 1) followed
-    by a non-empty weakly increasing complement block; ``tail_power`` is the
-    trailing stable-letter power.  Every basis word has exactly one such
-    shape, and every shape assembles to a basis word.
+    Every leading word of :func:`build_relations` has length 2: xy for
+    x > y, xx for odd x of the original basis, and t a for a in the
+    subalgebra.  So a word is reduced exactly when each pair of adjacent
+    letters is allowed here.
     """
-
-    head: tuple[int, ...]
-    middle: tuple[tuple[int, tuple[int, ...]], ...]
-    tail_power: int
-
-    def __len__(self) -> int:
-        return (
-            len(self.head)
-            + sum(power + len(block) for power, block in self.middle)
-            + self.tail_power
-        )
-
-    def word(self, pres: HnnPresentation) -> Word:
-        t = pres.t_rank
-        letters = list(self.head)
-        for power, block in self.middle:
-            letters.extend((t,) * power)
-            letters.extend(block)
-        letters.extend((t,) * self.tail_power)
-        return Word(pres.alphabet, letters)
-
-    @staticmethod
-    def of(pres: HnnPresentation, w: Word) -> "PbwPattern | None":
-        """Classify a word, or return None when it does not fit the shape."""
-        t = pres.t_rank
-        complement = set(pres.complement_ranks())
-        letters = w.letters
-        i = 0
-        while i < len(letters) and letters[i] != t:
-            i += 1
-        head = letters[:i]
-        if not _is_increasing_block(pres, head):
-            return None
-        middle: list[tuple[int, tuple[int, ...]]] = []
-        tail_power = 0
-        while i < len(letters):
-            power = 0
-            while i < len(letters) and letters[i] == t:
-                power += 1
-                i += 1
-            j = i
-            while j < len(letters) and letters[j] != t:
-                j += 1
-            block = letters[i:j]
-            i = j
-            if not block:
-                tail_power = power
-                break
-            if not all(r in complement for r in block):
-                return None
-            if not _is_increasing_block(pres, block):
-                return None
-            middle.append((power, block))
-        return PbwPattern(head, tuple(middle), tail_power)
+    t = pres.t_rank
+    parities = [s.parity for s in pres.alphabet.symbols]
+    succ = [
+        tuple(y for y in range(x, t + 1) if not (y == x and parities[x]))
+        for x in range(t)
+    ]
+    succ.append(tuple(range(pres.constants.subalgebra_size, t + 1)))
+    return succ
 
 
-def _middle_shapes(
-    pres: HnnPresentation, remaining: int
-) -> list[tuple[tuple[tuple[int, tuple[int, ...]], ...], int]]:
-    """All (middle, tail_power) block shapes of total length ``remaining``."""
-    if remaining == 0:
-        return [((), 0)]
-    out: list[tuple[tuple[tuple[int, tuple[int, ...]], ...], int]] = [((), remaining)]
-    complement = list(pres.complement_ranks())
-    for power in range(1, remaining):
-        for block_len in range(1, remaining - power + 1):
-            for block in _increasing_blocks(pres, complement, block_len):
-                for rest_middle, rest_tail in _middle_shapes(
-                    pres, remaining - power - block_len
-                ):
-                    out.append((((power, block),) + rest_middle, rest_tail))
-    return out
+def _walks(
+    succ: Sequence[Sequence[int]], start: tuple[int, ...], max_len: int
+) -> list[tuple[int, ...]]:
+    """``start`` and its extensions along ``succ``, up to length ``max_len``.
 
-
-def enumerate_pbw_patterns(pres: HnnPresentation, n: int) -> list[PbwPattern]:
-    """All block shapes of exact total length ``n``."""
-    out = []
-    basis = list(pres.basis_ranks())
-    for head_len in range(n + 1):
-        for head in _increasing_blocks(pres, basis, head_len):
-            for middle, tail_power in _middle_shapes(pres, n - head_len):
-                out.append(PbwPattern(head, middle, tail_power))
+    The words come layer by layer, each layer in lex order since ``succ``
+    lists are ascending, so the whole list is in deglex order.  The empty
+    start extends by every letter.
+    """
+    if len(start) > max_len:
+        return []
+    layer = [start]
+    out = [start]
+    for _ in range(len(start), max_len):
+        layer = [
+            w + (y,) for w in layer for y in (succ[w[-1]] if w else range(len(succ)))
+        ]
+        out.extend(layer)
     return out
 
 
 def enumerate_uh_basis(pres: HnnPresentation, max_len: int) -> list[Word]:
     """Basis words of the enveloping algebra up to ``max_len``, in deglex order.
 
-    Assembled from the block shapes of :class:`PbwPattern`; no word outside
-    them is generated.  Raises ``ValueError`` when the tables fail
-    validation.  That these are exactly the words avoiding every relation
-    leading word, and exactly the words :meth:`PbwPattern.of` classifies, is
-    asserted by the tests (every table shape on up to three basis symbols,
-    and the shipped fixtures), not rechecked here.
+    These are the words avoiding every leading word of the relations, walked
+    letter by letter along :func:`_successors`; no other word is generated.
+    Raises ``ValueError`` when the tables fail validation.  The tests hold
+    the walk to a subword scan of every word (every table shape on up to
+    three basis symbols, and the shipped fixtures).
     """
     _require_valid(pres)
-    pattern: list[Word] = []
-    for n in range(max_len + 1):
-        pattern.extend(p.word(pres) for p in enumerate_pbw_patterns(pres, n))
-    pattern.sort(key=deglex_key)
-    return pattern
+    return [Word(pres.alphabet, w) for w in _walks(_successors(pres), (), max_len)]
 
 
 # -- the free complement ---------------------------------------------------------
@@ -767,16 +684,16 @@ def enumerate_uh_basis(pres: HnnPresentation, max_len: int) -> list[Word]:
 def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     """Left-combed generators [..[[t, x1], x2].., xs] of the free complement.
 
-    One for every weakly increasing tuple over the complement with odd
-    symbols at most once, of total length <= max_len, in deglex order of the
-    underlying word.
+    One for every reduced word t x1 .. xs over the complement, that is with
+    x1 <= .. <= xs and odd symbols at most once, of total length <= max_len,
+    in deglex order of the underlying word.
     """
-    out = []
-    complement = list(pres.complement_ranks())
-    for tail_len in range(max_len):
-        for xs in _increasing_blocks(pres, complement, tail_len):
-            out.append(right_normed_bracket(pres.alphabet, pres.t_rank, xs))
-    return out
+    t = pres.t_rank
+    # from t the walk meets only complement letters and t; drop t as a successor
+    succ = [tuple(y for y in ys if y != t) for ys in _successors(pres)]
+    return [
+        right_normed_bracket(pres.alphabet, t, w[1:]) for w in _walks(succ, (t,), max_len)
+    ]
 
 
 class _WbarView:
@@ -962,8 +879,8 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     """Four independent checks at every degree n <= max_len.
 
     (i)   concatenation maps the products of complement-block letters of
-          total length n one-to-one onto the stable-letter-prefixed pattern
-          words of length n;
+          total length n one-to-one onto the pattern words of length n: the
+          reduced words that begin with t, walked along the leading words;
     (ii)  such a product is super-LS as a base word iff it is super-LS as a
           word over the block letters, lex-ordered;
     (iii) the basis monomials of degree n spell exactly the reduced super-LS
@@ -1003,14 +920,14 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     reduced: list[list[Word]] = [[] for _ in range(max_len)]
     for w in enumerate_reduced_super_ls(system, max_len):
         reduced[len(w) - 1].append(w)
+    pattern_by_degree: list[list[Word]] = [[] for _ in range(max_len)]
+    for w in _walks(_successors(pres), (pres.t_rank,), max_len):
+        pattern_by_degree[len(w) - 1].append(Word(pres.alphabet, w))
     h_basis_count = 0
     rows: list[StructureLengthCheck] = []
     for n, (sequences, block_side) in enumerate(degrees, 1):
         concats = [view.concat(seq) for seq in sequences]
-        pattern = [
-            PbwPattern((), middle, tail).word(pres)
-            for middle, tail in _middle_shapes(pres, n)
-        ]
+        pattern = pattern_by_degree[n - 1]
 
         image = set(concats)
         bijection_ok = len(image) == len(sequences) and image == set(pattern)
@@ -1077,6 +994,33 @@ def _parse_value_list(entries, by_name: dict, where: str) -> dict[int, Fraction]
     return out
 
 
+def parse_generators(gens) -> Alphabet:
+    """The alphabet of a JSON ``generators`` list of {name, parity} objects.
+
+    Shared by presentation and rules files.  Names come in increasing order;
+    a parity must be 0 or 1.  Errors give the location, as in
+    ``generators[2].parity: must be 0 or 1``.
+    """
+    if not isinstance(gens, list) or not gens:
+        raise ValueError("generators: expected a non-empty list")
+    names, odd = [], []
+    for i, g in enumerate(gens):
+        if not isinstance(g, dict) or "name" not in g or "parity" not in g:
+            raise ValueError(f"generators[{i}]: expected {{name, parity}}")
+        name, parity = g["name"], g["parity"]
+        if name in names:
+            raise ValueError(f"generators[{i}].name: duplicate {name!r}")
+        if type(parity) is not int or parity not in (0, 1):
+            raise ValueError(f"generators[{i}].parity: must be 0 or 1")
+        names.append(name)
+        if parity:
+            odd.append(name)
+    try:
+        return Alphabet.from_names(names, odd)
+    except ValueError as exc:
+        raise ValueError(f"generators: {exc}") from None
+
+
 def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
     """Read a presentation from a JSON file or an equivalent mapping.
 
@@ -1097,32 +1041,14 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
     if not isinstance(data, dict):
         raise ValueError("presentation: expected a JSON object")
 
-    gens = data.get("generators")
-    if not isinstance(gens, list) or not gens:
-        raise ValueError("generators: expected a non-empty list")
-    names, odd = [], []
-    for i, g in enumerate(gens):
-        if not isinstance(g, dict) or "name" not in g or "parity" not in g:
-            raise ValueError(f"generators[{i}]: expected {{name, parity}}")
-        name, parity = g["name"], g["parity"]
-        if name in names:
-            raise ValueError(f"generators[{i}].name: duplicate {name!r}")
-        if parity not in (0, 1):
-            raise ValueError(f"generators[{i}].parity: must be 0 or 1")
-        names.append(name)
-        if parity:
-            odd.append(name)
-    try:
-        alphabet = Alphabet.from_names(names, odd)
-    except ValueError as exc:
-        raise ValueError(f"generators: {exc}") from None
-    by_name = {n: i for i, n in enumerate(names)}
+    alphabet = parse_generators(data.get("generators"))
+    by_name = {s.name: s.rank for s in alphabet.symbols}
 
     k = data.get("subalgebra_size")
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= len(names):
-        raise ValueError(f"subalgebra_size: expected an integer in 0..{len(names)}")
+    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= len(alphabet):
+        raise ValueError(f"subalgebra_size: expected an integer in 0..{len(alphabet)}")
     d_parity = data.get("d_parity")
-    if d_parity not in (0, 1):
+    if type(d_parity) is not int or d_parity not in (0, 1):
         raise ValueError("d_parity: must be 0 or 1")
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}

@@ -51,7 +51,7 @@ class Alphabet:
     comparable across independently constructed but identical alphabets.
     """
 
-    __slots__ = ("symbols", "_by_name", "_key", "_hash", "_dotted")
+    __slots__ = ("symbols", "_by_name", "_names", "_key", "_hash", "_dotted")
 
     def __init__(self, symbols: Sequence[Symbol]):
         symbols = tuple(symbols)
@@ -68,6 +68,7 @@ class Alphabet:
             raise ValueError(f"duplicate symbol names in {names}")
         self.symbols = symbols
         self._by_name = {s.name: s for s in symbols}
+        self._names = tuple(names)
         self._key = tuple((s.name, s.parity) for s in symbols)
         self._hash = hash(self._key)
         self._dotted = any(len(s.name) > 1 for s in symbols)
@@ -192,11 +193,13 @@ class Word:
         return Word(self.alphabet, self.letters[start:stop])
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self.alphabet.symbols[r].name for r in self.letters)
+        names = self.alphabet._names
+        return tuple([names[r] for r in self.letters])
 
     def __str__(self) -> str:
+        names = self.alphabet._names
         sep = "." if self.alphabet._dotted else ""
-        return sep.join(self.names())
+        return sep.join([names[r] for r in self.letters])
 
     def __repr__(self) -> str:
         return f"Word({str(self) or '1'})"

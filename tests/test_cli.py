@@ -238,3 +238,32 @@ def test_rules_file_generator_named_1_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "gsb-check", "--input", str(path))
     assert (code, out) == (2, "")
     assert f"{path}: generators: bad symbol name '1' at position 1" in err
+
+
+@pytest.mark.parametrize("parity", ["odd", 7, True, 1.0])
+def test_bad_generator_parity_exits_2(capsys, tmp_path, parity):
+    # rules files and presentations parse their generators the same way
+    generators = [
+        {"name": "v", "parity": 0},
+        {"name": "x", "parity": parity},
+        {"name": "y", "parity": 0},
+    ]
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"generators": generators, "rules": ["xx - y"]}))
+    code, out, err = run(capsys, "gsb-check", "--input", str(rules))
+    assert (code, out, err) == (2, "", f"error: {rules}: generators[1].parity: must be 0 or 1\n")
+    pres = tmp_path / "pres.json"
+    pres.write_text(
+        json.dumps({"generators": generators, "subalgebra_size": 1, "d_parity": 0})
+    )
+    code, out, err = run(capsys, "hnn-verify", "--input", str(pres))
+    assert (code, out, err) == (2, "", "error: generators[1].parity: must be 0 or 1\n")
+
+
+@pytest.mark.parametrize("d_parity", [True, 1.0])
+def test_bad_d_parity_exits_2(capsys, tmp_path, d_parity):
+    data = dict(ALL["ex1"], d_parity=d_parity)
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hnn-verify", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: d_parity: must be 0 or 1\n")

@@ -5,13 +5,13 @@ import json
 import zlib
 from fractions import Fraction
 from itertools import product
+from math import comb
 from random import Random
 
 import pytest
 
 from superlie import (
     Alphabet,
-    PbwPattern,
     StructureConstants,
     Word,
     build_relations,
@@ -22,7 +22,6 @@ from superlie import (
     expand,
     free_generators_W,
     is_admissible,
-    is_reduced_word,
     is_unitriangular,
     lex_cmp,
     load_presentation,
@@ -474,35 +473,6 @@ def test_uh_basis_equals_reduced_words_to_length_6(fixture):
     assert set(enumerate_uh_basis(pres, 6)) == oracle
 
 
-def test_pbw_pattern_classification():
-    pres = ex1()
-    T = pres.alphabet
-    p = PbwPattern.of(pres, T.word("atxt"))
-    assert p == PbwPattern((0,), ((1, (1,)),), 1)
-    assert p.word(pres) == T.word("atxt")
-    assert len(p) == 4
-    assert PbwPattern.of(pres, T.word("ta")) is None  # subalgebra letter after t
-    assert PbwPattern.of(pres, T.word("xa")) is None  # descent in the head
-    assert PbwPattern.of(pres, T.word("tt")) == PbwPattern((), (), 2)
-    assert PbwPattern.of(pres, T.word("")) == PbwPattern((), (), 0)
-    odd = ex2()
-    assert PbwPattern.of(odd, odd.alphabet.word("aa")) is None  # odd square
-
-
-def test_pbw_pattern_matches_reduced_scan():
-    for fixture in (ex1, ex2, ex3, ex4):
-        pres = fixture()
-        system = build_relations(pres)
-        size = len(pres.alphabet)
-        for n in range(5):
-            for letters in product(range(size), repeat=n):
-                w = Word(pres.alphabet, letters)
-                matched = PbwPattern.of(pres, w)
-                assert (matched is not None) == is_reduced_word(w, system)
-                if matched is not None:
-                    assert matched.word(pres) == w
-
-
 def _small_shapes():
     """(parities, subalgebra size, d parity) on one to three basis symbols."""
     for size in (1, 2, 3):
@@ -541,9 +511,7 @@ def test_uh_basis_is_the_reduced_word_scan_on_every_small_shape():
         for n in range(6):
             for letters in product(range(size), repeat=n):
                 w = Word(pres.alphabet, letters)
-                is_reduced = forbidden.isdisjoint(zip(letters, letters[1:]))
-                assert (PbwPattern.of(pres, w) is not None) == is_reduced, (parities, k, w)
-                if is_reduced:
+                if forbidden.isdisjoint(zip(letters, letters[1:])):
                     reduced.append(w)
         reduced.sort(key=deglex_key)
         assert enumerate_uh_basis(pres, 5) == reduced, (parities, k, d_parity)
@@ -610,7 +578,57 @@ def test_free_generators_examples():
     assert [str(m) for m in gens1] == ["t", "[t,x]", "[[t,x],x]"]
     gens2 = free_generators_W(ex2(), 3)
     assert [str(m) for m in gens2] == ["t", "[t,a]"]  # odd a appears at most once
+    # ex2's only complement letter is odd, so W stays finite at every length
+    assert [str(m) for m in free_generators_W(ex2(), 10)] == ["t", "[t,a]"]
     assert [str(m) for m in free_generators_W(ex3(), 1)] == ["t"]
+
+
+def test_bases_below_length_one():
+    pres = ex1()
+    assert free_generators_W(pres, 0) == []
+    assert free_generators_W(pres, -2) == []
+    assert enumerate_uh_basis(pres, -1) == []
+    assert enumerate_uh_basis(pres, 0) == [Word(pres.alphabet, ())]
+
+
+def test_successors_are_the_pairs_that_are_not_leading_words():
+    tables = [_abelian_presentation(*shape) for shape in SMALL_SHAPES]
+    tables += [fixture() for fixture in FIXTURES]
+    for pres in tables:
+        leading = {w.letters for w in build_relations(pres).leading_words()}
+        assert all(len(w) == 2 for w in leading), pres
+        succ = hnn._successors(pres)
+        size = len(pres.alphabet)
+        assert len(succ) == size
+        for x in range(size):
+            assert list(succ[x]) == sorted(set(succ[x])), (pres, x)
+            for y in range(size):
+                assert (y in succ[x]) == ((x, y) not in leading), (pres, x, y)
+
+
+def test_free_generator_counts_match_the_closed_form():
+    # With e even and o odd complement letters, W has sum_j C(o, j) M(e, s - j)
+    # generators of length s + 1: j distinct odd letters, then a multiset of
+    # size s - j over the even ones, M(e, m) = C(e + m - 1, m) of them.
+    def multisets(e, m):
+        return 1 if m == 0 else comb(e + m - 1, m)
+
+    checks = 0
+    for parities, k, d_parity in SMALL_SHAPES:
+        pres = _abelian_presentation(parities, k, d_parity)
+        odd = sum(parities[k:])
+        even = len(parities) - k - odd
+        for max_len in range(7):
+            counts = [0] * max_len
+            for m in free_generators_W(pres, max_len):
+                counts[len(m.word) - 1] += 1
+            for s in range(max_len):
+                expected = sum(
+                    comb(odd, j) * multisets(even, s - j) for j in range(min(odd, s) + 1)
+                )
+                assert counts[s] == expected, (parities, k, d_parity, max_len, s)
+                checks += 1
+    assert checks == 1428
 
 
 # -- structure theorem ----------------------------------------------------------------
