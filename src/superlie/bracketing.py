@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from .linalg import is_unitriangular
-from .poly import Poly, superbracket
+from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
 from .words import (
     GT,
     Alphabet,
@@ -101,10 +101,21 @@ def forget(m: NcMonomial) -> Word:
 
 
 def expand(m: NcMonomial) -> Poly:
-    """Evaluate the tree in the free associative superalgebra."""
+    """Evaluate the tree in the free associative superalgebra.
+
+    The tree is expanded on letter tuples with integer coefficients, one
+    :func:`bracket_terms` pass per inner node; only the result becomes a
+    Poly.
+    """
+    return from_letter_terms(m.alphabet, _expand_letters(m, m.alphabet.parities))
+
+
+def _expand_letters(m: NcMonomial, parities: tuple[int, ...]) -> LetterTerms:
     if m.is_leaf:
-        return Poly.monomial(m.word)
-    return superbracket(expand(m.left), expand(m.right))
+        return {(m.rank,): 1}
+    return bracket_terms(
+        parities, _expand_letters(m.left, parities), _expand_letters(m.right, parities)
+    )
 
 
 def is_ls_monomial(m: NcMonomial) -> bool:

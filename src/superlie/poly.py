@@ -9,6 +9,11 @@ for parity-homogeneous p, q, extended bilinearly over homogeneous parts.
 All arithmetic is exact (``fractions.Fraction``); nothing is ever rounded.
 Terms are kept in descending deglex order so equality, hashing and the
 leading term are deterministic.
+
+:class:`Poly` is the boundary type.  The hot kernels -- the superbracket
+(:func:`bracket_terms`), the free expansion of bracketings and reduction --
+run on plain dicts from letter tuples (symbol ranks) to coefficients and
+build one Poly per result, so no intermediate sum is sorted or hashed.
 """
 
 from __future__ import annotations
@@ -45,9 +50,11 @@ class Poly:
         acc: dict[Word, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for word, coeff in items:
-            if word.alphabet != alphabet:
+            if word.alphabet is not alphabet and word.alphabet != alphabet:
                 raise ValueError("term word over a different alphabet")
-            c = acc.get(word, _ZERO) + _to_fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = _to_fraction(coeff)
+            c = acc[word] + coeff if word in acc else coeff
             if c:
                 acc[word] = c
             elif word in acc:
@@ -189,20 +196,50 @@ def scale(c: Scalar, p: Poly) -> Poly:
     return p * c
 
 
+LetterTerms = dict[tuple[int, ...], Scalar]
+
+
+def letter_terms(p: Poly) -> LetterTerms:
+    """p as a dict from letter tuples (symbol ranks) to coefficients."""
+    return {w.letters: c for w, c in p._terms}
+
+
+def from_letter_terms(alphabet: Alphabet, terms: LetterTerms) -> Poly:
+    """The one Poly with the terms of a letter-tuple dict."""
+    return Poly(alphabet, {Word(alphabet, w): c for w, c in terms.items()})
+
+
+def bracket_terms(parities: tuple[int, ...], p: LetterTerms, q: LetterTerms) -> LetterTerms:
+    """The superbracket [p, q] of two letter-tuple dicts, in one pass.
+
+    Each term pair (u, c_u), (v, c_v) adds c = c_u c_v to uv and
+    -(-1)^{|u||v|} c to vu, with each word's parity read from ``parities``
+    (one entry per rank), so mixed-parity inputs need no even/odd split.
+    Zero coefficients are dropped.
+    """
+    rhs = [(v, cv, sum([parities[r] for r in v]) & 1) for v, cv in q.items()]
+    out: LetterTerms = {}
+    get = out.get
+    for u, cu in p.items():
+        pu = sum([parities[r] for r in u]) & 1
+        for v, cv, pv in rhs:
+            c = cu * cv
+            uv, vu = u + v, v + u
+            out[uv] = get(uv, 0) + c
+            out[vu] = get(vu, 0) + (c if pu and pv else -c)
+    return {w: c for w, c in out.items() if c}
+
+
 def superbracket(p: Poly, q: Poly) -> Poly:
-    """[p, q] = pq - (-1)^{|p||q|} qp, extended bilinearly over parities."""
+    """[p, q] = pq - (-1)^{|p||q|} qp, extended bilinearly over parities.
+
+    Both sides go to letter-tuple dicts, :func:`bracket_terms` brackets
+    them, and the result is the one Poly built.
+    """
     if p.alphabet != q.alphabet:
         raise ValueError("polynomials over different alphabets")
-    out = Poly.zero(p.alphabet)
-    for hp, pp in ((p.even_part(), 0), (p.odd_part(), 1)):
-        if hp.is_zero():
-            continue
-        for hq, pq in ((q.even_part(), 0), (q.odd_part(), 1)):
-            if hq.is_zero():
-                continue
-            sign = -1 if (pp and pq) else 1
-            out = out + (hp * hq) - sign * (hq * hp)
-    return out
+    terms = bracket_terms(p.alphabet.parities, letter_terms(p), letter_terms(q))
+    return from_letter_terms(p.alphabet, terms)
 
 
 # -- text form ----------------------------------------------------------------
@@ -258,17 +295,22 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
         chunks.append((sign, piece))
     if not chunks:
         raise ValueError(f"cannot parse polynomial {text!r}")
-    for sign, piece in chunks:
-        if "*" in piece:
-            coeff_text, word_text = piece.split("*", 1)
-            coeff = Fraction(coeff_text.strip())
-            word = alphabet.word(word_text.strip())
-        else:
-            try:
-                coeff = Fraction(piece)
-                word = alphabet.empty_word()
-            except ValueError:
-                coeff = Fraction(1)
-                word = alphabet.word(piece)
-        terms.append((word, sign * coeff))
+    try:
+        for sign, piece in chunks:
+            if "*" in piece:
+                coeff_text, word_text = (part.strip() for part in piece.split("*", 1))
+                if not word_text:
+                    raise ValueError(f"missing word after '*' in {piece!r}")
+                coeff = Fraction(coeff_text)
+                word = alphabet.word(word_text)
+            else:
+                try:
+                    coeff = Fraction(piece)
+                    word = alphabet.empty_word()
+                except ValueError:
+                    coeff = Fraction(1)
+                    word = alphabet.word(piece)
+            terms.append((word, sign * coeff))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {piece!r}") from None
     return Poly(alphabet, terms)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from .poly import MIXED, Poly, superbracket
+from .poly import MIXED, Poly, from_letter_terms, letter_terms, superbracket
 from .words import Alphabet, Word, deglex_key, is_super_ls
 
 LARGEST_LEFTMOST = "largest-leftmost"
@@ -221,7 +221,7 @@ def reduce(
         def entry(letters: tuple[int, ...]) -> tuple:
             return (len(letters), letters)
 
-    acc = {w.letters: c for w, c in p.terms()}
+    acc = letter_terms(p)
     heap = [entry(w) for w in acc if first_hit(w) is not None]
     heapify(heap)
     steps: list[ReductionStep] = []
@@ -246,7 +246,7 @@ def reduce(
                 if first_hit(framed) is not None:
                     heappush(heap, entry(framed))
         steps.append(ReductionStep(Word(alphabet, word), rule_index, position))
-    normal_form = Poly(alphabet, {Word(alphabet, w): c for w, c in acc.items()})
+    normal_form = from_letter_terms(alphabet, acc)
     return normal_form, ReductionTrace(steps, normal_form)
 
 

@@ -49,9 +49,10 @@ class Alphabet:
     Words carry a reference to their alphabet; two alphabets are considered
     the same when their (name, parity) sequences agree, so words remain
     comparable across independently constructed but identical alphabets.
+    ``parities`` lists the symbols' parities by rank.
     """
 
-    __slots__ = ("symbols", "_by_name", "_names", "_key", "_hash", "_dotted")
+    __slots__ = ("symbols", "parities", "_by_name", "_names", "_key", "_hash", "_dotted")
 
     def __init__(self, symbols: Sequence[Symbol]):
         symbols = tuple(symbols)
@@ -67,6 +68,7 @@ class Alphabet:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate symbol names in {names}")
         self.symbols = symbols
+        self.parities = tuple(s.parity for s in symbols)
         self._by_name = {s.name: s for s in symbols}
         self._names = tuple(names)
         self._key = tuple((s.name, s.parity) for s in symbols)
@@ -206,7 +208,8 @@ class Word:
 
 
 def _parity(alphabet: Alphabet, letters: Iterable[int]) -> int:
-    return sum(alphabet.symbols[r].parity for r in letters) & 1
+    parities = alphabet.parities
+    return sum([parities[r] for r in letters]) & 1
 
 
 def _check_same_alphabet(u: Word, v: Word) -> None:

@@ -34,3 +34,29 @@ def random_homogeneous_poly(rng: Random, alphabet, parity, max_terms=3, max_len=
         p = Poly(alphabet, terms)
         if not p.is_zero():
             return p
+
+
+def reference_superbracket(p: Poly, q: Poly) -> Poly:
+    """[p, q] summed over the even and odd parts, with Poly products.
+
+    The oracle for ``superbracket`` and its letter-tuple kernel.
+    """
+    if p.alphabet != q.alphabet:
+        raise ValueError("polynomials over different alphabets")
+    out = Poly.zero(p.alphabet)
+    for hp, pp in ((p.even_part(), 0), (p.odd_part(), 1)):
+        if hp.is_zero():
+            continue
+        for hq, pq in ((q.even_part(), 0), (q.odd_part(), 1)):
+            if hq.is_zero():
+                continue
+            sign = -1 if (pp and pq) else 1
+            out = out + (hp * hq) - sign * (hq * hp)
+    return out
+
+
+def reference_expand(m) -> Poly:
+    """A bracketing expanded node by node with ``reference_superbracket``."""
+    if m.is_leaf:
+        return Poly.monomial(m.word)
+    return reference_superbracket(reference_expand(m.left), reference_expand(m.right))

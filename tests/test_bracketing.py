@@ -19,7 +19,9 @@ from superlie import (
     rank,
     right_normed_bracket,
     standard_bracket,
+    superbracket,
 )
+from conftest import reference_expand
 
 XT = Alphabet.from_names(["x", "t"])
 AB = Alphabet.from_names(["a", "b"])
@@ -103,6 +105,37 @@ def test_expand_examples():
     assert str(word) == "txx" and coeff == 1
     a = leaf(A_ODD, "a")
     assert expand(pair(a, a)) == parse_poly(A_ODD, "2*aa")
+
+
+def test_expand_matches_the_reference_on_every_bracketing():
+    # every tree over a few mixed-parity words, shared subtrees included
+    abc = Alphabet.from_names(["a", "b", "c"], odd=["a", "c"])
+    trees = [m for text in ("cbaca", "cacba", "ccaab") for m in all_bracketings(abc.word(text))]
+    x = leaf(abc, "a")
+    trees += [pair(x, x), pair(pair(x, x), pair(x, x))]
+    for m in trees:
+        assert expand(m) == reference_expand(m)
+
+
+def test_expand_and_superbracket_build_one_poly(monkeypatch):
+    abc = Alphabet.from_names(["a", "b", "c"], odd=["b"])
+    w = enumerate_super_ls(abc, 7)[-1]
+    m = standard_bracket(w)
+    p, q = expand(m.left), expand(m.right)
+    assert len(w) == 7
+    built = []
+    init = Poly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    expansion = expand(m)
+    assert built == [expansion]
+    built.clear()
+    assert superbracket(p, q) == expansion
+    assert len(built) == 1
 
 
 def test_admissibility_of_standard_brackets():

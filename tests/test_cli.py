@@ -222,6 +222,47 @@ def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
     assert out == (GOLDEN / f"ls-words-{name}.{fmt}").read_text()
 
 
+EXPANSION_CELLS = {
+    "bracket-tyx": ["bracket", "tyx", "--alphabet", "x,y:odd,t"],
+    "bracket-cbcba": ["bracket", "cbcba", "--alphabet", "a:odd,b,c"],
+    "bracket-zyzyx": ["bracket", "zyzyx", "--alphabet", "x:odd,y:odd,z"],
+    "expand-tx-tx-odd": ["expand", "[[t,x],[t,x]]", "--alphabet", "x:odd,t:odd"],
+    "expand-tx-tx-even": ["expand", "[[t,x],[t,x]]", "--alphabet", "x:odd,t"],
+    "expand-x1-x2x2": ["expand", "[x1,[x2,x2]]", "--alphabet", "x1,x2:odd"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(EXPANSION_CELLS))
+def test_expansion_matches_golden_file(capsys, name, fmt):
+    # recorded from the CLI when the superbracket still summed Poly products
+    code, out, err = run(
+        capsys, *EXPANSION_CELLS[name], "--format", "json" if fmt == "json" else "text"
+    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0*e", "zero denominator in '1/0*e'"),
+        ("e - 3/0", "zero denominator in '3/0'"),
+        ("2*", "missing word after '*' in '2*'"),
+        ("h + 2*", "missing word after '*' in '2*'"),
+    ],
+)
+def test_bad_coefficient_text_exits_2(capsys, tmp_path, text, message):
+    code, out, err = run(capsys, "reduce", text, "--input", str(FIXTURES / "sl2.json"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    rules = tmp_path / "rules.json"
+    generators = [{"name": n, "parity": 0} for n in ("h", "e")]
+    rules.write_text(json.dumps({"generators": generators, "rules": ["eh - e", text]}))
+    for command in (["reduce", "eh"], ["gsb-check"]):
+        code, out, err = run(capsys, *command, "--input", str(rules))
+        assert (code, out, err) == (2, "", f"error: {rules}: rules[1]: {message}\n")
+
+
 def test_bad_alphabet_name_exits_2(capsys):
     code, out, err = run(capsys, "ls-words", "--alphabet", "a+,b", "--max-len", "2")
     assert (code, out) == (2, "")

@@ -36,6 +36,7 @@ from superlie import (
     verify_structure_theorem,
 )
 from superlie import hnn
+from conftest import reference_expand, reference_superbracket
 from superlie.fixtures import (
     ALL,
     EX1,
@@ -376,6 +377,25 @@ def test_ex3_relations():
     assert bodies["xa"] == parse_poly(T, "xa - ax")
     assert bodies["aa"] == parse_poly(T, "aa")
     assert bodies["ta"] == parse_poly(T, "ta + at - x")  # odd/odd sign
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_relations_match_the_reference_superbracket(fixture, monkeypatch):
+    pres = fixture()
+    rules = build_relations(pres).rules
+    monkeypatch.setattr(hnn, "superbracket", reference_superbracket)
+    assert build_relations(pres).rules == rules
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_h_basis_expansions_match_the_reference_expansion(fixture):
+    # every monomial the structure theorem expands, to degree 7 (6 on the larger tables)
+    pres = fixture()
+    max_len = 6 if fixture in (osp, ab5) else 7
+    basis = enumerate_h_basis(pres, max_len)
+    assert max(len(m) for m in basis) == max_len
+    for m in basis:
+        assert expand(m) == reference_expand(m)
 
 
 def test_build_relations_requires_valid_constants():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superlie import (
     EVEN,
@@ -11,12 +12,13 @@ from superlie import (
     ODD,
     Alphabet,
     Poly,
+    Word,
     parse_poly,
     poly_to_text,
     scale,
     superbracket,
 )
-from conftest import random_homogeneous_poly, random_poly
+from conftest import random_homogeneous_poly, random_poly, reference_superbracket
 
 XY_ODD = Alphabet.from_names(["x", "y"], odd=["x", "y"])
 AT = Alphabet.from_names(["a", "t"])
@@ -137,6 +139,27 @@ def test_superbracket_is_bilinear_on_mixed_inputs():
         assert superbracket(q, p + r) == superbracket(q, p) + superbracket(q, r)
 
 
+@st.composite
+def poly_pairs(draw):
+    """Two mixed-parity polynomials over one alphabet, coefficients p/q with q <= 6."""
+    alphabet = draw(st.sampled_from([XY_ODD, AT, MIXED_ALPHA, Alphabet.from_names("abc", odd="ac")]))
+    word = st.lists(st.integers(0, len(alphabet) - 1), max_size=4).map(
+        lambda letters: Word(alphabet, letters)
+    )
+    coeff = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+    terms = st.lists(st.tuples(word, coeff), max_size=5)
+    return Poly(alphabet, draw(terms)), Poly(alphabet, draw(terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(poly_pairs())
+def test_superbracket_matches_reference_property(pair):
+    p, q = pair
+    got = superbracket(p, q)
+    assert got == reference_superbracket(p, q)
+    assert all(type(c) is Fraction for _, c in got.terms())
+
+
 def test_leading_examples():
     x = gen(MIXED_ALPHA, "x")  # odd
     f_xx = superbracket(x, x)
@@ -214,3 +237,16 @@ def test_text_round_trip_dotted_alphabet():
     p = parse_poly(dotted, "t.x1 - x1.t + 1/2")
     assert poly_to_text(p) == "t.x1 - x1.t + 1/2"
     assert parse_poly(dotted, poly_to_text(p)) == p
+
+
+def test_mapping_input_keeps_the_constructor_contract():
+    a, b = ABX.word("a"), ABX.word("ab")
+    for bad in (0.0, 1.5):
+        with pytest.raises(TypeError):
+            Poly(ABX, {a: bad})
+    with pytest.raises(ValueError):
+        Poly(ABX, {a: 1, AT.word("ta"): 1})
+    p = Poly(ABX, {a: 0, b: Fraction(0), ABX.word("ba"): 3, ABX.empty_word(): Fraction(-1, 2)})
+    assert [(str(w), c) for w, c in p.terms()] == [("ba", 3), ("", Fraction(-1, 2))]
+    assert all(type(c) is Fraction for _, c in p.terms())
+    assert p == Poly(ABX, [(ABX.word("ba"), 3), (ABX.empty_word(), Fraction(-1, 2))])
