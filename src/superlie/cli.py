@@ -21,6 +21,7 @@ from .hnn import (
     enumerate_uh_basis,
     free_generators_W,
     load_presentation,
+    parse_entries,
     parse_generators,
     validate,
     verify_hnn_gsb,
@@ -85,19 +86,16 @@ def _load_system(path: str) -> tuple[RewriteSystem, object]:
         pres = load_presentation(data)
         return build_relations(pres), pres
     if "rules" in data:
+        polys = []
         try:
             alphabet = parse_generators(data.get("generators"))
+            for where, text in parse_entries(data, "rules", kind=str):
+                try:
+                    polys.append(parse_poly(alphabet, text))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        rules = data["rules"]
-        if not isinstance(rules, list):
-            raise ValueError(f"{path}: rules: expected a list of polynomial strings")
-        polys = []
-        for i, text in enumerate(rules):
-            try:
-                polys.append(parse_poly(alphabet, text))
-            except ValueError as exc:
-                raise ValueError(f"{path}: rules[{i}]: {exc}") from None
         return RewriteSystem.from_polys(alphabet, polys), None
     raise ValueError(f"{path}: expected a presentation or a rules file")
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import compress, product
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .bracketing import (
     NcMonomial,
@@ -44,7 +44,7 @@ from .bracketing import (
     standard_bracket,
 )
 from .linalg import rank
-from .poly import Poly, superbracket
+from .poly import Poly, parse_rational, superbracket
 from .rewrite import (
     RewriteSystem,
     GsbReport,
@@ -206,16 +206,15 @@ class ValidationReport:
 
 
 def _accumulate(
-    out: dict[int, Fraction],
-    scale: int,
-    inner: Mapping[int, Fraction],
-    outer: Sequence[Mapping[int, Fraction]],
+    terms: Iterable[tuple[int, Mapping, Sequence[Mapping]]],
 ) -> dict[int, Fraction]:
-    """Add scale * (sum over v of inner[v] * outer[v]) into ``out``, by target u."""
-    for v, c in inner.items():
-        c *= scale
-        for u, e in outer[v].items():
-            out[u] = out.get(u, 0) + c * e
+    """By target u, the sum of sign * inner[v] * outer[v] over (sign, inner, outer) terms."""
+    out: dict[int, Fraction] = {}
+    for sign, inner, outer in terms:
+        for v, c in inner.items():
+            c = c if sign > 0 else -c
+            for u, e in outer[v].items():
+                out[u] = out.get(u, 0) + c * e
     return out
 
 
@@ -227,13 +226,18 @@ def validate(sc: StructureConstants) -> ValidationReport:
     """Check every identity the tables must satisfy; report, never raise.
 
     The report is computed on the first call for a table and kept on it.
+    Its checks, in report order:
 
-    Covered: anti-commutativity of the stored table (including vanishing
-    even diagonals), the super Jacobi identity on all ordered basis triples,
-    the two odd-square consequences of Jacobi, the odd-square consequence of
-    the derivation law, the derivation law itself on all subalgebra pairs,
-    closure of the subalgebra under the bracket, and parity coherence of all
-    stored coefficients.
+    * ``anticommutativity``: an even symbol brackets to zero with itself,
+      and a pair stored in both orientations agrees up to the sign;
+    * five bilinear identities, each one row of data compared target by
+      target: ``jacobi`` (super Jacobi on all ordered basis triples),
+      ``odd-square-right`` ([x,[y,y]] = 2[[x,y],y] for odd y),
+      ``odd-square-left`` ([[x,x],y] = 2[x,[x,y]] for odd x),
+      ``derivation-odd-square`` (d([a,a]) = 2[d(a),a] for odd a in the
+      subalgebra) and ``derivation-law`` (on all subalgebra pairs);
+    * ``subalgebra-closure``: the subalgebra is closed under the bracket;
+    * ``parity``: every stored coefficient respects the parities.
     """
     if sc._report is None:
         object.__setattr__(sc, "_report", _check_identities(sc))
@@ -250,122 +254,63 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
     ad = [[sc.bracket_coeffs(x, v) for v in range(size)] for x in range(size)]
     right = [[ad[v][y] for v in range(size)] for y in range(size)]
     d = [sc.derivation_coeffs(v) for v in range(size)]
-    zero = Fraction(0)
 
-    def mismatches(lhs, rhs, factor=1):  # targets u where lhs != factor * rhs
+    def compare(check, case, lhs, rhs, factor, detail):
+        """Report every target u where lhs[u] != factor * rhs[u]."""
         for u in sorted(lhs.keys() | rhs.keys()):
-            lhs_u, rhs_u = lhs.get(u, zero), rhs.get(u, zero)
+            lhs_u, rhs_u = lhs.get(u, 0), rhs.get(u, 0)
             if lhs_u != factor * rhs_u:
-                yield u, lhs_u, rhs_u
+                indices = tuple(names[i] for i in (*case, u))
+                violations.append(Violation(check, indices, detail.format(lhs_u, rhs_u)))
 
-    # anti-commutativity of explicitly stored mirror pairs, even diagonals zero
+    # anti-commutativity: an even diagonal vanishes, then the mirror pairs of x
     for x in range(size):
-        for y in range(x, size):
-            if x == y:
-                stored = sc.alpha.get((x, x))
-                if stored and parities[x] == 0:
-                    violations.append(
-                        Violation(
-                            "anticommutativity",
-                            (names[x], names[x]),
-                            "an even symbol must bracket to zero with itself",
-                        )
-                    )
-                continue
-            one, two = sc.alpha.get((x, y)), sc.alpha.get((y, x))
-            if one is None or two is None:
-                continue
-            factor = 1 if (parities[x] and parities[y]) else -1
-            vs = set(one) | set(two)
-            for v in sorted(vs):
-                lhs = two.get(v, Fraction(0))
-                rhs = factor * one.get(v, Fraction(0))
-                if lhs != rhs:
-                    violations.append(
-                        Violation(
-                            "anticommutativity",
-                            (names[y], names[x], names[v]),
-                            f"stored {lhs}, anti-commutativity requires {rhs}",
-                        )
-                    )
+        if sc.alpha.get((x, x)) and not parities[x]:
+            detail = "an even symbol must bracket to zero with itself"
+            violations.append(Violation("anticommutativity", (names[x], names[x]), detail))
+        for y in range(x + 1, size):
+            if (x, y) in sc.alpha and (y, x) in sc.alpha:
+                sign = -_sign(parities[x], parities[y])
+                required = {v: sign * c for v, c in sc.alpha[(x, y)].items()}
+                compare("anticommutativity", (y, x), sc.alpha[(y, x)], required, 1,
+                        "stored {}, anti-commutativity requires {}")
 
-    # super Jacobi on all ordered triples
-    for x, y, z in product(range(size), repeat=3):
-        residual: dict[int, Fraction] = {}
-        _accumulate(residual, _sign(parities[x], parities[z]), ad[y][z], ad[x])
-        _accumulate(residual, _sign(parities[y], parities[x]), ad[z][x], ad[y])
-        _accumulate(residual, _sign(parities[z], parities[y]), ad[x][y], ad[z])
-        for u in sorted(residual):
-            if residual[u]:
-                violations.append(
-                    Violation(
-                        "jacobi",
-                        (names[x], names[y], names[z], names[u]),
-                        f"residual {residual[u]}",
-                    )
-                )
-
-    # odd squares against Jacobi: [x,[y,y]] = 2[[x,y],y] for odd y
-    for y in range(size):
-        if not parities[y]:
-            continue
-        for x in range(size):
-            lhs = _accumulate({}, 1, ad[y][y], ad[x])
-            rhs = _accumulate({}, 1, ad[x][y], right[y])
-            for u, lhs_u, rhs_u in mismatches(lhs, rhs, 2):
-                violations.append(
-                    Violation(
-                        "odd-square-right",
-                        (names[x], names[y], names[u]),
-                        f"{lhs_u} != 2*({rhs_u})",
-                    )
-                )
-
-    # mirrored version: [[x,x],y] = 2[x,[x,y]] for odd x
-    for x in range(size):
-        if not parities[x]:
-            continue
-        for y in range(size):
-            lhs = _accumulate({}, 1, ad[x][x], right[y])
-            rhs = _accumulate({}, 1, ad[x][y], ad[x])
-            for u, lhs_u, rhs_u in mismatches(lhs, rhs, 2):
-                violations.append(
-                    Violation(
-                        "odd-square-left",
-                        (names[x], names[y], names[u]),
-                        f"{lhs_u} != 2*({rhs_u})",
-                    )
-                )
-
-    # derivation of an odd square: d([a,a]) = 2[d(a), a] for odd a in the subalgebra
-    for a in range(k):
-        if not parities[a]:
-            continue
-        lhs = _accumulate({}, 1, ad[a][a], d)
-        rhs = _accumulate({}, 1, d[a], right[a])
-        for u, lhs_u, rhs_u in mismatches(lhs, rhs, 2):
-            violations.append(
-                Violation(
-                    "derivation-odd-square",
-                    (names[a], names[u]),
-                    f"{lhs_u} != 2*({rhs_u})",
-                )
-            )
-
-    # derivation law on all subalgebra pairs
-    for a in range(k):
-        for b in range(k):
-            lhs = _accumulate({}, 1, ad[a][b], d)
-            rhs = _accumulate({}, 1, d[a], right[b])
-            _accumulate(rhs, _sign(sc.d_parity, parities[a]), d[b], ad[a])
-            for u, lhs_u, rhs_u in mismatches(lhs, rhs):
-                violations.append(
-                    Violation(
-                        "derivation-law",
-                        (names[a], names[b], names[u]),
-                        f"{lhs_u} != {rhs_u}",
-                    )
-                )
+    # the bilinear identities, one row each: (check, index cases, factor,
+    # detail, terms), where terms(*case) gives the (sign, inner, outer)
+    # terms of lhs and rhs, each summed by _accumulate
+    odd = [x for x in range(size) if parities[x]]
+    every, sub = range(size), range(k)
+    # a triple whose three brackets vanish leaves no Jacobi residual
+    triples = ((x, y, z) for x, y, z in product(every, repeat=3)
+               if ad[y][z] or ad[z][x] or ad[x][y])
+    rows = (
+        # super Jacobi on all ordered triples: the residual must vanish
+        ("jacobi", triples, 1, "residual {}",
+         lambda x, y, z: ([
+             (_sign(parities[x], parities[z]), ad[y][z], ad[x]),
+             (_sign(parities[y], parities[x]), ad[z][x], ad[y]),
+             (_sign(parities[z], parities[y]), ad[x][y], ad[z]),
+         ], ())),
+        # [x,[y,y]] = 2[[x,y],y] for odd y
+        ("odd-square-right", ((x, y) for y in odd for x in every), 2, "{} != 2*({})",
+         lambda x, y: ([(1, ad[y][y], ad[x])], [(1, ad[x][y], right[y])])),
+        # [[x,x],y] = 2[x,[x,y]] for odd x
+        ("odd-square-left", product(odd, every), 2, "{} != 2*({})",
+         lambda x, y: ([(1, ad[x][x], right[y])], [(1, ad[x][y], ad[x])])),
+        # d([a,a]) = 2[d(a),a] for odd a in the subalgebra
+        ("derivation-odd-square", ((a,) for a in odd if a < k), 2, "{} != 2*({})",
+         lambda a: ([(1, ad[a][a], d)], [(1, d[a], right[a])])),
+        # d([a,b]) = [d(a),b] + (-1)^{|d||a|}[a,d(b)] on all subalgebra pairs
+        ("derivation-law", product(sub, sub), 1, "{} != {}",
+         lambda a, b: ([(1, ad[a][b], d)], [
+             (1, d[a], right[b]),
+             (_sign(sc.d_parity, parities[a]), d[b], ad[a]),
+         ])),
+    )
+    for check, cases, factor, detail, terms in rows:
+        for case in cases:
+            lhs, rhs = terms(*case)
+            compare(check, case, _accumulate(lhs), _accumulate(rhs), factor, detail)
 
     # subalgebra closure
     for a in range(k):
@@ -963,34 +908,48 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
 # -- presentation files -----------------------------------------------------------
 
 def _parse_coeff(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"{where}: coefficients must be exact (string or integer)")
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: bad rational {value!r} ({exc})") from None
-    raise ValueError(f"{where}: bad coefficient {value!r}")
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: coefficients must be exact (string or integer)")
+    try:
+        return parse_rational(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
-def _parse_value_list(entries, by_name: dict, where: str) -> dict[int, Fraction]:
+def parse_entries(data: Mapping, key: str, where: str = "", kind: type = dict):
+    """Yield (location, entry) for the list under ``data[key]`` (missing: empty).
+
+    Every entry must be a ``kind``: an object, or a string for rules.  Errors
+    give the location, as in ``brackets[2].value: expected a list``.
+    """
+    where = f"{where}.{key}" if where else key
+    entries = data.get(key, [])
     if not isinstance(entries, list):
-        raise ValueError(f"{where}: expected a list of basis/coeff entries")
-    out: dict[int, Fraction] = {}
+        raise ValueError(f"{where}: expected a list")
+    noun = "a string" if kind is str else "an object"
     for i, entry in enumerate(entries):
-        spot = f"{where}[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{spot}: expected an object")
-        basis = entry.get("basis")
-        if basis not in by_name:
-            raise ValueError(f"{spot}.basis: unknown generator {basis!r}")
-        if "coeff" not in entry:
+        if not isinstance(entry, kind):
+            raise ValueError(f"{where}[{i}]: expected {noun}")
+        yield f"{where}[{i}]", entry
+
+
+def _generator(entry: Mapping, field: str, where: str, by_name: dict) -> int:
+    """The rank of the known generator that ``entry[field]`` names."""
+    name = entry.get(field)
+    if not isinstance(name, str) or name not in by_name:
+        raise ValueError(f"{where}.{field}: unknown generator {name!r}")
+    return by_name[name]
+
+
+def _parse_value_list(entry: Mapping, by_name: dict, where: str) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for spot, term in parse_entries(entry, "value", where):
+        r = _generator(term, "basis", spot, by_name)
+        if "coeff" not in term:
             raise ValueError(f"{spot}: missing coeff")
-        coeff = _parse_coeff(entry["coeff"], f"{spot}.coeff")
-        r = by_name[basis]
-        out[r] = out.get(r, Fraction(0)) + coeff
+        out[r] = out.get(r, Fraction(0)) + _parse_coeff(term["coeff"], f"{spot}.coeff")
     return out
 
 
@@ -1052,37 +1011,24 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
         raise ValueError("d_parity: must be 0 or 1")
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, entry in enumerate(data.get("brackets", [])):
-        where = f"brackets[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object")
-        left, right = entry.get("left"), entry.get("right")
-        if left not in by_name:
-            raise ValueError(f"{where}.left: unknown generator {left!r}")
-        if right not in by_name:
-            raise ValueError(f"{where}.right: unknown generator {right!r}")
-        key = (by_name[left], by_name[right])
+    for where, entry in parse_entries(data, "brackets"):
+        key = tuple(_generator(entry, side, where, by_name) for side in ("left", "right"))
         if key in brackets:
-            raise ValueError(f"{where}: duplicate bracket for ({left}, {right})")
-        brackets[key] = _parse_value_list(entry.get("value", []), by_name, f"{where}.value")
+            raise ValueError(
+                f"{where}: duplicate bracket for ({entry['left']}, {entry['right']})"
+            )
+        brackets[key] = _parse_value_list(entry, by_name, where)
 
     derivation: dict[int, dict[int, Fraction]] = {}
-    for i, entry in enumerate(data.get("derivation", [])):
-        where = f"derivation[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object")
-        arg = entry.get("arg")
-        if arg not in by_name:
-            raise ValueError(f"{where}.arg: unknown generator {arg!r}")
-        if by_name[arg] >= k:
+    for where, entry in parse_entries(data, "derivation"):
+        a, arg = _generator(entry, "arg", where, by_name), entry["arg"]
+        if a >= k:
             raise ValueError(
                 f"{where}.arg: {arg!r} is not in the subalgebra (first {k} generators)"
             )
-        if by_name[arg] in derivation:
+        if a in derivation:
             raise ValueError(f"{where}: duplicate derivation entry for {arg!r}")
-        derivation[by_name[arg]] = _parse_value_list(
-            entry.get("value", []), by_name, f"{where}.value"
-        )
+        derivation[a] = _parse_value_list(entry, by_name, where)
 
     constants = StructureConstants(alphabet, k, d_parity, brackets, derivation)
     return HnnPresentation(constants, t_name=data.get("stable_letter", "t"))

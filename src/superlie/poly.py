@@ -18,6 +18,7 @@ build one Poly per result, so no intermediate sum is sorted or hashed.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -250,6 +251,23 @@ def superbracket(p: Poly, q: Poly) -> Poly:
 # around '+'/'-' optional) and round-trips with printing.
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or ``p/q``, as the printer writes them, and nothing else.
+
+    A zero denominator raises ``ZeroDivisionError``; any other text,
+    ``1.5``, ``1e3`` and ``1_000`` included, raises ``ValueError``.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"bad coefficient {text!r} (expected an integer or p/q)")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
+
+
 def _term_to_text(word: Word, coeff: Fraction) -> str:
     wtext = str(word) if word.letters else "1"
     if coeff == 1 and word.letters:
@@ -301,15 +319,12 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
                 coeff_text, word_text = (part.strip() for part in piece.split("*", 1))
                 if not word_text:
                     raise ValueError(f"missing word after '*' in {piece!r}")
-                coeff = Fraction(coeff_text)
+                coeff = parse_rational(coeff_text)
                 word = alphabet.word(word_text)
+            elif piece[0].isalpha() or piece[0] == "_":  # symbol names are identifiers
+                coeff, word = Fraction(1), alphabet.word(piece)
             else:
-                try:
-                    coeff = Fraction(piece)
-                    word = alphabet.empty_word()
-                except ValueError:
-                    coeff = Fraction(1)
-                    word = alphabet.word(piece)
+                coeff, word = parse_rational(piece), alphabet.empty_word()
             terms.append((word, sign * coeff))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {piece!r}") from None

@@ -19,7 +19,7 @@ immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 LT, EQ, GT = -1, 0, 1
 
@@ -276,20 +276,15 @@ def is_super_ls(w: Word) -> bool:
     return u == letters[n // 2 :] and _parity(w.alphabet, u) == 1 and _is_ls_letters(u)
 
 
-def enumerate_super_ls(
-    alphabet: Alphabet,
-    max_len: int,
-    constraint: Optional[Callable[[Word], bool]] = None,
-) -> list[Word]:
-    """All super-LS words of length <= max_len passing ``constraint``, in deglex order.
+def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
+    """All super-LS words of length <= max_len, in deglex order.
 
     Two words of one length compare as tuples, so a word is LS exactly when
     it is a classical Lyndon word (smaller than its rotations) over the
     reversed alphabet, rank r read as ``len(alphabet) - 1 - r``.  Duval's
     algorithm (TCS 60, 1988) steps from each such word straight to the
     next, so no other word is visited; the squares ``uu`` of the odd ones
-    with ``2|u| <= max_len`` are added, each length is sorted, and
-    ``constraint`` filters the result.
+    with ``2|u| <= max_len`` are added, and each length is sorted.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -313,6 +308,4 @@ def enumerate_super_ls(
     for words in by_length:
         words.sort()
         out.extend(Word(alphabet, letters) for letters in words)
-    if constraint is not None:
-        out = [w for w in out if constraint(w)]
     return out

@@ -250,6 +250,11 @@ def test_expansion_matches_golden_file(capsys, name, fmt):
         ("e - 3/0", "zero denominator in '3/0'"),
         ("2*", "missing word after '*' in '2*'"),
         ("h + 2*", "missing word after '*' in '2*'"),
+        ("1.5*e", "bad coefficient '1.5' (expected an integer or p/q)"),
+        ("1e3*e", "bad coefficient '1e3' (expected an integer or p/q)"),
+        ("1_000*e", "bad coefficient '1_000' (expected an integer or p/q)"),
+        ("e + .5", "bad coefficient '.5' (expected an integer or p/q)"),
+        ("e*h", "bad coefficient 'e' (expected an integer or p/q)"),
     ],
 )
 def test_bad_coefficient_text_exits_2(capsys, tmp_path, text, message):
@@ -261,6 +266,46 @@ def test_bad_coefficient_text_exits_2(capsys, tmp_path, text, message):
     for command in (["reduce", "eh"], ["gsb-check"]):
         code, out, err = run(capsys, *command, "--input", str(rules))
         assert (code, out, err) == (2, "", f"error: {rules}: rules[1]: {message}\n")
+
+
+@pytest.mark.parametrize("coeff", ["1.5", "1e3", "1_000", ".5", " 1"])
+def test_bad_coefficient_in_presentation_exits_2(capsys, tmp_path, coeff):
+    data = dict(ALL["ex1"], derivation=[{"arg": "a", "value": [{"basis": "x", "coeff": coeff}]}])
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hnn-verify", "--input", str(path))
+    message = f"derivation[0].value[0].coeff: bad coefficient {coeff!r} (expected an integer or p/q)"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"brackets": 5}, "brackets: expected a list"),
+        ({"derivation": None}, "derivation: expected a list"),
+        (
+            {"brackets": [{"left": ["a"], "right": "x", "value": []}]},
+            "brackets[0].left: unknown generator ['a']",
+        ),
+        ({"derivation": [{"arg": ["a"], "value": []}]}, "derivation[0].arg: unknown generator ['a']"),
+        (
+            {"derivation": [{"arg": "a", "value": [{"basis": ["a"], "coeff": "1"}]}]},
+            "derivation[0].value[0].basis: unknown generator ['a']",
+        ),
+        ({"rules": [5]}, "{path}: rules[0]: expected a string"),
+    ],
+    ids=["brackets-int", "derivation-null", "left-list", "arg-list", "basis-list", "rule-int"],
+)
+def test_malformed_input_file_exits_2(capsys, tmp_path, changes, message):
+    # a rules file when the change is to "rules", else the ex1 presentation
+    if "rules" in changes:
+        command, data = "gsb-check", {"generators": ALL["ex1"]["generators"], **changes}
+    else:
+        command, data = "hnn-verify", dict(ALL["ex1"], **changes)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
 
 def test_bad_alphabet_name_exits_2(capsys):

@@ -228,6 +228,61 @@ PINNED_VIOLATIONS = {
             ),
         ],
     ),
+    # the even diagonal of x, then the mirror pairs (x, y > x), before the next x
+    "anticommutativity-order": (
+        _with(EX4, brackets=[
+            _bracket("a", "a", ("x", "1")),
+            _bracket("a", "b", ("a", "1")),
+            _bracket("b", "a", ("a", "1")),
+            _bracket("b", "b", ("x", "1")),
+        ]),
+        [
+            ("anticommutativity", ("a", "a"), "an even symbol must bracket to zero with itself"),
+            ("anticommutativity", ("b", "a", "a"), "stored 1, anti-commutativity requires -1"),
+            ("anticommutativity", ("b", "b"), "an even symbol must bracket to zero with itself"),
+            ("jacobi", ("a", "a", "b", "x"), "residual 2"),
+            ("jacobi", ("a", "b", "a", "x"), "residual 2"),
+            ("jacobi", ("a", "b", "b", "a"), "residual 2"),
+            ("jacobi", ("b", "a", "a", "x"), "residual 2"),
+            ("jacobi", ("b", "a", "b", "a"), "residual 2"),
+            ("jacobi", ("b", "b", "a", "a"), "residual 2"),
+            ("derivation-law", ("a", "a", "x"), "0 != 2"),
+            ("subalgebra-closure", ("a", "a", "x"), "coefficient 1 lands outside the subalgebra"),
+            ("subalgebra-closure", ("b", "b", "x"), "coefficient 1 lands outside the subalgebra"),
+        ],
+    ),
+    # one table tripping every check pins the order across checks
+    "every-check": (
+        _with(EX3, brackets=[
+            _bracket("a", "a", ("x", "1")),
+            _bracket("x", "a", ("a", "1")),
+            _bracket("x", "x", ("a", "1")),
+        ]),
+        [
+            ("anticommutativity", ("x", "x"), "an even symbol must bracket to zero with itself"),
+            ("jacobi", ("a", "a", "a", "a"), "residual 3"),
+            ("jacobi", ("a", "a", "x", "a"), "residual 1"),
+            ("jacobi", ("a", "a", "x", "x"), "residual -2"),
+            ("jacobi", ("a", "x", "a", "a"), "residual 1"),
+            ("jacobi", ("a", "x", "a", "x"), "residual -2"),
+            ("jacobi", ("a", "x", "x", "x"), "residual 1"),
+            ("jacobi", ("x", "a", "a", "a"), "residual 1"),
+            ("jacobi", ("x", "a", "a", "x"), "residual -2"),
+            ("jacobi", ("x", "a", "x", "x"), "residual 1"),
+            ("jacobi", ("x", "x", "a", "x"), "residual 1"),
+            ("jacobi", ("x", "x", "x", "a"), "residual 3"),
+            ("odd-square-right", ("a", "a", "a"), "-1 != 2*(1)"),
+            ("odd-square-right", ("x", "a", "a"), "1 != 2*(0)"),
+            ("odd-square-right", ("x", "a", "x"), "0 != 2*(1)"),
+            ("odd-square-left", ("a", "a", "a"), "1 != 2*(-1)"),
+            ("odd-square-left", ("a", "x", "a"), "1 != 2*(0)"),
+            ("odd-square-left", ("a", "x", "x"), "0 != 2*(-1)"),
+            ("derivation-odd-square", ("a", "a"), "0 != 2*(1)"),
+            ("derivation-law", ("a", "a", "a"), "0 != 2"),
+            ("subalgebra-closure", ("a", "a", "x"), "coefficient 1 lands outside the subalgebra"),
+            ("parity", ("x", "x", "a"), "bracket of parities 0,0 cannot hit a parity-1 symbol"),
+        ],
+    ),
 }
 
 
@@ -259,12 +314,18 @@ def test_validation_report_is_pinned(case):
 
 
 IDENTITY_CHECKS = (
-    "jacobi", "odd-square-right", "odd-square-left", "derivation-odd-square", "derivation-law"
+    "anticommutativity",
+    "jacobi",
+    "odd-square-right",
+    "odd-square-left",
+    "derivation-odd-square",
+    "derivation-law",
 )
 
 
 def reference_identity_violations(sc):
-    """The five bilinear identities, one target u and one coefficient at a time."""
+    """Anti-commutativity of the stored table, then the five bilinear identities,
+    one target u and one coefficient at a time."""
     size, k = len(sc.alphabet), sc.subalgebra_size
     names = [s.name for s in sc.alphabet]
     par = [s.parity for s in sc.alphabet]
@@ -277,6 +338,23 @@ def reference_identity_violations(sc):
         return -1 if (p and q) else 1
 
     out = []
+    for x in range(size):
+        if not par[x] and sc.alpha.get((x, x)):
+            out.append(
+                ("anticommutativity", (names[x], names[x]), "an even symbol must bracket to zero with itself")
+            )
+        for y in range(x + 1, size):
+            if (x, y) not in sc.alpha or (y, x) not in sc.alpha:
+                continue
+            for u in range(size):
+                stored = sc.alpha[(y, x)].get(u, Fraction(0))
+                required = -sign(par[x], par[y]) * sc.alpha[(x, y)].get(u, Fraction(0))
+                if stored != required:
+                    out.append((
+                        "anticommutativity",
+                        (names[y], names[x], names[u]),
+                        f"stored {stored}, anti-commutativity requires {required}",
+                    ))
     for x, y, z in product(range(size), repeat=3):
         for u in range(size):
             residual = (
@@ -342,7 +420,7 @@ def test_identity_checks_match_reference_on_random_edits(fixture):
         ]
         assert got == reference_identity_violations(edited)
         tripped.update(check for check, _, _ in got)
-    assert "jacobi" in tripped
+    assert {"anticommutativity", "jacobi"} <= tripped
 
 
 # -- relations ---------------------------------------------------------------------

@@ -417,9 +417,7 @@ def test_enumerate_reduced_super_ls_is_the_filtered_scan():
         system(ax_odd, "xx - a", "tx - xt"),
     ]
     for sys_ in systems:
-        scan = enumerate_super_ls(
-            sys_.alphabet, 6, constraint=lambda w: is_reduced_word(w, sys_)
-        )
+        scan = [w for w in enumerate_super_ls(sys_.alphabet, 6) if is_reduced_word(w, sys_)]
         assert enumerate_reduced_super_ls(sys_, 6) == scan, sys_
     with pytest.raises(ValueError, match="max_len"):
         enumerate_reduced_super_ls(EX1_STYLE, 0)

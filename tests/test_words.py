@@ -209,18 +209,18 @@ def test_enumerate_is_sorted_unique_and_valid():
 
 
 def test_enumerate_with_constraint():
-    words = enumerate_super_ls(AB, 4, constraint=lambda w: len(w) % 2 == 0)
+    words = [w for w in enumerate_super_ls(AB, 4) if len(w) % 2 == 0]
     assert all(len(w) % 2 == 0 for w in words)
     assert AB.word("ba") in words
 
 
-def reference_enumerate_super_ls(alphabet, max_len, constraint=None):
+def reference_enumerate_super_ls(alphabet, max_len):
     """Every word of length <= max_len, filtered: the scan the generator replaced."""
     out = []
     for n in range(1, max_len + 1):
         for ranks in product(range(len(alphabet)), repeat=n):
             w = Word(alphabet, ranks)
-            if is_super_ls(w) and (constraint is None or constraint(w)):
+            if is_super_ls(w):
                 out.append(w)
     return out
 
@@ -244,16 +244,6 @@ GENERATOR_CASES = [
 def test_generator_matches_reference_scan(alphabet, max_len):
     reference = reference_enumerate_super_ls(alphabet, max_len)
     assert enumerate_super_ls(alphabet, max_len) == reference
-    seen = []
-
-    def odd_only(w):
-        seen.append(w)
-        return w.parity == 1
-
-    assert enumerate_super_ls(alphabet, max_len, constraint=odd_only) == [
-        w for w in reference if w.parity == 1
-    ]
-    assert seen == reference  # called once per super-LS word, in deglex order
 
 
 def _mobius(n):
