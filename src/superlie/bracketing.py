@@ -176,12 +176,36 @@ def is_admissible(m: NcMonomial, expansion: Optional[Poly] = None) -> bool:
 
     The underlying word must be super-LS; the required coefficient is 1 for
     an LS word and 2 for an odd square.  A caller that already holds
-    ``expand(m)`` passes it as ``expansion`` to skip expanding again.
+    ``expand(m)`` passes it as ``expansion``; otherwise the leading term
+    comes by recursion, and ``m`` is expanded only if that cancels.  The
+    free algebra is a domain and deglex a monomial order, so lead([u,v])
+    is the larger of lead(u)lead(v) and lead(v)lead(u), the second with
+    sign -(-1)^{|u||v|}; equal words add their coefficients.
     """
     w = m.word
     if not is_super_ls(w):
         raise ValueError(f"underlying word is not super-Lyndon-Shirshov: {str(w)!r}")
-    return is_unitriangular([(w, expand(m) if expansion is None else expansion)])
+    if expansion is None:
+        lead = _lead(m)
+        if lead is not None:
+            return lead == (w.letters, 1 if is_lyndon_shirshov(w) else 2)
+        expansion = expand(m)
+    return is_unitriangular([(w, expansion)])
+
+
+def _lead(m: NcMonomial) -> Optional[tuple[tuple[int, ...], int]]:
+    """(letters, coefficient) of the leading term of expand(m), or None if it cancels."""
+    if m.is_leaf:
+        return (m.rank,), 1
+    left, right = _lead(m.left), _lead(m.right)
+    if left is None or right is None:
+        return None
+    (u, cu), (v, cv) = left, right
+    uv, vu, c = u + v, v + u, cu * cv
+    swapped = c if m.left.parity and m.right.parity else -c
+    if uv != vu:
+        return (uv, c) if uv > vu else (vu, swapped)
+    return (uv, c + swapped) if c + swapped else None
 
 
 def right_normed_bracket(

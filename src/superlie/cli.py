@@ -10,6 +10,7 @@ Output is plain text or JSON (--format).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -222,7 +223,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="superlie",
         description="Exact computations with free Lie superalgebras and "
@@ -230,39 +233,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
-        p.set_defaults(handler=handler)
         return p
 
-    p = add("ls-words", _cmd_ls_words, "enumerate super-Lyndon-Shirshov words")
+    p = add("ls-words", "enumerate super-Lyndon-Shirshov words")
     p.add_argument("--alphabet", required=True, help="comma-separated name[:odd]")
     p.add_argument("--max-len", type=_positive_int, required=True)
 
-    p = add("bracket", _cmd_bracket, "standard bracketing of a word, with expansion")
+    p = add("bracket", "standard bracketing of a word, with expansion")
     p.add_argument("word")
     p.add_argument("--alphabet", required=True)
 
-    p = add("expand", _cmd_expand, "expand a bracketed monomial")
+    p = add("expand", "expand a bracketed monomial")
     p.add_argument("monomial")
     p.add_argument("--alphabet", required=True)
 
-    p = add("reduce", _cmd_reduce, "normal form of a polynomial modulo a system")
+    p = add("reduce", "normal form of a polynomial modulo a system")
     p.add_argument("poly")
     p.add_argument("--input", required=True, help="presentation or rules file")
     p.add_argument("--strategy", choices=STRATEGIES, default=LARGEST_LEFTMOST)
 
-    p = add("gsb-check", _cmd_gsb_check, "check closure under composition")
+    p = add("gsb-check", "check closure under composition")
     p.add_argument("--input", required=True, help="presentation or rules file")
 
-    p = add("hnn-verify", _cmd_hnn_verify, "validate, check closure, verify structure")
+    p = add("hnn-verify", "validate, check closure, verify structure")
     p.add_argument("--input", required=True, help="presentation file")
     p.add_argument("--max-len", type=_positive_int, default=4)
 
-    p = add("hnn-basis", _cmd_hnn_basis, "bases and free generators up to a length")
+    p = add("hnn-basis", "bases and free generators up to a length")
     p.add_argument("--input", required=True, help="presentation file")
     p.add_argument("--max-len", type=_positive_int, default=4)
 
@@ -270,10 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call, not bound into the parser, which is built once
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code, payload, lines = args.handler(args)
+        code, payload, lines = handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

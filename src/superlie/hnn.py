@@ -44,10 +44,11 @@ from .bracketing import (
     standard_bracket,
 )
 from .linalg import rank
-from .poly import Poly, parse_rational, superbracket
+from .poly import LetterTerms, Poly, bracket_terms, parse_rational
 from .rewrite import (
     RewriteSystem,
     GsbReport,
+    _reduce_letters,
     enumerate_reduced_super_ls,
     is_gsb,
     lie_composition_len2,
@@ -364,7 +365,7 @@ class HnnPresentation:
     rejected because the result degenerates to a (semi)direct product.
     """
 
-    __slots__ = ("constants", "alphabet", "t_rank")
+    __slots__ = ("constants", "alphabet", "t_rank", "_relations")
 
     def __init__(self, constants: StructureConstants, t_name: str = "t"):
         if constants.subalgebra_size >= len(constants.alphabet):
@@ -387,6 +388,7 @@ class HnnPresentation:
             [s.name for s in base if s.parity] + [t_name] * constants.d_parity,
         )
         self.t_rank = len(base)
+        self._relations = None
 
     @property
     def t_symbol(self) -> Symbol:
@@ -409,10 +411,6 @@ class HnnPresentation:
         )
 
 
-def _letter(pres: HnnPresentation, rank: int) -> Poly:
-    return Poly.monomial(Word(pres.alphabet, (rank,)))
-
-
 def _tail_poly(pres: HnnPresentation, coeffs: Mapping[int, Fraction]) -> Poly:
     return Poly(
         pres.alphabet,
@@ -432,31 +430,26 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
 
     Pair relations [x, y] - sum of bracket coefficients for x > y, odd-square
     relations [x, x] - ... (stored monic, i.e. halved), and stable-letter
-    relations [t, a] - derivation image.  Raises when validation fails.
+    relations [t, a] - derivation image, each head the expansion of its
+    bracket monomial.  Raises when validation fails.  Built on the first
+    call for a presentation and kept on it, as its tables are immutable.
     """
+    if pres._relations is not None:
+        return pres._relations
     _require_valid(pres)
     sc = pres.constants
     size = len(sc.alphabet)
-    polys: list[Poly] = []
-    for x in range(size):
-        for y in range(x):
-            polys.append(
-                superbracket(_letter(pres, x), _letter(pres, y))
-                - _tail_poly(pres, sc.bracket_coeffs(x, y))
-            )
-    for x in range(size):
-        if sc.parity(x) == 1:
-            polys.append(
-                superbracket(_letter(pres, x), _letter(pres, x))
-                - _tail_poly(pres, sc.bracket_coeffs(x, x))
-            )
-    for a in sc.subalgebra_ranks():
-        polys.append(
-            superbracket(_letter(pres, pres.t_rank), _letter(pres, a))
-            - _tail_poly(pres, sc.derivation_coeffs(a))
-        )
+    heads = [(x, y, sc.bracket_coeffs(x, y)) for x in range(size) for y in range(x)]
+    heads += [(x, x, sc.bracket_coeffs(x, x)) for x in range(size) if sc.parity(x)]
+    heads += [(pres.t_rank, a, sc.derivation_coeffs(a)) for a in sc.subalgebra_ranks()]
+    leaves = [NcMonomial.leaf(pres.alphabet, r) for r in range(len(pres.alphabet))]
+    polys = [
+        expand(NcMonomial.pair(leaves[x], leaves[y])) - _tail_poly(pres, tail)
+        for x, y, tail in heads
+    ]
     polys.sort(key=lambda p: deglex_key(p.leading()[0]))
-    return RewriteSystem.from_polys(pres.alphabet, polys)
+    pres._relations = RewriteSystem.from_polys(pres.alphabet, polys)
+    return pres._relations
 
 
 @dataclass(frozen=True)
@@ -820,6 +813,35 @@ class StructureReport:
         return "\n".join(lines)
 
 
+def _normal_forms(
+    monomials: Sequence[NcMonomial], system: RewriteSystem
+) -> list[LetterTerms]:
+    """Each monomial's normal form as a letter-tuple dict, memoised bottom-up.
+
+    NF(leaf) = leaf, every leading word having length 2, and NF([u,v]) is
+    the reduction of [NF(u), NF(v)].  That equals the reduction of the free
+    expansion when the relations form a Groebner-Shirshov basis.  Every
+    subtree of a basis monomial is a basis monomial, so each costs one
+    bracket and one reduction.  The returned dicts are shared: never write.
+    """
+    parities = system.alphabet.parities
+    memo: dict[NcMonomial, LetterTerms] = {}
+    hits: dict = {}  # the reduction step of each word, shared by every call
+
+    def normal_form(m: NcMonomial) -> LetterTerms:
+        form = memo.get(m)
+        if form is None:
+            if m.is_leaf:
+                form = {(m.rank,): 1}
+            else:
+                form = bracket_terms(parities, normal_form(m.left), normal_form(m.right))
+                _reduce_letters(form, system, True, hits)
+            memo[m] = form
+        return form
+
+    return [normal_form(m) for m in monomials]
+
+
 def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureReport:
     """Four independent checks at every degree n <= max_len.
 
@@ -840,12 +862,17 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     The reference words of (iii) come from the relations, by
     :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
     monomials from W are independent and, their number being the number of
-    reduced super-LS words, span.  Each monomial is expanded once; (iii)
-    reads that expansion, and its reduction is the vector (iv) ranks.  In
-    deglex order the monomials of degree <= n are a prefix of the basis, so
-    one :func:`rank` call gives every degree's rank: the certificate entries
-    below the prefix length.  The tests hold this against the per-degree
-    recomputation.
+    reduced super-LS words, span.  Nothing is expanded freely: (iii) takes
+    each leading term by :func:`is_admissible`'s recursion, and (iv) ranks
+    the normal forms :func:`_normal_forms` memoises bottom-up.  These are
+    the normal forms of the free expansions because the relations form a
+    Groebner-Shirshov basis: :func:`build_relations` validates the tables,
+    and :func:`verify_hnn_gsb`, run by ``hnn-verify`` on the same
+    presentation, checks the closure.  In deglex order the monomials of
+    degree <= n are a prefix of the basis, so one :func:`rank` call gives
+    every degree's rank: the certificate entries below the prefix length.
+    The tests hold this against free expansion, :func:`reduce` and the
+    per-degree recomputation.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -857,11 +884,10 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         block_side = [is_super_ls(Word(view.alphabet, seq)) for seq in sequences]
         degrees.append((sequences, block_side))
     basis = _h_basis(view, [s for seqs, side in degrees for s in compress(seqs, side)])
-    expansions = [expand(m) for m in basis]
-    _, certificate = rank([reduce(e, system)[0] for e in expansions])
-    by_degree: list[list[tuple[NcMonomial, Poly]]] = [[] for _ in range(max_len)]
-    for m, e in zip(basis, expansions):
-        by_degree[len(m) - 1].append((m, e))
+    _, certificate = rank(_normal_forms(basis, system))
+    by_degree: list[list[NcMonomial]] = [[] for _ in range(max_len)]
+    for m in basis:
+        by_degree[len(m) - 1].append(m)
     reduced: list[list[Word]] = [[] for _ in range(max_len)]
     for w in enumerate_reduced_super_ls(system, max_len):
         reduced[len(w) - 1].append(w)
@@ -880,8 +906,8 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         ls_transfer_ok = block_side == [is_super_ls(u) for u in concats]
 
         monomials = by_degree[n - 1]
-        admissibility_ok = [m.word for m, _ in monomials] == reduced[n - 1] and all(
-            is_admissible(m, e) for m, e in monomials
+        admissibility_ok = [m.word for m in monomials] == reduced[n - 1] and all(
+            is_admissible(m) for m in monomials
         )
 
         h_basis_count += len(monomials)

@@ -315,6 +315,8 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
         raise ValueError(f"cannot parse polynomial {text!r}")
     try:
         for sign, piece in chunks:
+            if piece.count("*") > 1:
+                raise ValueError(f"a term has at most one '*': {piece!r}")
             if "*" in piece:
                 coeff_text, word_text = (part.strip() for part in piece.split("*", 1))
                 if not word_text:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from .poly import MIXED, Poly, from_letter_terms, letter_terms, superbracket
-from .words import Alphabet, Word, deglex_key, is_super_ls
+from .poly import MIXED, LetterTerms, Poly, from_letter_terms, letter_terms, superbracket
+from .words import Alphabet, Word, _is_super_ls_letters, deglex_key
 
 LARGEST_LEFTMOST = "largest-leftmost"
 SMALLEST_RIGHTMOST = "smallest-rightmost"
@@ -32,7 +32,7 @@ STRATEGIES = (LARGEST_LEFTMOST, SMALLEST_RIGHTMOST)
 class RewriteRule:
     """A monic relation with cached leading word."""
 
-    __slots__ = ("body", "leading_word", "leading_len")
+    __slots__ = ("body", "leading_word", "leading_len", "letter_terms")
 
     def __init__(self, body: Poly):
         if body.is_zero():
@@ -43,6 +43,10 @@ class RewriteRule:
         self.body = body
         self.leading_word = body.leading()[0]
         self.leading_len = len(self.leading_word)
+        # the body on letter tuples, whole coefficients as ints, for the kernel
+        self.letter_terms = tuple(
+            (u.letters, c.numerator if c.denominator == 1 else c) for u, c in body.terms()
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RewriteRule) and self.body == other.body
@@ -178,8 +182,8 @@ def reduce(
     composition the normal form does not depend on the strategy; otherwise
     it may, which is why the strategy is explicit.
 
-    The polynomial is kept as one dict from letters to coefficients.  The
-    words that contain a leading word wait in a heap ordered by the
+    The kernel keeps the polynomial as one dict from letters to coefficients.
+    The words that contain a leading word wait in a heap ordered by the
     strategy, each with its first occurrence found once through the
     system's index; a word that cancels stays in the heap until popped and
     is skipped, and is pushed again if it comes back.  Whether a word is
@@ -192,9 +196,24 @@ def reduce(
     alphabet = p.alphabet
     if alphabet != system.alphabet:
         raise ValueError("polynomial over a different alphabet than the system")
+    terms = letter_terms(p)
+    steps = _reduce_letters(terms, system, strategy == LARGEST_LEFTMOST, {})
+    normal_form = from_letter_terms(alphabet, terms)
+    return normal_form, ReductionTrace(
+        [ReductionStep(Word(alphabet, w), i, pos) for w, i, pos in steps], normal_form
+    )
+
+
+def _reduce_letters(
+    acc: LetterTerms, system: RewriteSystem, leftmost: bool, hits: dict
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """The kernel of :func:`reduce`: rewrite the letter dict ``acc`` in place.
+
+    ``leftmost`` picks the strategy; ``hits`` keeps the step found for each
+    word, so calls with one system and strategy may share it.  Returns the
+    steps as (letters, rule index, position).
+    """
     rules, index, lengths = system.rules, system._index, system._lengths
-    leftmost = strategy == LARGEST_LEFTMOST
-    hits: dict[tuple[int, ...], Optional[tuple[int, int]]] = {}
 
     def first_hit(letters: tuple[int, ...]) -> Optional[tuple[int, int]]:
         """(rule index, position) of the step the strategy takes on ``letters``."""
@@ -221,10 +240,9 @@ def reduce(
         def entry(letters: tuple[int, ...]) -> tuple:
             return (len(letters), letters)
 
-    acc = letter_terms(p)
     heap = [entry(w) for w in acc if first_hit(w) is not None]
     heapify(heap)
-    steps: list[ReductionStep] = []
+    steps: list[tuple[tuple[int, ...], int, int]] = []
     while heap:
         word = heappop(heap)[-1]
         coeff = acc.get(word)
@@ -233,8 +251,8 @@ def reduce(
         rule_index, position = hits[word]
         rule = rules[rule_index]
         prefix, suffix = word[:position], word[position + rule.leading_len :]
-        for u, c in rule.body.terms():
-            framed = prefix + u.letters + suffix
+        for u, c in rule.letter_terms:
+            framed = prefix + u + suffix
             if framed in acc:
                 rest = acc[framed] - coeff * c
                 if rest:
@@ -245,9 +263,8 @@ def reduce(
                 acc[framed] = -coeff * c
                 if first_hit(framed) is not None:
                     heappush(heap, entry(framed))
-        steps.append(ReductionStep(Word(alphabet, word), rule_index, position))
-    normal_form = from_letter_terms(alphabet, acc)
-    return normal_form, ReductionTrace(steps, normal_form)
+        steps.append((word, rule_index, position))
+    return steps
 
 
 def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]]:
@@ -368,22 +385,27 @@ def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word
 
     Every prefix of a reduced word is reduced, so the reduced words are grown
     one letter at a time.  A leading word new to ``u c`` ends at ``c``, so
-    only the last ``k`` letters are checked, ``k`` the longest leading word.
+    the letters that may follow each tail of ``k - 1`` letters, ``k`` the
+    longest leading word, are found once; only returned words become Words.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     alphabet = system.alphabet
     k = max(system._lengths, default=0)
+    allowed: dict[tuple[int, ...], list[int]] = {}
+
+    def successors(letters: tuple[int, ...]) -> list[int]:
+        tail = letters[max(len(letters) - k + 1, 0) :]
+        if tail not in allowed:
+            grown = (Word(alphabet, tail + (c,)) for c in range(len(alphabet)))
+            allowed[tail] = [w.letters[-1] for w in grown if is_reduced_word(w, system)]
+        return allowed[tail]
+
     out: list[Word] = []
     layer: list[tuple[int, ...]] = [()]
     for _ in range(max_len):
-        layer = [
-            grown
-            for letters in layer
-            for grown in (letters + (c,) for c in range(len(alphabet)))
-            if is_reduced_word(Word(alphabet, grown[max(len(grown) - k, 0) :]), system)
-        ]
-        out.extend(w for w in (Word(alphabet, g) for g in layer) if is_super_ls(w))
+        layer = [letters + (c,) for letters in layer for c in successors(letters)]
+        out.extend(Word(alphabet, w) for w in layer if _is_super_ls_letters(alphabet, w))
     return out
 
 

@@ -264,16 +264,19 @@ def is_lyndon_shirshov(w: Word) -> bool:
 
 def is_super_ls(w: Word) -> bool:
     """True iff ``w`` is LS, or ``w = uu`` with ``u`` an odd LS word."""
-    letters = w.letters
-    if not letters:
+    if not w.letters:
         raise ValueError("the empty word is not eligible")
+    return _is_super_ls_letters(w.alphabet, w.letters)
+
+
+def _is_super_ls_letters(alphabet: Alphabet, letters: tuple[int, ...]) -> bool:
     if _is_ls_letters(letters):
         return True
     n = len(letters)
     if n % 2:
         return False
     u = letters[: n // 2]
-    return u == letters[n // 2 :] and _parity(w.alphabet, u) == 1 and _is_ls_letters(u)
+    return u == letters[n // 2 :] and _parity(alphabet, u) == 1 and _is_ls_letters(u)
 
 
 def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:

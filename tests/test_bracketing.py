@@ -21,6 +21,7 @@ from superlie import (
     standard_bracket,
     superbracket,
 )
+from superlie import bracketing
 from conftest import reference_expand
 
 XT = Alphabet.from_names(["x", "t"])
@@ -181,6 +182,38 @@ def test_every_admissible_bracketing_certifies_its_word():
             if is_admissible(m):
                 word, coeff = expand(m).leading()
                 assert word == w and coeff in (1, 2)
+
+
+def test_recursive_leading_term_matches_the_expansion():
+    # the same bracketings, with both parities of t and a mixed-parity alphabet
+    xt_odd = Alphabet.from_names(["x", "t"], odd=["t"])
+    abc = Alphabet.from_names(["a", "b", "c"], odd=["a", "c"])
+    words = [w for alphabet in (XT, xt_odd) for w in enumerate_super_ls(alphabet, 5)]
+    words += [w for w in enumerate_super_ls(abc, 4) if len(w) == 4]
+    for w in words:
+        for m in all_bracketings(w):
+            expansion = expand(m)
+            lead = bracketing._lead(m)
+            if lead is not None:
+                word, coeff = expansion.leading()
+                assert (word.letters, coeff) == lead, m
+            assert is_admissible(m) == is_admissible(m, expansion), m
+
+
+def test_cancelled_leading_term_falls_back_to_expand(monkeypatch):
+    expanded = []
+    real = bracketing.expand
+    monkeypatch.setattr(bracketing, "expand", lambda m: expanded.append(m) or real(m))
+    m = parse_monomial(XT, "[[t,t],x]")
+    assert bracketing._lead(m) is None  # [t,t] = tt - tt for even t
+    assert not is_admissible(m)
+    assert expanded == [m]
+    expanded.clear()
+    xt_odd = Alphabet.from_names(["x", "t"], odd=["t"])
+    assert not is_admissible(parse_monomial(xt_odd, "[[t,t],x]"))  # leads 2*ttx
+    assert is_admissible(parse_monomial(xt_odd, "[t,[t,x]]"))
+    assert is_admissible(parse_monomial(XT, "[t,[t,x]]"))
+    assert expanded == []
 
 
 def test_right_normed_bracket_examples():

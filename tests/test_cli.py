@@ -255,6 +255,8 @@ def test_expansion_matches_golden_file(capsys, name, fmt):
         ("1_000*e", "bad coefficient '1_000' (expected an integer or p/q)"),
         ("e + .5", "bad coefficient '.5' (expected an integer or p/q)"),
         ("e*h", "bad coefficient 'e' (expected an integer or p/q)"),
+        ("2*e*e", "a term has at most one '*': '2*e*e'"),
+        ("h - e*2*e", "a term has at most one '*': 'e*2*e'"),
     ],
 )
 def test_bad_coefficient_text_exits_2(capsys, tmp_path, text, message):

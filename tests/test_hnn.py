@@ -36,7 +36,8 @@ from superlie import (
     verify_structure_theorem,
 )
 from superlie import hnn
-from conftest import reference_expand, reference_superbracket
+from superlie.poly import from_letter_terms
+from conftest import reference_expand
 from superlie.fixtures import (
     ALL,
     EX1,
@@ -459,10 +460,11 @@ def test_ex3_relations():
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_relations_match_the_reference_superbracket(fixture, monkeypatch):
-    pres = fixture()
-    rules = build_relations(pres).rules
-    monkeypatch.setattr(hnn, "superbracket", reference_superbracket)
-    assert build_relations(pres).rules == rules
+    # each head is the expansion of its bracket monomial; a fresh
+    # presentation, since the system is kept on the one it was built for
+    rules = build_relations(fixture()).rules
+    monkeypatch.setattr(hnn, "expand", reference_expand)
+    assert build_relations(fixture()).rules == rules
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -751,6 +753,24 @@ def test_structure_rows_match_per_degree_recomputation(fixture):
         vectors = [reduce(expand(m), system)[0] for m in basis]
         assert row.h_basis_count == len(basis)
         assert row.independent_rank == rank(vectors)[0]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_memoised_normal_forms_are_the_reduced_free_expansions(fixture):
+    # the oracle the memo replaced: expand each basis monomial freely, reduce
+    pres = fixture()
+    system = build_relations(pres)
+    basis = enumerate_h_basis(pres, 7)
+    forms = hnn._normal_forms(basis, system)
+    assert len(forms) == len(basis) and max(len(m) for m in basis) == 7
+    for m, form in zip(basis, forms):
+        assert from_letter_terms(pres.alphabet, form) == reduce(expand(m), system)[0], m
+
+
+def test_relations_are_built_once_per_presentation():
+    pres = ex1()
+    assert build_relations(pres) is build_relations(pres)
+    assert build_relations(ex1()) is not build_relations(pres)
 
 
 def _structure_with_basis(monkeypatch, pres, max_len, edit):

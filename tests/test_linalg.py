@@ -16,6 +16,7 @@ from superlie import (
     scale,
     standard_bracket,
 )
+from superlie.poly import letter_terms
 from conftest import random_poly
 
 AB = Alphabet.from_names(["a", "b"])
@@ -80,6 +81,43 @@ def test_certificate_entries_below_k_are_the_certificate_of_the_first_k():
         for k in range(len(vectors) + 1):
             below = [i for i in certificate if i < k]
             assert rank(vectors[:k]) == (len(below), below)
+
+
+def reference_rank(vectors):
+    """Gaussian elimination in Poly arithmetic: the oracle for ``rank``."""
+    pivots, certificate = {}, []
+    for index, residue in enumerate(vectors):
+        while not residue.is_zero():
+            word, coeff = residue.leading()
+            if word not in pivots:
+                pivots[word] = residue.make_monic()
+                certificate.append(index)
+                break
+            residue = residue - coeff * pivots[word]
+    return len(certificate), certificate
+
+
+def rank_cases():
+    """The vector lists of the tests above, their random ones freshly drawn."""
+    p, q = parse_poly(AB, "ab - 2*b"), parse_poly(AB, "a + b")
+    yield [p, scale(2, p)]
+    yield [expand(standard_bracket(w)) for w in enumerate_super_ls(AB, 3) if len(w) == 3]
+    yield [Poly.zero(AB), q, q - q]
+    rng = Random(59)
+    for count in range(1, 9):
+        for _ in range(10):
+            vectors = [random_poly(rng, AB, max_len=3) for _ in range(count)]
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            yield vectors + [scale(rng.randint(-3, 3), a) + scale(Fraction(1, 3), b)]
+
+
+def test_rank_on_letter_dicts_matches_rank_on_polys():
+    for vectors in rank_cases():
+        expected = reference_rank(vectors)
+        assert rank(vectors) == expected
+        assert rank([letter_terms(v) for v in vectors]) == expected
+        mixed = [letter_terms(v) if i % 2 else v for i, v in enumerate(vectors)]
+        assert rank(mixed) == expected
 
 
 def test_rank_rejects_mixed_alphabets():

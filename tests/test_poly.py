@@ -224,6 +224,13 @@ def test_parse_rejects_garbage():
         parse_poly(ABX, "a + q")
 
 
+def test_parse_rejects_a_second_star():
+    for text in ("2*a*a", "a + 1/2*x*b", "2**a"):
+        with pytest.raises(ValueError, match=r"a term has at most one '\*'"):
+            parse_poly(ABX, text)
+    assert parse_poly(ABX, "2*ab") == scale(2, parse_poly(ABX, "ab"))
+
+
 def test_floats_are_rejected():
     a = gen(ABX, "a")
     with pytest.raises(TypeError):

@@ -31,6 +31,7 @@ from superlie import (
     scale,
     superbracket,
 )
+from superlie import rewrite
 from superlie.fixtures import ALL
 from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
 from conftest import random_poly, random_word
@@ -421,6 +422,25 @@ def test_enumerate_reduced_super_ls_is_the_filtered_scan():
         assert enumerate_reduced_super_ls(sys_, 6) == scan, sys_
     with pytest.raises(ValueError, match="max_len"):
         enumerate_reduced_super_ls(EX1_STYLE, 0)
+
+
+def test_enumerate_reduced_super_ls_checks_each_tail_once(monkeypatch):
+    # the letters allowed after each tail of k - 1 letters are found once
+    # per call, and only the returned words become Words besides the probes
+    probes = []
+    real = rewrite.is_reduced_word
+    monkeypatch.setattr(rewrite, "is_reduced_word", lambda w, s: probes.append(w) or real(w, s))
+    created = []
+    init = Word.__init__
+    monkeypatch.setattr(Word, "__init__", lambda self, *a: created.append(self) or init(self, *a))
+    for sys_, k in ((EX1_STYLE, 2), (system(ABXT, "xa - ax", "tbx - xbt", "bb"), 3)):
+        probes.clear()
+        created.clear()
+        words = enumerate_reduced_super_ls(sys_, 8)
+        size = len(sys_.alphabet)
+        assert len(probes) <= sum(size**j for j in range(1, k + 1))
+        assert len(set(probes)) == len(probes)
+        assert len(created) == len(probes) + len(words)
 
 
 def test_reduced_word_counts_match_quotient_dimensions():
