@@ -56,7 +56,7 @@ class NcMonomial:
     def pair(cls, left: "NcMonomial", right: "NcMonomial") -> "NcMonomial":
         if left.alphabet != right.alphabet:
             raise ValueError("monomials over different alphabets")
-        word = left._word * right._word
+        word = Word(left.alphabet, left._word.letters + right._word.letters)
         return cls(left.alphabet, None, left, right, word)
 
     @property

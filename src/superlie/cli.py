@@ -61,6 +61,11 @@ def _parse_alphabet(spec: str) -> Alphabet:
         raise ValueError(f"--alphabet: {exc}") from None
 
 
+def _word_text(w) -> str:
+    """A word as the polynomial grammar writes it: the empty word is "1"."""
+    return str(w) or "1"
+
+
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -146,8 +151,8 @@ def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
     normal_form, trace = reduce(poly, system, strategy=args.strategy)
     steps = [
         {
-            "word": str(s.word),
-            "rule": str(system.rules[s.rule_index].leading_word),
+            "word": _word_text(s.word),
+            "rule": _word_text(system.rules[s.rule_index].leading_word),
             "position": s.position,
         }
         for s in trace.steps
@@ -191,7 +196,7 @@ def _cmd_hnn_verify(args) -> tuple[int, dict, list[str]]:
         "gsb": gsb.to_dict(),
         "structure": structure.to_dict(),
     }
-    lines = [str(validation), str(gsb), str(structure)]
+    lines = [str(validation), str(gsb), str(structure)] if args.format == "text" else []
     return (0 if passed else 1), payload, lines
 
 
@@ -204,15 +209,18 @@ def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:
         "command": "hnn-basis",
         "max_len": args.max_len,
         "algebra_basis": [str(m) for m in h_basis],
-        "enveloping_basis": [str(w) if len(w) else "1" for w in uh_basis],
+        "enveloping_basis": [_word_text(w) for w in uh_basis],
         "free_generators": [str(m) for m in generators],
     }
-    lines = ["algebra basis:"]
-    lines.extend(f"  {m}" for m in h_basis)
-    lines.append("enveloping algebra basis:")
-    lines.extend(f"  {str(w) if len(w) else '1'}" for w in uh_basis)
-    lines.append("free generators of the complement:")
-    lines.extend(f"  {m}" for m in generators)
+    lines = []
+    if args.format == "text":
+        for title, key in (
+            ("algebra basis:", "algebra_basis"),
+            ("enveloping algebra basis:", "enveloping_basis"),
+            ("free generators of the complement:", "free_generators"),
+        ):
+            lines.append(title)
+            lines.extend(f"  {text}" for text in payload[key])
     return 0, payload, lines
 
 

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import compress, product
+from itertools import chain, compress, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -54,7 +54,15 @@ from .rewrite import (
     lie_composition_len2,
     reduce,
 )
-from .words import Alphabet, Symbol, Word, deglex_key, is_super_ls, lex_cmp
+from .words import (
+    Alphabet,
+    Symbol,
+    Word,
+    _is_super_ls_letters,
+    deglex_key,
+    is_super_ls,
+    lex_cmp,
+)
 
 Scalar = Union[int, Fraction]
 CoeffMap = Mapping[int, Scalar]
@@ -657,11 +665,10 @@ class _WbarView:
             )
         )
 
-    def concat(self, ranks: Sequence[int]) -> Word:
-        out = Word(self.pres.alphabet, ())
-        for r in ranks:
-            out = out * self.letters[r]
-        return out
+    def concat(self, ranks: Sequence[int]) -> tuple[int, ...]:
+        """The base letters of the product of the block letters ``ranks``."""
+        letters = self.letters
+        return tuple(chain.from_iterable(letters[r].letters for r in ranks))
 
     def substitute(self, m: NcMonomial) -> NcMonomial:
         """Replace each letter leaf by its generator's tree over the base."""
@@ -891,9 +898,9 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     reduced: list[list[Word]] = [[] for _ in range(max_len)]
     for w in enumerate_reduced_super_ls(system, max_len):
         reduced[len(w) - 1].append(w)
-    pattern_by_degree: list[list[Word]] = [[] for _ in range(max_len)]
+    pattern_by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(max_len)]
     for w in _walks(_successors(pres), (pres.t_rank,), max_len):
-        pattern_by_degree[len(w) - 1].append(Word(pres.alphabet, w))
+        pattern_by_degree[len(w) - 1].append(w)
     h_basis_count = 0
     rows: list[StructureLengthCheck] = []
     for n, (sequences, block_side) in enumerate(degrees, 1):
@@ -903,7 +910,9 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         image = set(concats)
         bijection_ok = len(image) == len(sequences) and image == set(pattern)
 
-        ls_transfer_ok = block_side == [is_super_ls(u) for u in concats]
+        ls_transfer_ok = block_side == [
+            _is_super_ls_letters(pres.alphabet, u) for u in concats
+        ]
 
         monomials = by_degree[n - 1]
         admissibility_ok = [m.word for m in monomials] == reduced[n - 1] and all(

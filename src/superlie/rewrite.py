@@ -18,7 +18,9 @@ agreement can be tested rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .poly import MIXED, LetterTerms, Poly, from_letter_terms, letter_terms, superbracket
@@ -32,7 +34,7 @@ STRATEGIES = (LARGEST_LEFTMOST, SMALLEST_RIGHTMOST)
 class RewriteRule:
     """A monic relation with cached leading word."""
 
-    __slots__ = ("body", "leading_word", "leading_len", "letter_terms")
+    __slots__ = ("body", "leading_word", "leading_len", "_denominator", "_int_terms")
 
     def __init__(self, body: Poly):
         if body.is_zero():
@@ -43,9 +45,12 @@ class RewriteRule:
         self.body = body
         self.leading_word = body.leading()[0]
         self.leading_len = len(self.leading_word)
-        # the body on letter tuples, whole coefficients as ints, for the kernel
-        self.letter_terms = tuple(
-            (u.letters, c.numerator if c.denominator == 1 else c) for u, c in body.terms()
+        # for the kernel: the body times the lcm of its denominators, on letter
+        # tuples with int coefficients; the leading one is that lcm
+        terms = body.terms()
+        self._denominator = den = lcm(*[c.denominator for _, c in terms])
+        self._int_terms = tuple(
+            (u.letters, c.numerator * (den // c.denominator)) for u, c in terms
         )
 
     def __eq__(self, other: object) -> bool:
@@ -126,13 +131,35 @@ class ReductionStep:
 
 
 class ReductionTrace:
-    """The step sequence of one reduction, replayable against the input."""
+    """The step sequence of one reduction, replayable against the input.
 
-    __slots__ = ("steps", "normal_form")
+    :func:`reduce` hands over its kernel's (letters, rule index, position)
+    tuples; ``steps`` builds the :class:`ReductionStep` objects on first read
+    and keeps them, and ``len`` counts without building any.
+    """
+
+    __slots__ = ("_raw", "_steps", "normal_form")
 
     def __init__(self, steps: Sequence[ReductionStep], normal_form: Poly):
-        self.steps = tuple(steps)
+        self._raw = self._steps = tuple(steps)
         self.normal_form = normal_form
+
+    @classmethod
+    def _from_kernel(
+        cls, raw: Sequence[tuple[tuple[int, ...], int, int]], normal_form: Poly
+    ) -> "ReductionTrace":
+        trace = cls.__new__(cls)
+        trace._raw, trace._steps, trace.normal_form = raw, None, normal_form
+        return trace
+
+    @property
+    def steps(self) -> tuple[ReductionStep, ...]:
+        if self._steps is None:
+            alphabet = self.normal_form.alphabet
+            self._steps = tuple(
+                ReductionStep(Word(alphabet, w), i, pos) for w, i, pos in self._raw
+            )
+        return self._steps
 
     def replay(self, p: Poly, system: RewriteSystem) -> tuple[Poly, Poly]:
         """Re-run the steps on ``p``; returns (final form, ideal member).
@@ -153,10 +180,10 @@ class ReductionTrace:
         return current, ideal_part
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._raw)
 
     def __repr__(self) -> str:
-        return f"ReductionTrace({len(self.steps)} steps -> {self.normal_form})"
+        return f"ReductionTrace({len(self)} steps -> {self.normal_form})"
 
 
 def _framed(rule: RewriteRule, word: Word, position: int) -> Poly:
@@ -182,14 +209,16 @@ def reduce(
     composition the normal form does not depend on the strategy; otherwise
     it may, which is why the strategy is explicit.
 
-    The kernel keeps the polynomial as one dict from letters to coefficients.
+    The kernel keeps the polynomial as one dict from letters to integer
+    coefficients over one common denominator (see :func:`_reduce_letters`).
     The words that contain a leading word wait in a heap ordered by the
     strategy, each with its first occurrence found once through the
     system's index; a word that cancels stays in the heap until popped and
     is skipped, and is pushed again if it comes back.  Whether a word is
     reducible depends on the word alone, so the heap's top is the word the
     rule above names: the index and the heap do not change which step is
-    taken.
+    taken.  The trace keeps the kernel's steps as letter tuples and builds
+    its :class:`ReductionStep` objects when ``trace.steps`` is first read.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -199,9 +228,7 @@ def reduce(
     terms = letter_terms(p)
     steps = _reduce_letters(terms, system, strategy == LARGEST_LEFTMOST, {})
     normal_form = from_letter_terms(alphabet, terms)
-    return normal_form, ReductionTrace(
-        [ReductionStep(Word(alphabet, w), i, pos) for w, i, pos in steps], normal_form
-    )
+    return normal_form, ReductionTrace._from_kernel(steps, normal_form)
 
 
 def _reduce_letters(
@@ -212,16 +239,28 @@ def _reduce_letters(
     ``leftmost`` picks the strategy; ``hits`` keeps the step found for each
     word, so calls with one system and strategy may share it.  Returns the
     steps as (letters, rule index, position).
+
+    The arithmetic is on ints over one common denominator ``den``.  On entry
+    ``acc`` is scaled by the lcm of its denominators (skipped when every
+    value is an int).  A step on a word with coefficient ``C`` subtracts
+    ``C // D`` times the framed integral body of its rule, ``D`` being the
+    rule's denominator; when ``D`` does not divide ``C``, the whole dict and
+    ``den`` are first multiplied by ``D // gcd(C, D)``.  Scaling by a nonzero
+    constant keeps the set of words, so the steps are those of the rational
+    reduction.  On exit every value is divided back: whole values stay ints,
+    the others become Fractions.
     """
     rules, index, lengths = system.rules, system._index, system._lengths
+    shortest = lengths[0] if lengths else 0
 
     def first_hit(letters: tuple[int, ...]) -> Optional[tuple[int, int]]:
         """(rule index, position) of the step the strategy takes on ``letters``."""
         if letters in hits:
             return hits[letters]
         n = len(letters)
+        last = n - shortest  # an empty leading word occurs at n too
         hit = None
-        for pos in range(n) if leftmost else range(n - 1, -1, -1):
+        for pos in range(last + 1) if leftmost else range(last, -1, -1):
             found = [
                 index[probe]
                 for k in lengths
@@ -240,6 +279,11 @@ def _reduce_letters(
         def entry(letters: tuple[int, ...]) -> tuple:
             return (len(letters), letters)
 
+    den = 1
+    if not all(type(c) is int for c in acc.values()):
+        den = lcm(*[c.denominator for c in acc.values()])
+        for w, c in acc.items():
+            acc[w] = c.numerator * (den // c.denominator)
     heap = [entry(w) for w in acc if first_hit(w) is not None]
     heapify(heap)
     steps: list[tuple[tuple[int, ...], int, int]] = []
@@ -250,8 +294,17 @@ def _reduce_letters(
             continue
         rule_index, position = hits[word]
         rule = rules[rule_index]
+        d = rule._denominator
+        if d != 1:
+            if coeff % d:
+                m = d // gcd(coeff, d)
+                for w in acc:
+                    acc[w] *= m
+                den *= m
+                coeff *= m
+            coeff //= d
         prefix, suffix = word[:position], word[position + rule.leading_len :]
-        for u, c in rule.letter_terms:
+        for u, c in rule._int_terms:
             framed = prefix + u + suffix
             if framed in acc:
                 rest = acc[framed] - coeff * c
@@ -264,6 +317,10 @@ def _reduce_letters(
                 if first_hit(framed) is not None:
                     heappush(heap, entry(framed))
         steps.append((word, rule_index, position))
+    if den != 1:
+        for w, c in acc.items():
+            whole, rest = divmod(c, den)
+            acc[w] = Fraction(c, den) if rest else whole
     return steps
 
 

@@ -62,6 +62,31 @@ def test_reduce_command(capsys, tmp_path):
     assert out.splitlines()[0] == "normal form: xb"
 
 
+@pytest.mark.parametrize(
+    "strategy, steps",
+    [
+        ("largest-leftmost", ["rewrote a at 0 by 1", "rewrote 1 at 0 by 1"]),
+        ("smallest-rightmost", ["rewrote 1 at 0 by 1", "rewrote a at 1 by 1"]),
+    ],
+)
+def test_reduce_by_a_constant_rule(capsys, tmp_path, strategy, steps):
+    # the empty leading word also occurs at the end of a word, so in the
+    # empty word; the empty word prints as 1
+    rules = {"generators": [{"name": "a", "parity": 0}], "rules": ["1"]}
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules))
+    argv = ["reduce", "1 + a", "--input", str(path), "--strategy", strategy]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["normal form: 0"] + [f"  {s}" for s in steps]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["normal_form"] == "0"
+    assert [(s["word"], s["rule"]) for s in payload["steps"]] == [
+        (s.split()[1], "1") for s in steps
+    ]
+
+
 def test_gsb_check_pass(capsys):
     code, out, _ = run(capsys, "gsb-check", "--input", str(FIXTURES / "ex3.json"))
     assert code == 0

@@ -735,8 +735,13 @@ def test_free_generator_counts_match_the_closed_form():
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
-def test_structure_theorem_passes(fixture):
+def test_structure_theorem_passes(fixture, monkeypatch):
+    # check (i) concatenates letter tuples: no Word products are built
+    products = []
+    concat = Word.__mul__
+    monkeypatch.setattr(Word, "__mul__", lambda u, v: products.append(v) or concat(u, v))
     report = verify_structure_theorem(fixture(), 4)
+    assert products == []
     assert report.passed
     for row in report.rows:
         assert row.products == row.pattern_words

@@ -145,7 +145,7 @@ def _reference_find_rewrite(p, system, strategy):
         words.reverse()
     for word in words:
         letters = word.letters
-        positions = range(len(letters))
+        positions = range(len(letters) + 1)  # an empty leading word occurs at the end too
         rule_order = enumerate(system.rules)
         if strategy == SMALLEST_RIGHTMOST:
             positions = reversed(positions)
@@ -214,15 +214,15 @@ HAND_MADE = [
 ]
 
 
-def random_rules_system(rng):
-    """Rules with leading words of lengths 1-3 over two or three letters."""
+def random_rules_system(rng, max_den=3):
+    """Rules with leading words of lengths 0-3 over two or three letters."""
     alphabet = rng.choice([ABC, AB_ODD])
     rules, leadings = [], set()
     for _ in range(rng.randint(1, 4)):
         words = [random_word(rng, alphabet, 3) for _ in range(rng.randint(1, 3))]
         p = Poly(
             alphabet,
-            [(w, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            [(w, Fraction(rng.randint(-3, 3), rng.randint(1, max_den)))
              for w in words if w.parity == words[0].parity],
         )
         lead = p.leading()[0] if p else None
@@ -310,6 +310,57 @@ def test_reduce_matches_reference_on_random_systems():
 def test_reduce_matches_reference_property(rng):
     sys_, p = random_case(rng)
     assert_reduces_as_reference(p, sys_)
+
+
+# -- the integer kernel and the trace built on first read ------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_reduce_over_small_denominators_matches_reference(rng):
+    # rules and inputs with coefficients p/q, q <= 6, so that the kernel's
+    # common denominator grows and rescales mid-reduction
+    sys_ = random_rules_system(rng, max_den=6)
+    terms = [
+        (random_word(rng, sys_.alphabet, 6), Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    assert_reduces_as_reference(Poly(sys_.alphabet, terms), sys_)
+
+
+def test_reduce_rescales_when_a_rule_denominator_does_not_divide():
+    # x - 1/2 a and y - 1/2 x have integral bodies 2x - a and 2y - x: the odd
+    # coefficients of y and x force the common denominator up to 4
+    xy = Alphabet.from_names(["a", "b", "x", "y"])
+    s = system(xy, "2*x - a", "2*y - x")
+    p = parse_poly(xy, "3*y + x + b")
+    normal_form, trace = reduce(p, s)
+    assert normal_form == parse_poly(xy, "5/4*a + b")
+    assert [str(step.word) for step in trace.steps] == ["y", "x"]
+    assert_reduces_as_reference(p, s)
+    # the kernel divides back: whole values stay ints, the others Fractions
+    acc = {(3,): 3, (2,): 1, (1,): 7}
+    rewrite._reduce_letters(acc, s, True, {})
+    assert acc == {(0,): Fraction(5, 4), (1,): 7} and type(acc[(1,)]) is int
+
+
+def test_trace_steps_are_built_on_first_read_and_kept(monkeypatch):
+    built = []
+    monkeypatch.setattr(rewrite, "ReductionStep", lambda *a: built.append(a) or ReductionStep(*a))
+    rng = Random(41)
+    for _ in range(20):
+        sys_, p = random_case(rng)
+        for strategy in STRATEGIES:
+            built.clear()
+            normal_form, trace = reduce(p, sys_, strategy)
+            n = len(trace)
+            assert built == []  # len counts the kernel's steps, builds none
+            _, expected = reference_reduce(p, sys_, strategy)
+            assert trace.steps == expected.steps and len(built) == n == len(expected)
+            assert trace.steps is trace.steps and len(built) == n
+            assert repr(trace) == f"ReductionTrace({n} steps -> {normal_form})"
+    eager = ReductionTrace(expected.steps, expected.normal_form)
+    assert eager.steps == expected.steps and len(eager) == len(expected.steps)
 
 
 # -- compositions ------------------------------------------------------------------
