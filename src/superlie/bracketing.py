@@ -23,6 +23,7 @@ from .words import (
     Alphabet,
     Symbol,
     Word,
+    _is_ls_letters,
     is_lyndon_shirshov,
     is_super_ls,
     lex_cmp,
@@ -153,21 +154,25 @@ def standard_bracket(w: Word) -> NcMonomial:
     """
     if not is_super_ls(w):
         raise ValueError(f"not a super-Lyndon-Shirshov word: {str(w)!r}")
-    return _standard(w)
+    return _standard(w.alphabet, w.letters)
 
 
-def _standard(w: Word) -> NcMonomial:
-    letters = w.letters
+def _standard(alphabet: Alphabet, letters: tuple[int, ...]) -> NcMonomial:
+    """The standard bracketing of the super-LS letter tuple ``letters``.
+
+    Recurses on letter tuples, testing each suffix with ``_is_ls_letters``,
+    so no Word is built but those of the returned tree.
+    """
     if len(letters) == 1:
-        return NcMonomial.leaf(w.alphabet, letters[0])
-    if is_lyndon_shirshov(w):
+        return NcMonomial.leaf(alphabet, letters[0])
+    if _is_ls_letters(letters):
         for i in range(1, len(letters)):
-            v = Word(w.alphabet, letters[i:])
-            if is_lyndon_shirshov(v):
-                u = Word(w.alphabet, letters[:i])
-                return NcMonomial.pair(_standard(u), _standard(v))
+            if _is_ls_letters(letters[i:]):
+                return NcMonomial.pair(
+                    _standard(alphabet, letters[:i]), _standard(alphabet, letters[i:])
+                )
         raise AssertionError("unreachable: a final letter is always LS")
-    half = _standard(Word(w.alphabet, letters[: len(letters) // 2]))
+    half = _standard(alphabet, letters[: len(letters) // 2])
     return NcMonomial.pair(half, half)
 
 

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain, compress, product
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -58,9 +58,8 @@ from .words import (
     Alphabet,
     Symbol,
     Word,
-    _is_super_ls_letters,
+    _super_ls_tuples,
     deglex_key,
-    is_super_ls,
     lex_cmp,
 )
 
@@ -694,8 +693,19 @@ class _WbarView:
         grow([], total)
         return out
 
+    def super_ls_sequences(self) -> list[list[tuple[int, ...]]]:
+        """The super-LS rank tuples over the letters, bucketed by total length.
 
-def _h_basis(view: _WbarView, super_ls: Sequence[tuple[int, ...]]) -> list[NcMonomial]:
+        Bucket ``n`` holds, sorted, those of total length ``n <= max_len``:
+        generated by :func:`_super_ls_tuples` with the letters' lengths as
+        weights and their parities from ``alphabet``, not filtered.
+        """
+        return _super_ls_tuples(
+            self.alphabet.parities, self.max_len, weights=[len(w) for w in self.letters]
+        )
+
+
+def _h_basis(view: _WbarView, super_ls: Iterable[tuple[int, ...]]) -> list[NcMonomial]:
     """The basis of H = A + L(W), deglex by word.
 
     The leaves of the original basis, then for each super-LS word over the
@@ -716,7 +726,8 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     original algebra A plus the free Lie superalgebra on the left-combed
     generators W of :func:`free_generators_W`.  So the basis is the leaves
     of the original basis, and for every super-LS word over W (as letters,
-    of total length <= ``max_len``) its standard bracketing with each
+    of total length <= ``max_len``, generated by
+    :meth:`_WbarView.super_ls_sequences`) its standard bracketing with each
     letter replaced by its generator's tree.  Nothing here reads the
     relations: that these are admissible bracketings of exactly the
     reduced super-LS words of the relations is what
@@ -727,13 +738,7 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     view = _WbarView(pres, max_len)
-    super_ls = [
-        seq
-        for n in range(1, max_len + 1)
-        for seq in view.sequences_of_total_length(n)
-        if is_super_ls(Word(view.alphabet, seq))
-    ]
-    return _h_basis(view, super_ls)
+    return _h_basis(view, chain.from_iterable(view.super_ls_sequences()))
 
 
 # -- the structure theorem, degree by degree -------------------------------------
@@ -855,8 +860,9 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     (i)   concatenation maps the products of complement-block letters of
           total length n one-to-one onto the pattern words of length n: the
           reduced words that begin with t, walked along the leading words;
-    (ii)  such a product is super-LS as a base word iff it is super-LS as a
-          word over the block letters, lex-ordered;
+    (ii)  the concatenations of the super-LS words over the block letters,
+          lex-ordered, of total length n are exactly the reduced super-LS
+          words of length n that begin with t;
     (iii) the basis monomials of degree n spell exactly the reduced super-LS
           words of degree n of the defining relations, and each is
           admissible: its expansion leads with its own word at the standard
@@ -864,8 +870,16 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     (iv)  reduced expansions of all basis monomials up to n are linearly
           independent and count-match the basis enumeration.
 
+    Both sides of (ii) are generated, not filtered: the block side by
+    :meth:`_WbarView.super_ls_sequences`, the base side by
+    :func:`enumerate_reduced_super_ls`.  Given (i), (ii) says that a
+    product is super-LS over the block letters iff its concatenation is
+    super-LS over the base: concatenation is then a bijection from the
+    products onto the pattern words, and the reduced super-LS words that
+    begin with t are the pattern words that are super-LS.
+
     The basis is the one :func:`enumerate_h_basis` builds from the
-    generators W, here from the super-LS block products that (ii) finds.
+    generators W, from the block side of (ii).
     The reference words of (iii) come from the relations, by
     :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
     monomials from W are independent and, their number being the number of
@@ -885,12 +899,8 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         raise ValueError("max_len must be >= 1")
     system = build_relations(pres)
     view = _WbarView(pres, max_len)
-    degrees = []
-    for n in range(1, max_len + 1):
-        sequences = view.sequences_of_total_length(n)
-        block_side = [is_super_ls(Word(view.alphabet, seq)) for seq in sequences]
-        degrees.append((sequences, block_side))
-    basis = _h_basis(view, [s for seqs, side in degrees for s in compress(seqs, side)])
+    block_super_ls = view.super_ls_sequences()
+    basis = _h_basis(view, chain.from_iterable(block_super_ls))
     _, certificate = rank(_normal_forms(basis, system))
     by_degree: list[list[NcMonomial]] = [[] for _ in range(max_len)]
     for m in basis:
@@ -903,16 +913,16 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         pattern_by_degree[len(w) - 1].append(w)
     h_basis_count = 0
     rows: list[StructureLengthCheck] = []
-    for n, (sequences, block_side) in enumerate(degrees, 1):
-        concats = [view.concat(seq) for seq in sequences]
+    for n in range(1, max_len + 1):
+        sequences = view.sequences_of_total_length(n)
         pattern = pattern_by_degree[n - 1]
 
-        image = set(concats)
+        image = {view.concat(seq) for seq in sequences}
         bijection_ok = len(image) == len(sequences) and image == set(pattern)
 
-        ls_transfer_ok = block_side == [
-            _is_super_ls_letters(pres.alphabet, u) for u in concats
-        ]
+        ls_transfer_ok = {view.concat(seq) for seq in block_super_ls[n]} == {
+            w.letters for w in reduced[n - 1] if w.letters[0] == pres.t_rank
+        }
 
         monomials = by_degree[n - 1]
         admissibility_ok = [m.word for m in monomials] == reduced[n - 1] and all(

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .poly import MIXED, LetterTerms, Poly, from_letter_terms, letter_terms, superbracket
-from .words import Alphabet, Word, _is_super_ls_letters, deglex_key
+from .words import Alphabet, Word, _super_ls_tuples, deglex_key
 
 LARGEST_LEFTMOST = "largest-leftmost"
 SMALLEST_RIGHTMOST = "smallest-rightmost"
@@ -254,9 +254,10 @@ def _reduce_letters(
     shortest = lengths[0] if lengths else 0
 
     def first_hit(letters: tuple[int, ...]) -> Optional[tuple[int, int]]:
-        """(rule index, position) of the step the strategy takes on ``letters``."""
-        if letters in hits:
-            return hits[letters]
+        """(rule index, position) of the step the strategy takes on ``letters``.
+
+        Called only for a word not yet in ``hits``; it records the answer there.
+        """
         n = len(letters)
         last = n - shortest  # an empty leading word occurs at n too
         hit = None
@@ -284,7 +285,9 @@ def _reduce_letters(
         den = lcm(*[c.denominator for c in acc.values()])
         for w, c in acc.items():
             acc[w] = c.numerator * (den // c.denominator)
-    heap = [entry(w) for w in acc if first_hit(w) is not None]
+    heap = [
+        entry(w) for w in acc if (hits[w] if w in hits else first_hit(w)) is not None
+    ]
     heapify(heap)
     steps: list[tuple[tuple[int, ...], int, int]] = []
     while heap:
@@ -314,7 +317,8 @@ def _reduce_letters(
                     del acc[framed]
             else:
                 acc[framed] = -coeff * c
-                if first_hit(framed) is not None:
+                hit = hits[framed] if framed in hits else first_hit(framed)
+                if hit is not None:
                     heappush(heap, entry(framed))
         steps.append((word, rule_index, position))
     if den != 1:
@@ -440,10 +444,12 @@ def is_gsb(system: RewriteSystem) -> GsbReport:
 def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word]:
     """Super-LS words of length <= max_len containing no leading word, in deglex order.
 
-    Every prefix of a reduced word is reduced, so the reduced words are grown
-    one letter at a time.  A leading word new to ``u c`` ends at ``c``, so
-    the letters that may follow each tail of ``k - 1`` letters, ``k`` the
-    longest leading word, are found once; only returned words become Words.
+    The words are generated, not filtered: :func:`_super_ls_tuples` walks
+    the prenecklaces and never extends one past a leading word, which is
+    exact because every prefix of a reduced word is reduced.  A leading word
+    new to ``u c`` ends at ``c``, so the letters that may follow each tail
+    of ``k - 1`` letters, ``k`` the longest leading word, are found once by
+    :func:`is_reduced_word`; only returned words become Words.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -458,12 +464,8 @@ def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word
             allowed[tail] = [w.letters[-1] for w in grown if is_reduced_word(w, system)]
         return allowed[tail]
 
-    out: list[Word] = []
-    layer: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        layer = [letters + (c,) for letters in layer for c in successors(letters)]
-        out.extend(Word(alphabet, w) for w in layer if _is_super_ls_letters(alphabet, w))
-    return out
+    buckets = _super_ls_tuples(alphabet.parities, max_len, successors)
+    return [Word(alphabet, w) for bucket in buckets for w in bucket]
 
 
 def lie_composition_len2(p: RewriteRule, q: RewriteRule, w: Word) -> Poly:

@@ -19,7 +19,7 @@ immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 LT, EQ, GT = -1, 0, 1
 
@@ -264,19 +264,16 @@ def is_lyndon_shirshov(w: Word) -> bool:
 
 def is_super_ls(w: Word) -> bool:
     """True iff ``w`` is LS, or ``w = uu`` with ``u`` an odd LS word."""
-    if not w.letters:
+    letters = w.letters
+    if not letters:
         raise ValueError("the empty word is not eligible")
-    return _is_super_ls_letters(w.alphabet, w.letters)
-
-
-def _is_super_ls_letters(alphabet: Alphabet, letters: tuple[int, ...]) -> bool:
     if _is_ls_letters(letters):
         return True
     n = len(letters)
     if n % 2:
         return False
     u = letters[: n // 2]
-    return u == letters[n // 2 :] and _parity(alphabet, u) == 1 and _is_ls_letters(u)
+    return u == letters[n // 2 :] and _parity(w.alphabet, u) == 1 and _is_ls_letters(u)
 
 
 def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
@@ -287,7 +284,10 @@ def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
     reversed alphabet, rank r read as ``len(alphabet) - 1 - r``.  Duval's
     algorithm (TCS 60, 1988) steps from each such word straight to the
     next, so no other word is visited; the squares ``uu`` of the odd ones
-    with ``2|u| <= max_len`` are added, and each length is sorted.
+    with ``2|u| <= max_len`` are added, and each length is sorted.  The
+    constrained paths use :func:`_super_ls_tuples` instead: its walk also
+    visits the prenecklaces that are not LS, which costs two to three times
+    Duval's time here, where no constraint prunes them.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -312,3 +312,57 @@ def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
         words.sort()
         out.extend(Word(alphabet, letters) for letters in words)
     return out
+
+
+def _super_ls_tuples(
+    parities: Sequence[int],
+    max_len: int,
+    successors: Optional[Callable[[tuple[int, ...]], Sequence[int]]] = None,
+    weights: Optional[Sequence[int]] = None,
+) -> list[list[tuple[int, ...]]]:
+    """Super-LS letter tuples of total weight <= max_len, bucketed by weight.
+
+    Letters are ranks ``0 .. len(parities) - 1``; a letter weighs 1 unless
+    ``weights`` says otherwise.  ``successors(prefix)`` lists, ascending,
+    the letters allowed after ``prefix``; ``None`` allows every letter.
+    Bucket ``n`` holds, sorted, the tuples of weight ``n``.
+
+    LS is Lyndon over the reversed order, so the walk grows prenecklaces
+    depth-first (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37,
+    2000) with the comparison turned round: a child letter is at most the
+    letter one period back; an equal one keeps the period and a smaller one
+    starts a new period, the whole word.  A node whose period is its length
+    is LS.  Every prefix of an LS word is a prenecklace, is reduced when
+    the word is, and weighs no more, so pruning by ``successors`` and by
+    weight loses no word.  For each odd LS ``u`` the
+    square ``uu`` is added when it fits and every letter across the
+    junction is allowed.
+    """
+    weights = weights or (1,) * len(parities)
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
+
+    def allowed(prefix: tuple[int, ...]) -> Sequence[int]:
+        return range(len(parities)) if successors is None else successors(prefix)
+
+    def grow(u: tuple[int, ...], period: int, weight: int, odd: int) -> None:
+        n = len(u)
+        if period == n:
+            buckets[weight].append(u)
+            if odd and 2 * weight <= max_len and all(
+                c in allowed(u + u[:i]) for i, c in enumerate(u)
+            ):
+                buckets[2 * weight].append(u + u)
+        bound = u[n - period]
+        for c in allowed(u):
+            if c > bound:
+                break
+            grown = weight + weights[c]
+            if grown <= max_len:
+                grow(u + (c,), period if c == bound else n + 1, grown, odd ^ parities[c])
+
+    for c in allowed(()):
+        if weights[c] <= max_len:
+            grow((c,), 1, weights[c], parities[c])
+    for bucket in buckets:
+        bucket.sort()
+    return buckets

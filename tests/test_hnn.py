@@ -13,6 +13,7 @@ import pytest
 from superlie import (
     Alphabet,
     StructureConstants,
+    Symbol,
     Word,
     build_relations,
     deglex_key,
@@ -22,6 +23,7 @@ from superlie import (
     expand,
     free_generators_W,
     is_admissible,
+    is_super_ls,
     is_unitriangular,
     lex_cmp,
     load_presentation,
@@ -665,6 +667,18 @@ def test_h_basis_is_admissible_on_fixtures(fixture):
     assert all(is_admissible(m) for m in enumerate_h_basis(fixture(), 5))
 
 
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_h_basis_block_sequences_are_the_filtered_products(fixture):
+    # the filter the generated block side replaced: every product of block
+    # letters, kept when it is super-LS over the block alphabet
+    view = hnn._WbarView(fixture(), 8)
+    filtered = [
+        [s for s in view.sequences_of_total_length(n) if is_super_ls(Word(view.alphabet, s))]
+        for n in range(1, 9)
+    ]
+    assert view.super_ls_sequences() == [[]] + filtered
+
+
 def test_h_basis_requires_valid_constants_and_positive_length():
     pres = load_presentation(PINNED_VIOLATIONS["odd-squares"][0])
     with pytest.raises(ValueError, match="fail validation"):
@@ -814,6 +828,65 @@ def test_missing_stable_letter_word_fails_check_iii(monkeypatch):
     assert [r.admissibility_ok for r in report.rows] == [True, True, False, True]
     assert not report.rows[2].passed
     assert list(report.h_basis_counts) == [3, 1, 1, 3]
+
+
+def _flip_longest_parity(view):
+    """Flip the parity of the longest block letter whose square fits.
+
+    Returns the first degree affected: the square of that letter.
+    """
+    r = max(
+        (r for r, w in enumerate(view.letters) if 2 * len(w) <= view.max_len),
+        key=lambda r: len(view.letters[r]),
+    )
+    symbols = list(view.alphabet.symbols)
+    symbols[r] = Symbol(r, symbols[r].name, 1 - symbols[r].parity)
+    view.alphabet = Alphabet(symbols)
+    return 2 * len(view.letters[r])
+
+
+def _swap_greatest_letters(view):
+    """Swap the block order of the two greatest letters, t and the next.
+
+    Returns None: the first degree affected has no closed form here.
+    """
+    for seq in (view.generators, view.letters):
+        seq[-1], seq[-2] = seq[-2], seq[-1]
+    view.alphabet = Alphabet(
+        tuple(Symbol(i, str(w), w.parity) for i, w in enumerate(view.letters))
+    )
+    return None
+
+
+@pytest.mark.parametrize("mutate", [_flip_longest_parity, _swap_greatest_letters])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_structure_check_ii_fails_on_a_mutated_block_alphabet(fixture, mutate, monkeypatch):
+    # negative control: the block alphabet no longer matches the base words,
+    # so (ii) must fail at the first degree where some product's super-LS
+    # status over the blocks differs from its concatenation's over the base
+    pres = fixture()
+    max_len = 6
+    expected = []
+
+    class Mutated(hnn._WbarView):
+        def __init__(self, pres, max_len):
+            super().__init__(pres, max_len)
+            expected.append(mutate(self))
+
+    monkeypatch.setattr(hnn, "_WbarView", Mutated)
+    report = verify_structure_theorem(pres, max_len)
+    view = Mutated(pres, max_len)
+    first = next(
+        n
+        for n in range(1, max_len + 1)
+        for s in view.sequences_of_total_length(n)
+        if is_super_ls(Word(view.alphabet, s))
+        != is_super_ls(Word(pres.alphabet, view.concat(s)))
+    )
+    assert expected[0] in (None, first)
+    assert [r.ls_transfer_ok for r in report.rows[:first]] == [True] * (first - 1) + [False]
+    assert all(r.bijection_ok for r in report.rows)
+    assert not report.rows[first - 1].passed and not report.passed
 
 
 def test_ex1_structure_counts():

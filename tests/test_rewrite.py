@@ -475,6 +475,27 @@ def test_enumerate_reduced_super_ls_is_the_filtered_scan():
         enumerate_reduced_super_ls(EX1_STYLE, 0)
 
 
+def test_enumerate_reduced_super_ls_under_random_systems_is_the_filtered_scan():
+    # random monomial leading words of length 2 (a successor table) and 3;
+    # one odd letter x has xx forbidden, so x is reduced and its square is
+    # blocked only across the junction
+    rng = Random(31)
+    for _ in range(30):
+        size = rng.randint(2, 4)
+        names = "abcd"[:size]
+        odd = [x for x in names if rng.random() < 0.5] or [rng.choice(names)]
+        alphabet = Alphabet.from_names(names, odd=odd)
+        x = rng.choice(odd)
+        leading = {x + x}
+        leading |= {a + b for a in names for b in names if rng.random() < 0.25}
+        leading |= {"".join(rng.choices(names, k=3)) for _ in range(rng.randint(0, 2))}
+        sys_ = system(alphabet, *sorted(leading))
+        scan = [w for w in enumerate_super_ls(alphabet, 7) if is_reduced_word(w, sys_)]
+        words = enumerate_reduced_super_ls(sys_, 7)
+        assert words == scan, sys_
+        assert alphabet.word(x) in words and alphabet.word(x + x) not in words
+
+
 def test_enumerate_reduced_super_ls_checks_each_tail_once(monkeypatch):
     # the letters allowed after each tail of k - 1 letters are found once
     # per call, and only the returned words become Words besides the probes

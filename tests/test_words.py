@@ -18,6 +18,7 @@ from superlie import (
     is_super_ls,
     lex_cmp,
 )
+from superlie.words import _super_ls_tuples
 
 AB = Alphabet.from_names(["a", "b"])
 AXT = Alphabet.from_names(["a", "x", "t"])
@@ -292,6 +293,85 @@ def test_generator_counts_match_necklace_formula(alphabet, max_len):
 def test_enumerate_requires_positive_length():
     with pytest.raises(ValueError):
         enumerate_super_ls(AB, 0)
+
+
+# -- the pruned prenecklace walk, held to the filters it replaced ------------------
+
+
+def _weighted_products(weights, total):
+    """Every letter tuple of total weight ``total``, in tuple order."""
+    if total == 0:
+        return [()]
+    return [
+        (c,) + rest
+        for c, w in enumerate(weights)
+        if w <= total
+        for rest in _weighted_products(weights, total - w)
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_super_ls_walk_on_weighted_letters_is_the_filtered_products(size):
+    # every alphabet of up to three letters, weights 1-3 and any parities
+    max_len = 8
+    names = "abc"[:size]
+    for weights in product((1, 2, 3), repeat=size):
+        for parities in product((0, 1), repeat=size):
+            alphabet = Alphabet.from_names(names, odd=[x for x, p in zip(names, parities) if p])
+            expected = [[]] + [
+                [u for u in _weighted_products(weights, n) if is_super_ls(Word(alphabet, u))]
+                for n in range(1, max_len + 1)
+            ]
+            assert _super_ls_tuples(parities, max_len, weights=weights) == expected, (
+                weights,
+                parities,
+            )
+
+
+@pytest.mark.parametrize(
+    "alphabet, max_len", GENERATOR_CASES, ids=[repr(a) for a, _ in GENERATOR_CASES]
+)
+def test_super_ls_walk_without_constraints_is_duval(alphabet, max_len):
+    buckets = _super_ls_tuples(alphabet.parities, max_len)
+    walked = [Word(alphabet, u) for bucket in buckets for u in bucket]
+    assert walked == enumerate_super_ls(alphabet, max_len)
+
+
+def test_super_ls_walk_under_successor_tables_is_the_filtered_scan():
+    # random tables of allowed adjacent pairs; one odd letter x has xx
+    # forbidden, so x is kept and its square is blocked only across the
+    # junction.  The filter is an adjacency scan of the unconstrained words.
+    rng = Random(20)
+    squares_cut = 0
+    for _ in range(40):
+        size = rng.randint(2, 4)
+        names = "abcd"[:size]
+        odd = [x for x in names if rng.random() < 0.5] or [rng.choice(names)]
+        alphabet = Alphabet.from_names(names, odd=odd)
+        x = alphabet.symbol(rng.choice(odd)).rank
+        forbidden = {(a, b) for a in range(size) for b in range(size) if rng.random() < 0.25}
+        forbidden.add((x, x))
+        table = [[b for b in range(size) if (a, b) not in forbidden] for a in range(size)]
+
+        def successors(prefix):
+            return table[prefix[-1]] if prefix else range(size)
+
+        def reduced(letters):
+            return forbidden.isdisjoint(zip(letters, letters[1:]))
+
+        max_len = 7
+        buckets = _super_ls_tuples(alphabet.parities, max_len, successors)
+        walked = [Word(alphabet, u) for bucket in buckets for u in bucket]
+        scan = [w for w in enumerate_super_ls(alphabet, max_len) if reduced(w.letters)]
+        assert walked == scan, (alphabet, sorted(forbidden))
+        assert (x,) in buckets[1] and (x, x) not in buckets[2]
+        squares_cut += sum(
+            1
+            for n in range(1, max_len // 2 + 1)
+            for u in buckets[n]
+            if len(u) > 1 and sum(alphabet.parities[c] for c in u) % 2 and not reduced(u + u)
+        )
+    assert squares_cut > 0  # longer odd words also lost their square at the junction
 
 
 # -- text round trip ----------------------------------------------------------------
