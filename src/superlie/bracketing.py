@@ -176,26 +176,23 @@ def _standard(alphabet: Alphabet, letters: tuple[int, ...]) -> NcMonomial:
     return NcMonomial.pair(half, half)
 
 
-def is_admissible(m: NcMonomial, expansion: Optional[Poly] = None) -> bool:
+def is_admissible(m: NcMonomial) -> bool:
     """Expansion has leading word forget(m) with the standard coefficient.
 
     The underlying word must be super-LS; the required coefficient is 1 for
-    an LS word and 2 for an odd square.  A caller that already holds
-    ``expand(m)`` passes it as ``expansion``; otherwise the leading term
-    comes by recursion, and ``m`` is expanded only if that cancels.  The
-    free algebra is a domain and deglex a monomial order, so lead([u,v])
-    is the larger of lead(u)lead(v) and lead(v)lead(u), the second with
-    sign -(-1)^{|u||v|}; equal words add their coefficients.
+    an LS word and 2 for an odd square.  The leading term comes by
+    recursion, and ``m`` is expanded only if that cancels.  The free
+    algebra is a domain and deglex a monomial order, so lead([u,v]) is the
+    larger of lead(u)lead(v) and lead(v)lead(u), the second with sign
+    -(-1)^{|u||v|}; equal words add their coefficients.
     """
     w = m.word
     if not is_super_ls(w):
         raise ValueError(f"underlying word is not super-Lyndon-Shirshov: {str(w)!r}")
-    if expansion is None:
-        lead = _lead(m)
-        if lead is not None:
-            return lead == (w.letters, 1 if is_lyndon_shirshov(w) else 2)
-        expansion = expand(m)
-    return is_unitriangular([(w, expansion)])
+    lead = _lead(m)
+    if lead is not None:
+        return lead == (w.letters, 1 if is_lyndon_shirshov(w) else 2)
+    return is_unitriangular([(w, expand(m))])
 
 
 def _lead(m: NcMonomial) -> Optional[tuple[tuple[int, ...], int]]:

@@ -32,6 +32,7 @@ from .poly import parse_poly
 from .rewrite import (
     LARGEST_LEFTMOST,
     STRATEGIES,
+    RewriteRule,
     RewriteSystem,
     is_gsb,
     reduce,
@@ -92,17 +93,24 @@ def _load_system(path: str) -> tuple[RewriteSystem, object]:
         pres = load_presentation(data)
         return build_relations(pres), pres
     if "rules" in data:
-        polys = []
+        rules: list[RewriteRule] = []
+        leading: set[tuple[int, ...]] = set()
         try:
             alphabet = parse_generators(data.get("generators"))
             for where, text in parse_entries(data, "rules", kind=str):
                 try:
-                    polys.append(parse_poly(alphabet, text))
+                    rule = RewriteRule(parse_poly(alphabet, text))
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
+                if rule.leading_word.letters in leading:
+                    raise ValueError(
+                        f"{where}: duplicate leading word {_word_text(rule.leading_word)!r}"
+                    )
+                leading.add(rule.leading_word.letters)
+                rules.append(rule)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return RewriteSystem.from_polys(alphabet, polys), None
+        return RewriteSystem(alphabet, rules), None
     raise ValueError(f"{path}: expected a presentation or a rules file")
 
 

@@ -40,7 +40,6 @@ from .bracketing import (
     NcMonomial,
     expand,
     is_admissible,
-    right_normed_bracket,
     standard_bracket,
 )
 from .linalg import rank
@@ -150,9 +149,6 @@ class StructureConstants:
 
     def subalgebra_ranks(self) -> range:
         return range(self.subalgebra_size)
-
-    def complement_ranks(self) -> range:
-        return range(self.subalgebra_size, len(self.alphabet))
 
     def bracket_coeffs(self, x: int, y: int) -> Mapping[int, Fraction]:
         """Coefficients of [x, y], deriving the missing mirror by sign."""
@@ -408,9 +404,6 @@ class HnnPresentation:
     def subalgebra_ranks(self) -> range:
         return self.constants.subalgebra_ranks()
 
-    def complement_ranks(self) -> range:
-        return self.constants.complement_ranks()
-
     def __repr__(self) -> str:
         return (
             f"HnnPresentation({self.alphabet!r}, "
@@ -631,14 +624,17 @@ def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
 
     One for every reduced word t x1 .. xs over the complement, that is with
     x1 <= .. <= xs and odd symbols at most once, of total length <= max_len,
-    in deglex order of the underlying word.
+    in deglex order of the underlying word.  The walk meets each word after
+    its prefix, so each tree is its prefix's tree bracketed with one leaf.
     """
     t = pres.t_rank
     # from t the walk meets only complement letters and t; drop t as a successor
     succ = [tuple(y for y in ys if y != t) for ys in _successors(pres)]
-    return [
-        right_normed_bracket(pres.alphabet, t, w[1:]) for w in _walks(succ, (t,), max_len)
-    ]
+    leaves = [NcMonomial.leaf(pres.alphabet, r) for r in range(len(pres.alphabet))]
+    trees: dict[tuple[int, ...], NcMonomial] = {}
+    for w in _walks(succ, (t,), max_len):
+        trees[w] = NcMonomial.pair(trees[w[:-1]], leaves[w[-1]]) if len(w) > 1 else leaves[t]
+    return list(trees.values())
 
 
 class _WbarView:
@@ -651,7 +647,6 @@ class _WbarView:
     """
 
     def __init__(self, pres: HnnPresentation, max_len: int):
-        self.pres = pres
         self.max_len = max_len
         self.generators = sorted(
             free_generators_W(pres, max_len),
@@ -664,34 +659,14 @@ class _WbarView:
             )
         )
 
-    def concat(self, ranks: Sequence[int]) -> tuple[int, ...]:
-        """The base letters of the product of the block letters ``ranks``."""
-        letters = self.letters
-        return tuple(chain.from_iterable(letters[r].letters for r in ranks))
-
     def substitute(self, m: NcMonomial) -> NcMonomial:
-        """Replace each letter leaf by its generator's tree over the base."""
+        """Replace each letter leaf by its generator's tree over the base.
+
+        The word of the result is the concatenation of the letters' words.
+        """
         if m.is_leaf:
             return self.generators[m.rank]
         return NcMonomial.pair(self.substitute(m.left), self.substitute(m.right))
-
-    def sequences_of_total_length(self, total: int) -> list[tuple[int, ...]]:
-        """All rank tuples whose letter lengths sum to ``total``."""
-        lengths = [len(w) for w in self.letters]
-        out: list[tuple[int, ...]] = []
-
-        def grow(prefix: list[int], remaining: int) -> None:
-            if remaining == 0:
-                out.append(tuple(prefix))
-                return
-            for r, ln in enumerate(lengths):
-                if ln <= remaining:
-                    prefix.append(r)
-                    grow(prefix, remaining - ln)
-                    prefix.pop()
-
-        grow([], total)
-        return out
 
     def super_ls_sequences(self) -> list[list[tuple[int, ...]]]:
         """The super-LS rank tuples over the letters, bucketed by total length.
@@ -703,20 +678,6 @@ class _WbarView:
         return _super_ls_tuples(
             self.alphabet.parities, self.max_len, weights=[len(w) for w in self.letters]
         )
-
-
-def _h_basis(view: _WbarView, super_ls: Iterable[tuple[int, ...]]) -> list[NcMonomial]:
-    """The basis of H = A + L(W), deglex by word.
-
-    The leaves of the original basis, then for each super-LS word over the
-    generators W in ``super_ls`` its substituted standard bracketing.
-    """
-    pres = view.pres
-    out = [NcMonomial.leaf(pres.alphabet, r) for r in pres.basis_ranks()]
-    for seq in super_ls:
-        out.append(view.substitute(standard_bracket(Word(view.alphabet, seq))))
-    out.sort(key=lambda m: deglex_key(m.word))
-    return out
 
 
 def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
@@ -738,7 +699,11 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     view = _WbarView(pres, max_len)
-    return _h_basis(view, chain.from_iterable(view.super_ls_sequences()))
+    out = [NcMonomial.leaf(pres.alphabet, r) for r in pres.basis_ranks()]
+    for seq in chain.from_iterable(view.super_ls_sequences()):
+        out.append(view.substitute(standard_bracket(Word(view.alphabet, seq))))
+    out.sort(key=lambda m: deglex_key(m.word))
+    return out
 
 
 # -- the structure theorem, degree by degree -------------------------------------
@@ -768,18 +733,8 @@ class StructureLengthCheck:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "products": self.products,
-            "pattern_words": self.pattern_words,
-            "bijection_ok": self.bijection_ok,
-            "ls_transfer_ok": self.ls_transfer_ok,
-            "admissibility_ok": self.admissibility_ok,
-            "h_basis_count": self.h_basis_count,
-            "independent_rank": self.independent_rank,
-            "rank_ok": self.rank_ok,
-            "passed": self.passed,
-        }
+        # the fields in declaration order; asdict would deep-copy each value
+        return {**vars(self), "passed": self.passed}
 
 
 class StructureReport:
@@ -857,12 +812,11 @@ def _normal_forms(
 def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureReport:
     """Four independent checks at every degree n <= max_len.
 
-    (i)   concatenation maps the products of complement-block letters of
-          total length n one-to-one onto the pattern words of length n: the
+    (i)   concatenation maps the products of the generators W of total
+          length n one-to-one onto the pattern words of length n: the
           reduced words that begin with t, walked along the leading words;
-    (ii)  the concatenations of the super-LS words over the block letters,
-          lex-ordered, of total length n are exactly the reduced super-LS
-          words of length n that begin with t;
+    (ii)  the words of the basis monomials of degree n that begin with t
+          are exactly the reduced super-LS words of length n that do;
     (iii) the basis monomials of degree n spell exactly the reduced super-LS
           words of degree n of the defining relations, and each is
           admissible: its expansion leads with its own word at the standard
@@ -870,16 +824,20 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     (iv)  reduced expansions of all basis monomials up to n are linearly
           independent and count-match the basis enumeration.
 
-    Both sides of (ii) are generated, not filtered: the block side by
-    :meth:`_WbarView.super_ls_sequences`, the base side by
-    :func:`enumerate_reduced_super_ls`.  Given (i), (ii) says that a
-    product is super-LS over the block letters iff its concatenation is
-    super-LS over the base: concatenation is then a bijection from the
-    products onto the pattern words, and the reduced super-LS words that
-    begin with t are the pattern words that are super-LS.
+    (i) counts the products instead of listing them: P(0) = 1 and P(n) is
+    the sum of P(n - |w|) over the w in W with |w| <= n.  Every pattern
+    word must split at its t's into words of W; each split is a product
+    whose concatenation is that word, so when P(n) equals the number of
+    pattern words, concatenation is onto them and, by counting, one-to-one.
+    As every word of W is t followed by complement letters only, this
+    holds exactly when concatenation is a bijection.
 
-    The basis is the one :func:`enumerate_h_basis` builds from the
-    generators W, from the block side of (ii).
+    The basis is the one :func:`enumerate_h_basis` returns.  Its monomials
+    that begin with t are the substituted standard bracketings of the
+    super-LS words over W, and substitution keeps words, so (ii) compares
+    their concatenations with the reduced super-LS words that begin with t:
+    given (i), a product is super-LS over W iff its concatenation is
+    super-LS over the base.
     The reference words of (iii) come from the relations, by
     :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
     monomials from W are independent and, their number being the number of
@@ -892,16 +850,20 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     presentation, checks the closure.  In deglex order the monomials of
     degree <= n are a prefix of the basis, so one :func:`rank` call gives
     every degree's rank: the certificate entries below the prefix length.
-    The tests hold this against free expansion, :func:`reduce` and the
-    per-degree recomputation.
+    The tests hold this against free expansion, :func:`reduce`, the
+    per-degree recomputation and a list of every product.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     system = build_relations(pres)
-    view = _WbarView(pres, max_len)
-    block_super_ls = view.super_ls_sequences()
-    basis = _h_basis(view, chain.from_iterable(block_super_ls))
+    basis = enumerate_h_basis(pres, max_len)
     _, certificate = rank(_normal_forms(basis, system))
+    t = pres.t_rank
+    generators = free_generators_W(pres, max_len)
+    letters = {m.word.letters for m in generators}
+    products = [1]
+    for n in range(1, max_len + 1):
+        products.append(sum(products[n - len(m)] for m in generators if len(m) <= n))
     by_degree: list[list[NcMonomial]] = [[] for _ in range(max_len)]
     for m in basis:
         by_degree[len(m) - 1].append(m)
@@ -909,22 +871,21 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     for w in enumerate_reduced_super_ls(system, max_len):
         reduced[len(w) - 1].append(w)
     pattern_by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(max_len)]
-    for w in _walks(_successors(pres), (pres.t_rank,), max_len):
+    for w in _walks(_successors(pres), (t,), max_len):
         pattern_by_degree[len(w) - 1].append(w)
     h_basis_count = 0
     rows: list[StructureLengthCheck] = []
     for n in range(1, max_len + 1):
-        sequences = view.sequences_of_total_length(n)
         pattern = pattern_by_degree[n - 1]
-
-        image = {view.concat(seq) for seq in sequences}
-        bijection_ok = len(image) == len(sequences) and image == set(pattern)
-
-        ls_transfer_ok = {view.concat(seq) for seq in block_super_ls[n]} == {
-            w.letters for w in reduced[n - 1] if w.letters[0] == pres.t_rank
-        }
+        bijection_ok = products[n] == len(pattern) and all(
+            _splits_into(w, t, letters) for w in pattern
+        )
 
         monomials = by_degree[n - 1]
+        ls_transfer_ok = {m.word.letters for m in monomials if m.word.letters[0] == t} == {
+            w.letters for w in reduced[n - 1] if w.letters[0] == t
+        }
+
         admissibility_ok = [m.word for m in monomials] == reduced[n - 1] and all(
             is_admissible(m) for m in monomials
         )
@@ -936,7 +897,7 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         rows.append(
             StructureLengthCheck(
                 length=n,
-                products=len(sequences),
+                products=products[n],
                 pattern_words=len(pattern),
                 bijection_ok=bijection_ok,
                 ls_transfer_ok=ls_transfer_ok,
@@ -948,6 +909,12 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         )
 
     return StructureReport(max_len, rows, [len(ms) for ms in by_degree])
+
+
+def _splits_into(word: tuple[int, ...], t: int, letters: set[tuple[int, ...]]) -> bool:
+    """Whether cutting ``word`` before each ``t`` leaves only words in ``letters``."""
+    cuts = [i for i, x in enumerate(word) if x == t] + [len(word)]
+    return cuts[0] == 0 and all(word[i:j] in letters for i, j in zip(cuts, cuts[1:]))
 
 
 # -- presentation files -----------------------------------------------------------

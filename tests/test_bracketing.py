@@ -14,6 +14,7 @@ from superlie import (
     is_lyndon_shirshov,
     is_ls_monomial,
     is_super_ls_monomial,
+    is_unitriangular,
     parse_monomial,
     parse_poly,
     rank,
@@ -163,11 +164,13 @@ def test_admissibility_rejects_degenerate_bracketing():
 
 
 def test_admissibility_reads_a_given_expansion():
+    # a caller holding expand(m) reads it with is_unitriangular, the test
+    # is_admissible falls back on when its recursion cancels
     m = parse_monomial(XT, "[t,[t,x]]")
-    assert is_admissible(m, expand(m))
-    assert not is_admissible(m, parse_poly(XT, "2*ttx - 4*txt + 2*xtt"))
-    assert not is_admissible(m, Poly.zero(XT))
-    assert not is_admissible(standard_bracket(XT.word("tx")), expand(m))
+    assert is_admissible(m) and is_unitriangular([(m.word, expand(m))])
+    assert not is_unitriangular([(m.word, parse_poly(XT, "2*ttx - 4*txt + 2*xtt"))])
+    assert not is_unitriangular([(m.word, Poly.zero(XT))])
+    assert not is_unitriangular([(XT.word("tx"), expand(m))])
 
 
 def test_admissibility_requires_super_ls_word():
@@ -197,7 +200,7 @@ def test_recursive_leading_term_matches_the_expansion():
             if lead is not None:
                 word, coeff = expansion.leading()
                 assert (word.letters, coeff) == lead, m
-            assert is_admissible(m) == is_admissible(m, expansion), m
+            assert is_admissible(m) == is_unitriangular([(w, expansion)]), m
 
 
 def test_cancelled_leading_term_falls_back_to_expand(monkeypatch):

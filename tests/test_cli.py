@@ -335,6 +335,24 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, changes, message):
     assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
 
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        (["ba - a", "0"], "rules[1]: a rewrite rule cannot be zero"),
+        (["ba - a", "c - a"], "rules[1]: rule body must be parity-homogeneous: c - a"),
+        (["ba - a", "c", "2*ba + a"], "rules[2]: duplicate leading word 'ba'"),
+    ],
+    ids=["zero", "parity-mixed", "duplicate-leading-word"],
+)
+def test_bad_rule_exits_2_with_its_location(capsys, tmp_path, rules, message):
+    generators = [{"name": n, "parity": int(n == "c")} for n in "abc"]
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"generators": generators, "rules": rules}))
+    for command in (["reduce", "a"], ["gsb-check"]):
+        code, out, err = run(capsys, *command, "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_bad_alphabet_name_exits_2(capsys):
     code, out, err = run(capsys, "ls-words", "--alphabet", "a+,b", "--max-len", "2")
     assert (code, out) == (2, "")

@@ -12,6 +12,7 @@ import pytest
 
 from superlie import (
     Alphabet,
+    NcMonomial,
     StructureConstants,
     Symbol,
     Word,
@@ -32,6 +33,7 @@ from superlie import (
     presentation_to_dict,
     rank,
     reduce,
+    right_normed_bracket,
     superbracket,
     validate,
     verify_hnn_gsb,
@@ -40,6 +42,7 @@ from superlie import (
 from superlie import hnn
 from superlie.poly import from_letter_terms
 from conftest import reference_expand
+from test_words import _weighted_products
 from superlie.fixtures import (
     ALL,
     EX1,
@@ -672,8 +675,9 @@ def test_h_basis_block_sequences_are_the_filtered_products(fixture):
     # the filter the generated block side replaced: every product of block
     # letters, kept when it is super-LS over the block alphabet
     view = hnn._WbarView(fixture(), 8)
+    weights = [len(w) for w in view.letters]
     filtered = [
-        [s for s in view.sequences_of_total_length(n) if is_super_ls(Word(view.alphabet, s))]
+        [s for s in _weighted_products(weights, n) if is_super_ls(Word(view.alphabet, s))]
         for n in range(1, 9)
     ]
     assert view.super_ls_sequences() == [[]] + filtered
@@ -695,6 +699,17 @@ def test_free_generators_examples():
     # ex2's only complement letter is odd, so W stays finite at every length
     assert [str(m) for m in free_generators_W(ex2(), 10)] == ["t", "[t,a]"]
     assert [str(m) for m in free_generators_W(ex3(), 1)] == ["t"]
+
+
+def test_free_generators_are_the_right_normed_brackets():
+    # each tree is built from its prefix's; the reference builds each anew
+    tables = [_abelian_presentation(*shape) for shape in SMALL_SHAPES]
+    tables += [fixture() for fixture in FIXTURES]
+    for pres in tables:
+        t = pres.t_rank
+        generators = free_generators_W(pres, 6)
+        reference = [right_normed_bracket(pres.alphabet, t, m.word.letters[1:]) for m in generators]
+        assert generators == reference, pres
 
 
 def test_bases_below_length_one():
@@ -794,9 +809,88 @@ def test_relations_are_built_once_per_presentation():
 
 def _structure_with_basis(monkeypatch, pres, max_len, edit):
     """The structure report with ``edit`` applied to the basis it is handed."""
-    build = hnn._h_basis
-    monkeypatch.setattr(hnn, "_h_basis", lambda view, seqs: edit(build(view, seqs)))
+    build = hnn.enumerate_h_basis
+    monkeypatch.setattr(hnn, "enumerate_h_basis", lambda pres, n: edit(build(pres, n)))
     return verify_structure_theorem(pres, max_len)
+
+
+def _concat(words, seq):
+    """The base letters of the product ``seq``: the letter tuples ``words[r]``, joined."""
+    return sum((words[r] for r in seq), ())
+
+
+def _check_i_oracle(pres, max_len, generators):
+    """Per degree, (products, bijection_ok) of check (i) by listing every product.
+
+    The products of ``generators`` (a list: a letter given twice counts
+    twice) of total length n, concatenated and compared with the pattern
+    words, the enveloping basis words that begin with t.
+    """
+    words = [m.word.letters for m in generators]
+    t = pres.t_rank
+    pattern = [w.letters for w in enumerate_uh_basis(pres, max_len) if w.letters[:1] == (t,)]
+    out = []
+    for n in range(1, max_len + 1):
+        products = _weighted_products([len(w) for w in words], n)
+        image = {_concat(words, seq) for seq in products}
+        ok = len(image) == len(products) and image == {w for w in pattern if len(w) == n}
+        out.append((len(products), ok))
+    return out
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_structure_check_i_counts_the_listed_products(fixture):
+    # the product walk the count replaced, up to degree 8
+    pres = fixture()
+    report = verify_structure_theorem(pres, 8)
+    oracle = _check_i_oracle(pres, 8, free_generators_W(pres, 8))
+    assert [(r.products, r.bijection_ok) for r in report.rows] == oracle
+    assert all(ok for _, ok in oracle)
+
+
+def _drop_letter(generators, r):
+    return generators[:r] + generators[r + 1:]
+
+
+def _repeat_letter(generators, r):
+    return generators[: r + 1] + generators[r:]
+
+
+def _replace_letter(generators, r):
+    """Letter r replaced by a tree of its length whose word has no t: rank 0 repeated."""
+    leaf = NcMonomial.leaf(generators[r].alphabet, 0)
+    stranger = leaf
+    for _ in range(len(generators[r]) - 1):
+        stranger = NcMonomial.pair(stranger, leaf)
+    return generators[:r] + [stranger] + generators[r + 1:]
+
+
+@pytest.mark.parametrize("edit", [_drop_letter, _repeat_letter, _replace_letter])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_structure_check_i_fails_on_an_edited_W(fixture, edit, monkeypatch):
+    # negative control: check (i) reads W with one letter dropped, listed
+    # twice or replaced by a word of its length outside W (the count then
+    # still matches), the basis is left as it is; (i) must fail from that
+    # letter's length on, and only (i)
+    pres = fixture()
+    max_len = 5
+    basis = enumerate_h_basis(pres, max_len)
+    generators = free_generators_W(pres, max_len)
+    monkeypatch.setattr(hnn, "enumerate_h_basis", lambda pres, n: basis)
+    for r, letter in enumerate(generators):
+        edited = edit(generators, r)
+        monkeypatch.setattr(hnn, "free_generators_W", lambda pres, n: edited)
+        report = verify_structure_theorem(pres, max_len)
+        rows = report.rows
+        first = len(letter)
+        assert [(row.products, row.bijection_ok) for row in rows] == _check_i_oracle(
+            pres, max_len, edited
+        ), (letter, edit)
+        assert [row.bijection_ok for row in rows] == [n < first for n in range(1, max_len + 1)]
+        assert all(
+            row.ls_transfer_ok and row.admissibility_ok and row.rank_ok for row in rows
+        )
+        assert not report.passed
 
 
 def test_non_admissible_bracketing_fails_check_iii(monkeypatch):
@@ -879,9 +973,9 @@ def test_structure_check_ii_fails_on_a_mutated_block_alphabet(fixture, mutate, m
     first = next(
         n
         for n in range(1, max_len + 1)
-        for s in view.sequences_of_total_length(n)
+        for s in _weighted_products([len(w) for w in view.letters], n)
         if is_super_ls(Word(view.alphabet, s))
-        != is_super_ls(Word(pres.alphabet, view.concat(s)))
+        != is_super_ls(Word(pres.alphabet, _concat([w.letters for w in view.letters], s)))
     )
     assert expected[0] in (None, first)
     assert [r.ls_transfer_ok for r in report.rows[:first]] == [True] * (first - 1) + [False]
