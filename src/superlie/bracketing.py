@@ -43,9 +43,9 @@ class NcMonomial:
         self.right = right
         self._word = word
         if rank is not None:
-            self._hash = hash((alphabet, "leaf", rank))
+            self._hash = hash((alphabet._hash, "leaf", rank))
         else:
-            self._hash = hash((alphabet, "pair", left._hash, right._hash))
+            self._hash = hash((alphabet._hash, "pair", left._hash, right._hash))
 
     @classmethod
     def leaf(cls, alphabet: Alphabet, symbol: Union[Symbol, int]) -> "NcMonomial":

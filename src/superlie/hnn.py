@@ -806,11 +806,13 @@ def _normal_forms(
             memo[m] = form
         return form
 
-    return [normal_form(m) for m in monomials]
+    forms = [normal_form(m) for m in monomials]
+    del normal_form  # it refers to itself: free memo and hits now, not at a later gc pass
+    return forms
 
 
 def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureReport:
-    """Four independent checks at every degree n <= max_len.
+    """Four checks at every degree n <= max_len.
 
     (i)   concatenation maps the products of the generators W of total
           length n one-to-one onto the pattern words of length n: the
@@ -823,6 +825,10 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
           coefficient;
     (iv)  reduced expansions of all basis monomials up to n are linearly
           independent and count-match the basis enumeration.
+
+    (ii) is not independent: it is (iii)'s word equality restricted to the
+    words that begin with t, kept as its own entry because it is the part
+    the generators W are responsible for.  A failed (ii) fails (iii).
 
     (i) counts the products instead of listing them: P(0) = 1 and P(n) is
     the sum of P(n - |w|) over the w in W with |w| <= n.  Every pattern
@@ -882,13 +888,11 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         )
 
         monomials = by_degree[n - 1]
-        ls_transfer_ok = {m.word.letters for m in monomials if m.word.letters[0] == t} == {
-            w.letters for w in reduced[n - 1] if w.letters[0] == t
-        }
-
-        admissibility_ok = [m.word for m in monomials] == reduced[n - 1] and all(
-            is_admissible(m) for m in monomials
-        )
+        words = [m.word.letters for m in monomials]
+        expected = [w.letters for w in reduced[n - 1]]
+        # (ii) is (iii)'s word equality read on the words that begin with t
+        ls_transfer_ok = {w for w in words if w[0] == t} == {w for w in expected if w[0] == t}
+        admissibility_ok = words == expected and all(is_admissible(m) for m in monomials)
 
         h_basis_count += len(monomials)
         independent_rank = bisect_left(certificate, h_basis_count)

@@ -65,7 +65,7 @@ class Poly:
         self._terms = tuple(
             sorted(acc.items(), key=lambda kv: deglex_key(kv[0]), reverse=True)
         )
-        self._hash = hash((alphabet, self._terms))
+        self._hash = None  # computed on first use: most polys are never hashed
 
     # -- constructors -------------------------------------------------------
 
@@ -181,6 +181,8 @@ class Poly:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.alphabet._hash, self._terms))
         return self._hash
 
     def __str__(self) -> str:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .poly import MIXED, LetterTerms, Poly, from_letter_terms, letter_terms, superbracket
@@ -250,32 +251,39 @@ def _reduce_letters(
     reduction.  On exit every value is divided back: whole values stay ints,
     the others become Fractions.
     """
-    rules, index, lengths = system.rules, system._index, system._lengths
+    rules, lengths = system.rules, system._lengths
+    get = system._index.get
     shortest = lengths[0] if lengths else 0
 
     def first_hit(letters: tuple[int, ...]) -> Optional[tuple[int, int]]:
         """(rule index, position) of the step the strategy takes on ``letters``.
 
         Called only for a word not yet in ``hits``; it records the answer there.
+        One pass over the positions in the strategy's order, each probed once
+        per leading-word length (ascending, so the first too long ends it),
+        keeping the first-listed rule (leftmost) or the last-listed one.
         """
         n = len(letters)
         last = n - shortest  # an empty leading word occurs at n too
-        hit = None
         for pos in range(last + 1) if leftmost else range(last, -1, -1):
-            found = [
-                index[probe]
-                for k in lengths
-                if pos + k <= n and (probe := letters[pos : pos + k]) in index
-            ]
-            if found:
-                hit = (min(found) if leftmost else max(found), pos)
-                break
-        hits[letters] = hit
-        return hit
+            found = None
+            for k in lengths:
+                if pos + k > n:
+                    break
+                i = get(letters[pos : pos + k])
+                # the rules found at one position differ, so i != found here:
+                # keep the smaller index for leftmost, the larger otherwise
+                if i is not None and (found is None or (i < found) == leftmost):
+                    found = i
+            if found is not None:
+                hits[letters] = hit = (found, pos)
+                return hit
+        hits[letters] = None
+        return None
 
     if leftmost:  # max-heap by deglex
         def entry(letters: tuple[int, ...]) -> tuple:
-            return (-len(letters), tuple(-c for c in letters), letters)
+            return (-len(letters), tuple(map(neg, letters)), letters)
     else:  # min-heap by deglex
         def entry(letters: tuple[int, ...]) -> tuple:
             return (len(letters), letters)

@@ -52,7 +52,9 @@ class Alphabet:
     ``parities`` lists the symbols' parities by rank.
     """
 
-    __slots__ = ("symbols", "parities", "_by_name", "_names", "_key", "_hash", "_dotted")
+    __slots__ = (
+        "symbols", "parities", "_by_name", "_names", "_key", "_hash", "_ranks", "_dotted", "_table"
+    )
 
     def __init__(self, symbols: Sequence[Symbol]):
         symbols = tuple(symbols)
@@ -68,12 +70,21 @@ class Alphabet:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate symbol names in {names}")
         self.symbols = symbols
-        self.parities = tuple(s.parity for s in symbols)
-        self._by_name = {s.name: s for s in symbols}
+        self.parities = tuple([s.parity for s in symbols])
+        self._by_name = dict(zip(names, symbols))
         self._names = tuple(names)
-        self._key = tuple((s.name, s.parity) for s in symbols)
+        self._key = tuple(zip(names, self.parities))
         self._hash = hash(self._key)
-        self._dotted = any(len(s.name) > 1 for s in symbols)
+        self._ranks = frozenset(range(len(symbols)))
+        joined = "".join(names)  # names are non-empty
+        self._dotted = len(joined) > len(names)
+        # rank r -> byte of its name, when every name is one ASCII character;
+        # str(word) formats through it, which ls-words output does word by word
+        self._table = (
+            None
+            if self._dotted or not joined.isascii()
+            else bytes.maketrans(bytes(range(len(names))), joined.encode())
+        )
 
     @classmethod
     def from_names(cls, names: Iterable[str], odd: Iterable[str] = ()) -> "Alphabet":
@@ -120,7 +131,7 @@ class Alphabet:
         return name in self._by_name
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self._key == other._key
+        return self is other or (isinstance(other, Alphabet) and self._key == other._key)
 
     def __hash__(self) -> int:
         return self._hash
@@ -155,19 +166,23 @@ class Alphabet:
 
 
 class Word:
-    """An associative word: a finite sequence of symbol ranks (maybe empty)."""
+    """An associative word: a finite sequence of symbol ranks (maybe empty).
+
+    A rank is an ``int`` (``True`` counts as 1) in ``0 .. len(alphabet) - 1``.
+    """
 
     __slots__ = ("alphabet", "letters", "_hash")
 
     def __init__(self, alphabet: Alphabet, letters: Sequence[int]):
         letters = tuple(letters)
-        n = len(alphabet)
-        for r in letters:
-            if not 0 <= r < n:
-                raise ValueError(f"letter rank {r} out of range for {alphabet!r}")
+        # the rank set compares by value, so 1.0 passes it as rank 1; a sum
+        # of ints is an int, and one with such a value in it is not
+        if not (alphabet._ranks.issuperset(letters) and type(sum(letters)) is int):
+            bad = next(r for r in letters if type(r) not in (int, bool) or r not in alphabet._ranks)
+            raise ValueError(f"letter rank {bad!r} out of range for {alphabet!r}")
         self.alphabet = alphabet
         self.letters = letters
-        self._hash = hash((alphabet._key, letters))
+        self._hash = hash((alphabet._hash, letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -199,9 +214,11 @@ class Word:
         return tuple([names[r] for r in self.letters])
 
     def __str__(self) -> str:
-        names = self.alphabet._names
-        sep = "." if self.alphabet._dotted else ""
-        return sep.join([names[r] for r in self.letters])
+        alphabet = self.alphabet
+        if alphabet._table is not None:
+            return bytes(self.letters).translate(alphabet._table).decode()
+        names = alphabet._names
+        return ("." if alphabet._dotted else "").join([names[r] for r in self.letters])
 
     def __repr__(self) -> str:
         return f"Word({str(self) or '1'})"
@@ -363,6 +380,7 @@ def _super_ls_tuples(
     for c in allowed(()):
         if weights[c] <= max_len:
             grow((c,), 1, weights[c], parities[c])
+    del grow  # it refers to itself: free what it holds now, not at a later gc pass
     for bucket in buckets:
         bucket.sort()
     return buckets

@@ -235,10 +235,12 @@ def test_output_matches_golden_file(capsys, command, name, fmt):
 
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 @pytest.mark.parametrize(
-    "name, alphabet, max_len", [("abc", "a,b:odd,c", "6"), ("lhkz", "l,h,k,z:odd", "5")]
+    "name, alphabet, max_len",
+    [("abc", "a,b:odd,c", "6"), ("lhkz", "l,h,k,z:odd", "5"), ("x1x2y", "x1,x2:odd,y", "5")],
 )
 def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
-    # recorded from the CLI when words were still found by scanning every word
+    # abc and lhkz recorded from the CLI when words were still found by
+    # scanning every word; x1x2y (dotted names) before str(word) had a byte table
     code, out, err = run(
         capsys, "ls-words", "--alphabet", alphabet, "--max-len", max_len,
         "--format", "json" if fmt == "json" else "text",

@@ -1,6 +1,7 @@
 """Structure-constant validation, relation building, bases, structure theorem."""
 
 import copy
+import gc
 import json
 import zlib
 from fractions import Fraction
@@ -981,6 +982,40 @@ def test_structure_check_ii_fails_on_a_mutated_block_alphabet(fixture, mutate, m
     assert [r.ls_transfer_ok for r in report.rows[:first]] == [True] * (first - 1) + [False]
     assert all(r.bijection_ok for r in report.rows)
     assert not report.rows[first - 1].passed and not report.passed
+
+
+@pytest.mark.parametrize("mutate", [_flip_longest_parity, _swap_greatest_letters])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_structure_check_ii_failing_fails_iii(fixture, mutate, monkeypatch):
+    # (ii) is (iii)'s word equality on the words that begin with t, so on
+    # every row of a mutated block alphabet's report a failed (ii) sits with
+    # a failed (iii)
+    class Mutated(hnn._WbarView):
+        def __init__(self, pres, max_len):
+            super().__init__(pres, max_len)
+            mutate(self)
+
+    monkeypatch.setattr(hnn, "_WbarView", Mutated)
+    report = verify_structure_theorem(fixture(), 6)
+    assert any(not r.ls_transfer_ok for r in report.rows)
+    assert not any(r.admissibility_ok for r in report.rows if not r.ls_transfer_ok)
+
+
+@pytest.mark.parametrize("fixture", [ex1, ab5])
+def test_structure_check_leaves_no_reference_cycles(fixture):
+    # the recursive closures of the prenecklace walk and of the memoised
+    # normal forms drop themselves, so their memos go when the call returns
+    # instead of waiting, with every word they hold, for a cyclic collection
+    pres = fixture()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verify_structure_theorem(pres, 5)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_ex1_structure_counts():

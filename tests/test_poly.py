@@ -13,9 +13,11 @@ from superlie import (
     Alphabet,
     Poly,
     Word,
+    expand,
     parse_poly,
     poly_to_text,
     scale,
+    standard_bracket,
     superbracket,
 )
 from conftest import random_homogeneous_poly, random_poly, reference_superbracket
@@ -257,3 +259,22 @@ def test_mapping_input_keeps_the_constructor_contract():
     assert [(str(w), c) for w, c in p.terms()] == [("ba", 3), ("", Fraction(-1, 2))]
     assert all(type(c) is Fraction for _, c in p.terms())
     assert p == Poly(ABX, [(ABX.word("ba"), 3), (ABX.empty_word(), Fraction(-1, 2))])
+
+
+def test_hashes_agree_across_equal_alphabets():
+    # two separately built but equal alphabets: values over them compare and
+    # hash equal; a Poly hashed after use hashes as a fresh equal one
+    first = Alphabet.from_names(["a", "x", "t"], odd=["x"])
+    second = Alphabet.from_names(["a", "x", "t"], odd=["x"])
+    assert first is not second and first == second and hash(first) == hash(second)
+    u, v = first.word("txa"), second.word("txa")
+    assert u == v and hash(u) == hash(v)
+    m, n = standard_bracket(u), standard_bracket(v)
+    assert m == n and hash(m) == hash(n)
+    text = "2*txa - 1/3*xa + 7"
+    p, q = parse_poly(first, text), parse_poly(second, text)
+    assert p == q and hash(p) == hash(q)
+    used = parse_poly(first, text)
+    _ = (used * used, used + q, used.leading(), str(used), used == p)
+    assert hash(used) == hash(parse_poly(second, text)) == hash(used)
+    assert len({p, q, used, expand(m)}) == 2

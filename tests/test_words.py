@@ -10,6 +10,7 @@ from superlie import (
     GT,
     LT,
     Alphabet,
+    Symbol,
     Word,
     deglex_cmp,
     deglex_key,
@@ -413,3 +414,38 @@ def test_from_names_accepts_identifiers():
     assert [s.name for s in alphabet] == ["_", "a1", "B_2"]
     w = alphabet.word("B_2.a1")
     assert alphabet.word(str(w)) == w
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, -1, 2, "a", None])
+def test_word_rejects_a_rank_that_is_not_an_int_of_the_alphabet(bad):
+    # 1.0 equals the rank 1 but is no rank; 2 is len(AB)
+    with pytest.raises(ValueError, match=f"letter rank {bad!r} out of range"):
+        Word(AB, (0, bad))
+
+
+def test_word_takes_true_as_rank_one():
+    w = Word(AB, (True, 0))
+    assert w == AB.word("ba") and hash(w) == hash(AB.word("ba"))
+    assert str(w) == "ba"
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [AB, AXT, Alphabet.from_names(["x1", "x2", "t"]), Alphabet.from_names(["_", "a1", "B_2"])],
+)
+def test_word_text_joins_the_names(alphabet):
+    # one-character names concatenate (through the byte table), longer ones
+    # join with dots, and the text reads back through Alphabet.word
+    sep = "." if any(len(s.name) > 1 for s in alphabet) else ""
+    for n in range(5):
+        for letters in product(range(len(alphabet)), repeat=n):
+            text = str(Word(alphabet, letters))
+            assert text == sep.join(alphabet[r].name for r in letters)
+            assert alphabet.word(text).letters == letters
+
+
+def test_word_text_of_non_ascii_one_character_names():
+    # Alphabet itself takes any non-empty name; these skip the byte table
+    greek = Alphabet([Symbol(0, "α", 0), Symbol(1, "β", 1)])
+    assert str(Word(greek, (1, 0, 0))) == "βαα"
+    assert str(Word(greek, ())) == ""
