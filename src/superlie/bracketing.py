@@ -30,18 +30,28 @@ from .words import (
 )
 
 
+_UNSET = object()  # a leading term not yet computed; None means it cancels
+
+
 class NcMonomial:
-    """A non-associative word: a leaf symbol or a pair of monomials."""
+    """A non-associative word: a leaf symbol or a pair of monomials.
 
-    __slots__ = ("alphabet", "rank", "left", "right", "_word", "_hash")
+    Each node keeps its parity, the XOR of its children's, and the leading
+    term of its expansion once :func:`_lead` has found it, so a subtree
+    shared by many trees is read once.
+    """
 
-    def __init__(self, alphabet, rank, left, right, word):
+    __slots__ = ("alphabet", "rank", "left", "right", "parity", "_word", "_hash", "_leading")
+
+    def __init__(self, alphabet, rank, left, right, word, parity):
         # internal; use the leaf/pair constructors
         self.alphabet = alphabet
         self.rank = rank
         self.left = left
         self.right = right
+        self.parity = parity
         self._word = word
+        self._leading = _UNSET  # computed on first use, by _lead
         if rank is not None:
             self._hash = hash((alphabet._hash, "leaf", rank))
         else:
@@ -51,14 +61,14 @@ class NcMonomial:
     def leaf(cls, alphabet: Alphabet, symbol: Union[Symbol, int]) -> "NcMonomial":
         rank = symbol.rank if isinstance(symbol, Symbol) else symbol
         word = Word(alphabet, (rank,))
-        return cls(alphabet, rank, None, None, word)
+        return cls(alphabet, rank, None, None, word, alphabet.parities[rank])
 
     @classmethod
     def pair(cls, left: "NcMonomial", right: "NcMonomial") -> "NcMonomial":
         if left.alphabet != right.alphabet:
             raise ValueError("monomials over different alphabets")
         word = Word(left.alphabet, left._word.letters + right._word.letters)
-        return cls(left.alphabet, None, left, right, word)
+        return cls(left.alphabet, None, left, right, word, left.parity ^ right.parity)
 
     @property
     def is_leaf(self) -> bool:
@@ -67,10 +77,6 @@ class NcMonomial:
     @property
     def word(self) -> Word:
         return self._word
-
-    @property
-    def parity(self) -> int:
-        return self._word.parity
 
     def __len__(self) -> int:
         return len(self._word)
@@ -146,34 +152,48 @@ def is_super_ls_monomial(m: NcMonomial) -> bool:
     return m.left == m.right and m.left.parity == 1 and is_ls_monomial(m.left)
 
 
-def standard_bracket(w: Word) -> NcMonomial:
+def standard_bracket(
+    w: Word, memo: Optional[dict[tuple[int, ...], NcMonomial]] = None
+) -> NcMonomial:
     """The unique super-LS monomial whose leaves spell ``w``.
 
     LS words of length > 1 split as w = uv with v the longest proper LS
     suffix; squares uu (u odd LS) split in the middle.
+
+    ``memo``, when given, maps letter tuples to the trees already built for
+    them, in the way ``copy.deepcopy`` takes one: every subtree is looked up
+    there before it is built, and stored there once built, so trees made
+    with one memo share their equal subtrees as one object.  Share a memo
+    only among words over one alphabet.
     """
     if not is_super_ls(w):
         raise ValueError(f"not a super-Lyndon-Shirshov word: {str(w)!r}")
-    return _standard(w.alphabet, w.letters)
+    return _standard(w.alphabet, w.letters, {} if memo is None else memo)
 
 
-def _standard(alphabet: Alphabet, letters: tuple[int, ...]) -> NcMonomial:
-    """The standard bracketing of the super-LS letter tuple ``letters``.
+def _standard(
+    alphabet: Alphabet, letters: tuple[int, ...], memo: dict[tuple[int, ...], NcMonomial]
+) -> NcMonomial:
+    """The standard bracketing of the super-LS letter tuple ``letters``, via ``memo``.
 
     Recurses on letter tuples, testing each suffix with ``_is_ls_letters``,
     so no Word is built but those of the returned tree.
     """
+    m = memo.get(letters)
+    if m is not None:
+        return m
     if len(letters) == 1:
-        return NcMonomial.leaf(alphabet, letters[0])
-    if _is_ls_letters(letters):
-        for i in range(1, len(letters)):
-            if _is_ls_letters(letters[i:]):
-                return NcMonomial.pair(
-                    _standard(alphabet, letters[:i]), _standard(alphabet, letters[i:])
-                )
-        raise AssertionError("unreachable: a final letter is always LS")
-    half = _standard(alphabet, letters[: len(letters) // 2])
-    return NcMonomial.pair(half, half)
+        m = NcMonomial.leaf(alphabet, letters[0])
+    elif _is_ls_letters(letters):
+        i = next(i for i in range(1, len(letters)) if _is_ls_letters(letters[i:]))
+        m = NcMonomial.pair(
+            _standard(alphabet, letters[:i], memo), _standard(alphabet, letters[i:], memo)
+        )
+    else:
+        half = _standard(alphabet, letters[: len(letters) // 2], memo)
+        m = NcMonomial.pair(half, half)
+    memo[letters] = m
+    return m
 
 
 def is_admissible(m: NcMonomial) -> bool:
@@ -196,18 +216,29 @@ def is_admissible(m: NcMonomial) -> bool:
 
 
 def _lead(m: NcMonomial) -> Optional[tuple[tuple[int, ...], int]]:
-    """(letters, coefficient) of the leading term of expand(m), or None if it cancels."""
+    """(letters, coefficient) of the leading term of expand(m), or None if it cancels.
+
+    Each node's result is kept on it, so a shared subtree is visited once.
+    """
+    lead = m._leading
+    if lead is not _UNSET:
+        return lead
     if m.is_leaf:
-        return (m.rank,), 1
-    left, right = _lead(m.left), _lead(m.right)
-    if left is None or right is None:
-        return None
-    (u, cu), (v, cv) = left, right
-    uv, vu, c = u + v, v + u, cu * cv
-    swapped = c if m.left.parity and m.right.parity else -c
-    if uv != vu:
-        return (uv, c) if uv > vu else (vu, swapped)
-    return (uv, c + swapped) if c + swapped else None
+        lead = (m.rank,), 1
+    else:
+        left, right = _lead(m.left), _lead(m.right)
+        if left is None or right is None:
+            lead = None
+        else:
+            (u, cu), (v, cv) = left, right
+            uv, vu, c = u + v, v + u, cu * cv
+            swapped = c if m.left.parity and m.right.parity else -c
+            if uv != vu:
+                lead = (uv, c) if uv > vu else (vu, swapped)
+            else:
+                lead = (uv, c + swapped) if c + swapped else None
+    m._leading = lead
+    return lead
 
 
 def right_normed_bracket(

@@ -57,6 +57,7 @@ from .words import (
     Alphabet,
     Symbol,
     Word,
+    _check_name,
     _super_ls_tuples,
     deglex_key,
     lex_cmp,
@@ -222,6 +223,14 @@ def _accumulate(
     return out
 
 
+def _sides(
+    lhs: Iterable[tuple[int, Mapping, Sequence[Mapping]]],
+    rhs: Iterable[tuple[int, Mapping, Sequence[Mapping]]],
+) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """Both sides of an identity, each summed by :func:`_accumulate`."""
+    return _accumulate(lhs), _accumulate(rhs)
+
+
 def _sign(p: int, q: int) -> int:
     return -1 if (p and q) else 1
 
@@ -235,7 +244,8 @@ def validate(sc: StructureConstants) -> ValidationReport:
     * ``anticommutativity``: an even symbol brackets to zero with itself,
       and a pair stored in both orientations agrees up to the sign;
     * five bilinear identities, each one row of data compared target by
-      target: ``jacobi`` (super Jacobi on all ordered basis triples),
+      target: ``jacobi`` (super Jacobi on all ordered basis triples, its
+      residual summed once per cyclic orbit),
       ``odd-square-right`` ([x,[y,y]] = 2[[x,y],y] for odd y),
       ``odd-square-left`` ([[x,x],y] = 2[x,[x,y]] for odd x),
       ``derivation-odd-square`` (d([a,a]) = 2[d(a),a] for odd a in the
@@ -280,41 +290,50 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
                         "stored {}, anti-commutativity requires {}")
 
     # the bilinear identities, one row each: (check, index cases, factor,
-    # detail, terms), where terms(*case) gives the (sign, inner, outer)
-    # terms of lhs and rhs, each summed by _accumulate
+    # detail, sides), where sides(*case) gives lhs and rhs, each summed by
+    # _accumulate from (sign, inner, outer) terms
     odd = [x for x in range(size) if parities[x]]
     every, sub = range(size), range(k)
     # a triple whose three brackets vanish leaves no Jacobi residual
     triples = ((x, y, z) for x, y, z in product(every, repeat=3)
                if ad[y][z] or ad[z][x] or ad[x][y])
+    residuals: dict[tuple[int, int, int], tuple] = {}
+
+    def jacobi(x: int, y: int, z: int) -> tuple:
+        # the three rotations of a triple sum the same three terms, so each
+        # orbit's residual is summed once and compared for every triple
+        orbit = min((x, y, z), (y, z, x), (z, x, y))
+        sides = residuals.get(orbit)
+        if sides is None:
+            sides = residuals[orbit] = _sides([
+                (_sign(parities[x], parities[z]), ad[y][z], ad[x]),
+                (_sign(parities[y], parities[x]), ad[z][x], ad[y]),
+                (_sign(parities[z], parities[y]), ad[x][y], ad[z]),
+            ], ())
+        return sides
+
     rows = (
         # super Jacobi on all ordered triples: the residual must vanish
-        ("jacobi", triples, 1, "residual {}",
-         lambda x, y, z: ([
-             (_sign(parities[x], parities[z]), ad[y][z], ad[x]),
-             (_sign(parities[y], parities[x]), ad[z][x], ad[y]),
-             (_sign(parities[z], parities[y]), ad[x][y], ad[z]),
-         ], ())),
+        ("jacobi", triples, 1, "residual {}", jacobi),
         # [x,[y,y]] = 2[[x,y],y] for odd y
         ("odd-square-right", ((x, y) for y in odd for x in every), 2, "{} != 2*({})",
-         lambda x, y: ([(1, ad[y][y], ad[x])], [(1, ad[x][y], right[y])])),
+         lambda x, y: _sides([(1, ad[y][y], ad[x])], [(1, ad[x][y], right[y])])),
         # [[x,x],y] = 2[x,[x,y]] for odd x
         ("odd-square-left", product(odd, every), 2, "{} != 2*({})",
-         lambda x, y: ([(1, ad[x][x], right[y])], [(1, ad[x][y], ad[x])])),
+         lambda x, y: _sides([(1, ad[x][x], right[y])], [(1, ad[x][y], ad[x])])),
         # d([a,a]) = 2[d(a),a] for odd a in the subalgebra
         ("derivation-odd-square", ((a,) for a in odd if a < k), 2, "{} != 2*({})",
-         lambda a: ([(1, ad[a][a], d)], [(1, d[a], right[a])])),
+         lambda a: _sides([(1, ad[a][a], d)], [(1, d[a], right[a])])),
         # d([a,b]) = [d(a),b] + (-1)^{|d||a|}[a,d(b)] on all subalgebra pairs
         ("derivation-law", product(sub, sub), 1, "{} != {}",
-         lambda a, b: ([(1, ad[a][b], d)], [
+         lambda a, b: _sides([(1, ad[a][b], d)], [
              (1, d[a], right[b]),
              (_sign(sc.d_parity, parities[a]), d[b], ad[a]),
          ])),
     )
-    for check, cases, factor, detail, terms in rows:
+    for check, cases, factor, detail, sides in rows:
         for case in cases:
-            lhs, rhs = terms(*case)
-            compare(check, case, _accumulate(lhs), _accumulate(rhs), factor, detail)
+            compare(check, case, *sides(*case), factor, detail)
 
     # subalgebra closure
     for a in range(k):
@@ -376,7 +395,7 @@ class HnnPresentation:
                 "the subalgebra must be proper: at least one complement symbol"
             )
         try:
-            Alphabet.from_names([t_name])
+            _check_name(t_name, 0)
         except ValueError as exc:
             raise ValueError(f"stable letter: {exc}") from None
         base = constants.alphabet.symbols
@@ -643,7 +662,7 @@ class _WbarView:
     Each letter is a left-combed generator from :func:`free_generators_W`.
     The letters are ordered purely lexicographically by their words (so "t"
     is the greatest letter, being a prefix of all others) and carry their
-    word parities.
+    word parities.  A view lives for one call of :func:`enumerate_h_basis`.
     """
 
     def __init__(self, pres: HnnPresentation, max_len: int):
@@ -658,15 +677,24 @@ class _WbarView:
                 Symbol(i, str(w), w.parity) for i, w in enumerate(self.letters)
             )
         )
+        self._substituted: dict[tuple[int, ...], NcMonomial] = {}
 
     def substitute(self, m: NcMonomial) -> NcMonomial:
         """Replace each letter leaf by its generator's tree over the base.
 
         The word of the result is the concatenation of the letters' words.
+        Each pair is kept by its word over the letters, which fixes it when
+        the trees are standard bracketings: their subtrees are built once,
+        and a tree substituted twice gives the same object.
         """
         if m.is_leaf:
             return self.generators[m.rank]
-        return NcMonomial.pair(self.substitute(m.left), self.substitute(m.right))
+        key = m.word.letters
+        out = self._substituted.get(key)
+        if out is None:
+            out = NcMonomial.pair(self.substitute(m.left), self.substitute(m.right))
+            self._substituted[key] = out
+        return out
 
     def super_ls_sequences(self) -> list[list[tuple[int, ...]]]:
         """The super-LS rank tuples over the letters, bucketed by total length.
@@ -692,16 +720,24 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     letter replaced by its generator's tree.  Nothing here reads the
     relations: that these are admissible bracketings of exactly the
     reduced super-LS words of the relations is what
-    :func:`verify_structure_theorem` checks at each degree.  Raises
-    ``ValueError`` when the tables fail validation or ``max_len < 1``.
+    :func:`verify_structure_theorem` checks at each degree.  Equal
+    subtrees of the returned trees are one object: the bracketings share
+    one ``standard_bracket`` memo and the view keeps what it substitutes.
+    Raises ``ValueError`` when the tables fail validation or
+    ``max_len < 1``.
     """
     _require_valid(pres)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     view = _WbarView(pres, max_len)
-    out = [NcMonomial.leaf(pres.alphabet, r) for r in pres.basis_ranks()]
+    # the complement leaves, each the right child of its generator [t, x]
+    shared = {g.right.rank: g.right for g in view.generators if len(g) == 2}
+    out = [
+        shared.get(r) or NcMonomial.leaf(pres.alphabet, r) for r in pres.basis_ranks()
+    ]
+    memo: dict[tuple[int, ...], NcMonomial] = {}
     for seq in chain.from_iterable(view.super_ls_sequences()):
-        out.append(view.substitute(standard_bracket(Word(view.alphabet, seq))))
+        out.append(view.substitute(standard_bracket(Word(view.alphabet, seq), memo)))
     out.sort(key=lambda m: deglex_key(m.word))
     return out
 
@@ -789,7 +825,9 @@ def _normal_forms(
     the reduction of [NF(u), NF(v)].  That equals the reduction of the free
     expansion when the relations form a Groebner-Shirshov basis.  Every
     subtree of a basis monomial is a basis monomial, so each costs one
-    bracket and one reduction.  The returned dicts are shared: never write.
+    bracket and one reduction; the basis of :func:`enumerate_h_basis`
+    shares its equal subtrees, so the memo finds them by identity.  The
+    returned dicts are shared: never write.
     """
     parities = system.alphabet.parities
     memo: dict[NcMonomial, LetterTerms] = {}

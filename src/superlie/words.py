@@ -43,6 +43,15 @@ class Symbol:
         return self.parity == 1
 
 
+def _check_name(name: object, position: int) -> None:
+    """Raise ``ValueError`` unless ``name`` passes the rule of :meth:`Alphabet.from_names`."""
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+        raise ValueError(
+            f"bad symbol name {name!r} at position {position}: use letters, "
+            "digits and '_', not starting with a digit"
+        )
+
+
 class Alphabet:
     """An immutable, totally ordered set of symbols.
 
@@ -96,11 +105,7 @@ class Alphabet:
         """
         names = list(names)
         for i, name in enumerate(names):
-            if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
-                raise ValueError(
-                    f"bad symbol name {name!r} at position {i}: use letters, "
-                    "digits and '_', not starting with a digit"
-                )
+            _check_name(name, i)
         odd = set(odd)
         unknown = odd - set(names)
         if unknown:

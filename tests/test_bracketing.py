@@ -100,6 +100,51 @@ def test_standard_bracket_is_the_unique_super_ls_monomial(alphabet, max_len):
         assert forget(matches[0]) == w
 
 
+SUPER_LS_ALPHABETS = [
+    AB,
+    Alphabet.from_names(["a", "b"], odd=["a"]),
+    Alphabet.from_names(["a", "x", "t"], odd=["x", "t"]),
+]
+
+
+def subtrees(m):
+    """Every node of ``m``, a shared subtree once per place it occurs."""
+    yield m
+    if not m.is_leaf:
+        yield from subtrees(m.left)
+        yield from subtrees(m.right)
+
+
+@pytest.mark.parametrize("alphabet", SUPER_LS_ALPHABETS)
+def test_standard_bracket_with_a_memo_matches_standard_bracket(alphabet):
+    words = enumerate_super_ls(alphabet, 6)
+    # the squares of odd LS words included
+    assert any(not is_lyndon_shirshov(w) for w in words) == any(alphabet.parities)
+    # one memo per order: shortest words first finds every proper subtree
+    # in the memo, longest first finds the shorter words themselves there
+    for order in (words, words[::-1]):
+        memo = {}
+        for w in order:
+            m = standard_bracket(w, memo)
+            fresh = standard_bracket(w)
+            assert m == fresh and hash(m) == hash(fresh) and str(m) == str(fresh)
+            assert memo[w.letters] is m and standard_bracket(w, memo) is m
+            for node in subtrees(m):
+                assert memo[node.word.letters] is node
+        assert len(memo) == len({n.word.letters for w in words for n in subtrees(memo[w.letters])})
+    with pytest.raises(ValueError, match="not a super-Lyndon-Shirshov word"):
+        standard_bracket(XT.word("xt"), {})
+
+
+def test_monomial_parity_is_its_word_parity():
+    abc = Alphabet.from_names(["a", "b", "c"], odd=["a", "c"])
+    trees = [m for text in ("a", "b", "aa", "cbaca", "ccaab") for m in all_bracketings(abc.word(text))]
+    trees += [parse_monomial(abc, text) for text in ("[[a,a],[c,b]]", "[[a,c],[a,c]]")]
+    for m in trees:
+        for node in subtrees(m):
+            assert node.parity == node.word.parity
+
+
 def test_expand_examples():
     t, x = leaf(XT, "t"), leaf(XT, "x")
     assert expand(pair(t, x)) == parse_poly(XT, "tx - xt")
@@ -217,6 +262,48 @@ def test_cancelled_leading_term_falls_back_to_expand(monkeypatch):
     assert is_admissible(parse_monomial(xt_odd, "[t,[t,x]]"))
     assert is_admissible(parse_monomial(XT, "[t,[t,x]]"))
     assert expanded == []
+
+
+def _uncached_lead(m):
+    """The leading-term recursion on word parities, keeping nothing on the nodes."""
+    if m.is_leaf:
+        return (m.rank,), 1
+    left, right = _uncached_lead(m.left), _uncached_lead(m.right)
+    if left is None or right is None:
+        return None
+    (u, cu), (v, cv) = left, right
+    uv, vu, c = u + v, v + u, cu * cv
+    swapped = c if m.left.word.parity and m.right.word.parity else -c
+    if uv != vu:
+        return (uv, c) if uv > vu else (vu, swapped)
+    return (uv, c + swapped) if c + swapped else None
+
+
+def test_cached_leading_term_matches_a_fresh_recursion():
+    xt_odd = Alphabet.from_names(["x", "t"], odd=["t"])
+    abc = Alphabet.from_names(["a", "b", "c"], odd=["a", "c"])
+    trees = [m for alphabet in (XT, xt_odd) for w in enumerate_super_ls(alphabet, 5)
+             for m in all_bracketings(w)]
+    trees += [m for w in enumerate_super_ls(abc, 4) if len(w) == 4 for m in all_bracketings(w)]
+    # parsed trees, leads that cancel ([x,x] and [t,t] even) among them
+    trees += [parse_monomial(XT, text) for text in ("[x,x]", "[[t,t],x]", "[t,[t,x]]")]
+    trees += [parse_monomial(xt_odd, text) for text in ("[t,t]", "[[t,t],x]", "[[t,x],[t,x]]")]
+    u = parse_monomial(abc, "[a,b]")
+    trees += [pair(u, u), pair(pair(u, u), pair(u, u))]  # shared subtrees
+    cancelled = 0
+    for m in trees:
+        lead = bracketing._lead(m)
+        assert lead == _uncached_lead(m), m
+        assert bracketing._lead(m) == lead, m  # asked twice
+        for node in subtrees(m):  # read back from the nodes the first call filled
+            assert bracketing._lead(node) == _uncached_lead(node), node
+        expansion = expand(m)
+        if lead is None:
+            cancelled += 1
+        else:
+            word, coeff = expansion.leading()
+            assert (word.letters, coeff) == lead, m
+    assert cancelled >= 3
 
 
 def test_right_normed_bracket_examples():

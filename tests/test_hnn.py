@@ -5,7 +5,7 @@ import gc
 import json
 import zlib
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb
 from random import Random
 
@@ -35,6 +35,7 @@ from superlie import (
     rank,
     reduce,
     right_normed_bracket,
+    standard_bracket,
     superbracket,
     validate,
     verify_hnn_gsb,
@@ -43,6 +44,7 @@ from superlie import (
 from superlie import hnn
 from superlie.poly import from_letter_terms
 from conftest import reference_expand
+from test_bracketing import subtrees
 from test_words import _weighted_products
 from superlie.fixtures import (
     ALL,
@@ -430,6 +432,66 @@ def test_identity_checks_match_reference_on_random_edits(fixture):
     assert {"anticommutativity", "jacobi"} <= tripped
 
 
+def _per_triple_jacobi(sc):
+    """The Jacobi violations of ``sc`` summed for every ordered triple on its own.
+
+    The loop ``validate`` ran before it summed one residual per cyclic orbit.
+    """
+    size = len(sc.alphabet)
+    names = [s.name for s in sc.alphabet]
+    par = [s.parity for s in sc.alphabet]
+    ad = [[sc.bracket_coeffs(x, v) for v in range(size)] for x in range(size)]
+    out = []
+    for x, y, z in product(range(size), repeat=3):
+        if not (ad[y][z] or ad[z][x] or ad[x][y]):
+            continue
+        residual = hnn._accumulate([
+            (hnn._sign(par[x], par[z]), ad[y][z], ad[x]),
+            (hnn._sign(par[y], par[x]), ad[z][x], ad[y]),
+            (hnn._sign(par[z], par[y]), ad[x][y], ad[z]),
+        ])
+        for u in sorted(residual):
+            if residual[u] != 0:
+                indices = (names[x], names[y], names[z], names[u])
+                out.append(hnn.Violation("jacobi", indices, f"residual {residual[u]}"))
+    return out
+
+
+def _perturbed_constants(data):
+    """A copy of ``data`` for each stored coefficient, that one raised by 1."""
+    for key in ("brackets", "derivation"):
+        for i, entry in enumerate(data[key]):
+            for j, value in enumerate(entry["value"]):
+                edited = copy.deepcopy(data)
+                edited[key][i]["value"][j]["coeff"] = str(Fraction(value["coeff"]) + 1)
+                yield edited
+
+
+def test_jacobi_identity_report_matches_the_per_triple_loop():
+    # the three negative controls of the benchmark, then every single
+    # perturbed constant of osp(1|2) and sl2
+    bad_jacobi = copy.deepcopy(EX2)
+    bad_jacobi["brackets"].append(_bracket("a", "x", ("a", "1")))
+    bad_law = _with(EX4, derivation=[
+        {"arg": "a", "value": [{"basis": "a", "coeff": "1"}]},
+        {"arg": "b", "value": [{"basis": "b", "coeff": "1"}]},
+    ])
+    bad_anticomm = _with(EX1, brackets=[_bracket("a", "a", ("x", "1"))])
+    tables = [bad_jacobi, bad_law, bad_anticomm]
+    tables += [t for data in (ALL["osp"], ALL["sl2"]) for t in _perturbed_constants(data)]
+    with_jacobi = 0
+    for data in tables:
+        sc = load_presentation(data).constants
+        violations = list(validate(sc).violations)
+        # the per-triple loop's violations in the place of the report's own
+        first = [v for v in violations if v.check == "anticommutativity"]
+        rest = [v for v in violations if v.check not in ("anticommutativity", "jacobi")]
+        jacobi = _per_triple_jacobi(sc)
+        assert violations == first + jacobi + rest
+        with_jacobi += bool(jacobi)
+    assert (len(tables), with_jacobi) == (21, 13)
+
+
 # -- relations ---------------------------------------------------------------------
 
 
@@ -682,6 +744,56 @@ def test_h_basis_block_sequences_are_the_filtered_products(fixture):
         for n in range(1, 9)
     ]
     assert view.super_ls_sequences() == [[]] + filtered
+
+
+def _fresh(m, leaf):
+    """A copy of ``m`` built from new nodes, each leaf replaced by ``leaf(rank)``."""
+    if m.is_leaf:
+        return leaf(m.rank)
+    return NcMonomial.pair(_fresh(m.left, leaf), _fresh(m.right, leaf))
+
+
+def _unshared_h_basis(pres, max_len):
+    """The basis built without shared subtrees: each sequence's standard
+    bracketing on its own, every node of the substituted tree new."""
+    view = hnn._WbarView(pres, max_len)
+
+    def base_leaf(r):
+        return NcMonomial.leaf(pres.alphabet, r)
+
+    def generator(r):
+        return _fresh(view.generators[r], base_leaf)
+
+    out = [base_leaf(r) for r in pres.basis_ranks()]
+    for seq in chain.from_iterable(view.super_ls_sequences()):
+        out.append(_fresh(standard_bracket(Word(view.alphabet, seq)), generator))
+    out.sort(key=lambda m: deglex_key(m.word))
+    return out
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_h_basis_shares_equal_subtrees(fixture):
+    pres, max_len = fixture(), 7
+    unshared = _unshared_h_basis(pres, max_len)
+    basis = enumerate_h_basis(pres, max_len)
+    assert len(basis) == len(unshared)
+    for m, old in zip(basis, unshared):
+        assert m == old and hash(m) == hash(old) and str(m) == str(old)
+    one_object: dict = {}
+    for m in basis:
+        for node in subtrees(m):
+            assert one_object.setdefault(node, node) is node, node
+    assert sum(1 for m in basis for _ in subtrees(m)) > 2 * len(one_object)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_structure_check_reads_shared_and_unshared_trees_alike(fixture, monkeypatch):
+    # the leading terms and normal forms kept on shared nodes give the
+    # report that trees built node by node give
+    pres = fixture()
+    report = verify_structure_theorem(pres, 6).to_dict()
+    monkeypatch.setattr(hnn, "enumerate_h_basis", _unshared_h_basis)
+    assert verify_structure_theorem(pres, 6).to_dict() == report
 
 
 def test_h_basis_requires_valid_constants_and_positive_length():
@@ -1169,6 +1281,22 @@ def test_loader_applies_the_alphabet_name_rule():
     data["stable_letter"] = ["t"]
     with pytest.raises(ValueError, match=r"^stable letter: bad symbol name \['t'\]"):
         load_presentation(data)
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_load_presentation_builds_two_alphabets(name, monkeypatch):
+    # the tables' alphabet and the extended one: the stable letter's name
+    # is checked by the alphabet name rule without building a third
+    built = []
+    init = Alphabet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Alphabet, "__init__", counting_init)
+    pres = load_presentation(ALL[name])
+    assert [id(a) for a in built] == [id(pres.constants.alphabet), id(pres.alphabet)]
 
 
 def test_loader_normalizes_fractions():
