@@ -24,7 +24,7 @@ from .words import (
     Symbol,
     Word,
     _is_ls_letters,
-    is_lyndon_shirshov,
+    _standard_coefficient,
     is_super_ls,
     lex_cmp,
 )
@@ -207,11 +207,12 @@ def is_admissible(m: NcMonomial) -> bool:
     -(-1)^{|u||v|}; equal words add their coefficients.
     """
     w = m.word
-    if not is_super_ls(w):
+    coeff = _standard_coefficient(w)
+    if coeff is None:
         raise ValueError(f"underlying word is not super-Lyndon-Shirshov: {str(w)!r}")
     lead = _lead(m)
     if lead is not None:
-        return lead == (w.letters, 1 if is_lyndon_shirshov(w) else 2)
+        return lead == (w.letters, coeff)
     return is_unitriangular([(w, expand(m))])
 
 

@@ -13,10 +13,10 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from .bracketing import expand, parse_monomial, standard_bracket
 from .hnn import (
+    _read_json,
     build_relations,
     enumerate_h_basis,
     enumerate_uh_basis,
@@ -67,20 +67,6 @@ def _word_text(w) -> str:
     return str(w) or "1"
 
 
-def _load_json(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return data
-
-
 def _load_system(path: str) -> tuple[RewriteSystem, object]:
     """A rewrite system from either a presentation or a rules file.
 
@@ -88,7 +74,7 @@ def _load_system(path: str) -> tuple[RewriteSystem, object]:
     "rules": ["xy - v", ...]}; presentations are detected by their
     subalgebra_size key.  Returns (system, presentation or None).
     """
-    data = _load_json(path)
+    data = _read_json(path)
     if "subalgebra_size" in data:
         pres = load_presentation(data)
         return build_relations(pres), pres
@@ -185,7 +171,7 @@ def _cmd_gsb_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_hnn_verify(args) -> tuple[int, dict, list[str]]:
-    pres = load_presentation(_load_json(args.input))
+    pres = load_presentation(args.input)
     validation = validate(pres.constants)
     if not validation.passed:
         payload = {
@@ -209,7 +195,7 @@ def _cmd_hnn_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:
-    pres = load_presentation(_load_json(args.input))
+    pres = load_presentation(args.input)
     h_basis = enumerate_h_basis(pres, args.max_len)
     uh_basis = enumerate_uh_basis(pres, args.max_len)
     generators = free_generators_W(pres, args.max_len)

@@ -629,7 +629,7 @@ def enumerate_uh_basis(pres: HnnPresentation, max_len: int) -> list[Word]:
     letter by letter along :func:`_successors`; no other word is generated.
     Raises ``ValueError`` when the tables fail validation.  The tests hold
     the walk to a subword scan of every word (every table shape on up to
-    three basis symbols, and the shipped fixtures).
+    three basis symbols, and the example presentations in `fixtures/`).
     """
     _require_valid(pres)
     return [Word(pres.alphabet, w) for w in _walks(_successors(pres), (), max_len)]
@@ -1034,6 +1034,21 @@ def parse_generators(gens) -> Alphabet:
         raise ValueError(f"generators: {exc}") from None
 
 
+def _read_json(path: Union[str, Path]) -> dict:
+    """The JSON object in a file; every failure is a ``ValueError`` naming the path."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
+
+
 def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
     """Read a presentation from a JSON file or an equivalent mapping.
 
@@ -1041,19 +1056,10 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
     subalgebra_size, d_parity, brackets (one orientation of each pair is
     enough), derivation (arguments must be subalgebra generators).  Unknown
     names are rejected with the offending location; non-reduced fractions
-    are accepted and normalized.
+    are accepted and normalized.  A file that cannot be read, is not JSON
+    or holds no JSON object raises ``ValueError`` with its path.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{source}: invalid JSON ({exc})") from None
-    else:
-        data = dict(source)
-    if not isinstance(data, dict):
-        raise ValueError("presentation: expected a JSON object")
-
+    data = _read_json(source) if isinstance(source, (str, Path)) else dict(source)
     alphabet = parse_generators(data.get("generators"))
     by_name = {s.name: s.rank for s in alphabet.symbols}
 

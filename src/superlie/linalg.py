@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .poly import LetterTerms, Poly, letter_terms
-from .words import Word, is_lyndon_shirshov, is_super_ls
+from .words import Word, _standard_coefficient
 
 
 def rank(vectors: Sequence[Union[Poly, LetterTerms]]) -> tuple[int, list[int]]:
@@ -60,13 +60,9 @@ def is_unitriangular(pairs: Sequence[tuple[Word, Poly]]) -> bool:
     deglex maximum, all remaining support is automatically strictly smaller.
     """
     for claimed, vector in pairs:
-        if not claimed.letters or not is_super_ls(claimed):
+        if not claimed.letters:
             return False
-        if vector.is_zero():
-            return False
-        lead_word, lead_coeff = vector.leading()
-        if lead_word != claimed:
-            return False
-        if lead_coeff != (1 if is_lyndon_shirshov(claimed) else 2):
+        coeff = _standard_coefficient(claimed)
+        if coeff is None or vector.is_zero() or vector.leading() != (claimed, coeff):
             return False
     return True

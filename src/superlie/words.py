@@ -284,18 +284,27 @@ def is_lyndon_shirshov(w: Word) -> bool:
     return _is_ls_letters(w.letters)
 
 
-def is_super_ls(w: Word) -> bool:
-    """True iff ``w`` is LS, or ``w = uu`` with ``u`` an odd LS word."""
+def _standard_coefficient(w: Word) -> Optional[int]:
+    """1 if ``w`` is LS, 2 if ``w = uu`` with ``u`` an odd LS word, else None.
+
+    The leading coefficient that the expansion of a super-LS word's standard
+    bracketing must have.  An LS word costs one rotation scan.
+    """
     letters = w.letters
     if not letters:
         raise ValueError("the empty word is not eligible")
     if _is_ls_letters(letters):
-        return True
-    n = len(letters)
-    if n % 2:
-        return False
-    u = letters[: n // 2]
-    return u == letters[n // 2 :] and _parity(w.alphabet, u) == 1 and _is_ls_letters(u)
+        return 1
+    half, odd_length = divmod(len(letters), 2)
+    u = letters[:half]
+    if odd_length or u != letters[half:] or not _parity(w.alphabet, u):
+        return None
+    return 2 if _is_ls_letters(u) else None
+
+
+def is_super_ls(w: Word) -> bool:
+    """True iff ``w`` is LS, or ``w = uu`` with ``u`` an odd LS word."""
+    return _standard_coefficient(w) is not None
 
 
 def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:

@@ -1,9 +1,48 @@
 """Shared helpers for the test suite."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
-from superlie import Poly, Word
+from superlie import Poly, Word, load_presentation
+
+# The example presentations, read from ``fixtures/<name>.json``:
+# EX1: even subalgebra {a} inside an abelian even 2-dimensional algebra,
+#      derivation a -> x, even stable letter.  The plain pair and
+#      stable-letter relations, with no odd symbols at all.
+# EX2: even subalgebra {x} with an odd complement symbol a squaring to x,
+#      derivation x -> a, odd stable letter.  The odd-square rules on a
+#      complement symbol (composition families 3 and 4).
+# EX3: odd subalgebra {a} with [a, a] = 0, derivation a -> x, odd stable
+#      letter.  The odd-square rule inside the subalgebra (family 5) and
+#      the self-bracket [t, t] basis monomial.
+# EX4: non-abelian subalgebra {a, b} with [a, b] = a, derivation a -> a,
+#      b -> x.  Families 1 and 2 (triple overlap, stable/pair).
+# sl2: sl2 with d = ad f restricted to the Borel subalgebra {h, e}.
+# osp: osp(1|2) with the odd derivation d = ad v on {h, e, u}; the only
+#      one with an odd subalgebra symbol, an odd complement symbol and all
+#      five composition families.
+# ab5: five even letters, abelian, subalgebra {a, b}, derivation a -> x.
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ALL = {
+    name: json.loads((FIXTURES / f"{name}.json").read_text())
+    for name in ("ex1", "ex2", "ex3", "ex4", "sl2", "osp", "ab5")
+}
+EX1, EX2, EX3, EX4 = ALL["ex1"], ALL["ex2"], ALL["ex3"], ALL["ex4"]
+
+
+def _loader(name):
+    """A function named ``name`` that loads that presentation afresh."""
+
+    def load():
+        return load_presentation(ALL[name])
+
+    load.__name__ = load.__qualname__ = name
+    return load
+
+
+ex1, ex2, ex3, ex4, sl2, osp, ab5 = map(_loader, ALL)
 
 
 def random_word(rng: Random, alphabet, max_len=4, min_len=0) -> Word:

@@ -33,7 +33,7 @@ from superlie import (
     verify_hnn_gsb,
     verify_structure_theorem,
 )
-from superlie.fixtures import EX2, ex1, ex2, ex3
+from conftest import EX2, ex1, ex2, ex3
 from conftest import random_poly
 
 FIXTURES = (("ex1", ex1), ("ex2", ex2), ("ex3", ex3))

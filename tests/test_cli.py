@@ -1,15 +1,23 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import doctest
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from superlie import cli
 from superlie.cli import main
-from superlie.fixtures import ALL
+from superlie.hnn import load_presentation, validate
+from conftest import ALL
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -20,9 +28,52 @@ def run(capsys, *argv):
 
 
 def test_shipped_fixture_files_match_source():
-    for name, data in ALL.items():
-        on_disk = json.loads((FIXTURES / f"{name}.json").read_text())
-        assert on_disk == data
+    # every presentation file is one of the examples, so none is skipped
+    presentations = {
+        path.stem: path
+        for path in sorted(FIXTURES.glob("*.json"))
+        if "rules" not in json.loads(path.read_text())
+    }
+    assert set(presentations) == set(ALL)
+    for path in presentations.values():
+        assert validate(load_presentation(path).constants).passed
+
+
+def test_package_runs_without_the_repository(capsys, tmp_path):
+    # the package alone, run away from the repository root, as an installed
+    # copy is: it reads no file of the repository but the input it is given
+    shutil.copytree(
+        ROOT / "src" / "superlie", tmp_path / "superlie",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    where = subprocess.run(
+        [sys.executable, "-c", "import superlie; print(superlie.__file__)"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert Path(where.stdout.strip()).parent == tmp_path / "superlie"
+    argv = ["hnn-verify", "--input", str(FIXTURES / "ex1.json"), "--format", "json"]
+    done = subprocess.run(
+        [sys.executable, "-m", "superlie.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stderr) == (code, "") == (0, "")
+    assert done.stdout == out
+
+
+def test_readme_session_runs(monkeypatch):
+    # the pycon blocks alone, so that a closing fence is not read as output;
+    # run from the repository root, where the session's paths start
+    sessions = re.findall(r"```pycon\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert sessions
+    monkeypatch.chdir(ROOT)
+    parser, runner, report = doctest.DocTestParser(), doctest.DocTestRunner(), []
+    for session in sessions:
+        test = parser.get_doctest(session, {}, "README.md", str(ROOT / "README.md"), 0)
+        runner.run(test, out=report.append)
+    failed, attempted = runner.summarize(verbose=False)
+    assert attempted and not failed, "".join(report)
 
 
 def test_ls_words(capsys):

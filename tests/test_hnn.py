@@ -46,7 +46,7 @@ from superlie.poly import from_letter_terms
 from conftest import reference_expand
 from test_bracketing import subtrees
 from test_words import _weighted_products
-from superlie.fixtures import (
+from conftest import (
     ALL,
     EX1,
     EX2,
@@ -1256,6 +1256,20 @@ def test_fixture_dicts_round_trip():
         pres = load_presentation(data)
         again = load_presentation(presentation_to_dict(pres))
         assert presentation_to_dict(again) == presentation_to_dict(pres)
+
+
+def test_loader_reports_file_errors_by_path(tmp_path):
+    # a missing file is a ValueError like every other input error, not a
+    # FileNotFoundError, and a file without an object names its path
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ValueError, match=r"missing\.json: \[Errno 2\]"):
+        load_presentation(missing)
+    for text, message in (("[1, 2]", "expected a JSON object"), ("{", "invalid JSON")):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_presentation(str(path))
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_loader_rejects_unknown_names():

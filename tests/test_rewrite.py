@@ -32,7 +32,7 @@ from superlie import (
     superbracket,
 )
 from superlie import rewrite
-from superlie.fixtures import ALL
+from conftest import ALL
 from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
 from conftest import random_poly, random_word
 

@@ -19,7 +19,7 @@ from superlie import (
     is_super_ls,
     lex_cmp,
 )
-from superlie.words import _super_ls_tuples
+from superlie.words import _standard_coefficient, _super_ls_tuples
 
 AB = Alphabet.from_names(["a", "b"])
 AXT = Alphabet.from_names(["a", "x", "t"])
@@ -161,6 +161,22 @@ def test_ls_matches_rotation_oracle(alphabet):
             w = Word(alphabet, letters)
             assert is_lyndon_shirshov(w) == oracle_is_ls(letters)
             assert is_super_ls(w) == oracle_is_super_ls(letters, parities)
+
+
+def test_standard_coefficient_is_1_for_ls_and_2_for_odd_squares():
+    alphabet = Alphabet.from_names(["a", "b", "c"], odd=["a", "c"])
+    parities = [s.parity for s in alphabet.symbols]
+    squares = 0
+    for n in range(1, 8):
+        for letters in product(range(len(alphabet)), repeat=n):
+            w = Word(alphabet, letters)
+            expected = (1 if is_lyndon_shirshov(w) else 2) if is_super_ls(w) else None
+            assert _standard_coefficient(w) == expected
+            assert (expected is not None) == oracle_is_super_ls(letters, parities)
+            squares += expected == 2
+    assert squares > 0
+    with pytest.raises(ValueError):
+        _standard_coefficient(alphabet.word(""))
 
 
 def test_super_ls_first_letter_is_maximal():
