@@ -1,7 +1,7 @@
 """Non-associative monomials: bracketings of words and their expansions.
 
 An :class:`NcMonomial` is a binary tree with symbols at the leaves; reading
-the leaves left to right recovers an associative word (``forget``).  Every
+the leaves left to right recovers an associative word (``m.word``).  Every
 super-Lyndon-Shirshov word carries exactly one bracketing satisfying the
 recursive Lyndon-Shirshov monomial condition; ``standard_bracket`` computes
 it by repeatedly splitting off the longest proper LS suffix (and splitting a
@@ -14,19 +14,17 @@ as a basis; ``is_admissible`` checks user-supplied trees.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .linalg import is_unitriangular
 from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
 from .words import (
-    GT,
     Alphabet,
     Symbol,
     Word,
     _is_ls_letters,
     _standard_coefficient,
     is_super_ls,
-    lex_cmp,
 )
 
 
@@ -102,11 +100,6 @@ class NcMonomial:
         return f"NcMonomial({self})"
 
 
-def forget(m: NcMonomial) -> Word:
-    """The associative word obtained by erasing all brackets."""
-    return m.word
-
-
 def expand(m: NcMonomial) -> Poly:
     """Evaluate the tree in the free associative superalgebra.
 
@@ -123,33 +116,6 @@ def _expand_letters(m: NcMonomial, parities: tuple[int, ...]) -> LetterTerms:
     return bracket_terms(
         parities, _expand_letters(m.left, parities), _expand_letters(m.right, parities)
     )
-
-
-def is_ls_monomial(m: NcMonomial) -> bool:
-    """Recursive Lyndon-Shirshov monomial test.
-
-    A leaf qualifies; a pair (u1, u2) qualifies when u1 > u2 on underlying
-    words, both halves qualify, and (if u1 = (v1, v2)) v2 <= u2.
-    """
-    if m.is_leaf:
-        return True
-    u1, u2 = m.left, m.right
-    if lex_cmp(u1.word, u2.word) != GT:
-        return False
-    if not is_ls_monomial(u1) or not is_ls_monomial(u2):
-        return False
-    if not u1.is_leaf and lex_cmp(u1.right.word, u2.word) == GT:
-        return False
-    return True
-
-
-def is_super_ls_monomial(m: NcMonomial) -> bool:
-    """LS monomial, or (u, u) with u an odd LS monomial."""
-    if is_ls_monomial(m):
-        return True
-    if m.is_leaf:
-        return False
-    return m.left == m.right and m.left.parity == 1 and is_ls_monomial(m.left)
 
 
 def standard_bracket(
@@ -197,7 +163,7 @@ def _standard(
 
 
 def is_admissible(m: NcMonomial) -> bool:
-    """Expansion has leading word forget(m) with the standard coefficient.
+    """Expansion has leading word ``m.word`` with the standard coefficient.
 
     The underlying word must be super-LS; the required coefficient is 1 for
     an LS word and 2 for an odd square.  The leading term comes by
@@ -240,37 +206,6 @@ def _lead(m: NcMonomial) -> Optional[tuple[tuple[int, ...], int]]:
                 lead = (uv, c + swapped) if c + swapped else None
     m._leading = lead
     return lead
-
-
-def right_normed_bracket(
-    alphabet: Alphabet,
-    head: Union[Symbol, int],
-    xs: Sequence[Union[Symbol, int]],
-) -> NcMonomial:
-    """The left-combed tree [...[[head, x1], x2], ..., xs].
-
-    The tail ranks must be weakly increasing, strictly below the head's rank,
-    with odd symbols appearing at most once; under those conditions the
-    result is the standard bracketing of head*x1*...*xs.
-    """
-    head_rank = head.rank if isinstance(head, Symbol) else head
-    ranks = [x.rank if isinstance(x, Symbol) else x for x in xs]
-    for prev, cur in zip(ranks, ranks[1:]):
-        if prev > cur:
-            raise ValueError("tail symbols must be weakly increasing")
-    for r in ranks:
-        if r >= head_rank:
-            raise ValueError("tail symbols must be strictly below the head")
-    odd_counts: dict[int, int] = {}
-    for r in ranks:
-        if alphabet.symbols[r].parity == 1:
-            odd_counts[r] = odd_counts.get(r, 0) + 1
-            if odd_counts[r] > 1:
-                raise ValueError("odd tail symbols may appear at most once")
-    m = NcMonomial.leaf(alphabet, head_rank)
-    for r in ranks:
-        m = NcMonomial.pair(m, NcMonomial.leaf(alphabet, r))
-    return m
 
 
 # -- text form -----------------------------------------------------------------

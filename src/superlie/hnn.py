@@ -148,9 +148,6 @@ class StructureConstants:
     def name(self, rank: int) -> str:
         return self.alphabet.symbols[rank].name
 
-    def subalgebra_ranks(self) -> range:
-        return range(self.subalgebra_size)
-
     def bracket_coeffs(self, x: int, y: int) -> Mapping[int, Fraction]:
         """Coefficients of [x, y], deriving the missing mirror by sign."""
         stored = self.alpha.get((x, y))
@@ -221,14 +218,6 @@ def _accumulate(
             for u, e in outer[v].items():
                 out[u] = out.get(u, 0) + c * e
     return out
-
-
-def _sides(
-    lhs: Iterable[tuple[int, Mapping, Sequence[Mapping]]],
-    rhs: Iterable[tuple[int, Mapping, Sequence[Mapping]]],
-) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """Both sides of an identity, each summed by :func:`_accumulate`."""
-    return _accumulate(lhs), _accumulate(rhs)
 
 
 def _sign(p: int, q: int) -> int:
@@ -305,11 +294,11 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
         orbit = min((x, y, z), (y, z, x), (z, x, y))
         sides = residuals.get(orbit)
         if sides is None:
-            sides = residuals[orbit] = _sides([
+            sides = residuals[orbit] = _accumulate([
                 (_sign(parities[x], parities[z]), ad[y][z], ad[x]),
                 (_sign(parities[y], parities[x]), ad[z][x], ad[y]),
                 (_sign(parities[z], parities[y]), ad[x][y], ad[z]),
-            ], ())
+            ]), {}
         return sides
 
     rows = (
@@ -317,19 +306,21 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
         ("jacobi", triples, 1, "residual {}", jacobi),
         # [x,[y,y]] = 2[[x,y],y] for odd y
         ("odd-square-right", ((x, y) for y in odd for x in every), 2, "{} != 2*({})",
-         lambda x, y: _sides([(1, ad[y][y], ad[x])], [(1, ad[x][y], right[y])])),
+         lambda x, y: (_accumulate([(1, ad[y][y], ad[x])]),
+                       _accumulate([(1, ad[x][y], right[y])]))),
         # [[x,x],y] = 2[x,[x,y]] for odd x
         ("odd-square-left", product(odd, every), 2, "{} != 2*({})",
-         lambda x, y: _sides([(1, ad[x][x], right[y])], [(1, ad[x][y], ad[x])])),
+         lambda x, y: (_accumulate([(1, ad[x][x], right[y])]),
+                       _accumulate([(1, ad[x][y], ad[x])]))),
         # d([a,a]) = 2[d(a),a] for odd a in the subalgebra
         ("derivation-odd-square", ((a,) for a in odd if a < k), 2, "{} != 2*({})",
-         lambda a: _sides([(1, ad[a][a], d)], [(1, d[a], right[a])])),
+         lambda a: (_accumulate([(1, ad[a][a], d)]), _accumulate([(1, d[a], right[a])]))),
         # d([a,b]) = [d(a),b] + (-1)^{|d||a|}[a,d(b)] on all subalgebra pairs
         ("derivation-law", product(sub, sub), 1, "{} != {}",
-         lambda a, b: _sides([(1, ad[a][b], d)], [
+         lambda a, b: (_accumulate([(1, ad[a][b], d)]), _accumulate([
              (1, d[a], right[b]),
              (_sign(sc.d_parity, parities[a]), d[b], ad[a]),
-         ])),
+         ]))),
     )
     for check, cases, factor, detail, sides in rows:
         for case in cases:
@@ -412,17 +403,6 @@ class HnnPresentation:
         self.t_rank = len(base)
         self._relations = None
 
-    @property
-    def t_symbol(self) -> Symbol:
-        return self.alphabet.symbols[self.t_rank]
-
-    def basis_ranks(self) -> range:
-        """Ranks of the original algebra's basis inside the extended alphabet."""
-        return range(len(self.constants.alphabet))
-
-    def subalgebra_ranks(self) -> range:
-        return self.constants.subalgebra_ranks()
-
     def __repr__(self) -> str:
         return (
             f"HnnPresentation({self.alphabet!r}, "
@@ -460,7 +440,7 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
     size = len(sc.alphabet)
     heads = [(x, y, sc.bracket_coeffs(x, y)) for x in range(size) for y in range(x)]
     heads += [(x, x, sc.bracket_coeffs(x, x)) for x in range(size) if sc.parity(x)]
-    heads += [(pres.t_rank, a, sc.derivation_coeffs(a)) for a in sc.subalgebra_ranks()]
+    heads += [(pres.t_rank, a, sc.derivation_coeffs(a)) for a in range(sc.subalgebra_size)]
     leaves = [NcMonomial.leaf(pres.alphabet, r) for r in range(len(pres.alphabet))]
     polys = [
         expand(NcMonomial.pair(leaves[x], leaves[y])) - _tail_poly(pres, tail)
@@ -561,7 +541,7 @@ def verify_hnn_gsb(pres: HnnPresentation) -> HnnGsbReport:
         for y in range(x):
             for z in range(y):
                 check(1, "pair/pair", lead(x, y), lead(y, z), (x, y, z))
-    for a in sc.subalgebra_ranks():
+    for a in range(sc.subalgebra_size):
         for b in range(a):
             check(2, "stable/pair", lead(t, a), lead(a, b), (t, a, b))
     for x in range(size):
@@ -572,7 +552,7 @@ def verify_hnn_gsb(pres: HnnPresentation) -> HnnGsbReport:
         if sc.parity(x):
             for y in range(x):
                 check(4, "odd-square/pair", lead(x, x), lead(x, y), (x, x, y))
-    for a in sc.subalgebra_ranks():
+    for a in range(sc.subalgebra_size):
         if sc.parity(a):
             check(5, "stable/odd-square", lead(t, a), lead(a, a), (t, a, a))
 
@@ -733,7 +713,7 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     # the complement leaves, each the right child of its generator [t, x]
     shared = {g.right.rank: g.right for g in view.generators if len(g) == 2}
     out = [
-        shared.get(r) or NcMonomial.leaf(pres.alphabet, r) for r in pres.basis_ranks()
+        shared.get(r) or NcMonomial.leaf(pres.alphabet, r) for r in range(pres.t_rank)
     ]
     memo: dict[tuple[int, ...], NcMonomial] = {}
     for seq in chain.from_iterable(view.super_ls_sequences()):
@@ -1057,9 +1037,14 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
     enough), derivation (arguments must be subalgebra generators).  Unknown
     names are rejected with the offending location; non-reduced fractions
     are accepted and normalized.  A file that cannot be read, is not JSON
-    or holds no JSON object raises ``ValueError`` with its path.
+    or holds no JSON object raises ``ValueError`` with its path, and so
+    does a rules file: rules but no subalgebra_size.
     """
-    data = _read_json(source) if isinstance(source, (str, Path)) else dict(source)
+    is_path = isinstance(source, (str, Path))
+    data = _read_json(source) if is_path else dict(source)
+    if "rules" in data and "subalgebra_size" not in data:
+        where = f"{source}: " if is_path else ""
+        raise ValueError(f"{where}expected a presentation, got a rules file")
     alphabet = parse_generators(data.get("generators"))
     by_name = {s.name: s.rank for s in alphabet.symbols}
 
@@ -1093,36 +1078,3 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
     constants = StructureConstants(alphabet, k, d_parity, brackets, derivation)
     return HnnPresentation(constants, t_name=data.get("stable_letter", "t"))
 
-
-def presentation_to_dict(pres: HnnPresentation) -> dict:
-    """The canonical mapping form of a presentation (inverse of the loader)."""
-    sc = pres.constants
-    return {
-        "generators": [
-            {"name": s.name, "parity": s.parity} for s in sc.alphabet.symbols
-        ],
-        "subalgebra_size": sc.subalgebra_size,
-        "d_parity": sc.d_parity,
-        "brackets": [
-            {
-                "left": sc.name(x),
-                "right": sc.name(y),
-                "value": [
-                    {"basis": sc.name(v), "coeff": str(c)}
-                    for v, c in sorted(coeffs.items())
-                ],
-            }
-            for (x, y), coeffs in sorted(sc.alpha.items())
-        ],
-        "derivation": [
-            {
-                "arg": sc.name(a),
-                "value": [
-                    {"basis": sc.name(v), "coeff": str(c)}
-                    for v, c in sorted(coeffs.items())
-                ],
-            }
-            for a, coeffs in sorted(sc.beta.items())
-        ],
-        "stable_letter": pres.t_symbol.name,
-    }

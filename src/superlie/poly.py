@@ -77,10 +77,6 @@ class Poly:
     def monomial(cls, word: Word, coeff: Scalar = 1) -> "Poly":
         return cls(word.alphabet, ((word, coeff),))
 
-    @classmethod
-    def generator(cls, alphabet: Alphabet, name: str) -> "Poly":
-        return cls.monomial(Word(alphabet, (alphabet.symbol(name).rank,)))
-
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -113,12 +109,6 @@ class Poly:
         if not seen or seen == {0}:
             return EVEN
         return ODD
-
-    def even_part(self) -> "Poly":
-        return Poly(self.alphabet, [(w, c) for w, c in self._terms if w.parity == 0])
-
-    def odd_part(self) -> "Poly":
-        return Poly(self.alphabet, [(w, c) for w, c in self._terms if w.parity == 1])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -161,12 +151,6 @@ class Poly:
             return self
         return self * (Fraction(1) / c)
 
-    def __truediv__(self, c: Scalar) -> "Poly":
-        c = _to_fraction(c)
-        if not c:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (Fraction(1) / c)
-
     def _check_compatible(self, other: "Poly") -> None:
         if self.alphabet != other.alphabet:
             raise ValueError("polynomials over different alphabets")
@@ -193,10 +177,6 @@ class Poly:
 
 
 _ZERO = Fraction(0)
-
-
-def scale(c: Scalar, p: Poly) -> Poly:
-    return p * c
 
 
 LetterTerms = dict[tuple[int, ...], Scalar]
@@ -299,7 +279,8 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
     if text == "0":
         return Poly.zero(alphabet)
     terms: list[tuple[Word, Fraction]] = []
-    # split into signed chunks at top level; no parentheses in this grammar
+    # split into signed chunks at top level; no parentheses in this grammar.
+    # A sign opens the text or follows a term, and a term follows it.
     chunks: list[tuple[int, str]] = []
     sign, buf = 1, []
     for i, ch in enumerate(text):
@@ -307,14 +288,15 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
             piece = "".join(buf).strip()
             if piece:
                 chunks.append((sign, piece))
+            elif i:
+                raise ValueError(f"a sign without a term after it in {text!r}")
             sign, buf = (1 if ch == "+" else -1), []
         else:
             buf.append(ch)
     piece = "".join(buf).strip()
-    if piece:
-        chunks.append((sign, piece))
-    if not chunks:
-        raise ValueError(f"cannot parse polynomial {text!r}")
+    if not piece:
+        raise ValueError(f"a sign without a term after it in {text!r}")
+    chunks.append((sign, piece))
     try:
         for sign, piece in chunks:
             if piece.count("*") > 1:

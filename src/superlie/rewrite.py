@@ -98,9 +98,6 @@ class RewriteSystem:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def leading_words(self) -> tuple[Word, ...]:
-        return tuple(rule.leading_word for rule in self.rules)
-
     def rule_with_leading(self, word: Word) -> RewriteRule:
         index = self._index.get(word.letters) if word.alphabet == self.alphabet else None
         if index is None:
@@ -134,24 +131,18 @@ class ReductionStep:
 class ReductionTrace:
     """The step sequence of one reduction, replayable against the input.
 
-    :func:`reduce` hands over its kernel's (letters, rule index, position)
-    tuples; ``steps`` builds the :class:`ReductionStep` objects on first read
-    and keeps them, and ``len`` counts without building any.
+    It holds the steps as (letters, rule index, position) tuples, as the
+    kernel of :func:`reduce` records them; ``steps`` builds the
+    :class:`ReductionStep` objects on first read and keeps them, and
+    ``len`` counts without building any.
     """
 
     __slots__ = ("_raw", "_steps", "normal_form")
 
-    def __init__(self, steps: Sequence[ReductionStep], normal_form: Poly):
-        self._raw = self._steps = tuple(steps)
+    def __init__(self, raw: Sequence[tuple[tuple[int, ...], int, int]], normal_form: Poly):
+        self._raw = raw
+        self._steps = None
         self.normal_form = normal_form
-
-    @classmethod
-    def _from_kernel(
-        cls, raw: Sequence[tuple[tuple[int, ...], int, int]], normal_form: Poly
-    ) -> "ReductionTrace":
-        trace = cls.__new__(cls)
-        trace._raw, trace._steps, trace.normal_form = raw, None, normal_form
-        return trace
 
     @property
     def steps(self) -> tuple[ReductionStep, ...]:
@@ -229,7 +220,7 @@ def reduce(
     terms = letter_terms(p)
     steps = _reduce_letters(terms, system, strategy == LARGEST_LEFTMOST, {})
     normal_form = from_letter_terms(alphabet, terms)
-    return normal_form, ReductionTrace._from_kernel(steps, normal_form)
+    return normal_form, ReductionTrace(steps, normal_form)
 
 
 def _reduce_letters(

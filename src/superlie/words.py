@@ -7,7 +7,8 @@ the package:
   GREATER than its extensions ("t" > "tx" > "txx").  This is the opposite of
   dictionary order.  Lyndon-Shirshov recognition, leading words and standard
   bracketings all depend on this convention, so it must not be "fixed".
-* ``deglex_cmp`` -- by length first, ties broken by ``lex_cmp``.
+* deglex -- by length first, ties broken by ``lex_cmp``; ``deglex_key``
+  is its sort key.
 
 A word is a Lyndon-Shirshov (LS) word when it is strictly greater, in the
 lexicographic order above, than every proper cyclic rotation of itself.  A
@@ -37,10 +38,6 @@ class Symbol:
             raise ValueError(f"parity must be 0 or 1, got {self.parity!r}")
         if not self.name:
             raise ValueError("symbol name must be non-empty")
-
-    @property
-    def is_odd(self) -> bool:
-        return self.parity == 1
 
 
 def _check_name(name: object, position: int) -> None:
@@ -132,9 +129,6 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"unknown symbol name {name!r}") from None
 
-    def has_name(self, name: str) -> bool:
-        return name in self._by_name
-
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Alphabet) and self._key == other._key)
 
@@ -163,7 +157,7 @@ class Alphabet:
         text = text.strip()
         if text == "":
             return self.empty_word()
-        if text == "1" and not self.has_name("1"):
+        if text == "1" and "1" not in self._by_name:
             return self.empty_word()
         if self._dotted or "." in text:
             return self.word_of_names(text.split("."))
@@ -256,17 +250,6 @@ def lex_cmp(u: Word, v: Word) -> int:
     return GT if len(a) < len(b) else LT
 
 
-def deglex_cmp(u: Word, v: Word) -> int:
-    """Length-first comparison; equal lengths fall back to ``lex_cmp``."""
-    _check_same_alphabet(u, v)
-    if len(u.letters) != len(v.letters):
-        return LT if len(u.letters) < len(v.letters) else GT
-    # equal lengths: lex reduces to plain tuple order
-    if u.letters == v.letters:
-        return EQ
-    return LT if u.letters < v.letters else GT
-
-
 def deglex_key(w: Word) -> tuple[int, tuple[int, ...]]:
     """Sort key realizing ascending deglex order."""
     return (len(w.letters), w.letters)
@@ -275,13 +258,6 @@ def deglex_key(w: Word) -> tuple[int, tuple[int, ...]]:
 def _is_ls_letters(letters: tuple[int, ...]) -> bool:
     # rotations have the word's length, so lex_cmp is plain tuple order here
     return all(letters > letters[k:] + letters[:k] for k in range(1, len(letters)))
-
-
-def is_lyndon_shirshov(w: Word) -> bool:
-    """True iff ``w`` is strictly greater than each of its proper rotations."""
-    if not w.letters:
-        raise ValueError("the empty word is not eligible")
-    return _is_ls_letters(w.letters)
 
 
 def _standard_coefficient(w: Word) -> Optional[int]:

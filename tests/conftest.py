@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from superlie import Poly, Word, load_presentation
+from superlie import NcMonomial, Poly, Word, load_presentation
 
 # The example presentations, read from ``fixtures/<name>.json``:
 # EX1: even subalgebra {a} inside an abelian even 2-dimensional algebra,
@@ -75,6 +75,22 @@ def random_homogeneous_poly(rng: Random, alphabet, parity, max_terms=3, max_len=
             return p
 
 
+def even_part(p: Poly) -> Poly:
+    return Poly(p.alphabet, [(w, c) for w, c in p.terms() if w.parity == 0])
+
+
+def odd_part(p: Poly) -> Poly:
+    return Poly(p.alphabet, [(w, c) for w, c in p.terms() if w.parity == 1])
+
+
+def left_comb(alphabet, head: int, tail) -> NcMonomial:
+    """The tree [...[[head, x1], x2], ..., xs] over the ranks head, *tail."""
+    m = NcMonomial.leaf(alphabet, head)
+    for r in tail:
+        m = NcMonomial.pair(m, NcMonomial.leaf(alphabet, r))
+    return m
+
+
 def reference_superbracket(p: Poly, q: Poly) -> Poly:
     """[p, q] summed over the even and odd parts, with Poly products.
 
@@ -83,10 +99,10 @@ def reference_superbracket(p: Poly, q: Poly) -> Poly:
     if p.alphabet != q.alphabet:
         raise ValueError("polynomials over different alphabets")
     out = Poly.zero(p.alphabet)
-    for hp, pp in ((p.even_part(), 0), (p.odd_part(), 1)):
+    for hp, pp in ((even_part(p), 0), (odd_part(p), 1)):
         if hp.is_zero():
             continue
-        for hq, pq in ((q.even_part(), 0), (q.odd_part(), 1)):
+        for hq, pq in ((even_part(q), 0), (odd_part(q), 1)):
             if hq.is_zero():
                 continue
             sign = -1 if (pp and pq) else 1

@@ -100,7 +100,7 @@ def test_criterion_2_basis_equivalences():
         for name, fixture in FIXTURES:
             pres = fixture()
             system = build_relations(pres)
-            forbidden = [w.letters for w in system.leading_words()]
+            forbidden = [r.leading_word.letters for r in system.rules]
             parities = [s.parity for s in pres.alphabet.symbols]
             size = len(pres.alphabet)
 
@@ -163,7 +163,7 @@ def test_criterion_5_admissible_bracketing_basis():
             pres = fixture()
             system = build_relations(pres)
             parities = [s.parity for s in pres.alphabet.symbols]
-            forbidden = [w.letters for w in system.leading_words()]
+            forbidden = [r.leading_word.letters for r in system.rules]
             basis = enumerate_h_basis(pres, 5)
             pairs = [(m.word, reduce(expand(m), system)[0]) for m in basis]
             assert is_unitriangular(pairs)

@@ -3,27 +3,25 @@
 import pytest
 
 from superlie import (
+    GT,
     Alphabet,
     NcMonomial,
     Poly,
     Word,
     enumerate_super_ls,
     expand,
-    forget,
     is_admissible,
-    is_lyndon_shirshov,
-    is_ls_monomial,
-    is_super_ls_monomial,
     is_unitriangular,
+    lex_cmp,
     parse_monomial,
     parse_poly,
     rank,
-    right_normed_bracket,
     standard_bracket,
     superbracket,
 )
 from superlie import bracketing
-from conftest import reference_expand
+from superlie.words import _is_ls_letters
+from conftest import left_comb, reference_expand
 
 XT = Alphabet.from_names(["x", "t"])
 AB = Alphabet.from_names(["a", "b"])
@@ -50,12 +48,37 @@ def all_bracketings(w: Word):
                 yield NcMonomial.pair(left, right)
 
 
+def is_ls_monomial(m):
+    """Recursive Lyndon-Shirshov monomial test.
+
+    A leaf qualifies; a pair (u1, u2) qualifies when u1 > u2 on underlying
+    words, both halves qualify, and (if u1 = (v1, v2)) v2 <= u2.
+    """
+    if m.is_leaf:
+        return True
+    u1, u2 = m.left, m.right
+    return (
+        lex_cmp(u1.word, u2.word) == GT
+        and is_ls_monomial(u1)
+        and is_ls_monomial(u2)
+        and (u1.is_leaf or lex_cmp(u1.right.word, u2.word) != GT)
+    )
+
+
+def is_super_ls_monomial(m):
+    """LS monomial, or (u, u) with u an odd LS monomial."""
+    if is_ls_monomial(m):
+        return True
+    return not m.is_leaf and m.left == m.right and m.left.parity == 1 and is_ls_monomial(m.left)
+
+
 def test_forget_examples():
+    # the word of a tree reads its leaves left to right
     t, x = leaf(XT, "t"), leaf(XT, "x")
-    assert str(forget(pair(pair(t, x), x))) == "txx"
-    assert str(forget(t)) == "t"
+    assert str(pair(pair(t, x), x).word) == "txx"
+    assert str(t.word) == "t"
     ab = pair(leaf(AB, "a"), leaf(AB, "b"))
-    assert str(forget(pair(ab, ab))) == "abab"
+    assert str(pair(ab, ab).word) == "abab"
 
 
 def test_ls_monomial_examples():
@@ -97,7 +120,7 @@ def test_standard_bracket_is_the_unique_super_ls_monomial(alphabet, max_len):
         matches = [m for m in all_bracketings(w) if is_super_ls_monomial(m)]
         assert len(matches) == 1
         assert matches[0] == standard_bracket(w)
-        assert forget(matches[0]) == w
+        assert matches[0].word == w
 
 
 SUPER_LS_ALPHABETS = [
@@ -119,7 +142,7 @@ def subtrees(m):
 def test_standard_bracket_with_a_memo_matches_standard_bracket(alphabet):
     words = enumerate_super_ls(alphabet, 6)
     # the squares of odd LS words included
-    assert any(not is_lyndon_shirshov(w) for w in words) == any(alphabet.parities)
+    assert any(not _is_ls_letters(w.letters) for w in words) == any(alphabet.parities)
     # one memo per order: shortest words first finds every proper subtree
     # in the memo, longest first finds the shorter words themselves there
     for order in (words, words[::-1]):
@@ -192,7 +215,7 @@ def test_admissibility_of_standard_brackets():
             assert is_admissible(m)
             word, coeff = expand(m).leading()
             assert word == w
-            assert coeff == (1 if is_lyndon_shirshov(w) else 2)
+            assert coeff == (1 if _is_ls_letters(w.letters) else 2)
 
 
 def test_admissibility_accepts_non_standard_bracketings():
@@ -306,41 +329,22 @@ def test_cached_leading_term_matches_a_fresh_recursion():
     assert cancelled >= 3
 
 
-def test_right_normed_bracket_examples():
-    t = XT.symbol("t")
-    x = XT.symbol("x")
-    assert right_normed_bracket(XT, t, []) == leaf(XT, "t")
-    assert str(right_normed_bracket(XT, t, [x, x])) == "[[t,x],x]"
-
-
 def test_right_normed_matches_standard_on_block_words():
     x1x2t = Alphabet.from_names(["x1", "x2", "t"], odd=["x2"])
-    t = x1x2t.symbol("t")
+    t = x1x2t.symbol("t").rank
     for tail in ([], [0], [0, 0], [1], [0, 1], [0, 0, 1], [0, 0, 0, 1]):
-        m = right_normed_bracket(x1x2t, t, tail)
+        m = left_comb(x1x2t, t, tail)
         assert m == standard_bracket(m.word)
 
 
 def test_right_normed_unique_prefixed_word():
     # the expansion supports exactly one word beginning with the head letter
     x1x2t = Alphabet.from_names(["x1", "x2", "t"], odd=["t"])
-    t = x1x2t.symbol("t")
+    t = x1x2t.symbol("t").rank
     for tail in ([0], [0, 1], [0, 0, 1]):
-        m = right_normed_bracket(x1x2t, t, tail)
-        prefixed = [w for w, _ in expand(m).terms() if w.letters[0] == t.rank]
+        m = left_comb(x1x2t, t, tail)
+        prefixed = [w for w, _ in expand(m).terms() if w.letters[0] == t]
         assert prefixed == [m.word]
-
-
-def test_right_normed_precondition_violations():
-    t, x = XT.symbol("t"), XT.symbol("x")
-    with pytest.raises(ValueError):
-        right_normed_bracket(XT, x, [t])  # tail above head
-    x1x2t = Alphabet.from_names(["x1", "x2", "t"])
-    with pytest.raises(ValueError):
-        right_normed_bracket(x1x2t, x1x2t.symbol("t"), [1, 0])  # decreasing
-    odd2 = Alphabet.from_names(["x", "t"], odd=["x"])
-    with pytest.raises(ValueError):
-        right_normed_bracket(odd2, odd2.symbol("t"), [0, 0])  # odd repeated
 
 
 def test_standard_bracket_expansions_are_independent():

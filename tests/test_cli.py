@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import doctest
+import importlib
 import json
 import os
 import re
@@ -74,6 +75,22 @@ def test_readme_session_runs(monkeypatch):
         runner.run(test, out=report.append)
     failed, attempted = runner.summarize(verbose=False)
     assert attempted and not failed, "".join(report)
+
+
+def test_library_tour_names_resolve():
+    # every backticked name in the README's Library tour table is defined on
+    # its row's module, or is a method of a class named before it in the row
+    tour = (ROOT / "README.md").read_text().split("## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(superlie\.\w+)` \| (.*) \|$", tour, re.M)
+    assert len(rows) == 6
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        classes = []
+        for name in re.findall(r"`([^`]+)`", contents):
+            owner = next((o for o in (module, *classes) if hasattr(o, name)), None)
+            assert owner is not None, f"{module_name}: `{name}` does not resolve"
+            if isinstance(getattr(owner, name), type):
+                classes.append(getattr(owner, name))
 
 
 def test_ls_words(capsys):
@@ -217,6 +234,25 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["hnn-verify", "hnn-basis"])
+def test_rules_file_where_a_presentation_is_needed_exits_2(capsys, command):
+    path = FIXTURES / "broken_rules.json"
+    code, out, err = run(capsys, command, "--input", str(path))
+    message = f"error: {path}: expected a presentation, got a rules file\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_sign_without_a_term_exits_2(capsys, tmp_path):
+    path = FIXTURES / "broken_rules.json"
+    code, out, err = run(capsys, "reduce", "xy -", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: a sign without a term after it in 'xy -'\n")
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(dict(json.loads(path.read_text()), rules=["xy -"])))
+    code, out, err = run(capsys, "gsb-check", "--input", str(rules))
+    message = f"error: {rules}: rules[0]: a sign without a term after it in 'xy -'\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_malformed_file_exits_2(capsys, tmp_path):

@@ -13,7 +13,6 @@ from superlie import (
     is_unitriangular,
     parse_poly,
     rank,
-    scale,
     standard_bracket,
 )
 from superlie.poly import letter_terms
@@ -28,7 +27,7 @@ def test_rank_of_nothing():
 
 def test_rank_collinear():
     p = parse_poly(AB, "ab - 2*b")
-    r, certificate = rank([p, scale(2, p)])
+    r, certificate = rank([p, 2 * p])
     assert r == 1
     assert certificate == [0]
 
@@ -53,7 +52,7 @@ def test_rank_invariance_under_permutation_and_scaling():
         r, _ = rank(vectors)
         shuffled = vectors[:]
         rng.shuffle(shuffled)
-        scaled = [scale(Fraction(rng.randint(1, 7), rng.randint(1, 7)), v)
+        scaled = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) * v
                   for v in shuffled]
         assert rank(scaled)[0] == r
         assert rank(list(reversed(vectors)))[0] == r
@@ -74,7 +73,7 @@ def test_certificate_entries_below_k_are_the_certificate_of_the_first_k():
         vectors = [random_poly(rng, AB, max_len=3) for _ in range(5)]
         for _ in range(3):  # dependent vectors: combinations and zero
             a, b = rng.sample(vectors, 2)
-            vectors.append(scale(rng.randint(-3, 3), a) + scale(rng.randint(1, 3), b))
+            vectors.append(rng.randint(-3, 3) * a + rng.randint(1, 3) * b)
         vectors.append(Poly.zero(AB))
         rng.shuffle(vectors)
         _, certificate = rank(vectors)
@@ -100,7 +99,7 @@ def reference_rank(vectors):
 def rank_cases():
     """The vector lists of the tests above, their random ones freshly drawn."""
     p, q = parse_poly(AB, "ab - 2*b"), parse_poly(AB, "a + b")
-    yield [p, scale(2, p)]
+    yield [p, 2 * p]
     yield [expand(standard_bracket(w)) for w in enumerate_super_ls(AB, 3) if len(w) == 3]
     yield [Poly.zero(AB), q, q - q]
     rng = Random(59)
@@ -108,7 +107,7 @@ def rank_cases():
         for _ in range(10):
             vectors = [random_poly(rng, AB, max_len=3) for _ in range(count)]
             a, b = rng.choice(vectors), rng.choice(vectors)
-            yield vectors + [scale(rng.randint(-3, 3), a) + scale(Fraction(1, 3), b)]
+            yield vectors + [rng.randint(-3, 3) * a + Fraction(1, 3) * b]
 
 
 def test_rank_on_letter_dicts_matches_rank_on_polys():
@@ -139,7 +138,7 @@ def test_unitriangular_rejects_wrong_claims():
     vector = expand(standard_bracket(w))
     assert is_unitriangular([(w, vector)])
     assert not is_unitriangular([(AB.word("b"), vector)])  # wrong leading word
-    assert not is_unitriangular([(w, scale(3, vector))])  # wrong coefficient
+    assert not is_unitriangular([(w, 3 * vector)])  # wrong coefficient
     assert not is_unitriangular([(w, Poly.zero(AB))])
     assert not is_unitriangular([(AB.word("ab"), parse_poly(AB, "ab"))])  # not LS
 
