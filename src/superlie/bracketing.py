@@ -34,12 +34,15 @@ _UNSET = object()  # a leading term not yet computed; None means it cancels
 class NcMonomial:
     """A non-associative word: a leaf symbol or a pair of monomials.
 
-    Each node keeps its parity, the XOR of its children's, and the leading
-    term of its expansion once :func:`_lead` has found it, so a subtree
-    shared by many trees is read once.
+    Each node keeps its parity, the XOR of its children's, the leading term
+    of its expansion once :func:`_lead` has found it, and its text once
+    ``str`` has made it, so a subtree shared by many trees is read and
+    printed once.  A pair's word, its children's joined, is not checked again.
     """
 
-    __slots__ = ("alphabet", "rank", "left", "right", "parity", "_word", "_hash", "_leading")
+    __slots__ = (
+        "alphabet", "rank", "left", "right", "parity", "_word", "_hash", "_leading", "_text"
+    )
 
     def __init__(self, alphabet, rank, left, right, word, parity):
         # internal; use the leaf/pair constructors
@@ -50,6 +53,7 @@ class NcMonomial:
         self.parity = parity
         self._word = word
         self._leading = _UNSET  # computed on first use, by _lead
+        self._text = None if rank is None else alphabet._names[rank]  # a pair's: on first str
         if rank is not None:
             self._hash = hash((alphabet._hash, "leaf", rank))
         else:
@@ -65,7 +69,7 @@ class NcMonomial:
     def pair(cls, left: "NcMonomial", right: "NcMonomial") -> "NcMonomial":
         if left.alphabet != right.alphabet:
             raise ValueError("monomials over different alphabets")
-        word = Word(left.alphabet, left._word.letters + right._word.letters)
+        word = Word._of(left.alphabet, left._word.letters + right._word.letters)
         return cls(left.alphabet, None, left, right, word, left.parity ^ right.parity)
 
     @property
@@ -92,9 +96,9 @@ class NcMonomial:
         return self._hash
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            return self.alphabet.symbols[self.rank].name
-        return f"[{self.left},{self.right}]"
+        if self._text is None:
+            self._text = f"[{self.left},{self.right}]"
+        return self._text
 
     def __repr__(self) -> str:
         return f"NcMonomial({self})"

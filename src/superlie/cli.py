@@ -37,7 +37,7 @@ from .rewrite import (
     is_gsb,
     reduce,
 )
-from .words import Alphabet, enumerate_super_ls
+from .words import Alphabet, _texts, enumerate_super_ls
 
 
 def _parse_alphabet(spec: str) -> Alphabet:
@@ -102,8 +102,7 @@ def _load_system(path: str) -> tuple[RewriteSystem, object]:
 
 def _cmd_ls_words(args) -> tuple[int, dict, list[str]]:
     alphabet = _parse_alphabet(args.alphabet)
-    words = enumerate_super_ls(alphabet, args.max_len)
-    texts = [str(w) for w in words]
+    texts = _texts(alphabet, enumerate_super_ls(alphabet, args.max_len))
     payload = {
         "command": "ls-words",
         "max_len": args.max_len,
@@ -203,7 +202,7 @@ def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:
         "command": "hnn-basis",
         "max_len": args.max_len,
         "algebra_basis": [str(m) for m in h_basis],
-        "enveloping_basis": [_word_text(w) for w in uh_basis],
+        "enveloping_basis": [text or "1" for text in _texts(pres.alphabet, uh_basis)],
         "free_generators": [str(m) for m in generators],
     }
     lines = []

@@ -31,7 +31,6 @@ import types
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
@@ -58,9 +57,9 @@ from .words import (
     Symbol,
     Word,
     _check_name,
+    _lex_key,
     _super_ls_tuples,
     deglex_key,
-    lex_cmp,
 )
 
 Scalar = Union[int, Fraction]
@@ -144,9 +143,6 @@ class StructureConstants:
 
     def parity(self, rank: int) -> int:
         return self.alphabet.symbols[rank].parity
-
-    def name(self, rank: int) -> str:
-        return self.alphabet.symbols[rank].name
 
     def bracket_coeffs(self, x: int, y: int) -> Mapping[int, Fraction]:
         """Coefficients of [x, y], deriving the missing mirror by sign."""
@@ -612,7 +608,8 @@ def enumerate_uh_basis(pres: HnnPresentation, max_len: int) -> list[Word]:
     three basis symbols, and the example presentations in `fixtures/`).
     """
     _require_valid(pres)
-    return [Word(pres.alphabet, w) for w in _walks(_successors(pres), (), max_len)]
+    alphabet, of = pres.alphabet, Word._of  # the walk steps along ranks of the alphabet
+    return [of(alphabet, w) for w in _walks(_successors(pres), (), max_len)]
 
 
 # -- the free complement ---------------------------------------------------------
@@ -647,10 +644,7 @@ class _WbarView:
 
     def __init__(self, pres: HnnPresentation, max_len: int):
         self.max_len = max_len
-        self.generators = sorted(
-            free_generators_W(pres, max_len),
-            key=cmp_to_key(lambda m, n: lex_cmp(m.word, n.word)),
-        )
+        self.generators = sorted(free_generators_W(pres, max_len), key=lambda m: _lex_key(m.word))
         self.letters = [m.word for m in self.generators]
         self.alphabet = Alphabet(
             tuple(

@@ -280,7 +280,7 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
         return Poly.zero(alphabet)
     terms: list[tuple[Word, Fraction]] = []
     # split into signed chunks at top level; no parentheses in this grammar.
-    # A sign opens the text or follows a term, and a term follows it.
+    # A '-' may open the text, a sign follows a term, and a term follows it.
     chunks: list[tuple[int, str]] = []
     sign, buf = 1, []
     for i, ch in enumerate(text):
@@ -296,6 +296,8 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
     piece = "".join(buf).strip()
     if not piece:
         raise ValueError(f"a sign without a term after it in {text!r}")
+    if text[0] == "+":  # the printer never opens with '+'
+        raise ValueError(f"a leading '+' in {text!r}")
     chunks.append((sign, piece))
     try:
         for sign, piece in chunks:

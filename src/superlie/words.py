@@ -85,7 +85,7 @@ class Alphabet:
         joined = "".join(names)  # names are non-empty
         self._dotted = len(joined) > len(names)
         # rank r -> byte of its name, when every name is one ASCII character;
-        # str(word) formats through it, which ls-words output does word by word
+        # _texts formats words through it
         self._table = (
             None
             if self._dotted or not joined.isascii()
@@ -168,6 +168,9 @@ class Word:
     """An associative word: a finite sequence of symbol ranks (maybe empty).
 
     A rank is an ``int`` (``True`` counts as 1) in ``0 .. len(alphabet) - 1``.
+    ``Word(alphabet, letters)`` checks every rank; the words the library
+    generates from an alphabet's own ranks (super-LS words, enveloping basis
+    words, a tree's word) come from ``Word._of`` and are not checked again.
     """
 
     __slots__ = ("alphabet", "letters", "_hash")
@@ -182,6 +185,15 @@ class Word:
         self.alphabet = alphabet
         self.letters = letters
         self._hash = hash((alphabet._hash, letters))
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "Word":
+        """The word of ``letters``, a tuple of ranks of ``alphabet``, unchecked."""
+        w = object.__new__(cls)
+        w.alphabet = alphabet
+        w.letters = letters
+        w._hash = hash((alphabet._hash, letters))
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -208,19 +220,24 @@ class Word:
     def sub(self, start: int, stop: int) -> "Word":
         return Word(self.alphabet, self.letters[start:stop])
 
-    def names(self) -> tuple[str, ...]:
-        names = self.alphabet._names
-        return tuple([names[r] for r in self.letters])
-
     def __str__(self) -> str:
-        alphabet = self.alphabet
-        if alphabet._table is not None:
-            return bytes(self.letters).translate(alphabet._table).decode()
-        names = alphabet._names
-        return ("." if alphabet._dotted else "").join([names[r] for r in self.letters])
+        return _texts(self.alphabet, (self,))[0]
 
     def __repr__(self) -> str:
         return f"Word({str(self) or '1'})"
+
+
+def _texts(alphabet: Alphabet, words: Iterable[Word]) -> list[str]:
+    """``str(w)`` of each word ``w`` over ``alphabet``, the table or names read once.
+
+    Ranks go through the byte table when every name is one ASCII character;
+    otherwise the names are joined, with '.' when one is longer than that.
+    """
+    table = alphabet._table
+    if table is not None:
+        return [bytes(w.letters).translate(table).decode() for w in words]
+    names, sep = alphabet._names, "." if alphabet._dotted else ""
+    return [sep.join([names[r] for r in w.letters]) for w in words]
 
 
 def _parity(alphabet: Alphabet, letters: Iterable[int]) -> int:
@@ -248,6 +265,11 @@ def lex_cmp(u: Word, v: Word) -> int:
     if len(a) == len(b):
         return EQ
     return GT if len(a) < len(b) else LT
+
+
+def _lex_key(w: Word) -> tuple[int, ...]:
+    """Sort key realizing ``lex_cmp``: ending in a rank above all, a prefix sorts last."""
+    return w.letters + (len(w.alphabet),)
 
 
 def deglex_key(w: Word) -> tuple[int, tuple[int, ...]]:
@@ -315,9 +337,10 @@ def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
         if w:
             w[-1] -= 1
     out = []
+    of = Word._of  # the walk yields ranks of the alphabet only
     for words in by_length:
         words.sort()
-        out.extend(Word(alphabet, letters) for letters in words)
+        out.extend([of(alphabet, letters) for letters in words])
     return out
 
 

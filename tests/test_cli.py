@@ -255,6 +255,12 @@ def test_sign_without_a_term_exits_2(capsys, tmp_path):
     assert (code, out, err) == (2, "", message)
 
 
+def test_leading_plus_exits_2(capsys):
+    path = FIXTURES / "broken_rules.json"
+    code, out, err = run(capsys, "reduce", "+xy", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: a leading '+' in '+xy'\n")
+
+
 def test_malformed_file_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -334,6 +340,29 @@ def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
     )
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"ls-words-{name}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        # ranks 10 and 11: a word's bytes hold 10, the newline
+        ("ls-words-a-to-l.txt", ["ls-words", "--alphabet", "a,b,c,d,e,f,g,h,i,j,k:odd,l",
+                                 "--max-len", "4"]),
+        ("ls-words-a-to-l.json", ["ls-words", "--alphabet", "a,b,c,d,e,f,g,h,i,j,k:odd,l",
+                                  "--max-len", "4", "--format", "json"]),
+        # odd squares and the longest enveloping lists of the fixtures
+        ("hnn-basis-osp-6.json", ["hnn-basis", "--input", str(FIXTURES / "osp.json"),
+                                  "--max-len", "6", "--format", "json"]),
+        ("hnn-basis-ab5-5.json", ["hnn-basis", "--input", str(FIXTURES / "ab5.json"),
+                                  "--max-len", "5", "--format", "json"]),
+    ],
+)
+def test_listing_matches_golden_file(capsys, name, argv):
+    # recorded from the CLI while every listed word was still built through
+    # the checked Word constructor and printed by str(word)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
 
 
 EXPANSION_CELLS = {

@@ -12,6 +12,7 @@ from random import Random
 import pytest
 
 from superlie import (
+    LT,
     Alphabet,
     NcMonomial,
     StructureConstants,
@@ -769,6 +770,35 @@ def _unshared_h_basis(pres, max_len):
     return out
 
 
+def _render(m):
+    """The text of ``m``, recomputed at every node: no cached text is read."""
+    if m.is_leaf:
+        return m.alphabet[m.rank].name
+    return "[" + _render(m.left) + "," + _render(m.right) + "]"
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_generated_words_and_texts_are_the_checked_ones(fixture):
+    # the enveloping basis words and the tree words are built without the
+    # rank check: each equals, and hashes like, the checked word of its letters
+    pres, max_len = fixture(), 6
+    alphabet = pres.alphabet
+    trees = enumerate_h_basis(pres, max_len) + free_generators_W(pres, max_len)
+    words = enumerate_uh_basis(pres, max_len) + [n.word for m in trees for n in subtrees(m)]
+    for w in words:
+        checked = Word(alphabet, w.letters)
+        assert w == checked and hash(w) == hash(checked) and w.alphabet is alphabet
+    # a node's text is kept once made; twice read, it is still the rendering
+    for _ in range(2):
+        assert [str(m) for m in trees] == [_render(m) for m in trees]
+
+
+def test_wbar_view_letters_are_in_lex_order():
+    for fixture in FIXTURES:
+        letters = hnn._WbarView(fixture(), 7).letters
+        assert all(lex_cmp(u, v) == LT for u, v in zip(letters, letters[1:]))
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_h_basis_shares_equal_subtrees(fixture):
     pres, max_len = fixture(), 7
@@ -1155,16 +1185,17 @@ def test_defining_relations_hold_in_quotient():
         system = build_relations(pres)
         sc = pres.constants
         T = pres.alphabet
-        t = parse_poly(T, T.symbols[pres.t_rank].name)
+        names = [s.name for s in T.symbols]
+        t = parse_poly(T, names[pres.t_rank])
         for a in range(sc.subalgebra_size):
             image = parse_poly(
                 T,
                 " + ".join(
-                    f"{c}*{sc.name(v)}" for v, c in sorted(sc.derivation_coeffs(a).items())
+                    f"{c}*{names[v]}" for v, c in sorted(sc.derivation_coeffs(a).items())
                 )
                 or "0",
             )
-            relation = superbracket(t, parse_poly(T, sc.name(a))) - image
+            relation = superbracket(t, parse_poly(T, names[a])) - image
             normal_form, _ = reduce(relation, system)
             assert normal_form.is_zero()
 

@@ -233,6 +233,10 @@ def test_parse_rejects_garbage():
     for text in ("a - - b", "--a", "a + + b", "ab -", "a+-b", "-", "+ "):
         with pytest.raises(ValueError, match="a sign without a term after it"):
             parse_poly(ABX, text)
+    # the printer never opens with '+', so the parser takes no leading '+'
+    for text in ("+a", "+ a - b"):
+        with pytest.raises(ValueError, match=r"a leading '\+'"):
+            parse_poly(ABX, text)
 
 
 def test_parse_rejects_a_second_star():

@@ -17,7 +17,12 @@ from superlie import (
     is_super_ls,
     lex_cmp,
 )
-from superlie.words import _is_ls_letters, _standard_coefficient, _super_ls_tuples
+from superlie.words import (
+    _is_ls_letters,
+    _lex_key,
+    _standard_coefficient,
+    _super_ls_tuples,
+)
 
 AB = Alphabet.from_names(["a", "b"])
 AXT = Alphabet.from_names(["a", "x", "t"])
@@ -102,6 +107,14 @@ def test_deglex_key_sorts_like_deglex_cmp():
     by_key = sorted(words, key=deglex_key)
     for u, v in zip(by_key, by_key[1:]):
         assert len(u) < len(v) or (len(u) == len(v) and lex_cmp(u, v) in (LT, EQ))
+
+
+def test_lex_key_sorts_like_lex_cmp():
+    # every word of length <= 5 over three letters, so every prefix pair too
+    words = [Word(AXT, w) for n in range(6) for w in product(range(3), repeat=n)]
+    Random(11).shuffle(words)
+    by_key = sorted(words, key=_lex_key)
+    assert all(lex_cmp(u, v) == LT for u, v in zip(by_key, by_key[1:]))
 
 
 def test_both_orders_are_strict_total_orders():
@@ -405,7 +418,7 @@ def test_word_text_round_trip_single_char():
 def test_word_text_round_trip_dotted():
     dotted = Alphabet.from_names(["x1", "x2", "t"])
     w = dotted.word("t.x1.x1")
-    assert w.names() == ("t", "x1", "x1")
+    assert tuple(dotted[r].name for r in w.letters) == ("t", "x1", "x1")
     assert str(w) == "t.x1.x1"
     assert dotted.word(str(w)) == w
 
@@ -468,3 +481,20 @@ def test_word_text_of_non_ascii_one_character_names():
     greek = Alphabet([Symbol(0, "α", 0), Symbol(1, "β", 1)])
     assert str(Word(greek, (1, 0, 0))) == "βαα"
     assert str(Word(greek, ())) == ""
+
+
+@pytest.mark.parametrize(
+    "names, odd",
+    [("ab", "b"), ("abc", "b"), ("abcd", "ac"), (["x1", "x2", "t"], ["x2"]), ("lhkz", "z")],
+)
+def test_enumerated_words_are_the_checked_words(names, odd):
+    # enumerate_super_ls builds its words without the rank check; each one is
+    # the word the checked constructor builds from its letters
+    alphabet = Alphabet.from_names(names, odd)
+    words = enumerate_super_ls(alphabet, 7)
+    assert any(not _is_ls_letters(w.letters) for w in words)  # odd squares among them
+    for w in words:
+        checked = Word(alphabet, w.letters)
+        assert type(w) is Word and w.alphabet is alphabet
+        assert w == checked and hash(w) == hash(checked)
+        assert type(w.letters) is tuple and {type(r) for r in w.letters} == {int}
