@@ -98,12 +98,6 @@ class RewriteSystem:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def rule_with_leading(self, word: Word) -> RewriteRule:
-        index = self._index.get(word.letters) if word.alphabet == self.alphabet else None
-        if index is None:
-            raise ValueError(f"no rule with leading word {str(word)!r}")
-        return self.rules[index]
-
     def __repr__(self) -> str:
         return f"RewriteSystem({[str(r.leading_word) for r in self.rules]})"
 

@@ -3,12 +3,13 @@
 Two strict total orders on words over a fixed alphabet are used throughout
 the package:
 
-* ``lex_cmp`` -- lexicographic, with the convention that a proper prefix is
-  GREATER than its extensions ("t" > "tx" > "txx").  This is the opposite of
+* lex -- lexicographic, with the convention that a proper prefix is GREATER
+  than its extensions ("t" > "tx" > "txx").  This is the opposite of
   dictionary order.  Lyndon-Shirshov recognition, leading words and standard
   bracketings all depend on this convention, so it must not be "fixed".
-* deglex -- by length first, ties broken by ``lex_cmp``; ``deglex_key``
-  is its sort key.
+  ``_lex_key`` is its sort key.
+* deglex -- by length first, ties broken by lex; ``deglex_key`` is its sort
+  key.
 
 A word is a Lyndon-Shirshov (LS) word when it is strictly greater, in the
 lexicographic order above, than every proper cyclic rotation of itself.  A
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
-
-LT, EQ, GT = -1, 0, 1
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,8 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         """Concatenation."""
-        _check_same_alphabet(self, other)
+        if self.alphabet != other.alphabet:
+            raise ValueError("words over different alphabets")
         return Word(self.alphabet, self.letters + other.letters)
 
     def sub(self, start: int, stop: int) -> "Word":
@@ -245,30 +245,8 @@ def _parity(alphabet: Alphabet, letters: Iterable[int]) -> int:
     return sum([parities[r] for r in letters]) & 1
 
 
-def _check_same_alphabet(u: Word, v: Word) -> None:
-    if u.alphabet != v.alphabet:
-        raise ValueError("words over different alphabets")
-
-
-def lex_cmp(u: Word, v: Word) -> int:
-    """Compare words lexicographically; returns -1, 0 or 1.
-
-    At the first differing position the smaller symbol loses.  When one word
-    is a proper prefix of the other, the PREFIX is the greater word; in
-    particular the empty word is greater than every non-empty word.
-    """
-    _check_same_alphabet(u, v)
-    a, b = u.letters, v.letters
-    for x, y in zip(a, b):
-        if x != y:
-            return LT if x < y else GT
-    if len(a) == len(b):
-        return EQ
-    return GT if len(a) < len(b) else LT
-
-
 def _lex_key(w: Word) -> tuple[int, ...]:
-    """Sort key realizing ``lex_cmp``: ending in a rank above all, a prefix sorts last."""
+    """Sort key realizing the lex order: ending in a rank above all, a prefix sorts last."""
     return w.letters + (len(w.alphabet),)
 
 
@@ -278,7 +256,7 @@ def deglex_key(w: Word) -> tuple[int, tuple[int, ...]]:
 
 
 def _is_ls_letters(letters: tuple[int, ...]) -> bool:
-    # rotations have the word's length, so lex_cmp is plain tuple order here
+    # rotations have the word's length, so the lex order is plain tuple order here
     return all(letters > letters[k:] + letters[:k] for k in range(1, len(letters)))
 
 

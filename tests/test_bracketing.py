@@ -3,7 +3,6 @@
 import pytest
 
 from superlie import (
-    GT,
     Alphabet,
     NcMonomial,
     Poly,
@@ -12,7 +11,6 @@ from superlie import (
     expand,
     is_admissible,
     is_unitriangular,
-    lex_cmp,
     parse_monomial,
     parse_poly,
     rank,
@@ -22,6 +20,7 @@ from superlie import (
 from superlie import bracketing
 from superlie.words import _is_ls_letters
 from conftest import left_comb, reference_expand
+from test_words import GT, lex_cmp
 
 XT = Alphabet.from_names(["x", "t"])
 AB = Alphabet.from_names(["a", "b"])

@@ -12,7 +12,6 @@ from random import Random
 import pytest
 
 from superlie import (
-    LT,
     Alphabet,
     NcMonomial,
     StructureConstants,
@@ -28,7 +27,7 @@ from superlie import (
     is_admissible,
     is_super_ls,
     is_unitriangular,
-    lex_cmp,
+    lie_composition_len2,
     load_presentation,
     parse_monomial,
     parse_poly,
@@ -44,7 +43,7 @@ from superlie import hnn
 from superlie.poly import from_letter_terms
 from conftest import left_comb, reference_expand
 from test_bracketing import subtrees
-from test_words import _weighted_products
+from test_words import LT, _weighted_products, lex_cmp
 from conftest import (
     ALL,
     EX1,
@@ -592,6 +591,79 @@ def test_ex4_gsb_exercises_families_1_and_2():
     words = {c.family: str(c.word) for c in report.lie_checks}
     assert words[1] == "xba"
     assert words[2] == "tba"
+
+
+def _hand_listed_families(pres):
+    """(family, description, word) of every superbracket composition, by shape.
+
+    The five families listed from the relation shapes alone, independently
+    of the associative overlaps ``verify_hnn_gsb`` labels: a lost or
+    mislabelled overlap shows as a difference.
+    """
+    sc = pres.constants
+    size, k, t = len(sc.alphabet), sc.subalgebra_size, pres.t_rank
+    odd = [sc.parity(x) for x in range(size)]
+    shapes = []
+    for x in range(size):
+        for y in range(x):
+            for z in range(y):
+                shapes.append((1, "pair/pair", (x, y, z)))
+    for a in range(k):
+        for b in range(a):
+            shapes.append((2, "stable/pair", (t, a, b)))
+    for x in range(size):
+        for y in range(x):
+            if odd[y]:
+                shapes.append((3, "pair/odd-square", (x, y, y)))
+    for x in range(size):
+        if odd[x]:
+            for y in range(x):
+                shapes.append((4, "odd-square/pair", (x, x, y)))
+    for a in range(k):
+        if odd[a]:
+            shapes.append((5, "stable/odd-square", (t, a, a)))
+    out = [(f, d, Word(pres.alphabet, w)) for f, d, w in shapes]
+    out.sort(key=lambda e: (e[0], deglex_key(e[2])))
+    return out
+
+
+def test_lie_checks_are_the_hand_listed_families():
+    presentations = [fixture() for fixture in FIXTURES]
+    presentations += [_abelian_presentation(*shape) for shape in SMALL_SHAPES]
+    presentations += [load_presentation(d) for d in (EMPTY_SUBALGEBRA, TWO_ODD_COMPLEMENT)]
+    families = set()
+    for pres in presentations:
+        leading = {r.leading_word.letters for r in build_relations(pres).rules}
+        expected = _hand_listed_families(pres)
+        # each listed word is the overlap of two leading words
+        assert all(w.letters[:2] in leading and w.letters[1:] in leading for _, _, w in expected)
+        report = verify_hnn_gsb(pres)
+        got = [(c.family, c.description, c.word) for c in report.lie_checks]
+        assert got == expected, pres.alphabet
+        assert all(c.normal_form.is_zero() for c in report.lie_checks), pres.alphabet
+        families.update(report.families_exercised())
+    assert families == {1, 2, 3, 4, 5}
+
+
+def test_odd_square_self_overlap_reduces_to_zero():
+    # verify_hnn_gsb skips the overlap xxx of an odd square xx with itself;
+    # is_gsb lists it, and its superbracket composition reduces to zero
+    squares = 0
+    for fixture in FIXTURES:
+        pres = fixture()
+        system = build_relations(pres)
+        report = verify_hnn_gsb(pres)
+        overlaps = {(c.left, c.right, c.word) for c in report.associative.checks}
+        for i, rule in enumerate(system.rules):
+            x, y = rule.leading_word.letters
+            if x != y:
+                continue
+            squares += 1
+            word = Word(pres.alphabet, (x, x, x))
+            assert (i, i, word) in overlaps
+            normal_form, _ = reduce(lie_composition_len2(rule, rule, word), system)
+            assert normal_form.is_zero(), (fixture.__name__, str(word))
+    assert squares == 4  # one each in ex2 and ex3, two in osp
 
 
 # -- bases ----------------------------------------------------------------------------
@@ -1224,21 +1296,22 @@ def test_reduced_bracketings_are_unitriangular(fixture):
 # -- edge-shaped presentations --------------------------------------------------------
 
 
+EMPTY_SUBALGEBRA = {
+    "generators": [
+        {"name": "x1", "parity": 0},
+        {"name": "x2", "parity": 0},
+    ],
+    "subalgebra_size": 0,
+    "d_parity": 1,
+    "brackets": [],
+    "derivation": [],
+}
+
+
 def test_empty_subalgebra_jointly_free():
     # no derivation at all: the extension is the algebra joined with a free
     # odd letter; every piece of machinery must still work
-    pres = load_presentation(
-        {
-            "generators": [
-                {"name": "x1", "parity": 0},
-                {"name": "x2", "parity": 0},
-            ],
-            "subalgebra_size": 0,
-            "d_parity": 1,
-            "brackets": [],
-            "derivation": [],
-        }
-    )
+    pres = load_presentation(EMPTY_SUBALGEBRA)
     assert validate(pres.constants).passed
     system = build_relations(pres)
     assert [str(r.leading_word) for r in system.rules] == ["x2.x1"]
@@ -1253,20 +1326,21 @@ def test_empty_subalgebra_jointly_free():
     assert "[[t,x2],[t,x1]]" in texts  # decreasing pair of block letters
 
 
+TWO_ODD_COMPLEMENT = {
+    "generators": [
+        {"name": "a", "parity": 0},
+        {"name": "y1", "parity": 1},
+        {"name": "y2", "parity": 1},
+    ],
+    "subalgebra_size": 1,
+    "d_parity": 1,
+    "brackets": [],
+    "derivation": [{"arg": "a", "value": [{"basis": "y1", "coeff": "1"}]}],
+}
+
+
 def test_two_odd_complement_letters():
-    pres = load_presentation(
-        {
-            "generators": [
-                {"name": "a", "parity": 0},
-                {"name": "y1", "parity": 1},
-                {"name": "y2", "parity": 1},
-            ],
-            "subalgebra_size": 1,
-            "d_parity": 1,
-            "brackets": [],
-            "derivation": [{"arg": "a", "value": [{"basis": "y1", "coeff": "1"}]}],
-        }
-    )
+    pres = load_presentation(TWO_ODD_COMPLEMENT)
     assert validate(pres.constants).passed
     report = verify_hnn_gsb(pres)
     assert report.passed

@@ -224,6 +224,24 @@ def test_text_round_trip():
     assert parse_poly(ABX, "3/6*a") == parse_poly(ABX, "1/2*a")
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("1*a", "a"),
+        ("2*1", "2"),
+        ("2/4*a", "1/2*a"),
+        ("0*a", "0"),
+        ("01*a", "a"),
+        ("a + a", "2*a"),
+    ],
+)
+def test_parse_normalizes_forms_the_printer_never_writes(text, printed):
+    # accepted, not rejected: each reads as the polynomial printed as `printed`
+    p = parse_poly(ABX, text)
+    assert poly_to_text(p) == printed
+    assert p == parse_poly(ABX, printed)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_poly(ABX, "")

@@ -600,11 +600,8 @@ def test_broken_table_fails_both_composition_routes():
     report = is_gsb(s)
     assert not report.passed
     assoc_forms = {str(c.normal_form) for c in report.failures()}
-    comp = lie_composition_len2(
-        s.rule_with_leading(abc.word("cb")),
-        s.rule_with_leading(abc.word("ba")),
-        abc.word("cba"),
-    )
+    rules = {str(r.leading_word): r for r in s.rules}
+    comp = lie_composition_len2(rules["cb"], rules["ba"], abc.word("cba"))
     lie_form, _ = reduce(comp, s)
     assert not lie_form.is_zero()
     assert str(lie_form) in assoc_forms

@@ -6,16 +6,12 @@ from random import Random
 import pytest
 
 from superlie import (
-    EQ,
-    GT,
-    LT,
     Alphabet,
     Symbol,
     Word,
     deglex_key,
     enumerate_super_ls,
     is_super_ls,
-    lex_cmp,
 )
 from superlie.words import (
     _is_ls_letters,
@@ -51,6 +47,27 @@ def oracle_is_super_ls(letters, parities):
 
 
 # -- lex order ------------------------------------------------------------------
+
+
+LT, EQ, GT = -1, 0, 1
+
+
+def lex_cmp(u, v):
+    """The lex order that ``_lex_key`` realizes, as a three-way comparison.
+
+    At the first differing position the smaller symbol loses.  When one word
+    is a proper prefix of the other, the PREFIX is the greater word; in
+    particular the empty word is greater than every non-empty word.
+    """
+    if u.alphabet != v.alphabet:
+        raise ValueError("words over different alphabets")
+    a, b = u.letters, v.letters
+    for x, y in zip(a, b):
+        if x != y:
+            return LT if x < y else GT
+    if len(a) == len(b):
+        return EQ
+    return GT if len(a) < len(b) else LT
 
 
 def test_lex_extension_is_smaller():
@@ -421,6 +438,12 @@ def test_word_text_round_trip_dotted():
     assert tuple(dotted[r].name for r in w.letters) == ("t", "x1", "x1")
     assert str(w) == "t.x1.x1"
     assert dotted.word(str(w)) == w
+
+
+def test_word_concatenation_needs_one_alphabet():
+    assert AB.word("ab") * AB.word("b") == AB.word("abb")
+    with pytest.raises(ValueError, match="words over different alphabets"):
+        AB.word("a") * AXT.word("a")
 
 
 def test_word_rejects_unknown_names():
