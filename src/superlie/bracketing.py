@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .linalg import is_unitriangular
 from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
 from .words import (
     Alphabet,
@@ -134,7 +133,10 @@ def standard_bracket(
     them, in the way ``copy.deepcopy`` takes one: every subtree is looked up
     there before it is built, and stored there once built, so trees made
     with one memo share their equal subtrees as one object.  Share a memo
-    only among words over one alphabet.
+    only among words over one alphabet.  A seeded entry is used as given,
+    so seeding each single letter ``(r,)`` with a tree substitutes that
+    tree for the letter: the result's leaves then spell the substituted
+    word, over the trees' alphabet.
     """
     if not is_super_ls(w):
         raise ValueError(f"not a super-Lyndon-Shirshov word: {str(w)!r}")
@@ -183,7 +185,8 @@ def is_admissible(m: NcMonomial) -> bool:
     lead = _lead(m)
     if lead is not None:
         return lead == (w.letters, coeff)
-    return is_unitriangular([(w, expand(m))])
+    e = expand(m)
+    return bool(e) and e.leading() == (w, coeff)
 
 
 def _lead(m: NcMonomial) -> Optional[tuple[tuple[int, ...], int]]:

@@ -80,23 +80,16 @@ def _load_system(path: str) -> tuple[RewriteSystem, object]:
         return build_relations(pres), pres
     if "rules" in data:
         rules: list[RewriteRule] = []
-        leading: set[tuple[int, ...]] = set()
         try:
             alphabet = parse_generators(data.get("generators"))
             for where, text in parse_entries(data, "rules", kind=str):
                 try:
-                    rule = RewriteRule(parse_poly(alphabet, text))
+                    rules.append(RewriteRule(parse_poly(alphabet, text)))
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
-                if rule.leading_word.letters in leading:
-                    raise ValueError(
-                        f"{where}: duplicate leading word {_word_text(rule.leading_word)!r}"
-                    )
-                leading.add(rule.leading_word.letters)
-                rules.append(rule)
+            return RewriteSystem(alphabet, rules), None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return RewriteSystem(alphabet, rules), None
     raise ValueError(f"{path}: expected a presentation or a rules file")
 
 

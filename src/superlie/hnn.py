@@ -43,7 +43,7 @@ from .bracketing import (
     standard_bracket,
 )
 from .linalg import rank
-from .poly import LetterTerms, Poly, bracket_terms, parse_rational
+from .poly import LetterTerms, Poly, _to_fraction, bracket_terms, parse_rational
 from .rewrite import (
     RewriteSystem,
     GsbReport,
@@ -70,9 +70,7 @@ CoeffMap = Mapping[int, Scalar]
 def _clean_coeffs(coeffs: CoeffMap) -> dict[int, Fraction]:
     out = {}
     for v, c in dict(coeffs).items():
-        if isinstance(c, float):
-            raise TypeError("floating point coefficients are not allowed")
-        c = Fraction(c)
+        c = _to_fraction(c)
         if c:
             out[v] = c
     return out
@@ -648,24 +646,6 @@ class _WbarView:
                 Symbol(i, str(w), w.parity) for i, w in enumerate(self.letters)
             )
         )
-        self._substituted: dict[tuple[int, ...], NcMonomial] = {}
-
-    def substitute(self, m: NcMonomial) -> NcMonomial:
-        """Replace each letter leaf by its generator's tree over the base.
-
-        The word of the result is the concatenation of the letters' words.
-        Each pair is kept by its word over the letters, which fixes it when
-        the trees are standard bracketings: their subtrees are built once,
-        and a tree substituted twice gives the same object.
-        """
-        if m.is_leaf:
-            return self.generators[m.rank]
-        key = m.word.letters
-        out = self._substituted.get(key)
-        if out is None:
-            out = NcMonomial.pair(self.substitute(m.left), self.substitute(m.right))
-            self._substituted[key] = out
-        return out
 
     def super_ls_sequences(self) -> list[list[tuple[int, ...]]]:
         """The super-LS rank tuples over the letters, bucketed by total length.
@@ -691,9 +671,10 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     letter replaced by its generator's tree.  Nothing here reads the
     relations: that these are admissible bracketings of exactly the
     reduced super-LS words of the relations is what
-    :func:`verify_structure_theorem` checks at each degree.  Equal
-    subtrees of the returned trees are one object: the bracketings share
-    one ``standard_bracket`` memo and the view keeps what it substitutes.
+    :func:`verify_structure_theorem` checks at each degree.  The
+    bracketings share one ``standard_bracket`` memo, seeded with each
+    letter's generator tree, so every tree is built once, already over the
+    base alphabet, and equal subtrees are one object.
     Raises ``ValueError`` when the tables fail validation or
     ``max_len < 1``.
     """
@@ -706,9 +687,10 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     out = [
         shared.get(r) or NcMonomial.leaf(pres.alphabet, r) for r in range(pres.t_rank)
     ]
-    memo: dict[tuple[int, ...], NcMonomial] = {}
+    # seeded with each letter's tree, the memo gives every bracketing over the base
+    memo = {(r,): g for r, g in enumerate(view.generators)}
     for seq in chain.from_iterable(view.super_ls_sequences()):
-        out.append(view.substitute(standard_bracket(Word(view.alphabet, seq), memo)))
+        out.append(standard_bracket(Word(view.alphabet, seq), memo))
     out.sort(key=lambda m: deglex_key(m.word))
     return out
 
@@ -848,9 +830,10 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     holds exactly when concatenation is a bijection.
 
     The basis is the one :func:`enumerate_h_basis` returns.  Its monomials
-    that begin with t are the substituted standard bracketings of the
-    super-LS words over W, and substitution keeps words, so (ii) compares
-    their concatenations with the reduced super-LS words that begin with t:
+    that begin with t are the standard bracketings of the super-LS words
+    over W with each letter's generator tree at its leaf, so each spells
+    the concatenation of its letters' words, and (ii) compares these
+    concatenations with the reduced super-LS words that begin with t:
     given (i), a product is super-LS over W iff its concatenation is
     super-LS over the base.
     The reference words of (iii) come from the relations, by

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .poly import LetterTerms, Poly, letter_terms
-from .words import Word, _standard_coefficient
 
 
 def rank(vectors: Sequence[Union[Poly, LetterTerms]]) -> tuple[int, list[int]]:
@@ -51,18 +50,3 @@ def rank(vectors: Sequence[Union[Poly, LetterTerms]]) -> tuple[int, list[int]]:
                     del residue[w]
     return len(certificate), certificate
 
-
-def is_unitriangular(pairs: Sequence[tuple[Word, Poly]]) -> bool:
-    """Each vector leads with its claimed word at the standard coefficient.
-
-    The claimed word must be super-LS; the required leading coefficient is 1
-    for an LS word and 2 for an odd square.  Because the leading word is the
-    deglex maximum, all remaining support is automatically strictly smaller.
-    """
-    for claimed, vector in pairs:
-        if not claimed.letters:
-            return False
-        coeff = _standard_coefficient(claimed)
-        if coeff is None or vector.is_zero() or vector.leading() != (claimed, coeff):
-            return False
-    return True

@@ -83,7 +83,7 @@ class RewriteSystem:
                 raise ValueError("rule over a different alphabet")
             if rule.leading_word.letters in index:
                 raise ValueError(
-                    f"duplicate leading word {str(rule.leading_word)!r}"
+                    f"rules[{i}]: duplicate leading word {str(rule.leading_word) or '1'!r}"
                 )
             index[rule.leading_word.letters] = i
         self.alphabet = alphabet

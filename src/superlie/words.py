@@ -293,8 +293,9 @@ def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
     next, so no other word is visited; the squares ``uu`` of the odd ones
     with ``2|u| <= max_len`` are added, and each length is sorted.  The
     constrained paths use :func:`_super_ls_tuples` instead: its walk also
-    visits the prenecklaces that are not LS, which costs two to three times
-    Duval's time here, where no constraint prunes them.
+    visits the prenecklaces that are not LS, which costs 1.3 to 1.9 times
+    Duval's time here, where no constraint prunes them (3 or 4 letters at
+    lengths 7 and 8, Python 3.11).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

@@ -23,7 +23,6 @@ from superlie import (
     enumerate_uh_basis,
     expand,
     is_gsb,
-    is_unitriangular,
     load_presentation,
     parse_poly,
     rank,
@@ -35,6 +34,7 @@ from superlie import (
 )
 from conftest import EX2, ex1, ex2, ex3
 from conftest import random_poly
+from test_linalg import is_unitriangular
 
 FIXTURES = (("ex1", ex1), ("ex2", ex2), ("ex3", ex3))
 

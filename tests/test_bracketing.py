@@ -10,7 +10,6 @@ from superlie import (
     enumerate_super_ls,
     expand,
     is_admissible,
-    is_unitriangular,
     parse_monomial,
     parse_poly,
     rank,
@@ -20,6 +19,7 @@ from superlie import (
 from superlie import bracketing
 from superlie.words import _is_ls_letters
 from conftest import left_comb, reference_expand
+from test_linalg import is_unitriangular
 from test_words import GT, lex_cmp
 
 XT = Alphabet.from_names(["x", "t"])
@@ -137,6 +137,32 @@ def subtrees(m):
         yield from subtrees(m.right)
 
 
+def _substituted(m, trees):
+    """``m`` built anew with each leaf ``r`` replaced by ``trees[r]``."""
+    if m.is_leaf:
+        return trees[m.rank]
+    return NcMonomial.pair(_substituted(m.left, trees), _substituted(m.right, trees))
+
+
+def test_standard_bracket_with_seeded_letters_substitutes_them():
+    # a seeded entry is used as given: with each single letter seeded by a
+    # tree over another alphabet, the standard bracketing comes with those
+    # trees at its leaves and spells the substituted word
+    alphabet = Alphabet.from_names(["a", "b", "c"], odd=["b"])
+    xt = Alphabet.from_names(["x", "t"], odd=["t"])
+    trees = [parse_monomial(xt, text) for text in ("x", "[t,x]", "[[t,t],x]")]
+    seed = {(r,): m for r, m in enumerate(trees)}
+    shared = dict(seed)
+    words = enumerate_super_ls(alphabet, 6)
+    assert any(not _is_ls_letters(w.letters) for w in words)  # odd squares included
+    for w in words:
+        expected = _substituted(standard_bracket(w), trees)
+        m = standard_bracket(w, dict(seed))
+        assert m == expected and hash(m) == hash(expected) and str(m) == str(expected)
+        assert m.word.letters == sum((trees[r].word.letters for r in w.letters), ())
+        assert standard_bracket(w, shared) == expected
+
+
 @pytest.mark.parametrize("alphabet", SUPER_LS_ALPHABETS)
 def test_standard_bracket_with_a_memo_matches_standard_bracket(alphabet):
     words = enumerate_super_ls(alphabet, 6)
@@ -231,8 +257,8 @@ def test_admissibility_rejects_degenerate_bracketing():
 
 
 def test_admissibility_reads_a_given_expansion():
-    # a caller holding expand(m) reads it with is_unitriangular, the test
-    # is_admissible falls back on when its recursion cancels
+    # a given expansion, read by the is_unitriangular oracle: the leading
+    # term is_admissible reads from expand(m) when its recursion cancels
     m = parse_monomial(XT, "[t,[t,x]]")
     assert is_admissible(m) and is_unitriangular([(m.word, expand(m))])
     assert not is_unitriangular([(m.word, parse_poly(XT, "2*ttx - 4*txt + 2*xtt"))])

@@ -459,8 +459,9 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, changes, message):
         (["ba - a", "0"], "rules[1]: a rewrite rule cannot be zero"),
         (["ba - a", "c - a"], "rules[1]: rule body must be parity-homogeneous: c - a"),
         (["ba - a", "c", "2*ba + a"], "rules[2]: duplicate leading word 'ba'"),
+        (["2", "3"], "rules[1]: duplicate leading word '1'"),
     ],
-    ids=["zero", "parity-mixed", "duplicate-leading-word"],
+    ids=["zero", "parity-mixed", "duplicate-leading-word", "duplicate-empty-leading-word"],
 )
 def test_bad_rule_exits_2_with_its_location(capsys, tmp_path, rules, message):
     generators = [{"name": n, "parity": int(n == "c")} for n in "abc"]

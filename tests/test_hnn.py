@@ -26,7 +26,6 @@ from superlie import (
     free_generators_W,
     is_admissible,
     is_super_ls,
-    is_unitriangular,
     lie_composition_len2,
     load_presentation,
     parse_monomial,
@@ -43,6 +42,7 @@ from superlie import hnn
 from superlie.poly import from_letter_terms
 from conftest import left_comb, reference_expand
 from test_bracketing import subtrees
+from test_linalg import is_unitriangular
 from test_words import LT, _weighted_products, lex_cmp
 from conftest import (
     ALL,
@@ -884,6 +884,25 @@ def test_h_basis_shares_equal_subtrees(fixture):
         for node in subtrees(m):
             assert one_object.setdefault(node, node) is node, node
     assert sum(1 for m in basis for _ in subtrees(m)) > 2 * len(one_object)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_h_basis_builds_each_tree_once(fixture, monkeypatch):
+    # every pair node built is a node of the basis: no tree is built twice
+    # and none is built to be thrown away
+    pres, max_len = fixture(), 6 if fixture is ab5 else 7
+    built = []
+    pair = NcMonomial.pair.__func__
+
+    def counted(cls, left, right):
+        built.append(None)
+        return pair(cls, left, right)
+
+    monkeypatch.setattr(NcMonomial, "pair", classmethod(counted))
+    basis = enumerate_h_basis(pres, max_len)
+    monkeypatch.undo()
+    nodes = {id(n) for m in basis for n in subtrees(m) if not n.is_leaf}
+    assert len(built) == len(nodes)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

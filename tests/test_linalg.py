@@ -10,15 +10,32 @@ from superlie import (
     Poly,
     enumerate_super_ls,
     expand,
-    is_unitriangular,
     parse_poly,
     rank,
     standard_bracket,
 )
 from superlie.poly import letter_terms
+from superlie.words import _standard_coefficient
 from conftest import random_poly
 
 AB = Alphabet.from_names(["a", "b"])
+
+
+def is_unitriangular(pairs):
+    """Each vector leads with its claimed word at the standard coefficient.
+
+    The oracle for ``is_admissible`` and the basis tests: the claimed word
+    must be super-LS, and the required leading coefficient is 1 for an LS
+    word and 2 for an odd square.  The leading word being the deglex
+    maximum, all remaining support is strictly smaller.
+    """
+    for claimed, vector in pairs:
+        if not claimed.letters:
+            return False
+        coeff = _standard_coefficient(claimed)
+        if coeff is None or vector.is_zero() or vector.leading() != (claimed, coeff):
+            return False
+    return True
 
 
 def test_rank_of_nothing():

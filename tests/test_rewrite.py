@@ -66,7 +66,7 @@ def test_rule_rejects_zero_and_mixed_parity():
 
 
 def test_system_rejects_duplicate_leading_words():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rules\[1\]: duplicate leading word 'xa'$"):
         system(AXT, "xa - ax", "xa - a")
 
 
