@@ -178,14 +178,19 @@ def test_hnn_verify_ex1(capsys):
     assert "3, 1, 2, 3" in out
 
 
-def test_hnn_verify_rejects_invalid_table(capsys, tmp_path):
+def _invalid_ex2(tmp_path) -> Path:
+    """ex2 with the bracket [a, x] = a added, which breaks its Jacobi identities."""
     data = json.loads((FIXTURES / "ex2.json").read_text())
     data["brackets"].append(
         {"left": "a", "right": "x", "value": [{"basis": "a", "coeff": "1"}]}
     )
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "hnn-verify", "--input", str(path))
+    return path
+
+
+def test_hnn_verify_rejects_invalid_table(capsys, tmp_path):
+    code, out, _ = run(capsys, "hnn-verify", "--input", str(_invalid_ex2(tmp_path)))
     assert code == 1
     assert "FAIL" in out
 
@@ -342,27 +347,58 @@ def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
     assert out == (GOLDEN / f"ls-words-{name}.{fmt}").read_text()
 
 
+INVALID_EX2 = "<invalid ex2>"  # stands for the path _invalid_ex2 writes
+
+
+def _report_cells(name, argv, code):
+    """One golden cell per output format of a report."""
+    return [(f"{name}.txt", argv, code), (f"{name}.json", [*argv, "--format", "json"], code)]
+
+
+LISTING_CELLS = [
+    # ranks 10 and 11: a word's bytes hold 10, the newline
+    ("ls-words-a-to-l.txt", ["ls-words", "--alphabet", "a,b,c,d,e,f,g,h,i,j,k:odd,l",
+                             "--max-len", "4"], 0),
+    ("ls-words-a-to-l.json", ["ls-words", "--alphabet", "a,b,c,d,e,f,g,h,i,j,k:odd,l",
+                              "--max-len", "4", "--format", "json"], 0),
+    # odd squares and the longest enveloping lists of the fixtures, recorded
+    # while every listed word was still built through the checked Word
+    # constructor and printed by str(word)
+    ("hnn-basis-osp-6.json", ["hnn-basis", "--input", str(FIXTURES / "osp.json"),
+                              "--max-len", "6", "--format", "json"], 0),
+    ("hnn-basis-ab5-5.json", ["hnn-basis", "--input", str(FIXTURES / "ab5.json"),
+                              "--max-len", "5", "--format", "json"], 0),
+    # reports recorded while each tree's leading term was still found
+    # lazily, on first use; osp is the one fixture with all five
+    # composition families
+    *_report_cells("hnn-verify-osp-6", ["hnn-verify", "--input",
+                                        str(FIXTURES / "osp.json"), "--max-len", "6"], 0),
+    *_report_cells("hnn-verify-ab5-5", ["hnn-verify", "--input",
+                                        str(FIXTURES / "ab5.json"), "--max-len", "5"], 0),
+    *_report_cells("gsb-check-broken-rules",
+                   ["gsb-check", "--input", str(FIXTURES / "broken_rules.json")], 1),
+    *_report_cells("hnn-verify-ex2-invalid", ["hnn-verify", "--input", INVALID_EX2], 1),
+    # the rules are not closed, so the two strategies reach different normal forms
+    *(
+        cell
+        for strategy in ("largest-leftmost", "smallest-rightmost")
+        for cell in _report_cells(
+            f"reduce-broken-rules-{strategy}",
+            ["reduce", "xyv + 2*yx", "--input", str(FIXTURES / "broken_rules.json"),
+             "--strategy", strategy], 0,
+        )
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "name, argv",
-    [
-        # ranks 10 and 11: a word's bytes hold 10, the newline
-        ("ls-words-a-to-l.txt", ["ls-words", "--alphabet", "a,b,c,d,e,f,g,h,i,j,k:odd,l",
-                                 "--max-len", "4"]),
-        ("ls-words-a-to-l.json", ["ls-words", "--alphabet", "a,b,c,d,e,f,g,h,i,j,k:odd,l",
-                                  "--max-len", "4", "--format", "json"]),
-        # odd squares and the longest enveloping lists of the fixtures
-        ("hnn-basis-osp-6.json", ["hnn-basis", "--input", str(FIXTURES / "osp.json"),
-                                  "--max-len", "6", "--format", "json"]),
-        ("hnn-basis-ab5-5.json", ["hnn-basis", "--input", str(FIXTURES / "ab5.json"),
-                                  "--max-len", "5", "--format", "json"]),
-    ],
+    "name, argv, code",
+    # ids as pytest made them before the cells carried an exit code
+    [pytest.param(*cell, id=f"{cell[0]}-argv{i}") for i, cell in enumerate(LISTING_CELLS)],
 )
-def test_listing_matches_golden_file(capsys, name, argv):
-    # recorded from the CLI while every listed word was still built through
-    # the checked Word constructor and printed by str(word)
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / name).read_text()
+def test_listing_matches_golden_file(capsys, tmp_path, name, argv, code):
+    argv = [str(_invalid_ex2(tmp_path)) if arg == INVALID_EX2 else arg for arg in argv]
+    assert run(capsys, *argv) == (code, (GOLDEN / name).read_text(), "")
 
 
 EXPANSION_CELLS = {
