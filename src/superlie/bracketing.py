@@ -14,12 +14,11 @@ as a basis; ``is_admissible`` checks user-supplied trees.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
 from .words import (
     Alphabet,
-    Symbol,
     Word,
     _is_ls_letters,
     _standard_coefficient,
@@ -27,23 +26,26 @@ from .words import (
 )
 
 
-_UNSET = object()  # a leading term not yet computed; None means it cancels
-
-
 class NcMonomial:
     """A non-associative word: a leaf symbol or a pair of monomials.
 
-    Each node keeps its parity, the XOR of its children's, the leading term
-    of its expansion once :func:`_lead` has found it, and its text once
-    ``str`` has made it, so a subtree shared by many trees is read and
+    Each node is built with its parity, the XOR of its children's, and the
+    leading term of its expansion, made from its children's; it keeps its
+    text once ``str`` has made it, so a subtree shared by many trees is
     printed once.  A pair's word, its children's joined, is not checked again.
+
+    ``_leading`` is ``(letters, coefficient)`` of the deglex-leading term of
+    :func:`expand`, or None when that term cancels.  The free algebra is a
+    domain and deglex a monomial order, so lead([u,v]) is the larger of
+    lead(u)lead(v) and lead(v)lead(u), the second with sign -(-1)^{|u||v|};
+    equal words add their coefficients.
     """
 
     __slots__ = (
         "alphabet", "rank", "left", "right", "parity", "_word", "_hash", "_leading", "_text"
     )
 
-    def __init__(self, alphabet, rank, left, right, word, parity):
+    def __init__(self, alphabet, rank, left, right, word, parity, leading):
         # internal; use the leaf/pair constructors
         self.alphabet = alphabet
         self.rank = rank
@@ -51,7 +53,7 @@ class NcMonomial:
         self.right = right
         self.parity = parity
         self._word = word
-        self._leading = _UNSET  # computed on first use, by _lead
+        self._leading = leading
         self._text = None if rank is None else alphabet._names[rank]  # a pair's: on first str
         if rank is not None:
             self._hash = hash((alphabet._hash, "leaf", rank))
@@ -59,17 +61,25 @@ class NcMonomial:
             self._hash = hash((alphabet._hash, "pair", left._hash, right._hash))
 
     @classmethod
-    def leaf(cls, alphabet: Alphabet, symbol: Union[Symbol, int]) -> "NcMonomial":
-        rank = symbol.rank if isinstance(symbol, Symbol) else symbol
+    def leaf(cls, alphabet: Alphabet, rank: int) -> "NcMonomial":
         word = Word(alphabet, (rank,))
-        return cls(alphabet, rank, None, None, word, alphabet.parities[rank])
+        return cls(alphabet, rank, None, None, word, alphabet.parities[rank], ((rank,), 1))
 
     @classmethod
     def pair(cls, left: "NcMonomial", right: "NcMonomial") -> "NcMonomial":
         if left.alphabet != right.alphabet:
             raise ValueError("monomials over different alphabets")
         word = Word._of(left.alphabet, left._word.letters + right._word.letters)
-        return cls(left.alphabet, None, left, right, word, left.parity ^ right.parity)
+        leading = None
+        if left._leading is not None and right._leading is not None:
+            (u, cu), (v, cv) = left._leading, right._leading
+            uv, vu, c = u + v, v + u, cu * cv
+            swapped = c if left.parity and right.parity else -c
+            if uv != vu:
+                leading = (uv, c) if uv > vu else (vu, swapped)
+            elif c + swapped:
+                leading = (uv, c + swapped)
+        return cls(left.alphabet, None, left, right, word, left.parity ^ right.parity, leading)
 
     @property
     def is_leaf(self) -> bool:
@@ -172,47 +182,17 @@ def is_admissible(m: NcMonomial) -> bool:
     """Expansion has leading word ``m.word`` with the standard coefficient.
 
     The underlying word must be super-LS; the required coefficient is 1 for
-    an LS word and 2 for an odd square.  The leading term comes by
-    recursion, and ``m`` is expanded only if that cancels.  The free
-    algebra is a domain and deglex a monomial order, so lead([u,v]) is the
-    larger of lead(u)lead(v) and lead(v)lead(u), the second with sign
-    -(-1)^{|u||v|}; equal words add their coefficients.
+    an LS word and 2 for an odd square.  The leading term is the one ``m``
+    was built with, and ``m`` is expanded only if that cancels.
     """
     w = m.word
     coeff = _standard_coefficient(w)
     if coeff is None:
         raise ValueError(f"underlying word is not super-Lyndon-Shirshov: {str(w)!r}")
-    lead = _lead(m)
-    if lead is not None:
-        return lead == (w.letters, coeff)
+    if m._leading is not None:
+        return m._leading == (w.letters, coeff)
     e = expand(m)
     return bool(e) and e.leading() == (w, coeff)
-
-
-def _lead(m: NcMonomial) -> Optional[tuple[tuple[int, ...], int]]:
-    """(letters, coefficient) of the leading term of expand(m), or None if it cancels.
-
-    Each node's result is kept on it, so a shared subtree is visited once.
-    """
-    lead = m._leading
-    if lead is not _UNSET:
-        return lead
-    if m.is_leaf:
-        lead = (m.rank,), 1
-    else:
-        left, right = _lead(m.left), _lead(m.right)
-        if left is None or right is None:
-            lead = None
-        else:
-            (u, cu), (v, cv) = left, right
-            uv, vu, c = u + v, v + u, cu * cv
-            swapped = c if m.left.parity and m.right.parity else -c
-            if uv != vu:
-                lead = (uv, c) if uv > vu else (vu, swapped)
-            else:
-                lead = (uv, c + swapped) if c + swapped else None
-    m._leading = lead
-    return lead
 
 
 # -- text form -----------------------------------------------------------------
@@ -241,7 +221,7 @@ def parse_monomial(alphabet: Alphabet, text: str) -> NcMonomial:
         name = text[start:pos].strip()
         if not name:
             raise ValueError(f"missing symbol name at offset {start} in {text!r}")
-        return NcMonomial.leaf(alphabet, alphabet.symbol(name))
+        return NcMonomial.leaf(alphabet, alphabet.symbol(name).rank)
 
     def expect(ch: str) -> None:
         nonlocal pos

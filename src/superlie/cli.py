@@ -67,17 +67,16 @@ def _word_text(w) -> str:
     return str(w) or "1"
 
 
-def _load_system(path: str) -> tuple[RewriteSystem, object]:
+def _load_system(path: str) -> RewriteSystem:
     """A rewrite system from either a presentation or a rules file.
 
     Rules files look like {"generators": [{"name", "parity"}...],
     "rules": ["xy - v", ...]}; presentations are detected by their
-    subalgebra_size key.  Returns (system, presentation or None).
+    subalgebra_size key.
     """
     data = _read_json(path)
     if "subalgebra_size" in data:
-        pres = load_presentation(data)
-        return build_relations(pres), pres
+        return build_relations(load_presentation(data))
     if "rules" in data:
         rules: list[RewriteRule] = []
         try:
@@ -87,7 +86,7 @@ def _load_system(path: str) -> tuple[RewriteSystem, object]:
                     rules.append(RewriteRule(parse_poly(alphabet, text)))
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
-            return RewriteSystem(alphabet, rules), None
+            return RewriteSystem(alphabet, rules)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"{path}: expected a presentation or a rules file")
@@ -132,7 +131,7 @@ def _cmd_expand(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
-    system, _ = _load_system(args.input)
+    system = _load_system(args.input)
     poly = parse_poly(system.alphabet, args.poly)
     normal_form, trace = reduce(poly, system, strategy=args.strategy)
     steps = [
@@ -156,7 +155,7 @@ def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_gsb_check(args) -> tuple[int, dict, list[str]]:
-    system, _ = _load_system(args.input)
+    system = _load_system(args.input)
     report = is_gsb(system)
     payload = {"command": "gsb-check", **report.to_dict()}
     return (0 if report.passed else 1), payload, [str(report)]

@@ -381,7 +381,7 @@ class HnnPresentation:
                 "the subalgebra must be proper: at least one complement symbol"
             )
         try:
-            _check_name(t_name, 0)
+            _check_name(t_name)
         except ValueError as exc:
             raise ValueError(f"stable letter: {exc}") from None
         base = constants.alphabet.symbols
@@ -419,27 +419,26 @@ def _require_valid(pres: HnnPresentation) -> None:
 
 
 def build_relations(pres: HnnPresentation) -> RewriteSystem:
-    """The defining relations as a rewrite system with leading words
-    {xy : x > y} + {xx : x odd} + {t a : a in the subalgebra basis}.
+    """The defining relations as a rewrite system, one for each leading word xy.
 
-    Pair relations [x, y] - sum of bracket coefficients for x > y, odd-square
-    relations [x, x] - ... (stored monic, i.e. halved), and stable-letter
-    relations [t, a] - derivation image, each head the expansion of its
-    bracket monomial.  Raises when validation fails.  Built on the first
+    The leading words are the pairs that :func:`_successors` does not allow:
+    {xy : x > y} + {xx : x odd} + {t a : a in the subalgebra basis}.  Each
+    relation is [x, y] expanded minus its tail: the bracket coefficients of
+    x and y, or for x = t the derivation image of y.  Odd squares are stored
+    monic, i.e. halved.  Raises when validation fails.  Built on the first
     call for a presentation and kept on it, as its tables are immutable.
     """
     if pres._relations is not None:
         return pres._relations
     _require_valid(pres)
-    sc = pres.constants
-    size = len(sc.alphabet)
-    heads = [(x, y, sc.bracket_coeffs(x, y)) for x in range(size) for y in range(x)]
-    heads += [(x, x, sc.bracket_coeffs(x, x)) for x in range(size) if sc.parity(x)]
-    heads += [(pres.t_rank, a, sc.derivation_coeffs(a)) for a in range(sc.subalgebra_size)]
+    sc, t = pres.constants, pres.t_rank
     leaves = [NcMonomial.leaf(pres.alphabet, r) for r in range(len(pres.alphabet))]
     polys = [
-        expand(NcMonomial.pair(leaves[x], leaves[y])) - _tail_poly(pres, tail)
-        for x, y, tail in heads
+        expand(NcMonomial.pair(leaves[x], leaves[y]))
+        - _tail_poly(pres, sc.derivation_coeffs(y) if x == t else sc.bracket_coeffs(x, y))
+        for x, allowed in enumerate(_successors(pres))
+        for y in range(t + 1)
+        if y not in allowed
     ]
     polys.sort(key=lambda p: deglex_key(p.leading()[0]))
     pres._relations = RewriteSystem.from_polys(pres.alphabet, polys)
@@ -557,10 +556,11 @@ def verify_hnn_gsb(pres: HnnPresentation) -> HnnGsbReport:
 def _successors(pres: HnnPresentation) -> list[tuple[int, ...]]:
     """For each letter x, the letters y, ascending, for which xy is not a leading word.
 
-    Every leading word of :func:`build_relations` has length 2: xy for
-    x > y, xx for odd x of the original basis, and t a for a in the
-    subalgebra.  So a word is reduced exactly when each pair of adjacent
-    letters is allowed here.
+    The leading words of the relations are xy for x > y, xx for odd x of
+    the original basis, and t a for a in the subalgebra;
+    :func:`build_relations` makes one relation for each pair left out here.
+    So a word is reduced exactly when each pair of adjacent letters is
+    allowed here.
     """
     t = pres.t_rank
     parities = [s.parity for s in pres.alphabet.symbols]
@@ -839,13 +839,13 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     The reference words of (iii) come from the relations, by
     :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
     monomials from W are independent and, their number being the number of
-    reduced super-LS words, span.  Nothing is expanded freely: (iii) takes
-    each leading term by :func:`is_admissible`'s recursion, and (iv) ranks
-    the normal forms :func:`_normal_forms` memoises bottom-up.  These are
-    the normal forms of the free expansions because the relations form a
-    Groebner-Shirshov basis: :func:`build_relations` validates the tables,
-    and :func:`verify_hnn_gsb`, run by ``hnn-verify`` on the same
-    presentation, checks the closure.  In deglex order the monomials of
+    reduced super-LS words, span.  Nothing is expanded freely: (iii) reads
+    the leading term each node was built with, by :func:`is_admissible`,
+    and (iv) ranks the normal forms :func:`_normal_forms` memoises
+    bottom-up.  These are the normal forms of the free expansions because
+    the relations form a Groebner-Shirshov basis: :func:`build_relations`
+    validates the tables, and :func:`verify_hnn_gsb`, run by ``hnn-verify``
+    on the same presentation, checks the closure.  In deglex order the monomials of
     degree <= n are a prefix of the basis, so one :func:`rank` call gives
     every degree's rank: the certificate entries below the prefix length.
     The tests hold this against free expansion, :func:`reduce`, the

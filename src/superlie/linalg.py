@@ -1,36 +1,32 @@
 """Exact sparse linear algebra on word-indexed rational vectors.
 
-A vector is a :class:`~superlie.poly.Poly` viewed as a sparse map from
-words to rationals, or the same map as a letter-tuple dict.  Rank is
-computed by straightforward rational Gaussian elimination over a dictionary
-of pivot columns; exactness, not asymptotics, is the point.
+A vector is a sparse map from letter tuples to rationals, the form
+:func:`~superlie.poly.letter_terms` gives a Poly.  Rank is computed by
+straightforward rational Gaussian elimination over a dictionary of pivot
+columns; exactness, not asymptotics, is the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .poly import LetterTerms, Poly, letter_terms
+from .poly import LetterTerms
 
 
-def rank(vectors: Sequence[Union[Poly, LetterTerms]]) -> tuple[int, list[int]]:
+def rank(vectors: Sequence[LetterTerms]) -> tuple[int, list[int]]:
     """Exact rank plus a certificate: indices of an independent subset.
 
-    Each vector is a Poly or a dict from letter tuples to nonzero
-    coefficients; a Poly is converted to one once.  The certificate vectors
-    are linearly independent and span the same space as the input; its
-    length equals the reported rank.  Vectors are taken in order, so the
-    certificate entries below k are exactly the certificate of
+    Each vector is a dict from letter tuples to nonzero coefficients.  The
+    certificate vectors are linearly independent and span the same space as
+    the input; its length equals the reported rank.  Vectors are taken in
+    order, so the certificate entries below k are exactly the certificate of
     ``vectors[:k]``, and their number is the rank of that prefix.
     """
-    alphabets = {v.alphabet for v in vectors if isinstance(v, Poly)}
-    if len(alphabets) > 1:
-        raise ValueError("vectors over different alphabets")
     pivots: dict[tuple[int, ...], LetterTerms] = {}
     certificate: list[int] = []
     for index, vector in enumerate(vectors):
-        residue = letter_terms(vector) if isinstance(vector, Poly) else dict(vector)
+        residue = dict(vector)
         while residue:
             _, word = max(zip(map(len, residue), residue))  # the deglex leader
             pivot = pivots.get(word)
@@ -49,4 +45,3 @@ def rank(vectors: Sequence[Union[Poly, LetterTerms]]) -> tuple[int, list[int]]:
                 else:
                     del residue[w]
     return len(certificate), certificate
-

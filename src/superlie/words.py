@@ -39,11 +39,15 @@ class Symbol:
             raise ValueError("symbol name must be non-empty")
 
 
-def _check_name(name: object, position: int) -> None:
-    """Raise ``ValueError`` unless ``name`` passes the rule of :meth:`Alphabet.from_names`."""
+def _check_name(name: object, position: Optional[int] = None) -> None:
+    """Raise ``ValueError`` unless ``name`` passes the rule of :meth:`Alphabet.from_names`.
+
+    ``position``, the name's index in a list of names, is given in the message.
+    """
     if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+        where = "" if position is None else f" at position {position}"
         raise ValueError(
-            f"bad symbol name {name!r} at position {position}: use letters, "
+            f"bad symbol name {name!r}{where}: use letters, "
             "digits and '_', not starting with a digit"
         )
 

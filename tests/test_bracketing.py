@@ -17,6 +17,7 @@ from superlie import (
     superbracket,
 )
 from superlie import bracketing
+from superlie.poly import letter_terms
 from superlie.words import _is_ls_letters
 from conftest import left_comb, reference_expand
 from test_linalg import is_unitriangular
@@ -28,7 +29,7 @@ A_ODD = Alphabet.from_names(["a"], odd=["a"])
 
 
 def leaf(alphabet, name):
-    return NcMonomial.leaf(alphabet, alphabet.symbol(name))
+    return NcMonomial.leaf(alphabet, alphabet.symbol(name).rank)
 
 
 def pair(u, v):
@@ -289,7 +290,7 @@ def test_recursive_leading_term_matches_the_expansion():
     for w in words:
         for m in all_bracketings(w):
             expansion = expand(m)
-            lead = bracketing._lead(m)
+            lead = m._leading
             if lead is not None:
                 word, coeff = expansion.leading()
                 assert (word.letters, coeff) == lead, m
@@ -301,7 +302,7 @@ def test_cancelled_leading_term_falls_back_to_expand(monkeypatch):
     real = bracketing.expand
     monkeypatch.setattr(bracketing, "expand", lambda m: expanded.append(m) or real(m))
     m = parse_monomial(XT, "[[t,t],x]")
-    assert bracketing._lead(m) is None  # [t,t] = tt - tt for even t
+    assert m._leading is None  # [t,t] = tt - tt for even t
     assert not is_admissible(m)
     assert expanded == [m]
     expanded.clear()
@@ -340,18 +341,23 @@ def test_cached_leading_term_matches_a_fresh_recursion():
     trees += [pair(u, u), pair(pair(u, u), pair(u, u))]  # shared subtrees
     cancelled = 0
     for m in trees:
-        lead = bracketing._lead(m)
-        assert lead == _uncached_lead(m), m
-        assert bracketing._lead(m) == lead, m  # asked twice
-        for node in subtrees(m):  # read back from the nodes the first call filled
-            assert bracketing._lead(node) == _uncached_lead(node), node
+        # every node holds its leading term from construction, before any read
+        for node in subtrees(m):
+            assert node._leading == _uncached_lead(node), node
         expansion = expand(m)
-        if lead is None:
+        if m._leading is None:
             cancelled += 1
         else:
             word, coeff = expansion.leading()
-            assert (word.letters, coeff) == lead, m
+            assert (word.letters, coeff) == m._leading, m
     assert cancelled >= 3
+
+
+def test_is_admissible_reads_a_deep_comb_without_recursion():
+    # [..[[t,x],x]..,x] with 2000 x's: the left-normed bracketing of the LS
+    # word tx...x, built bottom up, leads with its own word at coefficient 1
+    x, t = XT.symbol("x").rank, XT.symbol("t").rank
+    assert is_admissible(left_comb(XT, t, [x] * 2000))
 
 
 def test_right_normed_matches_standard_on_block_words():
@@ -377,7 +383,7 @@ def test_standard_bracket_expansions_are_independent():
         words = enumerate_super_ls(alphabet, 5)
         for n in range(1, 6):
             layer = [w for w in words if len(w) == n]
-            vectors = [expand(standard_bracket(w)) for w in layer]
+            vectors = [letter_terms(expand(standard_bracket(w))) for w in layer]
             r, _ = rank(vectors)
             assert r == len(layer)
 

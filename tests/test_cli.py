@@ -474,8 +474,15 @@ def test_bad_coefficient_in_presentation_exits_2(capsys, tmp_path, coeff):
             "derivation[0].value[0].basis: unknown generator ['a']",
         ),
         ({"rules": [5]}, "{path}: rules[0]: expected a string"),
+        # one name, not an entry of a list, so no position
+        (
+            {"stable_letter": "1t"},
+            "stable letter: bad symbol name '1t': use letters, digits and '_', "
+            "not starting with a digit",
+        ),
     ],
-    ids=["brackets-int", "derivation-null", "left-list", "arg-list", "basis-list", "rule-int"],
+    ids=["brackets-int", "derivation-null", "left-list", "arg-list", "basis-list", "rule-int",
+         "stable-letter-name"],
 )
 def test_malformed_input_file_exits_2(capsys, tmp_path, changes, message):
     # a rules file when the change is to "rules", else the ex1 presentation

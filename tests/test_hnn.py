@@ -39,7 +39,7 @@ from superlie import (
     verify_structure_theorem,
 )
 from superlie import hnn
-from superlie.poly import from_letter_terms
+from superlie.poly import from_letter_terms, letter_terms
 from conftest import left_comb, reference_expand
 from test_bracketing import subtrees
 from test_linalg import is_unitriangular
@@ -957,7 +957,13 @@ def test_successors_are_the_pairs_that_are_not_leading_words():
     tables += [fixture() for fixture in FIXTURES]
     for pres in tables:
         leading = {r.leading_word.letters for r in build_relations(pres).rules}
-        assert all(len(w) == 2 for w in leading), pres
+        # the three shapes of relation: xy for x > y, xx for odd x other than
+        # t, and t a for a in the subalgebra
+        sc, t = pres.constants, pres.t_rank
+        shapes = {(x, y) for x in range(t) for y in range(x)}
+        shapes |= {(x, x) for x in range(t) if sc.parity(x)}
+        shapes |= {(t, a) for a in range(sc.subalgebra_size)}
+        assert leading == shapes, pres
         succ = hnn._successors(pres)
         size = len(pres.alphabet)
         assert len(succ) == size
@@ -1016,7 +1022,7 @@ def test_structure_rows_match_per_degree_recomputation(fixture):
     system = build_relations(pres)
     for row in verify_structure_theorem(pres, 5).rows:
         basis = enumerate_h_basis(pres, row.length)
-        vectors = [reduce(expand(m), system)[0] for m in basis]
+        vectors = [letter_terms(reduce(expand(m), system)[0]) for m in basis]
         assert row.h_basis_count == len(basis)
         assert row.independent_rank == rank(vectors)[0]
 
