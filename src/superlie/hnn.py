@@ -840,12 +840,12 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
     monomials from W are independent and, their number being the number of
     reduced super-LS words, span.  Nothing is expanded freely: (iii) reads
-    the leading term each node was built with, by :func:`is_admissible`,
-    and (iv) ranks the normal forms :func:`_normal_forms` memoises
-    bottom-up.  These are the normal forms of the free expansions because
-    the relations form a Groebner-Shirshov basis: :func:`build_relations`
-    validates the tables, and :func:`verify_hnn_gsb`, run by ``hnn-verify``
-    on the same presentation, checks the closure.  In deglex order the monomials of
+    each node's stored leading term by :func:`is_admissible`, and (iv) ranks
+    the normal forms :func:`_normal_forms` memoises bottom-up.  These are
+    the normal forms of the free expansions because the relations form a
+    Groebner-Shirshov basis: :func:`build_relations` validates the tables,
+    and :func:`verify_hnn_gsb`, run by ``hnn-verify`` on the same
+    presentation, checks the closure.  In deglex order the monomials of
     degree <= n are a prefix of the basis, so one :func:`rank` call gives
     every degree's rank: the certificate entries below the prefix length.
     The tests hold this against free expansion, :func:`reduce`, the

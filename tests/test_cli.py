@@ -348,6 +348,7 @@ def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
 
 
 INVALID_EX2 = "<invalid ex2>"  # stands for the path _invalid_ex2 writes
+BROKEN_REDUCE = ["reduce", "xyv + 2*yx", "--input", str(FIXTURES / "broken_rules.json")]
 
 
 def _report_cells(name, argv, code):
@@ -379,15 +380,10 @@ LISTING_CELLS = [
                    ["gsb-check", "--input", str(FIXTURES / "broken_rules.json")], 1),
     *_report_cells("hnn-verify-ex2-invalid", ["hnn-verify", "--input", INVALID_EX2], 1),
     # the rules are not closed, so the two strategies reach different normal forms
-    *(
-        cell
-        for strategy in ("largest-leftmost", "smallest-rightmost")
-        for cell in _report_cells(
-            f"reduce-broken-rules-{strategy}",
-            ["reduce", "xyv + 2*yx", "--input", str(FIXTURES / "broken_rules.json"),
-             "--strategy", strategy], 0,
-        )
-    ),
+    *_report_cells("reduce-broken-rules-largest-leftmost",
+                   [*BROKEN_REDUCE, "--strategy", "largest-leftmost"], 0),
+    *_report_cells("reduce-broken-rules-smallest-rightmost",
+                   [*BROKEN_REDUCE, "--strategy", "smallest-rightmost"], 0),
 ]
 
 
