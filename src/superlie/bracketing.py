@@ -95,18 +95,40 @@ class NcMonomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NcMonomial):
             return NotImplemented
-        if self.alphabet != other.alphabet or self.rank != other.rank:
+        if self.alphabet != other.alphabet:
             return False
-        if self.is_leaf:
-            return True
-        return self.left == other.left and self.right == other.right
+        # node pairs still to compare, on an explicit stack so any depth is
+        # walked; equal trees have equal hashes, and a shared node equals itself
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a.rank != b.rank:
+                return False
+            if a.rank is None:
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        if self._text is None:
-            self._text = f"[{self.left},{self.right}]"
+        # post-order over the nodes not yet printed, on an explicit stack so
+        # any depth is walked; a leaf has its text from construction
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node._text is not None:
+                stack.pop()
+            elif node.left._text is None:
+                stack.append(node.left)
+            elif node.right._text is None:
+                stack.append(node.right)
+            else:
+                node._text = f"[{node.left._text},{node.right._text}]"
+                stack.pop()
         return self._text
 
     def __repr__(self) -> str:
@@ -124,11 +146,25 @@ def expand(m: NcMonomial) -> Poly:
 
 
 def _expand_letters(m: NcMonomial, parities: tuple[int, ...]) -> LetterTerms:
-    if m.is_leaf:
-        return {(m.rank,): 1}
-    return bracket_terms(
-        parities, _expand_letters(m.left, parities), _expand_letters(m.right, parities)
-    )
+    """The expansion of ``m``, walked in post-order on explicit stacks.
+
+    No recursion, so any depth is walked.  ``values`` holds the expansions
+    of the complete subtrees not yet bracketed; a ``None`` on the node
+    stack marks where the top two are bracketed.  A shared subtree is
+    expanded at each place it occurs.
+    """
+    values: list[LetterTerms] = []
+    stack: list[Optional[NcMonomial]] = [m]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            right = values.pop()
+            values.append(bracket_terms(parities, values.pop(), right))
+        elif node.rank is not None:
+            values.append({(node.rank,): 1})
+        else:
+            stack += (None, node.right, node.left)
+    return values[0]
 
 
 def standard_bracket(
@@ -199,41 +235,51 @@ def is_admissible(m: NcMonomial) -> bool:
 
 
 def parse_monomial(alphabet: Alphabet, text: str) -> NcMonomial:
-    """Parse the "[u,v]" nesting syntax with symbol names at the leaves."""
-    pos = 0
+    """Parse the "[u,v]" nesting syntax with symbol names at the leaves.
 
-    def parse() -> NcMonomial:
+    A stack parser, so any depth is read: ``unclosed`` holds one entry per
+    unclosed bracket, None until its left child is complete.
+    """
+    pos, end = 0, len(text)
+
+    def skip_space() -> None:
         nonlocal pos
-        while pos < len(text) and text[pos].isspace():
+        while pos < end and text[pos].isspace():
             pos += 1
-        if pos >= len(text):
+
+    def expect(ch: str) -> None:
+        nonlocal pos
+        skip_space()
+        if pos >= end or text[pos] != ch:
+            raise ValueError(f"expected {ch!r} at offset {pos} in {text!r}")
+        pos += 1
+
+    unclosed: list[Optional[NcMonomial]] = []
+    while True:
+        skip_space()
+        if pos >= end:
             raise ValueError(f"unexpected end of monomial text {text!r}")
         if text[pos] == "[":
             pos += 1
-            left = parse()
-            expect(",")
-            right = parse()
-            expect("]")
-            return NcMonomial.pair(left, right)
+            unclosed.append(None)
+            continue
         start = pos
-        while pos < len(text) and text[pos] not in "[],":
+        while pos < end and text[pos] not in "[],":
             pos += 1
         name = text[start:pos].strip()
         if not name:
             raise ValueError(f"missing symbol name at offset {start} in {text!r}")
-        return NcMonomial.leaf(alphabet, alphabet.symbol(name).rank)
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text) or text[pos] != ch:
-            raise ValueError(f"expected {ch!r} at offset {pos} in {text!r}")
-        pos += 1
-
-    m = parse()
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos != len(text):
+        m = NcMonomial.leaf(alphabet, alphabet.symbol(name).rank)
+        # a complete right child closes its bracket, and so on outwards
+        while unclosed and unclosed[-1] is not None:
+            left = unclosed.pop()
+            expect("]")
+            m = NcMonomial.pair(left, m)
+        if not unclosed:
+            break
+        unclosed[-1] = m
+        expect(",")
+    skip_space()
+    if pos != end:
         raise ValueError(f"trailing characters at offset {pos} in {text!r}")
     return m

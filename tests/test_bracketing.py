@@ -1,5 +1,7 @@
 """Monomial trees, standard bracketings, admissibility."""
 
+import sys
+
 import pytest
 
 from superlie import (
@@ -358,6 +360,19 @@ def test_is_admissible_reads_a_deep_comb_without_recursion():
     # word tx...x, built bottom up, leads with its own word at coefficient 1
     x, t = XT.symbol("x").rank, XT.symbol("t").rank
     assert is_admissible(left_comb(XT, t, [x] * 2000))
+
+
+def test_deep_comb_prints_compares_and_parses_without_recursion():
+    # 200 levels past the recursion limit; the CLI test expands one
+    x, t = XT.symbol("x").rank, XT.symbol("t").rank
+    n = sys.getrecursionlimit() + 200
+    m = left_comb(XT, t, [x] * n)
+    text = str(m)
+    assert text == "[" * n + "t" + ",x]" * n
+    again = parse_monomial(XT, text)
+    assert again is not m and again == m and hash(again) == hash(m)
+    assert str(again) == text
+    assert again != left_comb(XT, t, [x] * (n - 1) + [t])
 
 
 def test_right_normed_matches_standard_on_block_words():

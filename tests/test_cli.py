@@ -3,6 +3,7 @@
 import doctest
 import importlib
 import json
+import math
 import os
 import re
 import shutil
@@ -12,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from superlie import cli
+from superlie import Alphabet, Poly, Word, cli, parse_monomial
 from superlie.cli import main
 from superlie.hnn import load_presentation, validate
-from conftest import ALL
+from conftest import ALL, left_comb
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -111,6 +112,38 @@ def test_expand_command(capsys):
     code, out, _ = run(capsys, "expand", "[t,x]", "--alphabet", "x,t")
     assert code == 0
     assert out.strip() == "tx - xt"
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_expand_command_reads_a_comb_deeper_than_the_recursion_limit(capsys):
+    # [..[[t,x],x]..,x] with n x's expands to sum_k (-1)^k C(n,k) x^k t x^(n-k),
+    # built in O(n^3) letters, so the limit is lowered to keep n small: a
+    # parser, printer or expansion recursing once per level would exceed it
+    alphabet = Alphabet.from_names(["x", "t"])
+    x, t = alphabet.symbol("x").rank, alphabet.symbol("t").rank
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        n = sys.getrecursionlimit() + 50
+        text = "[" * n + "t" + ",x]" * n
+        code, out, err = run(capsys, "expand", text, "--alphabet", "x,t", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert parse_monomial(alphabet, payload["monomial"]) == left_comb(alphabet, t, [x] * n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert payload["monomial"] == text
+    closed_form = Poly(alphabet, [
+        (Word(alphabet, (x,) * k + (t,) + (x,) * (n - k)), (-1) ** k * math.comb(n, k))
+        for k in range(n + 1)
+    ])
+    assert payload["expansion"] == str(closed_form)
 
 
 def test_reduce_command(capsys, tmp_path):
@@ -384,6 +417,12 @@ LISTING_CELLS = [
                    [*BROKEN_REDUCE, "--strategy", "largest-leftmost"], 0),
     *_report_cells("reduce-broken-rules-smallest-rightmost",
                    [*BROKEN_REDUCE, "--strategy", "smallest-rightmost"], 0),
+    # degrees where check (iv) rewrites bracket products, recorded while it
+    # still scanned every product word for a leading word
+    *_report_cells("hnn-verify-ab5-7", ["hnn-verify", "--input",
+                                        str(FIXTURES / "ab5.json"), "--max-len", "7"], 0),
+    *_report_cells("hnn-verify-osp-8", ["hnn-verify", "--input",
+                                        str(FIXTURES / "osp.json"), "--max-len", "8"], 0),
 ]
 
 

@@ -14,6 +14,9 @@ import pytest
 from superlie import (
     Alphabet,
     NcMonomial,
+    Poly,
+    RewriteRule,
+    RewriteSystem,
     StructureConstants,
     Symbol,
     Word,
@@ -1027,16 +1030,44 @@ def test_structure_rows_match_per_degree_recomputation(fixture):
         assert row.independent_rank == rank(vectors)[0]
 
 
+def _random_tree(rng, alphabet, size):
+    """A random bracketing of ``size`` leaves, each leaf any letter of ``alphabet``."""
+    if size == 1:
+        return NcMonomial.leaf(alphabet, rng.randrange(len(alphabet)))
+    k = rng.randint(1, size - 1)
+    return NcMonomial.pair(_random_tree(rng, alphabet, k), _random_tree(rng, alphabet, size - k))
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_memoised_normal_forms_are_the_reduced_free_expansions(fixture):
-    # the oracle the memo replaced: expand each basis monomial freely, reduce
+    # the oracle the memo replaced: expand each monomial freely, reduce.  Past
+    # the basis, trees that are not basis monomials, as the negative controls
+    # hand verify_structure_theorem: every [a,b] of two letters ([x,x] for odd
+    # x and [t,t] among them), random bracketings of any letters, and brackets
+    # of two basis monomials, whose products the relations reduce
     pres = fixture()
+    alphabet, t = pres.alphabet, pres.t_rank
     system = build_relations(pres)
     basis = enumerate_h_basis(pres, 7)
-    forms = hnn._normal_forms(basis, system)
-    assert len(forms) == len(basis) and max(len(m) for m in basis) == 7
-    for m, form in zip(basis, forms):
-        assert from_letter_terms(pres.alphabet, form) == reduce(expand(m), system)[0], m
+    rng = Random(zlib.crc32(fixture.__name__.encode()))
+    leaves = [NcMonomial.leaf(alphabet, r) for r in range(len(alphabet))]
+    trees = [NcMonomial.pair(a, b) for a in leaves for b in leaves]
+    trees += [_random_tree(rng, alphabet, rng.randint(1, 7)) for _ in range(40)]
+    short = [m for m in basis if len(m) <= 4]
+    for _ in range(40):
+        u = rng.choice(short)
+        v = rng.choice([m for m in short if len(u) + len(m) <= 7])
+        trees.append(NcMonomial.pair(u, v))
+    monomials = basis + trees
+    forms = hnn._normal_forms(monomials, system)
+    assert len(forms) == len(monomials) and max(len(m) for m in basis) == 7
+    for m, form in zip(monomials, forms):
+        assert from_letter_terms(alphabet, form) == reduce(expand(m), system)[0], m
+    # the junction split needs every leading word to have length 2
+    ttt = RewriteRule(Poly.monomial(Word(alphabet, (t, t, t))))
+    longer = RewriteSystem(alphabet, (*system.rules, ttt))
+    with pytest.raises(ValueError, match="length 2"):
+        hnn._normal_forms(basis, longer)
 
 
 def test_relations_are_built_once_per_presentation():
@@ -1160,6 +1191,21 @@ def test_missing_stable_letter_word_fails_check_iii(monkeypatch):
     assert [r.admissibility_ok for r in report.rows] == [True, True, False, True]
     assert not report.rows[2].passed
     assert list(report.h_basis_counts) == [3, 1, 1, 3]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_repeated_monomial_fails_check_iv(monkeypatch, k):
+    # a basis monomial of degree k listed twice is dependent: the rank falls
+    # one short of the count from degree k on
+    def repeat(basis):
+        i = next(i for i, m in enumerate(basis) if len(m) == k)
+        return basis[: i + 1] + basis[i:]
+
+    report = _structure_with_basis(monkeypatch, ab5(), 5, repeat)
+    assert not report.passed
+    assert [r.rank_ok for r in report.rows] == [n < k for n in range(1, 6)]
+    for r in report.rows:
+        assert r.independent_rank == r.h_basis_count - (r.length >= k)
 
 
 def _flip_longest_parity(view):
