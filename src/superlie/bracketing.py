@@ -3,27 +3,24 @@
 An :class:`NcMonomial` is a binary tree with symbols at the leaves; reading
 the leaves left to right recovers an associative word (``m.word``).  Every
 super-Lyndon-Shirshov word carries exactly one bracketing satisfying the
-recursive Lyndon-Shirshov monomial condition; ``standard_bracket`` computes
-it by repeatedly splitting off the longest proper LS suffix (and splitting a
-square ``uu`` in the middle).  A bracketing of a super-LS word ``w`` is
-*admissible* when its expansion under the superbracket has leading word ``w``
-with the same leading coefficient as the standard bracketing (1 for LS words,
-2 for odd squares).  Any admissible bracketing may replace the standard one
-as a basis; ``is_admissible`` checks user-supplied trees.
+recursive Lyndon-Shirshov monomial condition: split off the longest proper
+LS suffix (a square ``uu`` in the middle); ``standard_bracket`` builds every
+split in one pass.  ``expand`` and check (iv)'s normal forms are one
+evaluator, :func:`_normal_forms`, without and with relations.  A bracketing
+of a super-LS word ``w`` is *admissible* when its expansion under the
+superbracket has leading word ``w`` with the same leading coefficient as
+the standard bracketing (1 for LS words, 2 for odd squares).  Any
+admissible bracketing may replace the standard one as a basis;
+``is_admissible`` checks user-supplied trees.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Container, Optional, Sequence
 
 from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
-from .words import (
-    Alphabet,
-    Word,
-    _is_ls_letters,
-    _standard_coefficient,
-    is_super_ls,
-)
+from .rewrite import RewriteSystem, _reduce_letters
+from .words import Alphabet, Word, _standard_coefficient, is_super_ls
 
 
 class NcMonomial:
@@ -138,33 +135,83 @@ class NcMonomial:
 def expand(m: NcMonomial) -> Poly:
     """Evaluate the tree in the free associative superalgebra.
 
-    The tree is expanded on letter tuples with integer coefficients, one
-    :func:`bracket_terms` pass per inner node; only the result becomes a
-    Poly.
+    The free expansion is the normal form modulo no relations: one
+    :func:`_normal_forms` walk with no system and no memo, on letter tuples
+    with integer coefficients; only the result becomes a Poly.
     """
-    return from_letter_terms(m.alphabet, _expand_letters(m, m.alphabet.parities))
+    return from_letter_terms(m.alphabet, _normal_forms((m,))[0])
 
 
-def _expand_letters(m: NcMonomial, parities: tuple[int, ...]) -> LetterTerms:
-    """The expansion of ``m``, walked in post-order on explicit stacks.
+def _normal_forms(
+    roots: Sequence[NcMonomial],
+    system: Optional[RewriteSystem] = None,
+    memo: Optional[dict[NcMonomial, LetterTerms]] = None,
+) -> list[LetterTerms]:
+    """Each root's normal form modulo ``system`` as a letter-tuple dict.
 
-    No recursion, so any depth is walked.  ``values`` holds the expansions
-    of the complete subtrees not yet bracketed; a ``None`` on the node
-    stack marks where the top two are bracketed.  A shared subtree is
-    expanded at each place it occurs.
+    NF(leaf) = leaf and NF([u,v]) is the reduction of [NF(u), NF(v)]: the
+    reduction of the free expansion when the relations form a
+    Groebner-Shirshov basis, and with no system the free expansion.  The
+    trees are walked in post-order on explicit stacks, so any depth is
+    walked: ``values`` holds the forms of the complete subtrees not yet
+    bracketed, and a ``None`` on the node stack marks where the top two are
+    bracketed.  ``memo`` maps the subtrees evaluated to their forms, found
+    by identity when equal subtrees are one object; never write its forms.
+    With no memo nothing outlives the call.
+
+    NF(u) and NF(v) are sums of reduced words and every leading word has
+    length 2 (raises ValueError otherwise), so a product ab holds a leading
+    word exactly when the junction pair (a[-1], b[0]) is one.  Only the
+    products :func:`bracket_terms` sets aside on that test are reduced, by
+    :func:`_reduce_letters` with one ``hits`` dict per call, and added
+    back: reduction is linear, as the step taken on a word depends on that
+    word alone.  The relations being parity-homogeneous, so is each form,
+    and the sign -(-1)^{|u||v|} is read from the children's parities.
     """
+    junctions: Container = frozenset()
+    if system is not None:
+        if any(rule.leading_len != 2 for rule in system.rules):
+            raise ValueError("junction normal forms need every leading word of length 2")
+        junctions = system._index
+    hits: dict = {}  # the reduction step of each word, shared by every node
+    get = (memo if memo is not None else {}).get
+    # each root leaves one form on ``values``: the roots' forms in order
     values: list[LetterTerms] = []
-    stack: list[Optional[NcMonomial]] = [m]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            right = values.pop()
-            values.append(bracket_terms(parities, values.pop(), right))
-        elif node.rank is not None:
-            values.append({(node.rank,): 1})
-        else:
-            stack += (None, node.right, node.left)
-    return values[0]
+    stack: list[Optional[NcMonomial]] = []
+    for root in roots:
+        stack.append(root)
+        while stack:
+            node = stack.pop()
+            if node is None:  # the top two values are the next node's children's
+                node = stack.pop()
+                right = values.pop()
+                left = values.pop()
+            else:
+                form = get(node)
+                if form is None and node.rank is not None:
+                    form = {(node.rank,): 1}
+                    if memo is not None:
+                        memo[node] = form
+                if form is not None:
+                    values.append(form)
+                    continue
+                left, right = get(node.left), get(node.right)
+                if left is None or right is None:
+                    stack += (node, None, node.right, node.left)
+                    continue
+            form, aside = bracket_terms(left, right, node.left.parity & node.right.parity, junctions)
+            if aside:
+                _reduce_letters(aside, system, True, hits)
+                for w, c in aside.items():  # c != 0: a sum of 0 had w in form
+                    c += form.get(w, 0)
+                    if c:
+                        form[w] = c
+                    else:
+                        del form[w]
+            if memo is not None:
+                memo[node] = form
+            values.append(form)
+    return values
 
 
 def standard_bracket(
@@ -173,44 +220,46 @@ def standard_bracket(
     """The unique super-LS monomial whose leaves spell ``w``.
 
     LS words of length > 1 split as w = uv with v the longest proper LS
-    suffix; squares uu (u odd LS) split in the middle.
+    suffix; squares uu (u odd LS) split in the middle.  One pass from right
+    to left builds every split: ``factors`` holds the LS factorisation of
+    the suffix read so far, leftmost factor on top, each as (end, tree).
+    Each letter starts a new factor, which takes in the top one while it
+    is greater in the lex order; the factor taken in is then the longest
+    proper LS suffix of the merged one.  An LS word ends as one factor, and
+    an odd square uu as two equal ones, bracketed as [U, U].
 
     ``memo``, when given, maps letter tuples to the trees already built for
     them, in the way ``copy.deepcopy`` takes one: every subtree is looked up
-    there before it is built, and stored there once built, so trees made
-    with one memo share their equal subtrees as one object.  Share a memo
-    only among words over one alphabet.  A seeded entry is used as given,
-    so seeding each single letter ``(r,)`` with a tree substitutes that
-    tree for the letter: the result's leaves then spell the substituted
-    word, over the trees' alphabet.
+    there when its letters are complete, and stored there if it was not, so
+    trees made with one memo share their equal subtrees as one object.
+    Share a memo only among words over one alphabet.  A seeded entry is
+    used as given, so seeding each single letter ``(r,)`` with a tree
+    substitutes that tree for the letter: the result's leaves then spell
+    the substituted word, over the trees' alphabet.
     """
     if not is_super_ls(w):
         raise ValueError(f"not a super-Lyndon-Shirshov word: {str(w)!r}")
-    return _standard(w.alphabet, w.letters, {} if memo is None else memo)
-
-
-def _standard(
-    alphabet: Alphabet, letters: tuple[int, ...], memo: dict[tuple[int, ...], NcMonomial]
-) -> NcMonomial:
-    """The standard bracketing of the super-LS letter tuple ``letters``, via ``memo``.
-
-    Recurses on letter tuples, testing each suffix with ``_is_ls_letters``,
-    so no Word is built but those of the returned tree.
-    """
-    m = memo.get(letters)
-    if m is not None:
-        return m
-    if len(letters) == 1:
-        m = NcMonomial.leaf(alphabet, letters[0])
-    elif _is_ls_letters(letters):
-        i = next(i for i in range(1, len(letters)) if _is_ls_letters(letters[i:]))
-        m = NcMonomial.pair(
-            _standard(alphabet, letters[:i], memo), _standard(alphabet, letters[i:], memo)
-        )
-    else:
-        half = _standard(alphabet, letters[: len(letters) // 2], memo)
-        m = NcMonomial.pair(half, half)
-    memo[letters] = m
+    alphabet, letters = w.alphabet, w.letters
+    memo = {} if memo is None else memo
+    above = (len(alphabet),)  # ends a segment so that a prefix sorts greater
+    factors: list[tuple[int, NcMonomial]] = []
+    for start in range(len(letters) - 1, -1, -1):
+        end = start + 1
+        m = memo.get(letters[start:end])
+        if m is None:
+            m = memo[letters[start:end]] = NcMonomial.leaf(alphabet, letters[start])
+        while factors and letters[start:end] + above > letters[end : factors[-1][0]] + above:
+            end, right = factors.pop()
+            segment = letters[start:end]
+            merged = memo.get(segment)
+            if merged is None:
+                merged = memo[segment] = NcMonomial.pair(m, right)
+            m = merged
+        factors.append((end, m))
+    if len(factors) == 2:  # the odd square uu, each half one factor
+        m = memo.get(letters)
+        if m is None:
+            m = memo[letters] = NcMonomial.pair(factors[1][1], factors[0][1])
     return m
 
 

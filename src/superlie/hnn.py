@@ -38,16 +38,16 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .bracketing import (
     NcMonomial,
+    _normal_forms,
     expand,
     is_admissible,
     standard_bracket,
 )
 from .linalg import rank
-from .poly import LetterTerms, Poly, _to_fraction, parse_rational
+from .poly import Poly, _to_fraction, parse_rational
 from .rewrite import (
     RewriteSystem,
     GsbReport,
-    _reduce_letters,
     enumerate_reduced_super_ls,
     is_gsb,
     lie_composition_len2,
@@ -769,74 +769,6 @@ class StructureReport:
         return "\n".join(lines)
 
 
-def _normal_forms(
-    monomials: Sequence[NcMonomial], system: RewriteSystem
-) -> list[LetterTerms]:
-    """Each monomial's normal form as a letter-tuple dict, memoised bottom-up.
-
-    NF(leaf) = leaf, and NF([u,v]) is the reduction of [NF(u), NF(v)].
-    That equals the reduction of the free expansion when the relations form
-    a Groebner-Shirshov basis.  Every subtree of a basis monomial is a basis
-    monomial, so each costs one bracket and one reduction; the basis of
-    :func:`enumerate_h_basis` shares its equal subtrees, so the memo finds
-    them by identity.  The returned dicts are shared: never write.
-
-    The bracket is split at the junction.  NF(u) and NF(v) are sums of
-    reduced words, and every leading word has length 2 (raises ValueError
-    otherwise), so a product ab of two such words contains a leading word
-    exactly when the pair (a[-1], b[0]) is one.  The products whose pair is
-    not go straight into the result, already reduced; only the others are
-    reduced by :func:`_reduce_letters`, with one ``hits`` dict shared by
-    every node, and added back.  The split is exact because reduction is
-    linear: each step the kernel takes on a word depends on that word
-    alone, so the normal form of a sum is the sum of the normal forms.  The
-    relations being parity-homogeneous, each normal form is homogeneous of
-    its tree's parity, so the sign -(-1)^{|u||v|} of vu is read once per
-    node.
-    """
-    if any(rule.leading_len != 2 for rule in system.rules):
-        raise ValueError("junction normal forms need every leading word of length 2")
-    index = system._index
-    memo: dict[NcMonomial, LetterTerms] = {}
-    hits: dict = {}  # the reduction step of each word, shared by every call
-
-    def junction_bracket(m: NcMonomial) -> LetterTerms:
-        p, q = normal_form(m.left), normal_form(m.right)
-        odd = m.left.parity and m.right.parity
-        # end letters as slices: a junction with the empty word, shorter
-        # than 2, is never a leading word
-        rhs = [(v, cv, v[:1], v[-1:]) for v, cv in q.items()]
-        out: LetterTerms = {}
-        pending: LetterTerms = {}
-        for u, cu in p.items():
-            u_first, u_last = u[:1], u[-1:]
-            for v, cv, v_first, v_last in rhs:
-                c = cu * cv
-                uv, vu = u + v, v + u
-                acc = pending if u_last + v_first in index else out
-                acc[uv] = acc.get(uv, 0) + c
-                acc = pending if v_last + u_first in index else out
-                acc[vu] = acc.get(vu, 0) + (c if odd else -c)
-        pending = {w: c for w, c in pending.items() if c}
-        if pending:
-            _reduce_letters(pending, system, True, hits)
-            for w, c in pending.items():
-                out[w] = out.get(w, 0) + c
-        return {w: c for w, c in out.items() if c}
-
-    def normal_form(m: NcMonomial) -> LetterTerms:
-        form = memo.get(m)
-        if form is None:
-            form = {(m.rank,): 1} if m.is_leaf else junction_bracket(m)
-            memo[m] = form
-        return form
-
-    forms = [normal_form(m) for m in monomials]
-    # the two closures refer to each other: free memo and hits now, not at a later gc pass
-    del normal_form
-    return forms
-
-
 def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureReport:
     """Four checks at every degree n <= max_len.
 
@@ -890,7 +822,7 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         raise ValueError("max_len must be >= 1")
     system = build_relations(pres)
     basis = enumerate_h_basis(pres, max_len)
-    _, certificate = rank(_normal_forms(basis, system))
+    _, certificate = rank(_normal_forms(basis, system, {}))
     t = pres.t_rank
     generators = free_generators_W(pres, max_len)
     letters = {m.word.letters for m in generators}

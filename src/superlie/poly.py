@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Container, Iterable, Mapping, Union
 
 from .words import Alphabet, Word, deglex_key
 
@@ -192,37 +192,54 @@ def from_letter_terms(alphabet: Alphabet, terms: LetterTerms) -> Poly:
     return Poly(alphabet, {Word(alphabet, w): c for w, c in terms.items()})
 
 
-def bracket_terms(parities: tuple[int, ...], p: LetterTerms, q: LetterTerms) -> LetterTerms:
-    """The superbracket [p, q] of two letter-tuple dicts, in one pass.
+def bracket_terms(
+    p: LetterTerms, q: LetterTerms, odd: int, junctions: Container = frozenset()
+) -> tuple[LetterTerms, LetterTerms]:
+    """The superbracket [p, q] of two letter-tuple dicts of one parity each.
 
-    Each term pair (u, c_u), (v, c_v) adds c = c_u c_v to uv and
-    -(-1)^{|u||v|} c to vu, with each word's parity read from ``parities``
-    (one entry per rank), so mixed-parity inputs need no even/odd split.
-    Zero coefficients are dropped.
+    Each term pair (u, c_u), (v, c_v) adds c = c_u c_v to uv and -c to vu,
+    or +c when ``odd``, true when p and q are both odd.  A product whose
+    junction pair (the last letter of its left word, the first of its
+    right) is a key of ``junctions`` goes to the second dict returned,
+    every other product to the first; a junction with the empty word,
+    shorter than 2, is a key of no index of pairs.  Zero coefficients are
+    dropped from both.  The inputs are never written.
     """
-    rhs = [(v, cv, sum([parities[r] for r in v]) & 1) for v, cv in q.items()]
+    rhs = [(v, cv, v[:1], v[-1:]) for v, cv in q.items()]
     out: LetterTerms = {}
-    get = out.get
+    aside: LetterTerms = {}
     for u, cu in p.items():
-        pu = sum([parities[r] for r in u]) & 1
-        for v, cv, pv in rhs:
+        u_first, u_last = u[:1], u[-1:]
+        for v, cv, v_first, v_last in rhs:
             c = cu * cv
             uv, vu = u + v, v + u
-            out[uv] = get(uv, 0) + c
-            out[vu] = get(vu, 0) + (c if pu and pv else -c)
-    return {w: c for w, c in out.items() if c}
+            acc = aside if u_last + v_first in junctions else out
+            acc[uv] = acc.get(uv, 0) + c
+            acc = aside if v_last + u_first in junctions else out
+            acc[vu] = acc.get(vu, 0) + (c if odd else -c)
+    return {w: c for w, c in out.items() if c}, {w: c for w, c in aside.items() if c}
 
 
 def superbracket(p: Poly, q: Poly) -> Poly:
     """[p, q] = pq - (-1)^{|p||q|} qp, extended bilinearly over parities.
 
-    Both sides go to letter-tuple dicts, :func:`bracket_terms` brackets
-    them, and the result is the one Poly built.
+    Each side splits into its even and odd letter-tuple dicts,
+    :func:`bracket_terms` brackets each pair of nonzero parts, and the one
+    Poly built sums their terms.
     """
-    if p.alphabet != q.alphabet:
+    alphabet, parities = p.alphabet, p.alphabet.parities
+    if alphabet != q.alphabet:
         raise ValueError("polynomials over different alphabets")
-    terms = bracket_terms(p.alphabet.parities, letter_terms(p), letter_terms(q))
-    return from_letter_terms(p.alphabet, terms)
+    p_parts, q_parts = ({}, {}), ({}, {})  # each side's (even, odd) letter dicts
+    for side, parts in ((p, p_parts), (q, q_parts)):
+        for w, c in side._terms:
+            parts[sum([parities[r] for r in w.letters]) & 1][w.letters] = c
+    return Poly(alphabet, [
+        (Word(alphabet, w), c)
+        for odd_p, p_part in enumerate(p_parts) if p_part
+        for odd_q, q_part in enumerate(q_parts) if q_part
+        for w, c in bracket_terms(p_part, q_part, odd_p & odd_q)[0].items()
+    ])
 
 
 # -- text form ----------------------------------------------------------------

@@ -173,7 +173,8 @@ class Word:
     A rank is an ``int`` (``True`` counts as 1) in ``0 .. len(alphabet) - 1``.
     ``Word(alphabet, letters)`` checks every rank; the words the library
     generates from an alphabet's own ranks (super-LS words, enveloping basis
-    words, a tree's word) come from ``Word._of`` and are not checked again.
+    words, a tree's word, products and subwords of words) come from
+    ``Word._of`` and are not checked again.
     """
 
     __slots__ = ("alphabet", "letters", "_hash")
@@ -219,10 +220,10 @@ class Word:
         """Concatenation."""
         if self.alphabet != other.alphabet:
             raise ValueError("words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._of(self.alphabet, self.letters + other.letters)
 
     def sub(self, start: int, stop: int) -> "Word":
-        return Word(self.alphabet, self.letters[start:stop])
+        return Word._of(self.alphabet, self.letters[start:stop])
 
     def __str__(self) -> str:
         return _texts(self.alphabet, (self,))[0]

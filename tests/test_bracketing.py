@@ -125,6 +125,58 @@ def test_standard_bracket_is_the_unique_super_ls_monomial(alphabet, max_len):
         assert matches[0].word == w
 
 
+def _recursive_standard(alphabet, letters, memo):
+    """The standard bracketing of the super-LS letter tuple ``letters``, via ``memo``.
+
+    The oracle for ``standard_bracket``: it recurses on letter tuples and
+    splits off the longest proper LS suffix, testing each suffix with
+    ``_is_ls_letters``, or splits a square in the middle.
+    """
+    m = memo.get(letters)
+    if m is not None:
+        return m
+    if len(letters) == 1:
+        m = NcMonomial.leaf(alphabet, letters[0])
+    elif _is_ls_letters(letters):
+        i = next(i for i in range(1, len(letters)) if _is_ls_letters(letters[i:]))
+        m = NcMonomial.pair(
+            _recursive_standard(alphabet, letters[:i], memo),
+            _recursive_standard(alphabet, letters[i:], memo),
+        )
+    else:
+        half = _recursive_standard(alphabet, letters[: len(letters) // 2], memo)
+        m = NcMonomial.pair(half, half)
+    memo[letters] = m
+    return m
+
+
+@pytest.mark.parametrize(
+    "alphabet,max_len",
+    [
+        (AB, 9),
+        (Alphabet.from_names(["a", "b"], odd=["a", "b"]), 9),
+        (Alphabet.from_names(["a", "b", "c"], odd=["b"]), 9),
+        (Alphabet.from_names(["a", "b", "c", "d"], odd=["a", "c"]), 7),
+    ],
+)
+def test_standard_bracket_matches_the_recursive_oracle(alphabet, max_len):
+    # every super-LS word, odd squares included, fresh and through one memo
+    words = enumerate_super_ls(alphabet, max_len)
+    oracle, memo = {}, {}
+    for w in words:
+        expected = _recursive_standard(alphabet, w.letters, oracle)
+        assert standard_bracket(w) == expected, w
+        assert standard_bracket(w, memo) == expected, w
+    assert set(memo) == set(oracle)
+
+
+def test_standard_bracket_builds_a_deep_comb_without_recursion():
+    # t x^3000: the right-to-left pass merges t with each x in turn
+    x, t = XT.symbol("x").rank, XT.symbol("t").rank
+    m = standard_bracket(Word(XT, (t,) + (x,) * 3000))
+    assert m == left_comb(XT, t, [x] * 3000)
+
+
 SUPER_LS_ALPHABETS = [
     AB,
     Alphabet.from_names(["a", "b"], odd=["a"]),

@@ -146,6 +146,27 @@ def test_expand_command_reads_a_comb_deeper_than_the_recursion_limit(capsys):
     assert payload["expansion"] == str(closed_form)
 
 
+def test_bracket_command_brackets_a_word_longer_than_the_recursion_limit(capsys):
+    # t x^n brackets to the left comb [..[[t,x],x]..,x], expanded in closed form
+    alphabet = Alphabet.from_names(["x", "t"])
+    x, t = alphabet.symbol("x").rank, alphabet.symbol("t").rank
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        n = sys.getrecursionlimit() + 50
+        code, out, err = run(capsys, "bracket", "t" + "x" * n, "--alphabet", "x,t", "--format", "json")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["bracket"] == "[" * n + "t" + ",x]" * n
+    closed_form = Poly(alphabet, [
+        (Word(alphabet, (x,) * k + (t,) + (x,) * (n - k)), (-1) ** k * math.comb(n, k))
+        for k in range(n + 1)
+    ])
+    assert payload["expansion"] == str(closed_form)
+
+
 def test_reduce_command(capsys, tmp_path):
     rules = {
         "generators": [

@@ -1063,6 +1063,11 @@ def test_memoised_normal_forms_are_the_reduced_free_expansions(fixture):
     assert len(forms) == len(monomials) and max(len(m) for m in basis) == 7
     for m, form in zip(monomials, forms):
         assert from_letter_terms(alphabet, form) == reduce(expand(m), system)[0], m
+    # one memo for every tree, as check (iv) passes one, gives the same forms
+    assert hnn._normal_forms(monomials, system, {}) == forms
+    # with no system the evaluator is the free expansion
+    for m, form in zip(monomials, hnn._normal_forms(monomials)):
+        assert from_letter_terms(alphabet, form) == reference_expand(m), m
     # the junction split needs every leading word to have length 2
     ttt = RewriteRule(Poly.monomial(Word(alphabet, (t, t, t))))
     longer = RewriteSystem(alphabet, (*system.rules, ttt))
