@@ -51,7 +51,7 @@ class NcMonomial:
         self.parity = parity
         self._word = word
         self._leading = leading
-        self._text = None if rank is None else alphabet._names[rank]  # a pair's: on first str
+        self._text = None if rank is None else alphabet.names[rank]  # a pair's: on first str
         if rank is not None:
             self._hash = hash((alphabet._hash, "leaf", rank))
         else:
@@ -318,7 +318,7 @@ def parse_monomial(alphabet: Alphabet, text: str) -> NcMonomial:
         name = text[start:pos].strip()
         if not name:
             raise ValueError(f"missing symbol name at offset {start} in {text!r}")
-        m = NcMonomial.leaf(alphabet, alphabet.symbol(name).rank)
+        m = NcMonomial.leaf(alphabet, alphabet.rank(name))
         # a complete right child closes its bracket, and so on outwards
         while unclosed and unclosed[-1] is not None:
             left = unclosed.pop()

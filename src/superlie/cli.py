@@ -3,8 +3,9 @@
 Subcommands: ls-words, bracket, expand, reduce, gsb-check, hnn-verify,
 hnn-basis.  Exit status 0 when every requested check passes, 1 on a check
 failure, 2 on an input error, 3 on an internal error (a ``RuntimeError``,
-``RecursionError`` or ``MemoryError``, reported in one line on stderr).
-Output is plain text or JSON (--format).
+``RecursionError`` or ``MemoryError``, reported in one line on stderr), 141,
+silently, when the reader closes stdout early, as a shell reports a writer
+that SIGPIPE stopped.  Output is plain text or JSON (--format).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .bracketing import expand, parse_monomial, standard_bracket
@@ -279,10 +281,19 @@ def main(argv=None) -> int:
         print(f"internal error: {kind}: {detail}" if detail else f"internal error: {kind}",
               file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit stays silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return code
 
 

@@ -32,7 +32,7 @@ import types
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, pairwise, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -55,7 +55,6 @@ from .rewrite import (
 )
 from .words import (
     Alphabet,
-    Symbol,
     Word,
     _check_name,
     _lex_key,
@@ -140,9 +139,6 @@ class StructureConstants:
         if not 0 <= r < size:
             raise ValueError(f"rank {r} out of range for a basis of size {size}")
 
-    def parity(self, rank: int) -> int:
-        return self.alphabet.symbols[rank].parity
-
     def bracket_coeffs(self, x: int, y: int) -> Mapping[int, Fraction]:
         """Coefficients of [x, y], deriving the missing mirror by sign."""
         stored = self.alpha.get((x, y))
@@ -152,7 +148,7 @@ class StructureConstants:
         if mirror is None:
             return {}
         # [x,y] = -(-1)^{|x||y|}[y,x]
-        factor = 1 if (self.parity(x) and self.parity(y)) else -1
+        factor = 1 if (self.alphabet.parities[x] and self.alphabet.parities[y]) else -1
         return {v: factor * c for v, c in mirror.items()}
 
     def derivation_coeffs(self, a: int) -> Mapping[int, Fraction]:
@@ -246,8 +242,7 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
     violations: list[Violation] = []
     size = len(sc.alphabet)
     k = sc.subalgebra_size
-    names = [s.name for s in sc.alphabet.symbols]
-    parities = [s.parity for s in sc.alphabet.symbols]
+    names, parities = sc.alphabet.names, sc.alphabet.parities
     # ad[x][v] = [x, v] and right[y][v] = [v, y], mirrors included
     ad = [[sc.bracket_coeffs(x, v) for v in range(size)] for x in range(size)]
     right = [[ad[v][y] for v in range(size)] for y in range(size)]
@@ -384,16 +379,16 @@ class HnnPresentation:
             _check_name(t_name)
         except ValueError as exc:
             raise ValueError(f"stable letter: {exc}") from None
-        base = constants.alphabet.symbols
-        names = [s.name for s in base]
-        if t_name in names:
+        base = constants.alphabet
+        if t_name in base.names:
             raise ValueError(
                 f"stable letter name {t_name!r} collides with a generator"
             )
         self.constants = constants
         self.alphabet = Alphabet.from_names(
-            names + [t_name],
-            [s.name for s in base if s.parity] + [t_name] * constants.d_parity,
+            [*base.names, t_name],
+            [name for name, parity in zip(base.names, base.parities) if parity]
+            + [t_name] * constants.d_parity,
         )
         self.t_rank = len(base)
         self._relations = None
@@ -450,10 +445,13 @@ class LieCompositionCheck:
     """One length-3 superbracket composition, identified by its shape family."""
 
     family: int
-    description: str
     word: Word
     normal_form: Poly
     passed: bool
+
+    @property
+    def description(self) -> str:
+        return _FAMILIES[self.family]
 
     def to_dict(self) -> dict:
         return {
@@ -542,9 +540,7 @@ def verify_hnn_gsb(pres: HnnPresentation) -> HnnGsbReport:
         p, q = system.rules[overlap.left], system.rules[overlap.right]
         normal_form, _ = reduce(lie_composition_len2(p, q, word), system)
         checks.append(
-            LieCompositionCheck(
-                family, _FAMILIES[family], word, normal_form, normal_form.is_zero()
-            )
+            LieCompositionCheck(family, word, normal_form, normal_form.is_zero())
         )
     checks.sort(key=lambda c: (c.family, deglex_key(c.word)))
     return HnnGsbReport(associative, checks)
@@ -563,7 +559,7 @@ def _successors(pres: HnnPresentation) -> list[tuple[int, ...]]:
     allowed here.
     """
     t = pres.t_rank
-    parities = [s.parity for s in pres.alphabet.symbols]
+    parities = pres.alphabet.parities
     succ = [
         tuple(y for y in range(x, t + 1) if not (y == x and parities[x]))
         for x in range(t)
@@ -641,11 +637,7 @@ class _WbarView:
         self.max_len = max_len
         self.generators = sorted(free_generators_W(pres, max_len), key=lambda m: _lex_key(m.word))
         self.letters = [m.word for m in self.generators]
-        self.alphabet = Alphabet(
-            tuple(
-                Symbol(i, str(w), w.parity) for i, w in enumerate(self.letters)
-            )
-        )
+        self.alphabet = Alphabet([str(w) for w in self.letters], [w.parity for w in self.letters])
 
     def super_ls_sequences(self) -> list[list[tuple[int, ...]]]:
         """The super-LS rank tuples over the letters, bucketed by total length.
@@ -729,18 +721,17 @@ class StructureLengthCheck:
 class StructureReport:
     """Per-degree verification that the extension splits off a free part."""
 
-    __slots__ = ("max_len", "rows", "h_basis_counts", "passed")
+    __slots__ = ("max_len", "rows", "passed")
 
-    def __init__(
-        self,
-        max_len: int,
-        rows: Sequence[StructureLengthCheck],
-        h_basis_counts: Sequence[int],
-    ):
+    def __init__(self, max_len: int, rows: Sequence[StructureLengthCheck]):
         self.max_len = max_len
         self.rows = tuple(rows)
-        self.h_basis_counts = tuple(h_basis_counts)
         self.passed = all(r.passed for r in self.rows)
+
+    @property
+    def h_basis_counts(self) -> tuple[int, ...]:
+        """The number of basis monomials of each degree; the rows count them cumulatively."""
+        return tuple(b - a for a, b in pairwise([0, *(r.h_basis_count for r in self.rows)]))
 
     def to_dict(self) -> dict:
         return {
@@ -871,7 +862,7 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
             )
         )
 
-    return StructureReport(max_len, rows, [len(ms) for ms in by_degree])
+    return StructureReport(max_len, rows)
 
 
 def _splits_into(word: tuple[int, ...], t: int, letters: set[tuple[int, ...]]) -> bool:
@@ -987,7 +978,7 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
         where = f"{source}: " if is_path else ""
         raise ValueError(f"{where}expected a presentation, got a rules file")
     alphabet = parse_generators(data.get("generators"))
-    by_name = {s.name: s.rank for s in alphabet.symbols}
+    by_name = {name: r for r, name in enumerate(alphabet.names)}
 
     k = data.get("subalgebra_size")
     if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= len(alphabet):

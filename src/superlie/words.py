@@ -14,29 +14,13 @@ the package:
 A word is a Lyndon-Shirshov (LS) word when it is strictly greater, in the
 lexicographic order above, than every proper cyclic rotation of itself.  A
 super-LS word is an LS word, or a square ``uu`` where ``u`` is an odd LS
-word.  Everything here is a pure value: alphabets, symbols and words are
-immutable and safe to share.
+word.  Everything here is a pure value: alphabets and words are immutable and
+safe to share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """One generator: position in the alphabet order, display name, parity."""
-
-    rank: int
-    name: str
-    parity: int
-
-    def __post_init__(self) -> None:
-        if self.parity not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity!r}")
-        if not self.name:
-            raise ValueError("symbol name must be non-empty")
+from typing import Callable, Iterable, Optional, Sequence
 
 
 def _check_name(name: object, position: Optional[int] = None) -> None:
@@ -53,38 +37,36 @@ def _check_name(name: object, position: Optional[int] = None) -> None:
 
 
 class Alphabet:
-    """An immutable, totally ordered set of symbols.
+    """An immutable, totally ordered set of letters, each a name and a parity.
 
-    Words carry a reference to their alphabet; two alphabets are considered
-    the same when their (name, parity) sequences agree, so words remain
-    comparable across independently constructed but identical alphabets.
-    ``parities`` lists the symbols' parities by rank.
+    A letter is its rank, its position in the order; ``names`` and
+    ``parities`` list the letters' names and parities by rank.  Words carry
+    a reference to their alphabet; two alphabets are considered the same
+    when their names and parities agree, so words remain comparable across
+    independently constructed but identical alphabets.
     """
 
-    __slots__ = (
-        "symbols", "parities", "_by_name", "_names", "_key", "_hash", "_ranks", "_dotted", "_table"
-    )
+    __slots__ = ("names", "parities", "_by_name", "_key", "_hash", "_ranks", "_dotted", "_table")
 
-    def __init__(self, symbols: Sequence[Symbol]):
-        symbols = tuple(symbols)
-        if not symbols:
+    def __init__(self, names: Sequence[str], parities: Sequence[int]):
+        names, parities = tuple(names), tuple(parities)
+        if not names:
             raise ValueError("alphabet must be non-empty")
-        for i, s in enumerate(symbols):
-            if s.rank != i:
-                raise ValueError(
-                    f"symbol ranks must be 0..{len(symbols) - 1} in order, "
-                    f"got rank {s.rank} at position {i}"
-                )
-        names = [s.name for s in symbols]
+        if len(parities) != len(names):
+            raise ValueError(f"expected one parity per name, got {len(parities)} for {len(names)}")
+        for name, parity in zip(names, parities):
+            if parity not in (0, 1):
+                raise ValueError(f"parity must be 0 or 1, got {parity!r}")
+            if not name:
+                raise ValueError("symbol name must be non-empty")
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate symbol names in {names}")
-        self.symbols = symbols
-        self.parities = tuple([s.parity for s in symbols])
-        self._by_name = dict(zip(names, symbols))
-        self._names = tuple(names)
-        self._key = tuple(zip(names, self.parities))
+            raise ValueError(f"duplicate symbol names in {list(names)}")
+        self.names = names
+        self.parities = parities
+        self._by_name = {name: r for r, name in enumerate(names)}
+        self._key = (names, parities)
         self._hash = hash(self._key)
-        self._ranks = frozenset(range(len(symbols)))
+        self._ranks = frozenset(range(len(names)))
         joined = "".join(names)  # names are non-empty
         self._dotted = len(joined) > len(names)
         # rank r -> byte of its name, when every name is one ASCII character;
@@ -110,23 +92,12 @@ class Alphabet:
         unknown = odd - set(names)
         if unknown:
             raise ValueError(f"odd names not in alphabet: {sorted(unknown)}")
-        return cls(
-            tuple(
-                Symbol(i, name, 1 if name in odd else 0)
-                for i, name in enumerate(names)
-            )
-        )
+        return cls(names, [1 if name in odd else 0 for name in names])
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.names)
 
-    def __iter__(self) -> Iterator[Symbol]:
-        return iter(self.symbols)
-
-    def __getitem__(self, rank: int) -> Symbol:
-        return self.symbols[rank]
-
-    def symbol(self, name: str) -> Symbol:
+    def rank(self, name: str) -> int:
         try:
             return self._by_name[name]
         except KeyError:
@@ -139,16 +110,13 @@ class Alphabet:
         return self._hash
 
     def __repr__(self) -> str:
-        parts = [s.name + (":odd" if s.parity else "") for s in self.symbols]
+        parts = [n + (":odd" if p else "") for n, p in zip(self.names, self.parities)]
         return f"Alphabet({', '.join(parts)})"
 
     # -- word construction -------------------------------------------------
 
     def empty_word(self) -> "Word":
         return Word(self, ())
-
-    def word_of_names(self, names: Iterable[str]) -> "Word":
-        return Word(self, tuple(self.symbol(n).rank for n in names))
 
     def word(self, text: str) -> "Word":
         """Parse the textual form produced by ``str(word)``.
@@ -158,13 +126,10 @@ class Alphabet:
         denotes the empty word unless "1" is itself a symbol name.
         """
         text = text.strip()
-        if text == "":
+        if text in ("", "1") and text not in self._by_name:
             return self.empty_word()
-        if text == "1" and "1" not in self._by_name:
-            return self.empty_word()
-        if self._dotted or "." in text:
-            return self.word_of_names(text.split("."))
-        return self.word_of_names(text)
+        names = text.split(".") if self._dotted or "." in text else text
+        return Word(self, tuple(self.rank(name) for name in names))
 
 
 class Word:
@@ -241,7 +206,7 @@ def _texts(alphabet: Alphabet, words: Iterable[Word]) -> list[str]:
     table = alphabet._table
     if table is not None:
         return [bytes(w.letters).translate(table).decode() for w in words]
-    names, sep = alphabet._names, "." if alphabet._dotted else ""
+    names, sep = alphabet.names, "." if alphabet._dotted else ""
     return [sep.join([names[r] for r in w.letters]) for w in words]
 
 
@@ -269,11 +234,12 @@ def _standard_coefficient(w: Word) -> Optional[int]:
     """1 if ``w`` is LS, 2 if ``w = uu`` with ``u`` an odd LS word, else None.
 
     The leading coefficient that the expansion of a super-LS word's standard
-    bracketing must have.  An LS word costs one rotation scan.
+    bracketing must have; the empty word is neither.  An LS word costs one
+    rotation scan.
     """
     letters = w.letters
     if not letters:
-        raise ValueError("the empty word is not eligible")
+        return None
     if _is_ls_letters(letters):
         return 1
     half, odd_length = divmod(len(letters), 2)

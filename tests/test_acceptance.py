@@ -102,7 +102,7 @@ def test_criterion_2_basis_equivalences():
             pres = fixture()
             system = build_relations(pres)
             forbidden = [r.leading_word.letters for r in system.rules]
-            parities = [s.parity for s in pres.alphabet.symbols]
+            parities = pres.alphabet.parities
             size = len(pres.alphabet)
 
             reduced, reduced_super_ls = set(), set()
@@ -163,7 +163,7 @@ def test_criterion_5_admissible_bracketing_basis():
         for name, fixture in FIXTURES:
             pres = fixture()
             system = build_relations(pres)
-            parities = [s.parity for s in pres.alphabet.symbols]
+            parities = pres.alphabet.parities
             forbidden = [r.leading_word.letters for r in system.rules]
             basis = enumerate_h_basis(pres, 5)
             pairs = [(m.word, reduce(expand(m), system)[0]) for m in basis]

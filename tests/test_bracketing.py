@@ -31,7 +31,7 @@ A_ODD = Alphabet.from_names(["a"], odd=["a"])
 
 
 def leaf(alphabet, name):
-    return NcMonomial.leaf(alphabet, alphabet.symbol(name).rank)
+    return NcMonomial.leaf(alphabet, alphabet.rank(name))
 
 
 def pair(u, v):
@@ -172,7 +172,7 @@ def test_standard_bracket_matches_the_recursive_oracle(alphabet, max_len):
 
 def test_standard_bracket_builds_a_deep_comb_without_recursion():
     # t x^3000: the right-to-left pass merges t with each x in turn
-    x, t = XT.symbol("x").rank, XT.symbol("t").rank
+    x, t = XT.rank("x"), XT.rank("t")
     m = standard_bracket(Word(XT, (t,) + (x,) * 3000))
     assert m == left_comb(XT, t, [x] * 3000)
 
@@ -410,13 +410,13 @@ def test_cached_leading_term_matches_a_fresh_recursion():
 def test_is_admissible_reads_a_deep_comb_without_recursion():
     # [..[[t,x],x]..,x] with 2000 x's: the left-normed bracketing of the LS
     # word tx...x, built bottom up, leads with its own word at coefficient 1
-    x, t = XT.symbol("x").rank, XT.symbol("t").rank
+    x, t = XT.rank("x"), XT.rank("t")
     assert is_admissible(left_comb(XT, t, [x] * 2000))
 
 
 def test_deep_comb_prints_compares_and_parses_without_recursion():
     # 200 levels past the recursion limit; the CLI test expands one
-    x, t = XT.symbol("x").rank, XT.symbol("t").rank
+    x, t = XT.rank("x"), XT.rank("t")
     n = sys.getrecursionlimit() + 200
     m = left_comb(XT, t, [x] * n)
     text = str(m)
@@ -429,7 +429,7 @@ def test_deep_comb_prints_compares_and_parses_without_recursion():
 
 def test_right_normed_matches_standard_on_block_words():
     x1x2t = Alphabet.from_names(["x1", "x2", "t"], odd=["x2"])
-    t = x1x2t.symbol("t").rank
+    t = x1x2t.rank("t")
     for tail in ([], [0], [0, 0], [1], [0, 1], [0, 0, 1], [0, 0, 0, 1]):
         m = left_comb(x1x2t, t, tail)
         assert m == standard_bracket(m.word)
@@ -438,7 +438,7 @@ def test_right_normed_matches_standard_on_block_words():
 def test_right_normed_unique_prefixed_word():
     # the expansion supports exactly one word beginning with the head letter
     x1x2t = Alphabet.from_names(["x1", "x2", "t"], odd=["t"])
-    t = x1x2t.symbol("t").rank
+    t = x1x2t.rank("t")
     for tail in ([0], [0, 1], [0, 0, 1]):
         m = left_comb(x1x2t, t, tail)
         prefixed = [w for w, _ in expand(m).terms() if w.letters[0] == t]

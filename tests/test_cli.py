@@ -1,7 +1,9 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import contextlib
 import doctest
 import importlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superlie import Alphabet, Poly, Word, cli, parse_monomial
 from superlie.cli import main
@@ -126,7 +129,7 @@ def test_expand_command_reads_a_comb_deeper_than_the_recursion_limit(capsys):
     # built in O(n^3) letters, so the limit is lowered to keep n small: a
     # parser, printer or expansion recursing once per level would exceed it
     alphabet = Alphabet.from_names(["x", "t"])
-    x, t = alphabet.symbol("x").rank, alphabet.symbol("t").rank
+    x, t = alphabet.rank("x"), alphabet.rank("t")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
@@ -149,7 +152,7 @@ def test_expand_command_reads_a_comb_deeper_than_the_recursion_limit(capsys):
 def test_bracket_command_brackets_a_word_longer_than_the_recursion_limit(capsys):
     # t x^n brackets to the left comb [..[[t,x],x]..,x], expanded in closed form
     alphabet = Alphabet.from_names(["x", "t"])
-    x, t = alphabet.symbol("x").rank, alphabet.symbol("t").rank
+    x, t = alphabet.rank("x"), alphabet.rank("t")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
@@ -239,6 +242,20 @@ def _invalid_ex2(tmp_path) -> Path:
         {"left": "a", "right": "x", "value": [{"basis": "a", "coeff": "1"}]}
     )
     path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _renamed_ex4(tmp_path) -> Path:
+    """ex4 with a, b, x renamed a1, b_2, x3 and the stable letter named s0."""
+    names = {"a": "a1", "b": "b_2", "x": "x3"}
+    data = json.loads(
+        (FIXTURES / "ex4.json").read_text(),
+        object_hook=lambda d: {k: names.get(v, v) if isinstance(v, str) else v
+                               for k, v in d.items()},
+    )
+    data["stable_letter"] = "s0"
+    path = tmp_path / "ex4-renamed.json"
     path.write_text(json.dumps(data))
     return path
 
@@ -402,6 +419,8 @@ def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
 
 
 INVALID_EX2 = "<invalid ex2>"  # stands for the path _invalid_ex2 writes
+RENAMED_EX4 = "<renamed ex4>"  # stands for the path _renamed_ex4 writes
+WRITTEN_INPUTS = {INVALID_EX2: _invalid_ex2, RENAMED_EX4: _renamed_ex4}
 BROKEN_REDUCE = ["reduce", "xyv + 2*yx", "--input", str(FIXTURES / "broken_rules.json")]
 
 
@@ -444,6 +463,12 @@ LISTING_CELLS = [
                                         str(FIXTURES / "ab5.json"), "--max-len", "7"], 0),
     *_report_cells("hnn-verify-osp-8", ["hnn-verify", "--input",
                                         str(FIXTURES / "osp.json"), "--max-len", "8"], 0),
+    # multi-character names, printed with dots, and a stable letter not named
+    # t, through the presentation's alphabet and the block alphabet of W
+    *_report_cells("hnn-basis-ex4-renamed-5", ["hnn-basis", "--input", RENAMED_EX4,
+                                               "--max-len", "5"], 0),
+    *_report_cells("hnn-verify-ex4-renamed-6", ["hnn-verify", "--input", RENAMED_EX4,
+                                                "--max-len", "6"], 0),
 ]
 
 
@@ -453,7 +478,7 @@ LISTING_CELLS = [
     [pytest.param(*cell, id=f"{cell[0]}-argv{i}") for i, cell in enumerate(LISTING_CELLS)],
 )
 def test_listing_matches_golden_file(capsys, tmp_path, name, argv, code):
-    argv = [str(_invalid_ex2(tmp_path)) if arg == INVALID_EX2 else arg for arg in argv]
+    argv = [str(WRITTEN_INPUTS[arg](tmp_path)) if arg in WRITTEN_INPUTS else arg for arg in argv]
     assert run(capsys, *argv) == (code, (GOLDEN / name).read_text(), "")
 
 
@@ -569,6 +594,78 @@ def test_bad_rule_exits_2_with_its_location(capsys, tmp_path, rules, message):
     for command in (["reduce", "a"], ["gsb-check"]):
         code, out, err = run(capsys, *command, "--input", str(path))
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("word", ["1", ""])
+def test_bracket_of_the_empty_word_exits_2(capsys, word):
+    code, out, err = run(capsys, "bracket", word, "--alphabet", "a,b")
+    assert (code, out, err) == (2, "", "error: not a super-Lyndon-Shirshov word: ''\n")
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # 179 kB of words, more than the pipe holds, so the CLI is still writing
+    # when its reader takes one line and closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["ls-words", "--alphabet", "a,b,c,d:odd", "--max-len", "8"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "superlie.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"a\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+ALPHABET_NAMES = ["x1", "t", "1a", "a.b", ""]
+
+
+@st.composite
+def _text_calls(draw):
+    """An ls-words, bracket or expand call on a drawn --alphabet spec.
+
+    Half the specs are valid, so that words and monomials are parsed too.
+    """
+    valid = st.lists(
+        st.tuples(st.sampled_from(["x1", "t"]), st.sampled_from(["", ":odd"])),
+        min_size=1, max_size=2, unique_by=lambda token: token[0],
+    )
+    any_tokens = st.lists(
+        st.tuples(st.sampled_from(ALPHABET_NAMES), st.sampled_from(["", ":odd", ":even"])),
+        min_size=1, max_size=4,
+    )
+    tokens = draw(st.one_of(valid, any_tokens))
+    spec = ",".join(name + tag for name, tag in tokens)
+    leaves = draw(st.lists(st.sampled_from([name for name, _ in tokens]), max_size=8))
+    command = draw(st.sampled_from(["ls-words", "bracket", "expand"]))
+    if command == "ls-words":
+        return ["ls-words", "--alphabet", spec, "--max-len", str(draw(st.integers(1, 4)))]
+    if command == "bracket":
+        return ["bracket", draw(st.sampled_from(["", "."])).join(leaves), "--alphabet", spec]
+
+    def bracketed(leaves):
+        if len(leaves) < 2:
+            return "".join(leaves)
+        k = draw(st.integers(1, len(leaves) - 1))
+        return f"[{bracketed(leaves[:k])},{bracketed(leaves[k:])}]"
+
+    return ["expand", bracketed(leaves), "--alphabet", spec]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_text_calls())
+def test_text_inputs_exit_0_or_2_with_a_message(argv):
+    # input fuzzing: valid and invalid names, tags, empty tokens and
+    # duplicates; a bad input is one "error: " line, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
 
 
 def test_bad_alphabet_name_exits_2(capsys):

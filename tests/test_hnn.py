@@ -18,7 +18,6 @@ from superlie import (
     RewriteRule,
     RewriteSystem,
     StructureConstants,
-    Symbol,
     Word,
     build_relations,
     deglex_key,
@@ -337,8 +336,7 @@ def reference_identity_violations(sc):
     """Anti-commutativity of the stored table, then the five bilinear identities,
     one target u and one coefficient at a time."""
     size, k = len(sc.alphabet), sc.subalgebra_size
-    names = [s.name for s in sc.alphabet]
-    par = [s.parity for s in sc.alphabet]
+    names, par = sc.alphabet.names, sc.alphabet.parities
     br, d = sc.bracket_coeffs, sc.derivation_coeffs
 
     def coeff(inner, outer, u):  # coefficient of u in sum_v inner[v] * outer(v)
@@ -439,8 +437,7 @@ def _per_triple_jacobi(sc):
     The loop ``validate`` ran before it summed one residual per cyclic orbit.
     """
     size = len(sc.alphabet)
-    names = [s.name for s in sc.alphabet]
-    par = [s.parity for s in sc.alphabet]
+    names, par = sc.alphabet.names, sc.alphabet.parities
     ad = [[sc.bracket_coeffs(x, v) for v in range(size)] for x in range(size)]
     out = []
     for x, y, z in product(range(size), repeat=3):
@@ -605,7 +602,7 @@ def _hand_listed_families(pres):
     """
     sc = pres.constants
     size, k, t = len(sc.alphabet), sc.subalgebra_size, pres.t_rank
-    odd = [sc.parity(x) for x in range(size)]
+    odd = sc.alphabet.parities
     shapes = []
     for x in range(size):
         for y in range(x):
@@ -848,7 +845,7 @@ def _unshared_h_basis(pres, max_len):
 def _render(m):
     """The text of ``m``, recomputed at every node: no cached text is read."""
     if m.is_leaf:
-        return m.alphabet[m.rank].name
+        return m.alphabet.names[m.rank]
     return "[" + _render(m.left) + "," + _render(m.right) + "]"
 
 
@@ -964,7 +961,7 @@ def test_successors_are_the_pairs_that_are_not_leading_words():
         # t, and t a for a in the subalgebra
         sc, t = pres.constants, pres.t_rank
         shapes = {(x, y) for x in range(t) for y in range(x)}
-        shapes |= {(x, x) for x in range(t) if sc.parity(x)}
+        shapes |= {(x, x) for x in range(t) if sc.alphabet.parities[x]}
         shapes |= {(t, a) for a in range(sc.subalgebra_size)}
         assert leading == shapes, pres
         succ = hnn._successors(pres)
@@ -1222,9 +1219,9 @@ def _flip_longest_parity(view):
         (r for r, w in enumerate(view.letters) if 2 * len(w) <= view.max_len),
         key=lambda r: len(view.letters[r]),
     )
-    symbols = list(view.alphabet.symbols)
-    symbols[r] = Symbol(r, symbols[r].name, 1 - symbols[r].parity)
-    view.alphabet = Alphabet(symbols)
+    parities = list(view.alphabet.parities)
+    parities[r] = 1 - parities[r]
+    view.alphabet = Alphabet(view.alphabet.names, parities)
     return 2 * len(view.letters[r])
 
 
@@ -1235,9 +1232,7 @@ def _swap_greatest_letters(view):
     """
     for seq in (view.generators, view.letters):
         seq[-1], seq[-2] = seq[-2], seq[-1]
-    view.alphabet = Alphabet(
-        tuple(Symbol(i, str(w), w.parity) for i, w in enumerate(view.letters))
-    )
+    view.alphabet = Alphabet([str(w) for w in view.letters], [w.parity for w in view.letters])
     return None
 
 
@@ -1322,7 +1317,7 @@ def test_degree_one_basis_is_leaves_plus_stable_letter():
         pres = fixture()
         basis = enumerate_h_basis(pres, 1)
         names = {str(m) for m in basis}
-        expected = {s.name for s in pres.alphabet.symbols}
+        expected = set(pres.alphabet.names)
         assert names == expected
 
 
@@ -1333,7 +1328,7 @@ def test_defining_relations_hold_in_quotient():
         system = build_relations(pres)
         sc = pres.constants
         T = pres.alphabet
-        names = [s.name for s in T.symbols]
+        names = T.names
         t = parse_poly(T, names[pres.t_rank])
         for a in range(sc.subalgebra_size):
             image = parse_poly(
@@ -1354,7 +1349,7 @@ def test_original_algebra_embeds():
         system = build_relations(pres)
         forms = set()
         for r in range(pres.t_rank):
-            nf, _ = reduce(parse_poly(pres.alphabet, pres.alphabet.symbols[r].name), system)
+            nf, _ = reduce(parse_poly(pres.alphabet, pres.alphabet.names[r]), system)
             assert not nf.is_zero()
             forms.add(nf)
         assert len(forms) == pres.t_rank

@@ -7,7 +7,6 @@ import pytest
 
 from superlie import (
     Alphabet,
-    Symbol,
     Word,
     deglex_key,
     enumerate_super_ls,
@@ -178,8 +177,9 @@ def test_super_ls_examples():
 
 
 def test_empty_word_rejected():
-    with pytest.raises(ValueError):
-        is_super_ls(AB.word(""))
+    # the empty word is neither LS nor an odd square, so it is not super-LS
+    assert not is_super_ls(AB.word(""))
+    assert _standard_coefficient(AB.word("")) is None
 
 
 @pytest.mark.parametrize(
@@ -188,7 +188,7 @@ def test_empty_word_rejected():
      Alphabet.from_names(["a", "b", "c"], odd=["b", "c"])],
 )
 def test_ls_matches_rotation_oracle(alphabet):
-    parities = [s.parity for s in alphabet.symbols]
+    parities = alphabet.parities
     for n in range(1, 7):
         for letters in product(range(len(alphabet)), repeat=n):
             w = Word(alphabet, letters)
@@ -198,7 +198,7 @@ def test_ls_matches_rotation_oracle(alphabet):
 
 def test_standard_coefficient_is_1_for_ls_and_2_for_odd_squares():
     alphabet = Alphabet.from_names(["a", "b", "c"], odd=["a", "c"])
-    parities = [s.parity for s in alphabet.symbols]
+    parities = alphabet.parities
     squares = 0
     for n in range(1, 8):
         for letters in product(range(len(alphabet)), repeat=n):
@@ -208,8 +208,6 @@ def test_standard_coefficient_is_1_for_ls_and_2_for_odd_squares():
             assert (expected is not None) == oracle_is_super_ls(letters, parities)
             squares += expected == 2
     assert squares > 0
-    with pytest.raises(ValueError):
-        _standard_coefficient(alphabet.word(""))
 
 
 def test_super_ls_first_letter_is_maximal():
@@ -329,7 +327,7 @@ def _odd_lyndon_count(even, odd, n):
 )
 def test_generator_counts_match_necklace_formula(alphabet, max_len):
     size = len(alphabet)
-    odd = sum(s.parity for s in alphabet)
+    odd = sum(alphabet.parities)
     counts = [0] * (max_len + 1)
     for w in enumerate_super_ls(alphabet, max_len):
         counts[len(w)] += 1
@@ -398,7 +396,7 @@ def test_super_ls_walk_under_successor_tables_is_the_filtered_scan():
         names = "abcd"[:size]
         odd = [x for x in names if rng.random() < 0.5] or [rng.choice(names)]
         alphabet = Alphabet.from_names(names, odd=odd)
-        x = alphabet.symbol(rng.choice(odd)).rank
+        x = alphabet.rank(rng.choice(odd))
         forbidden = {(a, b) for a in range(size) for b in range(size) if rng.random() < 0.25}
         forbidden.add((x, x))
         table = [[b for b in range(size) if (a, b) not in forbidden] for a in range(size)]
@@ -435,7 +433,7 @@ def test_word_text_round_trip_single_char():
 def test_word_text_round_trip_dotted():
     dotted = Alphabet.from_names(["x1", "x2", "t"])
     w = dotted.word("t.x1.x1")
-    assert tuple(dotted[r].name for r in w.letters) == ("t", "x1", "x1")
+    assert tuple(dotted.names[r] for r in w.letters) == ("t", "x1", "x1")
     assert str(w) == "t.x1.x1"
     assert dotted.word(str(w)) == w
 
@@ -458,6 +456,25 @@ def test_alphabet_content_equality():
     assert Alphabet.from_names(["a", "b"], odd=["a"]) != AB
 
 
+@pytest.mark.parametrize(
+    "names, parities, message",
+    [
+        ([], [], "alphabet must be non-empty"),
+        (["a", "b"], [0], "expected one parity per name, got 1 for 2"),
+        (["a"], [0, 1], "expected one parity per name, got 2 for 1"),
+        (["a", "b"], [0, 2], "parity must be 0 or 1, got 2"),
+        (["a", ""], [0, 0], "symbol name must be non-empty"),
+        (["a", "b", "a"], [0, 1, 0], r"duplicate symbol names in \['a', 'b', 'a'\]"),
+        (["a", "b"], [0, 1], "unknown symbol name 'ab'"),  # a valid shape: rank fails
+    ],
+    ids=["empty", "too-few-parities", "too-many-parities", "parity-2", "empty-name",
+         "duplicate-names", "unknown-name"],
+)
+def test_alphabet_rejects_a_bad_shape_and_rank_an_unknown_name(names, parities, message):
+    with pytest.raises(ValueError, match=message):
+        Alphabet(names, parities).rank("ab")
+
+
 @pytest.mark.parametrize("bad", ["a+", "1", "", "x.y", "2a", "a b", "[", 7, None])
 def test_from_names_rejects_names_outside_the_grammar(bad):
     with pytest.raises(ValueError, match=r"bad symbol name .* at position 1"):
@@ -466,7 +483,7 @@ def test_from_names_rejects_names_outside_the_grammar(bad):
 
 def test_from_names_accepts_identifiers():
     alphabet = Alphabet.from_names(["_", "a1", "B_2"], odd=["a1"])
-    assert [s.name for s in alphabet] == ["_", "a1", "B_2"]
+    assert alphabet.names == ("_", "a1", "B_2")
     w = alphabet.word("B_2.a1")
     assert alphabet.word(str(w)) == w
 
@@ -491,17 +508,17 @@ def test_word_takes_true_as_rank_one():
 def test_word_text_joins_the_names(alphabet):
     # one-character names concatenate (through the byte table), longer ones
     # join with dots, and the text reads back through Alphabet.word
-    sep = "." if any(len(s.name) > 1 for s in alphabet) else ""
+    sep = "." if any(len(name) > 1 for name in alphabet.names) else ""
     for n in range(5):
         for letters in product(range(len(alphabet)), repeat=n):
             text = str(Word(alphabet, letters))
-            assert text == sep.join(alphabet[r].name for r in letters)
+            assert text == sep.join(alphabet.names[r] for r in letters)
             assert alphabet.word(text).letters == letters
 
 
 def test_word_text_of_non_ascii_one_character_names():
     # Alphabet itself takes any non-empty name; these skip the byte table
-    greek = Alphabet([Symbol(0, "α", 0), Symbol(1, "β", 1)])
+    greek = Alphabet(["α", "β"], [0, 1])
     assert str(Word(greek, (1, 0, 0))) == "βαα"
     assert str(Word(greek, ())) == ""
 
