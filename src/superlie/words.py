@@ -257,41 +257,19 @@ def is_super_ls(w: Word) -> bool:
 def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
     """All super-LS words of length <= max_len, in deglex order.
 
-    Two words of one length compare as tuples, so a word is LS exactly when
-    it is a classical Lyndon word (smaller than its rotations) over the
-    reversed alphabet, rank r read as ``len(alphabet) - 1 - r``.  Duval's
-    algorithm (TCS 60, 1988) steps from each such word straight to the
-    next, so no other word is visited; the squares ``uu`` of the odd ones
-    with ``2|u| <= max_len`` are added, and each length is sorted.  The
-    constrained paths use :func:`_super_ls_tuples` instead: its walk also
-    visits the prenecklaces that are not LS, which costs 1.3 to 1.9 times
-    Duval's time here, where no constraint prunes them (3 or 4 letters at
-    lengths 7 and 8, Python 3.11).
+    The unconstrained call of :func:`_super_ls_tuples`, the one generator
+    of super-LS words.  Its two prunes, leaves and rank 0, make it about as
+    fast as Duval's algorithm (TCS 60, 1988), which ``tests/test_words.py``
+    keeps as the oracle.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    by_length: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
-    # Duval's successor in original ranks: the reversed alphabet's first
-    # letter is rank len - 1 and its last is rank 0
-    w = [len(alphabet) - 1]
-    while w:
-        u = tuple(w)
-        by_length[len(u)].append(u)
-        if 2 * len(u) <= max_len and _parity(alphabet, u):
-            by_length[2 * len(u)].append(u + u)
-        period = len(w)
-        while len(w) < max_len:
-            w.append(w[-period])
-        while w and w[-1] == 0:
-            w.pop()
-        if w:
-            w[-1] -= 1
-    out = []
     of = Word._of  # the walk yields ranks of the alphabet only
-    for words in by_length:
-        words.sort()
-        out.extend([of(alphabet, letters) for letters in words])
-    return out
+    return [
+        of(alphabet, letters)
+        for bucket in _super_ls_tuples(alphabet.parities, max_len)
+        for letters in bucket
+    ]
 
 
 def _super_ls_tuples(
@@ -307,42 +285,58 @@ def _super_ls_tuples(
     the letters allowed after ``prefix``; ``None`` allows every letter.
     Bucket ``n`` holds, sorted, the tuples of weight ``n``.
 
-    LS is Lyndon over the reversed order, so the walk grows prenecklaces
-    depth-first (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37,
-    2000) with the comparison turned round: a child letter is at most the
-    letter one period back; an equal one keeps the period and a smaller one
-    starts a new period, the whole word.  A node whose period is its length
-    is LS.  Every prefix of an LS word is a prenecklace, is reduced when
-    the word is, and weighs no more, so pruning by ``successors`` and by
-    weight loses no word.  For each odd LS ``u`` the
-    square ``uu`` is added when it fits and every letter across the
-    junction is allowed.
+    Two words of one length compare as tuples, so LS is Lyndon over the
+    reversed order, and the walk grows prenecklaces depth-first (Cattell,
+    Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) with the
+    comparison turned round: a child letter is at most the letter one
+    period back; an equal one keeps the period and a smaller one starts a
+    new period, the whole word.  A node whose period is its length is LS.
+    Every prefix of an LS word is a prenecklace, is reduced when the word
+    is, and weighs no more, so pruning by ``successors`` and by weight
+    loses no word.  For each odd LS ``u`` the square ``uu`` is added when
+    it fits and, given ``successors``, every letter across the junction is
+    allowed.  Two prunes skip nodes that give no word:
+
+    * A leaf, a child that even the lightest letter cannot extend, is
+      recorded in its parent's loop, not visited.  It is LS exactly when
+      its letter starts a new period (``c < bound``), as an equal letter
+      keeps the parent's period, shorter than the leaf; its square weighs
+      at least the leaf plus the lightest letter, more than ``max_len``.
+    * A node that starts with rank 0 is not extended: no letter of a
+      prenecklace exceeds its first, so the nodes below ``(0,)`` are its
+      powers, and only ``(0,)`` and its square are super-LS.
     """
     weights = weights or (1,) * len(parities)
+    limit = max_len - min(weights)  # some letter fits after a node this heavy or lighter
+    letters = range(len(parities))
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
 
-    def allowed(prefix: tuple[int, ...]) -> Sequence[int]:
-        return range(len(parities)) if successors is None else successors(prefix)
-
-    def grow(u: tuple[int, ...], period: int, weight: int, odd: int) -> None:
+    def grow(u: tuple[int, ...], period: int, weight: int) -> None:
         n = len(u)
         if period == n:
             buckets[weight].append(u)
-            if odd and 2 * weight <= max_len and all(
-                c in allowed(u + u[:i]) for i, c in enumerate(u)
+            if 2 * weight <= max_len and sum([parities[c] for c in u]) & 1 and (
+                successors is None
+                or all(c in successors(u + u[:i]) for i, c in enumerate(u))
             ):
                 buckets[2 * weight].append(u + u)
-        bound = u[n - period]
-        for c in allowed(u):
+            if not u[0]:
+                return
+        bound = u[-period]
+        for c in letters if successors is None else successors(u):
             if c > bound:
                 break
             grown = weight + weights[c]
-            if grown <= max_len:
-                grow(u + (c,), period if c == bound else n + 1, grown, odd ^ parities[c])
+            if grown <= limit:
+                grow(u + (c,), period if c == bound else n + 1, grown)
+            elif c < bound and grown <= max_len:
+                buckets[grown].append(u + (c,))
 
-    for c in allowed(()):
-        if weights[c] <= max_len:
-            grow((c,), 1, weights[c], parities[c])
+    for c in letters if successors is None else successors(()):
+        if weights[c] <= limit:
+            grow((c,), 1, weights[c])
+        elif weights[c] <= max_len:
+            buckets[weights[c]].append((c,))
     del grow  # it refers to itself: free what it holds now, not at a later gc pass
     for bucket in buckets:
         bucket.sort()

@@ -1,11 +1,14 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import contextlib
+import copy
 import doctest
+import functools
 import importlib
 import io
 import json
 import math
+import operator
 import os
 import re
 import shutil
@@ -98,9 +101,16 @@ def test_library_tour_names_resolve():
 
 
 def test_ls_words(capsys):
-    code, out, _ = run(capsys, "ls-words", "--alphabet", "a,b", "--max-len", "2")
-    assert code == 0
-    assert out.splitlines() == ["a", "b", "ba"]
+    cases = [
+        ("a,b", "2", ["a", "b", "ba"]),
+        # every longer word over one letter is a power of it; none is walked
+        ("a:odd", "5000", ["a", "aa"]),
+        ("a", "5000", ["a"]),
+    ]
+    for alphabet, max_len, words in cases:
+        code, out, err = run(capsys, "ls-words", "--alphabet", alphabet, "--max-len", max_len)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == words
 
 
 def test_bracket_command(capsys):
@@ -666,6 +676,60 @@ def test_text_inputs_exit_0_or_2_with_a_message(argv):
         assert out.getvalue() == ""
     else:
         assert err.getvalue() == ""
+
+
+DELETED = object()  # stands for deleting the key or list entry
+MUTANT_VALUES = [None, True, 0, -1, "", [], {}, "1/0", "1.5", 1.5, 10**30, "q", DELETED]
+
+
+def _value_paths(node, path=()):
+    """The key path of every value inside the JSON value ``node``, depth first."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+def _mutants(data):
+    """``data`` with one value replaced by one of ``MUTANT_VALUES``, each way in turn."""
+    for path in _value_paths(data):
+        for value in MUTANT_VALUES:
+            mutant = copy.deepcopy(data)
+            *head, last = path
+            parent = functools.reduce(operator.getitem, head, mutant)
+            if value is DELETED:
+                del parent[last]
+            else:
+                parent[last] = value
+            yield path, value, mutant
+
+
+@pytest.mark.parametrize("name", ["ab5", "broken_rules"])
+def test_mutated_input_files_exit_0_1_or_2_with_a_message(capsys, tmp_path, name):
+    # input fuzzing: every one-value mutation of a presentation and of a
+    # rules file, read by each command that takes --input; a bad file is
+    # one "error: " line, never an internal error
+    path = tmp_path / f"{name}.json"
+    commands = [
+        ["hnn-verify", "--input", str(path), "--max-len", "3"],
+        ["hnn-basis", "--input", str(path), "--max-len", "2"],
+        ["gsb-check", "--input", str(path)],
+        ["reduce", "xy", "--input", str(path)],
+    ]
+    for where, value, mutant in _mutants(json.loads((FIXTURES / f"{name}.json").read_text())):
+        path.write_text(json.dumps(mutant))
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            case = (where, "deleted" if value is DELETED else value, argv[0], err)
+            assert code in (0, 1, 2), case
+            assert "internal error" not in err, case
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, case
 
 
 def test_bad_alphabet_name_exits_2(capsys):

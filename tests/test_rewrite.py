@@ -20,7 +20,6 @@ from superlie import (
     build_relations,
     deglex_key,
     enumerate_reduced_super_ls,
-    enumerate_super_ls,
     is_gsb,
     is_reduced_word,
     lie_composition_len2,
@@ -35,6 +34,7 @@ from superlie.poly import letter_terms
 from conftest import ALL
 from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
 from conftest import random_poly, random_word
+from test_words import _duval_super_ls
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -467,7 +467,7 @@ def test_enumerate_reduced_super_ls_is_the_filtered_scan():
         system(ax_odd, "xx - a", "tx - xt"),
     ]
     for sys_ in systems:
-        scan = [w for w in enumerate_super_ls(sys_.alphabet, 6) if is_reduced_word(w, sys_)]
+        scan = [w for w in _duval_super_ls(sys_.alphabet, 6) if is_reduced_word(w, sys_)]
         assert enumerate_reduced_super_ls(sys_, 6) == scan, sys_
     with pytest.raises(ValueError, match="max_len"):
         enumerate_reduced_super_ls(EX1_STYLE, 0)
@@ -488,7 +488,7 @@ def test_enumerate_reduced_super_ls_under_random_systems_is_the_filtered_scan():
         leading |= {a + b for a in names for b in names if rng.random() < 0.25}
         leading |= {"".join(rng.choices(names, k=3)) for _ in range(rng.randint(0, 2))}
         sys_ = system(alphabet, *sorted(leading))
-        scan = [w for w in enumerate_super_ls(alphabet, 7) if is_reduced_word(w, sys_)]
+        scan = [w for w in _duval_super_ls(alphabet, 7) if is_reduced_word(w, sys_)]
         words = enumerate_reduced_super_ls(sys_, 7)
         assert words == scan, sys_
         assert alphabet.word(x) in words and alphabet.word(x + x) not in words

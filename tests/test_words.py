@@ -263,6 +263,36 @@ def test_enumerate_with_constraint():
     assert AB.word("ba") in words
 
 
+def _duval_super_ls(alphabet, max_len):
+    """All super-LS words of length <= max_len, in deglex order, by Duval's algorithm.
+
+    Two words of one length compare as tuples, so a word is LS exactly when
+    it is a classical Lyndon word (smaller than its rotations) over the
+    reversed alphabet, rank r read as ``len(alphabet) - 1 - r``.  Duval's
+    algorithm (TCS 60, 1988) steps from each such word straight to the
+    next; the squares ``uu`` of the odd ones with ``2|u| <= max_len`` are
+    added, and each length is sorted.  A second generator, independent of
+    the prenecklace walk the library uses.
+    """
+    by_length = [[] for _ in range(max_len + 1)]
+    # Duval's successor in original ranks: the reversed alphabet's first
+    # letter is rank len - 1 and its last is rank 0
+    w = [len(alphabet) - 1]
+    while w:
+        u = tuple(w)
+        by_length[len(u)].append(u)
+        if 2 * len(u) <= max_len and sum(alphabet.parities[r] for r in u) % 2:
+            by_length[2 * len(u)].append(u + u)
+        period = len(w)
+        while len(w) < max_len:
+            w.append(w[-period])
+        while w and w[-1] == 0:
+            w.pop()
+        if w:
+            w[-1] -= 1
+    return [Word(alphabet, u) for words in by_length for u in sorted(words)]
+
+
 def reference_enumerate_super_ls(alphabet, max_len):
     """Every word of length <= max_len, filtered: the scan the generator replaced."""
     out = []
@@ -360,10 +390,12 @@ def _weighted_products(weights, total):
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_super_ls_walk_on_weighted_letters_is_the_filtered_products(size):
-    # every alphabet of up to three letters, weights 1-3 and any parities
+    # every alphabet of up to three letters, weights 1, 2, 3 or 5 and any
+    # parities; weight 5 makes leaves of single letters (when every letter
+    # weighs 5) and leaves that weigh max_len (5 after 3)
     max_len = 8
     names = "abc"[:size]
-    for weights in product((1, 2, 3), repeat=size):
+    for weights in product((1, 2, 3, 5), repeat=size):
         for parities in product((0, 1), repeat=size):
             alphabet = Alphabet.from_names(names, odd=[x for x, p in zip(names, parities) if p])
             expected = [[]] + [
@@ -380,9 +412,7 @@ def test_super_ls_walk_on_weighted_letters_is_the_filtered_products(size):
     "alphabet, max_len", GENERATOR_CASES, ids=[repr(a) for a, _ in GENERATOR_CASES]
 )
 def test_super_ls_walk_without_constraints_is_duval(alphabet, max_len):
-    buckets = _super_ls_tuples(alphabet.parities, max_len)
-    walked = [Word(alphabet, u) for bucket in buckets for u in bucket]
-    assert walked == enumerate_super_ls(alphabet, max_len)
+    assert enumerate_super_ls(alphabet, max_len) == _duval_super_ls(alphabet, max_len)
 
 
 def test_super_ls_walk_under_successor_tables_is_the_filtered_scan():
@@ -410,7 +440,7 @@ def test_super_ls_walk_under_successor_tables_is_the_filtered_scan():
         max_len = 7
         buckets = _super_ls_tuples(alphabet.parities, max_len, successors)
         walked = [Word(alphabet, u) for bucket in buckets for u in bucket]
-        scan = [w for w in enumerate_super_ls(alphabet, max_len) if reduced(w.letters)]
+        scan = [w for w in _duval_super_ls(alphabet, max_len) if reduced(w.letters)]
         assert walked == scan, (alphabet, sorted(forbidden))
         assert (x,) in buckets[1] and (x, x) not in buckets[2]
         squares_cut += sum(
