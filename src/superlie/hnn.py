@@ -44,7 +44,7 @@ from .bracketing import (
     standard_bracket,
 )
 from .linalg import rank
-from .poly import Poly, _to_fraction, parse_rational
+from .poly import Poly, _to_fraction, from_letter_terms, parse_rational
 from .rewrite import (
     RewriteSystem,
     GsbReport,
@@ -400,13 +400,6 @@ class HnnPresentation:
         )
 
 
-def _tail_poly(pres: HnnPresentation, coeffs: Mapping[int, Fraction]) -> Poly:
-    return Poly(
-        pres.alphabet,
-        [(Word(pres.alphabet, (v,)), c) for v, c in sorted(coeffs.items())],
-    )
-
-
 def _require_valid(pres: HnnPresentation) -> None:
     report = validate(pres.constants)
     if not report.passed:
@@ -430,10 +423,11 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
     leaves = [NcMonomial.leaf(pres.alphabet, r) for r in range(len(pres.alphabet))]
     polys = [
         expand(NcMonomial.pair(leaves[x], leaves[y]))
-        - _tail_poly(pres, sc.derivation_coeffs(y) if x == t else sc.bracket_coeffs(x, y))
+        - from_letter_terms(pres.alphabet, {(v,): c for v, c in coeffs.items()})
         for x, allowed in enumerate(_successors(pres))
         for y in range(t + 1)
         if y not in allowed
+        for coeffs in [sc.derivation_coeffs(y) if x == t else sc.bracket_coeffs(x, y)]
     ]
     polys.sort(key=lambda p: deglex_key(p.leading()[0]))
     pres._relations = RewriteSystem.from_polys(pres.alphabet, polys)
@@ -627,10 +621,10 @@ def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
 class _WbarView:
     """The generators W of length <= max_len as letters of an alphabet of their own.
 
-    Each letter is a left-combed generator from :func:`free_generators_W`.
-    The letters are ordered purely lexicographically by their words (so "t"
-    is the greatest letter, being a prefix of all others) and carry their
-    word parities.  A view lives for one call of :func:`enumerate_h_basis`.
+    Each letter is a left-combed generator from :func:`free_generators_W`,
+    ranked by ``_lex_key`` of its word, under which a proper prefix sorts
+    greater (so "t", a prefix of all, is the greatest letter), with its word
+    parity.  A view lives for one call of :func:`enumerate_h_basis`.
     """
 
     def __init__(self, pres: HnnPresentation, max_len: int):
@@ -639,17 +633,6 @@ class _WbarView:
         self.letters = [m.word for m in self.generators]
         self.alphabet = Alphabet([str(w) for w in self.letters], [w.parity for w in self.letters])
 
-    def super_ls_sequences(self) -> list[list[tuple[int, ...]]]:
-        """The super-LS rank tuples over the letters, bucketed by total length.
-
-        Bucket ``n`` holds, sorted, those of total length ``n <= max_len``:
-        generated by :func:`_super_ls_tuples` with the letters' lengths as
-        weights and their parities from ``alphabet``, not filtered.
-        """
-        return _super_ls_tuples(
-            self.alphabet.parities, self.max_len, weights=[len(w) for w in self.letters]
-        )
-
 
 def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     """Basis monomials of the extension up to ``max_len``, in deglex order.
@@ -657,18 +640,22 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     By the structure theorem the extension splits as H = A + L(W): the
     original algebra A plus the free Lie superalgebra on the left-combed
     generators W of :func:`free_generators_W`.  So the basis is the leaves
-    of the original basis, and for every super-LS word over W (as letters,
-    of total length <= ``max_len``, generated by
-    :meth:`_WbarView.super_ls_sequences`) its standard bracketing with each
-    letter replaced by its generator's tree.  Nothing here reads the
-    relations: that these are admissible bracketings of exactly the
-    reduced super-LS words of the relations is what
-    :func:`verify_structure_theorem` checks at each degree.  The
-    bracketings share one ``standard_bracket`` memo, seeded with each
-    letter's generator tree, so every tree is built once, already over the
-    base alphabet, and equal subtrees are one object.
-    Raises ``ValueError`` when the tables fail validation or
-    ``max_len < 1``.
+    of A, then for every super-LS word over W (the letters of a
+    :class:`_WbarView`, weighted by length, from :func:`_super_ls_tuples`)
+    its standard bracketing with each letter replaced by its generator's
+    tree.  The bracketings share one ``standard_bracket`` memo seeded with
+    the letters' trees, so each tree is built once, over the base alphabet,
+    and equal subtrees are one object.  Nothing here reads the relations:
+    check (iii) of :func:`verify_structure_theorem` compares the words, in
+    order, with the reduced super-LS words at each degree.  Raises
+    ``ValueError`` when the tables fail validation or ``max_len < 1``.
+
+    The order is the generator's: A's leaves (length 1, ranks below ``t``),
+    then the buckets by total length, each sorted as rank tuples.  If
+    u < u' are the first differing letters of two sequences of one length,
+    either they differ at a letter, and the words first differ there alike,
+    or u' is a proper prefix of u, and u goes on with a complement letter,
+    below ``t``, where the other goes on with a W word, which starts with ``t``.
     """
     _require_valid(pres)
     if max_len < 1:
@@ -681,9 +668,11 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     ]
     # seeded with each letter's tree, the memo gives every bracketing over the base
     memo = {(r,): g for r, g in enumerate(view.generators)}
-    for seq in chain.from_iterable(view.super_ls_sequences()):
+    buckets = _super_ls_tuples(
+        view.alphabet.parities, max_len, weights=[len(w) for w in view.letters]
+    )
+    for seq in chain.from_iterable(buckets):
         out.append(standard_bracket(Word(view.alphabet, seq), memo))
-    out.sort(key=lambda m: deglex_key(m.word))
     return out
 
 

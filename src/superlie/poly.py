@@ -20,13 +20,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Union
+from typing import Container, Iterable, Mapping, Optional, Union
 
 from .words import Alphabet, Word, deglex_key
-
-EVEN = "even"
-ODD = "odd"
-MIXED = "mixed"
 
 Scalar = Union[int, Fraction]
 
@@ -101,14 +97,10 @@ class Poly:
             raise ValueError("the zero polynomial has no leading term")
         return self._terms[0]
 
-    def parity(self) -> str:
-        """EVEN / ODD when all supported words agree, MIXED otherwise; 0 is EVEN."""
-        seen = {w.parity for w, _ in self._terms}
-        if len(seen) > 1:
-            return MIXED
-        if not seen or seen == {0}:
-            return EVEN
-        return ODD
+    def parity(self) -> Optional[int]:
+        """0 or 1 when all supported words agree, ``None`` when mixed; zero is 0."""
+        seen = {w.parity for w, _ in self._terms} or {0}
+        return seen.pop() if len(seen) == 1 else None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -268,12 +260,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _term_to_text(word: Word, coeff: Fraction) -> str:
-    wtext = str(word) if word.letters else "1"
-    if coeff == 1 and word.letters:
-        return wtext
     if not word.letters:
         return str(coeff)
-    return f"{coeff}*{wtext}"
+    return str(word) if coeff == 1 else f"{coeff}*{word}"
 
 
 def poly_to_text(p: Poly) -> str:

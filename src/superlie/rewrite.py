@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import neg
 from typing import Iterable, Optional, Sequence
 
-from .poly import MIXED, LetterTerms, Poly, from_letter_terms, letter_terms, superbracket
+from .poly import LetterTerms, Poly, from_letter_terms, letter_terms, superbracket
 from .words import Alphabet, Word, _super_ls_tuples, deglex_key
 
 LARGEST_LEFTMOST = "largest-leftmost"
@@ -40,7 +40,7 @@ class RewriteRule:
     def __init__(self, body: Poly):
         if body.is_zero():
             raise ValueError("a rewrite rule cannot be zero")
-        if body.parity() == MIXED:
+        if body.parity() is None:
             raise ValueError(f"rule body must be parity-homogeneous: {body}")
         body = body.make_monic()
         self.body = body

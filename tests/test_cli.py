@@ -571,9 +571,17 @@ def test_bad_coefficient_in_presentation_exits_2(capsys, tmp_path, coeff):
             "stable letter: bad symbol name '1t': use letters, digits and '_', "
             "not starting with a digit",
         ),
+        (
+            {"generators": [{"name": n, "parity": 0} for n in ("a", "x", "a")]},
+            "generators[2].name: duplicate 'a'",
+        ),
+        (
+            {"derivation": [{"arg": "a", "value": []}, {"arg": "a", "value": []}]},
+            "derivation[1]: duplicate derivation entry for 'a'",
+        ),
     ],
     ids=["brackets-int", "derivation-null", "left-list", "arg-list", "basis-list", "rule-int",
-         "stable-letter-name"],
+         "stable-letter-name", "duplicate-generator", "duplicate-derivation"],
 )
 def test_malformed_input_file_exits_2(capsys, tmp_path, changes, message):
     # a rules file when the change is to "rules", else the ex1 presentation
@@ -610,6 +618,30 @@ def test_bad_rule_exits_2_with_its_location(capsys, tmp_path, rules, message):
 def test_bracket_of_the_empty_word_exits_2(capsys, word):
     code, out, err = run(capsys, "bracket", word, "--alphabet", "a,b")
     assert (code, out, err) == (2, "", "error: not a super-Lyndon-Shirshov word: ''\n")
+
+
+def test_bracket_text_missing_a_name_exits_2(capsys):
+    code, out, err = run(capsys, "expand", "[,a]", "--alphabet", "a,b")
+    assert (code, out, err) == (2, "", "error: missing symbol name at offset 1 in '[,a]'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hnn-verify", "--input", str(FIXTURES / "ex1.json")],
+        ["hnn-basis", "--input", str(FIXTURES / "ex1.json")],
+        ["ls-words", "--alphabet", "a,b"],
+    ],
+    ids=["hnn-verify", "hnn-basis", "ls-words"],
+)
+def test_max_len_0_exits_2(capsys, argv):
+    # argparse rejects it: a usage line, then one error line
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-len", "0"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"superlie {argv[0]}: error: argument --max-len: must be >= 1"]
 
 
 def test_closed_pipe_exits_141_without_a_traceback():

@@ -553,6 +553,25 @@ def test_build_relations_requires_valid_constants():
         build_relations(load_presentation(data))
 
 
+@pytest.mark.parametrize(
+    "subalgebra_size, d_parity, message",
+    [
+        (3, 0, "subalgebra_size 3 out of range"),
+        (-1, 0, "subalgebra_size -1 out of range"),
+        (1, 2, "d_parity must be 0 or 1, got 2"),
+    ],
+    ids=["size-above", "size-below", "d-parity-2"],
+)
+def test_structure_constants_reject_a_bad_shape(subalgebra_size, d_parity, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StructureConstants(Alphabet.from_names(["a", "x"]), subalgebra_size, d_parity)
+
+
+def test_structure_theorem_rejects_max_len_0():
+    with pytest.raises(ValueError, match="^max_len must be >= 1$"):
+        verify_structure_theorem(ex1(), 0)
+
+
 def test_uh_basis_requires_valid_constants():
     pres = load_presentation(PINNED_VIOLATIONS["odd-squares"][0])
     with pytest.raises(ValueError) as excinfo:
@@ -765,6 +784,19 @@ def test_h_basis_is_admissible_on_every_small_shape():
         assert all(is_admissible(m) for m in basis), (parities, k, d_parity)
 
 
+def test_h_basis_is_in_deglex_order_on_every_small_shape():
+    # no sort: the order comes from the W letters' ranks and the buckets
+    for shape in SMALL_SHAPES:
+        words = [m.word for m in enumerate_h_basis(_abelian_presentation(*shape), 7)]
+        assert words == sorted(words, key=deglex_key), shape
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_h_basis_is_in_deglex_order_on_fixtures(fixture):
+    words = [m.word for m in enumerate_h_basis(fixture(), 9)]
+    assert words == sorted(words, key=deglex_key)
+
+
 def test_ex1_h_basis_counts_and_monomials():
     basis = enumerate_h_basis(ex1(), 4)
     counts = [sum(1 for m in basis if len(m.word) == n) for n in range(1, 5)]
@@ -814,7 +846,7 @@ def test_h_basis_block_sequences_are_the_filtered_products(fixture):
         [s for s in _weighted_products(weights, n) if is_super_ls(Word(view.alphabet, s))]
         for n in range(1, 9)
     ]
-    assert view.super_ls_sequences() == [[]] + filtered
+    assert hnn._super_ls_tuples(view.alphabet.parities, 8, weights=weights) == [[]] + filtered
 
 
 def _fresh(m, leaf):
@@ -836,7 +868,9 @@ def _unshared_h_basis(pres, max_len):
         return _fresh(view.generators[r], base_leaf)
 
     out = [base_leaf(r) for r in range(pres.t_rank)]
-    for seq in chain.from_iterable(view.super_ls_sequences()):
+    weights = [len(w) for w in view.letters]
+    buckets = hnn._super_ls_tuples(view.alphabet.parities, max_len, weights=weights)
+    for seq in chain.from_iterable(buckets):
         out.append(_fresh(standard_bracket(Word(view.alphabet, seq)), generator))
     out.sort(key=lambda m: deglex_key(m.word))
     return out

@@ -66,6 +66,26 @@ def test_rule_rejects_zero_and_mixed_parity():
         RewriteRule(parse_poly(odd, "xx - x"))
 
 
+def test_rule_rejects_a_mixed_body_with_its_message():
+    odd = Alphabet.from_names(["a", "x"], odd=["x"])
+    body = parse_poly(odd, "xx - x")
+    assert body.parity() is None
+    with pytest.raises(ValueError, match="^rule body must be parity-homogeneous: xx - x$"):
+        RewriteRule(body)
+
+
+def test_alphabet_mismatches_are_rejected():
+    foreign = RewriteRule(parse_poly(ABXT, "ba - a"))
+    with pytest.raises(ValueError, match="^polynomial over a different alphabet than the system$"):
+        reduce(Poly.monomial(ABXT.word("ba")), EX1_STYLE)
+    with pytest.raises(ValueError, match="^polynomials over different alphabets$"):
+        superbracket(Poly.monomial(AXT.word("a")), Poly.monomial(ABXT.word("a")))
+    with pytest.raises(ValueError, match="^rules over different alphabets$"):
+        assoc_compositions(EX1_STYLE.rules[0], foreign)
+    with pytest.raises(ValueError, match="^rule over a different alphabet$"):
+        RewriteSystem(AXT, [foreign])
+
+
 def test_system_rejects_duplicate_leading_words():
     with pytest.raises(ValueError, match=r"^rules\[1\]: duplicate leading word 'xa'$"):
         system(AXT, "xa - ax", "xa - a")
@@ -89,6 +109,13 @@ def test_rule_reduces_to_zero():
         normal_form, trace = reduce(rule.body, EX1_STYLE)
         assert normal_form.is_zero()
         assert len(trace) >= 1
+
+
+def test_replay_rejects_a_polynomial_its_trace_does_not_fit():
+    s = system(ABXT, "ta - x")
+    _, trace = reduce(Poly.monomial(ABXT.word("tab")), s)
+    with pytest.raises(ValueError, match="^trace does not apply: 'tab' absent$"):
+        trace.replay(Poly.monomial(ABXT.word("xb")), s)
 
 
 def test_single_step_example():
@@ -631,6 +658,13 @@ def test_lie_composition_absorbs_odd_square_normalization():
     f_full = parse_poly(odd, "2*aa")
     expected = superbracket(g.body, a) - Fraction(1, 2) * superbracket(t, f_full)
     assert got == expected
+
+
+def test_lie_composition_rejects_a_word_that_is_not_the_overlap():
+    s = system(AXT, "tx - a", "xa - a")  # leading words tx, xa: overlap txa
+    tx, xa = s.rules
+    with pytest.raises(ValueError, match="^word 'txx' is not the overlap of the leading words$"):
+        lie_composition_len2(tx, xa, AXT.word("txx"))
 
 
 def test_lie_composition_shape_errors():

@@ -511,6 +511,11 @@ def test_from_names_rejects_names_outside_the_grammar(bad):
         Alphabet.from_names(["a", bad])
 
 
+def test_from_names_rejects_an_odd_name_not_in_the_alphabet():
+    with pytest.raises(ValueError, match=r"^odd names not in alphabet: \['b'\]$"):
+        Alphabet.from_names(["a"], ["b"])
+
+
 def test_from_names_accepts_identifiers():
     alphabet = Alphabet.from_names(["_", "a1", "B_2"], odd=["a1"])
     assert alphabet.names == ("_", "a1", "B_2")
