@@ -628,7 +628,6 @@ class _WbarView:
     """
 
     def __init__(self, pres: HnnPresentation, max_len: int):
-        self.max_len = max_len
         self.generators = sorted(free_generators_W(pres, max_len), key=lambda m: _lex_key(m.word))
         self.letters = [m.word for m in self.generators]
         self.alphabet = Alphabet([str(w) for w in self.letters], [w.parity for w in self.letters])

@@ -6,9 +6,12 @@ The product concatenates words bilinearly, and the superbracket is
     [p, q] = p*q - (-1)^{|p||q|} q*p
 
 for parity-homogeneous p, q, extended bilinearly over homogeneous parts.
-All arithmetic is exact (``fractions.Fraction``); nothing is ever rounded.
-Terms are kept in descending deglex order so equality, hashing and the
-leading term are deterministic.
+All arithmetic is exact; nothing is ever rounded.  A Poly keeps its terms
+as integer numerators over one positive denominator, in lowest terms, so
+equality and hashing are deterministic and the arithmetic is on ints with
+one gcd per result.  The terms as ``fractions.Fraction`` coefficients, in
+descending deglex order with the leading term first, are built when first
+read and kept.
 
 :class:`Poly` is the boundary type.  The hot kernels -- the superbracket
 (:func:`bracket_terms`), the free expansion of bracketings and reduction --
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Container, Iterable, Mapping, Optional, Union
 
 from .words import Alphabet, Word, deglex_key
@@ -34,104 +38,154 @@ def _to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class Poly:
-    """An element of the free associative superalgebra: sum of words."""
+def _fill(p: "Poly", alphabet: Alphabet, den: int, nums: dict[Word, int]) -> "Poly":
+    """Set ``p`` to ``nums / den`` in lowest terms and return it.
 
-    __slots__ = ("alphabet", "_terms", "_lookup", "_hash")
+    ``den`` is positive and every value of ``nums`` a nonzero int; both are
+    divided by their gcd, so the zero polynomial has denominator 1.
+    """
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {w: n // g for w, n in nums.items()}
+    p.alphabet = alphabet
+    p._den = den
+    p._nums = nums
+    p._terms = None  # built on first read: most results are only added to
+    p._hash = None  # computed on first use: most polys are never hashed
+    return p
+
+
+class Poly:
+    """An element of the free associative superalgebra: sum of words.
+
+    Stored as ``_nums``, a dict from words to nonzero int numerators, over
+    the positive int ``_den``, with gcd 1 over all of them.
+    """
+
+    __slots__ = ("alphabet", "_den", "_nums", "_terms", "_hash")
 
     def __init__(
         self,
         alphabet: Alphabet,
         terms: Union[Mapping[Word, Scalar], Iterable[tuple[Word, Scalar]]] = (),
     ):
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for word, coeff in items:
             if word.alphabet is not alphabet and word.alphabet != alphabet:
                 raise ValueError("term word over a different alphabet")
-            if not isinstance(coeff, Fraction):
+            if type(coeff) is not int and not isinstance(coeff, Fraction):
                 coeff = _to_fraction(coeff)
-            c = acc[word] + coeff if word in acc else coeff
-            if c:
-                acc[word] = c
-            elif word in acc:
-                del acc[word]
-        self.alphabet = alphabet
-        self._lookup = acc
-        self._terms = tuple(
-            sorted(acc.items(), key=lambda kv: deglex_key(kv[0]), reverse=True)
-        )
-        self._hash = None  # computed on first use: most polys are never hashed
+            acc[word] = acc[word] + coeff if word in acc else coeff
+        acc = {w: c for w, c in acc.items() if c}
+        den = lcm(*[c.denominator for c in acc.values()])
+        nums = {w: c.numerator * (den // c.denominator) for w, c in acc.items()}
+        _fill(self, alphabet, den, nums)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, den: int, nums: dict[Word, int]) -> "Poly":
+        """``nums / den`` over ``alphabet``, unchecked but for the gcd.
+
+        ``den`` is a positive int, ``nums`` a dict from words of ``alphabet``
+        to nonzero ints, which the Poly may keep.
+        """
+        return _fill(object.__new__(cls), alphabet, den, nums)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "Poly":
-        return cls(alphabet, ())
+        return cls._of(alphabet, 1, {})
 
     @classmethod
     def monomial(cls, word: Word, coeff: Scalar = 1) -> "Poly":
-        return cls(word.alphabet, ((word, coeff),))
+        c = coeff if type(coeff) is int else _to_fraction(coeff)
+        return cls._of(word.alphabet, c.denominator, {word: c.numerator} if c else {})
 
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def terms(self) -> tuple[tuple[Word, Fraction], ...]:
         """Terms in descending deglex order (leading first)."""
+        if self._terms is None:
+            nums, den = self._nums, self._den
+            self._terms = tuple(
+                (w, Fraction(nums[w], den))
+                for w in sorted(nums, key=deglex_key, reverse=True)
+            )
         return self._terms
 
     def words(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self._terms)
+        return tuple(w for w, _ in self.terms())
 
     def coefficient(self, word: Word) -> Fraction:
-        return self._lookup.get(word, _ZERO)
+        n = self._nums.get(word)
+        return _ZERO if n is None else Fraction(n, self._den)
 
     def leading(self) -> tuple[Word, Fraction]:
         """The deglex-maximal supported word and its coefficient."""
-        if not self._terms:
+        if not self._nums:
             raise ValueError("the zero polynomial has no leading term")
-        return self._terms[0]
+        return self.terms()[0]
 
     def parity(self) -> Optional[int]:
         """0 or 1 when all supported words agree, ``None`` when mixed; zero is 0."""
-        seen = {w.parity for w, _ in self._terms} or {0}
+        seen = {w.parity for w in self._nums} or {0}
         return seen.pop() if len(seen) == 1 else None
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        acc = dict(self._lookup)
-        for w, c in other._terms:
-            acc[w] = acc.get(w, _ZERO) + c
-        return Poly(self.alphabet, acc)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_compatible(other)
-        acc = dict(self._lookup)
-        for w, c in other._terms:
-            acc[w] = acc.get(w, _ZERO) - c
-        return Poly(self.alphabet, acc)
+        den = lcm(self._den, other._den)
+        scale, other_scale = den // self._den, sign * (den // other._den)
+        acc = {w: n * scale for w, n in self._nums.items()}
+        for w, n in other._nums.items():
+            c = acc.get(w, 0) + n * other_scale
+            if c:
+                acc[w] = c
+            else:  # n is nonzero, so w was in acc
+                del acc[w]
+        return Poly._of(self.alphabet, den, acc)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.alphabet, [(w, -c) for w, c in self._terms])
+        return Poly._of(self.alphabet, self._den, {w: -n for w, n in self._nums.items()})
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
+        alphabet = self.alphabet
         if isinstance(other, Poly):
             self._check_compatible(other)
-            acc: dict[Word, Fraction] = {}
-            for u, cu in self._terms:
-                for v, cv in other._terms:
-                    w = u * v
-                    acc[w] = acc.get(w, _ZERO) + cu * cv
-            return Poly(self.alphabet, acc)
-        c = _to_fraction(other)
-        return Poly(self.alphabet, [(w, c * k) for w, k in self._terms])
+            acc: dict[tuple[int, ...], int] = {}
+            rhs = [(v.letters, nv) for v, nv in other._nums.items()]
+            for u, nu in self._nums.items():
+                u = u.letters
+                for v, nv in rhs:
+                    w = u + v
+                    acc[w] = acc.get(w, 0) + nu * nv
+            of = Word._of
+            return Poly._of(
+                alphabet, self._den * other._den, {of(alphabet, w): c for w, c in acc.items() if c}
+            )
+        c = other if type(other) is int else _to_fraction(other)
+        if not c:
+            return Poly._of(alphabet, 1, {})
+        num = c.numerator
+        return Poly._of(
+            alphabet, self._den * c.denominator, {w: n * num for w, n in self._nums.items()}
+        )
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self.__mul__(other)
@@ -153,12 +207,13 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.alphabet == other.alphabet
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.alphabet._hash, self._terms))
+            self._hash = hash((self.alphabet._hash, self._den, frozenset(self._nums.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -176,7 +231,7 @@ LetterTerms = dict[tuple[int, ...], Scalar]
 
 def letter_terms(p: Poly) -> LetterTerms:
     """p as a dict from letter tuples (symbol ranks) to coefficients."""
-    return {w.letters: c for w, c in p._terms}
+    return {w.letters: c for w, c in p.terms()}
 
 
 def from_letter_terms(alphabet: Alphabet, terms: LetterTerms) -> Poly:
@@ -215,23 +270,26 @@ def bracket_terms(
 def superbracket(p: Poly, q: Poly) -> Poly:
     """[p, q] = pq - (-1)^{|p||q|} qp, extended bilinearly over parities.
 
-    Each side splits into its even and odd letter-tuple dicts,
+    Each side's numerators split into its even and odd letter-tuple dicts,
     :func:`bracket_terms` brackets each pair of nonzero parts, and the one
-    Poly built sums their terms.
+    Poly built sums their terms over the product of the two denominators.
     """
     alphabet, parities = p.alphabet, p.alphabet.parities
     if alphabet != q.alphabet:
         raise ValueError("polynomials over different alphabets")
-    p_parts, q_parts = ({}, {}), ({}, {})  # each side's (even, odd) letter dicts
+    p_parts, q_parts = ({}, {}), ({}, {})  # each side's (even, odd) numerator dicts
     for side, parts in ((p, p_parts), (q, q_parts)):
-        for w, c in side._terms:
-            parts[sum([parities[r] for r in w.letters]) & 1][w.letters] = c
-    return Poly(alphabet, [
-        (Word(alphabet, w), c)
-        for odd_p, p_part in enumerate(p_parts) if p_part
-        for odd_q, q_part in enumerate(q_parts) if q_part
-        for w, c in bracket_terms(p_part, q_part, odd_p & odd_q)[0].items()
-    ])
+        for w, n in side._nums.items():
+            letters = w.letters
+            parts[sum([parities[r] for r in letters]) & 1][letters] = n
+    acc: LetterTerms = {}
+    for odd_p, p_part in enumerate(p_parts):
+        for odd_q, q_part in enumerate(q_parts):
+            if p_part and q_part:
+                for w, c in bracket_terms(p_part, q_part, odd_p & odd_q)[0].items():
+                    acc[w] = acc.get(w, 0) + c
+    of = Word._of
+    return Poly._of(alphabet, p._den * q._den, {of(alphabet, w): c for w, c in acc.items() if c})
 
 
 # -- text form ----------------------------------------------------------------

@@ -8,9 +8,9 @@ form and certifies that input minus output lies in the two-sided ideal of
 the rules.
 
 ``assoc_compositions`` enumerates the overlap and inclusion compositions of
-two rules, and ``is_gsb`` checks that all pairwise compositions reduce to
-zero -- the closure property that makes the set of reduced words a basis of
-the quotient.  When the check fails, normal forms of other inputs may depend
+two rules, and ``is_gsb`` checks that the compositions of every pair of
+rules reduce to zero -- the closure property that makes the set of reduced
+words a basis of the quotient.  When the check fails, normal forms of other inputs may depend
 on the rewriting strategy; both built-in strategies are exposed so that the
 agreement can be tested rather than assumed.
 """
@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import neg
 from typing import Iterable, Optional, Sequence
 
-from .poly import LetterTerms, Poly, from_letter_terms, letter_terms, superbracket
+from .poly import LetterTerms, Poly, from_letter_terms, superbracket
 from .words import Alphabet, Word, _super_ls_tuples, deglex_key
 
 LARGEST_LEFTMOST = "largest-leftmost"
@@ -46,13 +46,11 @@ class RewriteRule:
         self.body = body
         self.leading_word = body.leading()[0]
         self.leading_len = len(self.leading_word)
-        # for the kernel: the body times the lcm of its denominators, on letter
-        # tuples with int coefficients; the leading one is that lcm
-        terms = body.terms()
-        self._denominator = den = lcm(*[c.denominator for _, c in terms])
-        self._int_terms = tuple(
-            (u.letters, c.numerator * (den // c.denominator)) for u, c in terms
-        )
+        # for the kernel: the body's numerators on letter tuples, leading word
+        # first, over its denominator, which is the leading numerator
+        nums = body._nums
+        self._denominator = body._den
+        self._int_terms = tuple((u.letters, nums[u]) for u, _ in body.terms())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RewriteRule) and self.body == other.body
@@ -196,7 +194,8 @@ def reduce(
     it may, which is why the strategy is explicit.
 
     The kernel keeps the polynomial as one dict from letters to integer
-    coefficients over one common denominator (see :func:`_reduce_letters`).
+    coefficients over one common denominator (see :func:`_reduce_letters`),
+    starting from the numerators and the denominator of ``p``.
     The words that contain a leading word wait in a heap ordered by the
     strategy, each with its first occurrence found once through the
     system's index; a word that cancels stays in the heap until popped and
@@ -211,14 +210,14 @@ def reduce(
     alphabet = p.alphabet
     if alphabet != system.alphabet:
         raise ValueError("polynomial over a different alphabet than the system")
-    terms = letter_terms(p)
-    steps = _reduce_letters(terms, system, strategy == LARGEST_LEFTMOST, {})
+    terms = {w.letters: n for w, n in p._nums.items()}
+    steps = _reduce_letters(terms, system, strategy == LARGEST_LEFTMOST, {}, p._den)
     normal_form = from_letter_terms(alphabet, terms)
     return normal_form, ReductionTrace(steps, normal_form)
 
 
 def _reduce_letters(
-    acc: LetterTerms, system: RewriteSystem, leftmost: bool, hits: dict
+    acc: LetterTerms, system: RewriteSystem, leftmost: bool, hits: dict, den: int = 1
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """The kernel of :func:`reduce`: rewrite the letter dict ``acc`` in place.
 
@@ -226,8 +225,9 @@ def _reduce_letters(
     word, so calls with one system and strategy may share it.  Returns the
     steps as (letters, rule index, position).
 
-    The arithmetic is on ints over one common denominator ``den``.  On entry
-    ``acc`` is scaled by the lcm of its denominators (skipped when every
+    The arithmetic is on ints over one common denominator ``den``, the
+    ``acc`` given standing for ``acc / den``.  On entry ``acc`` is scaled by
+    the lcm of its denominators, and ``den`` with it (skipped when every
     value is an int).  A step on a word with coefficient ``C`` subtracts
     ``C // D`` times the framed integral body of its rule, ``D`` being the
     rule's denominator; when ``D`` does not divide ``C``, the whole dict and
@@ -273,11 +273,11 @@ def _reduce_letters(
         def entry(letters: tuple[int, ...]) -> tuple:
             return (len(letters), letters)
 
-    den = 1
     if not all(type(c) is int for c in acc.values()):
-        den = lcm(*[c.denominator for c in acc.values()])
+        scale = lcm(*[c.denominator for c in acc.values()])
         for w, c in acc.items():
-            acc[w] = c.numerator * (den // c.denominator)
+            acc[w] = c.numerator * (scale // c.denominator)
+        den *= scale
     heap = [
         entry(w) for w in acc if (hits[w] if w in hits else first_hit(w)) is not None
     ]
@@ -336,12 +336,13 @@ def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]
         raise ValueError("rules over different alphabets")
     pl = p.leading_word.letters
     ql = q.leading_word.letters
+    of = Word._of  # the letters come from the rules' own words
     out: list[tuple[Word, Poly]] = []
     for k in range(1, min(len(pl), len(ql))):
         if pl[len(pl) - k :] == ql[:k]:
-            word = Word(alphabet, pl + ql[k:])
-            tail = Poly.monomial(Word(alphabet, ql[k:]))
-            head = Poly.monomial(Word(alphabet, pl[: len(pl) - k]))
+            word = of(alphabet, pl + ql[k:])
+            tail = Poly.monomial(of(alphabet, ql[k:]))
+            head = Poly.monomial(of(alphabet, pl[: len(pl) - k]))
             out.append((word, p.body * tail - head * q.body))
     if len(ql) <= len(pl):
         for i in range(len(pl) - len(ql) + 1):
@@ -349,9 +350,9 @@ def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]
                 continue
             if p is q and len(pl) == len(ql):
                 continue
-            head = Poly.monomial(Word(alphabet, pl[:i]))
-            tail = Poly.monomial(Word(alphabet, pl[i + len(ql) :]))
-            out.append((Word(alphabet, pl), p.body - head * q.body * tail))
+            head = Poly.monomial(of(alphabet, pl[:i]))
+            tail = Poly.monomial(of(alphabet, pl[i + len(ql) :]))
+            out.append((p.leading_word, p.body - head * q.body * tail))
     return out
 
 
@@ -409,15 +410,28 @@ class GsbReport:
 
 
 def is_gsb(system: RewriteSystem) -> GsbReport:
-    """Reduce every pairwise composition (self-pairs included) by the system.
+    """Reduce every composition of two rules (self-pairs included) by the system.
 
-    Passes iff every composition has normal form zero.  Checks are reported
-    in deglex order of the composition word, then by rule indices.
+    Passes iff every composition has normal form zero.  A pair (p, q) has
+    a composition only when q's leading word overlaps the end of p's or
+    lies inside it, so when q's leading word starts with a letter of p's,
+    or is empty, as the empty word occurs at every position.  The rules are
+    indexed by the first letter of their leading words, and only the pairs
+    the index names are composed.  Checks are reported in deglex order of
+    the composition word, then by rule indices.
     """
+    rules = system.rules
+    by_first: dict[tuple[int, ...], list[int]] = {}
+    for j, q in enumerate(rules):
+        by_first.setdefault(q.leading_word.letters[:1], []).append(j)
+    everywhere = by_first.get((), [])
     checks: list[CompositionCheck] = []
-    for i, p in enumerate(system.rules):
-        for j, q in enumerate(system.rules):
-            for word, composition in assoc_compositions(p, q):
+    for i, p in enumerate(rules):
+        partners = everywhere + [
+            j for c in set(p.leading_word.letters) for j in by_first.get((c,), ())
+        ]
+        for j in sorted(partners):
+            for word, composition in assoc_compositions(p, rules[j]):
                 normal_form, trace = reduce(composition, system)
                 checks.append(
                     CompositionCheck(
@@ -477,6 +491,6 @@ def lie_composition_len2(p: RewriteRule, q: RewriteRule, w: Word) -> Poly:
     if w.letters != (pl[0], pl[1], ql[1]):
         raise ValueError(f"word {str(w)!r} is not the overlap of the leading words")
     alphabet = p.body.alphabet
-    first = Poly.monomial(Word(alphabet, (pl[0],)))
-    last = Poly.monomial(Word(alphabet, (ql[1],)))
+    first = Poly.monomial(Word._of(alphabet, pl[:1]))
+    last = Poly.monomial(Word._of(alphabet, ql[1:]))
     return superbracket(p.body, last) - superbracket(first, q.body)

@@ -272,6 +272,9 @@ def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
     ]
 
 
+_RECURSION_DEPTH = 500  # the walk recurses down to nodes this long, then goes on on a stack
+
+
 def _super_ls_tuples(
     parities: Sequence[int],
     max_len: int,
@@ -305,11 +308,17 @@ def _super_ls_tuples(
     * A node that starts with rank 0 is not extended: no letter of a
       prenecklace exceeds its first, so the nodes below ``(0,)`` are its
       powers, and only ``(0,)`` and its square are super-LS.
+
+    The walk recurses while a node is shorter than ``_RECURSION_DEPTH``
+    letters.  A node of that length puts its children on an explicit stack
+    and walks it, and the nodes below it push theirs there too, so a
+    constrained walk may go as deep as ``max_len`` allows.
     """
     weights = weights or (1,) * len(parities)
     limit = max_len - min(weights)  # some letter fits after a node this heavy or lighter
     letters = range(len(parities))
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
+    depth, deep = _RECURSION_DEPTH, []  # deep: the nodes waiting on the stack
 
     def grow(u: tuple[int, ...], period: int, weight: int) -> None:
         n = len(u)
@@ -328,9 +337,15 @@ def _super_ls_tuples(
                 break
             grown = weight + weights[c]
             if grown <= limit:
-                grow(u + (c,), period if c == bound else n + 1, grown)
+                if n < depth:
+                    grow(u + (c,), period if c == bound else n + 1, grown)
+                else:
+                    deep.append((u + (c,), period if c == bound else n + 1, grown))
             elif c < bound and grown <= max_len:
                 buckets[grown].append(u + (c,))
+        if n == depth:
+            while deep:
+                grow(*deep.pop())
 
     for c in letters if successors is None else successors(()):
         if weights[c] <= limit:

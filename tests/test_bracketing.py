@@ -274,13 +274,18 @@ def test_expand_and_superbracket_build_one_poly(monkeypatch):
     p, q = expand(m.left), expand(m.right)
     assert len(w) == 7
     built = []
-    init = Poly.__init__
+    init, of = Poly.__init__, Poly._of.__func__
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
+    def counting_of(cls, *args):
+        built.append(of(cls, *args))
+        return built[-1]
+
     monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(Poly, "_of", classmethod(counting_of))
     expansion = expand(m)
     assert built == [expansion]
     built.clear()

@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,34 @@ def _renamed_ex4(tmp_path) -> Path:
     return path
 
 
+def _rescaled_osp(tmp_path) -> Path:
+    """osp with e_i -> l_i e_i and t -> m t for fixed rationals: an isomorphic table."""
+    lam = {"h": Fraction(2, 3), "e": Fraction(-3, 2), "u": Fraction(1, 3),
+           "f": Fraction(2), "v": Fraction(-2, 3)}
+    mu = Fraction(-3, 2)
+    data = json.loads((FIXTURES / "osp.json").read_text())
+    for entries, factor in (
+        (data["brackets"], lambda e: lam[e["left"]] * lam[e["right"]]),
+        (data["derivation"], lambda e: mu * lam[e["arg"]]),
+    ):
+        for entry in entries:
+            for term in entry["value"]:
+                term["coeff"] = str(Fraction(term["coeff"]) * factor(entry) / lam[term["basis"]])
+    path = tmp_path / "osp-rescaled.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _rational_rules(tmp_path) -> Path:
+    """Two rules with rational coefficients over v < y < x; they are not closed."""
+    generators = [{"name": n, "parity": 0} for n in ("v", "y", "x")]
+    path = tmp_path / "rational-rules.json"
+    path.write_text(json.dumps(
+        {"generators": generators, "rules": ["2*xy - 1/2*v", "3/2*yv - 2/3*y"]}
+    ))
+    return path
+
+
 def test_hnn_verify_rejects_invalid_table(capsys, tmp_path):
     code, out, _ = run(capsys, "hnn-verify", "--input", str(_invalid_ex2(tmp_path)))
     assert code == 1
@@ -430,8 +459,16 @@ def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
 
 INVALID_EX2 = "<invalid ex2>"  # stands for the path _invalid_ex2 writes
 RENAMED_EX4 = "<renamed ex4>"  # stands for the path _renamed_ex4 writes
-WRITTEN_INPUTS = {INVALID_EX2: _invalid_ex2, RENAMED_EX4: _renamed_ex4}
+RESCALED_OSP = "<rescaled osp>"  # stands for the path _rescaled_osp writes
+RATIONAL_RULES = "<rational rules>"  # stands for the path _rational_rules writes
+WRITTEN_INPUTS = {
+    INVALID_EX2: _invalid_ex2,
+    RENAMED_EX4: _renamed_ex4,
+    RESCALED_OSP: _rescaled_osp,
+    RATIONAL_RULES: _rational_rules,
+}
 BROKEN_REDUCE = ["reduce", "xyv + 2*yx", "--input", str(FIXTURES / "broken_rules.json")]
+RATIONAL_REDUCE = ["reduce", "2/3*feh - 1/2*fh + 3/4*tfe", "--input", str(FIXTURES / "sl2.json")]
 
 
 def _report_cells(name, argv, code):
@@ -479,6 +516,15 @@ LISTING_CELLS = [
                                                "--max-len", "5"], 0),
     *_report_cells("hnn-verify-ex4-renamed-6", ["hnn-verify", "--input", RENAMED_EX4,
                                                 "--max-len", "6"], 0),
+    # rational coefficients in the input, the rules and the normal forms,
+    # recorded while a polynomial still kept one Fraction per term
+    *_report_cells("reduce-sl2-rational-largest-leftmost",
+                   [*RATIONAL_REDUCE, "--strategy", "largest-leftmost"], 0),
+    *_report_cells("reduce-sl2-rational-smallest-rightmost",
+                   [*RATIONAL_REDUCE, "--strategy", "smallest-rightmost"], 0),
+    *_report_cells("gsb-check-rational-rules", ["gsb-check", "--input", RATIONAL_RULES], 1),
+    *_report_cells("hnn-verify-osp-rescaled-6", ["hnn-verify", "--input", RESCALED_OSP,
+                                                 "--max-len", "6"], 0),
 ]
 
 

@@ -1244,13 +1244,13 @@ def test_repeated_monomial_fails_check_iv(monkeypatch, k):
         assert r.independent_rank == r.h_basis_count - (r.length >= k)
 
 
-def _flip_longest_parity(view):
-    """Flip the parity of the longest block letter whose square fits.
+def _flip_longest_parity(view, max_len):
+    """Flip the parity of the longest block letter whose square fits in ``max_len``.
 
     Returns the first degree affected: the square of that letter.
     """
     r = max(
-        (r for r, w in enumerate(view.letters) if 2 * len(w) <= view.max_len),
+        (r for r, w in enumerate(view.letters) if 2 * len(w) <= max_len),
         key=lambda r: len(view.letters[r]),
     )
     parities = list(view.alphabet.parities)
@@ -1259,7 +1259,7 @@ def _flip_longest_parity(view):
     return 2 * len(view.letters[r])
 
 
-def _swap_greatest_letters(view):
+def _swap_greatest_letters(view, max_len):
     """Swap the block order of the two greatest letters, t and the next.
 
     Returns None: the first degree affected has no closed form here.
@@ -1283,7 +1283,7 @@ def test_structure_check_ii_fails_on_a_mutated_block_alphabet(fixture, mutate, m
     class Mutated(hnn._WbarView):
         def __init__(self, pres, max_len):
             super().__init__(pres, max_len)
-            expected.append(mutate(self))
+            expected.append(mutate(self, max_len))
 
     monkeypatch.setattr(hnn, "_WbarView", Mutated)
     report = verify_structure_theorem(pres, max_len)
@@ -1310,7 +1310,7 @@ def test_structure_check_ii_failing_fails_iii(fixture, mutate, monkeypatch):
     class Mutated(hnn._WbarView):
         def __init__(self, pres, max_len):
             super().__init__(pres, max_len)
-            mutate(self)
+            mutate(self, max_len)
 
     monkeypatch.setattr(hnn, "_WbarView", Mutated)
     report = verify_structure_theorem(fixture(), 6)

@@ -1,6 +1,7 @@
 """Ring structure, grading, superbracket, leading data, text form."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -16,6 +17,8 @@ from superlie import (
     standard_bracket,
     superbracket,
 )
+from superlie.poly import letter_terms
+from superlie.words import deglex_key
 from conftest import (
     even_part,
     odd_part,
@@ -306,3 +309,139 @@ def test_hashes_agree_across_equal_alphabets():
     _ = (used * used, used + q, used.leading(), str(used), used == p)
     assert hash(used) == hash(parse_poly(second, text)) == hash(used)
     assert len({p, q, used, expand(m)}) == 2
+
+
+# -- the stored form: int numerators over one denominator ----------------------
+#
+# References on plain dicts from words to Fractions, which share no code with
+# Poly's integer arithmetic.
+
+
+def _value(p):
+    """p as a dict from words to Fractions."""
+    return dict(p.terms())
+
+
+def _nonzero(acc):
+    return {w: c for w, c in acc.items() if c}
+
+
+def _ref_sum(a, b, sign=1):
+    acc = dict(a)
+    for w, c in b.items():
+        acc[w] = acc.get(w, 0) + sign * c
+    return _nonzero(acc)
+
+
+def _ref_product(a, b):
+    acc = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            acc[u * v] = acc.get(u * v, 0) + cu * cv
+    return _nonzero(acc)
+
+
+def _ref_superbracket(a, b):
+    acc = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            sign = 1 if u.parity and v.parity else -1
+            acc[u * v] = acc.get(u * v, 0) + cu * cv
+            acc[v * u] = acc.get(v * u, 0) + sign * cu * cv
+    return _nonzero(acc)
+
+
+def assert_lowest_terms(p):
+    """The stored form: denominator >= 1, gcd 1, no zero numerator, Fraction terms."""
+    assert type(p._den) is int and p._den >= 1
+    assert all(type(n) is int and n for n in p._nums.values())
+    assert gcd(p._den, *p._nums.values()) == 1
+    assert p._nums or p._den == 1
+    assert all(type(c) is Fraction for _, c in p.terms())
+    assert [w for w, _ in p.terms()] == sorted(p._nums, key=deglex_key, reverse=True)
+
+
+@st.composite
+def poly_triples(draw):
+    """Three polynomials over one alphabet, the third often cancelling the first."""
+    alphabet = draw(st.sampled_from([XY_ODD, MIXED_ALPHA, Alphabet.from_names("ab", odd="b")]))
+    word = st.lists(st.integers(0, len(alphabet) - 1), max_size=3).map(
+        lambda letters: Word(alphabet, letters)
+    )
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9]))
+    terms = st.lists(st.tuples(word, coeff), max_size=5)
+    p, q = Poly(alphabet, draw(terms)), Poly(alphabet, draw(terms))
+    r = Poly(alphabet, draw(terms))
+    if draw(st.booleans()):
+        r = Poly(alphabet, [(w, -c) for w, c in p.terms()] + list(r.terms())[:1])
+    return p, q, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(poly_triples(), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)))
+def test_integer_arithmetic_matches_fraction_references(triple, scalar):
+    p, q, r = triple
+    a, b, c = _value(p), _value(q), _value(r)
+    results = {
+        "p + q": (p + q, _ref_sum(a, b)),
+        "p + r": (p + r, _ref_sum(a, c)),
+        "p - q": (p - q, _ref_sum(a, b, -1)),
+        "p - p": (p - p, {}),
+        "-p": (-p, {w: -x for w, x in a.items()}),
+        "p * r": (p * r, _ref_product(a, c)),
+        "q * p": (q * p, _ref_product(b, a)),
+        "scalar * p": (scalar * p, _nonzero({w: scalar * x for w, x in a.items()})),
+        "p * scalar": (p * scalar, _nonzero({w: x * scalar for w, x in a.items()})),
+        "p * 0": (p * 0, {}),
+        "[p, q]": (superbracket(p, q), _ref_superbracket(a, b)),
+        "[p, r]": (superbracket(p, r), _ref_superbracket(a, c)),
+    }
+    if a:
+        lead = a[max(a, key=deglex_key)]
+        results["monic p"] = (p.make_monic(), {w: x / lead for w, x in a.items()})
+    for name, (got, expected) in results.items():
+        assert _value(got) == expected, name
+        assert_lowest_terms(got)
+        assert got == Poly(p.alphabet, expected), name
+        assert hash(got) == hash(Poly(p.alphabet, expected)), name
+    for poly in (p, q, r):
+        assert_lowest_terms(poly)
+
+
+def test_zero_has_denominator_one():
+    a = ABX.word("a")
+    for zero in (
+        Poly.zero(ABX),
+        Poly(ABX, {a: Fraction(1, 3)}) - Poly(ABX, {a: Fraction(2, 6)}),
+        Poly.monomial(a, Fraction(5, 7)) * 0,
+        Poly(ABX, [(a, Fraction(1, 2)), (a, Fraction(-1, 2))]),
+    ):
+        assert zero.is_zero() and (zero._den, zero._nums) == (1, {})
+        assert zero == Poly.zero(ABX) and hash(zero) == hash(Poly.zero(ABX))
+
+
+def test_equal_values_give_equal_polys_and_hashes():
+    a, b = ABX.word("a"), ABX.word("ab")
+    for values in (
+        (Fraction(2, 4), "1/2", Fraction(1, 2)),
+        (2, Fraction(2), Fraction(6, 3)),
+    ):
+        polys = [Poly(ABX, {a: v, b: 1}) for v in values]
+        polys += [Poly.monomial(a, v) + Poly.monomial(b) for v in values]
+        assert all(p == polys[0] and hash(p) == hash(polys[0]) for p in polys)
+        for p in polys:
+            assert_lowest_terms(p)
+    assert Poly(ABX, {a: Fraction(1, 2)}) != Poly(ABX, {a: 1})
+    assert Poly(ABX, {a: 2, b: 4})._nums == {a: 2, b: 4}  # gcd over the numerators alone is not taken out
+    assert Poly(ABX, {a: Fraction(2, 3), b: Fraction(4, 3)})._den == 3
+
+
+def test_every_returned_coefficient_is_a_fraction():
+    a, xx = ABX.word("a"), ABX.word("xx")
+    p = Poly(ABX, {a: 3, xx: Fraction(1, 2)}) * Poly.monomial(ABX.empty_word(), 2)
+    assert p._den == 1  # whole values, stored over 1
+    coefficients = [c for _, c in p.terms()]
+    coefficients += [p.leading()[1], p.coefficient(a), p.coefficient(xx), p.coefficient(ABX.word("b"))]
+    coefficients += list(letter_terms(p).values())
+    assert coefficients[:2] == [1, 6]
+    assert all(type(c) is Fraction for c in coefficients)

@@ -1,6 +1,8 @@
 """Reduction, traces, compositions, closure checking."""
 
+import inspect
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -29,7 +31,8 @@ from superlie import (
     reduce,
     superbracket,
 )
-from superlie import rewrite
+from superlie import rewrite, words
+from superlie.words import _super_ls_tuples
 from superlie.poly import letter_terms
 from conftest import ALL
 from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
@@ -464,6 +467,60 @@ def test_is_gsb_report_is_deglex_ordered_and_serializable():
                for c in d["compositions"])
 
 
+def all_pairs_checks(system):
+    """(word, left, right, composition, normal form) of every ordered rule pair, in report order.
+
+    The oracle for ``is_gsb``, which composes only the pairs its index of
+    first letters names.
+    """
+    checks = []
+    for i, p in enumerate(system.rules):
+        for j, q in enumerate(system.rules):
+            for word, composition in assoc_compositions(p, q):
+                checks.append((word, i, j, composition, reduce(composition, system)[0]))
+    checks.sort(key=lambda c: (deglex_key(c[0]), c[1], c[2]))
+    return checks
+
+
+def assert_is_gsb_matches_all_pairs(sys_):
+    report = is_gsb(sys_)
+    expected = all_pairs_checks(sys_)
+    got = [(c.word, c.left, c.right, c.composition, c.normal_form) for c in report.checks]
+    assert got == expected, sys_
+    assert report.passed == all(form.is_zero() for *_, form in expected)
+    assert all(c.passed == c.normal_form.is_zero() for c in report.checks)
+
+
+def test_is_gsb_composes_an_empty_leading_word_with_every_rule():
+    # the empty word occurs at each of the n + 1 positions of a leading word
+    # of length n, so the constant rule is included in each rule that way
+    s = system(ABC, "cb - a", "2/3", "aab")
+    report = is_gsb(s)
+    assert sorted((str(c.word), c.left, c.right) for c in report.checks) == sorted(
+        [("cb", 0, 1)] * 3 + [("aab", 2, 1)] * 4
+    )
+    assert report.passed
+    assert_is_gsb_matches_all_pairs(s)
+
+
+def test_is_gsb_matches_all_pairs_on_random_rules():
+    # leading words of lengths 0-3; a constant rule in about a third of them
+    rng = Random(59)
+    systems = list(FIXTURE_SYSTEMS.values()) + HAND_MADE + [BROKEN]
+    for _ in range(120):
+        sys_ = random_rules_system(rng)
+        if rng.random() < 0.35 and all(r.leading_len for r in sys_.rules):
+            constant = RewriteRule(Poly.monomial(sys_.alphabet.empty_word(), Fraction(-3, 2)))
+            rules = list(sys_.rules)
+            rules.insert(rng.randint(0, len(rules)), constant)
+            sys_ = RewriteSystem(sys_.alphabet, rules)
+        systems.append(sys_)
+    assert any(not all(r.leading_len for r in s.rules) for s in systems)
+    assert {r.leading_len for s in systems for r in s.rules} == {0, 1, 2, 3}
+    for sys_ in systems:
+        assert_is_gsb_matches_all_pairs(sys_)
+
+
 # -- reduced super-LS enumeration ---------------------------------------------------
 
 
@@ -519,6 +576,48 @@ def test_enumerate_reduced_super_ls_under_random_systems_is_the_filtered_scan():
         words = enumerate_reduced_super_ls(sys_, 7)
         assert words == scan, sys_
         assert alphabet.word(x) in words and alphabet.word(x + x) not in words
+
+
+def test_constrained_walk_of_any_depth(monkeypatch):
+    # over a < b with the leading words bb and ab, the reduced super-LS words
+    # are a, b and b a^k: few, but one of each length, so the walk goes as
+    # deep as max_len
+    ab = Alphabet.from_names(["a", "b"])
+    sys_ = system(ab, "bb", "ab")
+    expected = ["a", "b"] + ["b" + "a" * k for k in range(1, 3000)]
+    assert [str(w) for w in enumerate_reduced_super_ls(sys_, 3000)] == expected
+    # the explicit stack takes over from the recursion at any depth, and the
+    # recursion never gets close to a lowered limit
+    for depth in (1, 2, 7):
+        monkeypatch.setattr(words, "_RECURSION_DEPTH", depth)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            got = [str(w) for w in enumerate_reduced_super_ls(sys_, 3000)]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == expected
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_walk_below_the_recursion_depth_gives_the_same_words(monkeypatch, depth):
+    # the unconstrained walk, a constrained one and a weighted one, each with
+    # nodes past the depth walked on the explicit stack
+    ax_odd = Alphabet.from_names(["a", "x", "t"], odd=["x"])
+    sys_ = system(ABXT, "xa - ax", "ta - at - x", "tbx - xbt", "bb")
+    before = (
+        _super_ls_tuples(ax_odd.parities, 8),
+        enumerate_reduced_super_ls(sys_, 7),
+        _super_ls_tuples((0, 1, 1, 0), 9, weights=(1, 2, 3, 1)),
+    )
+    monkeypatch.setattr(words, "_RECURSION_DEPTH", depth)
+    after = (
+        _super_ls_tuples(ax_odd.parities, 8),
+        enumerate_reduced_super_ls(sys_, 7),
+        _super_ls_tuples((0, 1, 1, 0), 9, weights=(1, 2, 3, 1)),
+    )
+    assert after == before
+    assert max(map(len, before[1])) > depth + 1
 
 
 def test_enumerate_reduced_super_ls_checks_each_tail_once(monkeypatch):
