@@ -600,6 +600,16 @@ def enumerate_uh_basis(pres: HnnPresentation, max_len: int) -> list[Word]:
 # -- the free complement ---------------------------------------------------------
 
 
+def _one_t_words(pres: HnnPresentation, max_len: int) -> list[tuple[int, ...]]:
+    """The reduced words t x1 .. xs with no other t, up to ``max_len``, in deglex order.
+
+    The walk from t along :func:`_successors` with t dropped as a successor:
+    from t it meets only complement letters and t.
+    """
+    t = pres.t_rank
+    return _walks([tuple(y for y in ys if y != t) for ys in _successors(pres)], (t,), max_len)
+
+
 def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     """Left-combed generators [..[[t, x1], x2].., xs] of the free complement.
 
@@ -608,13 +618,10 @@ def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     in deglex order of the underlying word.  The walk meets each word after
     its prefix, so each tree is its prefix's tree bracketed with one leaf.
     """
-    t = pres.t_rank
-    # from t the walk meets only complement letters and t; drop t as a successor
-    succ = [tuple(y for y in ys if y != t) for ys in _successors(pres)]
     leaves = [NcMonomial.leaf(pres.alphabet, r) for r in range(len(pres.alphabet))]
     trees: dict[tuple[int, ...], NcMonomial] = {}
-    for w in _walks(succ, (t,), max_len):
-        trees[w] = NcMonomial.pair(trees[w[:-1]], leaves[w[-1]]) if len(w) > 1 else leaves[t]
+    for w in _one_t_words(pres, max_len):
+        trees[w] = NcMonomial.pair(trees[w[:-1]], leaves[w[-1]]) if len(w) > 1 else leaves[w[0]]
     return list(trees.values())
 
 
@@ -767,13 +774,21 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     words that begin with t, kept as its own entry because it is the part
     the generators W are responsible for.  A failed (ii) fails (iii).
 
-    (i) counts the products instead of listing them: P(0) = 1 and P(n) is
-    the sum of P(n - |w|) over the w in W with |w| <= n.  Every pattern
-    word must split at its t's into words of W; each split is a product
-    whose concatenation is that word, so when P(n) equals the number of
-    pattern words, concatenation is onto them and, by counting, one-to-one.
-    As every word of W is t followed by complement letters only, this
-    holds exactly when concatenation is a bijection.
+    (i) lists neither side.  It counts the products: P(0) = 1 and P(n) is
+    the sum of P(n - |w|) over the w in W with |w| <= n.  It counts the
+    pattern words of each length by their last letter, stepping along
+    :func:`_successors` (a transfer count, O(n |A|^2) work).  Cutting a
+    pattern word before each t leaves one-t pattern words, t followed by
+    complement letters (:func:`_one_t_words`), and each one-t pattern word
+    s of length m <= n is a piece of the pattern word s t^(n - m), since t
+    may follow t and every complement letter.  So every pattern word of
+    length n splits into words of W exactly when every one-t pattern word
+    of length <= n is in W, and (i) looks up those, |W| of them when W is
+    right.  Each split is a product whose concatenation is that word, so
+    when also P(n) equals the number of pattern words, concatenation is
+    onto them and, by counting, one-to-one.  As every word of W is t
+    followed by complement letters only, this holds exactly when
+    concatenation is a bijection.
 
     The basis is the one :func:`enumerate_h_basis` returns.  Its monomials
     that begin with t are the standard bracketings of the super-LS words
@@ -795,7 +810,8 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     degree <= n are a prefix of the basis, so one :func:`rank` call gives
     every degree's rank: the certificate entries below the prefix length.
     The tests hold this against free expansion, :func:`reduce`, the
-    per-degree recomputation and a list of every product.
+    per-degree recomputation, a list of every product and a split of every
+    pattern word.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -805,25 +821,29 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     t = pres.t_rank
     generators = free_generators_W(pres, max_len)
     letters = {m.word.letters for m in generators}
-    products = [1]
+    # the first length at which a one-t pattern word is not a word of W
+    missing = next((len(w) for w in _one_t_words(pres, max_len) if w not in letters), max_len + 1)
+    succ = _successors(pres)
+    products, pattern = [1], [0]
+    ends = {t: 1}  # the pattern words of length n, counted by last letter
     for n in range(1, max_len + 1):
         products.append(sum(products[n - len(m)] for m in generators if len(m) <= n))
+        pattern.append(sum(ends.values()))
+        step: dict[int, int] = {}
+        for x, count in ends.items():
+            for y in succ[x]:
+                step[y] = step.get(y, 0) + count
+        ends = step
     by_degree: list[list[NcMonomial]] = [[] for _ in range(max_len)]
     for m in basis:
         by_degree[len(m) - 1].append(m)
     reduced: list[list[Word]] = [[] for _ in range(max_len)]
     for w in enumerate_reduced_super_ls(system, max_len):
         reduced[len(w) - 1].append(w)
-    pattern_by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(max_len)]
-    for w in _walks(_successors(pres), (t,), max_len):
-        pattern_by_degree[len(w) - 1].append(w)
     h_basis_count = 0
     rows: list[StructureLengthCheck] = []
     for n in range(1, max_len + 1):
-        pattern = pattern_by_degree[n - 1]
-        bijection_ok = products[n] == len(pattern) and all(
-            _splits_into(w, t, letters) for w in pattern
-        )
+        bijection_ok = products[n] == pattern[n] and n < missing
 
         monomials = by_degree[n - 1]
         words = [m.word.letters for m in monomials]
@@ -840,7 +860,7 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
             StructureLengthCheck(
                 length=n,
                 products=products[n],
-                pattern_words=len(pattern),
+                pattern_words=pattern[n],
                 bijection_ok=bijection_ok,
                 ls_transfer_ok=ls_transfer_ok,
                 admissibility_ok=admissibility_ok,
@@ -851,12 +871,6 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         )
 
     return StructureReport(max_len, rows)
-
-
-def _splits_into(word: tuple[int, ...], t: int, letters: set[tuple[int, ...]]) -> bool:
-    """Whether cutting ``word`` before each ``t`` leaves only words in ``letters``."""
-    cuts = [i for i, x in enumerate(word) if x == t] + [len(word)]
-    return cuts[0] == 0 and all(word[i:j] in letters for i, j in zip(cuts, cuts[1:]))
 
 
 # -- presentation files -----------------------------------------------------------

@@ -22,11 +22,16 @@ def rank(vectors: Sequence[LetterTerms]) -> tuple[int, list[int]]:
     the input; its length equals the reported rank.  Vectors are taken in
     order, so the certificate entries below k are exactly the certificate of
     ``vectors[:k]``, and their number is the rank of that prefix.
+
+    No input is written.  A vector that is a pivot as given, leading with
+    coefficient 1 before any elimination, is kept as the caller's dict, read
+    but never written; a vector is copied just before its first elimination
+    step, and one scaled to coefficient 1 is a new dict.
     """
     pivots: dict[tuple[int, ...], LetterTerms] = {}
     certificate: list[int] = []
     for index, vector in enumerate(vectors):
-        residue = dict(vector)
+        residue = vector
         while residue:
             _, word = max(zip(map(len, residue), residue))  # the deglex leader
             pivot = pivots.get(word)
@@ -37,6 +42,8 @@ def rank(vectors: Sequence[LetterTerms]) -> tuple[int, list[int]]:
                 pivots[word] = residue
                 certificate.append(index)
                 break
+            if residue is vector:
+                residue = dict(vector)
             coeff = residue[word]
             for w, c in pivot.items():
                 rest = residue.get(w, 0) - coeff * c

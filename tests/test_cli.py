@@ -525,6 +525,12 @@ LISTING_CELLS = [
     *_report_cells("gsb-check-rational-rules", ["gsb-check", "--input", RATIONAL_RULES], 1),
     *_report_cells("hnn-verify-osp-rescaled-6", ["hnn-verify", "--input", RESCALED_OSP,
                                                  "--max-len", "6"], 0),
+    # degrees with thousands of pattern words, recorded while check (i) still
+    # listed each one and split it before each t
+    *_report_cells("hnn-verify-ex1-12", ["hnn-verify", "--input",
+                                         str(FIXTURES / "ex1.json"), "--max-len", "12"], 0),
+    ("hnn-verify-ab5-8.json", ["hnn-verify", "--input", str(FIXTURES / "ab5.json"),
+                               "--max-len", "8", "--format", "json"], 0),
 ]
 
 

@@ -1143,6 +1143,55 @@ def _check_i_oracle(pres, max_len, generators):
     return out
 
 
+def _splits_into(word, t, letters):
+    """Whether cutting ``word`` before each ``t`` leaves only words in ``letters``."""
+    cuts = [i for i, x in enumerate(word) if x == t] + [len(word)]
+    return cuts[0] == 0 and all(word[i:j] in letters for i, j in zip(cuts, cuts[1:]))
+
+
+def _walk_and_split_check_i(pres, max_len, generators):
+    """Per degree, (products, pattern_words, bijection_ok) of check (i) by listing.
+
+    The check as it ran before the pattern words were counted: every
+    pattern word, the walk from t along the successors, is listed and cut
+    before each t, and each piece must be a word of ``generators``.
+    """
+    t = pres.t_rank
+    letters = {m.word.letters for m in generators}
+    pattern = hnn._walks(hnn._successors(pres), (t,), max_len)
+    products = [1]
+    out = []
+    for n in range(1, max_len + 1):
+        products.append(sum(products[n - len(m)] for m in generators if len(m) <= n))
+        layer = [w for w in pattern if len(w) == n]
+        ok = products[n] == len(layer) and all(_splits_into(w, t, letters) for w in layer)
+        out.append((products[n], len(layer), ok))
+    return out
+
+
+def _check_i_rows(monkeypatch, pres, max_len):
+    """(products, pattern_words, bijection_ok) per degree; check (i) does not read the basis."""
+    monkeypatch.setattr(hnn, "enumerate_h_basis", lambda pres, n: [])
+    rows = verify_structure_theorem(pres, max_len).rows
+    return [(r.products, r.pattern_words, r.bijection_ok) for r in rows]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_structure_check_i_is_the_walk_and_split_on_fixtures(fixture, monkeypatch):
+    pres = fixture()
+    oracle = _walk_and_split_check_i(pres, 9, free_generators_W(pres, 9))
+    assert _check_i_rows(monkeypatch, pres, 9) == oracle
+    assert all(ok for _, _, ok in oracle)
+
+
+def test_structure_check_i_is_the_walk_and_split_on_every_small_shape(monkeypatch):
+    for shape in SMALL_SHAPES:
+        pres = _abelian_presentation(*shape)
+        oracle = _walk_and_split_check_i(pres, 7, free_generators_W(pres, 7))
+        assert _check_i_rows(monkeypatch, pres, 7) == oracle, shape
+        assert all(ok for _, _, ok in oracle), shape
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_structure_check_i_counts_the_listed_products(fixture):
     # the product walk the count replaced, up to degree 8
@@ -1161,22 +1210,32 @@ def _repeat_letter(generators, r):
     return generators[: r + 1] + generators[r:]
 
 
-def _replace_letter(generators, r):
-    """Letter r replaced by a tree of its length whose word has no t: rank 0 repeated."""
-    leaf = NcMonomial.leaf(generators[r].alphabet, 0)
+def _stranger(letter):
+    """A tree of ``letter``'s length whose word has no t: rank 0 repeated."""
+    leaf = NcMonomial.leaf(letter.alphabet, 0)
     stranger = leaf
-    for _ in range(len(generators[r]) - 1):
+    for _ in range(len(letter) - 1):
         stranger = NcMonomial.pair(stranger, leaf)
-    return generators[:r] + [stranger] + generators[r + 1:]
+    return stranger
 
 
-@pytest.mark.parametrize("edit", [_drop_letter, _repeat_letter, _replace_letter])
+def _replace_letter(generators, r):
+    """Letter r replaced by a tree of its length outside W."""
+    return generators[:r] + [_stranger(generators[r])] + generators[r + 1:]
+
+
+def _add_letter(generators, r):
+    """A tree of letter r's length outside W, added after letter r."""
+    return generators[: r + 1] + [_stranger(generators[r])] + generators[r + 1:]
+
+
+@pytest.mark.parametrize("edit", [_drop_letter, _repeat_letter, _replace_letter, _add_letter])
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_structure_check_i_fails_on_an_edited_W(fixture, edit, monkeypatch):
     # negative control: check (i) reads W with one letter dropped, listed
-    # twice or replaced by a word of its length outside W (the count then
-    # still matches), the basis is left as it is; (i) must fail from that
-    # letter's length on, and only (i)
+    # twice, replaced by a word of its length outside W (the count then
+    # still matches) or joined by such a word, the basis is left as it is;
+    # (i) must fail from that letter's length on, and only (i)
     pres = fixture()
     max_len = 5
     basis = enumerate_h_basis(pres, max_len)
@@ -1191,6 +1250,9 @@ def test_structure_check_i_fails_on_an_edited_W(fixture, edit, monkeypatch):
         assert [(row.products, row.bijection_ok) for row in rows] == _check_i_oracle(
             pres, max_len, edited
         ), (letter, edit)
+        assert [
+            (row.products, row.pattern_words, row.bijection_ok) for row in rows
+        ] == _walk_and_split_check_i(pres, max_len, edited), (letter, edit)
         assert [row.bijection_ok for row in rows] == [n < first for n in range(1, max_len + 1)]
         assert all(
             row.ls_transfer_ok and row.admissibility_ok and row.rank_ok for row in rows

@@ -135,6 +135,54 @@ def test_rank_on_letter_dicts_matches_rank_on_polys():
         assert poly_rank(vectors) == reference_rank(vectors)
 
 
+def copying_rank(vectors):
+    """``rank`` as it ran while it copied every vector first: the oracle for the copy on write."""
+    pivots, certificate = {}, []
+    for index, vector in enumerate(vectors):
+        residue = dict(vector)
+        while residue:
+            _, word = max(zip(map(len, residue), residue))
+            pivot = pivots.get(word)
+            if pivot is None:
+                lead = residue[word]
+                if lead != 1:
+                    residue = {w: Fraction(c) / lead for w, c in residue.items()}
+                pivots[word] = residue
+                certificate.append(index)
+                break
+            coeff = residue[word]
+            for w, c in pivot.items():
+                rest = residue.get(w, 0) - coeff * c
+                if rest:
+                    residue[w] = rest
+                else:
+                    del residue[w]
+    return len(certificate), certificate
+
+
+def test_rank_writes_no_input_and_matches_the_copying_loop():
+    rng = Random(61)
+    for _ in range(200):
+        polys = [random_poly(rng, AB, max_len=3) for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 3)):  # dependent vectors
+            a, b = rng.choice(polys), rng.choice(polys)
+            polys.append(rng.randint(-3, 3) * a + Fraction(rng.randint(1, 3), 2) * b)
+        vectors = [letter_terms(p) for p in polys]
+        vectors.append(vectors[rng.randrange(len(vectors))])  # one dict object twice
+        rng.shuffle(vectors)
+        before = [dict(v) for v in vectors]
+        assert rank(vectors) == copying_rank(vectors)
+        assert vectors == before
+    # a vector leading with 3 is scaled, one leading with 1 is kept, and both
+    # are eliminated from without being written
+    p = {(1, 0): Fraction(3), (0,): Fraction(1)}
+    q = {(1, 1): 1, (1, 0): Fraction(1, 2)}
+    vectors = [p, q, p, q, {(1, 1): 2, (1, 0): 1, (0,): 5}]
+    before = [dict(v) for v in vectors]
+    assert rank(vectors) == copying_rank(vectors) == (3, [0, 1, 4])
+    assert vectors == before
+
+
 def test_unitriangular_standard_bracketings():
     odd_ab = Alphabet.from_names(["a", "b"], odd=["a"])
     pairs = [
