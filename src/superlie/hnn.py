@@ -366,9 +366,17 @@ class HnnPresentation:
     pass the rule of :meth:`Alphabet.from_names`.  At least one complement
     symbol is required; extending by a derivation of the whole algebra is
     rejected because the result degenerates to a (semi)direct product.
+
+    Built with the presentation and kept on it: ``_leaves``, one leaf per
+    letter, and ``_successors``, for each letter x the letters y, ascending,
+    for which xy is not a leading word.  The leading words are xy for
+    x > y, xx for odd x of the original basis, and t a for a in the
+    subalgebra; :func:`build_relations` makes one relation for each pair
+    left out of ``_successors``, so a word is reduced exactly when each
+    pair of adjacent letters is allowed there.
     """
 
-    __slots__ = ("constants", "alphabet", "t_rank", "_relations")
+    __slots__ = ("constants", "alphabet", "t_rank", "_relations", "_leaves", "_successors")
 
     def __init__(self, constants: StructureConstants, t_name: str = "t"):
         if constants.subalgebra_size >= len(constants.alphabet):
@@ -390,8 +398,14 @@ class HnnPresentation:
             [name for name, parity in zip(base.names, base.parities) if parity]
             + [t_name] * constants.d_parity,
         )
-        self.t_rank = len(base)
+        t = self.t_rank = len(base)
         self._relations = None
+        self._leaves = [NcMonomial.leaf(self.alphabet, r) for r in range(t + 1)]
+        self._successors = [
+            tuple(y for y in range(x, t + 1) if not (y == x and base.parities[x]))
+            for x in range(t)
+        ]
+        self._successors.append(tuple(range(constants.subalgebra_size, t + 1)))
 
     def __repr__(self) -> str:
         return (
@@ -409,7 +423,7 @@ def _require_valid(pres: HnnPresentation) -> None:
 def build_relations(pres: HnnPresentation) -> RewriteSystem:
     """The defining relations as a rewrite system, one for each leading word xy.
 
-    The leading words are the pairs that :func:`_successors` does not allow:
+    The leading words are the pairs that ``pres._successors`` does not allow:
     {xy : x > y} + {xx : x odd} + {t a : a in the subalgebra basis}.  Each
     relation is [x, y] expanded minus its tail: the bracket coefficients of
     x and y, or for x = t the derivation image of y.  Odd squares are stored
@@ -420,11 +434,11 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
         return pres._relations
     _require_valid(pres)
     sc, t = pres.constants, pres.t_rank
-    leaves = [NcMonomial.leaf(pres.alphabet, r) for r in range(len(pres.alphabet))]
+    leaves = pres._leaves
     polys = [
         expand(NcMonomial.pair(leaves[x], leaves[y]))
         - from_letter_terms(pres.alphabet, {(v,): c for v, c in coeffs.items()})
-        for x, allowed in enumerate(_successors(pres))
+        for x, allowed in enumerate(pres._successors)
         for y in range(t + 1)
         if y not in allowed
         for coeffs in [sc.derivation_coeffs(y) if x == t else sc.bracket_coeffs(x, y)]
@@ -543,25 +557,6 @@ def verify_hnn_gsb(pres: HnnPresentation) -> HnnGsbReport:
 # -- basis enumeration ----------------------------------------------------------
 
 
-def _successors(pres: HnnPresentation) -> list[tuple[int, ...]]:
-    """For each letter x, the letters y, ascending, for which xy is not a leading word.
-
-    The leading words of the relations are xy for x > y, xx for odd x of
-    the original basis, and t a for a in the subalgebra;
-    :func:`build_relations` makes one relation for each pair left out here.
-    So a word is reduced exactly when each pair of adjacent letters is
-    allowed here.
-    """
-    t = pres.t_rank
-    parities = pres.alphabet.parities
-    succ = [
-        tuple(y for y in range(x, t + 1) if not (y == x and parities[x]))
-        for x in range(t)
-    ]
-    succ.append(tuple(range(pres.constants.subalgebra_size, t + 1)))
-    return succ
-
-
 def _walks(
     succ: Sequence[Sequence[int]], start: tuple[int, ...], max_len: int
 ) -> list[tuple[int, ...]]:
@@ -587,14 +582,14 @@ def enumerate_uh_basis(pres: HnnPresentation, max_len: int) -> list[Word]:
     """Basis words of the enveloping algebra up to ``max_len``, in deglex order.
 
     These are the words avoiding every leading word of the relations, walked
-    letter by letter along :func:`_successors`; no other word is generated.
+    letter by letter along ``pres._successors``; no other word is generated.
     Raises ``ValueError`` when the tables fail validation.  The tests hold
     the walk to a subword scan of every word (every table shape on up to
     three basis symbols, and the example presentations in `fixtures/`).
     """
     _require_valid(pres)
     alphabet, of = pres.alphabet, Word._of  # the walk steps along ranks of the alphabet
-    return [of(alphabet, w) for w in _walks(_successors(pres), (), max_len)]
+    return [of(alphabet, w) for w in _walks(pres._successors, (), max_len)]
 
 
 # -- the free complement ---------------------------------------------------------
@@ -603,11 +598,11 @@ def enumerate_uh_basis(pres: HnnPresentation, max_len: int) -> list[Word]:
 def _one_t_words(pres: HnnPresentation, max_len: int) -> list[tuple[int, ...]]:
     """The reduced words t x1 .. xs with no other t, up to ``max_len``, in deglex order.
 
-    The walk from t along :func:`_successors` with t dropped as a successor:
+    The walk from t along ``pres._successors`` with t dropped as a successor:
     from t it meets only complement letters and t.
     """
     t = pres.t_rank
-    return _walks([tuple(y for y in ys if y != t) for ys in _successors(pres)], (t,), max_len)
+    return _walks([tuple(y for y in ys if y != t) for ys in pres._successors], (t,), max_len)
 
 
 def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
@@ -618,7 +613,7 @@ def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     in deglex order of the underlying word.  The walk meets each word after
     its prefix, so each tree is its prefix's tree bracketed with one leaf.
     """
-    leaves = [NcMonomial.leaf(pres.alphabet, r) for r in range(len(pres.alphabet))]
+    leaves = pres._leaves
     trees: dict[tuple[int, ...], NcMonomial] = {}
     for w in _one_t_words(pres, max_len):
         trees[w] = NcMonomial.pair(trees[w[:-1]], leaves[w[-1]]) if len(w) > 1 else leaves[w[0]]
@@ -667,11 +662,8 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     view = _WbarView(pres, max_len)
-    # the complement leaves, each the right child of its generator [t, x]
-    shared = {g.right.rank: g.right for g in view.generators if len(g) == 2}
-    out = [
-        shared.get(r) or NcMonomial.leaf(pres.alphabet, r) for r in range(pres.t_rank)
-    ]
+    # the complement leaves are also the right children of their generators [t, x]
+    out = pres._leaves[: pres.t_rank]
     # seeded with each letter's tree, the memo gives every bracketing over the base
     memo = {(r,): g for r, g in enumerate(view.generators)}
     buckets = _super_ls_tuples(
@@ -777,7 +769,7 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     (i) lists neither side.  It counts the products: P(0) = 1 and P(n) is
     the sum of P(n - |w|) over the w in W with |w| <= n.  It counts the
     pattern words of each length by their last letter, stepping along
-    :func:`_successors` (a transfer count, O(n |A|^2) work).  Cutting a
+    ``pres._successors`` (a transfer count, O(n |A|^2) work).  Cutting a
     pattern word before each t leaves one-t pattern words, t followed by
     complement letters (:func:`_one_t_words`), and each one-t pattern word
     s of length m <= n is a piece of the pattern word s t^(n - m), since t
@@ -823,7 +815,7 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     letters = {m.word.letters for m in generators}
     # the first length at which a one-t pattern word is not a word of W
     missing = next((len(w) for w in _one_t_words(pres, max_len) if w not in letters), max_len + 1)
-    succ = _successors(pres)
+    succ = pres._successors
     products, pattern = [1], [0]
     ends = {t: 1}  # the pattern words of length n, counted by last letter
     for n in range(1, max_len + 1):

@@ -272,9 +272,6 @@ def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
     ]
 
 
-_RECURSION_DEPTH = 500  # the walk recurses down to nodes this long, then goes on on a stack
-
-
 def _super_ls_tuples(
     parities: Sequence[int],
     max_len: int,
@@ -289,7 +286,7 @@ def _super_ls_tuples(
     Bucket ``n`` holds, sorted, the tuples of weight ``n``.
 
     Two words of one length compare as tuples, so LS is Lyndon over the
-    reversed order, and the walk grows prenecklaces depth-first (Cattell,
+    reversed order, and the walk grows prenecklaces layer by layer (Cattell,
     Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) with the
     comparison turned round: a child letter is at most the letter one
     period back; an equal one keeps the period and a smaller one starts a
@@ -309,50 +306,43 @@ def _super_ls_tuples(
       prenecklace exceeds its first, so the nodes below ``(0,)`` are its
       powers, and only ``(0,)`` and its square are super-LS.
 
-    The walk recurses while a node is shorter than ``_RECURSION_DEPTH``
-    letters.  A node of that length puts its children on an explicit stack
-    and walks it, and the nodes below it push theirs there too, so a
-    constrained walk may go as deep as ``max_len`` allows.
+    A layer is the nodes of one length, as ``(letters, period, weight)``;
+    the children of a layer that can still grow make up the next.  Nothing
+    recurses, so a constrained walk may go as deep as ``max_len`` allows.
     """
     weights = weights or (1,) * len(parities)
     limit = max_len - min(weights)  # some letter fits after a node this heavy or lighter
     letters = range(len(parities))
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
-    depth, deep = _RECURSION_DEPTH, []  # deep: the nodes waiting on the stack
-
-    def grow(u: tuple[int, ...], period: int, weight: int) -> None:
-        n = len(u)
-        if period == n:
-            buckets[weight].append(u)
-            if 2 * weight <= max_len and sum([parities[c] for c in u]) & 1 and (
-                successors is None
-                or all(c in successors(u + u[:i]) for i, c in enumerate(u))
-            ):
-                buckets[2 * weight].append(u + u)
-            if not u[0]:
-                return
-        bound = u[-period]
-        for c in letters if successors is None else successors(u):
-            if c > bound:
-                break
-            grown = weight + weights[c]
-            if grown <= limit:
-                if n < depth:
-                    grow(u + (c,), period if c == bound else n + 1, grown)
-                else:
-                    deep.append((u + (c,), period if c == bound else n + 1, grown))
-            elif c < bound and grown <= max_len:
-                buckets[grown].append(u + (c,))
-        if n == depth:
-            while deep:
-                grow(*deep.pop())
-
+    layer = []
     for c in letters if successors is None else successors(()):
         if weights[c] <= limit:
-            grow((c,), 1, weights[c])
+            layer.append(((c,), 1, weights[c]))
         elif weights[c] <= max_len:
             buckets[weights[c]].append((c,))
-    del grow  # it refers to itself: free what it holds now, not at a later gc pass
+    while layer:
+        children = []
+        for u, period, weight in layer:
+            n = len(u)
+            if period == n:
+                buckets[weight].append(u)
+                if 2 * weight <= max_len and sum([parities[c] for c in u]) & 1 and (
+                    successors is None
+                    or all(c in successors(u + u[:i]) for i, c in enumerate(u))
+                ):
+                    buckets[2 * weight].append(u + u)
+                if not u[0]:
+                    continue
+            bound = u[-period]
+            for c in letters if successors is None else successors(u):
+                if c > bound:
+                    break
+                grown = weight + weights[c]
+                if grown <= limit:
+                    children.append((u + (c,), period if c == bound else n + 1, grown))
+                elif c < bound and grown <= max_len:
+                    buckets[grown].append(u + (c,))
+        layer = children
     for bucket in buckets:
         bucket.sort()
     return buckets

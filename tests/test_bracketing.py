@@ -478,3 +478,10 @@ def test_monomial_value_semantics():
     m2 = pair(pair(leaf(XT, "t"), leaf(XT, "x")), leaf(XT, "x"))
     assert m1 == m2 and hash(m1) == hash(m2)
     assert m1 != parse_monomial(XT, "[t,[t,x]]")
+    assert repr(m1) == "NcMonomial([[t,x],x])"
+    # not a monomial: the comparison is left to the other side
+    assert m1.__eq__("[[t,x],x]") is NotImplemented and m1 != "[[t,x],x]"
+    # the same tree over another alphabet is another monomial
+    assert m1 != parse_monomial(Alphabet.from_names(["x", "t"], odd=["x"]), "[[t,x],x]")
+    with pytest.raises(ValueError, match="^monomials over different alphabets$"):
+        pair(m1, leaf(AB, "a"))

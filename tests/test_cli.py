@@ -531,6 +531,10 @@ LISTING_CELLS = [
                                          str(FIXTURES / "ex1.json"), "--max-len", "12"], 0),
     ("hnn-verify-ab5-8.json", ["hnn-verify", "--input", str(FIXTURES / "ab5.json"),
                                "--max-len", "8", "--format", "json"], 0),
+    # words up to length 9, odd squares included, recorded while the walk
+    # still recursed and went on on a stack below a fixed depth
+    ("ls-words-abc-9.json", ["ls-words", "--alphabet", "a,b:odd,c", "--max-len", "9",
+                             "--format", "json"], 0),
 ]
 
 

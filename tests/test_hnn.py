@@ -500,6 +500,9 @@ def test_ex1_relations():
     T = pres.alphabet
     assert system.rules[0].body == parse_poly(T, "xa - ax")
     assert system.rules[1].body == parse_poly(T, "ta - at - x")
+    assert len(system) == 2
+    assert repr(system) == "RewriteSystem(['xa', 'ta'])"
+    assert repr(pres) == "HnnPresentation(Alphabet(a, x, t), subalgebra_size=1)"
 
 
 def test_ex2_relations():
@@ -998,7 +1001,7 @@ def test_successors_are_the_pairs_that_are_not_leading_words():
         shapes |= {(x, x) for x in range(t) if sc.alphabet.parities[x]}
         shapes |= {(t, a) for a in range(sc.subalgebra_size)}
         assert leading == shapes, pres
-        succ = hnn._successors(pres)
+        succ = pres._successors
         size = len(pres.alphabet)
         assert len(succ) == size
         for x in range(size):
@@ -1158,7 +1161,7 @@ def _walk_and_split_check_i(pres, max_len, generators):
     """
     t = pres.t_rank
     letters = {m.word.letters for m in generators}
-    pattern = hnn._walks(hnn._successors(pres), (t,), max_len)
+    pattern = hnn._walks(pres._successors, (t,), max_len)
     products = [1]
     out = []
     for n in range(1, max_len + 1):

@@ -222,6 +222,7 @@ def test_text_round_trip():
         p = parse_poly(ABX, text)
         assert parse_poly(ABX, poly_to_text(p)) == p
     assert parse_poly(ABX, "3/6*a") == parse_poly(ABX, "1/2*a")
+    assert repr(parse_poly(ABX, "-a + 2*xx - 1/3")) == "Poly(2*xx - a - 1/3)"
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ from superlie import (
     reduce,
     superbracket,
 )
-from superlie import rewrite, words
+from superlie import rewrite
 from superlie.words import _super_ls_tuples
 from superlie.poly import letter_terms
 from conftest import ALL
@@ -59,6 +59,10 @@ def test_rule_is_normalized_monic():
     rule = RewriteRule(parse_poly(AXT, "2*xx - a"))
     assert rule.body == parse_poly(AXT, "xx - 1/2*a")
     assert str(rule.leading_word) == "xx"
+    assert repr(rule) == "RewriteRule(xx - 1/2*a)"
+    # rules built from equal bodies are equal and hash equal
+    again = RewriteRule(parse_poly(AXT, "xx - 1/2*a"))
+    assert again is not rule and again == rule and hash(again) == hash(rule)
 
 
 def test_rule_rejects_zero_and_mixed_parity():
@@ -578,46 +582,41 @@ def test_enumerate_reduced_super_ls_under_random_systems_is_the_filtered_scan():
         assert alphabet.word(x) in words and alphabet.word(x + x) not in words
 
 
-def test_constrained_walk_of_any_depth(monkeypatch):
+def _under_a_lowered_recursion_limit(walk):
+    """``walk()`` with the recursion limit 40 frames above the caller's."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        return walk()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_constrained_walk_of_any_depth():
     # over a < b with the leading words bb and ab, the reduced super-LS words
     # are a, b and b a^k: few, but one of each length, so the walk goes as
-    # deep as max_len
+    # deep as max_len, and it does not recurse
     ab = Alphabet.from_names(["a", "b"])
     sys_ = system(ab, "bb", "ab")
     expected = ["a", "b"] + ["b" + "a" * k for k in range(1, 3000)]
-    assert [str(w) for w in enumerate_reduced_super_ls(sys_, 3000)] == expected
-    # the explicit stack takes over from the recursion at any depth, and the
-    # recursion never gets close to a lowered limit
-    for depth in (1, 2, 7):
-        monkeypatch.setattr(words, "_RECURSION_DEPTH", depth)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack()) + 40)
-        try:
-            got = [str(w) for w in enumerate_reduced_super_ls(sys_, 3000)]
-        finally:
-            sys.setrecursionlimit(limit)
-        assert got == expected
+    got = _under_a_lowered_recursion_limit(lambda: enumerate_reduced_super_ls(sys_, 3000))
+    assert [str(w) for w in got] == expected
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_walk_below_the_recursion_depth_gives_the_same_words(monkeypatch, depth):
-    # the unconstrained walk, a constrained one and a weighted one, each with
-    # nodes past the depth walked on the explicit stack
-    ax_odd = Alphabet.from_names(["a", "x", "t"], odd=["x"])
-    sys_ = system(ABXT, "xa - ax", "ta - at - x", "tbx - xbt", "bb")
-    before = (
-        _super_ls_tuples(ax_odd.parities, 8),
-        enumerate_reduced_super_ls(sys_, 7),
-        _super_ls_tuples((0, 1, 1, 0), 9, weights=(1, 2, 3, 1)),
-    )
-    monkeypatch.setattr(words, "_RECURSION_DEPTH", depth)
-    after = (
-        _super_ls_tuples(ax_odd.parities, 8),
-        enumerate_reduced_super_ls(sys_, 7),
-        _super_ls_tuples((0, 1, 1, 0), 9, weights=(1, 2, 3, 1)),
-    )
-    assert after == before
-    assert max(map(len, before[1])) > depth + 1
+AX_ODD = Alphabet.from_names(["a", "x", "t"], odd=["x"])
+WALKS = {
+    "unconstrained": lambda: _super_ls_tuples(AX_ODD.parities, 8),
+    "constrained": lambda: enumerate_reduced_super_ls(
+        system(ABXT, "xa - ax", "ta - at - x", "tbx - xbt", "bb"), 7
+    ),
+    "weighted": lambda: _super_ls_tuples((0, 1, 1, 0), 9, weights=(1, 2, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", WALKS)
+def test_walk_under_a_lowered_recursion_limit_gives_the_same_words(kind):
+    walk = WALKS[kind]
+    assert _under_a_lowered_recursion_limit(walk) == walk()
 
 
 def test_enumerate_reduced_super_ls_checks_each_tail_once(monkeypatch):

@@ -466,6 +466,7 @@ def test_word_text_round_trip_dotted():
     assert tuple(dotted.names[r] for r in w.letters) == ("t", "x1", "x1")
     assert str(w) == "t.x1.x1"
     assert dotted.word(str(w)) == w
+    assert repr(w) == "Word(t.x1.x1)" and repr(dotted.empty_word()) == "Word(1)"
 
 
 def test_word_concatenation_needs_one_alphabet():
