@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Container, Optional, Sequence
 
 from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
-from .rewrite import RewriteSystem, _reduce_letters
+from .rewrite import RewriteSystem, _reduce_letters, _trim_steps
 from .words import Alphabet, Word, _standard_coefficient, is_super_ls
 
 
@@ -157,23 +157,24 @@ def _normal_forms(
     bracketed, and a ``None`` on the node stack marks where the top two are
     bracketed.  ``memo`` maps the subtrees evaluated to their forms, found
     by identity when equal subtrees are one object; never write its forms.
-    With no memo nothing outlives the call.
+    With no memo no form outlives the call.
 
     NF(u) and NF(v) are sums of reduced words and every leading word has
     length 2 (raises ValueError otherwise), so a product ab holds a leading
     word exactly when the junction pair (a[-1], b[0]) is one.  Only the
     products :func:`bracket_terms` sets aside on that test are reduced, by
-    :func:`_reduce_letters` with one ``hits`` dict per call, and added
-    back: reduction is linear, as the step taken on a word depends on that
-    word alone.  The relations being parity-homogeneous, so is each form,
-    and the sign -(-1)^{|u||v|} is read from the children's parities.
+    :func:`_reduce_letters` with the system's largest-leftmost step table,
+    which every call and every other reduction by the system share (trimmed
+    by :func:`_trim_steps` when the call ends), and added back: reduction
+    is linear, as the step taken on a word depends on that word alone.  The
+    relations being parity-homogeneous, so is each form, and the sign
+    -(-1)^{|u||v|} is read from the children's parities.
     """
     junctions: Container = frozenset()
     if system is not None:
         if any(rule.leading_len != 2 for rule in system.rules):
             raise ValueError("junction normal forms need every leading word of length 2")
         junctions = system._index
-    hits: dict = {}  # the reduction step of each word, shared by every node
     get = (memo if memo is not None else {}).get
     # each root leaves one form on ``values``: the roots' forms in order
     values: list[LetterTerms] = []
@@ -201,7 +202,7 @@ def _normal_forms(
                     continue
             form, aside = bracket_terms(left, right, node.left.parity & node.right.parity, junctions)
             if aside:
-                _reduce_letters(aside, system, True, hits)
+                _reduce_letters(aside, system, True)
                 for w, c in aside.items():  # c != 0: a sum of 0 had w in form
                     c += form.get(w, 0)
                     if c:
@@ -211,6 +212,8 @@ def _normal_forms(
             if memo is not None:
                 memo[node] = form
             values.append(form)
+    if system is not None:
+        _trim_steps(system, True)
     return values
 
 

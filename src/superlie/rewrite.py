@@ -27,6 +27,10 @@ from typing import Iterable, Optional, Sequence
 from .poly import LetterTerms, Poly, from_letter_terms, superbracket
 from .words import Alphabet, Word, _super_ls_tuples, deglex_key
 
+# A step table holding more than this many entries when a reduction ends
+# is emptied: about 12 MiB of words of length 9.
+_STEPS_KEPT = 1 << 16
+
 LARGEST_LEFTMOST = "largest-leftmost"
 SMALLEST_RIGHTMOST = "smallest-rightmost"
 STRATEGIES = (LARGEST_LEFTMOST, SMALLEST_RIGHTMOST)
@@ -69,9 +73,19 @@ class RewriteSystem:
     the set of leading-word lengths alongside; :func:`reduce`,
     :func:`is_reduced_word` and :func:`enumerate_reduced_super_ls` find
     occurrences by looking up ``letters[i:i+k]`` for each such length ``k``.
+
+    ``_steps`` holds the reduction step of each word examined, one dict per
+    strategy: ``_steps[True]`` for largest-leftmost, ``_steps[False]`` for
+    smallest-rightmost.  A dict maps a word's letters to its (rule index,
+    position), or to None when the word is reduced.  The step depends only
+    on the word, the rules and the strategy, so every reduction by this
+    system shares the dicts.  Each starts empty and grows by one entry per
+    distinct word examined; a reduction that leaves it holding more than
+    ``_STEPS_KEPT`` entries empties it (see :func:`_trim_steps`).  It saves
+    work only where a later reduction by the same system meets a word again.
     """
 
-    __slots__ = ("alphabet", "rules", "_index", "_lengths")
+    __slots__ = ("alphabet", "rules", "_index", "_lengths", "_steps")
 
     def __init__(self, alphabet: Alphabet, rules: Iterable[RewriteRule] = ()):
         rules = tuple(rules)
@@ -88,6 +102,7 @@ class RewriteSystem:
         self.rules = rules
         self._index = index
         self._lengths = tuple(sorted({rule.leading_len for rule in rules}))
+        self._steps: tuple[dict, dict] = ({}, {})
 
     @classmethod
     def from_polys(cls, alphabet: Alphabet, polys: Iterable[Poly]) -> "RewriteSystem":
@@ -197,13 +212,18 @@ def reduce(
     coefficients over one common denominator (see :func:`_reduce_letters`),
     starting from the numerators and the denominator of ``p``.
     The words that contain a leading word wait in a heap ordered by the
-    strategy, each with its first occurrence found once through the
-    system's index; a word that cancels stays in the heap until popped and
+    strategy.  A word's step is found through the system's index the first
+    time the system meets the word under the strategy, and kept in the
+    system's step table, which grows by one entry per distinct word
+    examined and is emptied when a reduction leaves it past
+    ``_STEPS_KEPT`` entries; until then every later reduction reads the
+    step there.  A word that cancels stays in the heap until popped and
     is skipped, and is pushed again if it comes back.  Whether a word is
     reducible depends on the word alone, so the heap's top is the word the
-    rule above names: the index and the heap do not change which step is
-    taken.  The trace keeps the kernel's steps as letter tuples and builds
-    its :class:`ReductionStep` objects when ``trace.steps`` is first read.
+    rule above names: the index, the step table and the heap do not change
+    which step is taken.  The trace keeps the kernel's steps as letter
+    tuples and builds its :class:`ReductionStep` objects when
+    ``trace.steps`` is first read.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -211,19 +231,36 @@ def reduce(
     if alphabet != system.alphabet:
         raise ValueError("polynomial over a different alphabet than the system")
     terms = {w.letters: n for w, n in p._nums.items()}
-    steps = _reduce_letters(terms, system, strategy == LARGEST_LEFTMOST, {}, p._den)
+    leftmost = strategy == LARGEST_LEFTMOST
+    steps = _reduce_letters(terms, system, leftmost, p._den)
+    _trim_steps(system, leftmost)
     normal_form = from_letter_terms(alphabet, terms)
     return normal_form, ReductionTrace(steps, normal_form)
 
 
+def _trim_steps(system: RewriteSystem, leftmost: bool) -> None:
+    """Empty the system's step table for the strategy if it is past ``_STEPS_KEPT``.
+
+    Called once a reduction is done, never inside one: between reductions a
+    table holds at most ``_STEPS_KEPT`` entries, and within one it keeps
+    every word the reduction has met.
+    """
+    steps = system._steps[leftmost]
+    if len(steps) > _STEPS_KEPT:
+        steps.clear()
+
+
 def _reduce_letters(
-    acc: LetterTerms, system: RewriteSystem, leftmost: bool, hits: dict, den: int = 1
+    acc: LetterTerms, system: RewriteSystem, leftmost: bool, den: int = 1
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """The kernel of :func:`reduce`: rewrite the letter dict ``acc`` in place.
 
-    ``leftmost`` picks the strategy; ``hits`` keeps the step found for each
-    word, so calls with one system and strategy may share it.  Returns the
-    steps as (letters, rule index, position).
+    ``leftmost`` picks the strategy.  The step of each word is looked up in
+    the system's table for the strategy, ``system._steps[leftmost]``, and
+    found and entered there on the word's first sight, so every call with
+    one system and strategy shares it; the caller bounds it with
+    :func:`_trim_steps` once its reduction is done.  Returns the steps as (letters, rule
+    index, position).
 
     The arithmetic is on ints over one common denominator ``den``, the
     ``acc`` given standing for ``acc / den``.  On entry ``acc`` is scaled by
@@ -238,6 +275,7 @@ def _reduce_letters(
     """
     rules, lengths = system.rules, system._lengths
     get = system._index.get
+    hits = system._steps[leftmost]
     shortest = lengths[0] if lengths else 0
 
     def first_hit(letters: tuple[int, ...]) -> Optional[tuple[int, int]]:

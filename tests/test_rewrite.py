@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,9 @@ from superlie import (
     assoc_compositions,
     build_relations,
     deglex_key,
+    enumerate_h_basis,
     enumerate_reduced_super_ls,
+    expand,
     is_gsb,
     is_reduced_word,
     lie_composition_len2,
@@ -31,10 +34,11 @@ from superlie import (
     reduce,
     superbracket,
 )
-from superlie import rewrite
+from superlie import bracketing, rewrite
 from superlie.words import _super_ls_tuples
-from superlie.poly import letter_terms
-from conftest import ALL
+from superlie.bracketing import _normal_forms
+from superlie.poly import from_letter_terms, letter_terms
+from conftest import ALL, ab5, ex1, osp
 from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
 from conftest import random_poly, random_word
 from test_words import _duval_super_ls
@@ -208,15 +212,17 @@ def reference_reduce(p, system, strategy=LARGEST_LEFTMOST):
     return current, ReductionTrace(steps, current)
 
 
+def step_tuples(trace):
+    return [(s.word, s.rule_index, s.position) for s in trace.steps]
+
+
 def assert_reduces_as_reference(p, system):
     """Both strategies: the same steps and normal form as the reference."""
     forms = {}
     for strategy in STRATEGIES:
         normal_form, trace = reduce(p, system, strategy)
         expected, expected_trace = reference_reduce(p, system, strategy)
-        assert [(s.word, s.rule_index, s.position) for s in trace.steps] == [
-            (s.word, s.rule_index, s.position) for s in expected_trace.steps
-        ], (str(p), strategy)
+        assert step_tuples(trace) == step_tuples(expected_trace), (str(p), strategy)
         assert normal_form == expected and trace.normal_form == expected
         forms[strategy] = normal_form
     return forms
@@ -246,6 +252,14 @@ HAND_MADE = [
     system(ABCD, "dd - ca", "cc - ca", "ca - b"),
     system(Alphabet.from_names(["a", "b", "c"], odd=["c"]), "cc - a", "cba - bc", "ba - ab"),
 ]
+
+
+@pytest.fixture(autouse=True)
+def empty_step_tables():
+    """Every test meets the shared systems with empty step tables, whatever ran before."""
+    for sys_ in (*FIXTURE_SYSTEMS.values(), BROKEN, *HAND_MADE):
+        for table in sys_._steps:
+            table.clear()
 
 
 def random_rules_system(rng, max_den=3):
@@ -374,8 +388,135 @@ def test_reduce_rescales_when_a_rule_denominator_does_not_divide():
     assert_reduces_as_reference(p, s)
     # the kernel divides back: whole values stay ints, the others Fractions
     acc = {(3,): 3, (2,): 1, (1,): 7}
-    rewrite._reduce_letters(acc, s, True, {})
+    rewrite._reduce_letters(acc, s, True)
     assert acc == {(0,): Fraction(5, 4), (1,): 7} and type(acc[(1,)]) is int
+
+
+# -- one system, many reductions: the step tables live on the system ---------------
+
+
+def fresh_copy(sys_):
+    """The same rules in a new system, whose step tables start empty."""
+    return RewriteSystem(sys_.alphabet, sys_.rules)
+
+
+def test_one_system_serves_many_reductions(monkeypatch):
+    # the kernel calls gcd only when a rule denominator does not divide the
+    # coefficient of the word it rewrites, that is when it rescales
+    rescales = []
+    monkeypatch.setattr(rewrite, "gcd", lambda a, b: rescales.append(a) or math.gcd(a, b))
+    rng = Random(71)
+    rational = random_rules_system(rng, max_den=6)
+    while not any(r._denominator > 1 for r in rational.rules):
+        rational = random_rules_system(rng, max_den=6)
+    systems = [fresh_copy(FIXTURE_SYSTEMS[name]) for name in ("sl2", "osp", "ab5")]
+    systems += [rational, system(ABC, "cb - a", "2/3", "aab")]
+    for sys_ in systems:
+        rescales.clear()
+        polys = [random_poly(rng, sys_.alphabet, 4, 6) for _ in range(300)]
+        for p in polys:
+            for strategy in rng.sample(STRATEGIES, 2):
+                normal_form, trace = reduce(p, sys_, strategy)
+                expected, expected_trace = reference_reduce(p, sys_, strategy)
+                fresh_form, fresh_trace = reduce(p, fresh_copy(sys_), strategy)
+                assert step_tuples(trace) == step_tuples(expected_trace), (str(p), strategy)
+                assert step_tuples(fresh_trace) == step_tuples(expected_trace)
+                assert normal_form == expected == fresh_form
+        assert all(sys_._steps), sys_  # both strategies' tables were filled
+        assert rescales or sys_ is not rational
+        # the tables outlive each call: reducing the stream again adds no entry
+        sizes = [len(table) for table in sys_._steps]
+        for p in polys[:30]:
+            for strategy in STRATEGIES:
+                reduce(p, sys_, strategy)
+        assert [len(table) for table in sys_._steps] == sizes
+
+
+def test_the_strategies_tables_never_mix():
+    sys_ = fresh_copy(BROKEN)
+    alphabet = sys_.alphabet
+    rng = Random(5)
+    polys = [Poly.monomial(alphabet.word("xyv"))]
+    polys += [random_poly(rng, alphabet, 4, 6) for _ in range(60)]
+    divergences = 0
+    for p in polys:
+        forms = {}
+        for strategy in STRATEGIES:  # the calls alternate strategies
+            normal_form, trace = reduce(p, sys_, strategy)
+            expected, expected_trace = reference_reduce(p, sys_, strategy)
+            assert step_tuples(trace) == step_tuples(expected_trace), (str(p), strategy)
+            assert normal_form == expected
+            forms[strategy] = normal_form
+        divergences += forms[LARGEST_LEFTMOST] != forms[SMALLEST_RIGHTMOST]
+    assert divergences > 0
+    # each entry is the first step its own strategy takes on the word alone
+    tables = {LARGEST_LEFTMOST: sys_._steps[True], SMALLEST_RIGHTMOST: sys_._steps[False]}
+    for strategy, table in tables.items():
+        for letters, hit in table.items():
+            first = _reference_find_rewrite(Poly.monomial(Word(alphabet, letters)), sys_, strategy)
+            assert hit == (first and first[1:]), (letters, strategy)
+    left, right = tables.values()
+    assert any(left[w] != right[w] for w in left.keys() & right.keys())
+
+
+@pytest.mark.parametrize("load", [ex1, osp, ab5])
+def test_check_iv_and_reduce_share_one_table(load):
+    pres = load()
+    alphabet = pres.alphabet
+    sys_ = build_relations(pres)
+    basis = enumerate_h_basis(pres, 7)
+    expected = _normal_forms(basis, fresh_copy(sys_))
+    assert not any(sys_._steps)
+    # the closure check fills the table, then check (iv)'s forms read it
+    report = is_gsb(sys_)
+    assert report.passed and bool(sys_._steps[True]) == bool(report.checks)
+    forms = _normal_forms(basis, sys_)
+    assert forms == expected
+    # reduce after the normal forms filled the table, both strategies
+    rng = Random(load.__name__)
+    sample = rng.sample(range(len(basis)), min(40, len(basis)))
+    polys = [expand(basis[i]) for i in sample]
+    polys += [random_poly(rng, alphabet, 4, 7) for _ in range(40)]
+    for k, p in enumerate(polys):
+        for strategy in STRATEGIES:
+            normal_form, trace = reduce(p, sys_, strategy)
+            fresh_form, fresh_trace = reduce(p, fresh_copy(sys_), strategy)
+            assert normal_form == fresh_form and step_tuples(trace) == step_tuples(fresh_trace)
+            if k < len(sample):
+                assert normal_form == from_letter_terms(alphabet, forms[sample[k]])
+
+
+def test_step_tables_stay_bounded_over_a_stream_of_distinct_polynomials(monkeypatch):
+    monkeypatch.setattr(rewrite, "_STEPS_KEPT", 40)
+    sys_ = fresh_copy(FIXTURE_SYSTEMS["osp"])
+    rng = Random(83)
+    seen, emptied = set(), 0
+    while len(seen) < 300:
+        p = random_poly(rng, sys_.alphabet, 4, 7)
+        if p in seen:
+            continue
+        seen.add(p)
+        for strategy in rng.sample(STRATEGIES, 2):
+            table = sys_._steps[strategy == LARGEST_LEFTMOST]
+            before = len(table)
+            normal_form, trace = reduce(p, sys_, strategy)
+            expected, expected_trace = reference_reduce(p, sys_, strategy)
+            assert step_tuples(trace) == step_tuples(expected_trace), (str(p), strategy)
+            assert normal_form == expected
+            assert len(table) <= 40
+            emptied += len(table) < before  # a table shrinks only when emptied
+    assert emptied
+    # check (iv)'s forms keep every word within the call and trim once, at its end
+    pres = osp()
+    sys_ = build_relations(pres)
+    basis = enumerate_h_basis(pres, 6)
+    trim, kept = bracketing._trim_steps, []
+    monkeypatch.setattr(
+        bracketing, "_trim_steps", lambda s, left: kept.append(len(s._steps[left])) or trim(s, left)
+    )
+    forms = _normal_forms(basis, sys_)
+    assert len(kept) == 1 and kept[0] > 40 and not sys_._steps[True]
+    assert forms == _normal_forms(basis, fresh_copy(sys_))
 
 
 def test_trace_steps_are_built_on_first_read_and_kept(monkeypatch):
