@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import types
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, pairwise, product
 from pathlib import Path
@@ -48,6 +47,7 @@ from .poly import Poly, _to_fraction, from_letter_terms, parse_rational
 from .rewrite import (
     RewriteSystem,
     GsbReport,
+    _Record,
     enumerate_reduced_super_ls,
     is_gsb,
     lie_composition_len2,
@@ -155,13 +155,13 @@ class StructureConstants:
         return self.beta.get(a, {})
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One failed identity, located by the symbols involved."""
 
-    check: str
-    indices: tuple[str, ...]
-    detail: str
+    __slots__ = ("check", "indices", "detail")
+
+    def __init__(self, check: str, indices: tuple[str, ...], detail: str):
+        super().__init__(check, indices, detail)
 
     def to_dict(self) -> dict:
         return {
@@ -448,14 +448,13 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
     return pres._relations
 
 
-@dataclass(frozen=True)
-class LieCompositionCheck:
+class LieCompositionCheck(_Record):
     """One length-3 superbracket composition, identified by its shape family."""
 
-    family: int
-    word: Word
-    normal_form: Poly
-    passed: bool
+    __slots__ = ("family", "word", "normal_form", "passed")
+
+    def __init__(self, family: int, word: Word, normal_form: Poly, passed: bool):
+        super().__init__(family, word, normal_form, passed)
 
     @property
     def description(self) -> str:
@@ -677,19 +676,23 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
 # -- the structure theorem, degree by degree -------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureLengthCheck:
+class StructureLengthCheck(_Record):
     """The four degree-n checks of the direct-sum decomposition."""
 
-    length: int
-    products: int
-    pattern_words: int
-    bijection_ok: bool
-    ls_transfer_ok: bool
-    admissibility_ok: bool
-    h_basis_count: int
-    independent_rank: int
-    rank_ok: bool
+    __slots__ = (
+        "length", "products", "pattern_words", "bijection_ok", "ls_transfer_ok",
+        "admissibility_ok", "h_basis_count", "independent_rank", "rank_ok",
+    )
+
+    def __init__(
+        self, length: int, products: int, pattern_words: int, bijection_ok: bool,
+        ls_transfer_ok: bool, admissibility_ok: bool, h_basis_count: int,
+        independent_rank: int, rank_ok: bool,
+    ):
+        super().__init__(
+            length, products, pattern_words, bijection_ok, ls_transfer_ok,
+            admissibility_ok, h_basis_count, independent_rank, rank_ok,
+        )
 
     @property
     def passed(self) -> bool:
@@ -701,8 +704,8 @@ class StructureLengthCheck:
         )
 
     def to_dict(self) -> dict:
-        # the fields in declaration order; asdict would deep-copy each value
-        return {**vars(self), "passed": self.passed}
+        # the fields in declaration order, then the verdict
+        return dict(zip(self.__slots__, self._values()), passed=self.passed)
 
 
 class StructureReport:

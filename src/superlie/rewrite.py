@@ -17,7 +17,6 @@ agreement can be tested rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -34,6 +33,46 @@ _STEPS_KEPT = 1 << 16
 LARGEST_LEFTMOST = "largest-leftmost"
 SMALLEST_RIGHTMOST = "smallest-rightmost"
 STRATEGIES = (LARGEST_LEFTMOST, SMALLEST_RIGHTMOST)
+
+
+class _Record:
+    """A slotted, immutable record whose ``__slots__`` name its fields, in order.
+
+    Two records are equal, and hash alike, when they are of one class and
+    their fields are equal; the repr reads ``Name(field=value, ...)``.  A
+    subclass's ``__init__`` hands every field, in order, to this one.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as assignment is refused
+        return type(self), self._values()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class RewriteRule:
@@ -126,13 +165,13 @@ def is_reduced_word(w: Word, system: RewriteSystem) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(_Record):
     """One rewrite: the full word replaced, which rule, at which offset."""
 
-    word: Word
-    rule_index: int
-    position: int
+    __slots__ = ("word", "rule_index", "position")
+
+    def __init__(self, word: Word, rule_index: int, position: int):
+        super().__init__(word, rule_index, position)
 
 
 class ReductionTrace:
@@ -394,17 +433,16 @@ def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]
     return out
 
 
-@dataclass(frozen=True)
-class CompositionCheck:
+class CompositionCheck(_Record):
     """One composition of a rule pair and the outcome of reducing it."""
 
-    left: int
-    right: int
-    word: Word
-    composition: Poly
-    normal_form: Poly
-    trace: ReductionTrace
-    passed: bool
+    __slots__ = ("left", "right", "word", "composition", "normal_form", "trace", "passed")
+
+    def __init__(
+        self, left: int, right: int, word: Word, composition: Poly, normal_form: Poly,
+        trace: ReductionTrace, passed: bool,
+    ):
+        super().__init__(left, right, word, composition, normal_form, trace, passed)
 
     def to_dict(self) -> dict:
         return {

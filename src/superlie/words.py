@@ -153,7 +153,7 @@ class Word:
             raise ValueError(f"letter rank {bad!r} out of range for {alphabet!r}")
         self.alphabet = alphabet
         self.letters = letters
-        self._hash = hash((alphabet._hash, letters))
+        self._hash = None  # computed on first use: most generated words are never hashed
 
     @classmethod
     def _of(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "Word":
@@ -161,7 +161,7 @@ class Word:
         w = object.__new__(cls)
         w.alphabet = alphabet
         w.letters = letters
-        w._hash = hash((alphabet._hash, letters))
+        w._hash = None
         return w
 
     def __len__(self) -> int:
@@ -179,6 +179,8 @@ class Word:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.alphabet._hash, self.letters))
         return self._hash
 
     def __mul__(self, other: "Word") -> "Word":
@@ -283,7 +285,9 @@ def _super_ls_tuples(
     Letters are ranks ``0 .. len(parities) - 1``; a letter weighs 1 unless
     ``weights`` says otherwise.  ``successors(prefix)`` lists, ascending,
     the letters allowed after ``prefix``; ``None`` allows every letter.
-    Bucket ``n`` holds, sorted, the tuples of weight ``n``.
+    Bucket ``n`` holds, sorted, the tuples of weight ``n``.  The letters
+    are indexed once by weight, so each node's loop walks only the letters
+    light enough to fit after it.
 
     Two words of one length compare as tuples, so LS is Lyndon over the
     reversed order, and the walk grows prenecklaces layer by layer (Cattell,
@@ -312,10 +316,12 @@ def _super_ls_tuples(
     """
     weights = weights or (1,) * len(parities)
     limit = max_len - min(weights)  # some letter fits after a node this heavy or lighter
-    letters = range(len(parities))
+    heaviest = max(weights)
+    # fits[r]: the letters, ascending, that weigh at most r
+    fits = [[c for c, w in enumerate(weights) if w <= r] for r in range(heaviest + 1)]
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
     layer = []
-    for c in letters if successors is None else successors(()):
+    for c in fits[min(max_len, heaviest)] if successors is None else successors(()):
         if weights[c] <= limit:
             layer.append(((c,), 1, weights[c]))
         elif weights[c] <= max_len:
@@ -334,7 +340,9 @@ def _super_ls_tuples(
                 if not u[0]:
                     continue
             bound = u[-period]
-            for c in letters if successors is None else successors(u):
+            room = max_len - weight
+            light = fits[room] if room < heaviest else fits[heaviest]
+            for c in light if successors is None else successors(u):
                 if c > bound:
                     break
                 grown = weight + weights[c]

@@ -71,6 +71,24 @@ def test_package_runs_without_the_repository(capsys, tmp_path):
     assert done.stdout == out
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # a fresh process without site: the report records are plain slotted
+    # classes, so importing the CLI loads neither dataclasses nor the modules
+    # it pulls in
+    probe = (
+        "import sys; before = set(sys.modules); import superlie.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    added = set(done.stdout.split())
+    assert "superlie.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_readme_session_runs(monkeypatch):
     # the pycon blocks alone, so that a closing fence is not read as output;
     # run from the repository root, where the session's paths start

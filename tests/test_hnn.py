@@ -13,11 +13,17 @@ import pytest
 
 from superlie import (
     Alphabet,
+    CompositionCheck,
+    LieCompositionCheck,
     NcMonomial,
     Poly,
+    ReductionStep,
+    ReductionTrace,
     RewriteRule,
     RewriteSystem,
     StructureConstants,
+    StructureLengthCheck,
+    Violation,
     Word,
     build_relations,
     deglex_key,
@@ -708,6 +714,13 @@ def test_ex2_uh_basis_low_degrees():
 def test_uh_basis_degree_zero():
     words = enumerate_uh_basis(ex3(), 0)
     assert len(words) == 1 and len(words[0]) == 0
+
+
+def test_uh_basis_words_hash_on_first_use():
+    words = enumerate_uh_basis(ex4(), 4)
+    assert all(w._hash is None for w in words)
+    assert [hash(w) for w in words] == [hash(Word(w.alphabet, w.letters)) for w in words]
+    assert all(w._hash is not None for w in words)
 
 
 @pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
@@ -1652,6 +1665,60 @@ def test_structure_constants_are_immutable():
     for name in ("alphabet", "subalgebra_size", "d_parity", "alpha", "beta", "_report"):
         with pytest.raises(AttributeError):
             setattr(sc, name, None)
+
+
+def _record_values():
+    """Two field tuples for each report record, every field different between them."""
+    abc = Alphabet.from_names("abc", odd="c")
+    u, v = abc.word("cab"), abc.word("bc")
+    p, q = parse_poly(abc, "2*cab - 1/3*b"), parse_poly(abc, "ab")
+    zero = Poly.zero(abc)
+    trace, other_trace = ReductionTrace((), zero), ReductionTrace(((u.letters, 0, 1),), zero)
+    return {
+        ReductionStep: [(u, 0, 1), (v, 2, 0)],
+        CompositionCheck: [(0, 1, u, p, zero, trace, True), (2, 3, v, q, p, other_trace, False)],
+        Violation: [("jacobi", ("a", "b", "c"), "residual 1"), ("closure", ("a",), "x")],
+        LieCompositionCheck: [(1, u, zero, True), (4, v, p, False)],
+        StructureLengthCheck: [
+            (3, 4, 4, True, True, True, 7, 7, True),
+            (4, 5, 6, False, False, False, 8, 6, False),
+        ],
+    }
+
+
+RECORDS = [ReductionStep, CompositionCheck, Violation, LieCompositionCheck, StructureLengthCheck]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_report_records_are_immutable_values(cls):
+    values, others = _record_values()[cls]
+    names = cls.__slots__
+    record = cls(*values)
+    assert [getattr(record, name) for name in names] == list(values)
+    by_keyword = cls(**dict(zip(names, values)))
+    assert by_keyword == record and hash(by_keyword) == hash(record)
+    for i in range(len(names)):
+        changed = cls(*values[:i], others[i], *values[i + 1 :])
+        assert changed != record and not changed == record
+    # a record is no tuple: it neither equals nor unpacks like one
+    assert record != values
+    with pytest.raises(TypeError):
+        iter(record)
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+    for name, other in zip(names, others):
+        with pytest.raises(AttributeError):
+            setattr(record, name, other)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert [getattr(record, name) for name in names] == list(values)
+    assert copy.copy(record) == record  # rebuilt through __init__, as pickle does
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
 
 
 def test_each_table_is_validated_once(monkeypatch, capsys, tmp_path):

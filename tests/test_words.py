@@ -388,15 +388,32 @@ def _weighted_products(weights, total):
     ]
 
 
-@pytest.mark.parametrize("size", [1, 2, 3])
-def test_super_ls_walk_on_weighted_letters_is_the_filtered_products(size):
-    # every alphabet of up to three letters, weights 1, 2, 3 or 5 and any
-    # parities; weight 5 makes leaves of single letters (when every letter
-    # weighs 5) and leaves that weigh max_len (5 after 3)
+# every alphabet of up to three letters, weights 1, 2, 3 or 5 and any
+# parities; weight 5 makes leaves of single letters (when every letter
+# weighs 5) and leaves that weigh max_len (5 after 3).  Then nine letters
+# ranked below one light letter, as the generators W rank below t: heavy
+# letters of every weight up to past max_len, below the one that fits anywhere
+WEIGHTED_CASES = [
+    *(
+        pytest.param(
+            list(product((1, 2, 3, 5), repeat=size)), list(product((0, 1), repeat=size)), id=str(size)
+        )
+        for size in (1, 2, 3)
+    ),
+    pytest.param(
+        [(2, 9, 3, 7, 4, 2, 5, 8, 3, 1)],
+        [(1, 0, 1, 1, 0, 1, 0, 0, 1, 1), (0,) * 9 + (1,)],
+        id="heavy_below_light",
+    ),
+]
+
+
+@pytest.mark.parametrize("weight_sets, parity_sets", WEIGHTED_CASES)
+def test_super_ls_walk_on_weighted_letters_is_the_filtered_products(weight_sets, parity_sets):
     max_len = 8
-    names = "abc"[:size]
-    for weights in product((1, 2, 3, 5), repeat=size):
-        for parities in product((0, 1), repeat=size):
+    for weights in weight_sets:
+        for parities in parity_sets:
+            names = "abcdefghij"[: len(weights)]
             alphabet = Alphabet.from_names(names, odd=[x for x, p in zip(names, parities) if p])
             expected = [[]] + [
                 [u for u in _weighted_products(weights, n) if is_super_ls(Word(alphabet, u))]
@@ -574,3 +591,18 @@ def test_enumerated_words_are_the_checked_words(names, odd):
         assert type(w) is Word and w.alphabet is alphabet
         assert w == checked and hash(w) == hash(checked)
         assert type(w.letters) is tuple and {type(r) for r in w.letters} == {int}
+
+
+def test_a_word_hashes_on_first_use():
+    # generated words hold no hash until one is asked for; the hash is kept,
+    # and is the same for the unchecked, the checked and an equal alphabet's word
+    words = enumerate_super_ls(AXT, 6)
+    assert all(w._hash is None for w in words)
+    twin = Alphabet.from_names(["a", "x", "t"])
+    assert twin is not AXT
+    for w in words:
+        h = hash(w)
+        assert w._hash == h == hash(w)
+        assert h == hash(Word._of(AXT, w.letters)) == hash(Word(AXT, w.letters))
+        assert h == hash(Word(twin, w.letters)) == hash(Word._of(twin, w.letters))
+    assert hash(AXT.empty_word()) == hash(Word._of(twin, ()))
