@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Container, Optional, Sequence
 
 from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
-from .rewrite import RewriteSystem, _reduce_letters, _trim_steps
+from .rewrite import RewriteSystem, _reduce_letters
 from .words import Alphabet, Word, _standard_coefficient, is_super_ls
 
 
@@ -163,12 +163,12 @@ def _normal_forms(
     length 2 (raises ValueError otherwise), so a product ab holds a leading
     word exactly when the junction pair (a[-1], b[0]) is one.  Only the
     products :func:`bracket_terms` sets aside on that test are reduced, by
-    :func:`_reduce_letters` with the system's largest-leftmost step table,
-    which every call and every other reduction by the system share (trimmed
-    by :func:`_trim_steps` when the call ends), and added back: reduction
-    is linear, as the step taken on a word depends on that word alone.  The
-    relations being parity-homogeneous, so is each form, and the sign
-    -(-1)^{|u||v|} is read from the children's parities.
+    :func:`_reduce_letters`, and added back: reduction is linear, as the
+    step taken on a word depends on that word alone.  The steps come from
+    the system's largest-leftmost step table, shared with every other
+    caller and bounded by itself, so the walk trims nothing.  The relations
+    being parity-homogeneous, so is each form, and the sign -(-1)^{|u||v|}
+    is read from the children's parities.
     """
     junctions: Container = frozenset()
     if system is not None:
@@ -212,8 +212,6 @@ def _normal_forms(
             if memo is not None:
                 memo[node] = form
             values.append(form)
-    if system is not None:
-        _trim_steps(system, True)
     return values
 
 

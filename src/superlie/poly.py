@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Container, Iterable, Mapping, Optional, Union
+from typing import Container, Dict, Iterable, Mapping, Optional, Union
 
 from .words import Alphabet, Word, deglex_key
 
@@ -226,7 +226,9 @@ class Poly:
 _ZERO = Fraction(0)
 
 
-LetterTerms = dict[tuple[int, ...], Scalar]
+# through typing: on Python 3.10 ``isinstance(dict[...], type)`` is True, and
+# a walk over a module's classes (perfbench's binding check) takes it for one
+LetterTerms = Dict[tuple[int, ...], Scalar]
 
 
 def letter_terms(p: Poly) -> LetterTerms:

@@ -21,13 +21,13 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import neg
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .poly import LetterTerms, Poly, from_letter_terms, superbracket
 from .words import Alphabet, Word, _super_ls_tuples, deglex_key
 
-# A step table holding more than this many entries when a reduction ends
-# is emptied: about 12 MiB of words of length 9.
+# A step table holding this many entries is emptied before it takes another
+# (about 12 MiB of words of length 9); read at each new entry.
 _STEPS_KEPT = 1 << 16
 
 LARGEST_LEFTMOST = "largest-leftmost"
@@ -105,23 +105,59 @@ class RewriteRule:
         return f"RewriteRule({self.body})"
 
 
+class _Steps(dict):
+    """One strategy's step table: a word's letters to its (rule index, position).
+
+    A reduced word maps to None.  Reading a word not in the table finds its
+    step and enters it (``__missing__``): positions in the strategy's order,
+    each probed once per leading-word length (ascending), keeping the
+    first-listed rule found there (``leftmost``) or the last-listed one.  A
+    table holding ``_STEPS_KEPT`` entries is emptied before it takes
+    another; a dropped word is found again when next read.  It keeps
+    ``index.get``, not the system, so that they form no reference cycle.
+    """
+
+    __slots__ = ("_get", "_lengths", "_leftmost")
+
+    def __init__(self, index: dict, lengths: tuple[int, ...], leftmost: bool):
+        super().__init__()
+        self._get, self._lengths, self._leftmost = index.get, lengths, leftmost
+
+    def __missing__(self, letters: tuple[int, ...]):
+        get, lengths, leftmost = self._get, self._lengths, self._leftmost
+        n = len(letters)
+        last = n - (lengths[0] if lengths else 0)  # an empty leading word occurs at n too
+        hit = None
+        for pos in range(last + 1) if leftmost else range(last, -1, -1):
+            found = None
+            for k in lengths:
+                if pos + k > n:
+                    break
+                i = get(letters[pos : pos + k])
+                # the rules found at one position differ, so i != found here:
+                # keep the smaller index for leftmost, the larger otherwise
+                if i is not None and (found is None or (i < found) == leftmost):
+                    found = i
+            if found is not None:
+                hit = (found, pos)
+                break
+        if len(self) >= _STEPS_KEPT:
+            self.clear()
+        self[letters] = hit
+        return hit
+
+
 class RewriteSystem:
     """An ordered list of rewrite rules over one alphabet.
 
     The rules are indexed once, by the letters of their leading words, with
-    the set of leading-word lengths alongside; :func:`reduce`,
-    :func:`is_reduced_word` and :func:`enumerate_reduced_super_ls` find
-    occurrences by looking up ``letters[i:i+k]`` for each such length ``k``.
-
-    ``_steps`` holds the reduction step of each word examined, one dict per
-    strategy: ``_steps[True]`` for largest-leftmost, ``_steps[False]`` for
-    smallest-rightmost.  A dict maps a word's letters to its (rule index,
-    position), or to None when the word is reduced.  The step depends only
-    on the word, the rules and the strategy, so every reduction by this
-    system shares the dicts.  Each starts empty and grows by one entry per
-    distinct word examined; a reduction that leaves it holding more than
-    ``_STEPS_KEPT`` entries empties it (see :func:`_trim_steps`).  It saves
-    work only where a later reduction by the same system meets a word again.
+    the set of leading-word lengths alongside.  ``_steps`` holds a
+    :class:`_Steps` table on that index per strategy, ``_steps[True]`` for
+    largest-leftmost and ``_steps[False]`` for smallest-rightmost: the one
+    step finder, shared by every reduction, :func:`is_reduced_word`, check
+    (iv) and :func:`enumerate_reduced_super_ls`.  Each grows by one entry
+    per distinct word read and bounds itself at all times; it saves work
+    only where a later read by the same system meets a word again.
     """
 
     __slots__ = ("alphabet", "rules", "_index", "_lengths", "_steps")
@@ -141,7 +177,7 @@ class RewriteSystem:
         self.rules = rules
         self._index = index
         self._lengths = tuple(sorted({rule.leading_len for rule in rules}))
-        self._steps: tuple[dict, dict] = ({}, {})
+        self._steps = (_Steps(index, self._lengths, False), _Steps(index, self._lengths, True))
 
     @classmethod
     def from_polys(cls, alphabet: Alphabet, polys: Iterable[Poly]) -> "RewriteSystem":
@@ -155,14 +191,11 @@ class RewriteSystem:
 
 
 def is_reduced_word(w: Word, system: RewriteSystem) -> bool:
-    """True iff no leading word of the system occurs as a contiguous subword."""
-    letters = w.letters
-    index = system._index
-    return not any(
-        letters[i : i + k] in index
-        for k in system._lengths
-        for i in range(len(letters) - k + 1)
-    )
+    """True iff no leading word of the system occurs as a contiguous subword.
+
+    That is, iff the word has no step in the system's largest-leftmost table.
+    """
+    return system._steps[True][w.letters] is None
 
 
 class ReductionStep(_Record):
@@ -251,17 +284,14 @@ def reduce(
     coefficients over one common denominator (see :func:`_reduce_letters`),
     starting from the numerators and the denominator of ``p``.
     The words that contain a leading word wait in a heap ordered by the
-    strategy.  A word's step is found through the system's index the first
-    time the system meets the word under the strategy, and kept in the
-    system's step table, which grows by one entry per distinct word
-    examined and is emptied when a reduction leaves it past
-    ``_STEPS_KEPT`` entries; until then every later reduction reads the
-    step there.  A word that cancels stays in the heap until popped and
-    is skipped, and is pushed again if it comes back.  Whether a word is
-    reducible depends on the word alone, so the heap's top is the word the
-    rule above names: the index, the step table and the heap do not change
-    which step is taken.  The trace keeps the kernel's steps as letter
-    tuples and builds its :class:`ReductionStep` objects when
+    strategy.  A word's step is read from the system's step table for the
+    strategy, the one step finder every caller shares (see
+    :class:`_Steps`).  A word that cancels stays in the heap until popped
+    and is skipped, and is pushed again if it comes back.  Whether a word
+    is reducible depends on the word alone, so the heap's top is the word
+    the rule above names: the index, the step table and the heap do not
+    change which step is taken.  The trace keeps the kernel's steps as
+    letter tuples and builds its :class:`ReductionStep` objects when
     ``trace.steps`` is first read.
     """
     if strategy not in STRATEGIES:
@@ -272,21 +302,8 @@ def reduce(
     terms = {w.letters: n for w, n in p._nums.items()}
     leftmost = strategy == LARGEST_LEFTMOST
     steps = _reduce_letters(terms, system, leftmost, p._den)
-    _trim_steps(system, leftmost)
     normal_form = from_letter_terms(alphabet, terms)
     return normal_form, ReductionTrace(steps, normal_form)
-
-
-def _trim_steps(system: RewriteSystem, leftmost: bool) -> None:
-    """Empty the system's step table for the strategy if it is past ``_STEPS_KEPT``.
-
-    Called once a reduction is done, never inside one: between reductions a
-    table holds at most ``_STEPS_KEPT`` entries, and within one it keeps
-    every word the reduction has met.
-    """
-    steps = system._steps[leftmost]
-    if len(steps) > _STEPS_KEPT:
-        steps.clear()
 
 
 def _reduce_letters(
@@ -294,12 +311,10 @@ def _reduce_letters(
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """The kernel of :func:`reduce`: rewrite the letter dict ``acc`` in place.
 
-    ``leftmost`` picks the strategy.  The step of each word is looked up in
-    the system's table for the strategy, ``system._steps[leftmost]``, and
-    found and entered there on the word's first sight, so every call with
-    one system and strategy shares it; the caller bounds it with
-    :func:`_trim_steps` once its reduction is done.  Returns the steps as (letters, rule
-    index, position).
+    ``leftmost`` picks the strategy.  Each word's step is read, once per
+    sight, from ``system._steps[leftmost]``, the one step finder shared by
+    every caller, which bounds itself (see :class:`_Steps`).  Returns the
+    steps as (letters, rule index, position).
 
     The arithmetic is on ints over one common denominator ``den``, the
     ``acc`` given standing for ``acc / den``.  On entry ``acc`` is scaled by
@@ -312,36 +327,8 @@ def _reduce_letters(
     reduction.  On exit every value is divided back: whole values stay ints,
     the others become Fractions.
     """
-    rules, lengths = system.rules, system._lengths
-    get = system._index.get
+    rules = system.rules
     hits = system._steps[leftmost]
-    shortest = lengths[0] if lengths else 0
-
-    def first_hit(letters: tuple[int, ...]) -> Optional[tuple[int, int]]:
-        """(rule index, position) of the step the strategy takes on ``letters``.
-
-        Called only for a word not yet in ``hits``; it records the answer there.
-        One pass over the positions in the strategy's order, each probed once
-        per leading-word length (ascending, so the first too long ends it),
-        keeping the first-listed rule (leftmost) or the last-listed one.
-        """
-        n = len(letters)
-        last = n - shortest  # an empty leading word occurs at n too
-        for pos in range(last + 1) if leftmost else range(last, -1, -1):
-            found = None
-            for k in lengths:
-                if pos + k > n:
-                    break
-                i = get(letters[pos : pos + k])
-                # the rules found at one position differ, so i != found here:
-                # keep the smaller index for leftmost, the larger otherwise
-                if i is not None and (found is None or (i < found) == leftmost):
-                    found = i
-            if found is not None:
-                hits[letters] = hit = (found, pos)
-                return hit
-        hits[letters] = None
-        return None
 
     if leftmost:  # max-heap by deglex
         def entry(letters: tuple[int, ...]) -> tuple:
@@ -355,9 +342,7 @@ def _reduce_letters(
         for w, c in acc.items():
             acc[w] = c.numerator * (scale // c.denominator)
         den *= scale
-    heap = [
-        entry(w) for w in acc if (hits[w] if w in hits else first_hit(w)) is not None
-    ]
+    heap = [entry(w) for w in acc if hits[w] is not None]
     heapify(heap)
     steps: list[tuple[tuple[int, ...], int, int]] = []
     while heap:
@@ -387,8 +372,7 @@ def _reduce_letters(
                     del acc[framed]
             else:
                 acc[framed] = -coeff * c
-                hit = hits[framed] if framed in hits else first_hit(framed)
-                if hit is not None:
+                if hits[framed] is not None:
                     heappush(heap, entry(framed))
         steps.append((word, rule_index, position))
     if den != 1:

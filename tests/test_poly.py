@@ -1,5 +1,8 @@
 """Ring structure, grading, superbracket, leading data, text form."""
 
+import importlib
+import pkgutil
+import types
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -7,6 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superlie
 from superlie import (
     Alphabet,
     Poly,
@@ -446,3 +450,18 @@ def test_every_returned_coefficient_is_a_fraction():
     coefficients += list(letter_terms(p).values())
     assert coefficients[:2] == [1, 6]
     assert all(type(c) is Fraction for c in coefficients)
+
+
+def test_no_module_binds_a_builtin_generic_alias():
+    # on Python 3.10 isinstance(dict[...], type) is True, so a walk over a
+    # module's classes takes such an alias for a class; type aliases are
+    # bound through typing instead
+    names = [m.name for m in pkgutil.iter_modules(superlie.__path__, "superlie.")]
+    assert "superlie.poly" in names
+    found = [
+        f"{name}.{attr}"
+        for name in ["superlie", *names]
+        for attr, value in vars(importlib.import_module(name)).items()
+        if isinstance(value, types.GenericAlias)
+    ]
+    assert found == []

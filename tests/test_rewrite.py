@@ -34,7 +34,7 @@ from superlie import (
     reduce,
     superbracket,
 )
-from superlie import bracketing, rewrite
+from superlie import rewrite
 from superlie.words import _super_ls_tuples
 from superlie.bracketing import _normal_forms
 from superlie.poly import from_letter_terms, letter_terms
@@ -487,36 +487,47 @@ def test_check_iv_and_reduce_share_one_table(load):
 
 
 def test_step_tables_stay_bounded_over_a_stream_of_distinct_polynomials(monkeypatch):
-    monkeypatch.setattr(rewrite, "_STEPS_KEPT", 40)
-    sys_ = fresh_copy(FIXTURE_SYSTEMS["osp"])
-    rng = Random(83)
-    seen, emptied = set(), 0
-    while len(seen) < 300:
-        p = random_poly(rng, sys_.alphabet, 4, 7)
-        if p in seen:
-            continue
-        seen.add(p)
-        for strategy in rng.sample(STRATEGIES, 2):
-            table = sys_._steps[strategy == LARGEST_LEFTMOST]
-            before = len(table)
-            normal_form, trace = reduce(p, sys_, strategy)
-            expected, expected_trace = reference_reduce(p, sys_, strategy)
-            assert step_tuples(trace) == step_tuples(expected_trace), (str(p), strategy)
-            assert normal_form == expected
-            assert len(table) <= 40
-            emptied += len(table) < before  # a table shrinks only when emptied
-    assert emptied
-    # check (iv)'s forms keep every word within the call and trim once, at its end
+    # every entry comes through __missing__: record each table's size around
+    # it; the table was emptied when it grows by no entry
+    sizes, missing, default = [], rewrite._Steps.__missing__, rewrite._STEPS_KEPT
+
+    def counted(table, letters):
+        before = len(table)
+        hit = missing(table, letters)
+        sizes.append((before, len(table)))
+        return hit
+
+    monkeypatch.setattr(rewrite._Steps, "__missing__", counted)
+    # at 1 the table is emptied at every new word, even within one reduction
+    for kept in (40, 1):
+        monkeypatch.setattr(rewrite, "_STEPS_KEPT", kept)
+        sys_ = fresh_copy(FIXTURE_SYSTEMS["osp"])
+        rng = Random(83)
+        seen = set()
+        sizes.clear()
+        while len(seen) < 300:
+            p = random_poly(rng, sys_.alphabet, 4, 7)
+            if p in seen:
+                continue
+            seen.add(p)
+            for strategy in rng.sample(STRATEGIES, 2):
+                normal_form, trace = reduce(p, sys_, strategy)
+                expected, expected_trace = reference_reduce(p, sys_, strategy)
+                assert step_tuples(trace) == step_tuples(expected_trace), (kept, str(p), strategy)
+                assert normal_form == expected
+        assert max(after for _, after in sizes) == kept
+        assert any(after <= before for before, after in sizes)
+    # check (iv)'s forms meet more words than the bound, which holds within the walk
     pres = osp()
     sys_ = build_relations(pres)
     basis = enumerate_h_basis(pres, 6)
-    trim, kept = bracketing._trim_steps, []
-    monkeypatch.setattr(
-        bracketing, "_trim_steps", lambda s, left: kept.append(len(s._steps[left])) or trim(s, left)
-    )
-    forms = _normal_forms(basis, sys_)
-    assert len(kept) == 1 and kept[0] > 40 and not sys_._steps[True]
-    assert forms == _normal_forms(basis, fresh_copy(sys_))
+    monkeypatch.setattr(rewrite, "_STEPS_KEPT", default)
+    expected = _normal_forms(basis, fresh_copy(sys_))
+    monkeypatch.setattr(rewrite, "_STEPS_KEPT", 40)
+    sizes.clear()
+    assert _normal_forms(basis, sys_) == expected
+    assert max(after for _, after in sizes) == 40
+    assert any(after <= before for before, after in sizes)
 
 
 def test_trace_steps_are_built_on_first_read_and_kept(monkeypatch):
