@@ -16,6 +16,7 @@ admissible bracketing may replace the standard one as a basis;
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Container, Optional, Sequence
 
 from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
@@ -164,7 +165,10 @@ def _normal_forms(
     word exactly when the junction pair (a[-1], b[0]) is one.  Only the
     products :func:`bracket_terms` sets aside on that test are reduced, by
     :func:`_reduce_letters`, and added back: reduction is linear, as the
-    step taken on a word depends on that word alone.  The steps come from
+    step taken on a word depends on that word alone.  The kernel leaves
+    int numerators over the denominator it returns, which is 1 unless a
+    rule denominator or a Fraction value made it scale; only then are they
+    divided, whole values staying ints.  The steps come from
     the system's largest-leftmost step table, shared with every other
     caller and bounded by itself, so the walk trims nothing.  The relations
     being parity-homogeneous, so is each form, and the sign -(-1)^{|u||v|}
@@ -202,8 +206,11 @@ def _normal_forms(
                     continue
             form, aside = bracket_terms(left, right, node.left.parity & node.right.parity, junctions)
             if aside:
-                _reduce_letters(aside, system, True)
+                den = _reduce_letters(aside, system, True)[1]
                 for w, c in aside.items():  # c != 0: a sum of 0 had w in form
+                    if den != 1:
+                        whole, rest = divmod(c, den)
+                        c = Fraction(c, den) if rest else whole
                     c += form.get(w, 0)
                     if c:
                         form[w] = c

@@ -236,9 +236,15 @@ def letter_terms(p: Poly) -> LetterTerms:
     return {w.letters: c for w, c in p.terms()}
 
 
-def from_letter_terms(alphabet: Alphabet, terms: LetterTerms) -> Poly:
-    """The one Poly with the terms of a letter-tuple dict."""
-    return Poly(alphabet, {Word(alphabet, w): c for w, c in terms.items()})
+def from_letter_terms(alphabet: Alphabet, terms: LetterTerms, den: int = 1) -> Poly:
+    """The one Poly with the terms of a letter-tuple dict, over ``den``.
+
+    ``den`` is a positive int; the Poly is ``terms / den``.  With int
+    values, as the kernel of ``reduce`` leaves them, it divides once, by
+    ``den``, and builds no Fraction.
+    """
+    p = Poly(alphabet, {Word(alphabet, w): c for w, c in terms.items()})
+    return p if den == 1 else _fill(p, alphabet, p._den * den, p._nums)
 
 
 def bracket_terms(

@@ -17,7 +17,6 @@ agreement can be tested rather than assumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import neg
@@ -76,9 +75,17 @@ class _Record:
 
 
 class RewriteRule:
-    """A monic relation with cached leading word."""
+    """A monic relation with cached leading word.
 
-    __slots__ = ("body", "leading_word", "leading_len", "_denominator", "_int_terms")
+    For the kernel of :func:`reduce` it also keeps its body as integers:
+    ``_denominator``, the leading numerator, and ``_tail_terms``, the other
+    terms (the body without its leading term), each as its letters, its
+    numerator and its letters negated (a piece of a largest-leftmost heap
+    key).  The body being monic, a step's leading term cancels the whole
+    rewritten word, so a step frames only the tail.
+    """
+
+    __slots__ = ("body", "leading_word", "leading_len", "_denominator", "_tail_terms")
 
     def __init__(self, body: Poly):
         if body.is_zero():
@@ -89,11 +96,11 @@ class RewriteRule:
         self.body = body
         self.leading_word = body.leading()[0]
         self.leading_len = len(self.leading_word)
-        # for the kernel: the body's numerators on letter tuples, leading word
-        # first, over its denominator, which is the leading numerator
         nums = body._nums
         self._denominator = body._den
-        self._int_terms = tuple((u.letters, nums[u]) for u, _ in body.terms())
+        self._tail_terms = tuple(
+            (u.letters, nums[u], tuple(map(neg, u.letters))) for u, _ in body.terms()[1:]
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RewriteRule) and self.body == other.body
@@ -281,8 +288,10 @@ def reduce(
     it may, which is why the strategy is explicit.
 
     The kernel keeps the polynomial as one dict from letters to integer
-    coefficients over one common denominator (see :func:`_reduce_letters`),
-    starting from the numerators and the denominator of ``p``.
+    numerators over one common denominator (see :func:`_reduce_letters`),
+    starting from the numerators and the denominator of ``p``, and hands
+    both to :func:`~superlie.poly.from_letter_terms`, which builds the one
+    normal form.
     The words that contain a leading word wait in a heap ordered by the
     strategy.  A word's step is read from the system's step table for the
     strategy, the one step finder every caller shares (see
@@ -301,53 +310,56 @@ def reduce(
         raise ValueError("polynomial over a different alphabet than the system")
     terms = {w.letters: n for w, n in p._nums.items()}
     leftmost = strategy == LARGEST_LEFTMOST
-    steps = _reduce_letters(terms, system, leftmost, p._den)
-    normal_form = from_letter_terms(alphabet, terms)
+    steps, den = _reduce_letters(terms, system, leftmost, p._den)
+    normal_form = from_letter_terms(alphabet, terms, den)
     return normal_form, ReductionTrace(steps, normal_form)
 
 
 def _reduce_letters(
     acc: LetterTerms, system: RewriteSystem, leftmost: bool, den: int = 1
-) -> list[tuple[tuple[int, ...], int, int]]:
+) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
     """The kernel of :func:`reduce`: rewrite the letter dict ``acc`` in place.
 
     ``leftmost`` picks the strategy.  Each word's step is read, once per
     sight, from ``system._steps[leftmost]``, the one step finder shared by
     every caller, which bounds itself (see :class:`_Steps`).  Returns the
-    steps as (letters, rule index, position).
+    steps as (letters, rule index, position), and the denominator of the
+    normal form, which ``acc`` is left holding as int numerators.
 
     The arithmetic is on ints over one common denominator ``den``, the
     ``acc`` given standing for ``acc / den``.  On entry ``acc`` is scaled by
     the lcm of its denominators, and ``den`` with it (skipped when every
-    value is an int).  A step on a word with coefficient ``C`` subtracts
-    ``C // D`` times the framed integral body of its rule, ``D`` being the
-    rule's denominator; when ``D`` does not divide ``C``, the whole dict and
-    ``den`` are first multiplied by ``D // gcd(C, D)``.  Scaling by a nonzero
-    constant keeps the set of words, so the steps are those of the rational
-    reduction.  On exit every value is divided back: whole values stay ints,
-    the others become Fractions.
+    value is an int).  A step on a word with coefficient ``C`` removes the
+    word and subtracts ``C // D`` times the framed tail of its rule, ``D``
+    being the rule's denominator: the rule is monic, so its framed leading
+    term would remove exactly ``C``.  When ``D`` does not divide ``C``, the
+    whole dict and ``den`` are first multiplied by ``D // gcd(C, D)``.
+    Scaling by a nonzero constant keeps the set of words, so the steps are
+    those of the rational reduction.  Nothing is divided back, and the
+    numerators and ``den`` may share a factor.
+
+    A largest-leftmost heap entry is (minus the length, the negated
+    letters, the letters).  A framed word's negated letters are sliced from
+    its rewritten word's key around the occurrence, with the rule term's
+    negated letters between.
     """
     rules = system.rules
     hits = system._steps[leftmost]
-
-    if leftmost:  # max-heap by deglex
-        def entry(letters: tuple[int, ...]) -> tuple:
-            return (-len(letters), tuple(map(neg, letters)), letters)
-    else:  # min-heap by deglex
-        def entry(letters: tuple[int, ...]) -> tuple:
-            return (len(letters), letters)
-
     if not all(type(c) is int for c in acc.values()):
         scale = lcm(*[c.denominator for c in acc.values()])
         for w, c in acc.items():
             acc[w] = c.numerator * (scale // c.denominator)
         den *= scale
-    heap = [entry(w) for w in acc if hits[w] is not None]
+    if leftmost:  # max-heap by deglex
+        heap = [(-len(w), tuple(map(neg, w)), w) for w in acc if hits[w] is not None]
+    else:  # min-heap by deglex
+        heap = [(len(w), w) for w in acc if hits[w] is not None]
     heapify(heap)
     steps: list[tuple[tuple[int, ...], int, int]] = []
     while heap:
-        word = heappop(heap)[-1]
-        coeff = acc.get(word)
+        top = heappop(heap)
+        word = top[-1]
+        coeff = acc.pop(word, None)
         if coeff is None:  # cancelled since it was pushed
             continue
         rule_index, position = hits[word]
@@ -361,8 +373,9 @@ def _reduce_letters(
                 den *= m
                 coeff *= m
             coeff //= d
-        prefix, suffix = word[:position], word[position + rule.leading_len :]
-        for u, c in rule._int_terms:
+        end = position + rule.leading_len
+        prefix, suffix = word[:position], word[end:]
+        for u, c, neg_u in rule._tail_terms:
             framed = prefix + u + suffix
             if framed in acc:
                 rest = acc[framed] - coeff * c
@@ -373,13 +386,14 @@ def _reduce_letters(
             else:
                 acc[framed] = -coeff * c
                 if hits[framed] is not None:
-                    heappush(heap, entry(framed))
+                    if leftmost:
+                        negs = top[1]
+                        key = negs[:position] + neg_u + negs[end:]
+                        heappush(heap, (-len(framed), key, framed))
+                    else:
+                        heappush(heap, (len(framed), framed))
         steps.append((word, rule_index, position))
-    if den != 1:
-        for w, c in acc.items():
-            whole, rest = divmod(c, den)
-            acc[w] = Fraction(c, den) if rest else whole
-    return steps
+    return steps, den
 
 
 def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]]:

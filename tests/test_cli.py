@@ -487,6 +487,7 @@ WRITTEN_INPUTS = {
 }
 BROKEN_REDUCE = ["reduce", "xyv + 2*yx", "--input", str(FIXTURES / "broken_rules.json")]
 RATIONAL_REDUCE = ["reduce", "2/3*feh - 1/2*fh + 3/4*tfe", "--input", str(FIXTURES / "sl2.json")]
+RESCALED_REDUCE = ["reduce", "1/3*taa + 3*xaa - 5/2*aat", "--input", str(FIXTURES / "ex2.json")]
 
 
 def _report_cells(name, argv, code):
@@ -553,6 +554,13 @@ LISTING_CELLS = [
     # still recursed and went on on a stack below a fixed depth
     ("ls-words-abc-9.json", ["ls-words", "--alphabet", "a,b:odd,c", "--max-len", "9",
                              "--format", "json"], 0),
+    # ex2's rule aa - 1/2*x does not divide the odd numerator of aat, so the
+    # common denominator is scaled mid-reduction; recorded while the
+    # reduction kernel still divided its normal form back into Fractions
+    *_report_cells("reduce-ex2-rescaled-largest-leftmost",
+                   [*RESCALED_REDUCE, "--strategy", "largest-leftmost"], 0),
+    *_report_cells("reduce-ex2-rescaled-smallest-rightmost",
+                   [*RESCALED_REDUCE, "--strategy", "smallest-rightmost"], 0),
 ]
 
 

@@ -386,10 +386,61 @@ def test_reduce_rescales_when_a_rule_denominator_does_not_divide():
     assert normal_form == parse_poly(xy, "5/4*a + b")
     assert [str(step.word) for step in trace.steps] == ["y", "x"]
     assert_reduces_as_reference(p, s)
-    # the kernel divides back: whole values stay ints, the others Fractions
+    # the kernel leaves int numerators over the denominator it returns
     acc = {(3,): 3, (2,): 1, (1,): 7}
-    rewrite._reduce_letters(acc, s, True)
-    assert acc == {(0,): Fraction(5, 4), (1,): 7} and type(acc[(1,)]) is int
+    steps, den = rewrite._reduce_letters(acc, s, True)
+    assert acc == {(0,): 5, (1,): 28} and den == 4
+    assert all(type(c) is int for c in acc.values())
+    assert [w for w, _, _ in steps] == [(3,), (2,)]
+
+
+def halves_and_quarters_system(rng):
+    """Rules over denominators 2 and 4, leading words of lengths 0-3.
+
+    Each rule but the optional empty one has a tail of odd numerators over
+    its own denominator, so its monic body has exactly that denominator.
+    """
+    alphabet = rng.choice([ABC, AB_ODD])
+    rules, leadings = [], set()
+    for den in (2, 4, rng.choice((2, 4))):
+        while True:
+            lead = random_word(rng, alphabet, 3)
+            tail = {random_word(rng, alphabet, len(lead)) for _ in range(2)}
+            tail = [
+                w for w in tail if w.parity == lead.parity and deglex_key(w) < deglex_key(lead)
+            ]
+            if tail and lead not in leadings:
+                break
+        leadings.add(lead)
+        terms = [(lead, 1)] + [(w, Fraction(rng.choice((-3, -1, 1, 3)), den)) for w in tail]
+        rules.append(RewriteRule(Poly(alphabet, terms)))
+        assert rules[-1]._denominator == den
+    if rng.random() < 0.2:  # the empty word occurs at every position
+        empty = RewriteRule(Poly.monomial(alphabet.empty_word()))
+        rules.insert(rng.randrange(len(rules) + 1), empty)
+    return RewriteSystem(alphabet, rules)
+
+
+def test_reduce_over_halves_and_quarters_matches_reference_step_for_step(monkeypatch):
+    # each normal form leaves the kernel as int numerators over its
+    # denominator: in lowest terms, the Poly built from its Fraction terms
+    rescales = []
+    monkeypatch.setattr(rewrite, "gcd", lambda a, b: rescales.append(a) or math.gcd(a, b))
+    rng = Random(2024)
+    lengths = set()
+    for _ in range(60):
+        sys_ = halves_and_quarters_system(rng)
+        lengths |= set(sys_._lengths)
+        for _ in range(10):
+            p = random_poly(rng, sys_.alphabet, 4, 5)
+            for strategy in STRATEGIES:
+                normal_form, trace = reduce(p, sys_, strategy)
+                expected, expected_trace = reference_reduce(p, sys_, strategy)
+                assert step_tuples(trace) == step_tuples(expected_trace), (str(p), strategy)
+                assert normal_form == expected
+                rebuilt = Poly(sys_.alphabet, normal_form.terms())
+                assert (normal_form._den, normal_form._nums) == (rebuilt._den, rebuilt._nums)
+    assert lengths == {0, 1, 2, 3} and rescales
 
 
 # -- one system, many reductions: the step tables live on the system ---------------
