@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Container, Optional, Sequence
 
-from .poly import LetterTerms, Poly, bracket_terms, from_letter_terms
+from .poly import LetterTerms, Poly, bracket_terms
 from .rewrite import RewriteSystem, _reduce_letters
 from .words import Alphabet, Word, _standard_coefficient, is_super_ls
 
@@ -138,9 +138,9 @@ def expand(m: NcMonomial) -> Poly:
 
     The free expansion is the normal form modulo no relations: one
     :func:`_normal_forms` walk with no system and no memo, on letter tuples
-    with integer coefficients; only the result becomes a Poly.
+    with int coefficients; the one Poly built keeps them as its numerators.
     """
-    return from_letter_terms(m.alphabet, _normal_forms((m,))[0])
+    return Poly._of(m.alphabet, 1, _normal_forms((m,))[0])
 
 
 def _normal_forms(

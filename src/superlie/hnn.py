@@ -620,16 +620,16 @@ def free_generators_W(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
 
 
 class _WbarView:
-    """The generators W of length <= max_len as letters of an alphabet of their own.
+    """The generators W, as listed by :func:`free_generators_W`, as letters of an alphabet.
 
-    Each letter is a left-combed generator from :func:`free_generators_W`,
-    ranked by ``_lex_key`` of its word, under which a proper prefix sorts
-    greater (so "t", a prefix of all, is the greatest letter), with its word
-    parity.  A view lives for one call of :func:`enumerate_h_basis`.
+    Each letter is a left-combed generator, ranked by ``_lex_key`` of its
+    word, under which a proper prefix sorts greater (so "t", a prefix of
+    all, is the greatest letter), with its word parity.  A view lives for
+    one basis build (:func:`_h_basis`).
     """
 
-    def __init__(self, pres: HnnPresentation, max_len: int):
-        self.generators = sorted(free_generators_W(pres, max_len), key=lambda m: _lex_key(m.word))
+    def __init__(self, generators: Sequence[NcMonomial]):
+        self.generators = sorted(generators, key=lambda m: _lex_key(m.word))
         self.letters = [m.word for m in self.generators]
         self.alphabet = Alphabet([str(w) for w in self.letters], [w.parity for w in self.letters])
 
@@ -660,7 +660,12 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     _require_valid(pres)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    view = _WbarView(pres, max_len)
+    return _h_basis(pres, free_generators_W(pres, max_len), max_len)
+
+
+def _h_basis(pres: HnnPresentation, generators: list, max_len: int) -> list[NcMonomial]:
+    """The basis of :func:`enumerate_h_basis` from ``generators``, W up to ``max_len``."""
+    view = _WbarView(generators)
     # the complement leaves are also the right children of their generators [t, x]
     out = pres._leaves[: pres.t_rank]
     # seeded with each letter's tree, the memo gives every bracketing over the base
@@ -669,7 +674,7 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
         view.alphabet.parities, max_len, weights=[len(w) for w in view.letters]
     )
     for seq in chain.from_iterable(buckets):
-        out.append(standard_bracket(Word(view.alphabet, seq), memo))
+        out.append(standard_bracket(Word._of(view.alphabet, seq), memo))
     return out
 
 
@@ -785,13 +790,13 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     followed by complement letters only, this holds exactly when
     concatenation is a bijection.
 
-    The basis is the one :func:`enumerate_h_basis` returns.  Its monomials
-    that begin with t are the standard bracketings of the super-LS words
-    over W with each letter's generator tree at its leaf, so each spells
-    the concatenation of its letters' words, and (ii) compares these
-    concatenations with the reduced super-LS words that begin with t:
-    given (i), a product is super-LS over W iff its concatenation is
-    super-LS over the base.
+    The basis is the one :func:`enumerate_h_basis` returns, from the one
+    list of W that (i) reads.  Its monomials that begin with t are the
+    standard bracketings of the super-LS words over W with each letter's
+    generator tree at its leaf, so each spells the concatenation of its
+    letters' words, and (ii) compares these concatenations with the reduced
+    super-LS words that begin with t: given (i), a product is super-LS over
+    W iff its concatenation is super-LS over the base.
     The reference words of (iii) come from the relations, by
     :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
     monomials from W are independent and, their number being the number of
@@ -811,10 +816,10 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     system = build_relations(pres)
-    basis = enumerate_h_basis(pres, max_len)
+    generators = free_generators_W(pres, max_len)
+    basis = _h_basis(pres, generators, max_len)
     _, certificate = rank(_normal_forms(basis, system, {}))
     t = pres.t_rank
-    generators = free_generators_W(pres, max_len)
     letters = {m.word.letters for m in generators}
     # the first length at which a one-t pattern word is not a word of W
     missing = next((len(w) for w in _one_t_words(pres, max_len) if w not in letters), max_len + 1)

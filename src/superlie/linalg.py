@@ -1,7 +1,7 @@
 """Exact sparse linear algebra on word-indexed rational vectors.
 
-A vector is a sparse map from letter tuples to rationals, the form
-:func:`~superlie.poly.letter_terms` gives a Poly.  Rank is computed by
+A vector is a sparse map from letter tuples, the keys of a Poly's terms, to
+rationals, as :func:`~superlie.poly.letter_terms` gives it.  Rank is computed by
 straightforward rational Gaussian elimination over a dictionary of pivot
 columns; exactness, not asymptotics, is the point.
 """

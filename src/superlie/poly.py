@@ -7,16 +7,16 @@ The product concatenates words bilinearly, and the superbracket is
 
 for parity-homogeneous p, q, extended bilinearly over homogeneous parts.
 All arithmetic is exact; nothing is ever rounded.  A Poly keeps its terms
-as integer numerators over one positive denominator, in lowest terms, so
-equality and hashing are deterministic and the arithmetic is on ints with
-one gcd per result.  The terms as ``fractions.Fraction`` coefficients, in
-descending deglex order with the leading term first, are built when first
-read and kept.
+under their letter tuples (symbol ranks), as int numerators over one
+positive denominator in lowest terms, so equality and hashing are
+deterministic and the arithmetic is on ints with one gcd per result.  Its
+terms as ``Word`` and ``fractions.Fraction`` pairs, in descending deglex
+order, are built when first read and kept; sums and products build none.
 
 :class:`Poly` is the boundary type.  The hot kernels -- the superbracket
 (:func:`bracket_terms`), the free expansion of bracketings and reduction --
-run on plain dicts from letter tuples (symbol ranks) to coefficients and
-build one Poly per result, so no intermediate sum is sorted or hashed.
+run on plain dicts from letter tuples to coefficients, a Poly's own form,
+and build one Poly per result, so no intermediate sum is sorted or hashed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Container, Dict, Iterable, Mapping, Optional, Union
 
-from .words import Alphabet, Word, deglex_key
+from .words import Alphabet, Word, _parity
 
 Scalar = Union[int, Fraction]
 
@@ -38,7 +38,7 @@ def _to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _fill(p: "Poly", alphabet: Alphabet, den: int, nums: dict[Word, int]) -> "Poly":
+def _fill(p: "Poly", alphabet: Alphabet, den: int, nums: dict[tuple[int, ...], int]) -> "Poly":
     """Set ``p`` to ``nums / den`` in lowest terms and return it.
 
     ``den`` is positive and every value of ``nums`` a nonzero int; both are
@@ -59,8 +59,8 @@ def _fill(p: "Poly", alphabet: Alphabet, den: int, nums: dict[Word, int]) -> "Po
 class Poly:
     """An element of the free associative superalgebra: sum of words.
 
-    Stored as ``_nums``, a dict from words to nonzero int numerators, over
-    the positive int ``_den``, with gcd 1 over all of them.
+    Stored as ``_nums``, a dict from letter tuples to nonzero int
+    numerators, over the positive int ``_den``, with gcd 1 over all of them.
     """
 
     __slots__ = ("alphabet", "_den", "_nums", "_terms", "_hash")
@@ -70,25 +70,25 @@ class Poly:
         alphabet: Alphabet,
         terms: Union[Mapping[Word, Scalar], Iterable[tuple[Word, Scalar]]] = (),
     ):
-        acc: dict[Word, Scalar] = {}
+        acc: dict[tuple[int, ...], Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for word, coeff in items:
             if word.alphabet is not alphabet and word.alphabet != alphabet:
                 raise ValueError("term word over a different alphabet")
             if type(coeff) is not int and not isinstance(coeff, Fraction):
                 coeff = _to_fraction(coeff)
-            acc[word] = acc[word] + coeff if word in acc else coeff
+            acc[word.letters] = acc.get(word.letters, 0) + coeff
         acc = {w: c for w, c in acc.items() if c}
         den = lcm(*[c.denominator for c in acc.values()])
         nums = {w: c.numerator * (den // c.denominator) for w, c in acc.items()}
         _fill(self, alphabet, den, nums)
 
     @classmethod
-    def _of(cls, alphabet: Alphabet, den: int, nums: dict[Word, int]) -> "Poly":
+    def _of(cls, alphabet: Alphabet, den: int, nums: dict[tuple[int, ...], int]) -> "Poly":
         """``nums / den`` over ``alphabet``, unchecked but for the gcd.
 
-        ``den`` is a positive int, ``nums`` a dict from words of ``alphabet``
-        to nonzero ints, which the Poly may keep.
+        ``den`` is a positive int, ``nums`` a dict from tuples of ranks of
+        ``alphabet`` to nonzero ints, which the Poly may keep; no Word is built.
         """
         return _fill(object.__new__(cls), alphabet, den, nums)
 
@@ -101,7 +101,7 @@ class Poly:
     @classmethod
     def monomial(cls, word: Word, coeff: Scalar = 1) -> "Poly":
         c = coeff if type(coeff) is int else _to_fraction(coeff)
-        return cls._of(word.alphabet, c.denominator, {word: c.numerator} if c else {})
+        return cls._of(word.alphabet, c.denominator, {word.letters: c.numerator} if c else {})
 
     # -- inspection ----------------------------------------------------------
 
@@ -112,12 +112,12 @@ class Poly:
         return bool(self._nums)
 
     def terms(self) -> tuple[tuple[Word, Fraction], ...]:
-        """Terms in descending deglex order (leading first)."""
+        """Terms in descending deglex order (leading first), their words built once."""
         if self._terms is None:
-            nums, den = self._nums, self._den
+            alphabet, nums, den = self.alphabet, self._nums, self._den
             self._terms = tuple(
-                (w, Fraction(nums[w], den))
-                for w in sorted(nums, key=deglex_key, reverse=True)
+                (Word._of(alphabet, w), Fraction(nums[w], den))
+                for w in sorted(nums, key=lambda w: (len(w), w), reverse=True)
             )
         return self._terms
 
@@ -125,7 +125,7 @@ class Poly:
         return tuple(w for w, _ in self.terms())
 
     def coefficient(self, word: Word) -> Fraction:
-        n = self._nums.get(word)
+        n = self._nums.get(word.letters) if word.alphabet == self.alphabet else None
         return _ZERO if n is None else Fraction(n, self._den)
 
     def leading(self) -> tuple[Word, Fraction]:
@@ -136,7 +136,7 @@ class Poly:
 
     def parity(self) -> Optional[int]:
         """0 or 1 when all supported words agree, ``None`` when mixed; zero is 0."""
-        seen = {w.parity for w in self._nums} or {0}
+        seen = {_parity(self.alphabet, w) for w in self._nums} or {0}
         return seen.pop() if len(seen) == 1 else None
 
     # -- arithmetic ----------------------------------------------------------
@@ -169,16 +169,11 @@ class Poly:
         if isinstance(other, Poly):
             self._check_compatible(other)
             acc: dict[tuple[int, ...], int] = {}
-            rhs = [(v.letters, nv) for v, nv in other._nums.items()]
             for u, nu in self._nums.items():
-                u = u.letters
-                for v, nv in rhs:
+                for v, nv in other._nums.items():
                     w = u + v
                     acc[w] = acc.get(w, 0) + nu * nv
-            of = Word._of
-            return Poly._of(
-                alphabet, self._den * other._den, {of(alphabet, w): c for w, c in acc.items() if c}
-            )
+            return Poly._of(alphabet, self._den * other._den, {w: c for w, c in acc.items() if c})
         c = other if type(other) is int else _to_fraction(other)
         if not c:
             return Poly._of(alphabet, 1, {})
@@ -232,8 +227,8 @@ LetterTerms = Dict[tuple[int, ...], Scalar]
 
 
 def letter_terms(p: Poly) -> LetterTerms:
-    """p as a dict from letter tuples (symbol ranks) to coefficients."""
-    return {w.letters: c for w, c in p.terms()}
+    """p as a dict from letter tuples (symbol ranks) to ``Fraction`` coefficients."""
+    return {w: Fraction(n, p._den) for w, n in p._nums.items()}
 
 
 def from_letter_terms(alphabet: Alphabet, terms: LetterTerms, den: int = 1) -> Poly:
@@ -241,7 +236,8 @@ def from_letter_terms(alphabet: Alphabet, terms: LetterTerms, den: int = 1) -> P
 
     ``den`` is a positive int; the Poly is ``terms / den``.  With int
     values, as the kernel of ``reduce`` leaves them, it divides once, by
-    ``den``, and builds no Fraction.
+    ``den``, and builds no Fraction.  Its checked ``Word(...)`` per term and
+    ``Poly.__init__`` stay: perfbench's probe needs both on ``reduce``.
     """
     p = Poly(alphabet, {Word(alphabet, w): c for w, c in terms.items()})
     return p if den == 1 else _fill(p, alphabet, p._den * den, p._nums)
@@ -288,16 +284,14 @@ def superbracket(p: Poly, q: Poly) -> Poly:
     p_parts, q_parts = ({}, {}), ({}, {})  # each side's (even, odd) numerator dicts
     for side, parts in ((p, p_parts), (q, q_parts)):
         for w, n in side._nums.items():
-            letters = w.letters
-            parts[sum([parities[r] for r in letters]) & 1][letters] = n
+            parts[sum([parities[r] for r in w]) & 1][w] = n
     acc: LetterTerms = {}
     for odd_p, p_part in enumerate(p_parts):
         for odd_q, q_part in enumerate(q_parts):
             if p_part and q_part:
                 for w, c in bracket_terms(p_part, q_part, odd_p & odd_q)[0].items():
                     acc[w] = acc.get(w, 0) + c
-    of = Word._of
-    return Poly._of(alphabet, p._den * q._den, {of(alphabet, w): c for w, c in acc.items() if c})
+    return Poly._of(alphabet, p._den * q._den, {w: c for w, c in acc.items() if c})
 
 
 # -- text form ----------------------------------------------------------------

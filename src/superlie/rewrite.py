@@ -96,10 +96,10 @@ class RewriteRule:
         self.body = body
         self.leading_word = body.leading()[0]
         self.leading_len = len(self.leading_word)
-        nums = body._nums
+        lead = self.leading_word.letters
         self._denominator = body._den
         self._tail_terms = tuple(
-            (u.letters, nums[u], tuple(map(neg, u.letters))) for u, _ in body.terms()[1:]
+            (u, n, tuple(map(neg, u))) for u, n in body._nums.items() if u != lead
         )
 
     def __eq__(self, other: object) -> bool:
@@ -233,10 +233,8 @@ class ReductionTrace:
     @property
     def steps(self) -> tuple[ReductionStep, ...]:
         if self._steps is None:
-            alphabet = self.normal_form.alphabet
-            self._steps = tuple(
-                ReductionStep(Word(alphabet, w), i, pos) for w, i, pos in self._raw
-            )
+            of, alphabet = Word._of, self.normal_form.alphabet
+            self._steps = tuple(ReductionStep(of(alphabet, w), i, pos) for w, i, pos in self._raw)
         return self._steps
 
     def replay(self, p: Poly, system: RewriteSystem) -> tuple[Poly, Poly]:
@@ -308,7 +306,7 @@ def reduce(
     alphabet = p.alphabet
     if alphabet != system.alphabet:
         raise ValueError("polynomial over a different alphabet than the system")
-    terms = {w.letters: n for w, n in p._nums.items()}
+    terms = dict(p._nums)
     leftmost = strategy == LARGEST_LEFTMOST
     steps, den = _reduce_letters(terms, system, leftmost, p._den)
     normal_form = from_letter_terms(alphabet, terms, den)
@@ -530,7 +528,7 @@ def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word
     exact because every prefix of a reduced word is reduced.  A leading word
     new to ``u c`` ends at ``c``, so the letters that may follow each tail
     of ``k - 1`` letters, ``k`` the longest leading word, are found once by
-    :func:`is_reduced_word`; only returned words become Words.
+    :func:`is_reduced_word`; only the probes and the returned words become Words.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -541,12 +539,12 @@ def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word
     def successors(letters: tuple[int, ...]) -> list[int]:
         tail = letters[max(len(letters) - k + 1, 0) :]
         if tail not in allowed:
-            grown = (Word(alphabet, tail + (c,)) for c in range(len(alphabet)))
+            grown = (Word._of(alphabet, tail + (c,)) for c in range(len(alphabet)))
             allowed[tail] = [w.letters[-1] for w in grown if is_reduced_word(w, system)]
         return allowed[tail]
 
     buckets = _super_ls_tuples(alphabet.parities, max_len, successors)
-    return [Word(alphabet, w) for bucket in buckets for w in bucket]
+    return [Word._of(alphabet, w) for bucket in buckets for w in bucket]
 
 
 def lie_composition_len2(p: RewriteRule, q: RewriteRule, w: Word) -> Poly:

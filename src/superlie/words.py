@@ -137,9 +137,9 @@ class Word:
 
     A rank is an ``int`` (``True`` counts as 1) in ``0 .. len(alphabet) - 1``.
     ``Word(alphabet, letters)`` checks every rank; the words the library
-    generates from an alphabet's own ranks (super-LS words, enveloping basis
-    words, a tree's word, products and subwords of words) come from
-    ``Word._of`` and are not checked again.
+    generates from an alphabet's own ranks (super-LS words, reduced or not,
+    basis words, a tree's, a Poly term's or a step's word, products and
+    subwords of words) come from ``Word._of`` and are not checked again.
     """
 
     __slots__ = ("alphabet", "letters", "_hash")

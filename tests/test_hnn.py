@@ -856,7 +856,7 @@ def test_h_basis_is_admissible_on_fixtures(fixture):
 def test_h_basis_block_sequences_are_the_filtered_products(fixture):
     # the filter the generated block side replaced: every product of block
     # letters, kept when it is super-LS over the block alphabet
-    view = hnn._WbarView(fixture(), 8)
+    view = hnn._WbarView(free_generators_W(fixture(), 8))
     weights = [len(w) for w in view.letters]
     filtered = [
         [s for s in _weighted_products(weights, n) if is_super_ls(Word(view.alphabet, s))]
@@ -875,7 +875,7 @@ def _fresh(m, leaf):
 def _unshared_h_basis(pres, max_len):
     """The basis built without shared subtrees: each sequence's standard
     bracketing on its own, every node of the substituted tree new."""
-    view = hnn._WbarView(pres, max_len)
+    view = hnn._WbarView(free_generators_W(pres, max_len))
 
     def base_leaf(r):
         return NcMonomial.leaf(pres.alphabet, r)
@@ -917,7 +917,7 @@ def test_generated_words_and_texts_are_the_checked_ones(fixture):
 
 def test_wbar_view_letters_are_in_lex_order():
     for fixture in FIXTURES:
-        letters = hnn._WbarView(fixture(), 7).letters
+        letters = hnn._WbarView(free_generators_W(fixture(), 7)).letters
         assert all(lex_cmp(u, v) == LT for u, v in zip(letters, letters[1:]))
 
 
@@ -961,7 +961,7 @@ def test_structure_check_reads_shared_and_unshared_trees_alike(fixture, monkeypa
     # report that trees built node by node give
     pres = fixture()
     report = verify_structure_theorem(pres, 6).to_dict()
-    monkeypatch.setattr(hnn, "enumerate_h_basis", _unshared_h_basis)
+    monkeypatch.setattr(hnn, "_h_basis", lambda pres, generators, n: _unshared_h_basis(pres, n))
     assert verify_structure_theorem(pres, 6).to_dict() == report
 
 
@@ -1128,10 +1128,24 @@ def test_relations_are_built_once_per_presentation():
     assert build_relations(ex1()) is not build_relations(pres)
 
 
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_structure_check_lists_W_once(fixture, monkeypatch):
+    # check (i) and the basis read one list of generators W
+    calls = []
+    real = hnn.free_generators_W
+    monkeypatch.setattr(hnn, "free_generators_W", lambda pres, n: calls.append(n) or real(pres, n))
+    for max_len in (1, 5):
+        calls.clear()
+        assert verify_structure_theorem(fixture(), max_len).passed
+        assert calls == [max_len]
+
+
 def _structure_with_basis(monkeypatch, pres, max_len, edit):
     """The structure report with ``edit`` applied to the basis it is handed."""
-    build = hnn.enumerate_h_basis
-    monkeypatch.setattr(hnn, "enumerate_h_basis", lambda pres, n: edit(build(pres, n)))
+    build = hnn._h_basis
+    monkeypatch.setattr(
+        hnn, "_h_basis", lambda pres, generators, n: edit(build(pres, generators, n))
+    )
     return verify_structure_theorem(pres, max_len)
 
 
@@ -1187,7 +1201,7 @@ def _walk_and_split_check_i(pres, max_len, generators):
 
 def _check_i_rows(monkeypatch, pres, max_len):
     """(products, pattern_words, bijection_ok) per degree; check (i) does not read the basis."""
-    monkeypatch.setattr(hnn, "enumerate_h_basis", lambda pres, n: [])
+    monkeypatch.setattr(hnn, "_h_basis", lambda pres, generators, n: [])
     rows = verify_structure_theorem(pres, max_len).rows
     return [(r.products, r.pattern_words, r.bijection_ok) for r in rows]
 
@@ -1256,7 +1270,7 @@ def test_structure_check_i_fails_on_an_edited_W(fixture, edit, monkeypatch):
     max_len = 5
     basis = enumerate_h_basis(pres, max_len)
     generators = free_generators_W(pres, max_len)
-    monkeypatch.setattr(hnn, "enumerate_h_basis", lambda pres, n: basis)
+    monkeypatch.setattr(hnn, "_h_basis", lambda pres, generators, n: basis)
     for r, letter in enumerate(generators):
         edited = edit(generators, r)
         monkeypatch.setattr(hnn, "free_generators_W", lambda pres, n: edited)
@@ -1359,13 +1373,13 @@ def test_structure_check_ii_fails_on_a_mutated_block_alphabet(fixture, mutate, m
     expected = []
 
     class Mutated(hnn._WbarView):
-        def __init__(self, pres, max_len):
-            super().__init__(pres, max_len)
+        def __init__(self, generators):
+            super().__init__(generators)
             expected.append(mutate(self, max_len))
 
     monkeypatch.setattr(hnn, "_WbarView", Mutated)
     report = verify_structure_theorem(pres, max_len)
-    view = Mutated(pres, max_len)
+    view = Mutated(free_generators_W(pres, max_len))
     first = next(
         n
         for n in range(1, max_len + 1)
@@ -1385,13 +1399,15 @@ def test_structure_check_ii_failing_fails_iii(fixture, mutate, monkeypatch):
     # (ii) is (iii)'s word equality on the words that begin with t, so on
     # every row of a mutated block alphabet's report a failed (ii) sits with
     # a failed (iii)
+    max_len = 6
+
     class Mutated(hnn._WbarView):
-        def __init__(self, pres, max_len):
-            super().__init__(pres, max_len)
+        def __init__(self, generators):
+            super().__init__(generators)
             mutate(self, max_len)
 
     monkeypatch.setattr(hnn, "_WbarView", Mutated)
-    report = verify_structure_theorem(fixture(), 6)
+    report = verify_structure_theorem(fixture(), max_len)
     assert any(not r.ls_transfer_ok for r in report.rows)
     assert not any(r.admissibility_ok for r in report.rows if not r.ls_transfer_ok)
 

@@ -15,6 +15,7 @@ from superlie import (
     Alphabet,
     Poly,
     Word,
+    enumerate_super_ls,
     expand,
     parse_poly,
     poly_to_text,
@@ -357,13 +358,16 @@ def _ref_superbracket(a, b):
 
 
 def assert_lowest_terms(p):
-    """The stored form: denominator >= 1, gcd 1, no zero numerator, Fraction terms."""
+    """The stored form: letter-tuple keys, denominator >= 1, gcd 1, no zero
+    numerator; Fraction terms in deglex order of the keys."""
+    assert all(type(w) is tuple and all(type(r) is int for r in w) for w in p._nums)
     assert type(p._den) is int and p._den >= 1
     assert all(type(n) is int and n for n in p._nums.values())
     assert gcd(p._den, *p._nums.values()) == 1
     assert p._nums or p._den == 1
     assert all(type(c) is Fraction for _, c in p.terms())
-    assert [w for w, _ in p.terms()] == sorted(p._nums, key=deglex_key, reverse=True)
+    order = sorted(p._nums, key=lambda w: (len(w), w), reverse=True)
+    assert [w.letters for w, _ in p.terms()] == order
 
 
 @st.composite
@@ -413,6 +417,48 @@ def test_integer_arithmetic_matches_fraction_references(triple, scalar):
         assert_lowest_terms(poly)
 
 
+def test_arithmetic_builds_no_word_until_terms_are_read(monkeypatch):
+    # sums, products, superbrackets and expansions run on the letter-keyed
+    # numerators; a Word is built only when a term is read
+    alphabet = MIXED_ALPHA
+    p = parse_poly(alphabet, "2/3*xa - ta + 5*x")
+    q = parse_poly(alphabet, "1/4*at + xx - 3")
+    m = standard_bracket(enumerate_super_ls(alphabet, 5)[-1])
+    built = []
+    init, of = Word.__init__, Word._of.__func__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_of(cls, *args):
+        built.append(args)
+        return of(cls, *args)
+
+    monkeypatch.setattr(Word, "__init__", counting_init)
+    monkeypatch.setattr(Word, "_of", classmethod(counting_of))
+    results = {
+        "p + q": p + q,
+        "p - q": p - q,
+        "-p": -p,
+        "p * q": p * q,
+        "p * c": p * Fraction(-3, 7),
+        "[p, q]": superbracket(p, q),
+        "expand(m)": expand(m),
+    }
+    assert built == []
+    for name, r in results.items():
+        assert r, name
+        r.terms()
+        assert len(built) == len(r.terms()), name
+        built.clear()
+        str(r)
+        assert built == [], name
+    fresh = p * q
+    str(fresh)
+    assert len(built) == len(fresh.terms())
+
+
 def test_zero_has_denominator_one():
     a = ABX.word("a")
     for zero in (
@@ -437,7 +483,7 @@ def test_equal_values_give_equal_polys_and_hashes():
         for p in polys:
             assert_lowest_terms(p)
     assert Poly(ABX, {a: Fraction(1, 2)}) != Poly(ABX, {a: 1})
-    assert Poly(ABX, {a: 2, b: 4})._nums == {a: 2, b: 4}  # gcd over the numerators alone is not taken out
+    assert Poly(ABX, {a: 2, b: 4})._nums == {a.letters: 2, b.letters: 4}  # gcd over the numerators alone is not taken out
     assert Poly(ABX, {a: Fraction(2, 3), b: Fraction(4, 3)})._den == 3
 
 

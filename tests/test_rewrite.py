@@ -829,8 +829,8 @@ def test_enumerate_reduced_super_ls_checks_each_tail_once(monkeypatch):
     real = rewrite.is_reduced_word
     monkeypatch.setattr(rewrite, "is_reduced_word", lambda w, s: probes.append(w) or real(w, s))
     created = []
-    init = Word.__init__
-    monkeypatch.setattr(Word, "__init__", lambda self, *a: created.append(self) or init(self, *a))
+    of = Word._of.__func__
+    monkeypatch.setattr(Word, "_of", classmethod(lambda cls, *a: created.append(a) or of(cls, *a)))
     for sys_, k in ((EX1_STYLE, 2), (system(ABXT, "xa - ax", "tbx - xbt", "bb"), 3)):
         probes.clear()
         created.clear()
