@@ -211,6 +211,39 @@ def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, with word lists joined at once.
+
+    Before Python 3.13, ``json.dumps`` with an indent runs the pure-Python
+    encoder, one generator step per item, and the word lists of ls-words and
+    hnn-basis hold thousands of items.  So a non-empty top-level list of
+    strings is written here with one C ``encode_basestring_ascii`` call per
+    item, indented as ``json.dumps`` indents it; a list that holds anything
+    else, and every other value, is written by ``json.dumps`` and indented
+    two more spaces (an encoded string holds no raw newline).  A payload
+    with no such list, as the reports are, is one ``json.dumps`` call.
+    """
+    if not any(type(v) is list and v and type(v[0]) is str for v in payload.values()):
+        return json.dumps(payload, indent=2)
+    encode = json.encoder.encode_basestring_ascii
+    # one list of pieces, joined once: a word list is not copied again
+    parts = []
+    for key, value in payload.items():
+        parts += (",\n  " if parts else "{\n  ", encode(key), ": ")
+        words = None
+        if type(value) is list and value:
+            try:
+                words = ",\n    ".join(map(encode, value))
+            except TypeError:  # an item that is not a string
+                pass
+        if words is None:
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        else:
+            parts += ("[\n    ", words, "\n  ]")
+    parts.append("\n}")
+    return "".join(parts)
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -283,7 +316,7 @@ def main(argv=None) -> int:
         return 3
     try:
         if args.format == "json":
-            print(json.dumps(payload, indent=2))
+            print(_json_text(payload))
         else:
             print("\n".join(lines))
         sys.stdout.flush()

@@ -32,6 +32,7 @@ import types
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, pairwise, product
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -69,10 +70,24 @@ CoeffMap = Mapping[int, Scalar]
 def _clean_coeffs(coeffs: CoeffMap) -> dict[int, Fraction]:
     out = {}
     for v, c in dict(coeffs).items():
-        c = _to_fraction(c)
+        if type(c) is not Fraction:
+            c = _to_fraction(c)
         if c:
             out[v] = c
     return out
+
+
+def _oriented(alpha: Mapping, parities: Sequence[int], x: int, y: int) -> Mapping:
+    """Coefficients of [x, y] in the bracket table ``alpha``, a missing mirror derived by sign."""
+    stored = alpha.get((x, y))
+    if stored is not None:
+        return stored
+    mirror = alpha.get((y, x))
+    if mirror is None:
+        return {}
+    # [x,y] = -(-1)^{|x||y|}[y,x]
+    factor = 1 if (parities[x] and parities[y]) else -1
+    return {v: factor * c for v, c in mirror.items()}
 
 
 class StructureConstants:
@@ -141,15 +156,7 @@ class StructureConstants:
 
     def bracket_coeffs(self, x: int, y: int) -> Mapping[int, Fraction]:
         """Coefficients of [x, y], deriving the missing mirror by sign."""
-        stored = self.alpha.get((x, y))
-        if stored is not None:
-            return stored
-        mirror = self.alpha.get((y, x))
-        if mirror is None:
-            return {}
-        # [x,y] = -(-1)^{|x||y|}[y,x]
-        factor = 1 if (self.alphabet.parities[x] and self.alphabet.parities[y]) else -1
-        return {v: factor * c for v, c in mirror.items()}
+        return _oriented(self.alpha, self.alphabet.parities, x, y)
 
     def derivation_coeffs(self, a: int) -> Mapping[int, Fraction]:
         return self.beta.get(a, {})
@@ -200,9 +207,9 @@ class ValidationReport:
 
 def _accumulate(
     terms: Iterable[tuple[int, Mapping, Sequence[Mapping]]],
-) -> dict[int, Fraction]:
+) -> dict[int, Scalar]:
     """By target u, the sum of sign * inner[v] * outer[v] over (sign, inner, outer) terms."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     for sign, inner, outer in terms:
         for v, c in inner.items():
             c = c if sign > 0 else -c
@@ -232,6 +239,10 @@ def validate(sc: StructureConstants) -> ValidationReport:
       subalgebra) and ``derivation-law`` (on all subalgebra pairs);
     * ``subalgebra-closure``: the subalgebra is closed under the bracket;
     * ``parity``: every stored coefficient respects the parities.
+
+    The identities are summed on integers: each coefficient is scaled by the
+    lcm of the table's denominators, and a ``Fraction`` is built only for
+    the text of a violation.
     """
     if sc._report is None:
         object.__setattr__(sc, "_report", _check_identities(sc))
@@ -243,30 +254,41 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
     size = len(sc.alphabet)
     k = sc.subalgebra_size
     names, parities = sc.alphabet.names, sc.alphabet.parities
-    # ad[x][v] = [x, v] and right[y][v] = [v, y], mirrors included
-    ad = [[sc.bracket_coeffs(x, v) for v in range(size)] for x in range(size)]
-    right = [[ad[v][y] for v in range(size)] for y in range(size)]
-    d = [sc.derivation_coeffs(v) for v in range(size)]
+    # every coefficient c as the int c * D, D the lcm of the table's
+    # denominators: a table entry is then on the scale D, and a bilinear
+    # term, the product of two entries, on the scale D**2
+    tables = (*sc.alpha.values(), *sc.beta.values())
+    scale = lcm(*{c.denominator for coeffs in tables for c in coeffs.values()})
 
-    def compare(check, case, lhs, rhs, factor, detail):
-        """Report every target u where lhs[u] != factor * rhs[u]."""
+    def scaled(coeffs: Mapping[int, Fraction]) -> dict[int, int]:
+        return {v: c.numerator * (scale // c.denominator) for v, c in coeffs.items()}
+
+    alpha = {key: scaled(coeffs) for key, coeffs in sc.alpha.items()}
+    # ad[x][v] = [x, v] and right[y][v] = [v, y], mirrors included
+    ad = [[_oriented(alpha, parities, x, v) for v in range(size)] for x in range(size)]
+    right = [[ad[v][y] for v in range(size)] for y in range(size)]
+    d = [scaled(sc.derivation_coeffs(v)) for v in range(size)]
+
+    def compare(check, case, lhs, rhs, factor, detail, den):
+        """Report every target u where lhs[u] != factor * rhs[u], both over ``den``."""
         for u in sorted(lhs.keys() | rhs.keys()):
             lhs_u, rhs_u = lhs.get(u, 0), rhs.get(u, 0)
             if lhs_u != factor * rhs_u:
                 indices = tuple(names[i] for i in (*case, u))
-                violations.append(Violation(check, indices, detail.format(lhs_u, rhs_u)))
+                text = detail.format(Fraction(lhs_u, den), Fraction(rhs_u, den))
+                violations.append(Violation(check, indices, text))
 
     # anti-commutativity: an even diagonal vanishes, then the mirror pairs of x
     for x in range(size):
-        if sc.alpha.get((x, x)) and not parities[x]:
+        if alpha.get((x, x)) and not parities[x]:
             detail = "an even symbol must bracket to zero with itself"
             violations.append(Violation("anticommutativity", (names[x], names[x]), detail))
         for y in range(x + 1, size):
-            if (x, y) in sc.alpha and (y, x) in sc.alpha:
+            if (x, y) in alpha and (y, x) in alpha:
                 sign = -_sign(parities[x], parities[y])
-                required = {v: sign * c for v, c in sc.alpha[(x, y)].items()}
-                compare("anticommutativity", (y, x), sc.alpha[(y, x)], required, 1,
-                        "stored {}, anti-commutativity requires {}")
+                required = {v: sign * c for v, c in alpha[(x, y)].items()}
+                compare("anticommutativity", (y, x), alpha[(y, x)], required, 1,
+                        "stored {}, anti-commutativity requires {}", scale)
 
     # the bilinear identities, one row each: (check, index cases, factor,
     # detail, sides), where sides(*case) gives lhs and rhs, each summed by
@@ -314,7 +336,7 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
     )
     for check, cases, factor, detail, sides in rows:
         for case in cases:
-            compare(check, case, *sides(*case), factor, detail)
+            compare(check, case, *sides(*case), factor, detail, scale * scale)
 
     # subalgebra closure
     for a in range(k):
@@ -325,7 +347,7 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
                         Violation(
                             "subalgebra-closure",
                             (names[a], names[b], names[v]),
-                            f"coefficient {c} lands outside the subalgebra",
+                            f"coefficient {Fraction(c, scale)} lands outside the subalgebra",
                         )
                     )
 
@@ -392,12 +414,12 @@ class HnnPresentation:
             raise ValueError(
                 f"stable letter name {t_name!r} collides with a generator"
             )
+        # a table may be built on any Alphabet, so its names are held to the
+        # rule of Alphabet.from_names here; the parities are taken as they are
+        for i, name in enumerate(base.names):
+            _check_name(name, i)
         self.constants = constants
-        self.alphabet = Alphabet.from_names(
-            [*base.names, t_name],
-            [name for name, parity in zip(base.names, base.parities) if parity]
-            + [t_name] * constants.d_parity,
-        )
+        self.alphabet = Alphabet([*base.names, t_name], [*base.parities, constants.d_parity])
         t = self.t_rank = len(base)
         self._relations = None
         self._leaves = [NcMonomial.leaf(self.alphabet, r) for r in range(t + 1)]
@@ -917,7 +939,8 @@ def _parse_value_list(entry: Mapping, by_name: dict, where: str) -> dict[int, Fr
         r = _generator(term, "basis", spot, by_name)
         if "coeff" not in term:
             raise ValueError(f"{spot}: missing coeff")
-        out[r] = out.get(r, Fraction(0)) + _parse_coeff(term["coeff"], f"{spot}.coeff")
+        c = _parse_coeff(term["coeff"], f"{spot}.coeff")
+        out[r] = out[r] + c if r in out else c
     return out
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superlie import Alphabet, Poly, Word, cli, parse_monomial
+from superlie import Alphabet, Poly, Word, cli, parse_monomial, standard_bracket
 from superlie.cli import main
 from superlie.hnn import load_presentation, validate
 from conftest import ALL, left_comb
@@ -572,6 +572,56 @@ LISTING_CELLS = [
 def test_listing_matches_golden_file(capsys, tmp_path, name, argv, code):
     argv = [str(WRITTEN_INPUTS[arg](tmp_path)) if arg in WRITTEN_INPUTS else arg for arg in argv]
     assert run(capsys, *argv) == (code, (GOLDEN / name).read_text(), "")
+
+
+# quotes, backslashes, control and non-ASCII characters, a lone surrogate:
+# every kind of character the encoder escapes
+_JSON_TEXT = st.text(
+    st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\xe9€\ud800\U0001f600') | st.characters(), max_size=6
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+_WORD_LISTS = st.lists(_JSON_TEXT, max_size=8)
+# a list of strings with an int or a dict after its first item
+_MIXED_LISTS = st.builds(
+    lambda first, before, odd, after: [first, *before, odd, *after],
+    _JSON_TEXT, _WORD_LISTS, st.integers() | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3),
+    _WORD_LISTS,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.dictionaries(_JSON_TEXT, _WORD_LISTS | _MIXED_LISTS | _JSON_VALUES, max_size=6))
+def test_json_writer_writes_what_json_dumps_writes(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+def _every_subcommand(name):
+    """The argv of each subcommand on the fixture ``name``, its alphabet or its file."""
+    path = str(FIXTURES / f"{name}.json")
+    alphabet = load_presentation(path).alphabet
+    spec = ",".join(n + (":odd" if p else "") for n, p in zip(alphabet.names, alphabet.parities))
+    word = Word(alphabet, tuple(reversed(range(len(alphabet)))))
+    return [
+        ["ls-words", "--alphabet", spec, "--max-len", "5"],
+        ["bracket", str(word), "--alphabet", spec],
+        ["expand", str(standard_bracket(word)), "--alphabet", spec],
+        ["reduce", f"2/3*{word} - {alphabet.names[0]}", "--input", path],
+        ["gsb-check", "--input", path],
+        ["hnn-verify", "--input", path, "--max-len", "5"],
+        ["hnn-basis", "--input", path, "--max-len", "5"],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_json_writer_writes_every_payload_as_json_dumps_does(name):
+    for argv in _every_subcommand(name):
+        args = cli.build_parser().parse_args([*argv, "--format", "json"])
+        _, payload, _ = getattr(cli, "_cmd_" + args.command.replace("-", "_"))(args)
+        assert cli._json_text(payload) == json.dumps(payload, indent=2), argv
 
 
 EXPANSION_CELLS = {

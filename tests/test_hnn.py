@@ -416,16 +416,18 @@ def test_identity_checks_match_reference_on_random_edits(fixture):
     rng = Random(zlib.crc32(fixture.__name__.encode()))
     sc = fixture().constants
     size, k = len(sc.alphabet), sc.subalgebra_size
-    tripped = set()
+    tripped, fractional = set(), []
     for _ in range(25):
         alpha = {key: dict(value) for key, value in sc.alpha.items()}
         beta = {key: dict(value) for key, value in sc.beta.items()}
         for _ in range(rng.randint(1, 3)):
             if rng.random() < 0.6 or not k:
                 x, y, v = (rng.randrange(size) for _ in range(3))
-                alpha.setdefault((x, y), {})[v] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                alpha.setdefault((x, y), {})[v] = Fraction(rng.randint(-3, 3), rng.randint(1, 7))
             else:
-                beta.setdefault(rng.randrange(k), {})[rng.randrange(size)] = rng.randint(-2, 2)
+                beta.setdefault(rng.randrange(k), {})[rng.randrange(size)] = Fraction(
+                    rng.randint(-2, 2), rng.randint(1, 7)
+                )
         edited = StructureConstants(sc.alphabet, k, sc.d_parity, alpha, beta)
         got = [
             (v.check, v.indices, v.detail)
@@ -434,7 +436,9 @@ def test_identity_checks_match_reference_on_random_edits(fixture):
         ]
         assert got == reference_identity_violations(edited)
         tripped.update(check for check, _, _ in got)
+        fractional += [detail for _, _, detail in got if "/" in detail]
     assert {"anticommutativity", "jacobi"} <= tripped
+    assert fractional  # details rebuilt from numerators over a common denominator
 
 
 def _per_triple_jacobi(sc):
