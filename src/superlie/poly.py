@@ -70,17 +70,40 @@ class Poly:
         alphabet: Alphabet,
         terms: Union[Mapping[Word, Scalar], Iterable[tuple[Word, Scalar]]] = (),
     ):
+        """The sum of ``terms``, (word, coefficient) pairs or a mapping of them.
+
+        One pass over the terms checks each word's alphabet and each
+        coefficient (an int or a ``Fraction``; a float raises ``TypeError``)
+        and adds a coefficient only to an earlier one of the same word.  With
+        int coefficients alone the sum is the numerators over 1, with no lcm
+        and no rescaling; a ``Fraction`` among them costs one more pass, over
+        the distinct words.  A ``list`` or ``dict`` is read as it is, with no
+        ``Mapping`` check.  ``from_letter_terms`` builds its results here,
+        from checked ``Word``s, though it could hand its numerators to
+        :meth:`_of`: perfbench's probe counts only ``Poly.__init__`` and
+        ``Word.__init__`` on ``reduce``.
+        """
+        kind = type(terms)
+        mapping = kind is dict or (kind is not list and isinstance(terms, Mapping))
+        items = terms.items() if mapping else terms
         acc: dict[tuple[int, ...], Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        whole = True  # every coefficient so far an int
         for word, coeff in items:
             if word.alphabet is not alphabet and word.alphabet != alphabet:
                 raise ValueError("term word over a different alphabet")
-            if type(coeff) is not int and not isinstance(coeff, Fraction):
-                coeff = _to_fraction(coeff)
-            acc[word.letters] = acc.get(word.letters, 0) + coeff
-        acc = {w: c for w, c in acc.items() if c}
-        den = lcm(*[c.denominator for c in acc.values()])
-        nums = {w: c.numerator * (den // c.denominator) for w, c in acc.items()}
+            if type(coeff) is not int:
+                if not isinstance(coeff, Fraction):
+                    coeff = _to_fraction(coeff)
+                whole = False
+            letters = word.letters
+            if letters in acc:
+                coeff += acc[letters]
+            acc[letters] = coeff
+        if whole:
+            den, nums = 1, acc if all(acc.values()) else {w: c for w, c in acc.items() if c}
+        else:
+            den = lcm(*[c.denominator for c in acc.values()])
+            nums = {w: n for w, c in acc.items() if (n := c.numerator * (den // c.denominator))}
         _fill(self, alphabet, den, nums)
 
     @classmethod
@@ -236,10 +259,12 @@ def from_letter_terms(alphabet: Alphabet, terms: LetterTerms, den: int = 1) -> P
 
     ``den`` is a positive int; the Poly is ``terms / den``.  With int
     values, as the kernel of ``reduce`` leaves them, it divides once, by
-    ``den``, and builds no Fraction.  Its checked ``Word(...)`` per term and
-    ``Poly.__init__`` stay: perfbench's probe needs both on ``reduce``.
+    ``den``, and builds no Fraction.  The terms go to ``Poly.__init__`` as a
+    list of (word, value) pairs, so no ``Word`` is hashed.  Its checked
+    ``Word(...)`` per term and ``Poly.__init__`` stay: perfbench's probe
+    needs both on ``reduce``.
     """
-    p = Poly(alphabet, {Word(alphabet, w): c for w, c in terms.items()})
+    p = Poly(alphabet, [(Word(alphabet, w), c) for w, c in terms.items()])
     return p if den == 1 else _fill(p, alphabet, p._den * den, p._nums)
 
 

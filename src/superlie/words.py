@@ -129,7 +129,11 @@ class Alphabet:
         if text in ("", "1") and text not in self._by_name:
             return self.empty_word()
         names = text.split(".") if self._dotted or "." in text else text
-        return Word(self, tuple(self.rank(name) for name in names))
+        try:
+            letters = tuple(map(self._by_name.__getitem__, names))
+        except KeyError:  # rank names the first unknown name
+            letters = tuple(map(self.rank, names))
+        return Word(self, letters)
 
 
 class Word:

@@ -488,6 +488,7 @@ WRITTEN_INPUTS = {
 BROKEN_REDUCE = ["reduce", "xyv + 2*yx", "--input", str(FIXTURES / "broken_rules.json")]
 RATIONAL_REDUCE = ["reduce", "2/3*feh - 1/2*fh + 3/4*tfe", "--input", str(FIXTURES / "sl2.json")]
 RESCALED_REDUCE = ["reduce", "1/3*taa + 3*xaa - 5/2*aat", "--input", str(FIXTURES / "ex2.json")]
+REPEATED_TERMS = "2*fe - 1/2*fe + 1/3*tef - 1/3*tef + 3/4*feh - 3/4*feh + ef"
 
 
 def _report_cells(name, argv, code):
@@ -561,6 +562,11 @@ LISTING_CELLS = [
                    [*RESCALED_REDUCE, "--strategy", "largest-leftmost"], 0),
     *_report_cells("reduce-ex2-rescaled-smallest-rightmost",
                    [*RESCALED_REDUCE, "--strategy", "smallest-rightmost"], 0),
+    # words that repeat in the input, two of them cancelling: parse_poly adds
+    # each repeat to its word's first term; recorded while the constructor
+    # still added every term to 0 and took the lcm of all denominators
+    ("reduce-sl2-repeated-terms.json", ["reduce", REPEATED_TERMS, "--input",
+                                        str(FIXTURES / "sl2.json"), "--format", "json"], 0),
 ]
 
 

@@ -1,10 +1,12 @@
 """Ring structure, grading, superbracket, leading data, text form."""
 
+import fractions
 import importlib
 import pkgutil
+import sys
 import types
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -22,7 +24,7 @@ from superlie import (
     standard_bracket,
     superbracket,
 )
-from superlie.poly import letter_terms
+from superlie.poly import from_letter_terms, letter_terms
 from superlie.words import deglex_key
 from conftest import (
     even_part,
@@ -415,6 +417,126 @@ def test_integer_arithmetic_matches_fraction_references(triple, scalar):
         assert hash(got) == hash(Poly(p.alphabet, expected)), name
     for poly in (p, q, r):
         assert_lowest_terms(poly)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Terms for ``Poly.__init__``: a container kind, its (word, coefficient)
+    pairs in order, and the input itself.  Words come from a pool of at most
+    four, so they repeat, and a drawn term may be followed by its negation."""
+    alphabet = draw(st.sampled_from([XY_ODD, MIXED_ALPHA, Alphabet.from_names("ab", odd="b")]))
+    size = len(alphabet)
+    pool = draw(st.lists(st.lists(st.integers(0, size - 1), max_size=3), min_size=1, max_size=4))
+    word = st.sampled_from(pool).map(lambda letters: Word(alphabet, letters))
+    coeff = st.one_of(
+        st.integers(-6, 6),
+        st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9])),
+        st.booleans(),
+    )
+    pairs = []
+    for w, c in draw(st.lists(st.tuples(word, coeff), max_size=8)):
+        pairs.append((w, c))
+        if draw(st.booleans()):
+            pairs.append((w, -c))
+    kind = draw(st.sampled_from(["list", "dict", "generator", "proxy"]))
+    if kind in ("dict", "proxy"):
+        pairs = list(dict(pairs).items())  # a mapping holds each word once
+    terms = {
+        "list": lambda: list(pairs),
+        "dict": lambda: dict(pairs),
+        "generator": lambda: (pair for pair in pairs),
+        "proxy": lambda: types.MappingProxyType(dict(pairs)),
+    }[kind]()
+    return alphabet, kind, pairs, terms
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(constructor_inputs())
+def test_constructor_matches_fraction_sums(data):
+    # the reference adds every coefficient as a Fraction, word by word, and
+    # puts the sums over the lcm of their denominators
+    alphabet, kind, pairs, terms = data
+    sums = {}
+    for w, c in pairs:
+        sums[w.letters] = sums.get(w.letters, Fraction(0)) + Fraction(c)
+    sums = {w: c for w, c in sums.items() if c}
+    den = lcm(*[c.denominator for c in sums.values()])
+    nums = {w: c.numerator * (den // c.denominator) for w, c in sums.items()}
+    expected = Poly._of(alphabet, den, dict(nums))
+    got = Poly(alphabet, terms)
+    assert_lowest_terms(got)
+    assert (got._den, got._nums) == (den, nums), kind
+    assert got == expected and hash(got) == hash(expected), kind
+    assert {w.letters: c for w, c in got.terms()} == sums
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(constructor_inputs(), st.integers(0, 8), st.integers(0, 8), st.sampled_from([0.0, 1.5]))
+def test_constructor_checks_each_term_in_order(data, first, second, bad):
+    # per term, the word's alphabet is checked before the coefficient: the
+    # first bad term decides the error, and a float on a foreign word is a
+    # ValueError
+    alphabet, _, pairs, _ = data
+    i, j = sorted((min(first, len(pairs)), min(second, len(pairs))))
+    float_term, foreign_term = (Word(alphabet, ()), bad), (AT.word("ta"), 1)
+    cases = [
+        ([float_term], TypeError),
+        ([foreign_term], ValueError),
+        ([(AT.word("ta"), bad)], ValueError),
+        ([float_term, foreign_term], TypeError),
+        ([foreign_term, float_term], ValueError),
+    ]
+    for bad_terms, error in cases:
+        terms = pairs[:i] + bad_terms[:1] + pairs[i:j] + bad_terms[1:] + pairs[j:]
+        for given_terms in (terms, iter(terms)):
+            with pytest.raises(error):
+                Poly(alphabet, given_terms)
+
+
+def test_from_letter_terms_builds_one_poly_from_checked_words(monkeypatch):
+    """``from_letter_terms`` of an int dict calls ``Poly.__init__`` once and
+    ``Word.__init__`` once per term, hashes no ``Word`` and runs no code of
+    the ``fractions`` module.
+
+    The checked constructors stay, though the kernel's numerators could go
+    to ``Poly._of`` with ``Word._of`` words: perfbench's probe counts only
+    ``Poly.__init__`` and ``Word.__init__`` on ``reduce`` (ROADMAP items 9
+    and 18).
+    """
+    alphabet = MIXED_ALPHA
+    terms = {(2, 1, 0): 3, (1, 0): -4, (0,): 6, (): 12, (2, 2, 1, 0): -9}
+    expected = {
+        den: Poly(alphabet, [(Word(alphabet, w), Fraction(n, den)) for w, n in terms.items()])
+        for den in (1, 6)
+    }
+    calls = {"Poly.__init__": 0, "Word.__init__": 0, "Word.__hash__": 0, "fractions": 0}
+    poly_init, word_init, word_hash = Poly.__init__, Word.__init__, Word.__hash__
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls["fractions"] += 1
+
+    monkeypatch.setattr(Poly, "__init__", counting("Poly.__init__", poly_init))
+    monkeypatch.setattr(Word, "__init__", counting("Word.__init__", word_init))
+    monkeypatch.setattr(Word, "__hash__", counting("Word.__hash__", word_hash))
+    for den, want in expected.items():
+        calls.update(dict.fromkeys(calls, 0))
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            got = from_letter_terms(alphabet, terms, den)
+        finally:
+            sys.setprofile(previous)
+        assert calls == {
+            "Poly.__init__": 1, "Word.__init__": len(terms), "Word.__hash__": 0, "fractions": 0
+        }, den
+        assert (got._den, got._nums) == (want._den, want._nums)
 
 
 def test_arithmetic_builds_no_word_until_terms_are_read(monkeypatch):

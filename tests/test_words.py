@@ -486,6 +486,31 @@ def test_word_text_round_trip_dotted():
     assert repr(w) == "Word(t.x1.x1)" and repr(dotted.empty_word()) == "Word(1)"
 
 
+@pytest.mark.parametrize("alphabet", [AXT, Alphabet.from_names(["x1", "x2", "t"], odd=["x2"])])
+def test_alphabet_word_reads_back_random_words(alphabet):
+    rng = Random(11)
+    for _ in range(200):
+        letters = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randrange(9)))
+        w = Word(alphabet, letters)
+        assert alphabet.word(str(w)) == w and alphabet.word(str(w)).letters == letters
+
+
+@pytest.mark.parametrize(
+    "names, text, unknown",
+    [
+        (["a", "x", "t"], "axq", "q"),  # an unknown one-character name
+        (["a", "x", "t"], "a.xt", "xt"),  # a multi-character name, undotted alphabet
+        (["x1", "x2", "t"], "x1..t", ""),  # an empty dotted segment
+        (["x1", "x2", "t"], "x1.y.q", "y"),  # the first unknown name is named
+        (["x1", "x2", "t"], "x1x2", "x1x2"),  # a dotted alphabet splits only at dots
+    ],
+)
+def test_alphabet_word_names_the_first_unknown_name(names, text, unknown):
+    with pytest.raises(ValueError) as error:
+        Alphabet.from_names(names).word(text)
+    assert str(error.value) == f"unknown symbol name {unknown!r}"
+
+
 def test_word_concatenation_needs_one_alphabet():
     assert AB.word("ab") * AB.word("b") == AB.word("abb")
     with pytest.raises(ValueError, match="words over different alphabets"):
