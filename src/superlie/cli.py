@@ -6,12 +6,28 @@ failure, 2 on an input error, 3 on an internal error (a ``RuntimeError``,
 ``RecursionError`` or ``MemoryError``, reported in one line on stderr), 141,
 silently, when the reader closes stdout early, as a shell reports a writer
 that SIGPIPE stopped.  Output is plain text or JSON (--format).
+
+A command runs with Python's cyclic garbage collector paused, from parsing
+to writing the output, and :func:`main` then restores the state it found
+(a caller's disabled collector stays disabled).  superlie's values form no
+reference cycles, and ``tests/test_gc.py`` holds every builder to that, so
+reference counting frees all a command drops; without the pause, each
+older-generation collection rescans every live object of a result that
+grows with the degree.  The only cyclic garbage a command leaves is the
+standard library's (the ``json`` encoder's closures, argparse's help
+formatters), taken by the first collection after it.  An in-process caller
+of a large builder may pause the collector the same way.  Whole processes
+without and with the pause (Python 3.11.7, 2 vCPU), same output and peak
+RSS: ``ls-words`` on a,b,c:odd,d to length 11 1.47 -> 0.89 s,
+``hnn-verify`` on ex1 to 15 5.77 -> 4.28 s, ``hnn-basis`` on ab5 to 9
+0.41 -> 0.27 s.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -300,6 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status, the collector paused throughout."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     # looked up on each call, not bound into the parser, which is built once
     handler = globals()["_cmd_" + args.command.replace("-", "_")]

@@ -336,12 +336,21 @@ def parse_rational(text: str) -> Fraction:
     A zero denominator raises ``ZeroDivisionError``; any other text,
     ``1.5``, ``1e3`` and ``1_000`` included, raises ``ValueError``.
     """
+    c = _parse_scalar(text)
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _parse_scalar(text: str) -> Scalar:
+    """:func:`parse_rational`'s value, an ``int`` for integer text and a
+    ``Fraction`` only for ``p/q``, with the same errors."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"bad coefficient {text!r} (expected an integer or p/q)")
     num, _, den = text.partition("/")
-    if den and not int(den):
+    if not den:
+        return int(num)
+    if not int(den):
         raise ZeroDivisionError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(int(num), int(den))
 
 
 def _term_to_text(word: Word, coeff: Fraction) -> str:
@@ -369,7 +378,7 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
         raise ValueError("empty polynomial text")
     if text == "0":
         return Poly.zero(alphabet)
-    terms: list[tuple[Word, Fraction]] = []
+    terms: list[tuple[Word, Scalar]] = []
     # split into signed chunks at top level; no parentheses in this grammar.
     # A '-' may open the text, a sign follows a term, and a term follows it.
     chunks: list[tuple[int, str]] = []
@@ -398,12 +407,12 @@ def parse_poly(alphabet: Alphabet, text: str) -> Poly:
                 coeff_text, word_text = (part.strip() for part in piece.split("*", 1))
                 if not word_text:
                     raise ValueError(f"missing word after '*' in {piece!r}")
-                coeff = parse_rational(coeff_text)
+                coeff = _parse_scalar(coeff_text)
                 word = alphabet.word(word_text)
             elif piece[0].isalpha() or piece[0] == "_":  # symbol names are identifiers
-                coeff, word = Fraction(1), alphabet.word(piece)
+                coeff, word = 1, alphabet.word(piece)
             else:
-                coeff, word = parse_rational(piece), alphabet.empty_word()
+                coeff, word = _parse_scalar(piece), alphabet.empty_word()
             terms.append((word, sign * coeff))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {piece!r}") from None

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import doctest
 import functools
+import gc
 import importlib
 import io
 import json
@@ -444,6 +445,68 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+class _ClosedPipe:
+    """A stdout whose reader is gone: it takes writes, and a flush raises."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", [0, 1, 2, 3, 141, "usage"])
+def test_main_pauses_the_collector_and_restores_it_on_every_exit(
+    monkeypatch, tmp_path, case, enabled
+):
+    argv = {
+        0: ["hnn-verify", "--input", str(FIXTURES / "ex1.json")],
+        1: ["gsb-check", "--input", str(FIXTURES / "broken_rules.json")],
+        2: ["hnn-verify", "--input", str(tmp_path / "missing.json")],
+        3: ["hnn-verify", "--input", str(FIXTURES / "ex1.json")],
+        141: ["ls-words", "--alphabet", "a,b:odd", "--max-len", "3"],
+        "usage": ["hnn-verify", "--max-len", "0"],
+    }[case]
+    seen = []  # the collector's state inside the handler
+    handler_name = "_cmd_" + argv[0].replace("-", "_")
+    handler = getattr(cli, handler_name)
+
+    def watched(args):
+        seen.append(gc.isenabled())
+        if case == 3:
+            raise RuntimeError("self-check failed")
+        return handler(args)
+
+    monkeypatch.setattr(cli, handler_name, watched)
+    if case == 141:
+        fd = os.open(tmp_path / "out.txt", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "usage":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code = exc.value.code
+        else:
+            code = main(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+        if case == 141:
+            os.close(fd)
+    assert code == (2 if case == "usage" else case)
+    assert after is enabled
+    assert seen == ([] if case == "usage" else [False])
 
 
 @pytest.mark.parametrize("fmt", ["txt", "json"])

@@ -32,6 +32,7 @@ from conftest import (
     random_homogeneous_poly,
     random_poly,
     reference_superbracket,
+    sl2,
 )
 
 XY_ODD = Alphabet.from_names(["x", "y"], odd=["x", "y"])
@@ -537,6 +538,43 @@ def test_from_letter_terms_builds_one_poly_from_checked_words(monkeypatch):
             "Poly.__init__": 1, "Word.__init__": len(terms), "Word.__hash__": 0, "fractions": 0
         }, den
         assert (got._den, got._nums) == (want._den, want._nums)
+
+
+def test_parse_poly_reads_integer_coefficients_as_ints():
+    """Integer coefficient text and a bare word give ``Poly.__init__`` an
+    ``int``, so parsing them runs no code of the ``fractions`` module; only
+    ``p/q`` text builds a ``Fraction``.  The result is the ``Poly`` of the
+    same terms with ``Fraction`` coefficients."""
+    alphabet = sl2().alphabet
+    word = alphabet.word
+    cases = {
+        "2*fe + ef - 3*h": [("fe", 2), ("ef", 1), ("h", -3)],
+        "-ef + 7 - 0*h": [("ef", -1), ("", 7), ("h", 0)],
+        "1/2*fe - 3/4*ef + 2*fe - 5/10": [("fe", Fraction(1, 2)), ("ef", Fraction(-3, 4)),
+                                           ("fe", 2), ("", Fraction(-1, 2))],
+        "4/2*h - h": [("h", Fraction(2)), ("h", -1)],
+    }
+    for text, terms in cases.items():
+        want = Poly(alphabet, [(word(w), Fraction(c)) for w, c in terms])
+        got = parse_poly(alphabet, text)
+        assert got == want and (got._den, got._nums) == (want._den, want._nums), text
+        assert all(type(n) is int for n in got._nums.values()), text
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        got = parse_poly(alphabet, "2*fe + ef - 3*h")
+    finally:
+        sys.setprofile(previous)
+    assert calls == 0
+    assert (got._den, got._nums) == (1, {word("fe").letters: 2, word("ef").letters: 1,
+                                         word("h").letters: -3})
 
 
 def test_arithmetic_builds_no_word_until_terms_are_read(monkeypatch):
