@@ -16,7 +16,6 @@ admissible bracketing may replace the standard one as a basis;
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Container, Optional, Sequence
 
 from .poly import LetterTerms, Poly, bracket_terms
@@ -148,12 +147,14 @@ def _normal_forms(
     system: Optional[RewriteSystem] = None,
     memo: Optional[dict[NcMonomial, LetterTerms]] = None,
 ) -> list[LetterTerms]:
-    """Each root's normal form modulo ``system`` as a letter-tuple dict.
+    """Each root's normal form modulo ``system`` as an int letter-tuple dict.
 
     NF(leaf) = leaf and NF([u,v]) is the reduction of [NF(u), NF(v)]: the
     reduction of the free expansion when the relations form a
-    Groebner-Shirshov basis, and with no system the free expansion.  The
-    trees are walked in post-order on explicit stacks, so any depth is
+    Groebner-Shirshov basis, and with no system the free expansion.  With
+    a system each form is a positive int multiple of NF: scaling changes
+    no test of linear independence, the one check (iv) makes.  The trees
+    are walked in post-order on explicit stacks, so any depth is
     walked: ``values`` holds the forms of the complete subtrees not yet
     bracketed, and a ``None`` on the node stack marks where the top two are
     bracketed.  ``memo`` maps the subtrees evaluated to their forms, found
@@ -166,9 +167,12 @@ def _normal_forms(
     products :func:`bracket_terms` sets aside on that test are reduced, by
     :func:`_reduce_letters`, and added back: reduction is linear, as the
     step taken on a word depends on that word alone.  The kernel leaves
-    int numerators over the denominator it returns, which is 1 unless a
-    rule denominator or a Fraction value made it scale; only then are they
-    divided, whole values staying ints.  The steps come from
+    int numerators over the denominator ``den`` it returns, which is 1
+    unless a rule denominator made it scale; then the node's other
+    products are multiplied by ``den`` instead, and nothing is divided.
+    So a node's form is den * l_u * l_v * NF, l_u and l_v its children's
+    multiples; with no system nothing is set aside and every multiple is 1,
+    so ``expand`` gets the free expansion itself.  The steps come from
     the system's largest-leftmost step table, shared with every other
     caller and bounded by itself, so the walk trims nothing.  The relations
     being parity-homogeneous, so is each form, and the sign -(-1)^{|u||v|}
@@ -207,10 +211,10 @@ def _normal_forms(
             form, aside = bracket_terms(left, right, node.left.parity & node.right.parity, junctions)
             if aside:
                 den = _reduce_letters(aside, system, True)[1]
+                if den != 1:  # aside holds den times its reduction: scale the rest alike
+                    for w in form:
+                        form[w] *= den
                 for w, c in aside.items():  # c != 0: a sum of 0 had w in form
-                    if den != 1:
-                        whole, rest = divmod(c, den)
-                        c = Fraction(c, den) if rest else whole
                     c += form.get(w, 0)
                     if c:
                         form[w] = c

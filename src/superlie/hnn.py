@@ -824,7 +824,8 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     monomials from W are independent and, their number being the number of
     reduced super-LS words, span.  Nothing is expanded freely: (iii) reads
     each node's stored leading term by :func:`is_admissible`, and (iv) ranks
-    the normal forms :func:`_normal_forms` memoises bottom-up.  These are
+    the int multiples of the normal forms that :func:`_normal_forms`
+    memoises bottom-up, independent exactly when the forms are.  These are
     the normal forms of the free expansions because the relations form a
     Groebner-Shirshov basis: :func:`build_relations` validates the tables,
     and :func:`verify_hnn_gsb`, run by ``hnn-verify`` on the same

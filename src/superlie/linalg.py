@@ -1,9 +1,10 @@
 """Exact sparse linear algebra on word-indexed rational vectors.
 
 A vector is a sparse map from letter tuples, the keys of a Poly's terms, to
-rationals, as :func:`~superlie.poly.letter_terms` gives it.  Rank is computed by
-straightforward rational Gaussian elimination over a dictionary of pivot
-columns; exactness, not asymptotics, is the point.
+nonzero int or ``Fraction`` values, such as a Poly's integer numerators or
+check (iv)'s normal forms.  Rank is computed by straightforward rational
+Gaussian elimination over a dictionary of pivot columns, each pivot kept as
+given; exactness, not asymptotics, is the point.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ def rank(vectors: Sequence[LetterTerms]) -> tuple[int, list[int]]:
     order, so the certificate entries below k are exactly the certificate of
     ``vectors[:k]``, and their number is the rank of that prefix.
 
-    No input is written.  A vector that is a pivot as given, leading with
-    coefficient 1 before any elimination, is kept as the caller's dict, read
-    but never written; a vector is copied just before its first elimination
-    step, and one scaled to coefficient 1 is a new dict.
+    No input is written.  A pivot is kept as it stands, whatever its leading
+    coefficient: a vector that is a pivot as given is the caller's dict,
+    read but never written, and a vector is copied just before its first
+    elimination step.  A step subtracts ``Fraction(r, p)`` times the pivot,
+    r and p the two leading coefficients, so vectors that lead with distinct
+    words, as a passing check (iv)'s do, take no step and run no
+    ``fractions`` code.  Scaling a vector changes no certificate.
     """
     pivots: dict[tuple[int, ...], LetterTerms] = {}
     certificate: list[int] = []
@@ -36,15 +40,12 @@ def rank(vectors: Sequence[LetterTerms]) -> tuple[int, list[int]]:
             _, word = max(zip(map(len, residue), residue))  # the deglex leader
             pivot = pivots.get(word)
             if pivot is None:
-                lead = residue[word]
-                if lead != 1:
-                    residue = {w: Fraction(c) / lead for w, c in residue.items()}
                 pivots[word] = residue
                 certificate.append(index)
                 break
             if residue is vector:
                 residue = dict(vector)
-            coeff = residue[word]
+            coeff = Fraction(residue[word], pivot[word])
             for w, c in pivot.items():
                 rest = residue.get(w, 0) - coeff * c
                 if rest:

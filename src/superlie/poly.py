@@ -249,11 +249,6 @@ _ZERO = Fraction(0)
 LetterTerms = Dict[tuple[int, ...], Scalar]
 
 
-def letter_terms(p: Poly) -> LetterTerms:
-    """p as a dict from letter tuples (symbol ranks) to ``Fraction`` coefficients."""
-    return {w: Fraction(n, p._den) for w, n in p._nums.items()}
-
-
 def from_letter_terms(alphabet: Alphabet, terms: LetterTerms, den: int = 1) -> Poly:
     """The one Poly with the terms of a letter-tuple dict, over ``den``.
 

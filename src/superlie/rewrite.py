@@ -18,7 +18,7 @@ agreement can be tested rather than assumed.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import neg
 from typing import Iterable, Sequence
 
@@ -324,13 +324,12 @@ def _reduce_letters(
     steps as (letters, rule index, position), and the denominator of the
     normal form, which ``acc`` is left holding as int numerators.
 
-    The arithmetic is on ints over one common denominator ``den``, the
-    ``acc`` given standing for ``acc / den``.  On entry ``acc`` is scaled by
-    the lcm of its denominators, and ``den`` with it (skipped when every
-    value is an int).  A step on a word with coefficient ``C`` removes the
-    word and subtracts ``C // D`` times the framed tail of its rule, ``D``
-    being the rule's denominator: the rule is monic, so its framed leading
-    term would remove exactly ``C``.  When ``D`` does not divide ``C``, the
+    The arithmetic is on ints over one common denominator ``den``: the
+    values of ``acc`` are ints, and ``acc`` stands for ``acc / den``.  A
+    step on a word with coefficient ``C`` removes the word and subtracts
+    ``C // D`` times the framed tail of its rule, ``D`` being the rule's
+    denominator: the rule is monic, so its framed leading term would
+    remove exactly ``C``.  When ``D`` does not divide ``C``, the
     whole dict and ``den`` are first multiplied by ``D // gcd(C, D)``.
     Scaling by a nonzero constant keeps the set of words, so the steps are
     those of the rational reduction.  Nothing is divided back, and the
@@ -343,11 +342,6 @@ def _reduce_letters(
     """
     rules = system.rules
     hits = system._steps[leftmost]
-    if not all(type(c) is int for c in acc.values()):
-        scale = lcm(*[c.denominator for c in acc.values()])
-        for w, c in acc.items():
-            acc[w] = c.numerator * (scale // c.denominator)
-        den *= scale
     if leftmost:  # max-heap by deglex
         heap = [(-len(w), tuple(map(neg, w)), w) for w in acc if hits[w] is not None]
     else:  # min-heap by deglex

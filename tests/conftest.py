@@ -45,6 +45,11 @@ def _loader(name):
 ex1, ex2, ex3, ex4, sl2, osp, ab5 = map(_loader, ALL)
 
 
+def letter_terms(p: Poly) -> dict:
+    """p as a dict from letter tuples (symbol ranks) to ``Fraction`` coefficients."""
+    return {w: Fraction(n, p._den) for w, n in p._nums.items()}
+
+
 def random_word(rng: Random, alphabet, max_len=4, min_len=0) -> Word:
     n = rng.randint(min_len, max_len)
     return Word(alphabet, tuple(rng.randrange(len(alphabet)) for _ in range(n)))

@@ -32,9 +32,8 @@ from superlie import (
     verify_hnn_gsb,
     verify_structure_theorem,
 )
-from superlie.poly import letter_terms
 from conftest import EX2, ex1, ex2, ex3
-from conftest import random_poly
+from conftest import letter_terms, random_poly
 from test_linalg import is_unitriangular
 
 FIXTURES = (("ex1", ex1), ("ex2", ex2), ("ex3", ex3))

@@ -19,9 +19,8 @@ from superlie import (
     superbracket,
 )
 from superlie import bracketing
-from superlie.poly import letter_terms
 from superlie.words import _is_ls_letters
-from conftest import left_comb, reference_expand
+from conftest import left_comb, letter_terms, reference_expand
 from test_linalg import is_unitriangular
 from test_words import GT, lex_cmp
 

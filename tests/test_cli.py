@@ -630,6 +630,11 @@ LISTING_CELLS = [
     # still added every term to 0 and took the lcm of all denominators
     ("reduce-sl2-repeated-terms.json", ["reduce", REPEATED_TERMS, "--input",
                                         str(FIXTURES / "sl2.json"), "--format", "json"], 0),
+    # ex2's rule aa - 1/2*x makes check (iv)'s reduction kernel scale in the
+    # middle of the walk; recorded while the evaluator still divided the
+    # reduced products back into Fractions and rank scaled each pivot to 1
+    ("hnn-verify-ex2-14.json", ["hnn-verify", "--input", str(FIXTURES / "ex2.json"),
+                                "--max-len", "14", "--format", "json"], 0),
 ]
 
 

@@ -1,7 +1,9 @@
 """Structure-constant validation, relation building, bases, structure theorem."""
 
 import copy
+import fractions
 import json
+import sys
 import zlib
 from fractions import Fraction
 from itertools import chain, product
@@ -46,8 +48,8 @@ from superlie import (
     verify_structure_theorem,
 )
 from superlie import hnn
-from superlie.poly import from_letter_terms, letter_terms
-from conftest import left_comb, reference_expand
+from superlie.poly import from_letter_terms
+from conftest import left_comb, letter_terms, reference_expand
 from test_bracketing import subtrees
 from test_linalg import is_unitriangular
 from test_words import LT, _weighted_products, lex_cmp
@@ -1112,7 +1114,16 @@ def test_memoised_normal_forms_are_the_reduced_free_expansions(fixture):
     forms = hnn._normal_forms(monomials, system)
     assert len(forms) == len(monomials) and max(len(m) for m in basis) == 7
     for m, form in zip(monomials, forms):
-        assert from_letter_terms(alphabet, form) == reduce(expand(m), system)[0], m
+        # an int multiple k > 0 of the normal form, k read off its leading word
+        assert all(type(c) is int for c in form.values()), m
+        normal_form = reduce(expand(m), system)[0]
+        if normal_form.is_zero():
+            assert form == {}, m
+            continue
+        word, c = normal_form.leading()
+        k = form.get(word.letters, 0) / c
+        assert k.denominator == 1 and k > 0, m
+        assert from_letter_terms(alphabet, form) == int(k) * normal_form, m
     # one memo for every tree, as check (iv) passes one, gives the same forms
     assert hnn._normal_forms(monomials, system, {}) == forms
     # with no system the evaluator is the free expansion
@@ -1123,6 +1134,52 @@ def test_memoised_normal_forms_are_the_reduced_free_expansions(fixture):
     longer = RewriteSystem(alphabet, (*system.rules, ttt))
     with pytest.raises(ValueError, match="length 2"):
         hnn._normal_forms(basis, longer)
+
+
+def _fractions_calls(run):
+    """The number of calls into the ``fractions`` module while ``run()`` runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_check_iv_runs_no_fractions_code():
+    # check (iv) brackets and ranks int multiples of the normal forms, so on
+    # rules with rational coefficients it runs no Fraction arithmetic either:
+    # ex2's rule aa - 1/2*x and a rescaled osp's table make the reduction
+    # kernel scale mid-walk
+    lam = {"h": Fraction(2, 3), "e": Fraction(-3, 2), "u": Fraction(1, 3),
+           "f": Fraction(2), "v": Fraction(-2, 3)}
+    mu = Fraction(-3, 2)
+    rescaled = copy.deepcopy(ALL["osp"])
+    for entries, factor in (
+        (rescaled["brackets"], lambda e: lam[e["left"]] * lam[e["right"]]),
+        (rescaled["derivation"], lambda e: mu * lam[e["arg"]]),
+    ):
+        for entry in entries:
+            for term in entry["value"]:
+                term["coeff"] = str(Fraction(term["coeff"]) * factor(entry) / lam[term["basis"]])
+    for pres, max_len in ((ex2(), 9), (osp(), 8), (load_presentation(rescaled), 8)):
+        build_relations(pres)  # validating and building the rules reads Fractions
+        reports = []
+        calls = _fractions_calls(lambda: reports.append(verify_structure_theorem(pres, max_len)))
+        assert reports[0].passed and calls == 0, (pres, max_len, calls)
+    # rank keeps pivots leading with 2 and -3 as given: no step, no Fraction
+    vectors = [{(1, 0): 2, (0,): 5}, {(1,): -3, (0,): 1}, {(0,): 7}]
+    certificates = []
+    assert _fractions_calls(lambda: certificates.append(rank(vectors))) == 0
+    assert certificates == [(3, [0, 1, 2])]
 
 
 def test_relations_are_built_once_per_presentation():

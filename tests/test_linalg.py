@@ -12,9 +12,8 @@ from superlie import (
     rank,
     standard_bracket,
 )
-from superlie.poly import letter_terms
 from superlie.words import _standard_coefficient
-from conftest import random_poly
+from conftest import letter_terms, random_poly
 
 AB = Alphabet.from_names(["a", "b"])
 
@@ -173,14 +172,27 @@ def test_rank_writes_no_input_and_matches_the_copying_loop():
         before = [dict(v) for v in vectors]
         assert rank(vectors) == copying_rank(vectors)
         assert vectors == before
-    # a vector leading with 3 is scaled, one leading with 1 is kept, and both
-    # are eliminated from without being written
+    # vectors leading with 3 and with 1 are both kept as given, and both are
+    # eliminated from without being written
     p = {(1, 0): Fraction(3), (0,): Fraction(1)}
     q = {(1, 1): 1, (1, 0): Fraction(1, 2)}
     vectors = [p, q, p, q, {(1, 1): 2, (1, 0): 1, (0,): 5}]
     before = [dict(v) for v in vectors]
     assert rank(vectors) == copying_rank(vectors) == (3, [0, 1, 4])
     assert vectors == before
+
+
+def test_rank_of_dense_int_vectors_keeps_its_entries_small():
+    # 40 dense vectors over the 64 words of length 6: eliminating by
+    # rational multiples of the pivots takes well under a second, and
+    # matches the loop that scaled each pivot to 1.  Elimination without
+    # division (residue * lead - coeff * pivot) and no content reduction
+    # doubles the entries' size per step: its time grows about 8-fold per
+    # two vectors, and 20 of these vectors already take over ten seconds
+    rng = Random(67)
+    words = [tuple((i >> k) & 1 for k in range(6)) for i in range(64)]
+    vectors = [{w: rng.choice([-9, -5, -2, -1, 1, 3, 4, 8]) for w in words} for _ in range(40)]
+    assert rank(vectors) == copying_rank(vectors) == (40, list(range(40)))
 
 
 def test_unitriangular_standard_bracketings():

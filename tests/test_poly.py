@@ -24,10 +24,11 @@ from superlie import (
     standard_bracket,
     superbracket,
 )
-from superlie.poly import from_letter_terms, letter_terms
+from superlie.poly import from_letter_terms
 from superlie.words import deglex_key
 from conftest import (
     even_part,
+    letter_terms,
     odd_part,
     random_homogeneous_poly,
     random_poly,

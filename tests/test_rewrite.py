@@ -37,10 +37,10 @@ from superlie import (
 from superlie import rewrite
 from superlie.words import _super_ls_tuples
 from superlie.bracketing import _normal_forms
-from superlie.poly import from_letter_terms, letter_terms
+from superlie.poly import from_letter_terms
 from conftest import ALL, ab5, ex1, osp
 from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
-from conftest import random_poly, random_word
+from conftest import letter_terms, random_poly, random_word
 from test_words import _duval_super_ls
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
