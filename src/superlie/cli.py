@@ -7,6 +7,14 @@ failure, 2 on an input error, 3 on an internal error (a ``RuntimeError``,
 silently, when the reader closes stdout early, as a shell reports a writer
 that SIGPIPE stopped.  Output is plain text or JSON (--format).
 
+A command's arguments are read once, by its own parser: argv that starts
+with a command's name goes straight to that command's parser, and any
+other argv to the top-level one, with argparse's messages unchanged
+(:func:`_parse_args`).  ``reduce`` also reads a polynomial that starts
+with a minus, as ``-e``, which argparse alone takes for an unknown option.
+Every JSON payload, report or word list, is written by one writer, byte
+for byte as ``json.dumps(payload, indent=2)`` writes it (:func:`_write_json`).
+
 A command runs with Python's cyclic garbage collector paused, from parsing
 to writing the output, and :func:`main` then restores the state it found
 (a caller's disabled collector stays disabled).  superlie's values form no
@@ -31,6 +39,7 @@ import gc
 import json
 import os
 import sys
+from gettext import gettext
 
 from .bracketing import expand, parse_monomial, standard_bracket
 from .hnn import (
@@ -56,6 +65,8 @@ from .rewrite import (
     reduce,
 )
 from .words import Alphabet, _texts, enumerate_super_ls
+
+_encode = json.encoder.encode_basestring_ascii
 
 
 def _parse_alphabet(spec: str) -> Alphabet:
@@ -99,11 +110,11 @@ def _load_system(path: str) -> RewriteSystem:
         rules: list[RewriteRule] = []
         try:
             alphabet = parse_generators(data.get("generators"))
-            for where, text in parse_entries(data, "rules", kind=str):
+            for i, text in enumerate(parse_entries(data, "rules", kind=str)):
                 try:
                     rules.append(RewriteRule(parse_poly(alphabet, text)))
                 except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
+                    raise ValueError(f"rules[{i}]: {exc}") from None
             return RewriteSystem(alphabet, rules)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -228,36 +239,60 @@ def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:
 
 
 def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte, with word lists joined at once.
+    """``json.dumps(payload, indent=2)``, byte for byte, written by :func:`_write_json`."""
+    parts: list[str] = []
+    _write_json(payload, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append ``value`` as ``json.dumps(value, indent=2)`` writes it at the depth of ``newline``.
 
     Before Python 3.13, ``json.dumps`` with an indent runs the pure-Python
     encoder, one generator step per item, and the word lists of ls-words and
-    hnn-basis hold thousands of items.  So a non-empty top-level list of
-    strings is written here with one C ``encode_basestring_ascii`` call per
-    item, indented as ``json.dumps`` indents it; a list that holds anything
-    else, and every other value, is written by ``json.dumps`` and indented
-    two more spaces (an encoded string holds no raw newline).  A payload
-    with no such list, as the reports are, is one ``json.dumps`` call.
+    hnn-basis hold thousands of items.  Here strings go through the C
+    ``encode_basestring_ascii``, a list of strings is joined at once, ints
+    through ``int.__repr__`` and ``True``, ``False`` and ``None`` are
+    literals, as the encoder writes them.  A dict's keys are strings, as in
+    every payload.  Anything else, a float say, is written by ``json.dumps``
+    and indented to ``newline`` (an encoded string holds no raw newline).
     """
-    if not any(type(v) is list and v and type(v[0]) is str for v in payload.values()):
-        return json.dumps(payload, indent=2)
-    encode = json.encoder.encode_basestring_ascii
-    # one list of pieces, joined once: a word list is not copied again
-    parts = []
-    for key, value in payload.items():
-        parts += (",\n  " if parts else "{\n  ", encode(key), ": ")
-        words = None
-        if type(value) is list and value:
-            try:
-                words = ",\n    ".join(map(encode, value))
-            except TypeError:  # an item that is not a string
-                pass
-        if words is None:
-            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-        else:
-            parts += ("[\n    ", words, "\n  ]")
-    parts.append("\n}")
-    return "".join(parts)
+    kind = type(value)
+    if kind is str:
+        parts.append(_encode(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif value is None:
+        parts.append("null")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            parts += ("[", inner, ("," + inner).join(map(_encode, value)), newline, "]")
+        except TypeError:  # an item that is not a string
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _write_json(item, inner, parts)
+                sep = "," + inner
+            parts += (newline, "]")
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            parts += (sep, _encode(key), ": ")
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts += (newline, "}")
+    else:
+        parts.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
 def _positive_int(text: str) -> int:
@@ -268,8 +303,8 @@ def _positive_int(text: str) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every later one."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="superlie",
         description="Exact computations with free Lie superalgebras and "
@@ -312,7 +347,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="presentation file")
     p.add_argument("--max-len", type=_positive_int, default=4)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
+    return _parsers()[0]
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, argv read once.
+
+    The arguments after a command's name go straight to that command's
+    parser, and leftovers raise the top-level parser's own ``unrecognized
+    arguments`` error, as the top-level parser does after handing them to
+    the command.  Any other argv (none, ``-h``, an unknown command, an
+    option first) goes to the top-level parser.  One difference: for
+    ``reduce``, a polynomial that starts with a minus, as ``-e`` or
+    ``-2*fe``, which argparse reads as an unknown option, is moved after a
+    ``--``, so that it reaches the positional.  Such a token starts with a
+    single ``-``, is not ``-h`` and does not follow a ``--name`` option
+    written without ``=`` (it would stand where that option's value goes);
+    argv that already holds a ``--`` is left as it is.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    name = argv[0] if argv else None
+    if name not in commands:
+        return parser.parse_args(argv)
+    rest = argv[1:]
+    if name == "reduce" and "--" not in rest:
+        for i, token in enumerate(rest):
+            before = rest[i - 1] if i else ""
+            if (
+                token.startswith("-") and not token.startswith("--") and token != "-h"
+                and not (before.startswith("--") and "=" not in before)
+            ):
+                rest = [*rest[:i], *rest[i + 1 :], "--", token]
+                break
+    args, extras = commands[name].parse_known_args(rest)
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = name
+    return args
 
 
 def main(argv=None) -> int:
@@ -327,7 +404,7 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     # looked up on each call, not bound into the parser, which is built once
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:

@@ -897,50 +897,62 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
 
 
 # -- presentation files -----------------------------------------------------------
+#
+# A location in a file is a path of keys and list indices, as
+# ("brackets", 2, "value", 0).  It is written out, as "brackets[2].value[0]",
+# only when an error names it, so reading a well-formed file formats none.
 
-def _parse_coeff(value, where: str) -> Fraction:
+def _at(path: tuple) -> str:
+    """A location path as errors write it: ``brackets[2].value[0].coeff``."""
+    return "".join(f"[{part}]" if type(part) is int else f".{part}" for part in path)[1:]
+
+
+def _parse_coeff(value, where: tuple) -> Fraction:
+    """The coefficient ``value`` of the term at ``where``."""
     if type(value) is int:
         return Fraction(value)
     if not isinstance(value, str):
-        raise ValueError(f"{where}: coefficients must be exact (string or integer)")
-    try:
-        return parse_rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        message = "coefficients must be exact (string or integer)"
+    else:
+        try:
+            return parse_rational(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            message = str(exc)
+    raise ValueError(f"{_at((*where, 'coeff'))}: {message}")
 
 
-def parse_entries(data: Mapping, key: str, where: str = "", kind: type = dict):
-    """Yield (location, entry) for the list under ``data[key]`` (missing: empty).
+def parse_entries(data: Mapping, key: str, where: tuple = (), kind: type = dict) -> list:
+    """The list under ``data[key]`` (missing: empty), ``data`` being at ``where``.
 
     Every entry must be a ``kind``: an object, or a string for rules.  Errors
     give the location, as in ``brackets[2].value: expected a list``.
     """
-    where = f"{where}.{key}" if where else key
     entries = data.get(key, [])
     if not isinstance(entries, list):
-        raise ValueError(f"{where}: expected a list")
-    noun = "a string" if kind is str else "an object"
+        raise ValueError(f"{_at((*where, key))}: expected a list")
     for i, entry in enumerate(entries):
         if not isinstance(entry, kind):
-            raise ValueError(f"{where}[{i}]: expected {noun}")
-        yield f"{where}[{i}]", entry
+            noun = "a string" if kind is str else "an object"
+            raise ValueError(f"{_at((*where, key, i))}: expected {noun}")
+    return entries
 
 
-def _generator(entry: Mapping, field: str, where: str, by_name: dict) -> int:
-    """The rank of the known generator that ``entry[field]`` names."""
+def _generator(entry: Mapping, field: str, where: tuple, by_name: Mapping) -> int:
+    """The rank of the known generator that ``entry[field]`` names, ``entry`` being at ``where``."""
     name = entry.get(field)
     if not isinstance(name, str) or name not in by_name:
-        raise ValueError(f"{where}.{field}: unknown generator {name!r}")
+        raise ValueError(f"{_at((*where, field))}: unknown generator {name!r}")
     return by_name[name]
 
 
-def _parse_value_list(entry: Mapping, by_name: dict, where: str) -> dict[int, Fraction]:
+def _parse_value_list(entry: Mapping, by_name: Mapping, where: tuple) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
-    for spot, term in parse_entries(entry, "value", where):
+    for j, term in enumerate(parse_entries(entry, "value", where)):
+        spot = (*where, "value", j)
         r = _generator(term, "basis", spot, by_name)
         if "coeff" not in term:
-            raise ValueError(f"{spot}: missing coeff")
-        c = _parse_coeff(term["coeff"], f"{spot}.coeff")
+            raise ValueError(f"{_at(spot)}: missing coeff")
+        c = _parse_coeff(term["coeff"], spot)
         out[r] = out[r] + c if r in out else c
     return out
 
@@ -975,7 +987,8 @@ def parse_generators(gens) -> Alphabet:
 def _read_json(path: Union[str, Path]) -> dict:
     """The JSON object in a file; every failure is a ``ValueError`` naming the path."""
     try:
-        text = Path(path).read_text()
+        with open(path) as file:
+            text = file.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from None
     try:
@@ -1004,7 +1017,7 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
         where = f"{source}: " if is_path else ""
         raise ValueError(f"{where}expected a presentation, got a rules file")
     alphabet = parse_generators(data.get("generators"))
-    by_name = {name: r for r, name in enumerate(alphabet.names)}
+    by_name = alphabet._by_name
 
     k = data.get("subalgebra_size")
     if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= len(alphabet):
@@ -1014,23 +1027,27 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
         raise ValueError("d_parity: must be 0 or 1")
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for where, entry in parse_entries(data, "brackets"):
-        key = tuple(_generator(entry, side, where, by_name) for side in ("left", "right"))
+    for i, entry in enumerate(parse_entries(data, "brackets")):
+        where = ("brackets", i)
+        key = (
+            _generator(entry, "left", where, by_name), _generator(entry, "right", where, by_name)
+        )
         if key in brackets:
             raise ValueError(
-                f"{where}: duplicate bracket for ({entry['left']}, {entry['right']})"
+                f"{_at(where)}: duplicate bracket for ({entry['left']}, {entry['right']})"
             )
         brackets[key] = _parse_value_list(entry, by_name, where)
 
     derivation: dict[int, dict[int, Fraction]] = {}
-    for where, entry in parse_entries(data, "derivation"):
+    for i, entry in enumerate(parse_entries(data, "derivation")):
+        where = ("derivation", i)
         a, arg = _generator(entry, "arg", where, by_name), entry["arg"]
         if a >= k:
             raise ValueError(
-                f"{where}.arg: {arg!r} is not in the subalgebra (first {k} generators)"
+                f"{_at(where)}.arg: {arg!r} is not in the subalgebra (first {k} generators)"
             )
         if a in derivation:
-            raise ValueError(f"{where}: duplicate derivation entry for {arg!r}")
+            raise ValueError(f"{_at(where)}: duplicate derivation entry for {arg!r}")
         derivation[a] = _parse_value_list(entry, by_name, where)
 
     constants = StructureConstants(alphabet, k, d_parity, brackets, derivation)

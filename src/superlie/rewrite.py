@@ -478,12 +478,13 @@ class GsbReport:
 def is_gsb(system: RewriteSystem) -> GsbReport:
     """Reduce every composition of two rules (self-pairs included) by the system.
 
-    Passes iff every composition has normal form zero.  A pair (p, q) has
-    a composition only when q's leading word overlaps the end of p's or
-    lies inside it, so when q's leading word starts with a letter of p's,
-    or is empty, as the empty word occurs at every position.  The rules are
-    indexed by the first letter of their leading words, and only the pairs
-    the index names are composed.  Checks are reported in deglex order of
+    Passes iff every composition has normal form zero.  A pair (p, q) has a
+    composition only when q's leading word is empty, as the empty word occurs
+    at every position; or starts with a letter of p's after its first, for
+    an overlap with the end of p's or an inclusion past position 0; or starts
+    with p's first letter and is shorter, for an inclusion at 0.  The rules
+    are indexed by the first letter of their leading words, and only these
+    pairs, each once, are composed.  Checks are reported in deglex order of
     the composition word, then by rule indices.
     """
     rules = system.rules
@@ -493,9 +494,13 @@ def is_gsb(system: RewriteSystem) -> GsbReport:
     everywhere = by_first.get((), [])
     checks: list[CompositionCheck] = []
     for i, p in enumerate(rules):
-        partners = everywhere + [
-            j for c in set(p.leading_word.letters) for j in by_first.get((c,), ())
-        ]
+        pl = p.leading_word.letters
+        later = set(pl[1:])
+        partners = everywhere + [j for c in later for j in by_first.get((c,), ())]
+        if pl and pl[0] not in later:
+            partners += [
+                j for j in by_first.get(pl[:1], ()) if len(rules[j].leading_word) < len(pl)
+            ]
         for j in sorted(partners):
             for word, composition in assoc_compositions(p, rules[j]):
                 normal_form, trace = reduce(composition, system)

@@ -447,6 +447,129 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr, namespace) of one argv parse; an exit leaves no namespace."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return None, out.getvalue(), err.getvalue(), vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), None
+
+
+_SL2 = str(FIXTURES / "sl2.json")
+_EX1 = str(FIXTURES / "ex1.json")
+# for each command: valid argv in the --x v and --x=v forms, abbreviated
+# options, help, an unknown option, a missing option or positional, a bad
+# choice, a bad int and a stray positional; then argv the top-level parser
+# reads: none, help, options before the command, an unknown command, and --
+ROUTER_TABLE = [
+    *(
+        ["ls-words", *argv]
+        for argv in (
+            ["--alphabet", "a,b:odd", "--max-len", "3"],
+            ["--alphabet=a,b:odd", "--max-len=3", "--format=json"],
+            ["--alph", "a,b", "--max", "3", "--form", "json"],
+            ["-h"], ["--help"], ["--alphabet", "a", "--max-len", "3", "-h"],
+            ["--alphabet", "a", "--max-len", "3", "--bogus"],
+            ["--alphabet", "a", "--max-len", "3", "--bogus=1", "extra"],
+            ["--alphabet", "a"], ["--max-len", "3"], [],
+            ["--alphabet", "a", "--max-len", "x"], ["--alphabet", "a", "--max-len", "0"],
+            ["--alphabet", "a", "--max-len", "3", "--format", "xml"],
+            ["--alphabet", "a", "--max-len"], ["--alphabet", "a", "--max-len", "3", "--"],
+            ["--alphabet", "a", "--", "--max-len", "3"], ["--max", "3", "--alphabet=a", "-x"],
+        )
+    ),
+    *(
+        [command, *argv]
+        for command, text in (("bracket", "ab"), ("expand", "[a,b]"))
+        for argv in (
+            [text, "--alphabet", "a,b"], ["--alphabet=a,b", text, "--format=json"],
+            [text, "--alph", "a,b", "--f", "json"], ["-h"], [text, "--help"],
+            [text, "--alphabet", "a,b", "--bogus"], ["--alphabet", "a,b"], [text],
+            [text, "--alphabet", "a,b", "--format", "xml"], [text, text, "--alphabet", "a,b"],
+            ["--alphabet", "a,b", "--", text], ["--alphabet", "a,b", "--", "-e"],
+        )
+    ),
+    *(
+        ["reduce", *argv]
+        for argv in (
+            ["e", "--input", _SL2], ["--input=" + _SL2, "fe", "--strategy=smallest-rightmost"],
+            ["--inp", _SL2, "--strat", "smallest-rightmost", "fe", "--form", "json"],
+            ["-h"], ["-h", "--input", _SL2], ["e", "--input", _SL2, "--help"],
+            ["e", "--input", _SL2, "--bogus"], ["--input", _SL2, "e", "--bogus", "x"],
+            ["--input", _SL2], ["e"], ["e", "--input", _SL2, "--strategy", "fastest"],
+            ["e", "--input", _SL2, "--format", "xml"], ["e", "f", "--input", _SL2],
+            ["--input", _SL2, "--", "-e"], ["--", "-e", "--input", _SL2],
+            ["--input", _SL2, "--", "e", "-f"], ["--input", "-e", "f"],
+            ["--strategy", "-e", "--input", _SL2], ["--bogus", "-e", "--input", _SL2],
+            ["-", "--input", _SL2], ["-2 + e", "--input", _SL2], ["-2", "--input", _SL2],
+            ["--input", _SL2, "--", "--", "e"],
+        )
+    ),
+    *(
+        [command, *argv]
+        for command in ("gsb-check", "hnn-verify", "hnn-basis")
+        for argv in (
+            ["--input", _EX1], ["--input=" + _EX1, "--format=json"],
+            ["--inp", _EX1, "--fo", "json"],
+            ["-h"], ["--input", _EX1, "--help"], ["--input", _EX1, "--bogus"],
+            ["--input", _EX1, "-x"], ["--input", _EX1, "extra"], [], ["--format", "json"],
+            ["--input", _EX1, "--format", "xml"], ["--input"], ["--input", _EX1, "--"],
+            ["--", "--input", _EX1],
+        )
+    ),
+    *(
+        [command, "--input", _EX1, *argv]
+        for command in ("hnn-verify", "hnn-basis")
+        for argv in (["--max-len", "3"], ["--max-len=3"], ["--max", "3"], ["--max-len", "x"],
+                     ["--max-len", "-1"], ["--max-len", "0"], ["--max-len"])
+    ),
+    [], ["-h"], ["--help"], ["--he"], ["-x"], ["no-such-command"], ["hnn-v", "--input", _EX1],
+    ["HNN-VERIFY"], ["--format", "json", "hnn-verify", "--input", _EX1],
+    ["--input", _EX1, "gsb-check"], ["-h", "gsb-check"], ["--", "gsb-check", "--input", _EX1],
+    ["--"], ["-"], [""],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTER_TABLE, ids=" ".join)
+def test_router_reads_argv_as_the_top_level_parser_does(argv):
+    # the top-level parser is the oracle: same exit code, stdout, stderr and
+    # namespace, help and usage text included
+    assert _parsed(cli._parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("text, form", [("-e", "-e"), ("-2*fe", "-2*ef + 2*h"), ("-he", "-he")])
+@pytest.mark.parametrize("first", [True, False], ids=["poly-first", "poly-last"])
+def test_reduce_reads_a_polynomial_that_starts_with_a_minus(capsys, text, form, first):
+    # the one argv the router reads differently: argparse alone takes the
+    # polynomial for an unknown option and misses the positional
+    argv = ["reduce", text, "--input", _SL2] if first else ["reduce", "--input", _SL2, text]
+    code, out, err, _ = _parsed(cli.build_parser().parse_args, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] in (
+        "superlie reduce: error: the following arguments are required: poly",
+        "superlie reduce: error: argument -h/--help: ignored explicit argument 'e'",
+    )
+    assert _parsed(cli._parse_args, argv)[3]["poly"] == text
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"normal form: {form}"
+    assert run(capsys, "reduce", "--input", _SL2, "--", text) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reduce", "-e", "--input", _SL2, "--bogus"], ["reduce", "--bogus", "--input", _SL2, "-e"],
+     ["hnn-verify", "--input", _EX1, "--bogus"]],
+)
+def test_unknown_option_reads_unrecognized_arguments(argv):
+    code, out, err, _ = _parsed(cli._parse_args, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "usage: superlie [-h]"
+    assert err.splitlines()[-1] == "superlie: error: unrecognized arguments: --bogus"
+
+
 class _ClosedPipe:
     """A stdout whose reader is gone: it takes writes, and a flush raises."""
 
@@ -653,23 +776,31 @@ def test_listing_matches_golden_file(capsys, tmp_path, name, argv, code):
 _JSON_TEXT = st.text(
     st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\xe9€\ud800\U0001f600') | st.characters(), max_size=6
 )
+_JSON_INTS = st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
-    max_leaves=8,
+    st.none() | st.booleans() | _JSON_INTS | st.floats() | _JSON_TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=10,
 )
 _WORD_LISTS = st.lists(_JSON_TEXT, max_size=8)
 # a list of strings with an int or a dict after its first item
 _MIXED_LISTS = st.builds(
     lambda first, before, odd, after: [first, *before, odd, *after],
-    _JSON_TEXT, _WORD_LISTS, st.integers() | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3),
+    _JSON_TEXT, _WORD_LISTS, _JSON_INTS | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3),
     _WORD_LISTS,
 )
+_WORD_ITEMS = _WORD_LISTS | _WORD_LISTS.map(tuple) | _MIXED_LISTS | _MIXED_LISTS.map(tuple)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.dictionaries(_JSON_TEXT, _WORD_LISTS | _MIXED_LISTS | _JSON_VALUES, max_size=6))
+@given(st.dictionaries(_JSON_TEXT, _WORD_ITEMS | _JSON_VALUES, max_size=6))
 def test_json_writer_writes_what_json_dumps_writes(payload):
+    # every nesting of dicts, lists and tuples, empty ones included, holding
+    # every kind of scalar; floats go through json.dumps
     assert cli._json_text(payload) == json.dumps(payload, indent=2)
 
 

@@ -728,6 +728,28 @@ def test_is_gsb_matches_all_pairs_on_random_rules():
         assert_is_gsb_matches_all_pairs(sys_)
 
 
+@pytest.mark.parametrize("name", [*sorted(FIXTURE_SYSTEMS), "broken_rules"])
+def test_is_gsb_composes_only_pairs_that_have_a_composition(monkeypatch, name):
+    # on the fixtures, whose leading words have at most two letters, the
+    # pairs is_gsb composes are exactly those with a composition, each once
+    sys_ = BROKEN if name == "broken_rules" else FIXTURE_SYSTEMS[name]
+    calls = []
+
+    def counted(p, q):
+        out = assoc_compositions(p, q)
+        calls.append((p.leading_word, q.leading_word, len(out)))
+        return out
+
+    monkeypatch.setattr(rewrite, "assoc_compositions", counted)
+    report = is_gsb(sys_)
+    productive = [
+        (p.leading_word, q.leading_word, len(assoc_compositions(p, q)))
+        for p in sys_.rules for q in sys_.rules if assoc_compositions(p, q)
+    ]
+    assert sorted(calls, key=str) == sorted(productive, key=str)
+    assert len(report.checks) == sum(n for *_, n in calls)
+
+
 # -- reduced super-LS enumeration ---------------------------------------------------
 
 
