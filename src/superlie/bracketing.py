@@ -163,20 +163,19 @@ def _normal_forms(
 
     NF(u) and NF(v) are sums of reduced words and every leading word has
     length 2 (raises ValueError otherwise), so a product ab holds a leading
-    word exactly when the junction pair (a[-1], b[0]) is one.  Only the
-    products :func:`bracket_terms` sets aside on that test are reduced, by
-    :func:`_reduce_letters`, and added back: reduction is linear, as the
-    step taken on a word depends on that word alone.  The kernel leaves
-    int numerators over the denominator ``den`` it returns, which is 1
-    unless a rule denominator made it scale; then the node's other
-    products are multiplied by ``den`` instead, and nothing is divided.
-    So a node's form is den * l_u * l_v * NF, l_u and l_v its children's
-    multiples; with no system nothing is set aside and every multiple is 1,
-    so ``expand`` gets the free expansion itself.  The steps come from
-    the system's largest-leftmost step table, shared with every other
-    caller and bounded by itself, so the walk trims nothing.  The relations
-    being parity-homogeneous, so is each form, and the sign -(-1)^{|u||v|}
-    is read from the children's parities.
+    word exactly when the junction pair (a[-1], b[0]) is one.  The products
+    :func:`bracket_terms` sets aside on that test are added back to the
+    node's product, and :func:`_reduce_letters` rewrites the whole of it
+    with its heap started from them alone: the other words are reduced.
+    The kernel scales the whole dict by a factor k, 1 unless a rule
+    denominator made it scale, and nothing is divided.  So a node's form
+    is k * l_u * l_v * NF, l_u and l_v its children's multiples; with no
+    system nothing is set aside and every multiple is 1, so ``expand``
+    gets the free expansion itself.  The steps come from the system's
+    largest-leftmost step table, shared with every other caller and
+    bounded by itself, so the walk trims nothing.  The relations being
+    parity-homogeneous, so is each form, and the sign -(-1)^{|u||v|} is
+    read from the children's parities.
     """
     junctions: Container = frozenset()
     if system is not None:
@@ -210,16 +209,15 @@ def _normal_forms(
                     continue
             form, aside = bracket_terms(left, right, node.left.parity & node.right.parity, junctions)
             if aside:
-                den = _reduce_letters(aside, system, True)[1]
-                if den != 1:  # aside holds den times its reduction: scale the rest alike
-                    for w in form:
-                        form[w] *= den
-                for w, c in aside.items():  # c != 0: a sum of 0 had w in form
-                    c += form.get(w, 0)
-                    if c:
-                        form[w] = c
-                    else:
-                        del form[w]
+                # No set-aside word is a kept one, so the update loses
+                # nothing: the children's forms hold reduced words and every
+                # leading word has length 2, so a product of two reduced
+                # words is reduced exactly when its junction pair is allowed,
+                # and a word holding a leading word across one split has no
+                # other split into two reduced words.
+                form.update(aside)
+                _reduce_letters(form, system, True, aside)
+                form = dict(form)  # compact: a dict keeps the slots of the words popped
             if memo is not None:
                 memo[node] = form
             values.append(form)

@@ -24,11 +24,7 @@ older-generation collection rescans every live object of a result that
 grows with the degree.  The only cyclic garbage a command leaves is the
 standard library's (the ``json`` encoder's closures, argparse's help
 formatters), taken by the first collection after it.  An in-process caller
-of a large builder may pause the collector the same way.  Whole processes
-without and with the pause (Python 3.11.7, 2 vCPU), same output and peak
-RSS: ``ls-words`` on a,b,c:odd,d to length 11 1.47 -> 0.89 s,
-``hnn-verify`` on ex1 to 15 5.77 -> 4.28 s, ``hnn-basis`` on ab5 to 9
-0.41 -> 0.27 s.
+of a large builder may pause the collector the same way.
 """
 
 from __future__ import annotations

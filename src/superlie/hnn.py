@@ -44,7 +44,7 @@ from .bracketing import (
     standard_bracket,
 )
 from .linalg import rank
-from .poly import Poly, _to_fraction, from_letter_terms, parse_rational
+from .poly import Poly, Scalar, _parse_scalar, _to_fraction, from_letter_terms
 from .rewrite import (
     RewriteSystem,
     GsbReport,
@@ -63,7 +63,6 @@ from .words import (
     deglex_key,
 )
 
-Scalar = Union[int, Fraction]
 CoeffMap = Mapping[int, Scalar]
 
 
@@ -907,15 +906,15 @@ def _at(path: tuple) -> str:
     return "".join(f"[{part}]" if type(part) is int else f".{part}" for part in path)[1:]
 
 
-def _parse_coeff(value, where: tuple) -> Fraction:
-    """The coefficient ``value`` of the term at ``where``."""
+def _parse_coeff(value, where: tuple) -> Scalar:
+    """The coefficient ``value`` of the term at ``where``, an int or a ``Fraction``."""
     if type(value) is int:
-        return Fraction(value)
+        return value
     if not isinstance(value, str):
         message = "coefficients must be exact (string or integer)"
     else:
         try:
-            return parse_rational(value)
+            return _parse_scalar(value)
         except (ValueError, ZeroDivisionError) as exc:
             message = str(exc)
     raise ValueError(f"{_at((*where, 'coeff'))}: {message}")
@@ -945,8 +944,8 @@ def _generator(entry: Mapping, field: str, where: tuple, by_name: Mapping) -> in
     return by_name[name]
 
 
-def _parse_value_list(entry: Mapping, by_name: Mapping, where: tuple) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _parse_value_list(entry: Mapping, by_name: Mapping, where: tuple) -> dict[int, Scalar]:
+    out: dict[int, Scalar] = {}
     for j, term in enumerate(parse_entries(entry, "value", where)):
         spot = (*where, "value", j)
         r = _generator(term, "basis", spot, by_name)
@@ -1026,7 +1025,7 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
     if type(d_parity) is not int or d_parity not in (0, 1):
         raise ValueError("d_parity: must be 0 or 1")
 
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, entry in enumerate(parse_entries(data, "brackets")):
         where = ("brackets", i)
         key = (
@@ -1038,7 +1037,7 @@ def load_presentation(source: Union[str, Path, Mapping]) -> HnnPresentation:
             )
         brackets[key] = _parse_value_list(entry, by_name, where)
 
-    derivation: dict[int, dict[int, Fraction]] = {}
+    derivation: dict[int, dict[int, Scalar]] = {}
     for i, entry in enumerate(parse_entries(data, "derivation")):
         where = ("derivation", i)
         a, arg = _generator(entry, "arg", where, by_name), entry["arg"]

@@ -325,19 +325,13 @@ def superbracket(p: Poly, q: Poly) -> Poly:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(text: str) -> Fraction:
+def _parse_scalar(text: str) -> Scalar:
     """An integer or ``p/q``, as the printer writes them, and nothing else.
 
-    A zero denominator raises ``ZeroDivisionError``; any other text,
-    ``1.5``, ``1e3`` and ``1_000`` included, raises ``ValueError``.
+    Integer text gives an ``int`` and only ``p/q`` a ``Fraction``.  A zero
+    denominator raises ``ZeroDivisionError``; any other text, ``1.5``,
+    ``1e3`` and ``1_000`` included, raises ``ValueError``.
     """
-    c = _parse_scalar(text)
-    return c if type(c) is Fraction else Fraction(c)
-
-
-def _parse_scalar(text: str) -> Scalar:
-    """:func:`parse_rational`'s value, an ``int`` for integer text and a
-    ``Fraction`` only for ``p/q``, with the same errors."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"bad coefficient {text!r} (expected an integer or p/q)")
     num, _, den = text.partition("/")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .poly import LetterTerms, Poly, from_letter_terms, superbracket
 from .words import Alphabet, Word, _super_ls_tuples, deglex_key
@@ -285,11 +285,10 @@ def reduce(
     composition the normal form does not depend on the strategy; otherwise
     it may, which is why the strategy is explicit.
 
-    The kernel keeps the polynomial as one dict from letters to integer
-    numerators over one common denominator (see :func:`_reduce_letters`),
-    starting from the numerators and the denominator of ``p``, and hands
-    both to :func:`~superlie.poly.from_letter_terms`, which builds the one
-    normal form.
+    The kernel rewrites the numerators of ``p`` as one dict from letters to
+    ints (see :func:`_reduce_letters`) and returns the factor it scaled
+    them by; :func:`~superlie.poly.from_letter_terms` builds the one normal
+    form over the denominator of ``p`` times that factor.
     The words that contain a leading word wait in a heap ordered by the
     strategy.  A word's step is read from the system's step table for the
     strategy, the one step finder every caller shares (see
@@ -308,32 +307,34 @@ def reduce(
         raise ValueError("polynomial over a different alphabet than the system")
     terms = dict(p._nums)
     leftmost = strategy == LARGEST_LEFTMOST
-    steps, den = _reduce_letters(terms, system, leftmost, p._den)
-    normal_form = from_letter_terms(alphabet, terms, den)
+    steps, factor = _reduce_letters(terms, system, leftmost)
+    normal_form = from_letter_terms(alphabet, terms, p._den * factor)
     return normal_form, ReductionTrace(steps, normal_form)
 
 
 def _reduce_letters(
-    acc: LetterTerms, system: RewriteSystem, leftmost: bool, den: int = 1
+    acc: LetterTerms, system: RewriteSystem, leftmost: bool, start: Optional[Iterable] = None
 ) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
     """The kernel of :func:`reduce`: rewrite the letter dict ``acc`` in place.
 
-    ``leftmost`` picks the strategy.  Each word's step is read, once per
-    sight, from ``system._steps[leftmost]``, the one step finder shared by
-    every caller, which bounds itself (see :class:`_Steps`).  Returns the
-    steps as (letters, rule index, position), and the denominator of the
-    normal form, which ``acc`` is left holding as int numerators.
+    ``leftmost`` picks the strategy.  The heap starts from the reducible
+    words of ``start``, which must hold every reducible word of ``acc``
+    (None: every word of ``acc``); a word of ``start`` not in ``acc`` is
+    skipped.  Each word's step is read, once per sight, from
+    ``system._steps[leftmost]``, the one step finder shared by every
+    caller, which bounds itself (see :class:`_Steps`).  Returns the steps
+    as (letters, rule index, position), and the factor ``acc`` was scaled
+    by: ``acc`` is left holding that factor times its normal form, as ints.
 
-    The arithmetic is on ints over one common denominator ``den``: the
-    values of ``acc`` are ints, and ``acc`` stands for ``acc / den``.  A
-    step on a word with coefficient ``C`` removes the word and subtracts
+    The arithmetic is on ints: the values of ``acc`` are ints and stay so.
+    A step on a word with coefficient ``C`` removes the word and subtracts
     ``C // D`` times the framed tail of its rule, ``D`` being the rule's
     denominator: the rule is monic, so its framed leading term would
-    remove exactly ``C``.  When ``D`` does not divide ``C``, the
-    whole dict and ``den`` are first multiplied by ``D // gcd(C, D)``.
+    remove exactly ``C``.  When ``D`` does not divide ``C``, the whole
+    dict and the factor are first multiplied by ``D // gcd(C, D)``.
     Scaling by a nonzero constant keeps the set of words, so the steps are
-    those of the rational reduction.  Nothing is divided back, and the
-    numerators and ``den`` may share a factor.
+    those of the rational reduction.  Nothing is divided back, so the
+    values and the factor may have a common divisor.
 
     A largest-leftmost heap entry is (minus the length, the negated
     letters, the letters).  A framed word's negated letters are sliced from
@@ -342,12 +343,14 @@ def _reduce_letters(
     """
     rules = system.rules
     hits = system._steps[leftmost]
+    start = acc if start is None else start
     if leftmost:  # max-heap by deglex
-        heap = [(-len(w), tuple(map(neg, w)), w) for w in acc if hits[w] is not None]
+        heap = [(-len(w), tuple(map(neg, w)), w) for w in start if hits[w] is not None]
     else:  # min-heap by deglex
-        heap = [(len(w), w) for w in acc if hits[w] is not None]
+        heap = [(len(w), w) for w in start if hits[w] is not None]
     heapify(heap)
     steps: list[tuple[tuple[int, ...], int, int]] = []
+    factor = 1
     while heap:
         top = heappop(heap)
         word = top[-1]
@@ -362,7 +365,7 @@ def _reduce_letters(
                 m = d // gcd(coeff, d)
                 for w in acc:
                     acc[w] *= m
-                den *= m
+                factor *= m
                 coeff *= m
             coeff //= d
         end = position + rule.leading_len
@@ -385,7 +388,7 @@ def _reduce_letters(
                     else:
                         heappush(heap, (len(framed), framed))
         steps.append((word, rule_index, position))
-    return steps, den
+    return steps, factor
 
 
 def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]]:

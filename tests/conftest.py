@@ -45,6 +45,27 @@ def _loader(name):
 ex1, ex2, ex3, ex4, sl2, osp, ab5 = map(_loader, ALL)
 
 
+# -- independent oracle: plain tuple rotations, no library calls ---------------
+
+
+def oracle_is_ls(letters):
+    return all(letters > letters[k:] + letters[:k] for k in range(1, len(letters)))
+
+
+def oracle_is_super_ls(letters, parities):
+    if oracle_is_ls(letters):
+        return True
+    n = len(letters)
+    if n % 2:
+        return False
+    u = letters[: n // 2]
+    return (
+        u == letters[n // 2 :]
+        and sum(parities[c] for c in u) % 2 == 1
+        and oracle_is_ls(u)
+    )
+
+
 def letter_terms(p: Poly) -> dict:
     """p as a dict from letter tuples (symbol ranks) to ``Fraction`` coefficients."""
     return {w: Fraction(n, p._den) for w, n in p._nums.items()}

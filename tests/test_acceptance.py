@@ -33,7 +33,7 @@ from superlie import (
     verify_structure_theorem,
 )
 from conftest import EX2, ex1, ex2, ex3
-from conftest import letter_terms, random_poly
+from conftest import letter_terms, oracle_is_ls, oracle_is_super_ls, random_poly
 from test_linalg import is_unitriangular
 
 FIXTURES = (("ex1", ex1), ("ex2", ex2), ("ex3", ex3))
@@ -53,24 +53,6 @@ def criterion(number, label, budget_seconds):
 
 
 # -- independent oracles (no library calls) ----------------------------------------
-
-
-def oracle_is_ls(letters):
-    return all(letters > letters[k:] + letters[:k] for k in range(1, len(letters)))
-
-
-def oracle_is_super_ls(letters, parities):
-    if oracle_is_ls(letters):
-        return True
-    n = len(letters)
-    if n % 2:
-        return False
-    u = letters[: n // 2]
-    return (
-        u == letters[n // 2 :]
-        and sum(parities[c] for c in u) % 2 == 1
-        and oracle_is_ls(u)
-    )
 
 
 def oracle_scan_reduced(letters, forbidden):

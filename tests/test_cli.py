@@ -758,6 +758,11 @@ LISTING_CELLS = [
     # reduced products back into Fractions and rank scaled each pivot to 1
     ("hnn-verify-ex2-14.json", ["hnn-verify", "--input", str(FIXTURES / "ex2.json"),
                                 "--max-len", "14", "--format", "json"], 0),
+    # the rescaled osp's rule denominators make 37 of check (iv)'s 112 kernel
+    # calls scale; recorded while the evaluator still reduced the set-aside
+    # products alone and scaled and merged the node's other products itself
+    ("hnn-verify-osp-rescaled-8.json", ["hnn-verify", "--input", RESCALED_OSP,
+                                        "--max-len", "8", "--format", "json"], 0),
 ]
 
 

@@ -48,7 +48,8 @@ from superlie import (
     verify_structure_theorem,
 )
 from superlie import hnn
-from superlie.poly import from_letter_terms
+from superlie.poly import bracket_terms, from_letter_terms
+from superlie.rewrite import _reduce_letters
 from conftest import left_comb, letter_terms, reference_expand
 from test_bracketing import subtrees
 from test_linalg import is_unitriangular
@@ -1134,6 +1135,80 @@ def test_memoised_normal_forms_are_the_reduced_free_expansions(fixture):
     longer = RewriteSystem(alphabet, (*system.rules, ttt))
     with pytest.raises(ValueError, match="length 2"):
         hnn._normal_forms(basis, longer)
+
+
+def _diagonally_rescaled(data, rng):
+    """The table with each generator g -> l_g g and t -> m t, for random rationals: isomorphic."""
+    data = copy.deepcopy(data)
+    factors = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3, 5) for d in (1, 2, 3, 4)]
+    lam = {g["name"]: rng.choice(factors) for g in data["generators"]}
+    mu = rng.choice(factors)
+    for entries, factor in (
+        (data.get("brackets", []), lambda e: lam[e["left"]] * lam[e["right"]]),
+        (data.get("derivation", []), lambda e: mu * lam[e["arg"]]),
+    ):
+        for entry in entries:
+            for term in entry["value"]:
+                term["coeff"] = str(Fraction(term["coeff"]) * factor(entry) / lam[term["basis"]])
+    return data
+
+
+def _reference_normal_forms(roots, system, memo):
+    """Check (iv)'s evaluator as it was: the set-aside products reduced alone,
+    the node's other products scaled by the kernel's factor, then merged.
+
+    Returns the roots' forms and the number of nodes whose reduction scaled.
+    """
+    scaled = 0
+
+    def form_of(node):
+        nonlocal scaled
+        form = memo.get(node)
+        if form is None:
+            if node.is_leaf:
+                form = {(node.rank,): 1}
+            else:
+                left, right = form_of(node.left), form_of(node.right)
+                odd = node.left.parity & node.right.parity
+                form, aside = bracket_terms(left, right, odd, system._index)
+                assert not form.keys() & aside.keys(), node
+                factor = _reduce_letters(aside, system, True)[1]
+                scaled += factor != 1
+                form = {w: c * factor for w, c in form.items()}
+                for w, c in aside.items():
+                    c += form.get(w, 0)
+                    if c:
+                        form[w] = c
+                    else:
+                        del form[w]
+            memo[node] = form
+        return form
+
+    return [form_of(m) for m in roots], scaled
+
+
+@pytest.mark.parametrize("rescaled", [False, True], ids=["given", "rescaled"])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_memoised_normal_forms_equal_the_reduce_scale_merge_reference(fixture, rescaled):
+    # value for value, so unlike the multiple test above this one catches a
+    # form off by a constant factor; the diagonally rescaled tables give
+    # rules with denominators, which make the kernel scale mid-walk
+    data = ALL[fixture.__name__]
+    if rescaled:
+        data = _diagonally_rescaled(data, Random(zlib.crc32(fixture.__name__.encode())))
+    pres = load_presentation(data)
+    system = build_relations(pres)
+    basis = enumerate_h_basis(pres, 6 if fixture in (osp, ab5) else 7)
+    memo, expected = {}, {}
+    forms = hnn._normal_forms(basis, system, memo)
+    expected_forms, scaled = _reference_normal_forms(basis, system, expected)
+    assert forms == expected_forms
+    assert memo.keys() == expected.keys()
+    for node, form in memo.items():
+        assert form == expected[node], node
+    # ex2's rule aa - 1/2*x scales, and so do the rescaled osp's rules; on
+    # the other tables these basis trees step no rule with a denominator
+    assert (scaled > 0) == (fixture is ex2 or (fixture is osp and rescaled))
 
 
 def _fractions_calls(run):

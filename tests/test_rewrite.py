@@ -443,6 +443,35 @@ def test_reduce_over_halves_and_quarters_matches_reference_step_for_step(monkeyp
     assert lengths == {0, 1, 2, 3} and rescales
 
 
+def test_kernel_started_from_any_superset_of_the_reducible_words_scans_alike():
+    # check (iv) starts the kernel from the set-aside products alone: any
+    # start holding every reducible word of the dict, with other words of it,
+    # words not in it and repeats, leaves the dict, the steps and the factor
+    # of a scan of the whole dict
+    rng = Random(4040)
+    systems = [*FIXTURE_SYSTEMS.values(), BROKEN]
+    systems += [halves_and_quarters_system(rng) for _ in range(30)]
+    factors = set()
+    for sys_ in systems:
+        alphabet, reducible = sys_.alphabet, sys_._steps[True]
+        for _ in range(8):
+            acc = {
+                random_word(rng, alphabet, 6).letters: rng.choice((-5, -3, -1, 1, 2, 3, 6))
+                for _ in range(rng.randint(1, 8))
+            }
+            start = [w for w in acc if reducible[w] is not None]
+            start += rng.sample(list(acc), rng.randint(0, len(acc)))
+            start += [random_word(rng, alphabet, 6).letters for _ in range(rng.randint(0, 3))]
+            rng.shuffle(start)
+            for leftmost in (True, False):
+                scanned, started = dict(acc), dict(acc)
+                expected = rewrite._reduce_letters(scanned, sys_, leftmost)
+                assert rewrite._reduce_letters(started, sys_, leftmost, start) == expected
+                assert started == scanned
+                factors.add(expected[1])
+    assert 1 in factors and max(factors) > 1
+
+
 # -- one system, many reductions: the step tables live on the system ---------------
 
 

@@ -18,31 +18,11 @@ from superlie.words import (
     _standard_coefficient,
     _super_ls_tuples,
 )
+from conftest import oracle_is_ls, oracle_is_super_ls
 
 AB = Alphabet.from_names(["a", "b"])
 AXT = Alphabet.from_names(["a", "x", "t"])
 X_ODD = Alphabet.from_names(["x"], odd=["x"])
-
-
-# -- independent oracle: plain tuple rotations, no library calls ---------------
-
-
-def oracle_is_ls(letters):
-    return all(letters > letters[k:] + letters[:k] for k in range(1, len(letters)))
-
-
-def oracle_is_super_ls(letters, parities):
-    if oracle_is_ls(letters):
-        return True
-    n = len(letters)
-    if n % 2:
-        return False
-    u = letters[: n // 2]
-    return (
-        u == letters[n // 2 :]
-        and sum(parities[c] for c in u) % 2 == 1
-        and oracle_is_ls(u)
-    )
 
 
 # -- lex order ------------------------------------------------------------------
