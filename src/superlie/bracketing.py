@@ -163,14 +163,14 @@ def _normal_forms(
 
     NF(u) and NF(v) are sums of reduced words and every leading word has
     length 2 (raises ValueError otherwise), so a product ab holds a leading
-    word exactly when the junction pair (a[-1], b[0]) is one.  The products
-    :func:`bracket_terms` sets aside on that test are added back to the
-    node's product, and :func:`_reduce_letters` rewrites the whole of it
+    word exactly when the junction pair (a[-1], b[0]) is one.
+    :func:`bracket_terms` returns the node's product with the words it
+    flags on that test, and :func:`_reduce_letters` rewrites the product
     with its heap started from them alone: the other words are reduced.
     The kernel scales the whole dict by a factor k, 1 unless a rule
     denominator made it scale, and nothing is divided.  So a node's form
     is k * l_u * l_v * NF, l_u and l_v its children's multiples; with no
-    system nothing is set aside and every multiple is 1, so ``expand``
+    system no word is flagged and every multiple is 1, so ``expand``
     gets the free expansion itself.  The steps come from the system's
     largest-leftmost step table, shared with every other caller and
     bounded by itself, so the walk trims nothing.  The relations being
@@ -207,16 +207,9 @@ def _normal_forms(
                 if left is None or right is None:
                     stack += (node, None, node.right, node.left)
                     continue
-            form, aside = bracket_terms(left, right, node.left.parity & node.right.parity, junctions)
-            if aside:
-                # No set-aside word is a kept one, so the update loses
-                # nothing: the children's forms hold reduced words and every
-                # leading word has length 2, so a product of two reduced
-                # words is reduced exactly when its junction pair is allowed,
-                # and a word holding a leading word across one split has no
-                # other split into two reduced words.
-                form.update(aside)
-                _reduce_letters(form, system, True, aside)
+            form, start = bracket_terms(left, right, node.left.parity & node.right.parity, junctions)
+            if start:
+                _reduce_letters(form, system, True, start)
                 form = dict(form)  # compact: a dict keeps the slots of the words popped
             if memo is not None:
                 memo[node] = form

@@ -265,30 +265,32 @@ def from_letter_terms(alphabet: Alphabet, terms: LetterTerms, den: int = 1) -> P
 
 def bracket_terms(
     p: LetterTerms, q: LetterTerms, odd: int, junctions: Container = frozenset()
-) -> tuple[LetterTerms, LetterTerms]:
+) -> tuple[LetterTerms, set[tuple[int, ...]]]:
     """The superbracket [p, q] of two letter-tuple dicts of one parity each.
 
     Each term pair (u, c_u), (v, c_v) adds c = c_u c_v to uv and -c to vu,
-    or +c when ``odd``, true when p and q are both odd.  A product whose
-    junction pair (the last letter of its left word, the first of its
-    right) is a key of ``junctions`` goes to the second dict returned,
-    every other product to the first; a junction with the empty word,
-    shorter than 2, is a key of no index of pairs.  Zero coefficients are
-    dropped from both.  The inputs are never written.
+    or +c when ``odd``, true when p and q are both odd.  Returns the
+    product, zero coefficients dropped, and the set of product words whose
+    junction pair (the last letter of the left word, the first of the
+    right) is a key of ``junctions``; a junction with the empty word,
+    shorter than 2, is a key of no index of pairs.  A flagged word whose
+    coefficient cancels stays in the set.  The inputs are never written.
     """
     rhs = [(v, cv, v[:1], v[-1:]) for v, cv in q.items()]
     out: LetterTerms = {}
-    aside: LetterTerms = {}
+    flagged: set[tuple[int, ...]] = set()
     for u, cu in p.items():
         u_first, u_last = u[:1], u[-1:]
         for v, cv, v_first, v_last in rhs:
             c = cu * cv
             uv, vu = u + v, v + u
-            acc = aside if u_last + v_first in junctions else out
-            acc[uv] = acc.get(uv, 0) + c
-            acc = aside if v_last + u_first in junctions else out
-            acc[vu] = acc.get(vu, 0) + (c if odd else -c)
-    return {w: c for w, c in out.items() if c}, {w: c for w, c in aside.items() if c}
+            out[uv] = out.get(uv, 0) + c
+            out[vu] = out.get(vu, 0) + (c if odd else -c)
+            if u_last + v_first in junctions:
+                flagged.add(uv)
+            if v_last + u_first in junctions:
+                flagged.add(vu)
+    return {w: c for w, c in out.items() if c}, flagged
 
 
 def superbracket(p: Poly, q: Poly) -> Poly:
@@ -298,13 +300,13 @@ def superbracket(p: Poly, q: Poly) -> Poly:
     :func:`bracket_terms` brackets each pair of nonzero parts, and the one
     Poly built sums their terms over the product of the two denominators.
     """
-    alphabet, parities = p.alphabet, p.alphabet.parities
+    alphabet = p.alphabet
     if alphabet != q.alphabet:
         raise ValueError("polynomials over different alphabets")
     p_parts, q_parts = ({}, {}), ({}, {})  # each side's (even, odd) numerator dicts
     for side, parts in ((p, p_parts), (q, q_parts)):
         for w, n in side._nums.items():
-            parts[sum([parities[r] for r in w]) & 1][w] = n
+            parts[_parity(alphabet, w)][w] = n
     acc: LetterTerms = {}
     for odd_p, p_part in enumerate(p_parts):
         for odd_q, q_part in enumerate(q_parts):

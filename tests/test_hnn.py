@@ -2,12 +2,15 @@
 
 import copy
 import fractions
+import importlib.util
 import json
 import sys
 import zlib
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -34,6 +37,7 @@ from superlie import (
     expand,
     free_generators_W,
     is_admissible,
+    is_reduced_word,
     is_super_ls,
     lie_composition_len2,
     load_presentation,
@@ -1170,7 +1174,8 @@ def _reference_normal_forms(roots, system, memo):
             else:
                 left, right = form_of(node.left), form_of(node.right)
                 odd = node.left.parity & node.right.parity
-                form, aside = bracket_terms(left, right, odd, system._index)
+                form, start = bracket_terms(left, right, odd, system._index)
+                aside = {w: form.pop(w) for w in start if w in form}
                 assert not form.keys() & aside.keys(), node
                 factor = _reduce_letters(aside, system, True)[1]
                 scaled += factor != 1
@@ -1209,6 +1214,32 @@ def test_memoised_normal_forms_equal_the_reduce_scale_merge_reference(fixture, r
     # ex2's rule aa - 1/2*x scales, and so do the rescaled osp's rules; on
     # the other tables these basis trees step no rule with a denominator
     assert (scaled > 0) == (fixture is ex2 or (fixture is osp and rescaled))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_node_products_flag_exactly_their_reducible_words(fixture):
+    # check (iv)'s kernel starts its heap from the words bracket_terms flags
+    # by their junction pair: over every node product the walk meets, a
+    # product word is flagged exactly when it is not reduced, and a flagged
+    # word whose coefficient cancelled is not reduced either
+    pres = fixture()
+    system = build_relations(pres)
+    alphabet = pres.alphabet
+    memo = {}
+    hnn._normal_forms(enumerate_h_basis(pres, 7), system, memo)
+    flagged = 0
+    for node in memo:
+        if node.is_leaf:
+            continue
+        odd = node.left.parity & node.right.parity
+        terms, start = bracket_terms(memo[node.left], memo[node.right], odd, system._index)
+        for w in terms:
+            assert (w in start) != is_reduced_word(Word(alphabet, w), system), (node, w)
+        for w in start:
+            assert not is_reduced_word(Word(alphabet, w), system), (node, w)
+        flagged += len(start)
+    # on the other tables every product of two basis forms is reduced
+    assert (flagged > 0) == (fixture in (ex2, osp, ab5))
 
 
 def _fractions_calls(run):
@@ -1550,6 +1581,36 @@ def test_structure_check_ii_failing_fails_iii(fixture, mutate, monkeypatch):
 def test_ex1_structure_counts():
     report = verify_structure_theorem(ex1(), 4)
     assert list(report.h_basis_counts) == [3, 1, 2, 3]
+
+
+def _dimension_oracle():
+    """``perfbench/oracle.py``, loaded by path: it imports nothing of superlie."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("dimension_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_counts_per_degree_equal_the_dimension_oracle(fixture):
+    # the super Witt formula's counts of H = A + L(W), of its enveloping
+    # algebra and of W, from the tables' parities alone
+    data = ALL[fixture.__name__]
+    top = 7 if fixture in (osp, ab5) else 8
+    expected = _dimension_oracle().extension_counts(
+        [g["parity"] for g in data["generators"]], data["subalgebra_size"], data["d_parity"], top
+    )
+    pres = fixture()
+
+    def per_degree(items, low=1):
+        lengths = Counter(map(len, items))
+        return [lengths[n] for n in range(low, top + 1)]
+
+    assert per_degree(enumerate_h_basis(pres, top)) == expected["algebra"]
+    assert per_degree(enumerate_uh_basis(pres, top), 0) == expected["enveloping"]
+    assert per_degree(free_generators_W(pres, top)) == expected["generators"]
+    assert list(verify_structure_theorem(pres, top).h_basis_counts) == expected["algebra"]
 
 
 def test_block_letter_order_is_prefix_greater():

@@ -24,7 +24,7 @@ from superlie import (
     standard_bracket,
     superbracket,
 )
-from superlie.poly import from_letter_terms
+from superlie.poly import bracket_terms, from_letter_terms
 from superlie.words import deglex_key
 from conftest import (
     even_part,
@@ -174,6 +174,37 @@ def test_superbracket_matches_reference_property(pair):
     got = superbracket(p, q)
     assert got == reference_superbracket(p, q)
     assert all(type(c) is Fraction for _, c in got.terms())
+
+
+_LETTER_DICTS = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=4).map(tuple), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _LETTER_DICTS,
+    _LETTER_DICTS,
+    st.integers(0, 1),
+    st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8),
+)
+def test_bracket_terms_flags_junction_words_and_keeps_one_product(p, q, odd, junctions):
+    # the junction pairs only flag words: the product is the same dict, and
+    # the flagged words are every uv, vu whose junction pair is a key, kept
+    # even when their coefficients cancel
+    product, flagged = bracket_terms(p, q, odd, junctions)
+    plain, none = bracket_terms(p, q, odd)
+    assert list(product.items()) == list(plain.items()) and none == set()
+    assert all(product.values())
+    expected = set()
+    for u in p:
+        for v in q:
+            if u and v and (u[-1], v[0]) in junctions:
+                expected.add(u + v)
+            if u and v and (v[-1], u[0]) in junctions:
+                expected.add(v + u)
+    assert flagged == expected
 
 
 def test_leading_examples():

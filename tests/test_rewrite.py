@@ -444,7 +444,7 @@ def test_reduce_over_halves_and_quarters_matches_reference_step_for_step(monkeyp
 
 
 def test_kernel_started_from_any_superset_of_the_reducible_words_scans_alike():
-    # check (iv) starts the kernel from the set-aside products alone: any
+    # check (iv) starts the kernel from the flagged products alone: any
     # start holding every reducible word of the dict, with other words of it,
     # words not in it and repeats, leaves the dict, the steps and the factor
     # of a scan of the whole dict
