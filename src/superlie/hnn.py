@@ -44,10 +44,11 @@ from .bracketing import (
     standard_bracket,
 )
 from .linalg import rank
-from .poly import Poly, Scalar, _parse_scalar, _to_fraction, from_letter_terms
+from .poly import Scalar, _parse_scalar, _to_fraction, from_letter_terms
 from .rewrite import (
     RewriteSystem,
     GsbReport,
+    _Frozen,
     _Record,
     enumerate_reduced_super_ls,
     is_gsb,
@@ -89,7 +90,7 @@ def _oriented(alpha: Mapping, parities: Sequence[int], x: int, y: int) -> Mappin
     return {v: factor * c for v, c in mirror.items()}
 
 
-class StructureConstants:
+class StructureConstants(_Frozen):
     """Bracket and derivation tables over an ordered homogeneous basis.
 
     ``brackets`` maps ordered rank pairs (x, y) to {v: coefficient of v in
@@ -145,9 +146,6 @@ class StructureConstants:
         ):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @staticmethod
     def _check_rank(r: int, size: int) -> None:
         if not 0 <= r < size:
@@ -165,9 +163,6 @@ class Violation(_Record):
     """One failed identity, located by the symbols involved."""
 
     __slots__ = ("check", "indices", "detail")
-
-    def __init__(self, check: str, indices: tuple[str, ...], detail: str):
-        super().__init__(check, indices, detail)
 
     def to_dict(self) -> dict:
         return {
@@ -474,9 +469,6 @@ class LieCompositionCheck(_Record):
 
     __slots__ = ("family", "word", "normal_form", "passed")
 
-    def __init__(self, family: int, word: Word, normal_form: Poly, passed: bool):
-        super().__init__(family, word, normal_form, passed)
-
     @property
     def description(self) -> str:
         return _FAMILIES[self.family]
@@ -709,16 +701,6 @@ class StructureLengthCheck(_Record):
         "length", "products", "pattern_words", "bijection_ok", "ls_transfer_ok",
         "admissibility_ok", "h_basis_count", "independent_rank", "rank_ok",
     )
-
-    def __init__(
-        self, length: int, products: int, pattern_words: int, bijection_ok: bool,
-        ls_transfer_ok: bool, admissibility_ok: bool, h_basis_count: int,
-        independent_rank: int, rank_ok: bool,
-    ):
-        super().__init__(
-            length, products, pattern_words, bijection_ok, ls_transfer_ok,
-            admissibility_ok, h_basis_count, independent_rank, rank_ok,
-        )
 
     @property
     def passed(self) -> bool:

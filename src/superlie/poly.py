@@ -52,7 +52,6 @@ def _fill(p: "Poly", alphabet: Alphabet, den: int, nums: dict[tuple[int, ...], i
     p._den = den
     p._nums = nums
     p._terms = None  # built on first read: most results are only added to
-    p._hash = None  # computed on first use: most polys are never hashed
     return p
 
 
@@ -63,7 +62,7 @@ class Poly:
     numerators, over the positive int ``_den``, with gcd 1 over all of them.
     """
 
-    __slots__ = ("alphabet", "_den", "_nums", "_terms", "_hash")
+    __slots__ = ("alphabet", "_den", "_nums", "_terms")
 
     def __init__(
         self,
@@ -230,9 +229,7 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.alphabet._hash, self._den, frozenset(self._nums.items())))
-        return self._hash
+        return hash((self.alphabet._hash, self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
         return poly_to_text(self)

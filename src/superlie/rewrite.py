@@ -34,28 +34,53 @@ SMALLEST_RIGHTMOST = "smallest-rightmost"
 STRATEGIES = (LARGEST_LEFTMOST, SMALLEST_RIGHTMOST)
 
 
-class _Record:
-    """A slotted, immutable record whose ``__slots__`` name its fields, in order.
+class _Frozen:
+    """A slotted base whose instances refuse assignment and deletion.
 
-    Two records are equal, and hash alike, when they are of one class and
-    their fields are equal; the repr reads ``Name(field=value, ...)``.  A
-    subclass's ``__init__`` hands every field, in order, to this one.
+    A subclass sets its slots once, in ``__init__``, through
+    ``object.__setattr__``.
     """
 
     __slots__ = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Record(_Frozen):
+    """An immutable record whose ``__slots__`` name its fields, in order.
+
+    A record is built from every field, each given by position or by name,
+    the positional ones first.  Two records are equal, and hash alike, when
+    they are of one class and their fields are equal; the repr reads
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values, **fields) -> None:
+        if fields:
+            try:
+                values += tuple([fields.pop(f) for f in self.__slots__[len(values) :]])
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__name__} is missing field {missing}") from None
+            if fields:
+                raise TypeError(
+                    f"{type(self).__name__} got an unexpected field {next(iter(fields))!r}"
+                )
+        try:
+            for name, value in zip(self.__slots__, values, strict=True):
+                object.__setattr__(self, name, value)
+        except ValueError:
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}"
+            ) from None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as assignment is refused
@@ -209,9 +234,6 @@ class ReductionStep(_Record):
     """One rewrite: the full word replaced, which rule, at which offset."""
 
     __slots__ = ("word", "rule_index", "position")
-
-    def __init__(self, word: Word, rule_index: int, position: int):
-        super().__init__(word, rule_index, position)
 
 
 class ReductionTrace:
@@ -430,12 +452,6 @@ class CompositionCheck(_Record):
     """One composition of a rule pair and the outcome of reducing it."""
 
     __slots__ = ("left", "right", "word", "composition", "normal_form", "trace", "passed")
-
-    def __init__(
-        self, left: int, right: int, word: Word, composition: Poly, normal_form: Poly,
-        trace: ReductionTrace, passed: bool,
-    ):
-        super().__init__(left, right, word, composition, normal_form, trace, passed)
 
     def to_dict(self) -> dict:
         return {

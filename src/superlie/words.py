@@ -146,7 +146,7 @@ class Word:
     subwords of words) come from ``Word._of`` and are not checked again.
     """
 
-    __slots__ = ("alphabet", "letters", "_hash")
+    __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet: Alphabet, letters: Sequence[int]):
         letters = tuple(letters)
@@ -157,7 +157,6 @@ class Word:
             raise ValueError(f"letter rank {bad!r} out of range for {alphabet!r}")
         self.alphabet = alphabet
         self.letters = letters
-        self._hash = None  # computed on first use: most generated words are never hashed
 
     @classmethod
     def _of(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "Word":
@@ -165,7 +164,6 @@ class Word:
         w = object.__new__(cls)
         w.alphabet = alphabet
         w.letters = letters
-        w._hash = None
         return w
 
     def __len__(self) -> int:
@@ -183,9 +181,7 @@ class Word:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.alphabet._hash, self.letters))
-        return self._hash
+        return hash((self.alphabet._hash, self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
         """Concatenation."""

@@ -834,6 +834,24 @@ def test_json_writer_writes_every_payload_as_json_dumps_does(name):
         assert cli._json_text(payload) == json.dumps(payload, indent=2), argv
 
 
+def test_no_subcommand_hashes_a_word_or_a_polynomial(monkeypatch, capsys):
+    # Word and Poly compute their hash on each call and keep none: no
+    # subcommand asks for one, so a cache would only cost a slot
+    calls = {Word: 0, Poly: 0}
+    for cls in calls:
+        def counting(self, cls=cls, original=cls.__hash__):
+            calls[cls] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "__hash__", counting)
+    for name in sorted(ALL):
+        for argv in _every_subcommand(name):
+            for fmt in ("text", "json"):
+                assert main([*argv, "--format", fmt]) == 0, argv
+    capsys.readouterr()
+    assert calls == {Word: 0, Poly: 0}
+
+
 EXPANSION_CELLS = {
     "bracket-tyx": ["bracket", "tyx", "--alphabet", "x,y:odd,t"],
     "bracket-cbcba": ["bracket", "cbcba", "--alphabet", "a:odd,b,c"],
@@ -984,6 +1002,28 @@ def test_max_len_0_exits_2(capsys, argv):
     assert (exc.value.code, out) == (2, "")
     errors = [line for line in err.splitlines() if "error:" in line]
     assert errors == [f"superlie {argv[0]}: error: argument --max-len: must be >= 1"]
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hnn-verify", "--input", str(FIXTURES / "ex1.json")],
+        ["hnn-basis", "--input", str(FIXTURES / "ex1.json")],
+        ["ls-words", "--alphabet", "a,b"],
+    ],
+    ids=["hnn-verify", "hnn-basis", "ls-words"],
+)
+def test_max_len_not_an_integer_exits_2(capsys, argv, value):
+    # the error names what was expected, not the parser's converter
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-len", value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [
+        f"superlie {argv[0]}: error: argument --max-len: expected an integer, got {value!r}"
+    ]
 
 
 def test_closed_pipe_exits_141_without_a_traceback():

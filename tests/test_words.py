@@ -598,16 +598,13 @@ def test_enumerated_words_are_the_checked_words(names, odd):
         assert type(w.letters) is tuple and {type(r) for r in w.letters} == {int}
 
 
-def test_a_word_hashes_on_first_use():
-    # generated words hold no hash until one is asked for; the hash is kept,
-    # and is the same for the unchecked, the checked and an equal alphabet's word
+def test_equal_words_hash_alike():
+    # the hash is the same for the unchecked, the checked and an equal alphabet's word
     words = enumerate_super_ls(AXT, 6)
-    assert all(w._hash is None for w in words)
     twin = Alphabet.from_names(["a", "x", "t"])
     assert twin is not AXT
     for w in words:
         h = hash(w)
-        assert w._hash == h == hash(w)
         assert h == hash(Word._of(AXT, w.letters)) == hash(Word(AXT, w.letters))
         assert h == hash(Word(twin, w.letters)) == hash(Word._of(twin, w.letters))
     assert hash(AXT.empty_word()) == hash(Word._of(twin, ()))
