@@ -47,7 +47,6 @@ from .linalg import rank
 from .poly import Scalar, _parse_scalar, _to_fraction, from_letter_terms
 from .rewrite import (
     RewriteSystem,
-    GsbReport,
     _Frozen,
     _Record,
     enumerate_reduced_super_ls,
@@ -172,13 +171,10 @@ class Violation(_Record):
         }
 
 
-class ValidationReport:
+class ValidationReport(_Record):
     """Every identity violated by a structure-constant table."""
 
     __slots__ = ("violations",)
-
-    def __init__(self, violations: Sequence[Violation]):
-        self.violations = tuple(violations)
 
     @property
     def passed(self) -> bool:
@@ -371,15 +367,16 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
                     )
                 )
 
-    return ValidationReport(violations)
+    return ValidationReport(tuple(violations))
 
 
 class HnnPresentation:
     """A validated-shape extension input: tables plus the appended stable letter.
 
     The stable letter is strictly greater than every basis symbol and has the
-    parity of the derivation.  All names, the stable letter's included, must
-    pass the rule of :meth:`Alphabet.from_names`.  At least one complement
+    parity of the derivation.  Its name must pass the rule every
+    :class:`Alphabet` holds its names to, as the table's names already do,
+    and must not be one of them.  At least one complement
     symbol is required; extending by a derivation of the whole algebra is
     rejected because the result degenerates to a (semi)direct product.
 
@@ -408,10 +405,6 @@ class HnnPresentation:
             raise ValueError(
                 f"stable letter name {t_name!r} collides with a generator"
             )
-        # a table may be built on any Alphabet, so its names are held to the
-        # rule of Alphabet.from_names here; the parities are taken as they are
-        for i, name in enumerate(base.names):
-            _check_name(name, i)
         self.constants = constants
         self.alphabet = Alphabet([*base.names, t_name], [*base.parities, constants.d_parity])
         t = self.t_rank = len(base)
@@ -483,15 +476,14 @@ class LieCompositionCheck(_Record):
         }
 
 
-class HnnGsbReport:
+class HnnGsbReport(_Record):
     """Associative closure report plus the superbracket composition families."""
 
-    __slots__ = ("associative", "lie_checks", "passed")
+    __slots__ = ("associative", "lie_checks")
 
-    def __init__(self, associative: GsbReport, lie_checks: Sequence[LieCompositionCheck]):
-        self.associative = associative
-        self.lie_checks = tuple(lie_checks)
-        self.passed = associative.passed and all(c.passed for c in self.lie_checks)
+    @property
+    def passed(self) -> bool:
+        return self.associative.passed and all(c.passed for c in self.lie_checks)
 
     def families_exercised(self) -> tuple[int, ...]:
         return tuple(sorted({c.family for c in self.lie_checks}))
@@ -563,7 +555,7 @@ def verify_hnn_gsb(pres: HnnPresentation) -> HnnGsbReport:
             LieCompositionCheck(family, word, normal_form, normal_form.is_zero())
         )
     checks.sort(key=lambda c: (c.family, deglex_key(c.word)))
-    return HnnGsbReport(associative, checks)
+    return HnnGsbReport(associative, tuple(checks))
 
 
 # -- basis enumeration ----------------------------------------------------------
@@ -637,14 +629,17 @@ class _WbarView:
 
     Each letter is a left-combed generator, ranked by ``_lex_key`` of its
     word, under which a proper prefix sorts greater (so "t", a prefix of
-    all, is the greatest letter), with its word parity.  A view lives for
-    one basis build (:func:`_h_basis`).
+    all, is the greatest letter), with its word parity.  Letter ``r`` is
+    named ``w<r>``; no basis text reads these names.  A view lives for one
+    basis build (:func:`_h_basis`).
     """
 
     def __init__(self, generators: Sequence[NcMonomial]):
         self.generators = sorted(generators, key=lambda m: _lex_key(m.word))
         self.letters = [m.word for m in self.generators]
-        self.alphabet = Alphabet([str(w) for w in self.letters], [w.parity for w in self.letters])
+        self.alphabet = Alphabet(
+            [f"w{r}" for r in range(len(self.letters))], [w.parity for w in self.letters]
+        )
 
 
 def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
@@ -716,15 +711,14 @@ class StructureLengthCheck(_Record):
         return dict(zip(self.__slots__, self._values()), passed=self.passed)
 
 
-class StructureReport:
+class StructureReport(_Record):
     """Per-degree verification that the extension splits off a free part."""
 
-    __slots__ = ("max_len", "rows", "passed")
+    __slots__ = ("max_len", "rows")
 
-    def __init__(self, max_len: int, rows: Sequence[StructureLengthCheck]):
-        self.max_len = max_len
-        self.rows = tuple(rows)
-        self.passed = all(r.passed for r in self.rows)
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.rows)
 
     @property
     def h_basis_counts(self) -> tuple[int, ...]:
@@ -874,7 +868,7 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
             )
         )
 
-    return StructureReport(max_len, rows)
+    return StructureReport(max_len, tuple(rows))
 
 
 # -- presentation files -----------------------------------------------------------

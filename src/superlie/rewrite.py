@@ -240,24 +240,21 @@ class ReductionTrace:
     """The step sequence of one reduction, replayable against the input.
 
     It holds the steps as (letters, rule index, position) tuples, as the
-    kernel of :func:`reduce` records them; ``steps`` builds the
-    :class:`ReductionStep` objects on first read and keeps them, and
-    ``len`` counts without building any.
+    kernel of :func:`reduce` records them; each read of ``steps`` builds
+    the :class:`ReductionStep` objects, and ``len`` counts without building
+    any.
     """
 
-    __slots__ = ("_raw", "_steps", "normal_form")
+    __slots__ = ("_raw", "normal_form")
 
     def __init__(self, raw: Sequence[tuple[tuple[int, ...], int, int]], normal_form: Poly):
         self._raw = raw
-        self._steps = None
         self.normal_form = normal_form
 
     @property
     def steps(self) -> tuple[ReductionStep, ...]:
-        if self._steps is None:
-            of, alphabet = Word._of, self.normal_form.alphabet
-            self._steps = tuple(ReductionStep(of(alphabet, w), i, pos) for w, i, pos in self._raw)
-        return self._steps
+        of, alphabet = Word._of, self.normal_form.alphabet
+        return tuple(ReductionStep(of(alphabet, w), i, pos) for w, i, pos in self._raw)
 
     def replay(self, p: Poly, system: RewriteSystem) -> tuple[Poly, Poly]:
         """Re-run the steps on ``p``; returns (final form, ideal member).
@@ -463,14 +460,14 @@ class CompositionCheck(_Record):
         }
 
 
-class GsbReport:
+class GsbReport(_Record):
     """Outcome of the closure check: every composition and its normal form."""
 
-    __slots__ = ("checks", "passed")
+    __slots__ = ("checks",)
 
-    def __init__(self, checks: Sequence[CompositionCheck]):
-        self.checks = tuple(checks)
-        self.passed = all(c.passed for c in self.checks)
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def failures(self) -> tuple[CompositionCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -535,7 +532,7 @@ def is_gsb(system: RewriteSystem) -> GsbReport:
                     )
                 )
     checks.sort(key=lambda c: (deglex_key(c.word), c.left, c.right))
-    return GsbReport(checks)
+    return GsbReport(tuple(checks))
 
 
 def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word]:

@@ -15,7 +15,8 @@ A word is a Lyndon-Shirshov (LS) word when it is strictly greater, in the
 lexicographic order above, than every proper cyclic rotation of itself.  A
 super-LS word is an LS word, or a square ``uu`` where ``u`` is an odd LS
 word.  Everything here is a pure value: alphabets and words are immutable and
-safe to share.
+safe to share.  Every alphabet holds its names to one rule, checked when it
+is built (:func:`_check_name`), so a word's text parses back to it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 
 def _check_name(name: object, position: Optional[int] = None) -> None:
-    """Raise ``ValueError`` unless ``name`` passes the rule of :meth:`Alphabet.from_names`.
+    """Raise ``ValueError`` unless ``name`` is an ASCII identifier.
 
-    ``position``, the name's index in a list of names, is given in the message.
+    That is a letter or '_', then letters, digits or '_': no operator, no
+    dot and no "1", the empty word, so words and polynomials print to text
+    that parses back to them.  ``position``, the name's index in a list of
+    names, is given in the message.
     """
     if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
         where = "" if position is None else f" at position {position}"
@@ -40,13 +44,14 @@ class Alphabet:
     """An immutable, totally ordered set of letters, each a name and a parity.
 
     A letter is its rank, its position in the order; ``names`` and
-    ``parities`` list the letters' names and parities by rank.  Words carry
-    a reference to their alphabet; two alphabets are considered the same
-    when their names and parities agree, so words remain comparable across
-    independently constructed but identical alphabets.
+    ``parities`` list the letters' names and parities by rank.  Every name
+    must pass :func:`_check_name`, so every alphabet's word text parses back.
+    Words carry a reference to their alphabet; two alphabets are considered
+    the same when their names and parities agree, so words remain comparable
+    across independently constructed but identical alphabets.
     """
 
-    __slots__ = ("names", "parities", "_by_name", "_key", "_hash", "_ranks", "_dotted", "_table")
+    __slots__ = ("names", "parities", "_by_name", "_key", "_hash", "_ranks", "_table")
 
     def __init__(self, names: Sequence[str], parities: Sequence[int]):
         names, parities = tuple(names), tuple(parities)
@@ -54,11 +59,10 @@ class Alphabet:
             raise ValueError("alphabet must be non-empty")
         if len(parities) != len(names):
             raise ValueError(f"expected one parity per name, got {len(parities)} for {len(names)}")
-        for name, parity in zip(names, parities):
+        for i, (name, parity) in enumerate(zip(names, parities)):
             if parity not in (0, 1):
                 raise ValueError(f"parity must be 0 or 1, got {parity!r}")
-            if not name:
-                raise ValueError("symbol name must be non-empty")
+            _check_name(name, i)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate symbol names in {list(names)}")
         self.names = names
@@ -67,32 +71,28 @@ class Alphabet:
         self._key = (names, parities)
         self._hash = hash(self._key)
         self._ranks = frozenset(range(len(names)))
-        joined = "".join(names)  # names are non-empty
-        self._dotted = len(joined) > len(names)
-        # rank r -> byte of its name, when every name is one ASCII character;
-        # _texts formats words through it
+        joined = "".join(names)
+        # rank r -> byte of its name, when every name is one character (None:
+        # words join their names with '.'); _texts formats words through it
         self._table = (
-            None
-            if self._dotted or not joined.isascii()
-            else bytes.maketrans(bytes(range(len(names))), joined.encode())
+            bytes.maketrans(bytes(range(len(names))), joined.encode())
+            if len(joined) == len(names)
+            else None
         )
 
     @classmethod
     def from_names(cls, names: Iterable[str], odd: Iterable[str] = ()) -> "Alphabet":
         """Build an alphabet from names in increasing order; ``odd`` marks parities.
 
-        Names must be ASCII identifiers (a letter or '_', then letters,
-        digits or '_'): no operator, no dot and no "1", the empty word, so
-        words and polynomials print to text that parses back to them.
+        The constructor checks every name before one is hashed, as each is
+        looked up in ``odd`` by equality.
         """
-        names = list(names)
-        for i, name in enumerate(names):
-            _check_name(name, i)
-        odd = set(odd)
-        unknown = odd - set(names)
+        names, odd = tuple(names), tuple(odd)
+        alphabet = cls(names, [1 if name in odd else 0 for name in names])
+        unknown = set(odd) - alphabet._by_name.keys()
         if unknown:
             raise ValueError(f"odd names not in alphabet: {sorted(unknown)}")
-        return cls(names, [1 if name in odd else 0 for name in names])
+        return alphabet
 
     def __len__(self) -> int:
         return len(self.names)
@@ -122,13 +122,13 @@ class Alphabet:
         """Parse the textual form produced by ``str(word)``.
 
         Single-character alphabets join names with nothing ("txx"); alphabets
-        with a multi-character name join with '.' ("t.x1.x1").  The token "1"
-        denotes the empty word unless "1" is itself a symbol name.
+        with a multi-character name join with '.' ("t.x1.x1").  The token "1",
+        never a name, denotes the empty word.
         """
         text = text.strip()
-        if text in ("", "1") and text not in self._by_name:
+        if text in ("", "1"):
             return self.empty_word()
-        names = text.split(".") if self._dotted or "." in text else text
+        names = text.split(".") if self._table is None or "." in text else text
         try:
             letters = tuple(map(self._by_name.__getitem__, names))
         except KeyError:  # rank names the first unknown name
@@ -202,14 +202,14 @@ class Word:
 def _texts(alphabet: Alphabet, words: Iterable[Word]) -> list[str]:
     """``str(w)`` of each word ``w`` over ``alphabet``, the table or names read once.
 
-    Ranks go through the byte table when every name is one ASCII character;
-    otherwise the names are joined, with '.' when one is longer than that.
+    Ranks go through the byte table when every name is one character;
+    otherwise the names are joined with '.'.
     """
     table = alphabet._table
     if table is not None:
         return [bytes(w.letters).translate(table).decode() for w in words]
-    names, sep = alphabet.names, "." if alphabet._dotted else ""
-    return [sep.join([names[r] for r in w.letters]) for w in words]
+    names = alphabet.names
+    return [".".join([names[r] for r in w.letters]) for w in words]
 
 
 def _parity(alphabet: Alphabet, letters: Iterable[int]) -> int:

@@ -18,6 +18,8 @@ import pytest
 from superlie import (
     Alphabet,
     CompositionCheck,
+    GsbReport,
+    HnnGsbReport,
     LieCompositionCheck,
     NcMonomial,
     Poly,
@@ -27,6 +29,8 @@ from superlie import (
     RewriteSystem,
     StructureConstants,
     StructureLengthCheck,
+    StructureReport,
+    ValidationReport,
     Violation,
     Word,
     build_relations,
@@ -1865,22 +1869,37 @@ def _record_values():
     p, q = parse_poly(abc, "2*cab - 1/3*b"), parse_poly(abc, "ab")
     zero = Poly.zero(abc)
     trace, other_trace = ReductionTrace((), zero), ReductionTrace(((u.letters, 0, 1),), zero)
+    # each record twice, passing and failing; a report holds them in that order
+    composition = (
+        CompositionCheck(0, 1, u, p, zero, trace, True),
+        CompositionCheck(2, 3, v, q, p, other_trace, False),
+    )
+    violation = (
+        Violation("jacobi", ("a", "b", "c"), "residual 1"), Violation("closure", ("a",), "x")
+    )
+    lie = (LieCompositionCheck(1, u, zero, True), LieCompositionCheck(4, v, p, False))
+    row = (
+        StructureLengthCheck(3, 4, 4, True, True, True, 7, 7, True),
+        StructureLengthCheck(4, 5, 6, False, False, False, 8, 6, False),
+    )
     return {
         ReductionStep: [(u, 0, 1), (v, 2, 0)],
-        CompositionCheck: [(0, 1, u, p, zero, trace, True), (2, 3, v, q, p, other_trace, False)],
-        Violation: [("jacobi", ("a", "b", "c"), "residual 1"), ("closure", ("a",), "x")],
-        LieCompositionCheck: [(1, u, zero, True), (4, v, p, False)],
-        StructureLengthCheck: [
-            (3, 4, 4, True, True, True, 7, 7, True),
-            (4, 5, 6, False, False, False, 8, 6, False),
-        ],
+        CompositionCheck: [r._values() for r in composition],
+        Violation: [r._values() for r in violation],
+        LieCompositionCheck: [r._values() for r in lie],
+        StructureLengthCheck: [r._values() for r in row],
+        ValidationReport: [((),), (violation,)],
+        GsbReport: [(composition[:1],), (composition,)],
+        HnnGsbReport: [(GsbReport(composition[:1]), lie[:1]), (GsbReport(()), lie)],
+        StructureReport: [(3, row[:1]), (4, row)],
     }
 
 
 RECORDS = [ReductionStep, CompositionCheck, Violation, LieCompositionCheck, StructureLengthCheck]
+REPORTS = [ValidationReport, GsbReport, HnnGsbReport, StructureReport]
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RECORDS + REPORTS, ids=lambda cls: cls.__name__)
 def test_report_records_are_immutable_values(cls):
     values, others = _record_values()[cls]
     names = cls.__slots__
@@ -1910,6 +1929,14 @@ def test_report_records_are_immutable_values(cls):
         cls(*values, values[0])
     with pytest.raises(TypeError):
         cls(*values[:-1])
+
+
+@pytest.mark.parametrize("cls", REPORTS, ids=lambda cls: cls.__name__)
+def test_a_report_reads_its_verdict_from_its_records(cls):
+    # passed is no field: a report computes it from the records it holds
+    passing, failing = _record_values()[cls]
+    assert "passed" not in cls.__slots__
+    assert cls(*passing).passed is True and cls(*failing).passed is False
 
 
 def test_each_table_is_validated_once(monkeypatch, capsys, tmp_path):

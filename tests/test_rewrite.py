@@ -610,7 +610,7 @@ def test_step_tables_stay_bounded_over_a_stream_of_distinct_polynomials(monkeypa
     assert any(after <= before for before, after in sizes)
 
 
-def test_trace_steps_are_built_on_first_read_and_kept(monkeypatch):
+def test_trace_steps_are_built_on_each_read(monkeypatch):
     built = []
     monkeypatch.setattr(rewrite, "ReductionStep", lambda *a: built.append(a) or ReductionStep(*a))
     rng = Random(41)
@@ -623,7 +623,7 @@ def test_trace_steps_are_built_on_first_read_and_kept(monkeypatch):
             n = len(trace)
             assert built == []  # len counts the kernel's steps, builds none
             assert trace.steps == expected and len(built) == n == len(expected)
-            assert trace.steps is trace.steps and len(built) == n
+            assert trace.steps == expected and len(built) == 2 * n  # nothing is kept
             assert repr(trace) == f"ReductionTrace({n} steps -> {normal_form})"
 
 

@@ -1,16 +1,24 @@
 """Orders, Lyndon-Shirshov recognition, enumeration."""
 
+import re
+import string
+from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superlie import (
     Alphabet,
+    NcMonomial,
+    Poly,
     Word,
     deglex_key,
     enumerate_super_ls,
     is_super_ls,
+    parse_monomial,
+    parse_poly,
 )
 from superlie.words import (
     _is_ls_letters,
@@ -516,7 +524,7 @@ def test_alphabet_content_equality():
         (["a", "b"], [0], "expected one parity per name, got 1 for 2"),
         (["a"], [0, 1], "expected one parity per name, got 2 for 1"),
         (["a", "b"], [0, 2], "parity must be 0 or 1, got 2"),
-        (["a", ""], [0, 0], "symbol name must be non-empty"),
+        (["a", ""], [0, 0], "bad symbol name '' at position 1"),
         (["a", "b", "a"], [0, 1, 0], r"duplicate symbol names in \['a', 'b', 'a'\]"),
         (["a", "b"], [0, 1], "unknown symbol name 'ab'"),  # a valid shape: rank fails
     ],
@@ -574,11 +582,59 @@ def test_word_text_joins_the_names(alphabet):
             assert alphabet.word(text).letters == letters
 
 
-def test_word_text_of_non_ascii_one_character_names():
-    # Alphabet itself takes any non-empty name; these skip the byte table
-    greek = Alphabet(["α", "β"], [0, 1])
-    assert str(Word(greek, (1, 0, 0))) == "βαα"
-    assert str(Word(greek, ())) == ""
+_FIRST = string.ascii_letters + "_"
+
+
+@st.composite
+def constructed_alphabets(draw):
+    """An ``Alphabet(names, parities)`` of identifiers, all one character or not."""
+    rest = st.text(_FIRST + string.digits, max_size=0 if draw(st.booleans()) else 3)
+    name = st.builds(str.__add__, st.sampled_from(_FIRST), rest)
+    names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    parities = st.lists(st.integers(0, 1), min_size=len(names), max_size=len(names))
+    return Alphabet(names, draw(parities))
+
+
+@st.composite
+def _monomials(draw, alphabet, size):
+    if size == 1:
+        return NcMonomial.leaf(alphabet, draw(st.integers(0, len(alphabet) - 1)))
+    left = draw(st.integers(1, size - 1))
+    return NcMonomial.pair(
+        draw(_monomials(alphabet, left)), draw(_monomials(alphabet, size - left))
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_text_of_a_constructed_alphabet_parses_back(data):
+    # the constructor holds every name to the rule, so each kind of text
+    # reads back: a word, a polynomial and a bracketed monomial
+    alphabet = data.draw(constructed_alphabets())
+    words = st.lists(st.integers(0, len(alphabet) - 1), max_size=6).map(
+        lambda letters: Word(alphabet, letters)
+    )
+    w = data.draw(words)
+    assert alphabet.word(str(w)) == w
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    p = Poly(alphabet, data.draw(st.lists(st.tuples(words, coeffs), max_size=4)))
+    assert parse_poly(alphabet, str(p)) == p
+    m = data.draw(_monomials(alphabet, data.draw(st.integers(1, 5))))
+    assert parse_monomial(alphabet, str(m)) == m
+
+
+@pytest.mark.parametrize(
+    "bad", ["", "1", "1a", "a,b", "a*b", "x.y", "a b", "α", 5, None, ["a"]], ids=repr
+)
+def test_alphabet_and_from_names_reject_a_name_outside_the_rule(bad):
+    message = re.escape(
+        f"bad symbol name {bad!r} at position 1: use letters, digits and '_', "
+        "not starting with a digit"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Alphabet(["a", bad], [0, 0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Alphabet.from_names(["a", bad], odd=[bad])
 
 
 @pytest.mark.parametrize(
