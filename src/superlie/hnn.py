@@ -66,14 +66,21 @@ from .words import (
 CoeffMap = Mapping[int, Scalar]
 
 
-def _clean_coeffs(coeffs: CoeffMap) -> dict[int, Fraction]:
+def _clean_coeffs(coeffs: CoeffMap, size: int) -> dict[int, Fraction]:
+    """The nonzero coefficients as fractions, each target a rank of a basis of ``size``."""
     out = {}
     for v, c in dict(coeffs).items():
         if type(c) is not Fraction:
             c = _to_fraction(c)
         if c:
+            _check_rank(v, size)
             out[v] = c
     return out
+
+
+def _check_rank(r: int, size: int) -> None:
+    if not 0 <= r < size:
+        raise ValueError(f"rank {r} out of range for a basis of size {size}")
 
 
 def _oriented(alpha: Mapping, parities: Sequence[int], x: int, y: int) -> Mapping:
@@ -119,22 +126,16 @@ class StructureConstants(_Frozen):
             raise ValueError(f"d_parity must be 0 or 1, got {d_parity!r}")
         alpha: dict[tuple[int, int], Mapping[int, Fraction]] = {}
         for (x, y), coeffs in dict(brackets).items():
-            self._check_rank(x, size)
-            self._check_rank(y, size)
-            cleaned = _clean_coeffs(coeffs)
-            for v in cleaned:
-                self._check_rank(v, size)
-            alpha[(x, y)] = types.MappingProxyType(cleaned)
+            _check_rank(x, size)
+            _check_rank(y, size)
+            alpha[(x, y)] = types.MappingProxyType(_clean_coeffs(coeffs, size))
         beta: dict[int, Mapping[int, Fraction]] = {}
         for a, coeffs in dict(derivation).items():
             if not 0 <= a < subalgebra_size:
                 raise ValueError(
                     f"derivation argument rank {a} is not a subalgebra symbol"
                 )
-            cleaned = _clean_coeffs(coeffs)
-            for v in cleaned:
-                self._check_rank(v, size)
-            beta[a] = types.MappingProxyType(cleaned)
+            beta[a] = types.MappingProxyType(_clean_coeffs(coeffs, size))
         for name, value in (
             ("alphabet", alphabet),
             ("subalgebra_size", subalgebra_size),
@@ -144,11 +145,6 @@ class StructureConstants(_Frozen):
             ("_report", None),
         ):
             object.__setattr__(self, name, value)
-
-    @staticmethod
-    def _check_rank(r: int, size: int) -> None:
-        if not 0 <= r < size:
-            raise ValueError(f"rank {r} out of range for a basis of size {size}")
 
     def bracket_coeffs(self, x: int, y: int) -> Mapping[int, Fraction]:
         """Coefficients of [x, y], deriving the missing mirror by sign."""
@@ -230,9 +226,11 @@ def validate(sc: StructureConstants) -> ValidationReport:
     * ``subalgebra-closure``: the subalgebra is closed under the bracket;
     * ``parity``: every stored coefficient respects the parities.
 
-    The identities are summed on integers: each coefficient is scaled by the
-    lcm of the table's denominators, and a ``Fraction`` is built only for
-    the text of a violation.
+    Each check reports in order of its cases, then of target rank, so the
+    report depends only on the table's value, not on the order its terms
+    were given in.  The identities are summed on integers: each coefficient
+    is scaled by the lcm of the table's denominators, and a ``Fraction`` is
+    built only for the text of a violation.
     """
     if sc._report is None:
         object.__setattr__(sc, "_report", _check_identities(sc))
@@ -260,7 +258,7 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
     d = [scaled(sc.derivation_coeffs(v)) for v in range(size)]
 
     def compare(check, case, lhs, rhs, factor, detail, den):
-        """Report every target u where lhs[u] != factor * rhs[u], both over ``den``."""
+        """Report, by rank, every target u where lhs[u] != factor * rhs[u], both over ``den``."""
         for u in sorted(lhs.keys() | rhs.keys()):
             lhs_u, rhs_u = lhs.get(u, 0), rhs.get(u, 0)
             if lhs_u != factor * rhs_u:
@@ -328,44 +326,24 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
         for case in cases:
             compare(check, case, *sides(*case), factor, detail, scale * scale)
 
-    # subalgebra closure
+    # subalgebra closure: no coefficient of [a, b] lands outside the subalgebra
     for a in range(k):
         for b in range(a, k):
-            for v, c in ad[a][b].items():
-                if c and v >= k:
-                    violations.append(
-                        Violation(
-                            "subalgebra-closure",
-                            (names[a], names[b], names[v]),
-                            f"coefficient {Fraction(c, scale)} lands outside the subalgebra",
-                        )
-                    )
+            outside = {v: c for v, c in ad[a][b].items() if v >= k}
+            compare("subalgebra-closure", (a, b), outside, {}, 1,
+                    "coefficient {} lands outside the subalgebra", scale)
 
-    # parity coherence of stored tables
-    for (x, y), coeffs in sorted(sc.alpha.items()):
-        want = (parities[x] + parities[y]) % 2
-        for v, c in sorted(coeffs.items()):
-            if c and parities[v] != want:
-                violations.append(
-                    Violation(
-                        "parity",
-                        (names[x], names[y], names[v]),
-                        f"bracket of parities {parities[x]},{parities[y]} cannot "
-                        f"hit a parity-{parities[v]} symbol",
-                    )
-                )
-    for a, coeffs in sorted(sc.beta.items()):
-        want = (parities[a] + sc.d_parity) % 2
-        for v, c in sorted(coeffs.items()):
-            if c and parities[v] != want:
-                violations.append(
-                    Violation(
-                        "parity",
-                        (names[a], names[v]),
-                        f"derivation of parity {sc.d_parity} cannot map a "
-                        f"parity-{parities[a]} symbol to a parity-{parities[v]} one",
-                    )
-                )
+    # parity coherence of stored tables: no coefficient hits the wrong parity
+    for (x, y), coeffs in sorted(alpha.items()):
+        wrong = 1 - (parities[x] + parities[y]) % 2
+        compare("parity", (x, y), {v: c for v, c in coeffs.items() if parities[v] == wrong},
+                {}, 1, f"bracket of parities {parities[x]},{parities[y]} cannot hit a "
+                f"parity-{wrong} symbol", scale)
+    for a, coeffs in enumerate(d[:k]):
+        wrong = 1 - (parities[a] + sc.d_parity) % 2
+        compare("parity", (a,), {v: c for v, c in coeffs.items() if parities[v] == wrong},
+                {}, 1, f"derivation of parity {sc.d_parity} cannot map a "
+                f"parity-{parities[a]} symbol to a parity-{wrong} one", scale)
 
     return ValidationReport(tuple(violations))
 
@@ -968,7 +946,8 @@ def _read_json(path: Union[str, Path]) -> dict:
         raise ValueError(f"{path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a decode error, an integer over the digit limit, or nesting too deep
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")

@@ -85,10 +85,13 @@ class Alphabet:
         """Build an alphabet from names in increasing order; ``odd`` marks parities.
 
         The constructor checks every name before one is hashed, as each is
-        looked up in ``odd`` by equality.
+        looked up in ``odd`` by equality; each odd name is checked before
+        ``odd`` is hashed and sorted.
         """
         names, odd = tuple(names), tuple(odd)
         alphabet = cls(names, [1 if name in odd else 0 for name in names])
+        for name in odd:
+            _check_name(name)
         unknown = set(odd) - alphabet._by_name.keys()
         if unknown:
             raise ValueError(f"odd names not in alphabet: {sorted(unknown)}")

@@ -403,6 +403,22 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "broken.json" in err  # location-bearing message
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"subalgebra_size": ' + "9" * 5_000 + "}"],
+    ids=["nested-too-deep", "integer-too-long"],
+)
+@pytest.mark.parametrize(
+    "argv", [["hnn-verify"], ["hnn-basis"], ["gsb-check"], ["reduce", "a"]], ids=lambda a: a[0]
+)
+def test_json_the_decoder_refuses_exits_2_naming_the_path(capsys, tmp_path, text, argv):
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: invalid JSON (") and err.count("\n") == 1
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "hnn-verify", "--input", str(tmp_path / "nope.json"))
     assert code == 2

@@ -234,6 +234,14 @@ PINNED_VIOLATIONS = {
             ("subalgebra-closure", ("a", "b", "x"), "coefficient 1 lands outside the subalgebra"),
         ],
     ),
+    # two outside targets listed against rank order are reported by rank
+    "closure-two-targets": (
+        _with(ALL["ab5"], brackets=[_bracket("a", "b", ("z", "1"), ("x", "1"))]),
+        [
+            ("subalgebra-closure", ("a", "b", "x"), "coefficient 1 lands outside the subalgebra"),
+            ("subalgebra-closure", ("a", "b", "z"), "coefficient 1 lands outside the subalgebra"),
+        ],
+    ),
     "bracket-parity": (
         _with(EX2, brackets=[_bracket("a", "a", ("a", "1"))]),
         [
@@ -250,6 +258,33 @@ PINNED_VIOLATIONS = {
                 "parity",
                 ("a", "a"),
                 "derivation of parity 1 cannot map a parity-1 symbol to a parity-1 one",
+            ),
+        ],
+    ),
+    # two wrong-parity targets, listed against rank order, in a bracket and
+    # in a derivation image
+    "parity-two-targets": (
+        {
+            "generators": [{"name": n, "parity": p} for n, p in zip("hxuv", (0, 0, 1, 1))],
+            "subalgebra_size": 1,
+            "d_parity": 0,
+            "brackets": [_bracket("h", "x", ("v", "1"), ("u", "-2"))],
+            "derivation": [{"arg": "h", "value": [
+                {"basis": "v", "coeff": "1/2"}, {"basis": "u", "coeff": "3"},
+            ]}],
+        },
+        [
+            ("parity", ("h", "x", "u"), "bracket of parities 0,0 cannot hit a parity-1 symbol"),
+            ("parity", ("h", "x", "v"), "bracket of parities 0,0 cannot hit a parity-1 symbol"),
+            (
+                "parity",
+                ("h", "u"),
+                "derivation of parity 0 cannot map a parity-0 symbol to a parity-1 one",
+            ),
+            (
+                "parity",
+                ("h", "v"),
+                "derivation of parity 0 cannot map a parity-0 symbol to a parity-1 one",
             ),
         ],
     ),
@@ -336,6 +371,21 @@ def test_validation_report_is_pinned(case):
             for check, indices, detail in expected
         ],
     }
+
+
+def _reversed(data):
+    """``data`` with its bracket and derivation lists, and each value list, reversed."""
+    data = copy.deepcopy(data)
+    for key in ("brackets", "derivation"):
+        data[key] = [dict(entry, value=entry["value"][::-1]) for entry in data[key][::-1]]
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VIOLATIONS))
+def test_validation_report_does_not_depend_on_term_order(case):
+    data = PINNED_VIOLATIONS[case][0]
+    report = validate(load_presentation(data).constants)
+    assert validate(load_presentation(_reversed(data)).constants) == report
 
 
 IDENTITY_CHECKS = (

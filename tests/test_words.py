@@ -547,6 +547,12 @@ def test_from_names_rejects_an_odd_name_not_in_the_alphabet():
         Alphabet.from_names(["a"], ["b"])
 
 
+@pytest.mark.parametrize("odd", [[["a"]], [5, "c"]], ids=["list", "int"])
+def test_from_names_rejects_an_odd_name_outside_the_grammar(odd):
+    with pytest.raises(ValueError, match=r"^bad symbol name "):
+        Alphabet.from_names(["a"], odd=odd)
+
+
 def test_from_names_accepts_identifiers():
     alphabet = Alphabet.from_names(["_", "a1", "B_2"], odd=["a1"])
     assert alphabet.names == ("_", "a1", "B_2")
