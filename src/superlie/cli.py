@@ -140,7 +140,7 @@ def _cmd_bracket(args) -> tuple[int, dict, list[str]]:
         "bracket": str(monomial),
         "expansion": str(expansion),
     }
-    return 0, payload, [str(monomial), str(expansion)]
+    return 0, payload, [payload["bracket"], payload["expansion"]]
 
 
 def _cmd_expand(args) -> tuple[int, dict, list[str]]:
@@ -152,7 +152,7 @@ def _cmd_expand(args) -> tuple[int, dict, list[str]]:
         "monomial": str(monomial),
         "expansion": str(expansion),
     }
-    return 0, payload, [str(expansion)]
+    return 0, payload, [payload["expansion"]]
 
 
 def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
@@ -173,7 +173,7 @@ def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
         "normal_form": str(normal_form),
         "steps": steps,
     }
-    lines = [f"normal form: {normal_form}"]
+    lines = [f"normal form: {payload['normal_form']}"]
     for s in steps:
         lines.append(f"  rewrote {s['word']} at {s['position']} by {s['rule']}")
     return 0, payload, lines
@@ -183,7 +183,7 @@ def _cmd_gsb_check(args) -> tuple[int, dict, list[str]]:
     system = _load_system(args.input)
     report = is_gsb(system)
     payload = {"command": "gsb-check", **report.to_dict()}
-    return (0 if report.passed else 1), payload, [str(report)]
+    return (0 if report.passed else 1), payload, [str(report)] if args.format == "text" else []
 
 
 def _cmd_hnn_verify(args) -> tuple[int, dict, list[str]]:

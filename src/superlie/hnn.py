@@ -411,11 +411,11 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
     """The defining relations as a rewrite system, one for each leading word xy.
 
     The leading words are the pairs that ``pres._successors`` does not allow:
-    {xy : x > y} + {xx : x odd} + {t a : a in the subalgebra basis}.  Each
-    relation is [x, y] expanded minus its tail: the bracket coefficients of
-    x and y, or for x = t the derivation image of y.  Odd squares are stored
-    monic, i.e. halved.  Raises when validation fails.  Built on the first
-    call for a presentation and kept on it, as its tables are immutable.
+    {xy : x > y} + {xx : x odd} + {t a : a in the subalgebra basis}, made with
+    x, then y ascending, so in deglex order.  Each relation is [x, y] expanded
+    minus its tail: the bracket coefficients of x and y, or for x = t the
+    derivation image of y.  Odd squares are stored monic, i.e. halved.  Raises
+    when validation fails.  Built once per presentation and kept on it.
     """
     if pres._relations is not None:
         return pres._relations
@@ -430,7 +430,6 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
         if y not in allowed
         for coeffs in [sc.derivation_coeffs(y) if x == t else sc.bracket_coeffs(x, y)]
     ]
-    polys.sort(key=lambda p: deglex_key(p.leading()[0]))
     pres._relations = RewriteSystem.from_polys(pres.alphabet, polys)
     return pres._relations
 

@@ -11,7 +11,7 @@ under their letter tuples (symbol ranks), as int numerators over one
 positive denominator in lowest terms, so equality and hashing are
 deterministic and the arithmetic is on ints with one gcd per result.  Its
 terms as ``Word`` and ``fractions.Fraction`` pairs, in descending deglex
-order, are built when first read and kept; sums and products build none.
+order, are built on each read, which only printing makes; arithmetic builds none.
 
 :class:`Poly` is the boundary type.  The hot kernels -- the superbracket
 (:func:`bracket_terms`), the free expansion of bracketings and reduction --
@@ -51,7 +51,6 @@ def _fill(p: "Poly", alphabet: Alphabet, den: int, nums: dict[tuple[int, ...], i
     p.alphabet = alphabet
     p._den = den
     p._nums = nums
-    p._terms = None  # built on first read: most results are only added to
     return p
 
 
@@ -62,7 +61,7 @@ class Poly:
     numerators, over the positive int ``_den``, with gcd 1 over all of them.
     """
 
-    __slots__ = ("alphabet", "_den", "_nums", "_terms")
+    __slots__ = ("alphabet", "_den", "_nums")
 
     def __init__(
         self,
@@ -134,14 +133,12 @@ class Poly:
         return bool(self._nums)
 
     def terms(self) -> tuple[tuple[Word, Fraction], ...]:
-        """Terms in descending deglex order (leading first), their words built once."""
-        if self._terms is None:
-            alphabet, nums, den = self.alphabet, self._nums, self._den
-            self._terms = tuple(
-                (Word._of(alphabet, w), Fraction(nums[w], den))
-                for w in sorted(nums, key=lambda w: (len(w), w), reverse=True)
-            )
-        return self._terms
+        """Terms in descending deglex order (leading first), sorted and built on each read."""
+        alphabet, nums, den = self.alphabet, self._nums, self._den
+        return tuple(
+            (Word._of(alphabet, w), Fraction(nums[w], den))
+            for w in sorted(nums, key=lambda w: (len(w), w), reverse=True)
+        )
 
     def words(self) -> tuple[Word, ...]:
         return tuple(w for w, _ in self.terms())
@@ -151,10 +148,11 @@ class Poly:
         return _ZERO if n is None else Fraction(n, self._den)
 
     def leading(self) -> tuple[Word, Fraction]:
-        """The deglex-maximal supported word and its coefficient."""
+        """The deglex-maximal supported word and its coefficient; no other term is built."""
         if not self._nums:
             raise ValueError("the zero polynomial has no leading term")
-        return self.terms()[0]
+        _, w = max(zip(map(len, self._nums), self._nums))
+        return Word._of(self.alphabet, w), Fraction(self._nums[w], self._den)
 
     def parity(self) -> Optional[int]:
         """0 or 1 when all supported words agree, ``None`` when mixed; zero is 0."""

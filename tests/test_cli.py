@@ -868,6 +868,33 @@ def test_no_subcommand_hashes_a_word_or_a_polynomial(monkeypatch, capsys):
     assert calls == {Word: 0, Poly: 0}
 
 
+def test_no_subcommand_reads_a_polynomials_terms_twice(monkeypatch, capsys):
+    # a Poly sorts and builds its terms on each read and keeps none: the
+    # leading term is found without them, and each command renders a
+    # polynomial once, so a cache would only cost a slot
+    reads = {}  # id -> [poly, count]; the poly is kept so no id is reused
+    original = Poly.terms
+
+    def counting(self):
+        reads.setdefault(id(self), [self, 0])[1] += 1
+        return original(self)
+
+    monkeypatch.setattr(Poly, "terms", counting)
+    cells = [
+        ([*argv, "--format", fmt], 0)
+        for name in sorted(ALL)
+        for argv in _every_subcommand(name)
+        for fmt in ("text", "json")
+    ]
+    broken = str(FIXTURES / "broken_rules.json")
+    cells.append((["gsb-check", "--input", broken, "--format", "json"], 1))
+    for argv, code in cells:
+        reads.clear()
+        assert main(argv) == code, argv
+        assert max((count for _, count in reads.values()), default=0) <= 1, argv
+    capsys.readouterr()
+
+
 EXPANSION_CELLS = {
     "bracket-tyx": ["bracket", "tyx", "--alphabet", "x,y:odd,t"],
     "bracket-cbcba": ["bracket", "cbcba", "--alphabet", "a:odd,b,c"],

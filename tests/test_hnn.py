@@ -606,6 +606,22 @@ def test_relations_match_the_reference_superbracket(fixture, monkeypatch):
     assert build_relations(fixture()).rules == rules
 
 
+def test_relations_come_in_deglex_order_of_their_leading_words():
+    # no sort: the rules are made with x, then y ascending, and rule (x, y)
+    # leads with xy, so the list is already in deglex order
+    presentations = [fixture() for fixture in FIXTURES]
+    presentations += [_abelian_presentation(*shape) for shape in SMALL_SHAPES]
+    for pres in presentations:
+        size = len(pres.alphabet)
+        expected = [
+            (x, y) for x in range(size) for y in range(size) if y not in pres._successors[x]
+        ]
+        words = [r.leading_word for r in build_relations(pres).rules]
+        assert [w.letters for w in words] == expected, pres
+        keys = [deglex_key(w) for w in words]
+        assert all(a < b for a, b in zip(keys, keys[1:])), pres
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_h_basis_expansions_match_the_reference_expansion(fixture):
     # every monomial the structure theorem expands, to degree 7 (6 on the larger tables)

@@ -644,8 +644,9 @@ def test_arithmetic_builds_no_word_until_terms_are_read(monkeypatch):
         r.terms()
         assert len(built) == len(r.terms()), name
         built.clear()
-        str(r)
-        assert built == [], name
+        str(r)  # no cache: a second read builds the words again
+        assert len(built) == len(r.terms()), name
+        built.clear()
     fresh = p * q
     str(fresh)
     assert len(built) == len(fresh.terms())
