@@ -36,6 +36,7 @@ import json
 import os
 import sys
 from gettext import gettext
+from typing import Optional
 
 from .bracketing import expand, parse_monomial, standard_bracket
 from .hnn import (
@@ -179,35 +180,33 @@ def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _cmd_gsb_check(args) -> tuple[int, dict, list[str]]:
+def _cmd_gsb_check(args) -> tuple[int, Optional[dict], list[str]]:
+    # a report renders each normal form as it prints, so only the chosen
+    # format is built: the payload for json, the lines for text
     system = _load_system(args.input)
     report = is_gsb(system)
-    payload = {"command": "gsb-check", **report.to_dict()}
-    return (0 if report.passed else 1), payload, [str(report)] if args.format == "text" else []
+    code = 0 if report.passed else 1
+    if args.format == "json":
+        return code, {"command": "gsb-check", **report.to_dict()}, []
+    return code, None, [str(report)]
 
 
-def _cmd_hnn_verify(args) -> tuple[int, dict, list[str]]:
+def _cmd_hnn_verify(args) -> tuple[int, Optional[dict], list[str]]:
     pres = load_presentation(args.input)
     validation = validate(pres.constants)
-    if not validation.passed:
-        payload = {
-            "command": "hnn-verify",
-            "passed": False,
-            "validation": validation.to_dict(),
-        }
-        return 1, payload, [str(validation)]
-    gsb = verify_hnn_gsb(pres)
-    structure = verify_structure_theorem(pres, args.max_len)
-    passed = gsb.passed and structure.passed
-    payload = {
-        "command": "hnn-verify",
-        "passed": passed,
-        "validation": validation.to_dict(),
-        "gsb": gsb.to_dict(),
-        "structure": structure.to_dict(),
-    }
-    lines = [str(validation), str(gsb), str(structure)] if args.format == "text" else []
-    return (0 if passed else 1), payload, lines
+    reports = [validation]
+    if validation.passed:
+        gsb = verify_hnn_gsb(pres)
+        structure = verify_structure_theorem(pres, args.max_len)
+        reports += [gsb, structure]
+    passed = all(report.passed for report in reports)
+    code = 0 if passed else 1
+    if args.format != "json":
+        return code, None, [str(report) for report in reports]
+    payload = {"command": "hnn-verify", "passed": passed, "validation": validation.to_dict()}
+    if validation.passed:
+        payload.update(gsb=gsb.to_dict(), structure=structure.to_dict())
+    return code, payload, []
 
 
 def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:

@@ -44,7 +44,7 @@ from .bracketing import (
     standard_bracket,
 )
 from .linalg import rank
-from .poly import Scalar, _parse_scalar, _to_fraction, from_letter_terms
+from .poly import Poly, Scalar, _parse_scalar, _to_fraction
 from .rewrite import (
     RewriteSystem,
     _Frozen,
@@ -92,8 +92,9 @@ def _oriented(alpha: Mapping, parities: Sequence[int], x: int, y: int) -> Mappin
     if mirror is None:
         return {}
     # [x,y] = -(-1)^{|x||y|}[y,x]
-    factor = 1 if (parities[x] and parities[y]) else -1
-    return {v: factor * c for v, c in mirror.items()}
+    if parities[x] and parities[y]:
+        return mirror
+    return {v: -c for v, c in mirror.items()}
 
 
 class StructureConstants(_Frozen):
@@ -194,14 +195,18 @@ class ValidationReport(_Record):
 def _accumulate(
     terms: Iterable[tuple[int, Mapping, Sequence[Mapping]]],
 ) -> dict[int, Scalar]:
-    """By target u, the sum of sign * inner[v] * outer[v] over (sign, inner, outer) terms."""
+    """By target u, the sum of sign * inner[v] * outer[v] over (sign, inner, outer) terms.
+
+    A target whose sum cancels is left out, so an identity that holds sums
+    to equal dicts on its two sides.
+    """
     out: dict[int, Scalar] = {}
     for sign, inner, outer in terms:
         for v, c in inner.items():
             c = c if sign > 0 else -c
             for u, e in outer[v].items():
                 out[u] = out.get(u, 0) + c * e
-    return out
+    return out if all(out.values()) else {u: c for u, c in out.items() if c}
 
 
 def _sign(p: int, q: int) -> int:
@@ -258,7 +263,14 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
     d = [scaled(sc.derivation_coeffs(v)) for v in range(size)]
 
     def compare(check, case, lhs, rhs, factor, detail, den):
-        """Report, by rank, every target u where lhs[u] != factor * rhs[u], both over ``den``."""
+        """Report, by rank, every target u where lhs[u] != factor * rhs[u], both over ``den``.
+
+        No value of ``lhs`` or ``rhs`` is zero, so the sides agree exactly
+        when ``lhs`` equals ``factor * rhs`` as a dict: a case that holds,
+        as every case of a valid table does, is passed on that test alone.
+        """
+        if lhs == (rhs if factor == 1 else {u: factor * c for u, c in rhs.items()}):
+            return
         for u in sorted(lhs.keys() | rhs.keys()):
             lhs_u, rhs_u = lhs.get(u, 0), rhs.get(u, 0)
             if lhs_u != factor * rhs_u:
@@ -283,27 +295,30 @@ def _check_identities(sc: StructureConstants) -> ValidationReport:
     # _accumulate from (sign, inner, outer) terms
     odd = [x for x in range(size) if parities[x]]
     every, sub = range(size), range(k)
-    # a triple whose three brackets vanish leaves no Jacobi residual
-    triples = ((x, y, z) for x, y, z in product(every, repeat=3)
-               if ad[y][z] or ad[z][x] or ad[x][y])
-    residuals: dict[tuple[int, int, int], tuple] = {}
+    # the three rotations of a triple sum the same three terms, so each
+    # orbit's residual is summed once, at its least rotation (x least, and
+    # z = x only when y = x too), and a triple whose three brackets vanish
+    # leaves none; only the triples of an orbit with a residual are cases
+    residuals: dict[tuple[int, int, int], dict[int, int]] = {}
+    for x in every:
+        for y in range(x, size):
+            for z in range(x if y == x else x + 1, size):
+                if ad[y][z] or ad[z][x] or ad[x][y]:
+                    residual = _accumulate([
+                        (_sign(parities[x], parities[z]), ad[y][z], ad[x]),
+                        (_sign(parities[y], parities[x]), ad[z][x], ad[y]),
+                        (_sign(parities[z], parities[y]), ad[x][y], ad[z]),
+                    ])
+                    if residual:
+                        residuals[(x, y, z)] = residual
 
-    def jacobi(x: int, y: int, z: int) -> tuple:
-        # the three rotations of a triple sum the same three terms, so each
-        # orbit's residual is summed once and compared for every triple
-        orbit = min((x, y, z), (y, z, x), (z, x, y))
-        sides = residuals.get(orbit)
-        if sides is None:
-            sides = residuals[orbit] = _accumulate([
-                (_sign(parities[x], parities[z]), ad[y][z], ad[x]),
-                (_sign(parities[y], parities[x]), ad[z][x], ad[y]),
-                (_sign(parities[z], parities[y]), ad[x][y], ad[z]),
-            ]), {}
-        return sides
+    def orbit(x: int, y: int, z: int) -> tuple[int, int, int]:
+        return min((x, y, z), (y, z, x), (z, x, y))
 
+    triples = [c for c in product(every, repeat=3) if orbit(*c) in residuals] if residuals else []
     rows = (
         # super Jacobi on all ordered triples: the residual must vanish
-        ("jacobi", triples, 1, "residual {}", jacobi),
+        ("jacobi", triples, 1, "residual {}", lambda x, y, z: (residuals[orbit(x, y, z)], {})),
         # [x,[y,y]] = 2[[x,y],y] for odd y
         ("odd-square-right", ((x, y) for y in odd for x in every), 2, "{} != 2*({})",
          lambda x, y: (_accumulate([(1, ad[y][y], ad[x])]),
@@ -416,21 +431,29 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
     minus its tail: the bracket coefficients of x and y, or for x = t the
     derivation image of y.  Odd squares are stored monic, i.e. halved.  Raises
     when validation fails.  Built once per presentation and kept on it.
+
+    A relation's numerators are those of the expansion, which is over 1,
+    times D, then each tail letter's coefficient times D, negated, D the lcm
+    of the tail's denominators; the expansion's words have length 2 and the
+    tail's length 1, so no word is met twice.
     """
     if pres._relations is not None:
         return pres._relations
     _require_valid(pres)
-    sc, t = pres.constants, pres.t_rank
+    sc, t, alphabet = pres.constants, pres.t_rank, pres.alphabet
     leaves = pres._leaves
-    polys = [
-        expand(NcMonomial.pair(leaves[x], leaves[y]))
-        - from_letter_terms(pres.alphabet, {(v,): c for v, c in coeffs.items()})
-        for x, allowed in enumerate(pres._successors)
-        for y in range(t + 1)
-        if y not in allowed
-        for coeffs in [sc.derivation_coeffs(y) if x == t else sc.bracket_coeffs(x, y)]
-    ]
-    pres._relations = RewriteSystem.from_polys(pres.alphabet, polys)
+    polys = []
+    for x, allowed in enumerate(pres._successors):
+        for y in range(t + 1):
+            if y in allowed:
+                continue
+            coeffs = sc.derivation_coeffs(y) if x == t else sc.bracket_coeffs(x, y)
+            den = lcm(*[c.denominator for c in coeffs.values()])
+            expansion = expand(NcMonomial.pair(leaves[x], leaves[y]))
+            nums = {w: n * den for w, n in expansion._nums.items()}
+            nums.update({(v,): -c.numerator * (den // c.denominator) for v, c in coeffs.items()})
+            polys.append(Poly._of(alphabet, den, nums))
+    pres._relations = RewriteSystem.from_polys(alphabet, polys)
     return pres._relations
 
 
@@ -795,14 +818,16 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     basis = _h_basis(pres, generators, max_len)
     _, certificate = rank(_normal_forms(basis, system, {}))
     t = pres.t_rank
-    letters = {m.word.letters for m in generators}
+    words = [m.word.letters for m in generators]
+    sizes = [len(w) for w in words]
+    letters = set(words)
     # the first length at which a one-t pattern word is not a word of W
     missing = next((len(w) for w in _one_t_words(pres, max_len) if w not in letters), max_len + 1)
     succ = pres._successors
     products, pattern = [1], [0]
     ends = {t: 1}  # the pattern words of length n, counted by last letter
     for n in range(1, max_len + 1):
-        products.append(sum(products[n - len(m)] for m in generators if len(m) <= n))
+        products.append(sum(products[n - k] for k in sizes if k <= n))
         pattern.append(sum(ends.values()))
         step: dict[int, int] = {}
         for x, count in ends.items():
@@ -831,19 +856,10 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
         independent_rank = bisect_left(certificate, h_basis_count)
         rank_ok = independent_rank == h_basis_count
 
-        rows.append(
-            StructureLengthCheck(
-                length=n,
-                products=products[n],
-                pattern_words=pattern[n],
-                bijection_ok=bijection_ok,
-                ls_transfer_ok=ls_transfer_ok,
-                admissibility_ok=admissibility_ok,
-                h_basis_count=h_basis_count,
-                independent_rank=independent_rank,
-                rank_ok=rank_ok,
-            )
-        )
+        rows.append(StructureLengthCheck(
+            n, products[n], pattern[n], bijection_ok, ls_transfer_ok, admissibility_ok,
+            h_basis_count, independent_rank, rank_ok,
+        ))
 
     return StructureReport(max_len, tuple(rows))
 

@@ -41,13 +41,15 @@ def _to_fraction(value) -> Fraction:
 def _fill(p: "Poly", alphabet: Alphabet, den: int, nums: dict[tuple[int, ...], int]) -> "Poly":
     """Set ``p`` to ``nums / den`` in lowest terms and return it.
 
-    ``den`` is positive and every value of ``nums`` a nonzero int; both are
+    ``den`` is positive and every value of ``nums`` a nonzero int.  Over 1
+    they are in lowest terms as they are; over any other ``den`` both are
     divided by their gcd, so the zero polynomial has denominator 1.
     """
-    g = gcd(den, *nums.values())
-    if g != 1:
-        den //= g
-        nums = {w: n // g for w, n in nums.items()}
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {w: n // g for w, n in nums.items()}
     p.alphabet = alphabet
     p._den = den
     p._nums = nums
@@ -213,7 +215,7 @@ class Poly:
         return self * (Fraction(1) / c)
 
     def _check_compatible(self, other: "Poly") -> None:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("polynomials over different alphabets")
 
     # -- value semantics -----------------------------------------------------
@@ -269,11 +271,22 @@ def bracket_terms(
     junction pair (the last letter of the left word, the first of the
     right) is a key of ``junctions``; a junction with the empty word,
     shorter than 2, is a key of no index of pairs.  A flagged word whose
-    coefficient cancels stays in the set.  The inputs are never written.
+    coefficient cancels stays in the set.  With no ``junctions``, as for
+    the free expansion and :func:`superbracket`, no junction pair is built
+    and the set is empty.  The inputs are never written.
     """
-    rhs = [(v, cv, v[:1], v[-1:]) for v, cv in q.items()]
     out: LetterTerms = {}
     flagged: set[tuple[int, ...]] = set()
+    if not junctions:
+        sign = 1 if odd else -1
+        for u, cu in p.items():
+            for v, cv in q.items():
+                c = cu * cv
+                uv, vu = u + v, v + u
+                out[uv] = out.get(uv, 0) + c
+                out[vu] = out.get(vu, 0) + sign * c
+        return {w: c for w, c in out.items() if c}, flagged
+    rhs = [(v, cv, v[:1], v[-1:]) for v, cv in q.items()]
     for u, cu in p.items():
         u_first, u_last = u[:1], u[-1:]
         for v, cv, v_first, v_last in rhs:
@@ -291,24 +304,43 @@ def bracket_terms(
 def superbracket(p: Poly, q: Poly) -> Poly:
     """[p, q] = pq - (-1)^{|p||q|} qp, extended bilinearly over parities.
 
-    Each side's numerators split into its even and odd letter-tuple dicts,
-    :func:`bracket_terms` brackets each pair of nonzero parts, and the one
-    Poly built sums their terms over the product of the two denominators.
+    The one Poly built holds the bracket's terms over the product of the
+    two denominators.  Each side's numerators are its parity parts, the
+    dict itself when its words share one parity, as a rule body's or a
+    monomial's do: then one :func:`bracket_terms` call gives the terms.  A
+    side of mixed parity splits into its even and odd letter-tuple dicts,
+    and the brackets of each pair of parts are summed.
     """
     alphabet = p.alphabet
-    if alphabet != q.alphabet:
+    if alphabet is not q.alphabet and alphabet != q.alphabet:
         raise ValueError("polynomials over different alphabets")
-    p_parts, q_parts = ({}, {}), ({}, {})  # each side's (even, odd) numerator dicts
-    for side, parts in ((p, p_parts), (q, q_parts)):
-        for w, n in side._nums.items():
-            parts[_parity(alphabet, w)][w] = n
-    acc: LetterTerms = {}
-    for odd_p, p_part in enumerate(p_parts):
-        for odd_q, q_part in enumerate(q_parts):
-            if p_part and q_part:
+    p_parts, q_parts = _parity_parts(alphabet, p._nums), _parity_parts(alphabet, q._nums)
+    if len(p_parts) == len(q_parts) == 1:
+        (odd_p, p_part), (odd_q, q_part) = p_parts[0], q_parts[0]
+        nums = bracket_terms(p_part, q_part, odd_p & odd_q)[0]
+    else:
+        acc: LetterTerms = {}
+        for odd_p, p_part in p_parts:
+            for odd_q, q_part in q_parts:
                 for w, c in bracket_terms(p_part, q_part, odd_p & odd_q)[0].items():
                     acc[w] = acc.get(w, 0) + c
-    return Poly._of(alphabet, p._den * q._den, {w: c for w, c in acc.items() if c})
+        nums = {w: c for w, c in acc.items() if c}
+    return Poly._of(alphabet, p._den * q._den, nums)
+
+
+def _parity_parts(alphabet: Alphabet, nums: LetterTerms) -> list[tuple[int, LetterTerms]]:
+    """The nonzero parity parts of ``nums`` as (parity, part) pairs, even first.
+
+    A dict whose words share one parity is its own one part, not copied.
+    """
+    parity = alphabet.parities.__getitem__
+    found = {sum(map(parity, w)) & 1 for w in nums}
+    if len(found) == 1:
+        return [(found.pop(), nums)]
+    parts: tuple[LetterTerms, LetterTerms] = ({}, {})
+    for w, n in nums.items():
+        parts[sum(map(parity, w)) & 1][w] = n
+    return [(odd, part) for odd, part in enumerate(parts) if part]
 
 
 # -- text form ----------------------------------------------------------------

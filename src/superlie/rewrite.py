@@ -102,6 +102,9 @@ class _Record(_Frozen):
 class RewriteRule:
     """A monic relation with cached leading word.
 
+    The body is scaled to be monic as ``make_monic`` scales it, with its
+    leading term found once: the numerators go over the leading numerator,
+    whose sign moves onto them.
     For the kernel of :func:`reduce` it also keeps its body as integers:
     ``_denominator``, the leading numerator, and ``_tail_terms``, the other
     terms (the body without its leading term), each as its letters, its
@@ -117,11 +120,16 @@ class RewriteRule:
             raise ValueError("a rewrite rule cannot be zero")
         if body.parity() is None:
             raise ValueError(f"rule body must be parity-homogeneous: {body}")
-        body = body.make_monic()
+        nums = body._nums
+        _, lead = max(zip(map(len, nums), nums))
+        n = nums[lead]
+        if n != body._den:  # over the leading numerator, its sign moved to the numerators
+            if n < 0:
+                n, nums = -n, {u: -m for u, m in nums.items()}
+            body = Poly._of(body.alphabet, n, nums)
         self.body = body
-        self.leading_word = body.leading()[0]
-        self.leading_len = len(self.leading_word)
-        lead = self.leading_word.letters
+        self.leading_word = Word._of(body.alphabet, lead)
+        self.leading_len = len(lead)
         self._denominator = body._den
         self._tail_terms = tuple(
             (u, n, tuple(map(neg, u))) for u, n in body._nums.items() if u != lead
@@ -198,7 +206,7 @@ class RewriteSystem:
         rules = tuple(rules)
         index: dict[tuple[int, ...], int] = {}
         for i, rule in enumerate(rules):
-            if rule.body.alphabet != alphabet:
+            if rule.body.alphabet is not alphabet and rule.body.alphabet != alphabet:
                 raise ValueError("rule over a different alphabet")
             if rule.leading_word.letters in index:
                 raise ValueError(
@@ -322,7 +330,7 @@ def reduce(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     alphabet = p.alphabet
-    if alphabet != system.alphabet:
+    if alphabet is not system.alphabet and alphabet != system.alphabet:
         raise ValueError("polynomial over a different alphabet than the system")
     terms = dict(p._nums)
     leftmost = strategy == LARGEST_LEFTMOST
@@ -418,20 +426,21 @@ def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]
     Inclusions: w = pbar = b*qbar*a at every position; the composition is
     p - b*q*a.  Containment of pbar inside qbar is found when the pair is
     visited in the opposite order, and the identity inclusion of a rule in
-    itself is skipped as definitionally zero.
+    itself is skipped as definitionally zero.  The words a and b are
+    monomials built on their letters, sliced from the rules' own words.
     """
     alphabet = p.body.alphabet
-    if alphabet != q.body.alphabet:
+    if alphabet is not q.body.alphabet and alphabet != q.body.alphabet:
         raise ValueError("rules over different alphabets")
     pl = p.leading_word.letters
     ql = q.leading_word.letters
-    of = Word._of  # the letters come from the rules' own words
+    of = Poly._of
     out: list[tuple[Word, Poly]] = []
     for k in range(1, min(len(pl), len(ql))):
         if pl[len(pl) - k :] == ql[:k]:
-            word = of(alphabet, pl + ql[k:])
-            tail = Poly.monomial(of(alphabet, ql[k:]))
-            head = Poly.monomial(of(alphabet, pl[: len(pl) - k]))
+            word = Word._of(alphabet, pl + ql[k:])
+            tail = of(alphabet, 1, {ql[k:]: 1})
+            head = of(alphabet, 1, {pl[: len(pl) - k]: 1})
             out.append((word, p.body * tail - head * q.body))
     if len(ql) <= len(pl):
         for i in range(len(pl) - len(ql) + 1):
@@ -439,8 +448,8 @@ def assoc_compositions(p: RewriteRule, q: RewriteRule) -> list[tuple[Word, Poly]
                 continue
             if p is q and len(pl) == len(ql):
                 continue
-            head = Poly.monomial(of(alphabet, pl[:i]))
-            tail = Poly.monomial(of(alphabet, pl[i + len(ql) :]))
+            head = of(alphabet, 1, {pl[:i]: 1})
+            tail = of(alphabet, 1, {pl[i + len(ql) :]: 1})
             out.append((p.leading_word, p.body - head * q.body * tail))
     return out
 
@@ -520,17 +529,9 @@ def is_gsb(system: RewriteSystem) -> GsbReport:
         for j in sorted(partners):
             for word, composition in assoc_compositions(p, rules[j]):
                 normal_form, trace = reduce(composition, system)
-                checks.append(
-                    CompositionCheck(
-                        left=i,
-                        right=j,
-                        word=word,
-                        composition=composition,
-                        normal_form=normal_form,
-                        trace=trace,
-                        passed=normal_form.is_zero(),
-                    )
-                )
+                checks.append(CompositionCheck(
+                    i, j, word, composition, normal_form, trace, normal_form.is_zero()
+                ))
     checks.sort(key=lambda c: (deglex_key(c.word), c.left, c.right))
     return GsbReport(tuple(checks))
 
@@ -578,6 +579,6 @@ def lie_composition_len2(p: RewriteRule, q: RewriteRule, w: Word) -> Poly:
     if w.letters != (pl[0], pl[1], ql[1]):
         raise ValueError(f"word {str(w)!r} is not the overlap of the leading words")
     alphabet = p.body.alphabet
-    first = Poly.monomial(Word._of(alphabet, pl[:1]))
-    last = Poly.monomial(Word._of(alphabet, ql[1:]))
+    first = Poly._of(alphabet, 1, {pl[:1]: 1})
+    last = Poly._of(alphabet, 1, {ql[1:]: 1})
     return superbracket(p.body, last) - superbracket(first, q.body)

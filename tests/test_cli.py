@@ -779,6 +779,13 @@ LISTING_CELLS = [
     # products alone and scaled and merged the node's other products itself
     ("hnn-verify-osp-rescaled-8.json", ["hnn-verify", "--input", RESCALED_OSP,
                                         "--max-len", "8", "--format", "json"], 0),
+    # the highest degree of the benchmark's verify cells on sl2 and ex3,
+    # recorded while validate still walked the keys of every zero residual
+    # and the closure check still split each side of a bracket by parity
+    ("hnn-verify-sl2-7.json", ["hnn-verify", "--input", str(FIXTURES / "sl2.json"),
+                               "--max-len", "7", "--format", "json"], 0),
+    ("hnn-verify-ex3-7.json", ["hnn-verify", "--input", str(FIXTURES / "ex3.json"),
+                               "--max-len", "7", "--format", "json"], 0),
 ]
 
 
@@ -887,7 +894,7 @@ def test_no_subcommand_reads_a_polynomials_terms_twice(monkeypatch, capsys):
         for fmt in ("text", "json")
     ]
     broken = str(FIXTURES / "broken_rules.json")
-    cells.append((["gsb-check", "--input", broken, "--format", "json"], 1))
+    cells += [(["gsb-check", "--input", broken, "--format", fmt], 1) for fmt in ("json", "text")]
     for argv, code in cells:
         reads.clear()
         assert main(argv) == code, argv

@@ -8,7 +8,9 @@ d = ad(y)|_B for a unit y is a derivation B -> A of y's parity.
 
 import copy
 import json
+import zlib
 from collections import Counter
+from random import Random
 
 import pytest
 
@@ -20,7 +22,7 @@ from superlie import (
     verify_structure_theorem,
 )
 from superlie.cli import main
-from test_hnn import _dimension_oracle
+from test_hnn import IDENTITY_CHECKS, _dimension_oracle, reference_identity_violations
 
 # the bracket-closed parts that may come first: the even part, the Cartan
 # (diagonal) part and the Borel (upper triangular) part
@@ -98,6 +100,30 @@ def test_one_raised_bracket_coefficient_fails_validate(m, n, part):
         broken["brackets"][e]["value"][t]["coeff"] += 1
         report = validate(load_presentation(broken).constants)
         assert "jacobi" in {v.check for v in report.violations}, (m, n, part, e, t)
+
+
+def test_raised_coefficients_are_reported_as_the_reference_reports_them():
+    # a seeded sample of single raised coefficients on the tables of up to 9
+    # units: every identity violation, its indices, detail and place in the
+    # report, as the coefficient-at-a-time reference lists them
+    rng = Random(zlib.crc32(b"gl raised coefficients"))
+    cells = [(m, n, part) for m, n, part in TABLES if m + n <= 3]
+    odd_pairs = 0
+    for _ in range(12):
+        m, n, part = rng.choice(cells)
+        data = gl(m, n, part, (0, m))
+        parity = {g["name"]: g["parity"] for g in data["generators"]}
+        entry = rng.choice(data["brackets"])
+        rng.choice(entry["value"])["coeff"] += 1
+        odd_pairs += parity[entry["left"]] & parity[entry["right"]]
+        sc = load_presentation(data).constants
+        got = [
+            (v.check, v.indices, v.detail)
+            for v in validate(sc).violations
+            if v.check in IDENTITY_CHECKS
+        ]
+        assert got and got == reference_identity_violations(sc), (m, n, part, entry)
+    assert odd_pairs  # the sample raises an odd-odd bracket
 
 
 # (m, n, B, y, degree): both parities of d and three kinds of B

@@ -38,9 +38,10 @@ from superlie import rewrite
 from superlie.words import _super_ls_tuples
 from superlie.bracketing import _normal_forms
 from superlie.poly import from_letter_terms
-from conftest import ALL, ab5, ex1, osp
+from conftest import ALL, ab5, ex1, ex2, osp
 from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
 from conftest import letter_terms, random_poly, random_word
+from test_cli import _rescaled_osp
 from test_words import _duval_super_ls
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -83,6 +84,18 @@ def test_rule_rejects_a_mixed_body_with_its_message():
     assert body.parity() is None
     with pytest.raises(ValueError, match="^rule body must be parity-homogeneous: xx - x$"):
         RewriteRule(body)
+
+
+@pytest.mark.parametrize("scale", [2, Fraction(-3, 4)])
+def test_rule_from_a_non_monic_body_is_the_rule_from_its_monic_body(tmp_path, scale):
+    # the leading term is found once, and the body scaled by it, as
+    # make_monic scales it; osp's rescaled table gives rational rule tails
+    for pres in (osp(), ex2(), load_presentation(_rescaled_osp(tmp_path))):
+        for rule in build_relations(pres).rules:
+            b = rule.body
+            got, want = RewriteRule(scale * b), RewriteRule(b.make_monic())
+            for field in ("body", "leading_word", "leading_len", "_denominator", "_tail_terms"):
+                assert getattr(got, field) == getattr(want, field), (pres, str(b), field)
 
 
 def test_alphabet_mismatches_are_rejected():
