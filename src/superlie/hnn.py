@@ -44,7 +44,7 @@ from .bracketing import (
     standard_bracket,
 )
 from .linalg import rank
-from .poly import Poly, Scalar, _parse_scalar, _to_fraction
+from .poly import Poly, Scalar, _parse_scalar, _to_fraction, from_letter_terms
 from .rewrite import (
     RewriteSystem,
     _Frozen,
@@ -432,10 +432,10 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
     derivation image of y.  Odd squares are stored monic, i.e. halved.  Raises
     when validation fails.  Built once per presentation and kept on it.
 
-    A relation's numerators are those of the expansion, which is over 1,
-    times D, then each tail letter's coefficient times D, negated, D the lcm
-    of the tail's denominators; the expansion's words have length 2 and the
-    tail's length 1, so no word is met twice.
+    A relation's tail is built by :func:`~superlie.poly.from_letter_terms`;
+    its numerators are the expansion's, which is over 1, times the tail's
+    denominator, then the tail's negated.  The expansion's words have
+    length 2 and the tail's length 1, so no word is met twice.
     """
     if pres._relations is not None:
         return pres._relations
@@ -448,10 +448,11 @@ def build_relations(pres: HnnPresentation) -> RewriteSystem:
             if y in allowed:
                 continue
             coeffs = sc.derivation_coeffs(y) if x == t else sc.bracket_coeffs(x, y)
-            den = lcm(*[c.denominator for c in coeffs.values()])
+            tail = from_letter_terms(alphabet, {(v,): c for v, c in coeffs.items()})
+            den = tail._den
             expansion = expand(NcMonomial.pair(leaves[x], leaves[y]))
             nums = {w: n * den for w, n in expansion._nums.items()}
-            nums.update({(v,): -c.numerator * (den // c.denominator) for v, c in coeffs.items()})
+            nums.update({w: -n for w, n in tail._nums.items()})
             polys.append(Poly._of(alphabet, den, nums))
     pres._relations = RewriteSystem.from_polys(alphabet, polys)
     return pres._relations

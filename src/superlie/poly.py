@@ -208,11 +208,21 @@ class Poly:
         return self.__mul__(other)
 
     def make_monic(self) -> "Poly":
-        """Scale so the leading coefficient becomes exactly 1."""
-        _, c = self.leading()
-        if c == 1:
+        """Scale so the leading coefficient becomes exactly 1.
+
+        The numerators go over the leading numerator, whose sign moves onto
+        them; no Word or Fraction is built.
+        """
+        nums = self._nums
+        if not nums:
+            raise ValueError("the zero polynomial has no leading term")
+        _, w = max(zip(map(len, nums), nums))
+        n = nums[w]
+        if n == self._den:
             return self
-        return self * (Fraction(1) / c)
+        if n < 0:
+            n, nums = -n, {u: -m for u, m in nums.items()}
+        return Poly._of(self.alphabet, n, nums)
 
     def _check_compatible(self, other: "Poly") -> None:
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
@@ -272,21 +282,12 @@ def bracket_terms(
     right) is a key of ``junctions``; a junction with the empty word,
     shorter than 2, is a key of no index of pairs.  A flagged word whose
     coefficient cancels stays in the set.  With no ``junctions``, as for
-    the free expansion and :func:`superbracket`, no junction pair is built
-    and the set is empty.  The inputs are never written.
+    the free expansion and :func:`superbracket`, no junction pair is looked
+    up and the set is empty.  The inputs are never written.
     """
+    rhs = [(v, cv, v[:1], v[-1:]) for v, cv in q.items()]
     out: LetterTerms = {}
     flagged: set[tuple[int, ...]] = set()
-    if not junctions:
-        sign = 1 if odd else -1
-        for u, cu in p.items():
-            for v, cv in q.items():
-                c = cu * cv
-                uv, vu = u + v, v + u
-                out[uv] = out.get(uv, 0) + c
-                out[vu] = out.get(vu, 0) + sign * c
-        return {w: c for w, c in out.items() if c}, flagged
-    rhs = [(v, cv, v[:1], v[-1:]) for v, cv in q.items()]
     for u, cu in p.items():
         u_first, u_last = u[:1], u[-1:]
         for v, cv, v_first, v_last in rhs:
@@ -294,38 +295,33 @@ def bracket_terms(
             uv, vu = u + v, v + u
             out[uv] = out.get(uv, 0) + c
             out[vu] = out.get(vu, 0) + (c if odd else -c)
-            if u_last + v_first in junctions:
-                flagged.add(uv)
-            if v_last + u_first in junctions:
-                flagged.add(vu)
+            if junctions:
+                if u_last + v_first in junctions:
+                    flagged.add(uv)
+                if v_last + u_first in junctions:
+                    flagged.add(vu)
     return {w: c for w, c in out.items() if c}, flagged
 
 
 def superbracket(p: Poly, q: Poly) -> Poly:
     """[p, q] = pq - (-1)^{|p||q|} qp, extended bilinearly over parities.
 
-    The one Poly built holds the bracket's terms over the product of the
-    two denominators.  Each side's numerators are its parity parts, the
-    dict itself when its words share one parity, as a rule body's or a
-    monomial's do: then one :func:`bracket_terms` call gives the terms.  A
-    side of mixed parity splits into its even and odd letter-tuple dicts,
-    and the brackets of each pair of parts are summed.
+    Each side's numerators split into its nonzero parity parts, the dict
+    itself when its words share one parity, as a rule body's or a
+    monomial's do; :func:`bracket_terms` brackets each pair of parts, and
+    the one Poly built sums their terms over the product of the two
+    denominators.
     """
     alphabet = p.alphabet
     if alphabet is not q.alphabet and alphabet != q.alphabet:
         raise ValueError("polynomials over different alphabets")
-    p_parts, q_parts = _parity_parts(alphabet, p._nums), _parity_parts(alphabet, q._nums)
-    if len(p_parts) == len(q_parts) == 1:
-        (odd_p, p_part), (odd_q, q_part) = p_parts[0], q_parts[0]
-        nums = bracket_terms(p_part, q_part, odd_p & odd_q)[0]
-    else:
-        acc: LetterTerms = {}
-        for odd_p, p_part in p_parts:
-            for odd_q, q_part in q_parts:
-                for w, c in bracket_terms(p_part, q_part, odd_p & odd_q)[0].items():
-                    acc[w] = acc.get(w, 0) + c
-        nums = {w: c for w, c in acc.items() if c}
-    return Poly._of(alphabet, p._den * q._den, nums)
+    q_parts = _parity_parts(alphabet, q._nums)
+    acc: LetterTerms = {}
+    for odd_p, p_part in _parity_parts(alphabet, p._nums):
+        for odd_q, q_part in q_parts:
+            for w, c in bracket_terms(p_part, q_part, odd_p & odd_q)[0].items():
+                acc[w] = acc.get(w, 0) + c
+    return Poly._of(alphabet, p._den * q._den, {w: c for w, c in acc.items() if c})
 
 
 def _parity_parts(alphabet: Alphabet, nums: LetterTerms) -> list[tuple[int, LetterTerms]]:

@@ -102,9 +102,8 @@ class _Record(_Frozen):
 class RewriteRule:
     """A monic relation with cached leading word.
 
-    The body is scaled to be monic as ``make_monic`` scales it, with its
-    leading term found once: the numerators go over the leading numerator,
-    whose sign moves onto them.
+    The body is scaled by ``make_monic``, and the leading word is read from
+    its numerators' keys, with no ``Fraction`` built.
     For the kernel of :func:`reduce` it also keeps its body as integers:
     ``_denominator``, the leading numerator, and ``_tail_terms``, the other
     terms (the body without its leading term), each as its letters, its
@@ -120,19 +119,15 @@ class RewriteRule:
             raise ValueError("a rewrite rule cannot be zero")
         if body.parity() is None:
             raise ValueError(f"rule body must be parity-homogeneous: {body}")
+        body = body.make_monic()
         nums = body._nums
         _, lead = max(zip(map(len, nums), nums))
-        n = nums[lead]
-        if n != body._den:  # over the leading numerator, its sign moved to the numerators
-            if n < 0:
-                n, nums = -n, {u: -m for u, m in nums.items()}
-            body = Poly._of(body.alphabet, n, nums)
         self.body = body
         self.leading_word = Word._of(body.alphabet, lead)
         self.leading_len = len(lead)
         self._denominator = body._den
         self._tail_terms = tuple(
-            (u, n, tuple(map(neg, u))) for u, n in body._nums.items() if u != lead
+            (u, n, tuple(map(neg, u))) for u, n in nums.items() if u != lead
         )
 
     def __eq__(self, other: object) -> bool:
