@@ -196,17 +196,14 @@ def _cmd_hnn_verify(args) -> tuple[int, Optional[dict], list[str]]:
     validation = validate(pres.constants)
     reports = [validation]
     if validation.passed:
-        gsb = verify_hnn_gsb(pres)
-        structure = verify_structure_theorem(pres, args.max_len)
-        reports += [gsb, structure]
-    passed = all(report.passed for report in reports)
-    code = 0 if passed else 1
+        reports += [verify_hnn_gsb(pres), verify_structure_theorem(pres, args.max_len)]
     if args.format != "json":
+        code = 0 if all(report.passed for report in reports) else 1
         return code, None, [str(report) for report in reports]
-    payload = {"command": "hnn-verify", "passed": passed, "validation": validation.to_dict()}
-    if validation.passed:
-        payload.update(gsb=gsb.to_dict(), structure=structure.to_dict())
-    return code, payload, []
+    # each report's verdict is read once, from its payload
+    parts = dict(zip(("validation", "gsb", "structure"), [r.to_dict() for r in reports]))
+    passed = all(part["passed"] for part in parts.values())
+    return 0 if passed else 1, {"command": "hnn-verify", "passed": passed, **parts}, []
 
 
 def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:

@@ -399,7 +399,8 @@ class HnnPresentation:
                 f"stable letter name {t_name!r} collides with a generator"
             )
         self.constants = constants
-        self.alphabet = Alphabet([*base.names, t_name], [*base.parities, constants.d_parity])
+        # the base names passed the check when the table's alphabet was built
+        self.alphabet = Alphabet._of((*base.names, t_name), (*base.parities, constants.d_parity))
         t = self.t_rank = len(base)
         self._relations = None
         self._leaves = [NcMonomial.leaf(self.alphabet, r) for r in range(t + 1)]
@@ -490,9 +491,10 @@ class HnnGsbReport(_Record):
         return tuple(sorted({c.family for c in self.lie_checks}))
 
     def to_dict(self) -> dict:
+        associative = self.associative.to_dict()  # reads the closure verdict once
         return {
-            "passed": self.passed,
-            "associative": self.associative.to_dict(),
+            "passed": associative["passed"] and all(c.passed for c in self.lie_checks),
+            "associative": associative,
             "lie_compositions": [c.to_dict() for c in self.lie_checks],
         }
 

@@ -109,7 +109,10 @@ class RewriteRule:
     terms (the body without its leading term), each as its letters, its
     numerator and its letters negated (a piece of a largest-leftmost heap
     key).  The body being monic, a step's leading term cancels the whole
-    rewritten word, so a step frames only the tail.
+    rewritten word, so a step frames only the tail.  The tail terms come in
+    descending deglex order of their words, so a step frames its words
+    largest first, the order the smallest-rightmost walk pushes them in;
+    largest-leftmost keys its heap by the words and does not depend on it.
     """
 
     __slots__ = ("body", "leading_word", "leading_len", "_denominator", "_tail_terms")
@@ -126,9 +129,8 @@ class RewriteRule:
         self.leading_word = Word._of(body.alphabet, lead)
         self.leading_len = len(lead)
         self._denominator = body._den
-        self._tail_terms = tuple(
-            (u, n, tuple(map(neg, u))) for u, n in nums.items() if u != lead
-        )
+        tail = sorted([(len(u), u, n) for u, n in nums.items() if u != lead], reverse=True)
+        self._tail_terms = tuple([(u, n, tuple(map(neg, u))) for _, u, n in tail])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RewriteRule) and self.body == other.body
@@ -311,16 +313,21 @@ def reduce(
     ints (see :func:`_reduce_letters`) and returns the factor it scaled
     them by; :func:`~superlie.poly.from_letter_terms` builds the one normal
     form over the denominator of ``p`` times that factor.
-    The words that contain a leading word wait in a heap ordered by the
-    strategy.  A word's step is read from the system's step table for the
-    strategy, the one step finder every caller shares (see
-    :class:`_Steps`).  A word that cancels stays in the heap until popped
-    and is skipped, and is pushed again if it comes back.  Whether a word
-    is reducible depends on the word alone, so the heap's top is the word
-    the rule above names: the index, the step table and the heap do not
-    change which step is taken.  The trace keeps the kernel's steps as
-    letter tuples and builds its :class:`ReductionStep` objects when
-    ``trace.steps`` is first read.
+    A word's step is read from the system's step table for the strategy,
+    the one step finder every caller shares (see :class:`_Steps`).
+    For ``largest-leftmost`` the words that contain a leading word wait in
+    a heap; a word that cancels stays there until popped and is skipped,
+    and is pushed again if it comes back.  Whether a word is reducible
+    depends on the word alone, so the heap's top is the word the rule
+    above names.  ``smallest-rightmost`` needs no heap: when it rewrites
+    ``w``, every other reducible word left is larger than ``w`` and every
+    word the step frames is smaller, so a reducible framed word is new,
+    nothing else touches its coefficient before it is rewritten, and its
+    whole cascade ends before the next larger word starts.  The kernel
+    walks each cascade depth-first, smallest framed word first, and takes
+    the same steps.  The trace keeps the kernel's steps as letter tuples
+    and builds its :class:`ReductionStep` objects when ``trace.steps`` is
+    first read.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -339,14 +346,15 @@ def _reduce_letters(
 ) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
     """The kernel of :func:`reduce`: rewrite the letter dict ``acc`` in place.
 
-    ``leftmost`` picks the strategy.  The heap starts from the reducible
+    ``leftmost`` picks the strategy.  The walk starts from the reducible
     words of ``start``, which must hold every reducible word of ``acc``
     (None: every word of ``acc``); a word of ``start`` not in ``acc`` is
-    skipped.  Each word's step is read, once per sight, from
-    ``system._steps[leftmost]``, the one step finder shared by every
-    caller, which bounds itself (see :class:`_Steps`).  Returns the steps
-    as (letters, rule index, position), and the factor ``acc`` was scaled
-    by: ``acc`` is left holding that factor times its normal form, as ints.
+    skipped, and so is a repeat.  Each word's step is read, once per
+    sight, from ``system._steps[leftmost]``, the one step finder shared by
+    every caller, which bounds itself (see :class:`_Steps`).  Returns the
+    steps as (letters, rule index, position), and the factor ``acc`` was
+    scaled by: ``acc`` is left holding that factor times its normal form,
+    as ints.
 
     The arithmetic is on ints: the values of ``acc`` are ints and stay so.
     A step on a word with coefficient ``C`` removes the word and subtracts
@@ -362,20 +370,58 @@ def _reduce_letters(
     letters, the letters).  A framed word's negated letters are sliced from
     its rewritten word's key around the occurrence, with the rule term's
     negated letters between.
+
+    Smallest-rightmost walks a stack of (letters, coefficient) pairs, its
+    smallest word on top.  It starts from the reducible words of ``start``,
+    taken out of ``acc``.  A step pushes its reducible framed words, each
+    new (see :func:`reduce`), largest first, as the rule lists its tail;
+    an irreducible one goes into ``acc``, where every word is irreducible.
+    A rescale scales ``acc``, the stack and the factor alike.
     """
     rules = system.rules
     hits = system._steps[leftmost]
     start = acc if start is None else start
-    if leftmost:  # max-heap by deglex
-        heap = [(-len(w), tuple(map(neg, w)), w) for w in start if hits[w] is not None]
-    else:  # min-heap by deglex
-        heap = [(len(w), w) for w in start if hits[w] is not None]
-    heapify(heap)
     steps: list[tuple[tuple[int, ...], int, int]] = []
     factor = 1
+    if not leftmost:
+        seeds = [(len(w), w) for w in start if hits[w] is not None]
+        seeds.sort(reverse=True)  # a repeat comes after its first sight, taken by then
+        stack = [(w, acc.pop(w)) for _, w in seeds if w in acc]
+        push, get = stack.append, acc.get
+        while stack:
+            word, coeff = stack.pop()
+            rule_index, position = hits[word]
+            rule = rules[rule_index]
+            d = rule._denominator
+            if d != 1:
+                if coeff % d:
+                    m = d // gcd(coeff, d)
+                    for w in acc:
+                        acc[w] *= m
+                    stack[:] = [(w, c * m) for w, c in stack]
+                    factor *= m
+                    coeff *= m
+                coeff //= d
+            prefix, suffix = word[:position], word[position + rule.leading_len :]
+            for u, c, _ in rule._tail_terms:
+                framed = prefix + u + suffix
+                held = get(framed)
+                if held is not None:
+                    rest = held - coeff * c
+                    if rest:
+                        acc[framed] = rest
+                    else:
+                        del acc[framed]
+                elif hits[framed] is None:
+                    acc[framed] = -coeff * c
+                else:
+                    push((framed, -coeff * c))
+            steps.append((word, rule_index, position))
+        return steps, factor
+    heap = [(-len(w), tuple(map(neg, w)), w) for w in start if hits[w] is not None]
+    heapify(heap)  # a max-heap by deglex
     while heap:
-        top = heappop(heap)
-        word = top[-1]
+        _, negs, word = heappop(heap)
         coeff = acc.pop(word, None)
         if coeff is None:  # cancelled since it was pushed
             continue
@@ -403,12 +449,8 @@ def _reduce_letters(
             else:
                 acc[framed] = -coeff * c
                 if hits[framed] is not None:
-                    if leftmost:
-                        negs = top[1]
-                        key = negs[:position] + neg_u + negs[end:]
-                        heappush(heap, (-len(framed), key, framed))
-                    else:
-                        heappush(heap, (len(framed), framed))
+                    key = negs[:position] + neg_u + negs[end:]
+                    heappush(heap, (-len(framed), key, framed))
         steps.append((word, rule_index, position))
     return steps, factor
 

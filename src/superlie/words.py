@@ -65,6 +65,20 @@ class Alphabet:
             _check_name(name, i)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate symbol names in {list(names)}")
+        self._fill(names, parities)
+
+    @classmethod
+    def _of(cls, names: tuple[str, ...], parities: tuple[int, ...]) -> "Alphabet":
+        """The alphabet of ``names`` and ``parities``, unchecked.
+
+        The caller vouches for what the constructor checks: the names are
+        distinct and pass :func:`_check_name`, and each has one parity, 0 or 1.
+        """
+        alphabet = object.__new__(cls)
+        alphabet._fill(names, parities)
+        return alphabet
+
+    def _fill(self, names: tuple[str, ...], parities: tuple[int, ...]) -> None:
         self.names = names
         self.parities = parities
         self._by_name = {name: r for r, name in enumerate(names)}

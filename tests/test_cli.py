@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from superlie import Alphabet, Poly, Word, cli, parse_monomial, standard_bracket
 from superlie.cli import main
 from superlie.hnn import load_presentation, validate
+from superlie.rewrite import GsbReport
 from conftest import ALL, left_comb
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -786,6 +787,11 @@ LISTING_CELLS = [
                                "--max-len", "7", "--format", "json"], 0),
     ("hnn-verify-ex3-7.json", ["hnn-verify", "--input", str(FIXTURES / "ex3.json"),
                                "--max-len", "7", "--format", "json"], 0),
+    # 227 steps over 37 distinct words, in cascades up to 10 steps deep; recorded
+    # while smallest-rightmost still kept its reducible words in a heap
+    *_report_cells("reduce-osp-smallest-rightmost",
+                   ["reduce", "vuhhehv", "--input", str(FIXTURES / "osp.json"),
+                    "--strategy", "smallest-rightmost"], 0),
 ]
 
 
@@ -900,6 +906,21 @@ def test_no_subcommand_reads_a_polynomials_terms_twice(monkeypatch, capsys):
         assert main(argv) == code, argv
         assert max((count for _, count in reads.values()), default=0) <= 1, argv
     capsys.readouterr()
+
+
+def test_hnn_verify_json_reads_the_closure_verdict_once(monkeypatch, capsys):
+    # GsbReport.passed walks every check on each read: the exit code, the
+    # gsb payload's verdict and the closure payload's all come from one read
+    reads = []
+    verdict = GsbReport.passed.fget
+    monkeypatch.setattr(GsbReport, "passed", property(lambda r: reads.append(r) or verdict(r)))
+    for name in sorted(ALL):
+        reads.clear()
+        argv = ["hnn-verify", "--input", str(FIXTURES / f"{name}.json"), "--max-len", "5"]
+        assert main([*argv, "--format", "json"]) == 0
+        assert len(reads) == 1, name
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is payload["gsb"]["passed"] is payload["gsb"]["associative"]["passed"]
 
 
 EXPANSION_CELLS = {

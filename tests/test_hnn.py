@@ -1836,17 +1836,37 @@ def test_loader_applies_the_alphabet_name_rule():
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_load_presentation_builds_two_alphabets(name, monkeypatch):
     # the tables' alphabet and the extended one: the stable letter's name
-    # is checked by the alphabet name rule without building a third
+    # is checked by the alphabet name rule without building a third; the
+    # checked constructor and the unchecked one both fill an alphabet
     built = []
-    init = Alphabet.__init__
+    fill = Alphabet._fill
 
-    def counting_init(self, *args, **kwargs):
+    def counting_fill(self, *args, **kwargs):
         built.append(self)
-        init(self, *args, **kwargs)
+        fill(self, *args, **kwargs)
 
-    monkeypatch.setattr(Alphabet, "__init__", counting_init)
+    monkeypatch.setattr(Alphabet, "_fill", counting_fill)
     pres = load_presentation(ALL[name])
     assert [id(a) for a in built] == [id(pres.constants.alphabet), id(pres.alphabet)]
+
+
+def test_load_presentation_checks_each_name_once(monkeypatch):
+    # osp's five generator names, its two odd names and the stable letter:
+    # the extended alphabet is built from the checked base, not checked again
+    names = []
+    check = hnn._check_name  # the one function, imported from superlie.words
+
+    def counting_check(name, *args):
+        names.append(name)
+        check(name, *args)
+
+    monkeypatch.setattr("superlie.words._check_name", counting_check)
+    monkeypatch.setattr(hnn, "_check_name", counting_check)
+    pres = load_presentation(ALL["osp"])
+    assert len(names) == 8
+    assert sorted(names) == sorted([*pres.constants.alphabet.names, "u", "v", "t"])
+    assert pres.alphabet == Alphabet([*pres.constants.alphabet.names, "t"],
+                                     [*pres.constants.alphabet.parities, 1])
 
 
 def test_loader_normalizes_fractions():

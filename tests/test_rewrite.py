@@ -5,6 +5,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from random import Random
 
@@ -483,6 +484,113 @@ def test_kernel_started_from_any_superset_of_the_reducible_words_scans_alike():
                 assert started == scanned
                 factors.add(expected[1])
     assert 1 in factors and max(factors) > 1
+
+
+# -- smallest-rightmost: the depth-first walk against the heap loop it replaced ------
+
+
+def heap_smallest_rightmost(acc, system, start=None):
+    """The smallest-rightmost kernel as a heap loop, the oracle of the walk.
+
+    The reducible words wait in a min-heap by deglex; a word that cancels
+    stays there until popped and is skipped.  The order of a rule's tail
+    terms does not change what it does.
+    """
+    rules, hits = system.rules, system._steps[False]
+    heap = [(len(w), w) for w in (acc if start is None else start) if hits[w] is not None]
+    heapify(heap)
+    steps, factor = [], 1
+    while heap:
+        _, word = heappop(heap)
+        coeff = acc.pop(word, None)
+        if coeff is None:  # cancelled since it was pushed
+            continue
+        rule_index, position = hits[word]
+        rule = rules[rule_index]
+        d = rule._denominator
+        if d != 1:
+            if coeff % d:
+                m = d // math.gcd(coeff, d)
+                for w in acc:
+                    acc[w] *= m
+                factor *= m
+                coeff *= m
+            coeff //= d
+        prefix, suffix = word[:position], word[position + rule.leading_len :]
+        for u, c, _ in rule._tail_terms:
+            framed = prefix + u + suffix
+            if framed in acc:
+                rest = acc[framed] - coeff * c
+                if rest:
+                    acc[framed] = rest
+                else:
+                    del acc[framed]
+            else:
+                acc[framed] = -coeff * c
+                if hits[framed] is not None:
+                    heappush(heap, (len(framed), framed))
+        steps.append((word, rule_index, position))
+    return steps, factor
+
+
+def test_tail_terms_come_largest_first():
+    rng = Random(909)
+    systems = [*FIXTURE_SYSTEMS.values(), BROKEN, *HAND_MADE, EX1_STYLE]
+    systems += [halves_and_quarters_system(rng) for _ in range(20)]
+    for sys_ in systems:
+        for rule in sys_.rules:
+            words = [u for u, _, _ in rule._tail_terms]
+            assert words == sorted(words, key=lambda u: (len(u), u), reverse=True)
+            lead = rule.leading_word.letters
+            assert dict((u, c) for u, c, _ in rule._tail_terms) == {
+                u: c for u, c in rule.body._nums.items() if u != lead
+            }
+
+
+def test_smallest_rightmost_walk_takes_the_heap_loops_steps():
+    # the steps, the factor and the final dict, started from the whole dict
+    # or from a list holding its reducible words with repeats, irreducible
+    # words and words not in it
+    rng = Random(4848)
+    systems = [*FIXTURE_SYSTEMS.values(), BROKEN, *HAND_MADE, EX1_STYLE]
+    systems += [halves_and_quarters_system(rng) for _ in range(30)]
+    factors, step_counts = set(), []
+    for sys_ in systems:
+        alphabet, reducible = sys_.alphabet, sys_._steps[False]
+        for _ in range(12):
+            acc = {
+                random_word(rng, alphabet, 6).letters: rng.choice((-5, -3, -1, 1, 2, 3, 6))
+                for _ in range(rng.randint(1, 8))
+            }
+            start = [w for w in acc if reducible[w] is not None] * rng.randint(1, 2)
+            start += rng.sample(list(acc), rng.randint(0, len(acc)))
+            start += [random_word(rng, alphabet, 6).letters for _ in range(rng.randint(0, 3))]
+            rng.shuffle(start)
+            for begin in (None, start):
+                walked, heaped = dict(acc), dict(acc)
+                expected = heap_smallest_rightmost(heaped, sys_, begin)
+                assert rewrite._reduce_letters(walked, sys_, False, begin) == expected
+                assert walked == heaped
+                factors.add(expected[1])
+                step_counts.append(len(expected[0]))
+    assert 1 in factors and max(factors) > 1
+    assert max(step_counts) > 100
+
+
+def test_smallest_rightmost_walks_a_cascade_thousands_of_steps_deep():
+    # b a^k -> a b^k, k < 12, is a binary decrement, b the bit 1: b^12 counts
+    # down to a^12 in 4 095 steps, each framing the next word, deeper than a
+    # walk that recursed per framed word could go
+    ab = Alphabet.from_names(["a", "b"])
+    sys_ = system(ab, *[f"b{'a' * k} - a{'b' * k}" for k in range(12)])
+    assert sys.getrecursionlimit() < 4095
+    walked, heaped = {(1,) * 12: 1}, {(1,) * 12: 1}
+    expected = heap_smallest_rightmost(heaped, sys_)
+    assert rewrite._reduce_letters(walked, sys_, False) == expected
+    assert walked == heaped == {(0,) * 12: 1}
+    assert len(expected[0]) == 4095
+    normal_form, trace = reduce(Poly.monomial(ab.word("b" * 12)), sys_, SMALLEST_RIGHTMOST)
+    assert str(normal_form) == "a" * 12 and len(trace) == 4095
 
 
 # -- one system, many reductions: the step tables live on the system ---------------
