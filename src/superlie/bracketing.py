@@ -166,7 +166,7 @@ def _normal_forms(
     word exactly when the junction pair (a[-1], b[0]) is one.
     :func:`bracket_terms` returns the node's product with the words it
     flags on that test, and :func:`_reduce_letters` rewrites the product
-    with its heap started from them alone: the other words are reduced.
+    with its worklist seeded from them alone: the other words are reduced.
     The kernel scales the whole dict by a factor k, 1 unless a rule
     denominator made it scale, and nothing is divided.  So a node's form
     is k * l_u * l_v * NF, l_u and l_v its children's multiples; with no

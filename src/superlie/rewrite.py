@@ -111,7 +111,7 @@ class RewriteRule:
     key).  The body being monic, a step's leading term cancels the whole
     rewritten word, so a step frames only the tail.  The tail terms come in
     descending deglex order of their words, so a step frames its words
-    largest first, the order the smallest-rightmost walk pushes them in;
+    largest first, the order smallest-rightmost pushes them onto its stack;
     largest-leftmost keys its heap by the words and does not depend on it.
     """
 
@@ -315,18 +315,21 @@ def reduce(
     form over the denominator of ``p`` times that factor.
     A word's step is read from the system's step table for the strategy,
     the one step finder every caller shares (see :class:`_Steps`).
-    For ``largest-leftmost`` the words that contain a leading word wait in
-    a heap; a word that cancels stays there until popped and is skipped,
-    and is pushed again if it comes back.  Whether a word is reducible
-    depends on the word alone, so the heap's top is the word the rule
-    above names.  ``smallest-rightmost`` needs no heap: when it rewrites
+    Both strategies take one walk: the words that contain a leading word
+    wait on a worklist, each with its step and its coefficient, and the
+    dict holds only reduced words.  Whether a word is reducible depends on
+    the word alone, so the worklist's next word is the one the rule above
+    names.  For ``largest-leftmost`` the worklist is a heap, largest word
+    on top; a word framed again while it waits gets another entry, and its
+    entries are summed when it comes to the top, a sum of zero taking no
+    step.  For ``smallest-rightmost`` it is a stack: when it rewrites
     ``w``, every other reducible word left is larger than ``w`` and every
     word the step frames is smaller, so a reducible framed word is new,
     nothing else touches its coefficient before it is rewritten, and its
-    whole cascade ends before the next larger word starts.  The kernel
-    walks each cascade depth-first, smallest framed word first, and takes
-    the same steps.  The trace keeps the kernel's steps as letter tuples
-    and builds its :class:`ReductionStep` objects when ``trace.steps`` is
+    whole cascade ends before the next larger word starts.  The walk takes
+    each cascade depth-first, smallest framed word first, and no word
+    waits twice.  The trace keeps the kernel's steps as letter tuples and
+    builds its :class:`ReductionStep` objects when ``trace.steps`` is
     first read.
     """
     if strategy not in STRATEGIES:
@@ -349,9 +352,11 @@ def _reduce_letters(
     ``leftmost`` picks the strategy.  The walk starts from the reducible
     words of ``start``, which must hold every reducible word of ``acc``
     (None: every word of ``acc``); a word of ``start`` not in ``acc`` is
-    skipped, and so is a repeat.  Each word's step is read, once per
-    sight, from ``system._steps[leftmost]``, the one step finder shared by
-    every caller, which bounds itself (see :class:`_Steps`).  Returns the
+    skipped, and so is a repeat.  Each word's step is read from
+    ``system._steps[leftmost]``, the one step finder shared by every
+    caller, which bounds itself (see :class:`_Steps`): once when it is
+    taken from ``acc`` as a seed, and once each time a step frames it
+    while it is not in ``acc``.  Returns the
     steps as (letters, rule index, position), and the factor ``acc`` was
     scaled by: ``acc`` is left holding that factor times its normal form,
     as ints.
@@ -366,66 +371,45 @@ def _reduce_letters(
     those of the rational reduction.  Nothing is divided back, so the
     values and the factor may have a common divisor.
 
-    A largest-leftmost heap entry is (minus the length, the negated
-    letters, the letters).  A framed word's negated letters are sliced from
-    its rewritten word's key around the occurrence, with the rule term's
-    negated letters between.
-
-    Smallest-rightmost walks a stack of (letters, coefficient) pairs, its
-    smallest word on top.  It starts from the reducible words of ``start``,
-    taken out of ``acc``.  A step pushes its reducible framed words, each
-    new (see :func:`reduce`), largest first, as the rule lists its tail;
-    an irreducible one goes into ``acc``, where every word is irreducible.
-    A rescale scales ``acc``, the stack and the factor alike.
+    The one loop runs on a worklist of (minus the length, the negated
+    letters, the letters, the step, the coefficient) entries, started from
+    the reducible words of ``start``, taken out of ``acc``; so every word
+    in ``acc`` is irreducible.  A step updates a framed word already in
+    ``acc``, puts an irreducible one into it, and pushes a reducible one.
+    A rescale scales ``acc``, the worklist and the factor alike.  For
+    largest-leftmost the worklist is a heap: a framed word's negated
+    letters are sliced from its rewritten word's key around the
+    occurrence, with the rule term's negated letters between, and the
+    entries of a word, having equal keys, come off the heap one after the
+    other and are summed.  For smallest-rightmost it is a stack, its
+    smallest word on top, whose entries need no key (0 and None); a step
+    pushes its reducible framed words largest first, as the rule lists its
+    tail, and no word is on the stack twice (see :func:`reduce`).
     """
     rules = system.rules
     hits = system._steps[leftmost]
-    start = acc if start is None else start
+    get = acc.get
     steps: list[tuple[tuple[int, ...], int, int]] = []
     factor = 1
-    if not leftmost:
-        seeds = [(len(w), w) for w in start if hits[w] is not None]
-        seeds.sort(reverse=True)  # a repeat comes after its first sight, taken by then
-        stack = [(w, acc.pop(w)) for _, w in seeds if w in acc]
-        push, get = stack.append, acc.get
-        while stack:
-            word, coeff = stack.pop()
-            rule_index, position = hits[word]
-            rule = rules[rule_index]
-            d = rule._denominator
-            if d != 1:
-                if coeff % d:
-                    m = d // gcd(coeff, d)
-                    for w in acc:
-                        acc[w] *= m
-                    stack[:] = [(w, c * m) for w, c in stack]
-                    factor *= m
-                    coeff *= m
-                coeff //= d
-            prefix, suffix = word[:position], word[position + rule.leading_len :]
-            for u, c, _ in rule._tail_terms:
-                framed = prefix + u + suffix
-                held = get(framed)
-                if held is not None:
-                    rest = held - coeff * c
-                    if rest:
-                        acc[framed] = rest
-                    else:
-                        del acc[framed]
-                elif hits[framed] is None:
-                    acc[framed] = -coeff * c
-                else:
-                    push((framed, -coeff * c))
-            steps.append((word, rule_index, position))
-        return steps, factor
-    heap = [(-len(w), tuple(map(neg, w)), w) for w in start if hits[w] is not None]
-    heapify(heap)  # a max-heap by deglex
-    while heap:
-        _, negs, word = heappop(heap)
-        coeff = acc.pop(word, None)
-        if coeff is None:  # cancelled since it was pushed
+    work = []
+    for w in list(acc) if start is None else start:  # acc loses its seeds
+        if w in acc and (hit := hits[w]) is not None:
+            if leftmost:
+                work.append((-len(w), tuple(map(neg, w)), w, hit, acc.pop(w)))
+            else:
+                work.append((0, None, w, hit, acc.pop(w)))
+    if leftmost:
+        heapify(work)  # a max-heap by deglex
+        pop = heappop
+    else:
+        work.sort(key=lambda e: (len(e[2]), e[2]), reverse=True)  # the smallest word last
+        pop = list.pop
+    while work:
+        _, negs, word, (rule_index, position), coeff = pop(work)
+        while leftmost and work and work[0][2] == word:  # the word's other entries
+            coeff += heappop(work)[4]
+        if not coeff:  # they cancel: no step
             continue
-        rule_index, position = hits[word]
         rule = rules[rule_index]
         d = rule._denominator
         if d != 1:
@@ -433,6 +417,7 @@ def _reduce_letters(
                 m = d // gcd(coeff, d)
                 for w in acc:
                     acc[w] *= m
+                work[:] = [(k, n, w, h, c * m) for k, n, w, h, c in work]
                 factor *= m
                 coeff *= m
             coeff //= d
@@ -440,17 +425,20 @@ def _reduce_letters(
         prefix, suffix = word[:position], word[end:]
         for u, c, neg_u in rule._tail_terms:
             framed = prefix + u + suffix
-            if framed in acc:
-                rest = acc[framed] - coeff * c
+            held = get(framed)
+            if held is not None:
+                rest = held - coeff * c
                 if rest:
                     acc[framed] = rest
                 else:
                     del acc[framed]
-            else:
+            elif (hit := hits[framed]) is None:
                 acc[framed] = -coeff * c
-                if hits[framed] is not None:
-                    key = negs[:position] + neg_u + negs[end:]
-                    heappush(heap, (-len(framed), key, framed))
+            elif leftmost:
+                key = negs[:position] + neg_u + negs[end:]
+                heappush(work, (-len(framed), key, framed, hit, -coeff * c))
+            else:
+                work.append((0, None, framed, hit, -coeff * c))
         steps.append((word, rule_index, position))
     return steps, factor
 
@@ -525,16 +513,15 @@ class GsbReport(_Record):
         }
 
     def __str__(self) -> str:
-        lines = [
-            f"composition closure: {'PASS' if self.passed else 'FAIL'}"
-            f" ({len(self.checks)} compositions)"
-        ]
+        # one pass over the checks gives the lines and the verdict: passed would walk them again
+        lines, verdict = [], "PASS"
         for c in self.checks:
+            if not c.passed:
+                verdict = "FAIL"
             status = "ok" if c.passed else f"NONZERO: {c.normal_form}"
-            lines.append(
-                f"  rules ({c.left},{c.right}) at {str(c.word)!r}: {status}"
-            )
-        return "\n".join(lines)
+            lines.append(f"  rules ({c.left},{c.right}) at {str(c.word)!r}: {status}")
+        header = f"composition closure: {verdict} ({len(self.checks)} compositions)"
+        return "\n".join([header, *lines])
 
 
 def is_gsb(system: RewriteSystem) -> GsbReport:

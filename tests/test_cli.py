@@ -792,6 +792,11 @@ LISTING_CELLS = [
     *_report_cells("reduce-osp-smallest-rightmost",
                    ["reduce", "vuhhehv", "--input", str(FIXTURES / "osp.json"),
                     "--strategy", "smallest-rightmost"], 0),
+    # 15 steps, four pending entries merged into earlier ones and two words
+    # summing to 0; recorded while largest-leftmost still kept every word in
+    # the dict and skipped a cancelled one when the heap gave it back
+    *_report_cells("reduce-osp-largest-leftmost",
+                   ["reduce", "vuhhehv", "--input", str(FIXTURES / "osp.json")], 0),
 ]
 
 
@@ -908,9 +913,11 @@ def test_no_subcommand_reads_a_polynomials_terms_twice(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_hnn_verify_json_reads_the_closure_verdict_once(monkeypatch, capsys):
-    # GsbReport.passed walks every check on each read: the exit code, the
-    # gsb payload's verdict and the closure payload's all come from one read
+def test_hnn_verify_reads_the_closure_verdict_once(monkeypatch, capsys):
+    # GsbReport.passed walks every check on each read: in json the exit code,
+    # the gsb payload's verdict and the closure payload's all come from one
+    # read; in text the exit code reads it, and the report's header takes its
+    # own from the pass that renders its lines, saying what the payload says
     reads = []
     verdict = GsbReport.passed.fget
     monkeypatch.setattr(GsbReport, "passed", property(lambda r: reads.append(r) or verdict(r)))
@@ -921,6 +928,21 @@ def test_hnn_verify_json_reads_the_closure_verdict_once(monkeypatch, capsys):
         assert len(reads) == 1, name
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is payload["gsb"]["passed"] is payload["gsb"]["associative"]["passed"]
+        reads.clear()
+        assert main(argv) == 0
+        assert len(reads) == 1, name
+        count = len(payload["gsb"]["associative"]["compositions"])
+        assert f"composition closure: PASS ({count} compositions)" in capsys.readouterr().out
+    # text output as recorded, a passing and a failing closure report
+    for argv, code, golden in [
+        (["hnn-verify", "--input", str(FIXTURES / "ab5.json"), "--max-len", "5"], 0,
+         "hnn-verify-ab5-5.txt"),
+        (["gsb-check", "--input", str(FIXTURES / "broken_rules.json")], 1,
+         "gsb-check-broken-rules.txt"),
+    ]:
+        reads.clear()
+        assert run(capsys, *argv) == (code, (GOLDEN / golden).read_text(), "")
+        assert len(reads) == 1, golden
 
 
 EXPANSION_CELLS = {

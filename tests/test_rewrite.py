@@ -4,8 +4,10 @@ import inspect
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import neg
 from pathlib import Path
 from random import Random
 
@@ -486,7 +488,7 @@ def test_kernel_started_from_any_superset_of_the_reducible_words_scans_alike():
     assert 1 in factors and max(factors) > 1
 
 
-# -- smallest-rightmost: the depth-first walk against the heap loop it replaced ------
+# -- the one walk against the heap loops it replaced, one per strategy --------------
 
 
 def heap_smallest_rightmost(acc, system, start=None):
@@ -533,6 +535,72 @@ def heap_smallest_rightmost(acc, system, start=None):
     return steps, factor
 
 
+def heap_largest_leftmost(acc, system, start=None):
+    """The largest-leftmost kernel as a heap loop, the oracle of the walk.
+
+    Every word waits in ``acc``, the reducible ones also in a max-heap by
+    deglex; a word that cancels stays in the heap until popped and is
+    skipped, and is pushed again if it comes back.
+    """
+    rules, hits = system.rules, system._steps[True]
+    heap = [(-len(w), tuple(map(neg, w)), w) for w in (acc if start is None else start)
+            if hits[w] is not None]
+    heapify(heap)
+    steps, factor = [], 1
+    while heap:
+        _, negs, word = heappop(heap)
+        coeff = acc.pop(word, None)
+        if coeff is None:  # cancelled since it was pushed
+            continue
+        rule_index, position = hits[word]
+        rule = rules[rule_index]
+        d = rule._denominator
+        if d != 1:
+            if coeff % d:
+                m = d // math.gcd(coeff, d)
+                for w in acc:
+                    acc[w] *= m
+                factor *= m
+                coeff *= m
+            coeff //= d
+        end = position + rule.leading_len
+        prefix, suffix = word[:position], word[end:]
+        for u, c, neg_u in rule._tail_terms:
+            framed = prefix + u + suffix
+            if framed in acc:
+                rest = acc[framed] - coeff * c
+                if rest:
+                    acc[framed] = rest
+                else:
+                    del acc[framed]
+            else:
+                acc[framed] = -coeff * c
+                if hits[framed] is not None:
+                    key = negs[:position] + neg_u + negs[end:]
+                    heappush(heap, (-len(framed), key, framed))
+        steps.append((word, rule_index, position))
+    return steps, factor
+
+
+def pending_entries(acc, system, start, steps):
+    """How often each reducible word waits in a largest-leftmost walk.
+
+    Once if it is a seed, a distinct word of ``start`` (None: of ``acc``)
+    that is in ``acc``, and once per step that frames it.  A word that
+    waits twice has its entries summed; one that takes no step summed to 0.
+    """
+    reducible = fresh_copy(system)._steps[True]
+    entries = Counter({w for w in (acc if start is None else start)
+                       if w in acc and reducible[w] is not None})
+    for word, rule_index, position in steps:
+        rule = system.rules[rule_index]
+        prefix, suffix = word[:position], word[position + rule.leading_len :]
+        for u, _, _ in rule._tail_terms:
+            if reducible[prefix + u + suffix] is not None:
+                entries[prefix + u + suffix] += 1
+    return entries
+
+
 def test_tail_terms_come_largest_first():
     rng = Random(909)
     systems = [*FIXTURE_SYSTEMS.values(), BROKEN, *HAND_MADE, EX1_STYLE]
@@ -547,16 +615,19 @@ def test_tail_terms_come_largest_first():
             }
 
 
-def test_smallest_rightmost_walk_takes_the_heap_loops_steps():
+@pytest.mark.parametrize("leftmost", [True, False], ids=STRATEGIES)
+def test_walk_takes_the_heap_loops_steps(leftmost):
     # the steps, the factor and the final dict, started from the whole dict
     # or from a list holding its reducible words with repeats, irreducible
-    # words and words not in it
+    # words and words not in it; largest-leftmost merges pending entries of
+    # one word, some of them to 0
+    oracle = heap_largest_leftmost if leftmost else heap_smallest_rightmost
     rng = Random(4848)
     systems = [*FIXTURE_SYSTEMS.values(), BROKEN, *HAND_MADE, EX1_STYLE]
     systems += [halves_and_quarters_system(rng) for _ in range(30)]
-    factors, step_counts = set(), []
+    factors, step_counts, merged, cancelled = set(), [], 0, 0
     for sys_ in systems:
-        alphabet, reducible = sys_.alphabet, sys_._steps[False]
+        alphabet, reducible = sys_.alphabet, sys_._steps[leftmost]
         for _ in range(12):
             acc = {
                 random_word(rng, alphabet, 6).letters: rng.choice((-5, -3, -1, 1, 2, 3, 6))
@@ -568,13 +639,20 @@ def test_smallest_rightmost_walk_takes_the_heap_loops_steps():
             rng.shuffle(start)
             for begin in (None, start):
                 walked, heaped = dict(acc), dict(acc)
-                expected = heap_smallest_rightmost(heaped, sys_, begin)
-                assert rewrite._reduce_letters(walked, sys_, False, begin) == expected
+                expected = oracle(heaped, sys_, begin)
+                assert rewrite._reduce_letters(walked, sys_, leftmost, begin) == expected
                 assert walked == heaped
                 factors.add(expected[1])
                 step_counts.append(len(expected[0]))
+                if leftmost:
+                    entries = pending_entries(acc, sys_, begin, expected[0])
+                    merged += sum(n - 1 for n in entries.values())
+                    cancelled += len(set(entries) - {w for w, _, _ in expected[0]})
     assert 1 in factors and max(factors) > 1
-    assert max(step_counts) > 100
+    if leftmost:
+        assert max(step_counts) > 50 and merged > cancelled > 0
+    else:
+        assert max(step_counts) > 100
 
 
 def test_smallest_rightmost_walks_a_cascade_thousands_of_steps_deep():
@@ -591,6 +669,84 @@ def test_smallest_rightmost_walks_a_cascade_thousands_of_steps_deep():
     assert len(expected[0]) == 4095
     normal_form, trace = reduce(Poly.monomial(ab.word("b" * 12)), sys_, SMALLEST_RIGHTMOST)
     assert str(normal_form) == "a" * 12 and len(trace) == 4095
+
+
+def test_golden_largest_leftmost_reduction_merges_pending_entries():
+    # the input of tests/golden/reduce-osp-largest-leftmost: four entries are
+    # merged into an earlier one, two words waiting twice and one three times,
+    # and the two waiting twice sum to 0
+    osp = FIXTURE_SYSTEMS["osp"]
+    acc = {osp.alphabet.word("vuhhehv").letters: 1}
+    steps, factor = rewrite._reduce_letters(dict(acc), osp, True)
+    entries = pending_entries(acc, osp, None, steps)
+    assert (len(steps), factor) == (15, 1)
+    assert sorted(entries.values())[-3:] == [2, 2, 3]
+    assert sum(n - 1 for n in entries.values()) == 4
+    assert len(set(entries) - {w for w, _, _ in steps}) == 2
+
+
+class CountingSteps(rewrite._Steps):
+    """A step table that counts its reads, word by word."""
+
+    def __init__(self, index, lengths, leftmost):
+        super().__init__(index, lengths, leftmost)
+        self.reads = Counter()
+
+    def __getitem__(self, letters):
+        self.reads[letters] += 1
+        return super().__getitem__(letters)
+
+
+def expected_step_reads(acc, system, leftmost, steps):
+    """Each word's step reads in a reduction of all of ``acc``, by replay.
+
+    A word is read once as a seed, and once per step that frames it while
+    it is not in the dict, which holds no reducible word.  The replay runs
+    over Fractions, whose dict has the kernel's words.  Also returns how
+    many framed words were found in the dict and not read.
+    """
+    reducible = fresh_copy(system)._steps[leftmost]
+    current = {w: Fraction(c) for w, c in acc.items()}
+    reads, held = Counter(list(acc)), 0
+    for word, rule_index, position in steps:
+        rule = system.rules[rule_index]
+        coeff = current.pop(word)
+        prefix, suffix = word[:position], word[position + rule.leading_len :]
+        for u, c, _ in rule._tail_terms:
+            framed = prefix + u + suffix
+            if reducible[framed] is None and framed in current:
+                held += 1
+            else:
+                reads[framed] += 1
+            rest = current.get(framed, 0) - coeff * Fraction(c, rule._denominator)
+            if rest:
+                current[framed] = rest
+            else:
+                current.pop(framed, None)
+    return reads, held
+
+
+@pytest.mark.parametrize("leftmost", [True, False], ids=STRATEGIES)
+def test_one_reduction_reads_each_words_step_once_per_sighting(leftmost):
+    rng = Random(5050)
+    systems = [*FIXTURE_SYSTEMS.values(), BROKEN, *HAND_MADE, EX1_STYLE]
+    systems += [halves_and_quarters_system(rng) for _ in range(10)]
+    held = steps_taken = 0
+    for base in systems:
+        for _ in range(6):
+            acc = {
+                random_word(rng, base.alphabet, 6).letters: rng.choice((-3, -1, 1, 2, 5))
+                for _ in range(rng.randint(1, 6))
+            }
+            sys_ = fresh_copy(base)
+            sys_._steps = tuple(CountingSteps(sys_._index, sys_._lengths, lm)
+                                for lm in (False, True))
+            steps, _ = rewrite._reduce_letters(dict(acc), sys_, leftmost)
+            reads, seen = expected_step_reads(acc, base, leftmost, steps)
+            assert sys_._steps[leftmost].reads == reads
+            assert not sys_._steps[not leftmost].reads
+            held, steps_taken = held + seen, steps_taken + len(steps)
+    assert held and steps_taken > 500
 
 
 # -- one system, many reductions: the step tables live on the system ---------------
