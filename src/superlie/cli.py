@@ -88,11 +88,6 @@ def _parse_alphabet(spec: str) -> Alphabet:
         raise ValueError(f"--alphabet: {exc}") from None
 
 
-def _word_text(w) -> str:
-    """A word as the polynomial grammar writes it: the empty word is "1"."""
-    return str(w) or "1"
-
-
 def _load_system(path: str) -> RewriteSystem:
     """A rewrite system from either a presentation or a rules file.
 
@@ -162,8 +157,8 @@ def _cmd_reduce(args) -> tuple[int, dict, list[str]]:
     normal_form, trace = reduce(poly, system, strategy=args.strategy)
     steps = [
         {
-            "word": _word_text(s.word),
-            "rule": _word_text(system.rules[s.rule_index].leading_word),
+            "word": str(s.word),
+            "rule": str(system.rules[s.rule_index].leading_word),
             "position": s.position,
         }
         for s in trace.steps
@@ -215,7 +210,7 @@ def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:
         "command": "hnn-basis",
         "max_len": args.max_len,
         "algebra_basis": [str(m) for m in h_basis],
-        "enveloping_basis": [text or "1" for text in _texts(pres.alphabet, uh_basis)],
+        "enveloping_basis": _texts(pres.alphabet, uh_basis),
         "free_generators": [str(m) for m in generators],
     }
     lines = []

@@ -640,8 +640,10 @@ class _WbarView:
     def __init__(self, generators: Sequence[NcMonomial]):
         self.generators = sorted(generators, key=lambda m: _lex_key(m.word))
         self.letters = [m.word for m in self.generators]
-        self.alphabet = Alphabet(
-            [f"w{r}" for r in range(len(self.letters))], [w.parity for w in self.letters]
+        # generated names, distinct and each passing the name check
+        self.alphabet = Alphabet._of(
+            tuple([f"w{r}" for r in range(len(self.letters))]),
+            tuple([w.parity for w in self.letters]),
         )
 
 
@@ -937,7 +939,7 @@ def parse_generators(gens) -> Alphabet:
     """
     if not isinstance(gens, list) or not gens:
         raise ValueError("generators: expected a non-empty list")
-    names, odd = [], []
+    names, parities = [], []
     for i, g in enumerate(gens):
         if not isinstance(g, dict) or "name" not in g or "parity" not in g:
             raise ValueError(f"generators[{i}]: expected {{name, parity}}")
@@ -947,10 +949,9 @@ def parse_generators(gens) -> Alphabet:
         if type(parity) is not int or parity not in (0, 1):
             raise ValueError(f"generators[{i}].parity: must be 0 or 1")
         names.append(name)
-        if parity:
-            odd.append(name)
+        parities.append(parity)
     try:
-        return Alphabet.from_names(names, odd)
+        return Alphabet(names, parities)
     except ValueError as exc:
         raise ValueError(f"generators: {exc}") from None
 

@@ -206,9 +206,7 @@ class RewriteSystem:
             if rule.body.alphabet is not alphabet and rule.body.alphabet != alphabet:
                 raise ValueError("rule over a different alphabet")
             if rule.leading_word.letters in index:
-                raise ValueError(
-                    f"rules[{i}]: duplicate leading word {str(rule.leading_word) or '1'!r}"
-                )
+                raise ValueError(f"rules[{i}]: duplicate leading word {str(rule.leading_word)!r}")
             index[rule.leading_word.letters] = i
         self.alphabet = alphabet
         self.rules = rules

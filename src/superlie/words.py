@@ -213,20 +213,21 @@ class Word:
         return _texts(self.alphabet, (self,))[0]
 
     def __repr__(self) -> str:
-        return f"Word({str(self) or '1'})"
+        return f"Word({self})"
 
 
 def _texts(alphabet: Alphabet, words: Iterable[Word]) -> list[str]:
     """``str(w)`` of each word ``w`` over ``alphabet``, the table or names read once.
 
     Ranks go through the byte table when every name is one character;
-    otherwise the names are joined with '.'.
+    otherwise the names are joined with '.'.  The empty word is "1", the
+    token :meth:`Alphabet.word` reads back as it.
     """
     table = alphabet._table
     if table is not None:
-        return [bytes(w.letters).translate(table).decode() for w in words]
+        return [bytes(w.letters).translate(table).decode() or "1" for w in words]
     names = alphabet.names
-    return [".".join([names[r] for r in w.letters]) for w in words]
+    return [".".join([names[r] for r in w.letters]) or "1" for w in words]
 
 
 def _parity(alphabet: Alphabet, letters: Iterable[int]) -> int:

@@ -649,33 +649,48 @@ def test_main_pauses_the_collector_and_restores_it_on_every_exit(
     assert seen == ([] if case == "usage" else [False])
 
 
+# hnn-verify and hnn-basis on ex1, ex2 and ex3 at 5, recorded from the CLI
+# before the extension basis was built from W
+FIXTURE_REPORT_CELLS = [
+    (command, name) for command in ("hnn-verify", "hnn-basis") for name in ("ex1", "ex2", "ex3")
+]
+# abc and lhkz recorded from the CLI when words were still found by scanning
+# every word; x1x2y (dotted names) before str(word) had a byte table
+LS_WORDS_CELLS = [
+    ("abc", "a,b:odd,c", "6"), ("lhkz", "l,h,k,z:odd", "5"), ("x1x2y", "x1,x2:odd,y", "5"),
+]
+
+
+def _fixture_report(command, name):
+    """The golden stem and argv, without a format, of a FIXTURE_REPORT_CELLS row."""
+    argv = [command, "--input", str(FIXTURES / f"{name}.json"), "--max-len", "5"]
+    return f"{command}-{name}", argv
+
+
+def _ls_words(name, alphabet, max_len):
+    """The golden stem and argv, without a format, of an LS_WORDS_CELLS row."""
+    return f"ls-words-{name}", ["ls-words", "--alphabet", alphabet, "--max-len", max_len]
+
+
+def _format_cell(stem, argv, fmt):
+    """The golden cell of ``argv`` in ``fmt``, "txt" or "json": it prints ``stem.fmt``, exit 0."""
+    return f"{stem}.{fmt}", [*argv, "--format", "json" if fmt == "json" else "text"], 0
+
+
+def _assert_golden(capsys, name, argv, code):
+    assert run(capsys, *argv) == (code, (GOLDEN / name).read_text(), "")
+
+
 @pytest.mark.parametrize("fmt", ["txt", "json"])
-@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
-@pytest.mark.parametrize("command", ["hnn-verify", "hnn-basis"])
+@pytest.mark.parametrize("command, name", FIXTURE_REPORT_CELLS)
 def test_output_matches_golden_file(capsys, command, name, fmt):
-    # recorded from the CLI before the extension basis was built from W
-    code, out, err = run(
-        capsys, command, "--input", str(FIXTURES / f"{name}.json"),
-        "--max-len", "5", "--format", "json" if fmt == "json" else "text",
-    )
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / f"{command}-{name}.{fmt}").read_text()
+    _assert_golden(capsys, *_format_cell(*_fixture_report(command, name), fmt))
 
 
 @pytest.mark.parametrize("fmt", ["txt", "json"])
-@pytest.mark.parametrize(
-    "name, alphabet, max_len",
-    [("abc", "a,b:odd,c", "6"), ("lhkz", "l,h,k,z:odd", "5"), ("x1x2y", "x1,x2:odd,y", "5")],
-)
+@pytest.mark.parametrize("name, alphabet, max_len", LS_WORDS_CELLS)
 def test_ls_words_matches_golden_file(capsys, name, alphabet, max_len, fmt):
-    # abc and lhkz recorded from the CLI when words were still found by
-    # scanning every word; x1x2y (dotted names) before str(word) had a byte table
-    code, out, err = run(
-        capsys, "ls-words", "--alphabet", alphabet, "--max-len", max_len,
-        "--format", "json" if fmt == "json" else "text",
-    )
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / f"ls-words-{name}.{fmt}").read_text()
+    _assert_golden(capsys, *_format_cell(*_ls_words(name, alphabet, max_len), fmt))
 
 
 INVALID_EX2 = "<invalid ex2>"  # stands for the path _invalid_ex2 writes
@@ -806,8 +821,12 @@ LISTING_CELLS = [
     [pytest.param(*cell, id=f"{cell[0]}-argv{i}") for i, cell in enumerate(LISTING_CELLS)],
 )
 def test_listing_matches_golden_file(capsys, tmp_path, name, argv, code):
-    argv = [str(WRITTEN_INPUTS[arg](tmp_path)) if arg in WRITTEN_INPUTS else arg for arg in argv]
-    assert run(capsys, *argv) == (code, (GOLDEN / name).read_text(), "")
+    _assert_golden(capsys, name, _resolved(argv, tmp_path), code)
+
+
+def _resolved(argv, directory):
+    """``argv`` with each WRITTEN_INPUTS placeholder the path its writer writes in ``directory``."""
+    return [str(WRITTEN_INPUTS[arg](directory)) if arg in WRITTEN_INPUTS else arg for arg in argv]
 
 
 # quotes, backslashes, control and non-ASCII characters, a lone surrogate:
@@ -959,11 +978,49 @@ EXPANSION_CELLS = {
 @pytest.mark.parametrize("name", sorted(EXPANSION_CELLS))
 def test_expansion_matches_golden_file(capsys, name, fmt):
     # recorded from the CLI when the superbracket still summed Poly products
-    code, out, err = run(
-        capsys, *EXPANSION_CELLS[name], "--format", "json" if fmt == "json" else "text"
-    )
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / f"{name}.{fmt}").read_text()
+    _assert_golden(capsys, *_format_cell(name, EXPANSION_CELLS[name], fmt))
+
+
+# golden cells too slow for tier-1: only the installed-package CI step runs
+# them, through the superlie command
+SLOW_CELLS = [
+    # the one cell whose check (iv) walk meets more words than a step table
+    # keeps (65 536), so the table empties itself mid-walk; about 7 s and 380 MiB
+    ("hnn-verify-ab5-10.json", ["hnn-verify", "--input", str(FIXTURES / "ab5.json"),
+                                "--max-len", "10", "--format", "json"], 0),
+    # check (iv) at depth, where it takes most of the run: about 2.5 s for the two
+    ("hnn-verify-ex1-14.json", ["hnn-verify", "--input", str(FIXTURES / "ex1.json"),
+                                "--max-len", "14", "--format", "json"], 0),
+    ("hnn-verify-osp-11.json", ["hnn-verify", "--input", str(FIXTURES / "osp.json"),
+                                "--max-len", "11", "--format", "json"], 0),
+]
+
+
+def golden_cells(directory):
+    """Every golden cell of the five tables as (golden file, argv, exit code).
+
+    The argv is the one the cell's test runs, written inputs being written
+    in ``directory``; the CLI must print the file byte for byte, exit with
+    the code and write nothing to stderr.
+    """
+    stems = [
+        *(_fixture_report(*row) for row in FIXTURE_REPORT_CELLS),
+        *(_ls_words(*row) for row in LS_WORDS_CELLS),
+        *EXPANSION_CELLS.items(),
+    ]
+    cells = [
+        *(_format_cell(stem, argv, fmt) for stem, argv in stems for fmt in ("txt", "json")),
+        *LISTING_CELLS,
+        *SLOW_CELLS,
+    ]
+    return [(GOLDEN / name, _resolved(argv, directory), code) for name, argv, code in cells]
+
+
+def test_every_golden_file_has_one_cell(tmp_path):
+    # each file in tests/golden is named by exactly one cell, and no cell
+    # names a file that is not there
+    names = [path.name for path, _, _ in golden_cells(tmp_path)]
+    assert sorted(names) == sorted(path.name for path in GOLDEN.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -1070,7 +1127,7 @@ def test_bad_rule_exits_2_with_its_location(capsys, tmp_path, rules, message):
 @pytest.mark.parametrize("word", ["1", ""])
 def test_bracket_of_the_empty_word_exits_2(capsys, word):
     code, out, err = run(capsys, "bracket", word, "--alphabet", "a,b")
-    assert (code, out, err) == (2, "", "error: not a super-Lyndon-Shirshov word: ''\n")
+    assert (code, out, err) == (2, "", "error: not a super-Lyndon-Shirshov word: '1'\n")
 
 
 def test_bracket_text_missing_a_name_exits_2(capsys):

@@ -1851,8 +1851,10 @@ def test_load_presentation_builds_two_alphabets(name, monkeypatch):
 
 
 def test_load_presentation_checks_each_name_once(monkeypatch):
-    # osp's five generator names, its two odd names and the stable letter:
-    # the extended alphabet is built from the checked base, not checked again
+    # osp's five generator names and the stable letter: the parities are
+    # read once, as 0 or 1, and the extended alphabet is built from the
+    # checked base, not checked again; the basis build names the generators
+    # of W itself and checks none of those names
     names = []
     check = hnn._check_name  # the one function, imported from superlie.words
 
@@ -1863,8 +1865,11 @@ def test_load_presentation_checks_each_name_once(monkeypatch):
     monkeypatch.setattr("superlie.words._check_name", counting_check)
     monkeypatch.setattr(hnn, "_check_name", counting_check)
     pres = load_presentation(ALL["osp"])
-    assert len(names) == 8
-    assert sorted(names) == sorted([*pres.constants.alphabet.names, "u", "v", "t"])
+    assert len(names) == 6
+    assert sorted(names) == sorted([*pres.constants.alphabet.names, "t"])
+    names.clear()
+    assert enumerate_h_basis(pres, 6)
+    assert names == []
     assert pres.alphabet == Alphabet([*pres.constants.alphabet.names, "t"],
                                      [*pres.constants.alphabet.parities, 1])
 

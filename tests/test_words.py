@@ -461,8 +461,9 @@ def test_super_ls_walk_under_successor_tables_is_the_filtered_scan():
 
 
 def test_word_text_round_trip_single_char():
-    for text in ("", "a", "ba", "ab", "bbab"):
+    for text in ("1", "a", "ba", "ab", "bbab"):
         assert str(AB.word(text)) == text
+    assert str(AB.word("")) == "1"  # the empty word prints as the token that reads it
 
 
 def test_word_text_round_trip_dotted():
@@ -579,12 +580,13 @@ def test_word_takes_true_as_rank_one():
 )
 def test_word_text_joins_the_names(alphabet):
     # one-character names concatenate (through the byte table), longer ones
-    # join with dots, and the text reads back through Alphabet.word
+    # join with dots, the empty word is "1", and the text reads back through
+    # Alphabet.word
     sep = "." if any(len(name) > 1 for name in alphabet.names) else ""
     for n in range(5):
         for letters in product(range(len(alphabet)), repeat=n):
             text = str(Word(alphabet, letters))
-            assert text == sep.join(alphabet.names[r] for r in letters)
+            assert text == (sep.join(alphabet.names[r] for r in letters) or "1")
             assert alphabet.word(text).letters == letters
 
 
