@@ -151,31 +151,23 @@ def _normal_forms(
 
     NF(leaf) = leaf and NF([u,v]) is the reduction of [NF(u), NF(v)]: the
     reduction of the free expansion when the relations form a
-    Groebner-Shirshov basis, and with no system the free expansion.  With
-    a system each form is a positive int multiple of NF: scaling changes
-    no test of linear independence, the one check (iv) makes.  The trees
-    are walked in post-order on explicit stacks, so any depth is
+    Groebner-Shirshov basis, and with no system the free expansion itself.
+    With a system each form is a positive int multiple of NF: scaling
+    changes no test of linear independence, the one check (iv) makes.  The
+    trees are walked in post-order on explicit stacks, so any depth is
     walked: ``values`` holds the forms of the complete subtrees not yet
     bracketed, and a ``None`` on the node stack marks where the top two are
     bracketed.  ``memo`` maps the subtrees evaluated to their forms, found
     by identity when equal subtrees are one object; never write its forms.
     With no memo no form outlives the call.
 
-    NF(u) and NF(v) are sums of reduced words and every leading word has
-    length 2 (raises ValueError otherwise), so a product ab holds a leading
-    word exactly when the junction pair (a[-1], b[0]) is one.
-    :func:`bracket_terms` returns the node's product with the words it
-    flags on that test, and :func:`_reduce_letters` rewrites the product
-    with its worklist seeded from them alone: the other words are reduced.
-    The kernel scales the whole dict by a factor k, 1 unless a rule
-    denominator made it scale, and nothing is divided.  So a node's form
-    is k * l_u * l_v * NF, l_u and l_v its children's multiples; with no
-    system no word is flagged and every multiple is 1, so ``expand``
-    gets the free expansion itself.  The steps come from the system's
-    largest-leftmost step table, shared with every other caller and
-    bounded by itself, so the walk trims nothing.  The relations being
-    parity-homogeneous, so is each form, and the sign -(-1)^{|u||v|} is
-    read from the children's parities.
+    Every leading word must have length 2 (raises ValueError otherwise).
+    NF(u) and NF(v) are sums of reduced words, so a product ab holds a
+    leading word exactly when the junction pair (a[-1], b[0]) is one:
+    :func:`bracket_terms` flags those words, and they seed
+    :func:`_reduce_letters`.  The sign -(-1)^{|u||v|} is read from the
+    children's parities, each form being parity-homogeneous as the
+    relations are.
     """
     junctions: Container = frozenset()
     if system is not None:

@@ -69,21 +69,18 @@ _encode = json.encoder.encode_basestring_ascii
 def _parse_alphabet(spec: str) -> Alphabet:
     """Comma-separated "name[:odd]" tokens in increasing order."""
     names: list[str] = []
-    odd: set[str] = set()
+    parities: list[int] = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             raise ValueError("empty alphabet token")
-        if ":" in token:
-            name, tag = token.split(":", 1)
-            if tag != "odd":
-                raise ValueError(f"bad alphabet token {token!r}; use name or name:odd")
-            odd.add(name)
-        else:
-            name = token
+        name, colon, tag = token.partition(":")
+        if colon and tag != "odd":
+            raise ValueError(f"bad alphabet token {token!r}; use name or name:odd")
         names.append(name)
+        parities.append(1 if colon else 0)
     try:
-        return Alphabet.from_names(names, odd)
+        return Alphabet(names, parities)
     except ValueError as exc:
         raise ValueError(f"--alphabet: {exc}") from None
 

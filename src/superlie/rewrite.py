@@ -20,13 +20,12 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import neg
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .poly import LetterTerms, Poly, from_letter_terms, superbracket
 from .words import Alphabet, Word, _super_ls_tuples, deglex_key
 
-# A step table holding this many entries is emptied before it takes another
-# (about 12 MiB of words of length 9); read at each new entry.
+# A step table holding this many entries is emptied before it takes another.
 _STEPS_KEPT = 1 << 16
 
 LARGEST_LEFTMOST = "largest-leftmost"
@@ -100,19 +99,12 @@ class _Record(_Frozen):
 
 
 class RewriteRule:
-    """A monic relation with cached leading word.
+    """A monic relation with cached leading word, its deglex-largest word.
 
-    The body is scaled by ``make_monic``, and the leading word is read from
-    its numerators' keys, with no ``Fraction`` built.
-    For the kernel of :func:`reduce` it also keeps its body as integers:
-    ``_denominator``, the leading numerator, and ``_tail_terms``, the other
-    terms (the body without its leading term), each as its letters, its
-    numerator and its letters negated (a piece of a largest-leftmost heap
-    key).  The body being monic, a step's leading term cancels the whole
-    rewritten word, so a step frames only the tail.  The tail terms come in
-    descending deglex order of their words, so a step frames its words
-    largest first, the order smallest-rightmost pushes them onto its stack;
-    largest-leftmost keys its heap by the words and does not depend on it.
+    For :func:`_reduce_letters` it keeps the body as integers: the
+    denominator, and ``_tail_terms``, the terms other than the leading one
+    in descending deglex order, each as its letters, its numerator and its
+    letters negated.
     """
 
     __slots__ = ("body", "leading_word", "leading_len", "_denominator", "_tail_terms")
@@ -146,12 +138,10 @@ class _Steps(dict):
     """One strategy's step table: a word's letters to its (rule index, position).
 
     A reduced word maps to None.  Reading a word not in the table finds its
-    step and enters it (``__missing__``): positions in the strategy's order,
-    each probed once per leading-word length (ascending), keeping the
-    first-listed rule found there (``leftmost``) or the last-listed one.  A
-    table holding ``_STEPS_KEPT`` entries is emptied before it takes
-    another; a dropped word is found again when next read.  It keeps
-    ``index.get``, not the system, so that they form no reference cycle.
+    step, as :func:`reduce` defines it for the strategy, and enters it.  The
+    table bounds its own size: when full it is emptied, and a dropped word
+    is found again when next read.  It keeps ``index.get``, not the system,
+    so that they form no reference cycle.
     """
 
     __slots__ = ("_get", "_lengths", "_leftmost")
@@ -187,14 +177,10 @@ class _Steps(dict):
 class RewriteSystem:
     """An ordered list of rewrite rules over one alphabet.
 
-    The rules are indexed once, by the letters of their leading words, with
-    the set of leading-word lengths alongside.  ``_steps`` holds a
-    :class:`_Steps` table on that index per strategy, ``_steps[True]`` for
-    largest-leftmost and ``_steps[False]`` for smallest-rightmost: the one
-    step finder, shared by every reduction, :func:`is_reduced_word`, check
-    (iv) and :func:`enumerate_reduced_super_ls`.  Each grows by one entry
-    per distinct word read and bounds itself at all times; it saves work
-    only where a later read by the same system meets a word again.
+    The rules are indexed by the letters of their leading words.
+    ``_steps`` holds one :class:`_Steps` table per strategy,
+    ``_steps[True]`` for largest-leftmost: the one step finder that every
+    reader of the system shares.
     """
 
     __slots__ = ("alphabet", "rules", "_index", "_lengths", "_steps")
@@ -303,86 +289,64 @@ def reduce(
     occurrence, and at that position the first-listed rule;
     ``smallest-rightmost`` takes the deglex-smallest such word, its
     rightmost occurrence and the last-listed rule.  Every step replaces
-    ``w`` by strictly deglex-smaller words.  On a system closed under
-    composition the normal form does not depend on the strategy; otherwise
-    it may, which is why the strategy is explicit.
-
-    The kernel rewrites the numerators of ``p`` as one dict from letters to
-    ints (see :func:`_reduce_letters`) and returns the factor it scaled
-    them by; :func:`~superlie.poly.from_letter_terms` builds the one normal
-    form over the denominator of ``p`` times that factor.
-    A word's step is read from the system's step table for the strategy,
-    the one step finder every caller shares (see :class:`_Steps`).
-    Both strategies take one walk: the words that contain a leading word
-    wait on a worklist, each with its step and its coefficient, and the
-    dict holds only reduced words.  Whether a word is reducible depends on
-    the word alone, so the worklist's next word is the one the rule above
-    names.  For ``largest-leftmost`` the worklist is a heap, largest word
-    on top; a word framed again while it waits gets another entry, and its
-    entries are summed when it comes to the top, a sum of zero taking no
-    step.  For ``smallest-rightmost`` it is a stack: when it rewrites
-    ``w``, every other reducible word left is larger than ``w`` and every
-    word the step frames is smaller, so a reducible framed word is new,
-    nothing else touches its coefficient before it is rewritten, and its
-    whole cascade ends before the next larger word starts.  The walk takes
-    each cascade depth-first, smallest framed word first, and no word
-    waits twice.  The trace keeps the kernel's steps as letter tuples and
-    builds its :class:`ReductionStep` objects when ``trace.steps`` is
-    first read.
+    ``w`` by strictly deglex-smaller words, so the reduction terminates.
+    On a system closed under composition the normal form does not depend
+    on the strategy; otherwise it may, which is why the strategy is
+    explicit.  The arithmetic is exact, and ``p`` is left as it was.  The
+    trace replays the steps against ``p`` (see :meth:`ReductionTrace.replay`).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     alphabet = p.alphabet
     if alphabet is not system.alphabet and alphabet != system.alphabet:
         raise ValueError("polynomial over a different alphabet than the system")
-    terms = dict(p._nums)
-    leftmost = strategy == LARGEST_LEFTMOST
-    steps, factor = _reduce_letters(terms, system, leftmost)
+    nums = p._nums
+    terms = dict(nums)
+    steps, factor = _reduce_letters(terms, system, strategy == LARGEST_LEFTMOST, nums)
     normal_form = from_letter_terms(alphabet, terms, p._den * factor)
     return normal_form, ReductionTrace(steps, normal_form)
 
 
 def _reduce_letters(
-    acc: LetterTerms, system: RewriteSystem, leftmost: bool, start: Optional[Iterable] = None
+    acc: LetterTerms, system: RewriteSystem, leftmost: bool, start: Iterable
 ) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
-    """The kernel of :func:`reduce`: rewrite the letter dict ``acc`` in place.
+    """The reduction kernel: rewrite the letter dict ``acc`` in place.
 
-    ``leftmost`` picks the strategy.  The walk starts from the reducible
-    words of ``start``, which must hold every reducible word of ``acc``
-    (None: every word of ``acc``); a word of ``start`` not in ``acc`` is
-    skipped, and so is a repeat.  Each word's step is read from
-    ``system._steps[leftmost]``, the one step finder shared by every
-    caller, which bounds itself (see :class:`_Steps`): once when it is
-    taken from ``acc`` as a seed, and once each time a step frames it
-    while it is not in ``acc``.  Returns the
-    steps as (letters, rule index, position), and the factor ``acc`` was
-    scaled by: ``acc`` is left holding that factor times its normal form,
-    as ints.
+    ``leftmost`` picks the strategy of :func:`reduce`.  ``start`` must hold
+    every reducible word of ``acc``; it is only read, a word of it not in
+    ``acc`` is skipped, and so is a repeat.  Returns the steps as (letters,
+    rule index, position), and the factor ``acc`` was scaled by: ``acc`` is
+    left holding that factor times its normal form, as ints.
 
-    The arithmetic is on ints: the values of ``acc`` are ints and stay so.
-    A step on a word with coefficient ``C`` removes the word and subtracts
-    ``C // D`` times the framed tail of its rule, ``D`` being the rule's
-    denominator: the rule is monic, so its framed leading term would
-    remove exactly ``C``.  When ``D`` does not divide ``C``, the whole
-    dict and the factor are first multiplied by ``D // gcd(C, D)``.
-    Scaling by a nonzero constant keeps the set of words, so the steps are
-    those of the rational reduction.  Nothing is divided back, so the
-    values and the factor may have a common divisor.
+    The walk.  The reducible words of ``start`` are taken out of ``acc``
+    onto a worklist of (minus the length, the negated letters, the letters,
+    the step, the coefficient) entries, so ``acc`` holds only irreducible
+    words.  Whether a word is reducible depends on the word alone, so the
+    worklist's next word is the one the strategy names.  A word's step is
+    read from ``system._steps[leftmost]`` (see :class:`_Steps`) each time
+    it is seeded, and each time a step frames it while it is not in
+    ``acc``.  A step on a word with coefficient ``C`` removes the word and
+    subtracts ``C // D`` times the framed tail of its rule, ``D`` being the
+    rule's denominator: the rule is monic, so its framed leading term
+    would remove exactly ``C``.  A framed word already in ``acc`` is
+    updated there, an irreducible one is put into it, and a reducible one
+    is pushed.  When ``D`` does not divide ``C``, ``acc``, the worklist and the
+    factor are first multiplied by ``D // gcd(C, D)``: scaling keeps the
+    set of words, so the steps are those of the rational reduction, and
+    nothing is divided back.
 
-    The one loop runs on a worklist of (minus the length, the negated
-    letters, the letters, the step, the coefficient) entries, started from
-    the reducible words of ``start``, taken out of ``acc``; so every word
-    in ``acc`` is irreducible.  A step updates a framed word already in
-    ``acc``, puts an irreducible one into it, and pushes a reducible one.
-    A rescale scales ``acc``, the worklist and the factor alike.  For
-    largest-leftmost the worklist is a heap: a framed word's negated
-    letters are sliced from its rewritten word's key around the
-    occurrence, with the rule term's negated letters between, and the
-    entries of a word, having equal keys, come off the heap one after the
-    other and are summed.  For smallest-rightmost it is a stack, its
-    smallest word on top, whose entries need no key (0 and None); a step
+    For largest-leftmost the worklist is a heap, largest word on top; a
+    framed word's key is sliced from its rewritten word's key around the
+    occurrence.  A word framed again while it waits gets another entry;
+    its entries have equal keys, come off the heap one after the other and
+    are summed, a sum of zero taking no step.  For smallest-rightmost it is
+    a stack, whose entries need no key (0 and None): when it rewrites
+    ``w``, every other reducible word left is larger than ``w`` and every
+    word the step frames is smaller, so a reducible framed word is new and
+    nothing else touches its coefficient before it is rewritten.  A step
     pushes its reducible framed words largest first, as the rule lists its
-    tail, and no word is on the stack twice (see :func:`reduce`).
+    tail, so each cascade is walked depth-first, smallest word first, and
+    no word is on the stack twice.
     """
     rules = system.rules
     hits = system._steps[leftmost]
@@ -390,7 +354,7 @@ def _reduce_letters(
     steps: list[tuple[tuple[int, ...], int, int]] = []
     factor = 1
     work = []
-    for w in list(acc) if start is None else start:  # acc loses its seeds
+    for w in start:  # acc loses its seeds
         if w in acc and (hit := hits[w]) is not None:
             if leftmost:
                 work.append((-len(w), tuple(map(neg, w)), w, hit, acc.pop(w)))

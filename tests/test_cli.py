@@ -121,6 +121,13 @@ def test_library_tour_names_resolve():
                 classes.append(getattr(owner, name))
 
 
+def test_readme_names_no_private_identifier():
+    # the README says what a caller can rely on: a private name, and the
+    # mechanics behind it, are described in its docstring alone
+    private = re.findall(r"(?<!\w)_+[A-Za-z]\w*", (ROOT / "README.md").read_text())
+    assert not private, private
+
+
 def test_ls_words(capsys):
     cases = [
         ("a,b", "2", ["a", "b", "ba"]),

@@ -1239,7 +1239,7 @@ def _reference_normal_forms(roots, system, memo):
                 odd = node.left.parity & node.right.parity
                 form, start = bracket_terms(left, right, odd, system._index)
                 aside = {w: form.pop(w) for w in start if w in form}
-                factor = _reduce_letters(aside, system, True)[1]
+                factor = _reduce_letters(aside, system, True, list(aside))[1]
                 scaled += factor != 1
                 form = {w: c * factor for w, c in form.items()}
                 for w, c in aside.items():

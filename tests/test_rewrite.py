@@ -404,7 +404,7 @@ def test_reduce_rescales_when_a_rule_denominator_does_not_divide():
     assert_reduces_as_reference(p, s)
     # the kernel leaves int numerators over the denominator it returns
     acc = {(3,): 3, (2,): 1, (1,): 7}
-    steps, den = rewrite._reduce_letters(acc, s, True)
+    steps, den = rewrite._reduce_letters(acc, s, True, list(acc))
     assert acc == {(0,): 5, (1,): 28} and den == 4
     assert all(type(c) is int for c in acc.values())
     assert [w for w, _, _ in steps] == [(3,), (2,)]
@@ -481,7 +481,7 @@ def test_kernel_started_from_any_superset_of_the_reducible_words_scans_alike():
             rng.shuffle(start)
             for leftmost in (True, False):
                 scanned, started = dict(acc), dict(acc)
-                expected = rewrite._reduce_letters(scanned, sys_, leftmost)
+                expected = rewrite._reduce_letters(scanned, sys_, leftmost, list(acc))
                 assert rewrite._reduce_letters(started, sys_, leftmost, start) == expected
                 assert started == scanned
                 factors.add(expected[1])
@@ -491,7 +491,7 @@ def test_kernel_started_from_any_superset_of_the_reducible_words_scans_alike():
 # -- the one walk against the heap loops it replaced, one per strategy --------------
 
 
-def heap_smallest_rightmost(acc, system, start=None):
+def heap_smallest_rightmost(acc, system, start):
     """The smallest-rightmost kernel as a heap loop, the oracle of the walk.
 
     The reducible words wait in a min-heap by deglex; a word that cancels
@@ -499,7 +499,7 @@ def heap_smallest_rightmost(acc, system, start=None):
     terms does not change what it does.
     """
     rules, hits = system.rules, system._steps[False]
-    heap = [(len(w), w) for w in (acc if start is None else start) if hits[w] is not None]
+    heap = [(len(w), w) for w in start if hits[w] is not None]
     heapify(heap)
     steps, factor = [], 1
     while heap:
@@ -535,7 +535,7 @@ def heap_smallest_rightmost(acc, system, start=None):
     return steps, factor
 
 
-def heap_largest_leftmost(acc, system, start=None):
+def heap_largest_leftmost(acc, system, start):
     """The largest-leftmost kernel as a heap loop, the oracle of the walk.
 
     Every word waits in ``acc``, the reducible ones also in a max-heap by
@@ -543,8 +543,7 @@ def heap_largest_leftmost(acc, system, start=None):
     skipped, and is pushed again if it comes back.
     """
     rules, hits = system.rules, system._steps[True]
-    heap = [(-len(w), tuple(map(neg, w)), w) for w in (acc if start is None else start)
-            if hits[w] is not None]
+    heap = [(-len(w), tuple(map(neg, w)), w) for w in start if hits[w] is not None]
     heapify(heap)
     steps, factor = [], 1
     while heap:
@@ -585,13 +584,12 @@ def heap_largest_leftmost(acc, system, start=None):
 def pending_entries(acc, system, start, steps):
     """How often each reducible word waits in a largest-leftmost walk.
 
-    Once if it is a seed, a distinct word of ``start`` (None: of ``acc``)
-    that is in ``acc``, and once per step that frames it.  A word that
-    waits twice has its entries summed; one that takes no step summed to 0.
+    Once if it is a seed, a distinct word of ``start`` that is in ``acc``,
+    and once per step that frames it.  A word that waits twice has its
+    entries summed; one that takes no step summed to 0.
     """
     reducible = fresh_copy(system)._steps[True]
-    entries = Counter({w for w in (acc if start is None else start)
-                       if w in acc and reducible[w] is not None})
+    entries = Counter({w for w in start if w in acc and reducible[w] is not None})
     for word, rule_index, position in steps:
         rule = system.rules[rule_index]
         prefix, suffix = word[:position], word[position + rule.leading_len :]
@@ -637,7 +635,7 @@ def test_walk_takes_the_heap_loops_steps(leftmost):
             start += rng.sample(list(acc), rng.randint(0, len(acc)))
             start += [random_word(rng, alphabet, 6).letters for _ in range(rng.randint(0, 3))]
             rng.shuffle(start)
-            for begin in (None, start):
+            for begin in (list(acc), start):
                 walked, heaped = dict(acc), dict(acc)
                 expected = oracle(heaped, sys_, begin)
                 assert rewrite._reduce_letters(walked, sys_, leftmost, begin) == expected
@@ -663,8 +661,8 @@ def test_smallest_rightmost_walks_a_cascade_thousands_of_steps_deep():
     sys_ = system(ab, *[f"b{'a' * k} - a{'b' * k}" for k in range(12)])
     assert sys.getrecursionlimit() < 4095
     walked, heaped = {(1,) * 12: 1}, {(1,) * 12: 1}
-    expected = heap_smallest_rightmost(heaped, sys_)
-    assert rewrite._reduce_letters(walked, sys_, False) == expected
+    expected = heap_smallest_rightmost(heaped, sys_, list(heaped))
+    assert rewrite._reduce_letters(walked, sys_, False, list(walked)) == expected
     assert walked == heaped == {(0,) * 12: 1}
     assert len(expected[0]) == 4095
     normal_form, trace = reduce(Poly.monomial(ab.word("b" * 12)), sys_, SMALLEST_RIGHTMOST)
@@ -677,8 +675,8 @@ def test_golden_largest_leftmost_reduction_merges_pending_entries():
     # and the two waiting twice sum to 0
     osp = FIXTURE_SYSTEMS["osp"]
     acc = {osp.alphabet.word("vuhhehv").letters: 1}
-    steps, factor = rewrite._reduce_letters(dict(acc), osp, True)
-    entries = pending_entries(acc, osp, None, steps)
+    steps, factor = rewrite._reduce_letters(dict(acc), osp, True, list(acc))
+    entries = pending_entries(acc, osp, list(acc), steps)
     assert (len(steps), factor) == (15, 1)
     assert sorted(entries.values())[-3:] == [2, 2, 3]
     assert sum(n - 1 for n in entries.values()) == 4
@@ -741,12 +739,39 @@ def test_one_reduction_reads_each_words_step_once_per_sighting(leftmost):
             sys_ = fresh_copy(base)
             sys_._steps = tuple(CountingSteps(sys_._index, sys_._lengths, lm)
                                 for lm in (False, True))
-            steps, _ = rewrite._reduce_letters(dict(acc), sys_, leftmost)
+            steps, _ = rewrite._reduce_letters(dict(acc), sys_, leftmost, list(acc))
             reads, seen = expected_step_reads(acc, base, leftmost, steps)
             assert sys_._steps[leftmost].reads == reads
             assert not sys_._steps[not leftmost].reads
             held, steps_taken = held + seen, steps_taken + len(steps)
     assert held and steps_taken > 500
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_reduce_seeds_the_kernel_from_its_input_and_leaves_it_as_it_was(strategy):
+    # reduce hands the kernel its input's own numerator dict as the seeds of
+    # the copy it rewrites: the input keeps its dict object, its items and its
+    # denominator, each seed's step is read once, and the steps are those of
+    # the kernel called directly with a list of the seeds
+    leftmost = strategy == LARGEST_LEFTMOST
+    rng = Random(5151)
+    steps_taken = 0
+    for base in FIXTURE_SYSTEMS.values():
+        for _ in range(12):
+            p = random_poly(rng, base.alphabet, max_terms=5, max_len=6)
+            nums, items, den = p._nums, list(p._nums.items()), p._den
+            sys_ = fresh_copy(base)
+            sys_._steps = tuple(CountingSteps(sys_._index, sys_._lengths, lm)
+                                for lm in (False, True))
+            _, trace = reduce(p, sys_, strategy)
+            assert p._nums is nums and list(nums.items()) == items and p._den == den
+            assert sys_._steps[leftmost].reads == expected_step_reads(nums, base, leftmost,
+                                                                      trace._raw)[0]
+            assert not sys_._steps[not leftmost].reads
+            direct = rewrite._reduce_letters(dict(nums), base, leftmost, list(nums))[0]
+            assert trace._raw == direct
+            steps_taken += len(trace)
+    assert steps_taken > 200
 
 
 # -- one system, many reductions: the step tables live on the system ---------------
