@@ -44,7 +44,6 @@ from .hnn import (
     build_relations,
     enumerate_h_basis,
     enumerate_uh_basis,
-    free_generators_W,
     load_presentation,
     parse_entries,
     parse_generators,
@@ -202,7 +201,9 @@ def _cmd_hnn_basis(args) -> tuple[int, dict, list[str]]:
     pres = load_presentation(args.input)
     h_basis = enumerate_h_basis(pres, args.max_len)
     uh_basis = enumerate_uh_basis(pres, args.max_len)
-    generators = free_generators_W(pres, args.max_len)
+    # W, read off the basis: the monomials whose word holds one stable letter
+    t = pres.t_rank
+    generators = [m for m in h_basis if m.word.letters.count(t) == 1]
     payload = {
         "command": "hnn-basis",
         "max_len": args.max_len,

@@ -60,6 +60,7 @@ from .words import (
     _check_name,
     _lex_key,
     _super_ls_tuples,
+    _words,
     deglex_key,
 )
 
@@ -595,8 +596,8 @@ def enumerate_uh_basis(pres: HnnPresentation, max_len: int) -> list[Word]:
     three basis symbols, and the example presentations in `fixtures/`).
     """
     _require_valid(pres)
-    alphabet, of = pres.alphabet, Word._of  # the walk steps along ranks of the alphabet
-    return [of(alphabet, w) for w in _walks(pres._successors, (), max_len)]
+    # the walk steps along ranks of the alphabet
+    return _words(pres.alphabet, _walks(pres._successors, (), max_len))
 
 
 # -- the free complement ---------------------------------------------------------
@@ -658,7 +659,10 @@ def enumerate_h_basis(pres: HnnPresentation, max_len: int) -> list[NcMonomial]:
     its standard bracketing with each letter replaced by its generator's
     tree.  The bracketings share one ``standard_bracket`` memo seeded with
     the letters' trees, so each tree is built once, over the base alphabet,
-    and equal subtrees are one object.  Nothing here reads the relations:
+    and equal subtrees are one object.  So the basis holds every generator
+    of W as the same object :func:`free_generators_W` returns, in that
+    function's order: they are the basis monomials whose word holds
+    exactly one stable letter.  Nothing here reads the relations:
     check (iii) of :func:`verify_structure_theorem` compares the words, in
     order, with the reduced super-LS words at each degree.  Raises
     ``ValueError`` when the tables fail validation or ``max_len < 1``.
@@ -686,8 +690,8 @@ def _h_basis(pres: HnnPresentation, generators: list, max_len: int) -> list[NcMo
     buckets = _super_ls_tuples(
         view.alphabet.parities, max_len, weights=[len(w) for w in view.letters]
     )
-    for seq in chain.from_iterable(buckets):
-        out.append(standard_bracket(Word._of(view.alphabet, seq), memo))
+    for word in _words(view.alphabet, chain.from_iterable(buckets)):
+        out.append(standard_bracket(word, memo))
     return out
 
 

@@ -18,12 +18,13 @@ agreement can be tested rather than assumed.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd
 from operator import neg
 from typing import Iterable, Sequence
 
 from .poly import LetterTerms, Poly, from_letter_terms, superbracket
-from .words import Alphabet, Word, _super_ls_tuples, deglex_key
+from .words import Alphabet, Word, _super_ls_tuples, _words, deglex_key
 
 # A step table holding this many entries is emptied before it takes another.
 _STEPS_KEPT = 1 << 16
@@ -541,12 +542,12 @@ def enumerate_reduced_super_ls(system: RewriteSystem, max_len: int) -> list[Word
     def successors(letters: tuple[int, ...]) -> list[int]:
         tail = letters[max(len(letters) - k + 1, 0) :]
         if tail not in allowed:
-            grown = (Word._of(alphabet, tail + (c,)) for c in range(len(alphabet)))
+            grown = _words(alphabet, [tail + (c,) for c in range(len(alphabet))])
             allowed[tail] = [w.letters[-1] for w in grown if is_reduced_word(w, system)]
         return allowed[tail]
 
     buckets = _super_ls_tuples(alphabet.parities, max_len, successors)
-    return [Word._of(alphabet, w) for bucket in buckets for w in bucket]
+    return _words(alphabet, chain.from_iterable(buckets))
 
 
 def lie_composition_len2(p: RewriteRule, q: RewriteRule, w: Word) -> Poly:

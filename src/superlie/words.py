@@ -21,6 +21,7 @@ is built (:func:`_check_name`), so a word's text parses back to it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -160,7 +161,8 @@ class Word:
     ``Word(alphabet, letters)`` checks every rank; the words the library
     generates from an alphabet's own ranks (super-LS words, reduced or not,
     basis words, a tree's, a Poly term's or a step's word, products and
-    subwords of words) come from ``Word._of`` and are not checked again.
+    subwords of words) come from ``Word._of``, or from :func:`_words` for a
+    whole list, and are not checked again.
     """
 
     __slots__ = ("alphabet", "letters")
@@ -214,6 +216,23 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self})"
+
+
+def _words(alphabet: Alphabet, tuples: Iterable[tuple[int, ...]]) -> list[Word]:
+    """The words of ``tuples``, each a tuple of ranks of ``alphabet``, unchecked.
+
+    ``Word._of`` for a whole list in one loop, with no call per word but
+    the instance's own allocation.
+    """
+    new = object.__new__
+    out = []
+    append = out.append
+    for letters in tuples:
+        w = new(Word)
+        w.alphabet = alphabet
+        w.letters = letters
+        append(w)
+    return out
 
 
 def _texts(alphabet: Alphabet, words: Iterable[Word]) -> list[str]:
@@ -284,12 +303,8 @@ def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    of = Word._of  # the walk yields ranks of the alphabet only
-    return [
-        of(alphabet, letters)
-        for bucket in _super_ls_tuples(alphabet.parities, max_len)
-        for letters in bucket
-    ]
+    # the walk yields ranks of the alphabet only
+    return _words(alphabet, chain.from_iterable(_super_ls_tuples(alphabet.parities, max_len)))
 
 
 def _super_ls_tuples(

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superlie import Alphabet, Poly, Word, cli, parse_monomial, standard_bracket
+from superlie import Alphabet, Poly, Word, cli, hnn, parse_monomial, standard_bracket
 from superlie.cli import main
 from superlie.hnn import load_presentation, validate
 from superlie.rewrite import GsbReport
@@ -348,6 +348,26 @@ def test_hnn_basis_json_round_trips(capsys):
     assert json.loads(json.dumps(payload)) == payload
     assert "[t,t]" in payload["algebra_basis"]
     assert payload["free_generators"][0] == "t"
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_hnn_basis_lists_W_once(capsys, monkeypatch, name):
+    # the basis build lists W, and the command reads its free generators
+    # off the basis it prints
+    calls = []
+    real = hnn.free_generators_W
+
+    def counted(pres, n):
+        calls.append(n)
+        return real(pres, n)
+
+    monkeypatch.setattr(hnn, "free_generators_W", counted)
+    monkeypatch.setattr(cli, "free_generators_W", counted, raising=False)
+    for max_len in (1, 5):
+        calls.clear()
+        argv = ["hnn-basis", "--input", str(FIXTURES / f"{name}.json"), "--max-len", str(max_len)]
+        code, _, err = run(capsys, *argv)
+        assert (code, err, calls) == (0, "", [max_len])
 
 
 def test_hnn_verify_json_round_trips(capsys):
@@ -819,6 +839,12 @@ LISTING_CELLS = [
     # the dict and skipped a cancelled one when the heap gave it back
     *_report_cells("reduce-osp-largest-leftmost",
                    ["reduce", "vuhhehv", "--input", str(FIXTURES / "osp.json")], 0),
+    # degree 1, where W is just {t}; recorded while hnn-basis still listed W
+    # a second time apart from the basis
+    *_report_cells("hnn-basis-ex2-1", ["hnn-basis", "--input",
+                                       str(FIXTURES / "ex2.json"), "--max-len", "1"], 0),
+    *_report_cells("hnn-basis-osp-1", ["hnn-basis", "--input",
+                                       str(FIXTURES / "osp.json"), "--max-len", "1"], 0),
 ]
 
 

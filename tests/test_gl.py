@@ -22,7 +22,12 @@ from superlie import (
     verify_structure_theorem,
 )
 from superlie.cli import main
-from test_hnn import IDENTITY_CHECKS, _dimension_oracle, reference_identity_violations
+from test_hnn import (
+    IDENTITY_CHECKS,
+    _dimension_oracle,
+    assert_basis_holds_W,
+    reference_identity_violations,
+)
 
 # the bracket-closed parts that may come first: the even part, the Cartan
 # (diagonal) part and the Borel (upper triangular) part
@@ -152,6 +157,11 @@ def test_extension_of_gl_passes_with_the_oracle_counts(m, n, part, y, top):
     assert list(structure.h_basis_counts) == expected["algebra"]
     lengths = Counter(map(len, enumerate_h_basis(pres, top)))
     assert [lengths[k] for k in range(1, top + 1)] == expected["algebra"]
+
+
+@pytest.mark.parametrize("m, n, part, y", [row[:4] for row in EXTENSIONS])
+def test_extension_of_gl_basis_holds_W_in_order(m, n, part, y, monkeypatch):
+    assert_basis_holds_W(monkeypatch, load_presentation(gl(m, n, part, y)), 5)
 
 
 def test_generated_presentation_runs_through_the_cli(tmp_path, capsys):

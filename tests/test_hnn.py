@@ -61,7 +61,7 @@ from superlie.rewrite import _reduce_letters
 from conftest import left_comb, letter_terms, reference_expand
 from test_bracketing import subtrees
 from test_linalg import is_unitriangular
-from test_words import LT, _weighted_products, lex_cmp
+from test_words import LT, _weighted_products, assert_wrapped, lex_cmp
 from conftest import (
     ALL,
     EX1,
@@ -796,12 +796,13 @@ def test_uh_basis_degree_zero():
     assert len(words) == 1 and len(words[0]) == 0
 
 
-@pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
-def test_uh_basis_equals_reduced_words_to_length_6(fixture):
-    # independent substring-scan oracle over every word
-    pres = fixture()
-    system = build_relations(pres)
-    forbidden = [r.leading_word.letters for r in system.rules]
+def _scan_uh_basis(pres, max_len):
+    """The words up to ``max_len`` with no leading word as a subword, in deglex order.
+
+    An independent substring-scan oracle over every word, each built by the
+    checked constructor.
+    """
+    forbidden = [r.leading_word.letters for r in build_relations(pres).rules]
 
     def scan_reduced(letters):
         return not any(
@@ -811,13 +812,24 @@ def test_uh_basis_equals_reduced_words_to_length_6(fixture):
         )
 
     size = len(pres.alphabet)
-    oracle = {
+    return [
         Word(pres.alphabet, letters)
-        for n in range(7)
+        for n in range(max_len + 1)
         for letters in product(range(size), repeat=n)
         if scan_reduced(letters)
-    }
-    assert set(enumerate_uh_basis(pres, 6)) == oracle
+    ]
+
+
+@pytest.mark.parametrize("fixture", [ex1, ex2, ex3, ex4])
+def test_uh_basis_equals_reduced_words_to_length_6(fixture):
+    pres = fixture()
+    assert set(enumerate_uh_basis(pres, 6)) == set(_scan_uh_basis(pres, 6))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_uh_basis_wraps_the_checked_words(fixture):
+    pres = fixture()
+    assert_wrapped(enumerate_uh_basis(pres, 5), pres.alphabet, _scan_uh_basis(pres, 5))
 
 
 def _small_shapes():
@@ -1366,6 +1378,31 @@ def test_structure_check_lists_W_once(fixture, monkeypatch):
         calls.clear()
         assert verify_structure_theorem(fixture(), max_len).passed
         assert calls == [max_len]
+
+
+def assert_basis_holds_W(monkeypatch, pres, max_len):
+    """The basis monomials whose word holds one stable letter are W itself.
+
+    They are the very trees ``enumerate_h_basis`` was handed by
+    ``free_generators_W``, in its order, and equal a fresh listing: the
+    oracle of the read-off by which ``hnn-basis`` prints W.
+    """
+    handed = []
+    real = hnn.free_generators_W
+    with monkeypatch.context() as patch:
+        patch.setattr(hnn, "free_generators_W", lambda *a: handed.append(real(*a)) or handed[-1])
+        basis = enumerate_h_basis(pres, max_len)
+    (generators,) = handed
+    t = pres.t_rank
+    read_off = [m for m in basis if m.word.letters.count(t) == 1]
+    assert len(read_off) == len(generators)
+    assert all(m is g for m, g in zip(read_off, generators))
+    assert read_off == free_generators_W(pres, max_len)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_basis_holds_W_in_order(fixture, monkeypatch):
+    assert_basis_holds_W(monkeypatch, fixture(), 7)
 
 
 def _structure_with_basis(monkeypatch, pres, max_len, edit):

@@ -45,7 +45,7 @@ from conftest import ALL, ab5, ex1, ex2, osp
 from superlie.rewrite import STRATEGIES, ReductionStep, ReductionTrace, _framed
 from conftest import letter_terms, random_poly, random_word
 from test_cli import _rescaled_osp
-from test_words import _duval_super_ls
+from test_words import _duval_super_ls, assert_wrapped
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -1117,6 +1117,13 @@ def test_enumerate_reduced_super_ls_is_the_filtered_scan():
         enumerate_reduced_super_ls(EX1_STYLE, 0)
 
 
+def test_enumerate_reduced_super_ls_wraps_the_checked_words():
+    for sys_ in (EX1_STYLE, system(ABXT, "xa - ax", "tbx - xbt", "bb")):
+        alphabet = sys_.alphabet
+        scan = [w for w in _duval_super_ls(alphabet, 6) if is_reduced_word(w, sys_)]
+        assert_wrapped(enumerate_reduced_super_ls(sys_, 6), alphabet, scan)
+
+
 def test_enumerate_reduced_super_ls_under_random_systems_is_the_filtered_scan():
     # random monomial leading words of length 2 (a successor table) and 3;
     # one odd letter x has xx forbidden, so x is reduced and its square is
@@ -1177,13 +1184,22 @@ def test_walk_under_a_lowered_recursion_limit_gives_the_same_words(kind):
 
 def test_enumerate_reduced_super_ls_checks_each_tail_once(monkeypatch):
     # the letters allowed after each tail of k - 1 letters are found once
-    # per call, and only the returned words become Words besides the probes
+    # per call, and only the returned words become Words besides the probes,
+    # one by one through Word._of or as a list through words._words
     probes = []
     real = rewrite.is_reduced_word
     monkeypatch.setattr(rewrite, "is_reduced_word", lambda w, s: probes.append(w) or real(w, s))
     created = []
     of = Word._of.__func__
     monkeypatch.setattr(Word, "_of", classmethod(lambda cls, *a: created.append(a) or of(cls, *a)))
+    wrap = rewrite._words
+
+    def counted(alphabet, tuples):
+        out = wrap(alphabet, tuples)
+        created.extend(out)
+        return out
+
+    monkeypatch.setattr(rewrite, "_words", counted)
     for sys_, k in ((EX1_STYLE, 2), (system(ABXT, "xa - ax", "tbx - xbt", "bb"), 3)):
         probes.clear()
         created.clear()

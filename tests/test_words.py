@@ -25,6 +25,7 @@ from superlie.words import (
     _lex_key,
     _standard_coefficient,
     _super_ls_tuples,
+    _words,
 )
 from conftest import oracle_is_ls, oracle_is_super_ls
 
@@ -279,6 +280,29 @@ def _duval_super_ls(alphabet, max_len):
         if w:
             w[-1] -= 1
     return [Word(alphabet, u) for words in by_length for u in sorted(words)]
+
+
+def assert_wrapped(words, alphabet, checked):
+    """``words`` equal the checked words ``checked``, each a Word over the caller's ``alphabet``."""
+    assert words == checked
+    assert all(
+        type(w) is Word and type(w.letters) is tuple and w.alphabet is alphabet for w in words
+    )
+
+
+def test_words_wraps_each_tuple_as_its_checked_word():
+    letters = [(), (0,), (2, 1, 0), (1, 1), (0,)]
+    assert_wrapped(_words(AXT, iter(letters)), AXT, [Word(AXT, w) for w in letters])
+    assert _words(AXT, []) == []
+
+
+@pytest.mark.parametrize(
+    "alphabet", [AB, AXT, X_ODD, Alphabet.from_names(["x1", "x2", "y"], odd=["x2"])]
+)
+def test_enumerate_super_ls_wraps_the_checked_words(alphabet):
+    # an equal alphabet built apart: the words hold the caller's own object
+    twin = Alphabet(alphabet.names, alphabet.parities)
+    assert_wrapped(enumerate_super_ls(twin, 6), twin, _duval_super_ls(alphabet, 6))
 
 
 def reference_enumerate_super_ls(alphabet, max_len):
