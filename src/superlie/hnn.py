@@ -774,7 +774,8 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
           admissible: its expansion leads with its own word at the standard
           coefficient;
     (iv)  reduced expansions of all basis monomials up to n are linearly
-          independent and count-match the basis enumeration.
+          independent and count-match the basis enumeration; on a passing
+          (iii) this is read off the leading words.
 
     (ii) is not independent: it is (iii)'s word equality restricted to the
     words that begin with t, kept as its own entry because it is the part
@@ -807,15 +808,23 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
     monomials from W are independent and, their number being the number of
     reduced super-LS words, span.  Nothing is expanded freely: (iii) reads
-    each node's stored leading term by :func:`is_admissible`, and (iv) ranks
-    the int multiples of the normal forms that :func:`_normal_forms`
-    memoises bottom-up, independent exactly when the forms are.  These are
-    the normal forms of the free expansions because the relations form a
+    each node's stored leading term by :func:`is_admissible`.  When (iii)
+    passes at every degree, (iv) follows from the leading words and the
+    closure check: each monomial leads with its own reduced word, a
+    reduction never rewrites a reduced word, so each normal form leads with
+    that word too, and forms with distinct leading words are independent.
+    Then (iv) ranks those stored leading terms, one single-term vector per
+    monomial.  Only when (iii) fails at some degree does (iv) rank the int
+    multiples of the normal forms that :func:`_normal_forms` memoises
+    bottom-up, independent exactly when the forms are.  These are the
+    normal forms of the free expansions because the relations form a
     Groebner-Shirshov basis: :func:`build_relations` validates the tables,
     and :func:`verify_hnn_gsb`, run by ``hnn-verify`` on the same
-    presentation, checks the closure.  In deglex order the monomials of
-    degree <= n are a prefix of the basis, so one :func:`rank` call gives
-    every degree's rank: the certificate entries below the prefix length.
+    presentation, checks the closure.
+    Either way the certificate is the one the normal forms give.  In deglex
+    order the monomials of degree <= n are a prefix of the basis, so one
+    :func:`rank` call gives every degree's rank: the certificate entries
+    below the prefix length.
     The tests hold this against free expansion, :func:`reduce`, the
     per-degree recomputation, a list of every product and a split of every
     pattern word.
@@ -825,7 +834,6 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     system = build_relations(pres)
     generators = free_generators_W(pres, max_len)
     basis = _h_basis(pres, generators, max_len)
-    _, certificate = rank(_normal_forms(basis, system, {}))
     t = pres.t_rank
     words = [m.word.letters for m in generators]
     sizes = [len(w) for w in words]
@@ -846,22 +854,28 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     by_degree: list[list[NcMonomial]] = [[] for _ in range(max_len)]
     for m in basis:
         by_degree[len(m) - 1].append(m)
-    reduced: list[list[Word]] = [[] for _ in range(max_len)]
+    reduced: list[list[tuple[int, ...]]] = [[] for _ in range(max_len)]
     for w in enumerate_reduced_super_ls(system, max_len):
-        reduced[len(w) - 1].append(w)
-    h_basis_count = 0
-    rows: list[StructureLengthCheck] = []
-    for n in range(1, max_len + 1):
-        bijection_ok = products[n] == pattern[n] and n < missing
-
-        monomials = by_degree[n - 1]
+        reduced[len(w) - 1].append(w.letters)
+    # (ii) and (iii) at every degree first: their verdicts choose (iv)'s vectors
+    word_checks: list[tuple[bool, bool]] = []
+    for monomials, expected in zip(by_degree, reduced):
         words = [m.word.letters for m in monomials]
-        expected = [w.letters for w in reduced[n - 1]]
         # (ii) is (iii)'s word equality read on the words that begin with t
         ls_transfer_ok = {w for w in words if w[0] == t} == {w for w in expected if w[0] == t}
         admissibility_ok = words == expected and all(is_admissible(m) for m in monomials)
-
-        h_basis_count += len(monomials)
+        word_checks.append((ls_transfer_ok, admissibility_ok))
+    if all(ok for _, ok in word_checks):
+        # each stored leading term is its monomial's own reduced word, no two alike
+        vectors = [dict((m._leading,)) for m in basis]
+    else:
+        vectors = _normal_forms(basis, system, {})
+    _, certificate = rank(vectors)
+    h_basis_count = 0
+    rows: list[StructureLengthCheck] = []
+    for n, (ls_transfer_ok, admissibility_ok) in enumerate(word_checks, 1):
+        bijection_ok = products[n] == pattern[n] and n < missing
+        h_basis_count += len(by_degree[n - 1])
         independent_rank = bisect_left(certificate, h_basis_count)
         rank_ok = independent_rank == h_basis_count
 

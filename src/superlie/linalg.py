@@ -2,9 +2,9 @@
 
 A vector is a sparse map from letter tuples, the keys of a Poly's terms, to
 nonzero int or ``Fraction`` values, such as a Poly's integer numerators or
-check (iv)'s normal forms.  Rank is computed by straightforward rational
-Gaussian elimination over a dictionary of pivot columns, each pivot kept as
-given; exactness, not asymptotics, is the point.
+check (iv)'s leading terms and normal forms.  Rank is computed by
+straightforward rational Gaussian elimination over a dictionary of pivot
+columns, each pivot kept as given; exactness, not asymptotics, is the point.
 """
 
 from __future__ import annotations

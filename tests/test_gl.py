@@ -26,6 +26,7 @@ from test_hnn import (
     IDENTITY_CHECKS,
     _dimension_oracle,
     assert_basis_holds_W,
+    assert_check_iv_ranks_leading_terms,
     reference_identity_violations,
 )
 
@@ -162,6 +163,11 @@ def test_extension_of_gl_passes_with_the_oracle_counts(m, n, part, y, top):
 @pytest.mark.parametrize("m, n, part, y", [row[:4] for row in EXTENSIONS])
 def test_extension_of_gl_basis_holds_W_in_order(m, n, part, y, monkeypatch):
     assert_basis_holds_W(monkeypatch, load_presentation(gl(m, n, part, y)), 5)
+
+
+@pytest.mark.parametrize("m, n, part, y", [row[:4] for row in EXTENSIONS])
+def test_extension_of_gl_check_iv_ranks_leading_terms(m, n, part, y, monkeypatch):
+    assert_check_iv_ranks_leading_terms(monkeypatch, load_presentation(gl(m, n, part, y)), 5)
 
 
 def test_generated_presentation_runs_through_the_cli(tmp_path, capsys):

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import sys
 import zlib
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
@@ -58,6 +59,7 @@ from superlie import (
 from superlie import hnn
 from superlie.poly import bracket_terms, from_letter_terms
 from superlie.rewrite import _reduce_letters
+from superlie.words import _standard_coefficient
 from conftest import left_comb, letter_terms, reference_expand
 from test_bracketing import subtrees
 from test_linalg import is_unitriangular
@@ -1335,8 +1337,9 @@ def _fractions_calls(run):
 
 
 def test_check_iv_runs_no_fractions_code():
-    # check (iv) brackets and ranks int multiples of the normal forms, so on
-    # rules with rational coefficients it runs no Fraction arithmetic either:
+    # a passing check (iv) ranks int leading terms, and the route a failing
+    # (iii) takes brackets and ranks int multiples of the normal forms, so on
+    # rules with rational coefficients neither runs Fraction arithmetic:
     # ex2's rule aa - 1/2*x and a rescaled osp's table make the reduction
     # kernel scale mid-walk
     lam = {"h": Fraction(2, 3), "e": Fraction(-3, 2), "u": Fraction(1, 3),
@@ -1351,10 +1354,13 @@ def test_check_iv_runs_no_fractions_code():
             for term in entry["value"]:
                 term["coeff"] = str(Fraction(term["coeff"]) * factor(entry) / lam[term["basis"]])
     for pres, max_len in ((ex2(), 9), (osp(), 8), (load_presentation(rescaled), 8)):
-        build_relations(pres)  # validating and building the rules reads Fractions
+        system = build_relations(pres)  # validating and building the rules reads Fractions
+        basis = enumerate_h_basis(pres, max_len)
         reports = []
         calls = _fractions_calls(lambda: reports.append(verify_structure_theorem(pres, max_len)))
         assert reports[0].passed and calls == 0, (pres, max_len, calls)
+        calls = _fractions_calls(lambda: rank(hnn._normal_forms(basis, system, {})))
+        assert calls == 0, (pres, max_len, calls)
     # rank keeps pivots leading with 2 and -3 as given: no step, no Fraction
     vectors = [{(1, 0): 2, (0,): 5}, {(1,): -3, (0,): 1}, {(0,): 7}]
     certificates = []
@@ -1599,6 +1605,76 @@ def test_repeated_monomial_fails_check_iv(monkeypatch, k):
     assert [r.rank_ok for r in report.rows] == [n < k for n in range(1, 6)]
     for r in report.rows:
         assert r.independent_rank == r.h_basis_count - (r.length >= k)
+
+
+def normal_form_ranks(pres, basis, counts):
+    """The rank of each prefix of ``basis`` of a length in ``counts``, from its normal forms.
+
+    One rank call over the memoised normal forms of the whole basis: check
+    (iv) as it ran on every basis, the route it still takes when (iii) fails.
+    """
+    _, certificate = rank(hnn._normal_forms(basis, build_relations(pres), {}))
+    return [bisect_left(certificate, count) for count in counts]
+
+
+def test_failed_check_iii_ranks_the_normal_forms(monkeypatch):
+    # [y,x] with y > x leads with its own word yx, which is reducible: its
+    # normal form is 0 in the abelian ab5.  Its leading term alone would rank
+    # as independent; its normal form does not, from degree 2 on
+    pres = ab5()
+    inserted = parse_monomial(pres.alphabet, "[y,x]")
+    assert is_admissible(inserted) and not is_reduced_word(inserted.word, build_relations(pres))
+    edited = []
+
+    def insert(basis):
+        i = next(i for i, m in enumerate(basis) if len(m) > 2)
+        edited[:] = basis[:i] + [inserted] + basis[i:]
+        return edited
+
+    report = _structure_with_basis(monkeypatch, pres, 5, insert)
+    rows = report.rows
+    assert [r.admissibility_ok for r in rows] == [True, False, True, True, True]
+    counts = [r.h_basis_count for r in rows]
+    assert [r.independent_rank for r in rows] == normal_form_ranks(pres, edited, counts)
+    assert [r.rank_ok for r in rows] == [True, False, False, False, False]
+    assert all(r.independent_rank == r.h_basis_count - (r.length >= 2) for r in rows)
+
+
+def assert_check_iv_ranks_leading_terms(monkeypatch, pres, max_len):
+    """A passing structure check builds no normal form and ranks leading terms.
+
+    Its one rank call takes one vector per basis monomial, in basis order:
+    the monomial's own word at the standard coefficient.  This is the
+    contract of the probe that counts rank calls and vectors.
+    """
+    ranked, forms = [], []
+    real_rank, real_forms = hnn.rank, hnn._normal_forms
+    with monkeypatch.context() as patch:
+        patch.setattr(hnn, "rank", lambda vectors: ranked.append(vectors) or real_rank(vectors))
+        patch.setattr(hnn, "_normal_forms", lambda *a: forms.append(a) or real_forms(*a))
+        report = verify_structure_theorem(pres, max_len)
+    assert report.passed
+    assert forms == []
+    (vectors,) = ranked
+    basis = enumerate_h_basis(pres, max_len)
+    assert len(vectors) == len(basis) == report.rows[-1].h_basis_count
+    assert vectors == [{m.word.letters: _standard_coefficient(m.word)} for m in basis]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_passing_check_iv_ranks_leading_terms(fixture, monkeypatch):
+    assert_check_iv_ranks_leading_terms(monkeypatch, fixture(), 7)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_structure_rows_equal_the_ranked_normal_forms(fixture):
+    # the full-forms route is the oracle of the leading terms' rows
+    pres = fixture()
+    report = verify_structure_theorem(pres, 8)
+    counts = [r.h_basis_count for r in report.rows]
+    basis = enumerate_h_basis(pres, 8)
+    assert [r.independent_rank for r in report.rows] == normal_form_ranks(pres, basis, counts)
+    assert report.passed
 
 
 def _flip_longest_parity(view, max_len):
