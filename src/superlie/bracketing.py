@@ -5,13 +5,14 @@ the leaves left to right recovers an associative word (``m.word``).  Every
 super-Lyndon-Shirshov word carries exactly one bracketing satisfying the
 recursive Lyndon-Shirshov monomial condition: split off the longest proper
 LS suffix (a square ``uu`` in the middle); ``standard_bracket`` builds every
-split in one pass.  ``expand`` and check (iv)'s normal forms are one
-evaluator, :func:`_normal_forms`, without and with relations.  A bracketing
-of a super-LS word ``w`` is *admissible* when its expansion under the
+split in one pass, whose factors decide whether the word is super-LS.
+``expand`` and check (iv)'s normal forms are one evaluator,
+:func:`_normal_forms`, without and with relations.  A bracketing of a
+super-LS word ``w`` is *admissible* when its expansion under the
 superbracket has leading word ``w`` with the same leading coefficient as
 the standard bracketing (1 for LS words, 2 for odd squares).  Any
 admissible bracketing may replace the standard one as a basis;
-``is_admissible`` checks user-supplied trees.
+``is_admissible`` checks any tree, testing its word for super-LS once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Container, Optional, Sequence
 
 from .poly import LetterTerms, Poly, bracket_terms
 from .rewrite import RewriteSystem, _reduce_letters
-from .words import Alphabet, Word, _standard_coefficient, is_super_ls
+from .words import Alphabet, Word, _parity, is_super_ls
 
 
 class NcMonomial:
@@ -220,8 +221,10 @@ def standard_bracket(
     the suffix read so far, leftmost factor on top, each as (end, tree).
     Each letter starts a new factor, which takes in the top one while it
     is greater in the lex order; the factor taken in is then the longest
-    proper LS suffix of the merged one.  An LS word ends as one factor, and
-    an odd square uu as two equal ones, bracketed as [U, U].
+    proper LS suffix of the merged one.  The finished stack, the word's
+    unique Chen-Fox-Lyndon factorisation, decides: an LS word ends as one
+    factor, and a square uu, u odd over ``w.alphabet``, as two equal ones,
+    bracketed as [U, U]; any other word, the empty one too, raises ValueError.
 
     ``memo``, when given, maps letter tuples to the trees already built for
     them, in the way ``copy.deepcopy`` takes one: every subtree is looked up
@@ -230,10 +233,9 @@ def standard_bracket(
     Share a memo only among words over one alphabet.  A seeded entry is
     used as given, so seeding each single letter ``(r,)`` with a tree
     substitutes that tree for the letter: the result's leaves then spell
-    the substituted word, over the trees' alphabet.
+    the substituted word, over the trees' alphabet.  A rejected word may
+    leave the trees of its LS factors in the memo, each one valid.
     """
-    if not is_super_ls(w):
-        raise ValueError(f"not a super-Lyndon-Shirshov word: {str(w)!r}")
     alphabet, letters = w.alphabet, w.letters
     memo = {} if memo is None else memo
     above = (len(alphabet),)  # ends a segment so that a prefix sorts greater
@@ -251,24 +253,28 @@ def standard_bracket(
                 merged = memo[segment] = NcMonomial.pair(m, right)
             m = merged
         factors.append((end, m))
-    if len(factors) == 2:  # the odd square uu, each half one factor
-        m = memo.get(letters)
-        if m is None:
-            m = memo[letters] = NcMonomial.pair(factors[1][1], factors[0][1])
-    return m
+    if len(factors) == 2:  # a square uu of an odd u, each half one factor
+        half = factors[1][0]
+        if letters[:half] == letters[half:] and _parity(alphabet, letters[:half]):
+            return memo.setdefault(letters, NcMonomial.pair(factors[1][1], factors[0][1]))
+    elif len(factors) == 1:
+        return m
+    raise ValueError(f"not a super-Lyndon-Shirshov word: {str(w)!r}")
 
 
 def is_admissible(m: NcMonomial) -> bool:
     """Expansion has leading word ``m.word`` with the standard coefficient.
 
-    The underlying word must be super-LS; the required coefficient is 1 for
-    an LS word and 2 for an odd square.  The leading term is the one ``m``
-    was built with, and ``m`` is expanded only if that cancels.
+    The underlying word must be super-LS, one :func:`is_super_ls` scan; the
+    required coefficient is 2 for a square, then an odd one, and 1 for an
+    LS word, never a proper power.  The leading term is the one ``m`` was
+    built with, and ``m`` is expanded only if that cancels.
     """
     w = m.word
-    coeff = _standard_coefficient(w)
-    if coeff is None:
+    if not is_super_ls(w):
         raise ValueError(f"underlying word is not super-Lyndon-Shirshov: {str(w)!r}")
+    half = len(w) // 2
+    coeff = 2 if w.letters[:half] == w.letters[half:] else 1
     if m._leading is not None:
         return m._leading == (w.letters, coeff)
     e = expand(m)

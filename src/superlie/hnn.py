@@ -808,7 +808,9 @@ def verify_structure_theorem(pres: HnnPresentation, max_len: int) -> StructureRe
     :func:`enumerate_reduced_super_ls`; with (iv), a pass shows that the
     monomials from W are independent and, their number being the number of
     reduced super-LS words, span.  Nothing is expanded freely: (iii) reads
-    each node's stored leading term by :func:`is_admissible`.  When (iii)
+    each node's stored leading term by :func:`is_admissible`, whose one
+    :func:`is_super_ls` scan per tree is the only super-LS test of the
+    run, as the trees' own factor stacks decide their words.  When (iii)
     passes at every degree, (iv) follows from the leading words and the
     closure check: each monomial leads with its own reduced word, a
     reduction never rewrites a reduced word, so each normal form leads with

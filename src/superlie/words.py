@@ -269,28 +269,17 @@ def _is_ls_letters(letters: tuple[int, ...]) -> bool:
     return all(letters > letters[k:] + letters[:k] for k in range(1, len(letters)))
 
 
-def _standard_coefficient(w: Word) -> Optional[int]:
-    """1 if ``w`` is LS, 2 if ``w = uu`` with ``u`` an odd LS word, else None.
+def is_super_ls(w: Word) -> bool:
+    """True iff ``w`` is LS, or ``w = uu`` with ``u`` an odd LS word.
 
-    The leading coefficient that the expansion of a super-LS word's standard
-    bracketing must have; the empty word is neither.  An LS word costs one
-    rotation scan.
+    The empty word is neither.  An LS word costs one rotation scan.
     """
     letters = w.letters
-    if not letters:
-        return None
     if _is_ls_letters(letters):
-        return 1
-    half, odd_length = divmod(len(letters), 2)
+        return bool(letters)
+    half = len(letters) // 2
     u = letters[:half]
-    if odd_length or u != letters[half:] or not _parity(w.alphabet, u):
-        return None
-    return 2 if _is_ls_letters(u) else None
-
-
-def is_super_ls(w: Word) -> bool:
-    """True iff ``w`` is LS, or ``w = uu`` with ``u`` an odd LS word."""
-    return _standard_coefficient(w) is not None
+    return u == letters[half:] and _parity(w.alphabet, u) == 1 and _is_ls_letters(u)
 
 
 def enumerate_super_ls(alphabet: Alphabet, max_len: int) -> list[Word]:

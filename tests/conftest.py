@@ -66,6 +66,14 @@ def oracle_is_super_ls(letters, parities):
     )
 
 
+def oracle_standard_coefficient(letters, parities):
+    """The standard bracketing's leading coefficient: 1 for an LS word, 2 for
+    an odd square, None for any other word, the empty one included."""
+    if not letters or not oracle_is_super_ls(letters, parities):
+        return None
+    return 1 if oracle_is_ls(letters) else 2
+
+
 def letter_terms(p: Poly) -> dict:
     """p as a dict from letter tuples (symbol ranks) to ``Fraction`` coefficients."""
     return {w: Fraction(n, p._den) for w, n in p._nums.items()}

@@ -1,6 +1,7 @@
 """Monomial trees, standard bracketings, admissibility."""
 
 import sys
+from itertools import product
 
 import pytest
 
@@ -19,8 +20,7 @@ from superlie import (
     superbracket,
 )
 from superlie import bracketing
-from superlie.words import _is_ls_letters
-from conftest import left_comb, letter_terms, reference_expand
+from conftest import left_comb, letter_terms, oracle_is_ls, oracle_is_super_ls, reference_expand
 from test_linalg import is_unitriangular
 from test_words import GT, lex_cmp
 
@@ -107,6 +107,31 @@ def test_standard_bracket_rejects_non_super_ls():
 
 
 @pytest.mark.parametrize(
+    "alphabet",
+    [Alphabet.from_names(["a", "b", "c"], odd=["a", "c"]), Alphabet.from_names(["a", "b", "c"])],
+)
+def test_standard_bracket_decides_super_ls_on_every_short_word(alphabet):
+    # the factor stack is the only super-LS test standard_bracket makes:
+    # every word of length 1..7 is bracketed, alone and with one shared
+    # memo, exactly when the rotation oracle calls it super-LS
+    shared = {}
+    for n in range(1, 8):
+        for letters in product(range(len(alphabet)), repeat=n):
+            w = Word(alphabet, letters)
+            if not oracle_is_super_ls(letters, alphabet.parities):
+                for memo in (None, shared):
+                    with pytest.raises(ValueError, match="not a super-Lyndon-Shirshov word"):
+                        standard_bracket(w, memo)
+                continue
+            m = standard_bracket(w)
+            assert standard_bracket(w, shared) == m and m.word == w
+            square = letters[: n // 2] == letters[n // 2 :]
+            assert m._leading == (letters, 2 if square else 1) and is_admissible(m)
+    # a rejected word leaves only the trees of its LS factors in the memo
+    assert all(m == standard_bracket(Word(alphabet, key)) for key, m in shared.items())
+
+
+@pytest.mark.parametrize(
     "alphabet,max_len",
     [
         (AB, 6),
@@ -129,15 +154,15 @@ def _recursive_standard(alphabet, letters, memo):
 
     The oracle for ``standard_bracket``: it recurses on letter tuples and
     splits off the longest proper LS suffix, testing each suffix with
-    ``_is_ls_letters``, or splits a square in the middle.
+    ``oracle_is_ls``, or splits a square in the middle.
     """
     m = memo.get(letters)
     if m is not None:
         return m
     if len(letters) == 1:
         m = NcMonomial.leaf(alphabet, letters[0])
-    elif _is_ls_letters(letters):
-        i = next(i for i in range(1, len(letters)) if _is_ls_letters(letters[i:]))
+    elif oracle_is_ls(letters):
+        i = next(i for i in range(1, len(letters)) if oracle_is_ls(letters[i:]))
         m = NcMonomial.pair(
             _recursive_standard(alphabet, letters[:i], memo),
             _recursive_standard(alphabet, letters[i:], memo),
@@ -208,7 +233,7 @@ def test_standard_bracket_with_seeded_letters_substitutes_them():
     seed = {(r,): m for r, m in enumerate(trees)}
     shared = dict(seed)
     words = enumerate_super_ls(alphabet, 6)
-    assert any(not _is_ls_letters(w.letters) for w in words)  # odd squares included
+    assert any(not oracle_is_ls(w.letters) for w in words)  # odd squares included
     for w in words:
         expected = _substituted(standard_bracket(w), trees)
         m = standard_bracket(w, dict(seed))
@@ -221,7 +246,7 @@ def test_standard_bracket_with_seeded_letters_substitutes_them():
 def test_standard_bracket_with_a_memo_matches_standard_bracket(alphabet):
     words = enumerate_super_ls(alphabet, 6)
     # the squares of odd LS words included
-    assert any(not _is_ls_letters(w.letters) for w in words) == any(alphabet.parities)
+    assert any(not oracle_is_ls(w.letters) for w in words) == any(alphabet.parities)
     # one memo per order: shortest words first finds every proper subtree
     # in the memo, longest first finds the shorter words themselves there
     for order in (words, words[::-1]):
@@ -299,7 +324,7 @@ def test_admissibility_of_standard_brackets():
             assert is_admissible(m)
             word, coeff = expand(m).leading()
             assert word == w
-            assert coeff == (1 if _is_ls_letters(w.letters) else 2)
+            assert coeff == (1 if oracle_is_ls(w.letters) else 2)
 
 
 def test_admissibility_accepts_non_standard_bracketings():

@@ -1155,6 +1155,15 @@ def test_bracket_of_the_empty_word_exits_2(capsys, word):
     assert (code, out, err) == (2, "", "error: not a super-Lyndon-Shirshov word: '1'\n")
 
 
+def test_bracket_of_a_long_non_super_ls_word_exits_2(capsys):
+    # t x^n t is neither LS nor a square; its factor stack, not a rotation
+    # scan, rejects it, at a length above the recursion limit
+    word = "t" + "x" * 2000 + "t"
+    assert len(word) > sys.getrecursionlimit()
+    code, out, err = run(capsys, "bracket", word, "--alphabet", "x,t")
+    assert (code, out, err) == (2, "", f"error: not a super-Lyndon-Shirshov word: {word!r}\n")
+
+
 def test_bracket_text_missing_a_name_exits_2(capsys):
     code, out, err = run(capsys, "expand", "[,a]", "--alphabet", "a,b")
     assert (code, out, err) == (2, "", "error: missing symbol name at offset 1 in '[,a]'\n")

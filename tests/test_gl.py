@@ -26,6 +26,7 @@ from test_hnn import (
     IDENTITY_CHECKS,
     _dimension_oracle,
     assert_basis_holds_W,
+    assert_basis_trees_are_standard,
     assert_check_iv_ranks_leading_terms,
     reference_identity_violations,
 )
@@ -163,6 +164,11 @@ def test_extension_of_gl_passes_with_the_oracle_counts(m, n, part, y, top):
 @pytest.mark.parametrize("m, n, part, y", [row[:4] for row in EXTENSIONS])
 def test_extension_of_gl_basis_holds_W_in_order(m, n, part, y, monkeypatch):
     assert_basis_holds_W(monkeypatch, load_presentation(gl(m, n, part, y)), 5)
+
+
+@pytest.mark.parametrize("m, n, part, y", [row[:4] for row in EXTENSIONS])
+def test_extension_of_gl_basis_trees_are_standard_bracketings(m, n, part, y):
+    assert_basis_trees_are_standard(load_presentation(gl(m, n, part, y)), 5)
 
 
 @pytest.mark.parametrize("m, n, part, y", [row[:4] for row in EXTENSIONS])

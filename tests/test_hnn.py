@@ -59,8 +59,7 @@ from superlie import (
 from superlie import hnn
 from superlie.poly import bracket_terms, from_letter_terms
 from superlie.rewrite import _reduce_letters
-from superlie.words import _standard_coefficient
-from conftest import left_comb, letter_terms, reference_expand
+from conftest import left_comb, letter_terms, oracle_standard_coefficient, reference_expand
 from test_bracketing import subtrees
 from test_linalg import is_unitriangular
 from test_words import LT, _weighted_products, assert_wrapped, lex_cmp
@@ -1411,6 +1410,54 @@ def test_basis_holds_W_in_order(fixture, monkeypatch):
     assert_basis_holds_W(monkeypatch, fixture(), 7)
 
 
+def assert_basis_trees_are_standard(pres, max_len):
+    """Each basis tree is the standard bracketing of its own word, over the base.
+
+    Check (iii) reads only a tree's word and leading term, so a bracketing
+    that the W substitution or the block order got wrong passes it while it
+    stays admissible; this compares the trees themselves.  They agree
+    because every LS suffix of a product of W words that starts with t
+    starts at a W boundary, so the standard factorisations over W and over
+    the base split at the same places.
+    """
+    for m in enumerate_h_basis(pres, max_len):
+        assert m == standard_bracket(m.word), str(m)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_basis_trees_are_the_standard_bracketings_of_their_words(fixture):
+    assert_basis_trees_are_standard(fixture(), 8)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_each_basis_word_is_tested_for_super_ls_once(fixture, monkeypatch, tmp_path, capsys):
+    # a passing structure check tests each basis word once, in is_admissible;
+    # standard_bracket decides from its factor stack, so hnn-basis tests none
+    from superlie import bracketing, words
+    from superlie.cli import main
+
+    callers, scans = [], []
+    real_super_ls, real_ls = words.is_super_ls, words._is_ls_letters
+
+    def counted_super_ls(w):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_super_ls(w)
+
+    for module in (words, bracketing):
+        monkeypatch.setattr(module, "is_super_ls", counted_super_ls)
+    monkeypatch.setattr(words, "_is_ls_letters", lambda letters: scans.append(1) or real_ls(letters))
+    pres = fixture()
+    assert verify_structure_theorem(pres, 7).passed
+    assert callers == ["is_admissible"] * len(enumerate_h_basis(pres, 7))
+    callers.clear()
+    scans.clear()
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(ALL[fixture.__name__]))
+    assert main(["hnn-basis", "--input", str(path), "--max-len", "7"]) == 0
+    capsys.readouterr()
+    assert callers == scans == []
+
+
 def _structure_with_basis(monkeypatch, pres, max_len, edit):
     """The structure report with ``edit`` applied to the basis it is handed."""
     build = hnn._h_basis
@@ -1658,7 +1705,10 @@ def assert_check_iv_ranks_leading_terms(monkeypatch, pres, max_len):
     (vectors,) = ranked
     basis = enumerate_h_basis(pres, max_len)
     assert len(vectors) == len(basis) == report.rows[-1].h_basis_count
-    assert vectors == [{m.word.letters: _standard_coefficient(m.word)} for m in basis]
+    parities = pres.alphabet.parities
+    assert vectors == [
+        {m.word.letters: oracle_standard_coefficient(m.word.letters, parities)} for m in basis
+    ]
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

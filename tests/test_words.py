@@ -16,18 +16,20 @@ from superlie import (
     Word,
     deglex_key,
     enumerate_super_ls,
+    expand,
+    is_admissible,
     is_super_ls,
     parse_monomial,
     parse_poly,
+    standard_bracket,
 )
 from superlie.words import (
     _is_ls_letters,
     _lex_key,
-    _standard_coefficient,
     _super_ls_tuples,
     _words,
 )
-from conftest import oracle_is_ls, oracle_is_super_ls
+from conftest import oracle_is_ls, oracle_is_super_ls, oracle_standard_coefficient
 
 AB = Alphabet.from_names(["a", "b"])
 AXT = Alphabet.from_names(["a", "x", "t"])
@@ -168,7 +170,9 @@ def test_super_ls_examples():
 def test_empty_word_rejected():
     # the empty word is neither LS nor an odd square, so it is not super-LS
     assert not is_super_ls(AB.word(""))
-    assert _standard_coefficient(AB.word("")) is None
+    assert oracle_standard_coefficient((), AB.parities) is None
+    with pytest.raises(ValueError, match="not a super-Lyndon-Shirshov word"):
+        standard_bracket(AB.word(""))
 
 
 @pytest.mark.parametrize(
@@ -186,15 +190,19 @@ def test_ls_matches_rotation_oracle(alphabet):
 
 
 def test_standard_coefficient_is_1_for_ls_and_2_for_odd_squares():
+    # the oracle of the coefficient is_admissible requires, held against the
+    # standard bracketings' expansions
     alphabet = Alphabet.from_names(["a", "b", "c"], odd=["a", "c"])
     parities = alphabet.parities
     squares = 0
     for n in range(1, 8):
         for letters in product(range(len(alphabet)), repeat=n):
             w = Word(alphabet, letters)
-            expected = (1 if oracle_is_ls(letters) else 2) if is_super_ls(w) else None
-            assert _standard_coefficient(w) == expected
-            assert (expected is not None) == oracle_is_super_ls(letters, parities)
+            expected = oracle_standard_coefficient(letters, parities)
+            assert (expected is not None) == is_super_ls(w)
+            if expected is not None:
+                m = standard_bracket(w)
+                assert expand(m).leading() == (w, expected) and is_admissible(m)
             squares += expected == 2
     assert squares > 0
 
@@ -678,7 +686,7 @@ def test_enumerated_words_are_the_checked_words(names, odd):
     # the word the checked constructor builds from its letters
     alphabet = Alphabet.from_names(names, odd)
     words = enumerate_super_ls(alphabet, 7)
-    assert any(not _is_ls_letters(w.letters) for w in words)  # odd squares among them
+    assert any(not oracle_is_ls(w.letters) for w in words)  # odd squares among them
     for w in words:
         checked = Word(alphabet, w.letters)
         assert type(w) is Word and w.alphabet is alphabet
